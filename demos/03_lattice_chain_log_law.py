@@ -13,39 +13,34 @@ coefficient becomes (1 + alpha) / (6 alpha)).
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from fermient import eigenvalues, interval, lattice_correlation, renyi_entropy
-from fermient.asymptotics import SweepResult, fit_scaling
+from fermient import PipelineConfig, interval, sweep
+from fermient.asymptotics import fit_scaling
 
 K_FERMI = math.pi / 2.0
 ORDERS = (0.5, 1.0, 2.0, math.inf)
 
 sizes = np.unique(np.round(np.geomspace(100, 2000, 12)).astype(int))
-spectra = {int(n): eigenvalues(lattice_correlation(K_FERMI, int(n)))
-           for n in sizes}
+gamma = interval(-K_FERMI, K_FERMI)
+omega = interval(0.0, 1.0)
+# One eigensolve per block size serves all four orders.
+by_order = sweep(gamma, omega, ORDERS, sizes, PipelineConfig(mode="lattice"))
 
 print(f"block entropies at half filling, n = {sizes.min()}..{sizes.max()}")
 header = f"{'n':>6}" + "".join(f"  S_{a:<5}" for a in ORDERS)
 print(header)
-for n, spectrum in spectra.items():
+for i, n in enumerate(sizes):
     row = f"{n:>6}"
     for alpha in ORDERS:
-        row += f"  {renyi_entropy(spectrum, alpha).S:7.4f}"
+        row += f"  {by_order[alpha].results[i].S:7.4f}"
     print(row)
 
 print()
 print(f"{'alpha':>6} {'fitted a':>10} {'theory':>10} {'rel dev':>9}")
-gamma = interval(-K_FERMI, K_FERMI)
-omega = interval(0.0, 1.0)
 for alpha in ORDERS:
-    results = tuple(
-        replace(renyi_entropy(spectrum, alpha), L=float(n))
-        for n, spectrum in spectra.items()
-    )
-    fit = fit_scaling(SweepResult(gamma, omega, alpha, "lattice", results))
+    fit = fit_scaling(by_order[alpha])
     theory = (1.0 + alpha) / (6.0 * alpha) if math.isfinite(alpha) \
         else 1.0 / 6.0
     dev = fit.log_coefficient / theory - 1.0

@@ -8,9 +8,12 @@ area law
 
 The usual entry points:
 
-    entropy_pipeline   geometry -> matrix -> spectrum -> entropy
+    pipeline_spectrum  geometry -> matrix -> spectrum, the one eigensolve
+                       every Renyi order at that L is summed from
+    entropy_pipeline   the same, then the entropy at one order
     sweep, fit_scaling, compare_theory
-                       scaling runs against the predicted coefficient
+                       scaling runs (one spectrum per L for any set of
+                       orders) against the predicted coefficient
     widom_J            the boundary coefficient J by exact or
                        quadrature routes
     entropy_log_coefficient, predicted_log_prefactor
@@ -34,8 +37,8 @@ from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        widom_J_sphere)
 from .kernels import FermiKernel, fermi_kernel, is_hermitian_sample, kernel_eval
 from .spectra import (EntropyResult, PipelineConfig, Spectrum,
-                      entropy_pipeline, eigenvalues, renyi_entropy,
-                      tensor_spectrum, trace_power_diagnostic)
+                      entropy_pipeline, eigenvalues, pipeline_spectrum,
+                      renyi_entropy, tensor_spectrum, trace_power_diagnostic)
 
 __version__ = "0.1.0"
 
@@ -53,7 +56,7 @@ __all__ = [
     "save_operator", "load_operator",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum", "trace_power_diagnostic",
-    "entropy_pipeline",
+    "pipeline_spectrum", "entropy_pipeline",
     "SweepResult", "ScalingFit", "sweep", "synthetic_sweep",
     "fit_scaling", "predicted_prefactor", "widom_prediction",
     "compare_theory",

@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .functionals import (log_coefficient_functional, predicted_log_prefactor)
 from .geometry import Domain, widom_J
-from .spectra import EntropyResult, PipelineConfig, entropy_pipeline
+from .spectra import (EntropyResult, PipelineConfig, pipeline_spectrum,
+                      renyi_entropy)
 
 __all__ = [
     "SweepResult",
@@ -84,57 +85,80 @@ class SweepResult:
         }
 
 
-def sweep(gamma: Domain, omega: Domain, alpha: float, L_grid,
+def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
           config: PipelineConfig = PipelineConfig(), jobs: int = 1,
-          on_result=None, precomputed: dict | None = None) -> SweepResult:
-    """entropy_pipeline over every L in the grid.
+          on_result=None, precomputed: dict | None = None):
+    """Entropies over every L in the grid, one spectrum per L.
 
-    jobs > 1 runs points in a thread pool (the eigensolver releases the
-    interpreter lock); aggregation is always ordered by L, so the
-    result is deterministic regardless of completion order.
+    alpha is one order or a sequence of orders.  Each L is assembled and
+    diagonalized once (pipeline_spectrum), and every order is a
+    renyi_entropy sum over that spectrum.  One order returns a
+    SweepResult; a sequence returns {alpha: SweepResult} in the order
+    given.  Every row at one L carries, as provenance wall_time_s, the
+    time spent assembling and diagonalizing that L, which its orders
+    share.
 
-    on_result, if given, is called with each EntropyResult as it
-    completes (serialized by an internal lock), which is how the CLI
-    persists partial rows.  precomputed maps L values to already-known
-    EntropyResults (resumed rows); those points are not recomputed.
+    jobs > 1 runs the L points in a thread pool (the eigensolver
+    releases the interpreter lock); aggregation is always ordered by L,
+    so the result is deterministic regardless of completion order.
 
-    An empty grid returns an empty SweepResult.
+    on_result, if given, is called in the calling thread with each
+    EntropyResult as its point completes, which is how the CLI persists
+    partial rows.  precomputed holds already-known EntropyResults
+    (resumed rows), keyed like the return value: {L: result} for one
+    order, {alpha: {L: result}} for a sequence.  An L whose orders are
+    all precomputed is not diagonalized; otherwise its missing orders
+    are computed from a fresh spectrum.
+
+    An empty grid returns empty SweepResults.
     """
+    single = np.ndim(alpha) == 0
+    orders = [alpha] if single else [float(a) for a in alpha]
+    if len(set(orders)) != len(orders):
+        raise ValueError("sweep orders contain duplicates")
     grid = [float(L) for L in L_grid]
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate L values")
-    done: dict[float, EntropyResult] = {}
-    todo = []
+    known = precomputed or {}
+    if single:
+        known = {alpha: known}
+    done = {a: {L: known[a][L] for L in grid if L in known.get(a, {})}
+            for a in orders}
+    todo = {}
     for L in grid:
-        if precomputed is not None and L in precomputed:
-            done[L] = precomputed[L]
-        else:
-            todo.append(L)
+        missing = [a for a in orders if L not in done[a]]
+        if missing:
+            todo[L] = missing
 
-    def run_one(L: float) -> EntropyResult:
+    def run_one(L: float, missing) -> list[EntropyResult]:
         start = time.perf_counter()
-        result = entropy_pipeline(gamma, omega, L, alpha, config)
-        provenance = dict(result.provenance)
+        spectrum, realized_L, provenance = pipeline_spectrum(
+            gamma, omega, L, config)
         provenance["wall_time_s"] = time.perf_counter() - start
-        return replace(result, provenance=provenance)
+        return [renyi_entropy(spectrum, a, realized_L, provenance)
+                for a in missing]
 
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, L): L for L in todo}
-            for future in as_completed(futures):
-                result = future.result()
-                done[futures[future]] = result
-                if on_result is not None:
-                    on_result(result)
-    else:
-        for L in todo:
-            result = run_one(L)
-            done[L] = result
+    def collect(L: float, results) -> None:
+        for result in results:
+            done[result.alpha][L] = result
             if on_result is not None:
                 on_result(result)
 
-    ordered = tuple(done[L] for L in sorted(done))
-    return SweepResult(gamma, omega, alpha, config.mode, ordered)
+    if jobs > 1 and len(todo) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(run_one, L, missing): L
+                       for L, missing in todo.items()}
+            for future in as_completed(futures):
+                collect(futures[future], future.result())
+    else:
+        for L, missing in todo.items():
+            collect(L, run_one(L, missing))
+
+    by_order = {
+        a: SweepResult(gamma, omega, a, config.mode, tuple(done[a].values()))
+        for a in orders
+    }
+    return by_order[alpha] if single else by_order
 
 
 def synthetic_sweep(gamma: Domain, omega: Domain, alpha: float, L_grid,

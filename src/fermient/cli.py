@@ -2,9 +2,11 @@
 
 Subcommands:
 
-    entropy     one S_alpha(gamma, L*omega) evaluation per requested order
+    entropy     S_alpha(gamma, L*omega) at every requested order, all
+                from one spectrum
     sweep       L sweep + scaling fit + comparison to the predicted
-                coefficient; persists partial rows and resumes
+                coefficient, one spectrum per L shared by every order;
+                persists partial rows and resumes
     jcoeff      boundary coefficient J by every applicable method
     functional  I(h_alpha) numeric vs closed form over an alpha grid
     validate    structural invariant suite
@@ -23,7 +25,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .geometry import Ball, GeometryError, widom_J, widom_J_monte_carlo
 from .records import (append_partial_row, config_hash, entropy_row, fit_block,
                       j_block, load_partial_rows, make_record, write_csv,
                       write_json)
-from .spectra import EntropyResult, SpectralViolationError, entropy_pipeline
+from .spectra import EntropyResult, SpectralViolationError
 from .validate import run_all
 
 EXIT_OK = 0
@@ -95,13 +96,10 @@ def cmd_entropy(args) -> int:
     gamma, omega = _domains(config)
     alphas = alphas_from_config(config)
     L = config.get_float("entropy.L", 1.0)
-    pipeline = pipeline_config_from(config)
-
-    rows = []
-    for alpha in alphas:
-        start = time.perf_counter()
-        result = entropy_pipeline(gamma, omega, L, alpha, pipeline)
-        rows.append(entropy_row(result, time.perf_counter() - start))
+    # A one-point sweep: one spectrum, summed once per order.
+    by_order = sweep(gamma, omega, alphas, [L], pipeline_config_from(config))
+    rows = [entropy_row(result) for result_set in by_order.values()
+            for result in result_set.results]
     record = make_record("entropy", config, rows=rows)
     _emit(record, args, rows, d=gamma.dim)
     return EXIT_OK
@@ -141,30 +139,31 @@ def cmd_sweep(args) -> int:
     weights = config.get("sweep.weights", "unit")
 
     partial_path = args.out + ".partial" if args.out else None
-    digest = config_hash(config)
-    persisted = (load_partial_rows(partial_path, digest)
-                 if partial_path and not args.self_test else {})
+    if args.self_test:
+        by_order = {alpha: synthetic_sweep(gamma, omega, alpha, grid)
+                    for alpha in alphas}
+    else:
+        # Partial rows are one line per (alpha, L); an L is solved again
+        # unless every requested order was persisted for it.
+        precomputed = {alpha: {} for alpha in alphas}
+        on_result = None
+        if partial_path:
+            digest = config_hash(config)
+            for (_, L), row in load_partial_rows(partial_path,
+                                                 digest).items():
+                result = _row_to_result(row)
+                if result.alpha in precomputed:
+                    precomputed[result.alpha][L] = result
+
+            def on_result(res):
+                append_partial_row(partial_path, entropy_row(res), digest)
+        by_order = sweep(gamma, omega, alphas, grid, pipeline,
+                         jobs=args.jobs, on_result=on_result,
+                         precomputed=precomputed)
 
     rows, fits = [], []
-    for alpha in alphas:
-        if args.self_test:
-            result_set = synthetic_sweep(gamma, omega, alpha, grid)
-            rows.extend(entropy_row(r) for r in result_set.results)
-        else:
-            alpha_key = "inf" if math.isinf(alpha) else alpha
-            precomputed = {
-                L: _row_to_result(row)
-                for (row_alpha, L), row in persisted.items()
-                if row_alpha == alpha_key
-            }
-            on_result = None
-            if partial_path:
-                def on_result(res, _alpha=alpha):
-                    append_partial_row(partial_path, entropy_row(res), digest)
-            result_set = sweep(gamma, omega, alpha, grid, pipeline,
-                               jobs=args.jobs, on_result=on_result,
-                               precomputed=precomputed)
-            rows.extend(entropy_row(r) for r in result_set.results)
+    for alpha, result_set in by_order.items():
+        rows.extend(entropy_row(r) for r in result_set.results)
         fit = fit_scaling(result_set, window=window, weights=weights)
         comparison = compare_theory(fit, gamma, omega, alpha)
         fits.append(fit_block(fit, comparison, alpha=alpha))

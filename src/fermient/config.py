@@ -257,6 +257,9 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
         if not alpha > 0:
             raise ConfigError(f"{key}: Renyi orders must be positive, "
                               f"got {alpha}")
+    if len(set(alphas)) != len(alphas):
+        raise ConfigError(f"{key}: Renyi orders must be distinct, "
+                          f"got {alphas}")
     return alphas
 
 

@@ -44,6 +44,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# Most surface node pairs |qa| * |qb| the quadrature route of widom_J
+# will sum.  _cosine_sum materializes 2048 x |qb| products per block, so
+# past this a block runs to gigabytes: a 3D pair at the default
+# resolution 256 would need 5.2e10 pairs.  Ball/ball in 3D at
+# resolution 96 (3.4e8 pairs) fits; no 3D pair at 128 (>= 1.07e9) does.
+MAX_COSINE_PAIRS = 500_000_000
+
 
 class GeometryError(ValueError):
     """Invalid shape parameters or an unsupported domain combination."""
@@ -519,6 +526,28 @@ def _cosine_sum(qa: SurfaceQuadrature, qb: SurfaceQuadrature) -> float:
     return total
 
 
+def _check_pair_count(gamma: Domain, omega: Domain, resolution: int) -> None:
+    """GeometryError when quadrature at this resolution needs more than
+    MAX_COSINE_PAIRS node pairs.
+
+    Every catalog surface rule has c * resolution^(d-1) nodes, so the
+    constants c are read off the resolution-1 rules and nothing of the
+    requested size is built before the check."""
+    power = 2 * (gamma.dim - 1)
+    per_step = len(gamma.surface_quadrature(1)) * len(omega.surface_quadrature(1))
+    pairs = per_step * resolution ** power
+    if pairs <= MAX_COSINE_PAIRS:
+        return
+    # The float root can be off by one either way; settle it exactly.
+    fits = int((MAX_COSINE_PAIRS / per_step) ** (1.0 / power)) + 1
+    while fits > 0 and per_step * fits ** power > MAX_COSINE_PAIRS:
+        fits -= 1
+    raise GeometryError(
+        f"quadrature J at resolution {resolution} needs {pairs:.3g} surface "
+        f"node pairs, over the limit {MAX_COSINE_PAIRS:.3g}; the largest "
+        f"resolution that fits is {fits}")
+
+
 def _face_pair_sum(gamma: Domain, omega: Domain) -> float:
     total = 0.0
     for fa, na in gamma.faces():
@@ -535,7 +564,9 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     d>=2: (2*pi)^(1-d) times the double surface integral of |m . n|.
     Polytope pairs use the exact face-pair sum; a spherical first factor
     admits the closed form; anything else is integrated by product
-    quadrature at the given per-face resolution.
+    quadrature at the given per-face resolution; a resolution needing
+    more than MAX_COSINE_PAIRS surface node pairs raises GeometryError,
+    naming the largest resolution that fits.
 
     method 'auto' picks the most exact applicable path; 'quadrature',
     'face_pair', 'closed_form' and 'monte_carlo' force a path.
@@ -570,6 +601,7 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     if method != "quadrature":
         raise GeometryError(f"unknown widom_J method {method!r}")
 
+    _check_pair_count(gamma, omega, resolution)
     qa = gamma.surface_quadrature(resolution)
     qb = omega.surface_quadrature(resolution)
     value = prefactor * _cosine_sum(qa, qb)

@@ -11,10 +11,13 @@ eigenvalues poke slightly outside [0, 1]; they are clamped with
 bookkeeping, a warning flag past 1e-7, and a hard failure past 1e-3
 (which indicates a broken discretization, not roundoff).
 
-entropy_pipeline composes the whole chain geometry -> matrix ->
-spectrum -> entropy, routing box-product geometries through tensor
-spectra: the compression separates per axis there, so its eigenvalues
-are products of 1D eigenvalues and no d-dimensional matrix is needed.
+pipeline_spectrum is the chain geometry -> matrix -> spectrum, routing
+box-product geometries through tensor spectra: the compression
+separates per axis there, so its eigenvalues are products of 1D
+eigenvalues and no d-dimensional matrix is needed.  Every order is a
+sum over that one spectrum, so callers wanting several orders at one L
+diagonalize once and call renyi_entropy per order; entropy_pipeline is
+the single-order composition of the two.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "renyi_entropy",
     "tensor_spectrum",
     "trace_power_diagnostic",
+    "pipeline_spectrum",
     "entropy_pipeline",
 ]
 
@@ -120,20 +124,24 @@ def eigenvalues(op, warn_threshold: float = EPS_WARN,
                     warn=max_violation >= warn_threshold)
 
 
-def renyi_entropy(spectrum: Spectrum, alpha: float) -> EntropyResult:
+def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
+                  provenance: dict | None = None) -> EntropyResult:
     """S_alpha = sum of the two-point entropies of all eigenvalues.
 
     alpha = math.inf gives the min-entropy -sum ln max(lambda, 1-lambda);
     exp(-S_inf) is then the largest Fock-space eigenvalue of the
     quasi-free reduced state, the product of max(lambda, 1-lambda).
     The summation order is fixed (ascending eigenvalues) so results are
-    reproducible run to run.
+    reproducible run to run.  L and provenance (the spectrum's, as
+    returned by pipeline_spectrum) are carried into the result; the
+    clamp bookkeeping is added to a copy of the provenance.
     """
     values = entropy_function(spectrum.eigenvalues, alpha)
     S = float(np.sum(values))
     return EntropyResult(
-        alpha=alpha, S=S, n=len(spectrum),
-        provenance={"clamp_count": spectrum.clamp_count,
+        alpha=alpha, S=S, n=len(spectrum), L=L,
+        provenance={**(provenance or {}),
+                    "clamp_count": spectrum.clamp_count,
                     "max_violation": spectrum.max_violation})
 
 
@@ -212,13 +220,15 @@ def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
     return "continuum"
 
 
-def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
-                     config: PipelineConfig = PipelineConfig()) -> EntropyResult:
-    """S_alpha of the gamma ground state reduced to the region L * omega.
+def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
+                      config: PipelineConfig = PipelineConfig()
+                      ) -> tuple[Spectrum, float, dict]:
+    """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
-    Composes discretization, eigensolution, and the spectral entropy
-    sum; the returned provenance records the route taken and the clamp
-    bookkeeping.
+    Returns (spectrum, realized L, provenance).  The realized L differs
+    from the requested one only in lattice mode, where the block has an
+    integer number of sites; provenance records the route taken.  Every
+    Renyi order at this L is renyi_entropy of the one spectrum.
     """
     mode = _resolve_mode(config.mode, gamma, omega)
 
@@ -229,14 +239,12 @@ def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
                 f"lattice block n={sites} over budget {config.lattice_budget}")
         op = _disc.lattice_correlation(k_fermi, sites)
         spectrum = eigenvalues(op, config.warn_threshold, config.abort_threshold)
-        result = renyi_entropy(spectrum, alpha)
-        provenance = dict(result.provenance)
-        provenance.update(mode="lattice", k_fermi=k_fermi, n=sites,
-                          requested_L=float(L),
-                          gamma=gamma.describe(), omega=omega.describe())
         # Record the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
-        return replace(result, L=sites / omega.volume(), provenance=provenance)
+        return spectrum, sites / omega.volume(), {
+            "mode": "lattice", "k_fermi": k_fermi, "n": sites,
+            "requested_L": float(L),
+            "gamma": gamma.describe(), "omega": omega.describe()}
 
     if mode == "tensor_box":
         if not (isinstance(gamma, Box) and isinstance(omega, Box)):
@@ -256,12 +264,10 @@ def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
             axis_ns.append(len(axis_spec))
             spectrum = axis_spec if spectrum is None \
                 else tensor_spectrum(spectrum, axis_spec)
-        result = renyi_entropy(spectrum, alpha)
-        provenance = dict(result.provenance)
-        provenance.update(mode="tensor_box", n=len(spectrum),
-                          axis_ns=axis_ns, rule=config.rule,
-                          gamma=gamma.describe(), omega=omega.describe())
-        return replace(result, L=float(L), provenance=provenance)
+        return spectrum, float(L), {
+            "mode": "tensor_box", "n": len(spectrum), "axis_ns": axis_ns,
+            "rule": config.rule,
+            "gamma": gamma.describe(), "omega": omega.describe()}
 
     if mode != "continuum":
         raise ValueError(f"unknown pipeline mode {mode!r}")
@@ -271,7 +277,19 @@ def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
         rule=config.rule, budget=config.budget,
         strict_nyquist=config.strict_nyquist)
     spectrum = eigenvalues(op, config.warn_threshold, config.abort_threshold)
-    result = renyi_entropy(spectrum, alpha)
-    provenance = dict(op.provenance)
-    provenance.update(result.provenance)
-    return replace(result, L=float(L), provenance=provenance)
+    return spectrum, float(L), dict(op.provenance)
+
+
+def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
+                     config: PipelineConfig = PipelineConfig()) -> EntropyResult:
+    """S_alpha of the gamma ground state reduced to the region L * omega.
+
+    pipeline_spectrum followed by renyi_entropy at one order; the
+    returned provenance records the route taken and the clamp
+    bookkeeping.  For several orders at one L, call pipeline_spectrum
+    once and renyi_entropy per order (as sweep does) instead of
+    repeating the eigensolve.
+    """
+    spectrum, realized_L, provenance = pipeline_spectrum(gamma, omega, L,
+                                                         config)
+    return renyi_entropy(spectrum, alpha, realized_L, provenance)

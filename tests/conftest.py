@@ -6,7 +6,6 @@ and shared between the unit tests and the acceptance criteria.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +14,9 @@ from fermient import (
     Box,
     IntervalUnion,
     PipelineConfig,
-    SweepResult,
     eigenvalues,
     interval,
     lattice_correlation,
-    renyi_entropy,
     sweep,
 )
 
@@ -47,21 +44,12 @@ def lattice_spectra():
 
 
 @pytest.fixture(scope="session")
-def lattice_sweeps(lattice_spectra):
-    """{alpha: SweepResult} for the half-filled lattice, sharing spectra.
-
-    The eigensolves dominate; entropies for extra orders are nearly free,
-    so the spectra are diagonalized once and summed per alpha."""
+def lattice_sweeps():
+    """{alpha: SweepResult} for the half-filled lattice: one multi-order
+    sweep, so each block is diagonalized once for all three orders."""
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-
-    def build(alpha):
-        results = tuple(
-            replace(renyi_entropy(spectrum, alpha), L=float(n))
-            for n, spectrum in lattice_spectra.items()
-        )
-        return SweepResult(gamma, OMEGA_UNIT, alpha, "lattice", results)
-
-    return {alpha: build(alpha) for alpha in (0.5, 1.0, 2.0)}
+    return sweep(gamma, OMEGA_UNIT, (0.5, 1.0, 2.0), LATTICE_SIZES,
+                 PipelineConfig(mode="lattice"))
 
 
 @pytest.fixture(scope="session")

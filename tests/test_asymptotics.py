@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fermient import spectra
 from fermient.asymptotics import (
     FitError,
     SweepResult,
@@ -153,6 +154,52 @@ def test_sweep_parallel_equals_serial():
     np.testing.assert_array_equal(serial.L_values, parallel.L_values)
 
 
+def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
+    calls = []
+    original = spectra.eigenvalues
+
+    def counting(op, *args, **kwargs):
+        calls.append(op)
+        return original(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigenvalues", counting)
+    config = PipelineConfig(mode="lattice")
+    grid = [20, 30, 40]
+    orders = (0.5, 1.0, math.inf)
+    by_order = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config)
+    assert len(calls) == len(grid)
+    assert list(by_order) == list(orders)
+    for alpha in orders:
+        single = sweep(GAMMA_LATTICE, OMEGA, alpha, grid, config)
+        assert by_order[alpha].alpha == alpha
+        np.testing.assert_array_equal(by_order[alpha].S_values,
+                                      single.S_values)
+
+
+def test_sweep_orders_parallel_equals_serial():
+    config = PipelineConfig(mode="lattice")
+    grid = [20, 30, 40, 60]
+    orders = [0.5, 1.0, 2.0]
+    serial = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config, jobs=1)
+    parallel = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config, jobs=2)
+    for alpha in orders:
+        for a, b in zip(serial[alpha].results, parallel[alpha].results):
+            assert (a.alpha, a.L, a.n, a.S) == (b.alpha, b.L, b.n, b.S)
+
+
+def test_sweep_orders_resume_only_missing_points():
+    config = PipelineConfig(mode="lattice")
+    sentinel = EntropyResult(alpha=1.0, S=99.0, n=40, L=40.0)
+    seen = []
+    by_order = sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0], [20, 40], config,
+                     on_result=seen.append,
+                     precomputed={1.0: {40.0: sentinel}})
+    # L = 40 still lacks alpha = 2, so it is solved for that order only.
+    assert sorted((r.alpha, r.L) for r in seen) == [
+        (1.0, 20.0), (2.0, 20.0), (2.0, 40.0)]
+    assert by_order[1.0].results[1] is sentinel
+
+
 def test_sweep_on_result_callback():
     seen = []
     config = PipelineConfig(mode="lattice")
@@ -174,6 +221,12 @@ def test_sweep_precomputed_rows_are_not_recomputed():
 def test_sweep_rejects_duplicate_grid():
     with pytest.raises(ValueError):
         sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 20],
+              PipelineConfig(mode="lattice"))
+
+
+def test_sweep_rejects_duplicate_orders():
+    with pytest.raises(ValueError):
+        sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0, 1.0], [20, 40],
               PipelineConfig(mode="lattice"))
 
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fermient import geometry, spectra
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.records import append_partial_row, config_hash
@@ -30,6 +31,27 @@ LATTICE_ARGS = [
     "omega.shape=interval", "omega.intervals=0:1",
     "mode=lattice",
 ]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Sizes of the matrices passed to spectra.eigenvalues, in call order."""
+    sizes = []
+    original = spectra.eigenvalues
+
+    def counting(op, *args, **kwargs):
+        spectrum = original(op, *args, **kwargs)
+        sizes.append(len(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(spectra, "eigenvalues", counting)
+    return sizes
+
+
+def without_wall_times(record):
+    for row in record["rows"]:
+        row.pop("wall_time_s", None)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +82,22 @@ def test_entropy_deterministic_modulo_timing(capsys):
         for row in record["rows"]:
             row.pop("wall_time_s")
     assert first == second
+
+
+def test_entropy_solves_once_for_all_orders(capsys, solves):
+    record = run_json(capsys, "entropy", *LATTICE_ARGS, "entropy.L=50",
+                      "alpha=0.5,1,2")
+    assert solves == [50]
+    for row in record["rows"]:
+        single = run_json(capsys, "entropy", *LATTICE_ARGS, "entropy.L=50",
+                          f"alpha={row['alpha']}")
+        assert single["rows"][0]["S"] == row["S"]
+
+
+def test_duplicate_alpha_exits_2(capsys):
+    code, _, err = run_cli(capsys, "entropy", *LATTICE_ARGS, "alpha=1,2,1")
+    assert code == 2
+    assert "distinct" in json.loads(err)["error"]["message"]
 
 
 def test_entropy_csv_output(capsys, tmp_path):
@@ -168,6 +206,27 @@ def test_jcoeff_interval_pair(capsys):
     assert record["j"]["agreement"] == 0.0
 
 
+def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
+    # At the default resolution 256 the ball/cube quadrature would need
+    # 5.2e10 surface node pairs (6 GiB blocks); it must be refused
+    # before any pair block is built.
+    def forbidden(qa, qb):
+        raise AssertionError("pair block built past the limit")
+
+    monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
+    code, out, err = run_cli(capsys, "jcoeff",
+                             "gamma.shape=ball", "gamma.center=0,0,0",
+                             "gamma.radius=1",
+                             "omega.shape=box", "omega.bounds=0:1,0:1,0:1")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "computation"
+    assert error["type"] == "GeometryError"
+    assert "resolution 256" in error["message"]
+    assert "largest resolution that fits is 80" in error["message"]
+
+
 def test_jcoeff_square_pair_all_methods(capsys):
     record = run_json(capsys, "jcoeff", "--seed", "7",
                       "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
@@ -257,6 +316,67 @@ def test_sweep_resumes_from_partial_rows(capsys, tmp_path):
     assert by_L[63.0]["S"] == 99.0          # reused, not recomputed
     assert 0.0 < by_L[40.0]["S"] < 5.0      # freshly computed
     assert not (tmp_path / "sweep.json.partial").exists()
+
+
+def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):
+    orders = ["0.25", "0.5", "1", "2", "inf"]
+    out = tmp_path / "multi.json"
+    code, _, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
+                           "alpha=" + ",".join(orders), "sweep.L=40:160:4",
+                           "--out", str(out))
+    assert code == 0, err
+    assert solves == [40, 63, 101, 160]
+    record = json.loads(out.read_text())
+    assert len(record["rows"]) == 4 * len(orders)
+    multi = {(row["alpha"], row["L"]): row["S"] for row in record["rows"]}
+    for alpha in orders:
+        single = run_json(capsys, "sweep", *LATTICE_ARGS, f"alpha={alpha}",
+                          "sweep.L=40:160:4")
+        for row in single["rows"]:
+            assert multi[(row["alpha"], row["L"])] == row["S"]
+        assert single["fit"] in record["fits"]
+
+
+def test_sweep_tensor_box_solves_two_axes_per_L(capsys, solves):
+    record = run_json(capsys, "sweep",
+                      "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
+                      "omega.shape=box", "omega.bounds=0:1,0:1",
+                      "mode=tensor_box", "alpha=0.5,1,2",
+                      "sweep.L=10:40:4")
+    assert len(solves) == 2 * 4
+    assert len(record["rows"]) == 3 * 4
+
+
+def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "gamma.k_fermi = 1.5707963267948966\n"
+        "omega.shape = interval\n"
+        "omega.intervals = 0:1\n"
+        "mode = lattice\n"
+        "alpha = 0.5,1,2\n"
+        "sweep.L = 40:160:4\n")
+    full = tmp_path / "full.json"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(full))
+    assert code == 0, err
+    uninterrupted = json.loads(full.read_text())
+
+    # The interrupted run had finished every order at L = 63 and only
+    # alpha = 1 at L = 101; partial rows stay one line per (alpha, L).
+    resumed = tmp_path / "resumed.json"
+    digest = config_hash(load_config(cfg))
+    for row in uninterrupted["rows"]:
+        if row["L"] == 63.0 or (row["L"] == 101.0 and row["alpha"] == 1.0):
+            append_partial_row(str(resumed) + ".partial", row, digest)
+    solves.clear()
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(resumed))
+    assert code == 0, err
+    assert solves == [40, 101, 160]
+    assert (without_wall_times(json.loads(resumed.read_text()))
+            == without_wall_times(uninterrupted))
+    assert not (tmp_path / "resumed.json.partial").exists()
 
 
 def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path):

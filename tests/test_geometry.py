@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fermient import geometry
 from fermient.geometry import (
     Ball,
     Box,
@@ -282,6 +283,23 @@ def test_widom_J_sphere_matches_quadrature_in_3d():
     quad = widom_J(ball, ball, resolution=96, method="quadrature").value
     assert closed == pytest.approx(2.0, rel=1e-12)
     assert abs(quad - closed) < 1e-3
+
+
+def test_widom_J_quadrature_refuses_oversized_pair_block(monkeypatch):
+    def forbidden(qa, qb):
+        raise AssertionError("pair block built past the limit")
+
+    monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    cube = Box(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+    # 2 * 256^2 sphere nodes times 6 * 256^2 face nodes = 5.2e10 pairs.
+    with pytest.raises(GeometryError, match="largest resolution that fits "
+                                            "is 80$"):
+        widom_J(ball, cube, method="quadrature")
+    # 12 * 80^4 = 4.9e8 pairs fit under the limit; 12 * 81^4 do not.
+    assert 12 * 80 ** 4 <= geometry.MAX_COSINE_PAIRS < 12 * 81 ** 4
+    with pytest.raises(GeometryError, match="resolution 81 "):
+        widom_J(cube, ball, resolution=81, method="quadrature")
 
 
 def test_widom_J_density_form_agrees():

@@ -15,6 +15,7 @@ from fermient.spectra import (
     Spectrum,
     eigenvalues,
     entropy_pipeline,
+    pipeline_spectrum,
     renyi_entropy,
     tensor_spectrum,
     trace_power_diagnostic,
@@ -175,6 +176,18 @@ def test_pipeline_lattice_realized_dilation():
     assert result.provenance["requested_L"] == 100.4
     assert result.provenance["mode"] == "lattice"
     assert result.provenance["k_fermi"] == pytest.approx(math.pi / 2.0)
+
+
+def test_pipeline_spectrum_serves_every_order():
+    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
+    config = PipelineConfig(mode="lattice")
+    spectrum, L, provenance = pipeline_spectrum(gamma, OMEGA, 100.4, config)
+    assert (L, len(spectrum), provenance["mode"]) == (100.0, 100, "lattice")
+    for alpha in (0.5, 1.0, math.inf):
+        result = renyi_entropy(spectrum, alpha, L, provenance)
+        assert result == entropy_pipeline(gamma, OMEGA, 100.4, alpha, config)
+    # The shared provenance is copied, never extended in place.
+    assert "clamp_count" not in provenance
 
 
 def test_pipeline_lattice_requires_symmetric_interval():
