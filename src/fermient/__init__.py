@@ -24,8 +24,8 @@ from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, predicted_prefactor, sweep,
                           synthetic_sweep, widom_prediction)
 from .discretize import (DiscretizedOperator, LatticeCorrelation,
-                         lattice_correlation, load_operator, nystrom,
-                         ring_block_correlation, save_operator)
+                         lattice_correlation, nystrom,
+                         ring_block_correlation)
 from .functionals import (dilog, dilog_one_minus, entropy_function,
                           entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
@@ -35,7 +35,7 @@ from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        IntervalUnion, interval, mean_density, widom_J,
                        widom_J_density_form, widom_J_monte_carlo,
                        widom_J_sphere)
-from .kernels import FermiKernel, fermi_kernel, is_hermitian_sample, kernel_eval
+from .kernels import FermiKernel, fermi_kernel, is_hermitian_sample
 from .spectra import (EntropyResult, PipelineConfig, Spectrum,
                       entropy_pipeline, eigenvalues, pipeline_spectrum,
                       renyi_entropy, tensor_spectrum, trace_power_diagnostic)
@@ -50,10 +50,9 @@ __all__ = [
     "entropy_function", "entropy_log_coefficient",
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
     "predicted_log_prefactor", "dilog", "dilog_one_minus",
-    "FermiKernel", "fermi_kernel", "kernel_eval", "is_hermitian_sample",
+    "FermiKernel", "fermi_kernel", "is_hermitian_sample",
     "DiscretizedOperator", "LatticeCorrelation", "nystrom",
     "lattice_correlation", "ring_block_correlation",
-    "save_operator", "load_operator",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum", "trace_power_diagnostic",
     "pipeline_spectrum", "entropy_pipeline",

@@ -72,18 +72,6 @@ class SweepResult:
     def S_values(self) -> np.ndarray:
         return np.array([r.S for r in self.results])
 
-    def plot_columns(self) -> dict:
-        """Plot-ready columns: raw (L, S) plus the rectified pair
-        (ln L, S / L^(d-1)) in which the law is a straight line."""
-        d = self.gamma.dim
-        L, S = self.L_values, self.S_values
-        return {
-            "L": L,
-            "S": S,
-            "ln_L": np.log(L),
-            "S_scaled": S / L ** (d - 1),
-        }
-
 
 def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
           config: PipelineConfig = PipelineConfig(), jobs: int = 1,

@@ -96,6 +96,9 @@ def cmd_entropy(args) -> int:
     gamma, omega = _domains(config)
     alphas = alphas_from_config(config)
     L = config.get_float("entropy.L", 1.0)
+    if not 0 < L < math.inf:
+        raise ConfigError(f"entropy.L: need a finite positive dilation, "
+                          f"got {L}")
     # A one-point sweep: one spectrum, summed once per order.
     by_order = sweep(gamma, omega, alphas, [L], pipeline_config_from(config))
     rows = [entropy_row(result) for result_set in by_order.values()

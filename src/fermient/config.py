@@ -18,15 +18,16 @@ Key reference (all optional unless a command requires them):
     gamma.vertices          x:y[,x:y...]        (polygon, ccw)
     gamma.k_fermi           k                   (shorthand: interval -k:k)
     omega.*                 same scheme as gamma.*
-    entropy.L               dilation for single-point runs
+    entropy.L               dilation for single-point runs (finite, > 0)
     sweep.L                 lo:hi:count (geometric grid) or explicit list
+                            of distinct finite L > 0
     sweep.window            lo:hi fit window (default: whole grid)
     sweep.weights           unit | inverse_area
     disc.nodes_per_unit     float (default: resolution from the kernel)
-    disc.rule               gauss_panels | midpoint
     disc.budget             max continuum matrix size
     disc.lattice_budget     max lattice matrix size
     disc.strict_nyquist     true | false
+                            (any other disc.* key is a config error)
     jcoeff.method           auto | face_pair | closed_form | quadrature |
                             monte_carlo
     jcoeff.resolution       surface quadrature resolution
@@ -53,8 +54,13 @@ __all__ = [
     "serialize_config",
     "domain_from_config",
     "grid_from_config",
+    "window_from_config",
+    "alphas_from_config",
     "pipeline_config_from",
 ]
+
+_DISC_KEYS = ("disc.nodes_per_unit", "disc.budget", "disc.lattice_budget",
+              "disc.strict_nyquist")
 
 
 class ConfigError(ValueError):
@@ -227,8 +233,8 @@ def grid_from_config(raw: str) -> np.ndarray:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"grid: non-numeric field in {raw!r}")
-        if not (0 < lo < hi) or count < 2:
-            raise ConfigError(f"grid: need 0 < lo < hi and count >= 2, "
+        if not (0 < lo < hi < math.inf) or count < 2:
+            raise ConfigError(f"grid: need 0 < lo < hi < inf and count >= 2, "
                               f"got {raw!r}")
         return np.geomspace(lo, hi, count)
     try:
@@ -237,6 +243,8 @@ def grid_from_config(raw: str) -> np.ndarray:
         raise ConfigError(f"grid: non-numeric entry in {raw!r}")
     if len(grid) == 0:
         raise ConfigError("grid: empty")
+    if not all(0 < L < math.inf for L in grid) or len(set(grid)) < len(grid):
+        raise ConfigError(f"grid: need distinct finite L > 0, got {raw!r}")
     return grid
 
 
@@ -264,13 +272,18 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
 
 
 def pipeline_config_from(config: RunConfig) -> PipelineConfig:
+    """PipelineConfig from mode and the disc.* keys; others are errors."""
     mode = config.get("mode", "auto").strip().lower()
     if mode not in ("auto", "continuum", "lattice", "tensor_box"):
         raise ConfigError(f"mode: unknown mode {mode!r}")
+    unknown = sorted(key for key in config.values
+                     if key.startswith("disc.") and key not in _DISC_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; the disc.* keys "
+                          f"are {', '.join(_DISC_KEYS)}")
     return PipelineConfig(
         mode=mode,
         nodes_per_unit=config.get_float("disc.nodes_per_unit"),
-        rule=config.get("disc.rule", "gauss_panels"),
         budget=config.get_int("disc.budget", PipelineConfig.budget),
         lattice_budget=config.get_int("disc.lattice_budget",
                                       PipelineConfig.lattice_budget),

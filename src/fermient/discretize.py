@@ -23,7 +23,6 @@ equal entry by entry.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ __all__ = [
     "nystrom",
     "lattice_correlation",
     "ring_block_correlation",
-    "save_operator",
-    "load_operator",
     "DEFAULT_CONTINUUM_BUDGET",
     "DEFAULT_LATTICE_BUDGET",
 ]
@@ -90,9 +87,6 @@ class DiscretizedOperator:
         """Tr A, approximating the mean particle number in the region."""
         return float(np.real(np.trace(self.matrix)))
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
 
 @dataclass(frozen=True)
 class LatticeCorrelation:
@@ -106,9 +100,6 @@ class LatticeCorrelation:
     k_fermi: float
     n: int
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
 
 def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
     """Composite Gauss-Legendre rule on [a, b] with equal panels."""
@@ -121,33 +112,22 @@ def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
     return nodes, weights
 
 
-def _midpoint_rule(a: float, b: float, count: int):
-    h = (b - a) / count
-    return a + h * (np.arange(count) + 0.5), np.full(count, h)
-
-
-def _rule_1d(union: IntervalUnion, nodes_per_unit: float, wavelength: float,
-             rule: str):
-    """Composite rule over every interval of a 1D region."""
+def _rule_1d(union: IntervalUnion, nodes_per_unit: float, wavelength: float):
+    """Composite Gauss rule over every interval of a 1D region."""
     all_nodes, all_weights = [], []
     for a, b in union.intervals:
         length = b - a
         target = max(int(math.ceil(length * nodes_per_unit)), 4)
-        if rule == "midpoint":
-            nodes, weights = _midpoint_rule(a, b, target)
-        elif rule == "gauss_panels":
-            num_panels = max(int(math.ceil(length / wavelength)), 1)
-            per_panel = max(int(math.ceil(target / num_panels)), 4)
-            nodes, weights = _gauss_panels(a, b, num_panels, per_panel)
-        else:
-            raise DiscretizationError(f"unknown quadrature rule {rule!r}")
+        num_panels = max(int(math.ceil(length / wavelength)), 1)
+        per_panel = max(int(math.ceil(target / num_panels)), 4)
+        nodes, weights = _gauss_panels(a, b, num_panels, per_panel)
         all_nodes.append(nodes)
         all_weights.append(weights)
     return np.concatenate(all_nodes), np.concatenate(all_weights)
 
 
-def _rule_box(box: Box, nodes_per_unit: float, wavelength: float, rule: str):
-    axes = [_rule_1d(iv, nodes_per_unit, wavelength, rule)
+def _rule_box(box: Box, nodes_per_unit: float, wavelength: float):
+    axes = [_rule_1d(iv, nodes_per_unit, wavelength)
             for iv in box.axis_intervals()]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
@@ -157,7 +137,7 @@ def _rule_box(box: Box, nodes_per_unit: float, wavelength: float, rule: str):
     return nodes, weights
 
 
-def _rule_ball(ball: Ball, nodes_per_unit: float, rule: str):
+def _rule_ball(ball: Ball, nodes_per_unit: float):
     """Product polar/spherical grid: Gauss in radius, uniform in angles."""
     r_max = ball.radius
     center = np.array(ball.center)
@@ -193,15 +173,17 @@ def _rule_ball(ball: Ball, nodes_per_unit: float, rule: str):
 
 
 def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
-            nodes_per_unit: float | None = None, rule: str = "gauss_panels",
+            nodes_per_unit: float | None = None,
             budget: int = DEFAULT_CONTINUUM_BUDGET,
             strict_nyquist: bool = True) -> DiscretizedOperator:
     """Quadrature discretization of the Fermi projection localized to L*omega.
 
-    Builds a rule on the dilated region, evaluates the closed-form
-    kernel of the gamma projection on all node differences, and returns
-    the Hermitian matrix A[j, k] = sqrt(w_j w_k) K(q_j - q_k), whose
-    eigenvalues approximate those of the compressed operator.
+    Builds a quadrature rule on the dilated region, evaluates the
+    closed-form kernel of the gamma projection on all node differences,
+    and returns the Hermitian matrix A[j, k] = sqrt(w_j w_k) K(q_j - q_k),
+    whose eigenvalues approximate those of the compressed operator.  The
+    rule is Gauss-Legendre on panels at most one Fermi wavelength long
+    per axis, or Gauss in radius times uniform in angle on balls.
 
     Parameters
     ----------
@@ -210,8 +192,6 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     L : dilation factor applied to omega, >= 0 excluded
     nodes_per_unit : nodes per unit length along each direction; default
         resolves eight nodes per Fermi wavelength (floor 2 per unit)
-    rule : 'gauss_panels' (composite Gauss-Legendre, panels at most one
-        Fermi wavelength long) or 'midpoint'
     budget : maximum matrix dimension; exceeding it raises BudgetError
     strict_nyquist : reject (True) or merely warn (False) when the node
         spacing cannot resolve the fastest kernel oscillation
@@ -248,14 +228,14 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     if isinstance(region, (IntervalUnion,)) or (isinstance(region, Box)
                                                 and region.dim == 1):
         union = region.as_interval_union()
-        nodes, weights = _rule_1d(union, nodes_per_unit, wavelength, rule)
+        nodes, weights = _rule_1d(union, nodes_per_unit, wavelength)
     elif isinstance(region, Box):
-        nodes, weights = _rule_box(region, nodes_per_unit, wavelength, rule)
+        nodes, weights = _rule_box(region, nodes_per_unit, wavelength)
     elif isinstance(region, Ball) and region.dim == 1:
         nodes, weights = _rule_1d(region.as_interval_union(), nodes_per_unit,
-                                  wavelength, rule)
+                                  wavelength)
     elif isinstance(region, Ball):
-        nodes, weights = _rule_ball(region, nodes_per_unit, rule)
+        nodes, weights = _rule_ball(region, nodes_per_unit)
     else:
         raise DiscretizationError(
             f"no node rule for {type(region).__name__} spatial regions")
@@ -286,7 +266,6 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
         "gamma": gamma.describe(),
         "omega": omega.describe(),
         "L": float(L),
-        "rule": rule,
         "n": n,
         "nodes_per_unit": float(nodes_per_unit),
     }
@@ -346,30 +325,3 @@ def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:
             filled / num_sites,
         )
     return toeplitz(column)
-
-
-# ---------------------------------------------------------------------------
-# Operator persistence (binary, documented layout)
-# ---------------------------------------------------------------------------
-
-def save_operator(op: DiscretizedOperator, path) -> None:
-    """Dump an operator to a .npz archive.
-
-    Layout: arrays 'matrix' (n x n, row-major), 'nodes', 'weights', and
-    'provenance' (a JSON string of the provenance dict).
-    """
-    np.savez_compressed(
-        path,
-        matrix=op.matrix,
-        nodes=op.nodes,
-        weights=op.weights,
-        provenance=np.frombuffer(
-            json.dumps(op.provenance, sort_keys=True).encode(), dtype=np.uint8),
-    )
-
-
-def load_operator(path) -> DiscretizedOperator:
-    with np.load(path) as data:
-        provenance = json.loads(bytes(data["provenance"]).decode())
-        return DiscretizedOperator(
-            data["matrix"], data["nodes"], data["weights"], provenance)

@@ -27,7 +27,6 @@ from scipy.special import expit
 
 __all__ = [
     "entropy_function",
-    "entropy_function_deriv_at_one",
     "FunctionalResult",
     "log_coefficient_functional",
     "entropy_log_coefficient",
@@ -95,18 +94,6 @@ def entropy_function(t, alpha: float):
         vals = (alpha * np.log(big) + log_ratio_term) / (1.0 - alpha)
     out[inside] = vals
     return float(out[0]) if scalar else out
-
-
-def entropy_function_deriv_at_one(alpha: float) -> float:
-    """h_alpha'(1) = -alpha / (1 - alpha) for alpha < 1; -inf otherwise.
-
-    Only the alpha < 1 case is finite, which is why the functional
-    subtracts t * f(1) rather than a tangent line."""
-    if not alpha > 0:
-        raise ValueError(f"Renyi order must be positive, got {alpha}")
-    if alpha < 1.0:
-        return -alpha / (1.0 - alpha)
-    return -math.inf
 
 
 @dataclass(frozen=True)

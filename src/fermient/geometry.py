@@ -35,7 +35,6 @@ __all__ = [
     "WidomCoefficient",
     "interval",
     "mean_density",
-    "domain_from_dict",
     "widom_J",
     "widom_J_sphere",
     "widom_J_density_form",
@@ -467,20 +466,6 @@ class ConvexPolygon(Domain):
                 "vertices": [list(v) for v in self.vertices]}
 
 
-def domain_from_dict(data: dict) -> Domain:
-    """Inverse of Domain.describe()."""
-    shape = data.get("shape")
-    if shape == "interval_union":
-        return IntervalUnion(tuple(tuple(iv) for iv in data["intervals"]))
-    if shape == "box":
-        return Box(tuple(tuple(b) for b in data["bounds"]))
-    if shape == "ball":
-        return Ball(tuple(data["center"]), data["radius"])
-    if shape == "convex_polygon":
-        return ConvexPolygon(tuple(tuple(v) for v in data["vertices"]))
-    raise GeometryError(f"unknown shape {shape!r}")
-
-
 def mean_density(gamma: Domain) -> float:
     """Bulk particle density of the ground state with momentum region gamma."""
     return gamma.volume() / TWO_PI ** gamma.dim
@@ -653,78 +638,41 @@ def widom_J_density_form(gamma: Domain, omega: Domain) -> float:
     )
 
 
-def _sample_boundary(domain: Domain, count: int, rng: np.random.Generator):
-    """Uniform boundary samples (points, normals) w.r.t. surface measure."""
-    d = domain.dim
+def _sample_normals(domain: Domain, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Outward normals at count boundary points uniform in surface measure
+    (d >= 2): ball directions, or polytope faces drawn by measure."""
     if isinstance(domain, Ball):
-        c = np.array(domain.center)
-        if d == 2:
+        if domain.dim == 2:
             theta = rng.uniform(0.0, TWO_PI, count)
-            normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        else:
-            z = rng.uniform(-1.0, 1.0, count)
-            phi = rng.uniform(0.0, TWO_PI, count)
-            rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            normals = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-        return c + domain.radius * normals, normals
-    if domain.is_polytope and d == 2:
-        faces = domain.faces() if isinstance(domain, ConvexPolygon) else None
-        if isinstance(domain, ConvexPolygon):
-            v = np.array(domain.vertices)
-            starts, ends = v, np.roll(v, -1, axis=0)
-        else:
-            starts, ends, faces = _box2d_edges(domain)
-        lengths = np.array([f[0] for f in faces])
-        normals_per_face = np.array([f[1] for f in faces])
-        idx = rng.choice(len(faces), size=count, p=lengths / lengths.sum())
-        t = rng.uniform(0.0, 1.0, count)[:, None]
-        points = starts[idx] + t * (ends[idx] - starts[idx])
-        return points, normals_per_face[idx]
-    if isinstance(domain, Box) and d == 3:
-        faces = domain.faces()
-        areas = np.array([f[0] for f in faces])
-        idx = rng.choice(len(faces), size=count, p=areas / areas.sum())
-        points = np.empty((count, 3))
-        normals = np.empty((count, 3))
-        for k, face_id in enumerate(idx):
-            axis, sign = divmod(face_id, 2)
-            fixed = domain.bounds[axis][sign]
-            pt = [0.0] * 3
-            for ax in range(3):
-                lo, hi = domain.bounds[ax]
-                pt[ax] = fixed if ax == axis else rng.uniform(lo, hi)
-            points[k] = pt
-            n = np.zeros(3)
-            n[axis] = -1.0 if sign == 0 else 1.0
-            normals[k] = n
-        return points, normals
-    raise GeometryError(f"no boundary sampler for {type(domain).__name__} in d={d}")
-
-
-def _box2d_edges(box: Box):
-    (x0, x1), (y0, y1) = box.bounds
-    starts = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    ends = np.array([[x1, y0], [x1, y1], [x0, y1], [x0, y0]])
-    faces = [
-        (x1 - x0, np.array([0.0, -1.0])),
-        (y1 - y0, np.array([1.0, 0.0])),
-        (x1 - x0, np.array([0.0, 1.0])),
-        (y1 - y0, np.array([-1.0, 0.0])),
-    ]
-    return starts, ends, faces
+            return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        z = rng.uniform(-1.0, 1.0, count)
+        phi = rng.uniform(0.0, TWO_PI, count)
+        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    measures, normals = zip(*domain.faces())
+    measures = np.array(measures)
+    return rng.choice(np.array(normals), size=count,
+                      p=measures / measures.sum())
 
 
 def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
                         rng: np.random.Generator | None = None) -> WidomCoefficient:
-    """Monte Carlo estimate of J; a cross-check oracle, not a default path."""
+    """Monte Carlo estimate of J; a cross-check oracle, not a default path.
+
+    J depends on the normals only: the mean of |m . n| over `samples`
+    pairs, each normal uniform in surface measure on its boundary, times
+    (2*pi)^(1-d) and both boundary measures.  error_estimate is three
+    standard errors.  Balls and polytopes in d = 2, 3 are supported.
+    """
     _check_same_dim(gamma, omega)
     d = gamma.dim
     if d == 1:
         return widom_J(gamma, omega)
     if rng is None:
         rng = np.random.default_rng(0)
-    _, m = _sample_boundary(gamma, samples, rng)
-    _, n = _sample_boundary(omega, samples, rng)
+    m = _sample_normals(gamma, samples, rng)
+    n = _sample_normals(omega, samples, rng)
     vals = np.abs(np.einsum("ij,ij->i", m, n))
     scale = TWO_PI ** (1 - d) * gamma.boundary_measure() * omega.boundary_measure()
     value = scale * float(vals.mean())

@@ -21,7 +21,7 @@ from scipy.special import j1
 
 from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
 
-__all__ = ["FermiKernel", "fermi_kernel", "kernel_eval", "is_hermitian_sample"]
+__all__ = ["FermiKernel", "fermi_kernel", "is_hermitian_sample"]
 
 # Below this |p_F * r| the Bessel/elementary radial forms switch to
 # Taylor branches: the d=3 numerator sin(x) - x*cos(x) loses ~x^{-2}
@@ -163,12 +163,6 @@ class FermiKernel:
 
 def fermi_kernel(gamma: Domain) -> FermiKernel:
     return FermiKernel(gamma)
-
-
-def kernel_eval(kernel: FermiKernel, q, q2) -> complex:
-    """Single-pair kernel value K(q, q2)."""
-    val = kernel.evaluate(q, q2)
-    return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def is_hermitian_sample(kernel: FermiKernel, sample_pairs, tol: float = 1e-12,

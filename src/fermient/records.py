@@ -50,7 +50,7 @@ def _json_safe(value):
     return value
 
 
-def entropy_row(result: EntropyResult, wall_time_s: float | None = None) -> dict:
+def entropy_row(result: EntropyResult) -> dict:
     provenance = result.provenance or {}
     row = {
         "alpha": _json_safe(result.alpha),
@@ -61,8 +61,7 @@ def entropy_row(result: EntropyResult, wall_time_s: float | None = None) -> dict
         "max_violation": provenance.get("max_violation", 0.0),
         "mode": provenance.get("mode", ""),
     }
-    if wall_time_s is None:
-        wall_time_s = provenance.get("wall_time_s")
+    wall_time_s = provenance.get("wall_time_s")
     if wall_time_s is not None:
         row["wall_time_s"] = wall_time_s
     return row

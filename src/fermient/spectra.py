@@ -22,6 +22,7 @@ the single-order composition of the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +48,11 @@ __all__ = [
 EPS_WARN = 1e-7
 EPS_ABORT = 1e-3
 
+# Most eigenvalues the tensor_box route forms from axis spectra: at the
+# ~65 bytes of peak memory per eigenvalue measured in 2D, about 1.3 GB.
+# k_F = 1 on the unit cube passes it at L = 130 (2.0e7).
+MAX_TENSOR_EIGENVALUES = 20_000_000
+
 
 class SpectralViolationError(RuntimeError):
     """Eigenvalues too far outside [0, 1]: the discretization is broken."""
@@ -58,8 +64,7 @@ class Spectrum:
 
     eigenvalues are sorted ascending in [0, 1]; clamp_count says how
     many were moved, max_violation how far the worst one sat outside
-    before clamping; warn is set when max_violation reached the warning
-    threshold passed to eigenvalues().
+    before clamping; warn is set when max_violation reached EPS_WARN.
     """
 
     eigenvalues: np.ndarray
@@ -92,14 +97,14 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op)
 
 
-def eigenvalues(op, warn_threshold: float = EPS_WARN,
-                abort_threshold: float = EPS_ABORT) -> Spectrum:
+def eigenvalues(op) -> Spectrum:
     """Full spectrum of a discretized operator, clamped to [0, 1].
 
     op may be a DiscretizedOperator, a LatticeCorrelation, or a bare
     Hermitian ndarray.  Hermiticity is asserted before solving; the
     dense eigensolver is used throughout (sizes are budget-capped
-    upstream, so O(n^3) is fine and exact).
+    upstream, so O(n^3) is fine and exact).  Violating [0, 1] by
+    EPS_ABORT raises SpectralViolationError; by EPS_WARN sets warn.
     """
     matrix = _as_matrix(op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -113,15 +118,15 @@ def eigenvalues(op, warn_threshold: float = EPS_WARN,
     below = np.maximum(-vals, 0.0)
     above = np.maximum(vals - 1.0, 0.0)
     max_violation = float(np.max(below + above, initial=0.0))
-    if max_violation >= abort_threshold:
+    if max_violation >= EPS_ABORT:
         raise SpectralViolationError(
             f"eigenvalues violate [0, 1] by {max_violation:.3g} "
-            f"(abort threshold {abort_threshold:.1g}); the discretization "
+            f"(abort threshold {EPS_ABORT:.1g}); the discretization "
             "is under-resolved")
     clamp_count = int(np.count_nonzero((vals < 0.0) | (vals > 1.0)))
     clamped = np.clip(vals, 0.0, 1.0)
     return Spectrum(np.sort(clamped), clamp_count, max_violation,
-                    warn=max_violation >= warn_threshold)
+                    warn=max_violation >= EPS_WARN)
 
 
 def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
@@ -183,17 +188,15 @@ class PipelineConfig:
     mode: 'auto' (tensor route for box-product geometries, else direct
     continuum), 'continuum', 'tensor_box', or 'lattice'.  In lattice
     mode gamma must be a symmetric interval (-k_F, k_F) with k_F < pi
-    and the block has round(L * |omega|) sites.
+    and the block has round(L * |omega|) sites.  The clamp thresholds
+    EPS_WARN, EPS_ABORT and the MAX_TENSOR_EIGENVALUES cap are fixed.
     """
 
     mode: str = "auto"
     nodes_per_unit: float | None = None
-    rule: str = "gauss_panels"
     budget: int = _disc.DEFAULT_CONTINUUM_BUDGET
     lattice_budget: int = _disc.DEFAULT_LATTICE_BUDGET
     strict_nyquist: bool = True
-    warn_threshold: float = EPS_WARN
-    abort_threshold: float = EPS_ABORT
 
 
 def _lattice_parameters(gamma: Domain, omega: Domain, L: float):
@@ -238,7 +241,7 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
             raise _disc.BudgetError(
                 f"lattice block n={sites} over budget {config.lattice_budget}")
         op = _disc.lattice_correlation(k_fermi, sites)
-        spectrum = eigenvalues(op, config.warn_threshold, config.abort_threshold)
+        spectrum = eigenvalues(op)
         # Record the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
         return spectrum, sites / omega.volume(), {
@@ -252,21 +255,21 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                                 "spatial regions")
         if gamma.dim != omega.dim:
             raise GeometryError("tensor_box mode needs matching dimensions")
-        axis_ns = []
-        spectrum = None
-        for g_axis, o_axis in zip(gamma.axis_intervals(), omega.axis_intervals()):
-            op = _disc.nystrom(
+        axis_spectra = [
+            eigenvalues(_disc.nystrom(
                 g_axis, o_axis, L, nodes_per_unit=config.nodes_per_unit,
-                rule=config.rule, budget=config.budget,
-                strict_nyquist=config.strict_nyquist)
-            axis_spec = eigenvalues(op, config.warn_threshold,
-                                    config.abort_threshold)
-            axis_ns.append(len(axis_spec))
-            spectrum = axis_spec if spectrum is None \
-                else tensor_spectrum(spectrum, axis_spec)
+                budget=config.budget, strict_nyquist=config.strict_nyquist))
+            for g_axis, o_axis in zip(gamma.axis_intervals(),
+                                      omega.axis_intervals())]
+        axis_ns = [len(s) for s in axis_spectra]
+        count = math.prod(axis_ns)
+        if count > MAX_TENSOR_EIGENVALUES:
+            raise _disc.BudgetError(
+                f"tensor spectrum of axis sizes {axis_ns} needs {count:.3g} "
+                f"eigenvalues, over the limit {MAX_TENSOR_EIGENVALUES:.3g}")
+        spectrum = functools.reduce(tensor_spectrum, axis_spectra)
         return spectrum, float(L), {
             "mode": "tensor_box", "n": len(spectrum), "axis_ns": axis_ns,
-            "rule": config.rule,
             "gamma": gamma.describe(), "omega": omega.describe()}
 
     if mode != "continuum":
@@ -274,9 +277,8 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
 
     op = _disc.nystrom(
         gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
-        rule=config.rule, budget=config.budget,
-        strict_nyquist=config.strict_nyquist)
-    spectrum = eigenvalues(op, config.warn_threshold, config.abort_threshold)
+        budget=config.budget, strict_nyquist=config.strict_nyquist)
+    spectrum = eigenvalues(op)
     return spectrum, float(L), dict(op.provenance)
 
 

@@ -45,15 +45,6 @@ def test_sweep_result_rejects_duplicate_L():
         make_sweep([10.0, 10.0], [1.0, 2.0])
 
 
-def test_plot_columns():
-    gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
-    omega = Box(((0.0, 1.0), (0.0, 1.0)))
-    result = make_sweep([10.0, 20.0], [30.0, 90.0], gamma=gamma, omega=omega)
-    columns = result.plot_columns()
-    np.testing.assert_allclose(columns["ln_L"], np.log([10.0, 20.0]))
-    np.testing.assert_allclose(columns["S_scaled"], [3.0, 4.5])
-
-
 # ---------------------------------------------------------------------------
 # fit_scaling
 # ---------------------------------------------------------------------------

@@ -174,6 +174,39 @@ def test_compute_failure_exits_3(capsys):
     assert "budget" in error["message"]
 
 
+@pytest.mark.parametrize("L", ["inf", "nan", "0"])
+def test_non_finite_or_non_positive_L_exits_2(capsys, L):
+    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
+                             f"entropy.L={L}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "entropy.L" in error["message"]
+
+
+def test_unknown_disc_key_exits_2(capsys):
+    code, _, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
+                           "entropy.L=20", "disc.rule=midpoint")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "disc.rule" in error["message"]
+
+
+def test_tensor_product_over_limit_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", 10)
+    code, out, err = run_cli(capsys, "entropy",
+                             "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
+                             "omega.shape=box", "omega.bounds=0:1,0:1",
+                             "entropy.L=4")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "64 eigenvalues, over the limit 10" in error["message"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

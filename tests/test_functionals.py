@@ -11,7 +11,6 @@ from fermient.functionals import (
     dilog,
     dilog_one_minus,
     entropy_function,
-    entropy_function_deriv_at_one,
     entropy_log_coefficient,
     entropy_log_coefficient_dilog,
     log_coefficient_functional,
@@ -88,15 +87,6 @@ def test_entropy_function_precision_near_endpoints():
     assert entropy_function(t, 2.0) == pytest.approx(2e-12, rel=1e-3)
     assert entropy_function(1e-12, 2.0) == pytest.approx(2e-12, rel=1e-3)
     del expected
-
-
-def test_deriv_at_one():
-    assert entropy_function_deriv_at_one(0.5) == pytest.approx(-1.0)
-    assert entropy_function_deriv_at_one(0.25) == pytest.approx(-1.0 / 3.0)
-    assert entropy_function_deriv_at_one(1.0) == -math.inf
-    assert entropy_function_deriv_at_one(3.0) == -math.inf
-    with pytest.raises(ValueError):
-        entropy_function_deriv_at_one(0.0)
 
 
 # ---------------------------------------------------------------------------

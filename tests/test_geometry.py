@@ -12,7 +12,6 @@ from fermient.geometry import (
     ConvexPolygon,
     GeometryError,
     IntervalUnion,
-    domain_from_dict,
     interval,
     mean_density,
     widom_J,
@@ -173,25 +172,6 @@ def test_faces():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("domain", [
-    IntervalUnion(((-2.0, -0.5), (0.25, 1.5))),
-    Box(((-1.0, 1.0), (0.0, 0.5))),
-    Ball((0.5, -0.25, 1.0), 2.0),
-    TRIANGLE,
-])
-def test_describe_round_trip(domain):
-    assert domain_from_dict(domain.describe()) == domain
-
-
-def test_domain_from_dict_rejects_unknown():
-    with pytest.raises(GeometryError):
-        domain_from_dict({"shape": "torus"})
-
-
-# ---------------------------------------------------------------------------
 # Boundary coefficient J
 # ---------------------------------------------------------------------------
 
@@ -320,6 +300,35 @@ def test_widom_J_monte_carlo_within_error():
     estimate = widom_J_monte_carlo(gamma, omega, samples=100_000,
                                    rng=np.random.default_rng(42))
     assert estimate.method == "monte_carlo"
+    assert abs(estimate.value - exact) < estimate.error_estimate
+
+
+@pytest.mark.parametrize("domain", [
+    Box(((0.0, 1.0), (0.0, 2.0), (0.0, 3.0))),
+    ConvexPolygon(((0.0, 0.0), (3.0, 0.0), (2.0, 1.5), (0.0, 1.0))),
+])
+def test_sampled_normals_follow_face_measures(domain):
+    faces = domain.faces()
+    count = 100_000
+    normals = geometry._sample_normals(domain, count,
+                                       np.random.default_rng(5))
+    hits = np.array([np.all(normals == n, axis=1).sum() for _, n in faces])
+    assert hits.sum() == count          # every sample is some face normal
+    share = np.array([m for m, _ in faces]) / domain.boundary_measure()
+    sigma = np.sqrt(count * share * (1.0 - share))
+    assert np.all(np.abs(hits - count * share) < 5.0 * sigma)
+
+
+@pytest.mark.parametrize("ball_first", [True, False])
+def test_widom_J_monte_carlo_3d_within_error(ball_first):
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    cube = Box(((-1.0, 1.0),) * 3)
+    gamma, omega = (ball, cube) if ball_first else (cube, ball)
+    # J is symmetric in its two boundaries, so both orders have the
+    # closed form of the spherical momentum region.
+    exact = widom_J_sphere(1.0, cube.boundary_measure(), 3)
+    estimate = widom_J_monte_carlo(gamma, omega,
+                                   rng=np.random.default_rng(3))
     assert abs(estimate.value - exact) < estimate.error_estimate
 
 

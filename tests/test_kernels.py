@@ -20,7 +20,6 @@ from fermient.kernels import (
     FermiKernel,
     fermi_kernel,
     is_hermitian_sample,
-    kernel_eval,
 )
 
 
@@ -201,16 +200,6 @@ def test_evaluate_rejects_wrong_dimension():
     kernel = fermi_kernel(Ball((0.0, 0.0), 1.0))
     with pytest.raises(GeometryError):
         kernel.evaluate(np.zeros((4, 3)), np.zeros((4, 3)))
-
-
-def test_kernel_eval_scalar_types():
-    real_kernel = fermi_kernel(interval(-1.0, 1.0))
-    assert isinstance(kernel_eval(real_kernel, 0.3, 0.1), float)
-    complex_kernel = fermi_kernel(interval(0.0, 2.0))
-    assert isinstance(kernel_eval(complex_kernel, 0.3, 0.1), complex)
-    # sine kernel: K(q, q') = sin(q - q') / (pi (q - q'))
-    assert kernel_eval(real_kernel, 0.7, 0.2) == pytest.approx(
-        math.sin(0.5) / (math.pi * 0.5))
 
 
 def test_dataclass_is_frozen():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fermient import spectra
 from fermient.discretize import BudgetError, lattice_correlation, nystrom
 from fermient.geometry import Box, GeometryError, interval
 from fermient.spectra import (
@@ -217,6 +218,24 @@ def test_pipeline_tensor_matches_direct_2d():
     assert tensor.provenance["mode"] == "tensor_box"
     assert tensor.n == direct.n
     assert int(np.prod(tensor.provenance["axis_ns"])) == direct.n
+
+
+def test_pipeline_tensor_refuses_oversized_product(monkeypatch):
+    gamma = Box(((-1.0, 1.0),) * 3)
+    omega = Box(((0.0, 1.0),) * 3)
+    count = len(pipeline_spectrum(gamma, omega, 2.0)[0])
+    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", count)
+    assert len(pipeline_spectrum(gamma, omega, 2.0)[0]) == count
+
+    def forbidden(*args):
+        raise AssertionError("product spectrum formed past the limit")
+
+    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", count - 1)
+    monkeypatch.setattr(spectra, "tensor_spectrum", forbidden)
+    with pytest.raises(BudgetError) as excinfo:
+        pipeline_spectrum(gamma, omega, 2.0)
+    assert f"{count:.3g} eigenvalues" in str(excinfo.value)
+    assert f"limit {count - 1:.3g}" in str(excinfo.value)
 
 
 def test_pipeline_auto_routing():
