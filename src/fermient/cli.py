@@ -125,6 +125,7 @@ def _row_to_result(row: dict) -> EntropyResult:
         alpha=alpha, S=row["S"], n=row["n"], L=row["L"],
         provenance={"clamp_count": row.get("clamp_count", 0),
                     "max_violation": row.get("max_violation", 0.0),
+                    "interior": row.get("interior"),
                     "mode": row.get("mode", ""), "resumed": True})
 
 
@@ -189,7 +190,12 @@ def cmd_jcoeff(args) -> int:
     gamma, omega = _domains(config)
     method = config.get("jcoeff.method", "auto").strip().lower()
     resolution = config.get_int("jcoeff.resolution", 256)
+    if resolution < 1:
+        raise ConfigError(f"jcoeff.resolution: need an integer >= 1, "
+                          f"got {resolution}")
     seed = config.get_int("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed: need an integer >= 0, got {seed}")
 
     coefficients = []
     if method != "auto":

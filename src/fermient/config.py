@@ -9,7 +9,7 @@ Key reference (all optional unless a command requires them):
 
     mode                    auto | continuum | lattice | tensor_box
     alpha                   Renyi order, or comma list; 'inf' allowed
-    seed                    integer, Monte Carlo cross-checks only
+    seed                    integer >= 0, Monte Carlo cross-checks only
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis)
@@ -23,14 +23,15 @@ Key reference (all optional unless a command requires them):
                             of distinct finite L > 0
     sweep.window            lo:hi fit window (default: whole grid)
     sweep.weights           unit | inverse_area
-    disc.nodes_per_unit     float (default: resolution from the kernel)
+    disc.nodes_per_unit     finite float > 0 (default: resolution from
+                            the kernel)
     disc.budget             max continuum matrix size
-    disc.lattice_budget     max lattice matrix size
+    disc.lattice_budget     max lattice block size in sites
     disc.strict_nyquist     true | false
                             (any other disc.* key is a config error)
     jcoeff.method           auto | face_pair | closed_form | quadrature |
                             monte_carlo
-    jcoeff.resolution       surface quadrature resolution
+    jcoeff.resolution       surface quadrature resolution, integer >= 1
     functional.alphas       comma list for the functional command
     functional.tol          quadrature stopping tolerance
 """
@@ -281,9 +282,13 @@ def pipeline_config_from(config: RunConfig) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; the disc.* keys "
                           f"are {', '.join(_DISC_KEYS)}")
+    nodes_per_unit = config.get_float("disc.nodes_per_unit")
+    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
+        raise ConfigError(f"disc.nodes_per_unit: need a finite positive "
+                          f"density, got {nodes_per_unit}")
     return PipelineConfig(
         mode=mode,
-        nodes_per_unit=config.get_float("disc.nodes_per_unit"),
+        nodes_per_unit=nodes_per_unit,
         budget=config.get_int("disc.budget", PipelineConfig.budget),
         lattice_budget=config.get_int("disc.lattice_budget",
                                       PipelineConfig.lattice_budget),

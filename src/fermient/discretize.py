@@ -23,6 +23,7 @@ equal entry by entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_CONTINUUM_BUDGET = 6000
-DEFAULT_LATTICE_BUDGET = 4000
+DEFAULT_LATTICE_BUDGET = 100_000
 
 # Default spatial sampling density, in nodes per Fermi wavelength
 # 2*pi/p_max.  Eight nodes per oscillation keeps the downstream entropy
@@ -94,11 +95,26 @@ class LatticeCorrelation:
 
     Entries C[j, k] = sin(k_fermi * (j - k)) / (pi * (j - k)) with
     diagonal k_fermi / pi; real symmetric Toeplitz, eigenvalues in [0, 1].
+    The block is defined by (k_fermi, n) alone: spectra.eigenvalues
+    solves it without forming the n x n matrix, which is built only
+    when .matrix is first read (the dense test oracle).
     """
 
-    matrix: np.ndarray
     k_fermi: float
     n: int
+
+    @property
+    def column(self) -> np.ndarray:
+        """First column of C; C is the symmetric Toeplitz matrix of it."""
+        idx = np.arange(self.n, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(idx > 0,
+                            np.sin(self.k_fermi * idx) / (math.pi * idx),
+                            self.k_fermi / math.pi)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return toeplitz(self.column)
 
 
 def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
@@ -280,18 +296,16 @@ def lattice_correlation(k_fermi: float, n: int) -> LatticeCorrelation:
 
         C[j, k] = sin(k_fermi (j - k)) / (pi (j - k)),    C[j, j] = k_fermi/pi,
 
-    exactly, with no quadrature involved.
+    exactly, with no quadrature involved.  Construction is O(1): the
+    matrix is built on first access to .matrix, and eigenvalues() never
+    reads it.
     """
     if not 0.0 < k_fermi < math.pi:
         raise DiscretizationError(
             f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
     if n < 1:
         raise DiscretizationError(f"block length must be >= 1, got {n}")
-    idx = np.arange(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        column = np.where(idx > 0, np.sin(k_fermi * idx) / (math.pi * idx),
-                          k_fermi / math.pi)
-    return LatticeCorrelation(toeplitz(column), float(k_fermi), int(n))
+    return LatticeCorrelation(float(k_fermi), int(n))
 
 
 def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:

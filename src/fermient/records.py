@@ -61,9 +61,9 @@ def entropy_row(result: EntropyResult) -> dict:
         "max_violation": provenance.get("max_violation", 0.0),
         "mode": provenance.get("mode", ""),
     }
-    wall_time_s = provenance.get("wall_time_s")
-    if wall_time_s is not None:
-        row["wall_time_s"] = wall_time_s
+    for key in ("interior", "wall_time_s"):
+        if provenance.get(key) is not None:
+            row[key] = provenance[key]
     return row
 
 
@@ -126,7 +126,7 @@ def write_json(record: dict, path=None) -> str:
 
 
 _CSV_COLUMNS = ("alpha", "L", "n", "S", "clamp_count", "max_violation",
-                "mode", "wall_time_s", "ln_L", "S_scaled")
+                "interior", "mode", "wall_time_s", "ln_L", "S_scaled")
 
 
 def write_csv(rows, path, d: int = 1) -> None:

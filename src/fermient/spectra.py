@@ -11,6 +11,19 @@ eigenvalues poke slightly outside [0, 1]; they are clamped with
 bookkeeping, a warning flag past 1e-7, and a hard failure past 1e-3
 (which indicates a broken discretization, not roundoff).
 
+Lattice blocks are never diagonalized densely.  The discrete sine
+kernel commutes with Slepian's tridiagonal matrix (Slepian 1978, Bell
+Syst. Tech. J. 57:1371; Eisler & Peschel 2013, J. Stat. Mech. P04028),
+whose eigenvectors are those of the kernel in the same ascending
+order.  Only the window of eigenvectors around the Fermi level, where
+lambda is neither 0 nor 1 to machine precision, is computed; the
+eigenvalues there are Rayleigh quotients taken with an FFT Toeplitz
+product, and every eigenvalue outside the window is exactly 0 or 1.
+That costs O(n * window) instead of O(n^3) and carries no eigensolver
+noise floor into the small-alpha entropies.  A bare ndarray still takes
+the dense route, which is the oracle the tridiagonal route is tested
+against.
+
 pipeline_spectrum is the chain geometry -> matrix -> spectrum, routing
 box-product geometries through tensor spectra: the compression
 separates per axis there, so its eigenvalues are products of 1D
@@ -27,6 +40,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import fft as _fft
+from scipy.linalg import eigh_tridiagonal
 
 from . import discretize as _disc
 from .functionals import entropy_function
@@ -52,6 +67,16 @@ EPS_ABORT = 1e-3
 # ~65 bytes of peak memory per eigenvalue measured in 2D, about 1.3 GB.
 # k_F = 1 on the unit cube passes it at L = 130 (2.0e7).
 MAX_TENSOR_EIGENVALUES = 20_000_000
+
+
+# Lattice route: a window edge whose min(lambda, 1 - lambda) is below
+# SNAP_TOL ends the window, and eigenvalues beyond it are exactly 0 or
+# 1; an eigenpair residual |C v - lambda v| above RESIDUAL_TOL is a
+# failed solve.  Provenance counts eigenvalues with min(lambda,
+# 1 - lambda) above INTERIOR_TOL as interior.
+SNAP_TOL = 1e-15
+RESIDUAL_TOL = 1e-10
+INTERIOR_TOL = 1e-12
 
 
 class SpectralViolationError(RuntimeError):
@@ -97,23 +122,113 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op)
 
 
+def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """C @ row for each row, C the symmetric Toeplitz matrix of column.
+
+    C is embedded in a circulant of length >= 2n - 1, which the FFT
+    diagonalizes; rows are transformed in chunks of about 2**21
+    entries so memory stays O(n) per row at any n.
+    """
+    n = len(column)
+    size = _fft.next_fast_len(2 * n - 1, real=True)
+    circulant = np.zeros(size)
+    circulant[:n] = column
+    circulant[size - n + 1:] = column[:0:-1]
+    symbol = _fft.rfft(circulant)
+    out = np.empty_like(rows)
+    chunk = max(1, 2 ** 21 // size)
+    for start in range(0, len(rows), chunk):
+        block = _fft.rfft(rows[start:start + chunk], size)
+        out[start:start + chunk] = _fft.irfft(block * symbol, size)[:, :n]
+    return out
+
+
+def _lattice_spectrum(k_fermi: float, n: int) -> np.ndarray:
+    """Unclamped eigenvalues of the n-site sine kernel C, ascending.
+
+    T, with diagonal ((n-1-2j)/2)^2 cos k_F and off-diagonal
+    (j+1)(n-1-j)/2, commutes with C and orders its eigenvectors as C's
+    eigenvalues ascend; the 0 -> 1 transition sits near index
+    c0 = n - round(n k_F / pi).  Eigenvectors are computed in the index
+    window [c0 - lower, c0 + upper]; a side whose edge eigenvalue is not
+    yet 0 or 1 to SNAP_TOL has its width doubled and the window solved
+    again.  Below c0 the eigenvalue is v^T C v.  From c0 up it is
+    1 - w^T C' w with w = (-1)^j v and C' the kernel at pi - k_F, since
+    1 - C = D C' D with D = diag((-1)^j): that takes 1 - lambda
+    directly, below the 1e-16 rounding of lambda near 1, so the edge
+    test stays clear of roundoff at any n.
+    """
+    j = np.arange(n, dtype=float)
+    diagonal = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(k_fermi)
+    off_diagonal = (j[1:] * (n - j[1:])) / 2
+    c0 = n - round(n * k_fermi / math.pi)
+    columns = (_disc.LatticeCorrelation(k_fermi, n).column,
+               _disc.LatticeCorrelation(math.pi - k_fermi, n).column)
+    signs = np.where(j % 2, -1.0, 1.0)
+    # Near the Fermi level lambda = 1 / (1 + exp(eps)) with eps spaced
+    # about pi^2 / ln n, so min(lambda, 1 - lambda) falls below SNAP_TOL
+    # about ln(1/SNAP_TOL) ln(n) / pi^2 = 3.5 ln n indices from c0.
+    lower = upper = math.ceil(3.5 * math.log(n)) + 4
+    while True:
+        lo, hi = max(c0 - lower, 0), min(c0 + upper, n - 1)
+        # T's eigenvalues reach about n^2 / 4; bisecting them to 1e-12 n^2
+        # rather than to machine precision is ample for the inverse
+        # iteration that follows, and the residual check guards it.
+        _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
+                                      select_range=(lo, hi),
+                                      tol=1e-12 * n * n)
+        rows = vectors.T.copy()
+        split = min(max(c0 - lo, 0), len(rows))
+        rows[split:] *= signs
+        images = np.concatenate([_toeplitz_apply(columns[0], rows[:split]),
+                                 _toeplitz_apply(columns[1], rows[split:])])
+        quotients = np.einsum("ij,ij->i", rows, images)
+        residual = np.max(np.linalg.norm(
+            images - quotients[:, None] * rows, axis=1))
+        if residual > RESIDUAL_TOL:
+            raise SpectralViolationError(
+                f"lattice eigenpair residual {residual:.3g} over "
+                f"{RESIDUAL_TOL:.1g} (n={n}, k_fermi={k_fermi})")
+        edges = np.minimum(quotients, 1.0 - quotients)[[0, -1]]
+        grow_lo = lo > 0 and edges[0] >= SNAP_TOL
+        grow_hi = hi < n - 1 and edges[1] >= SNAP_TOL
+        if not (grow_lo or grow_hi):
+            break
+        if grow_lo:
+            lower *= 2
+        if grow_hi:
+            upper *= 2
+    return np.concatenate([np.zeros(lo), quotients[:split],
+                           1.0 - quotients[split:], np.ones(n - 1 - hi)])
+
+
 def eigenvalues(op) -> Spectrum:
     """Full spectrum of a discretized operator, clamped to [0, 1].
 
     op may be a DiscretizedOperator, a LatticeCorrelation, or a bare
-    Hermitian ndarray.  Hermiticity is asserted before solving; the
-    dense eigensolver is used throughout (sizes are budget-capped
-    upstream, so O(n^3) is fine and exact).  Violating [0, 1] by
-    EPS_ABORT raises SpectralViolationError; by EPS_WARN sets warn.
+    Hermitian ndarray.  A LatticeCorrelation takes the commuting
+    tridiagonal route (_lattice_spectrum): no matrix is formed, each
+    computed eigenpair must have residual below RESIDUAL_TOL, and the
+    eigenvalues outside the computed window are exactly 0 or 1.
+    Anything else is solved densely after Hermiticity is asserted
+    (continuum sizes are budget-capped upstream, so O(n^3) is fine);
+    eigenvalues(lattice.matrix) is that dense route, kept as the
+    oracle.  Violating [0, 1] by EPS_ABORT raises
+    SpectralViolationError; by EPS_WARN sets warn.
     """
-    matrix = _as_matrix(op)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    defect = np.max(np.abs(matrix - matrix.conj().T)) if matrix.size else 0.0
-    if defect > 1e-12:
-        raise SpectralViolationError(
-            f"matrix is not Hermitian (defect {defect:.3g})")
-    vals = np.linalg.eigvalsh(matrix) if matrix.size else np.empty(0)
+    if isinstance(op, _disc.LatticeCorrelation):
+        vals = _lattice_spectrum(op.k_fermi, op.n)
+    else:
+        matrix = _as_matrix(op)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(
+                f"expected a square matrix, got shape {matrix.shape}")
+        defect = (np.max(np.abs(matrix - matrix.conj().T))
+                  if matrix.size else 0.0)
+        if defect > 1e-12:
+            raise SpectralViolationError(
+                f"matrix is not Hermitian (defect {defect:.3g})")
+        vals = np.linalg.eigvalsh(matrix) if matrix.size else np.empty(0)
 
     below = np.maximum(-vals, 0.0)
     above = np.maximum(vals - 1.0, 0.0)
@@ -188,7 +303,9 @@ class PipelineConfig:
     mode: 'auto' (tensor route for box-product geometries, else direct
     continuum), 'continuum', 'tensor_box', or 'lattice'.  In lattice
     mode gamma must be a symmetric interval (-k_F, k_F) with k_F < pi
-    and the block has round(L * |omega|) sites.  The clamp thresholds
+    and the block has round(L * |omega|) sites, at most lattice_budget
+    (default 100000; the tridiagonal route takes seconds there, and no
+    n x n matrix is formed).  The clamp thresholds
     EPS_WARN, EPS_ABORT and the MAX_TENSOR_EIGENVALUES cap are fixed.
     """
 
@@ -230,9 +347,21 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
 
     Returns (spectrum, realized L, provenance).  The realized L differs
     from the requested one only in lattice mode, where the block has an
-    integer number of sites; provenance records the route taken.  Every
+    integer number of sites; provenance records the route taken and
+    `interior`, the number of eigenvalues with min(lambda, 1 - lambda)
+    above INTERIOR_TOL (the rest are 0 or 1 to within roundoff).  Every
     Renyi order at this L is renyi_entropy of the one spectrum.
     """
+    spectrum, realized_L, provenance = _route_spectrum(gamma, omega, L,
+                                                       config)
+    lam = spectrum.eigenvalues
+    provenance["interior"] = int(np.count_nonzero(
+        np.minimum(lam, 1.0 - lam) > INTERIOR_TOL))
+    return spectrum, realized_L, provenance
+
+
+def _route_spectrum(gamma: Domain, omega: Domain, L: float,
+                    config: PipelineConfig):
     mode = _resolve_mode(config.mode, gamma, omega)
 
     if mode == "lattice":

@@ -46,9 +46,9 @@ def lattice_spectra():
 @pytest.fixture(scope="session")
 def lattice_sweeps():
     """{alpha: SweepResult} for the half-filled lattice: one multi-order
-    sweep, so each block is diagonalized once for all three orders."""
+    sweep, so each block is diagonalized once for all four orders."""
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    return sweep(gamma, OMEGA_UNIT, (0.5, 1.0, 2.0), LATTICE_SIZES,
+    return sweep(gamma, OMEGA_UNIT, (0.25, 0.5, 1.0, 2.0), LATTICE_SIZES,
                  PipelineConfig(mode="lattice"))
 
 

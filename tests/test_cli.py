@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from fermient import geometry, spectra
 from fermient.cli import main
 from fermient.config import load_config
+from fermient.discretize import DEFAULT_LATTICE_BUDGET
 from fermient.records import append_partial_row, config_hash
 
 
@@ -167,7 +169,7 @@ def test_malformed_override_exits_2(capsys):
 
 def test_compute_failure_exits_3(capsys):
     code, _, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
-                           "entropy.L=5000")
+                           f"entropy.L={DEFAULT_LATTICE_BUDGET + 1}")
     assert code == 3
     error = json.loads(err)["error"]
     assert error["kind"] == "computation"
@@ -183,6 +185,26 @@ def test_non_finite_or_non_positive_L_exits_2(capsys, L):
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
     assert "entropy.L" in error["message"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_bad_nodes_per_unit_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "entropy", "gamma.k_fermi=1",
+                             "omega.shape=interval", "omega.intervals=0:1",
+                             "entropy.L=10", f"disc.nodes_per_unit={value}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "disc.nodes_per_unit" in error["message"]
+
+
+def test_entropy_rows_report_interior_count(capsys):
+    record = run_json(capsys, "entropy", *LATTICE_ARGS, "entropy.L=200",
+                      "alpha=0.25,1")
+    counts = {row["interior"] for row in record["rows"]}
+    assert len(counts) == 1             # one spectrum serves both orders
+    assert 0 < counts.pop() <= 200
 
 
 def test_unknown_disc_key_exits_2(capsys):
@@ -221,8 +243,11 @@ def test_unknown_subcommand(capsys):
 
 
 def test_module_entry_point():
+    # The child imports fermient from wherever this process does (an
+    # install, PYTHONPATH, or pytest's own pythonpath setting).
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "fermient", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fermient" in proc.stdout
 
@@ -258,6 +283,22 @@ def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
     assert error["type"] == "GeometryError"
     assert "resolution 256" in error["message"]
     assert "largest resolution that fits is 80" in error["message"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["jcoeff.resolution=0"], "jcoeff.resolution"),
+    (["jcoeff.resolution=-3"], "jcoeff.resolution"),
+    (["--seed", "-1"], "seed"),
+])
+def test_jcoeff_bad_resolution_or_seed_exits_2(capsys, argv, key):
+    code, out, err = run_cli(capsys, "jcoeff", *argv,
+                             "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
+                             "omega.shape=box", "omega.bounds=0:1,0:1")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(key)
 
 
 def test_jcoeff_square_pair_all_methods(capsys):
@@ -415,7 +456,8 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
 def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path):
     out = tmp_path / "sweep.json"
     code, _, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
-                           "alpha=1", "sweep.L=100,200,8000",
+                           "alpha=1",
+                           f"sweep.L=100,200,{DEFAULT_LATTICE_BUDGET + 1}",
                            "--out", str(out))
     assert code == 3
     assert "budget" in json.loads(err)["error"]["message"]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fermient import spectra
-from fermient.discretize import BudgetError, lattice_correlation, nystrom
+from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
+                                 LatticeCorrelation, lattice_correlation,
+                                 nystrom)
 from fermient.geometry import Box, GeometryError, interval
 from fermient.spectra import (
     EPS_ABORT,
@@ -78,6 +80,72 @@ def test_spectrum_complement():
     np.testing.assert_allclose(spectrum.complement().eigenvalues,
                                [0.1, 0.6, 0.9])
     assert len(spectrum) == 3
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues() of a LatticeCorrelation: the commuting tridiagonal route
+# ---------------------------------------------------------------------------
+
+def _snapped(spectrum, floor):
+    """Spectrum with every min(lambda, 1 - lambda) below floor at 0 or 1."""
+    lam = spectrum.eigenvalues
+    return Spectrum(np.where(np.minimum(lam, 1.0 - lam) < floor,
+                             np.round(lam), lam), 0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 200, 2000])
+@pytest.mark.parametrize("k_fermi", [0.3, 1.0, math.pi / 2.0, 2.5, 3.0])
+def test_lattice_route_matches_dense_oracle(k_fermi, n):
+    block = lattice_correlation(k_fermi, n)
+    fast = eigenvalues(block)
+    assert "matrix" not in vars(block)     # the route never forms C
+    dense = eigenvalues(block.matrix)      # a bare ndarray: dense eigvalsh
+    assert len(fast) == n
+    assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12
+    for alpha in (1.0, 2.0, math.inf):
+        assert abs(renyi_entropy(fast, alpha).S
+                   - renyi_entropy(dense, alpha).S) <= 1e-9
+    # At alpha = 1/2 the dense oracle's own noise floor (about n
+    # eigenvalues of size ~1e-16, each worth ~2e-8 nats) shows; with it
+    # snapped away in both spectra the two routes agree.
+    floor = n * np.finfo(float).eps
+    assert abs(renyi_entropy(_snapped(fast, floor), 0.5).S
+               - renyi_entropy(_snapped(dense, floor), 0.5).S) <= 1e-7
+
+
+def test_lattice_route_budget_block_without_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the n x n lattice matrix was built")
+
+    monkeypatch.setattr(LatticeCorrelation, "matrix", property(forbidden))
+    n = 20_000
+    assert n <= DEFAULT_LATTICE_BUDGET
+    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
+    spectrum, L, provenance = pipeline_spectrum(
+        gamma, OMEGA, float(n), PipelineConfig(mode="lattice"))
+    assert (L, len(spectrum)) == (n, n)
+    assert spectrum.max_violation < 1e-14
+    # Jin & Korepin (2004): S_1 = ln(2 n sin k_F) / 3 + 0.4950179 at
+    # large n, with corrections far below 1e-6 here.
+    expected = math.log(2.0 * n) / 3.0 + 0.4950179
+    assert renyi_entropy(spectrum, 1.0).S == pytest.approx(expected, abs=1e-6)
+    assert 0 < provenance["interior"] < 100
+
+
+def test_lattice_route_window_grows_to_whole_spectrum(monkeypatch):
+    # With a negative snap tolerance no window edge ever counts as 0 or
+    # 1, so the window doubles until it spans every index.
+    monkeypatch.setattr(spectra, "SNAP_TOL", -1.0)
+    block = lattice_correlation(1.0, 200)
+    np.testing.assert_allclose(eigenvalues(block).eigenvalues,
+                               eigenvalues(block.matrix).eigenvalues,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_lattice_route_residual_check(monkeypatch):
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(SpectralViolationError, match="residual"):
+        eigenvalues(lattice_correlation(1.0, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +257,24 @@ def test_pipeline_spectrum_serves_every_order():
         assert result == entropy_pipeline(gamma, OMEGA, 100.4, alpha, config)
     # The shared provenance is copied, never extended in place.
     assert "clamp_count" not in provenance
+
+
+@pytest.mark.parametrize("gamma, omega, L, mode", [
+    (interval(-1.0, 1.0), OMEGA, 300.0, "lattice"),
+    (GAMMA, OMEGA, 30.0, "continuum"),
+    (Box(((-1.0, 1.0), (-1.0, 1.0))), Box(((0.0, 1.0), (0.0, 1.0))), 4.0,
+     "tensor_box"),
+])
+def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
+    spectrum, _, provenance = pipeline_spectrum(gamma, omega, L,
+                                                PipelineConfig(mode=mode))
+    lam = spectrum.eigenvalues
+    interior = provenance["interior"]
+    assert 0 < interior <= len(spectrum)
+    assert interior == np.count_nonzero(np.minimum(lam, 1.0 - lam) > 1e-12)
+    # The entropy row carries it.
+    assert renyi_entropy(spectrum, 1.0, L, provenance).provenance[
+        "interior"] == interior
 
 
 def test_pipeline_lattice_requires_symmetric_interval():
