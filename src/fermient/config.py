@@ -25,13 +25,13 @@ Key reference (all optional unless a command requires them):
     sweep.weights           unit | inverse_area
     disc.nodes_per_unit     finite float > 0 (default: resolution from
                             the kernel)
-    disc.budget             max continuum matrix size
-    disc.lattice_budget     max lattice block size in sites
+    disc.budget             max continuum matrix size, integer >= 1
+    disc.lattice_budget     max lattice block size in sites, integer >= 1
     disc.strict_nyquist     true | false
                             (any other disc.* key is a config error)
     jcoeff.method           auto | face_pair | closed_form | quadrature |
                             monte_carlo
-    jcoeff.resolution       surface quadrature resolution, integer >= 1
+    jcoeff.resolution       ball surface rule resolution, integer >= 1
     functional.alphas       comma list for the functional command
     functional.tol          quadrature stopping tolerance
 """
@@ -286,11 +286,14 @@ def pipeline_config_from(config: RunConfig) -> PipelineConfig:
     if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
         raise ConfigError(f"disc.nodes_per_unit: need a finite positive "
                           f"density, got {nodes_per_unit}")
+    budgets = {key: config.get_int(f"disc.{key}", getattr(PipelineConfig, key))
+               for key in ("budget", "lattice_budget")}
+    for key, value in budgets.items():
+        if value < 1:
+            raise ConfigError(f"disc.{key}: need an integer >= 1, got {value}")
     return PipelineConfig(
         mode=mode,
         nodes_per_unit=nodes_per_unit,
-        budget=config.get_int("disc.budget", PipelineConfig.budget),
-        lattice_budget=config.get_int("disc.lattice_budget",
-                                      PipelineConfig.lattice_budget),
         strict_nyquist=config.get_bool("disc.strict_nyquist", True),
+        **budgets,
     )

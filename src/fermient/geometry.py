@@ -11,9 +11,11 @@ surface coefficient
 
     J = (2*pi)^(1-d) * integral over dGamma x dOmega of |m(p) . n(q)|
 
-carries no unit factors.  In d=1 the boundary "measure" of an interval
-union is the number of its endpoints and J degenerates to the product
-of the two endpoint counts.
+carries no unit factors.  J reads each boundary through its normals
+only, so a polytope's surface rule is its exact face list and only a
+ball needs a resolution-dependent rule.  In d=1 the boundary "measure"
+of an interval union is the number of its endpoints and J degenerates
+to the product of the two endpoint counts.
 """
 
 from __future__ import annotations
@@ -44,11 +46,14 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Most surface node pairs |qa| * |qb| the quadrature route of widom_J
-# will sum.  _cosine_sum materializes 2048 x |qb| products per block, so
-# past this a block runs to gigabytes: a 3D pair at the default
-# resolution 256 would need 5.2e10 pairs.  Ball/ball in 3D at
-# resolution 96 (3.4e8 pairs) fits; no 3D pair at 128 (>= 1.07e9) does.
+# will sum.  _cosine_sum materializes min(|qa|, 2048) x |qb| products per
+# block, so past this a ball/ball block runs to gigabytes: in 3D,
+# resolution 105 (4.9e8 pairs) fits and 106 does not.
 MAX_COSINE_PAIRS = 500_000_000
+# Most nodes in one surface rule.  A polytope's rule is its few faces,
+# so a ball/polytope pair is bounded by the ball's rule alone: in 3D,
+# resolution 1414 (4.0e6 nodes, about 0.3 GB at peak) fits.
+MAX_SURFACE_NODES = 4_000_000
 
 
 class GeometryError(ValueError):
@@ -57,16 +62,14 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceQuadrature:
-    """Quadrature rule on a boundary surface (d >= 2).
+    """Quadrature rule for J on a boundary surface (d >= 2).
 
     Attributes
     ----------
-    points : (n, d) array of boundary points
     weights : (n,) positive weights, summing to the boundary measure
-    normals : (n, d) exterior unit normals at the points
+    normals : (n, d) exterior unit normals at the nodes
     """
 
-    points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
 
@@ -114,10 +117,15 @@ class Domain:
         raise GeometryError(f"{type(self).__name__} has no flat faces")
 
     def surface_quadrature(self, resolution: int) -> SurfaceQuadrature:
-        raise GeometryError(
-            "surface quadrature requires d >= 2; the d=1 boundary is a "
-            "finite point set handled analytically"
-        )
+        """Boundary rule for J.  A polytope's is its face list, exact at
+        every resolution; a ball's has c * resolution^(d-1) nodes."""
+        if not self.is_polytope:
+            raise GeometryError(
+                "surface quadrature requires d >= 2; the d=1 boundary is a "
+                "finite point set handled analytically"
+            )
+        measures, normals = zip(*self.faces())
+        return SurfaceQuadrature(np.array(measures), np.array(normals))
 
     def as_interval_union(self) -> "IntervalUnion":
         raise GeometryError(f"{type(self).__name__} is not one-dimensional")
@@ -269,47 +277,6 @@ class Box(Domain):
                 out.append((float(measure), normal))
         return out
 
-    def surface_quadrature(self, resolution):
-        d = self.dim
-        if d < 2:
-            return super().surface_quadrature(resolution)
-        pts, wts, nrm = [], [], []
-        gl_x, gl_w = np.polynomial.legendre.leggauss(resolution)
-        for axis in range(d):
-            lo, hi = self.bounds[axis]
-            others = [i for i in range(d) if i != axis]
-            if d == 2:
-                o = others[0]
-                olo, ohi = self.bounds[o]
-                t = 0.5 * (ohi - olo) * gl_x + 0.5 * (ohi + olo)
-                w = 0.5 * (ohi - olo) * gl_w
-                for sign, val in ((-1.0, lo), (1.0, hi)):
-                    p = np.zeros((resolution, 2))
-                    p[:, axis] = val
-                    p[:, o] = t
-                    n = np.zeros((resolution, 2))
-                    n[:, axis] = sign
-                    pts.append(p); wts.append(w); nrm.append(n)
-            else:
-                o1, o2 = others
-                t1 = 0.5 * (self.bounds[o1][1] - self.bounds[o1][0]) * gl_x \
-                    + 0.5 * sum(self.bounds[o1])
-                w1 = 0.5 * (self.bounds[o1][1] - self.bounds[o1][0]) * gl_w
-                t2 = 0.5 * (self.bounds[o2][1] - self.bounds[o2][0]) * gl_x \
-                    + 0.5 * sum(self.bounds[o2])
-                w2 = 0.5 * (self.bounds[o2][1] - self.bounds[o2][0]) * gl_w
-                T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-                W = np.outer(w1, w2).ravel()
-                for sign, val in ((-1.0, lo), (1.0, hi)):
-                    p = np.zeros((resolution * resolution, 3))
-                    p[:, axis] = val
-                    p[:, o1] = T1.ravel()
-                    p[:, o2] = T2.ravel()
-                    n = np.zeros_like(p)
-                    n[:, axis] = sign
-                    pts.append(p); wts.append(W); nrm.append(n)
-        return SurfaceQuadrature(np.vstack(pts), np.concatenate(wts), np.vstack(nrm))
-
     def describe(self):
         return {"shape": "box", "dim": self.dim,
                 "bounds": [list(b) for b in self.bounds]}
@@ -365,13 +332,11 @@ class Ball(Domain):
 
     def surface_quadrature(self, resolution):
         d, r = self.dim, self.radius
-        c = np.array(self.center)
         if d == 2:
             theta = TWO_PI * (np.arange(resolution) + 0.5) / resolution
             normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            points = c + r * normals
             weights = np.full(resolution, TWO_PI * r / resolution)
-            return SurfaceQuadrature(points, weights, normals)
+            return SurfaceQuadrature(weights, normals)
         if d == 3:
             # Gauss-Legendre in cos(polar angle), uniform in azimuth.
             nz, nphi = resolution, 2 * resolution
@@ -384,7 +349,7 @@ class Ball(Domain):
                 axis=1,
             )
             weights = (np.repeat(wz, nphi) * (TWO_PI / nphi)) * r * r
-            return SurfaceQuadrature(c + r * normals, weights, normals)
+            return SurfaceQuadrature(weights, normals)
         return super().surface_quadrature(resolution)
 
     def describe(self):
@@ -450,17 +415,6 @@ class ConvexPolygon(Domain):
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         return [(float(l), n) for l, n in zip(lengths, normals)]
 
-    def surface_quadrature(self, resolution):
-        v = self._vertex_array()
-        gl_x, gl_w = np.polynomial.legendre.leggauss(resolution)
-        t = 0.5 * (gl_x + 1.0)
-        pts, wts, nrm = [], [], []
-        for (length, normal), a, b in zip(self.faces(), v, np.roll(v, -1, axis=0)):
-            pts.append(a + t[:, None] * (b - a))
-            wts.append(0.5 * length * gl_w)
-            nrm.append(np.tile(normal, (resolution, 1)))
-        return SurfaceQuadrature(np.vstack(pts), np.concatenate(wts), np.vstack(nrm))
-
     def describe(self):
         return {"shape": "convex_polygon", "dim": 2,
                 "vertices": [list(v) for v in self.vertices]}
@@ -512,33 +466,36 @@ def _cosine_sum(qa: SurfaceQuadrature, qb: SurfaceQuadrature) -> float:
 
 
 def _check_pair_count(gamma: Domain, omega: Domain, resolution: int) -> None:
-    """GeometryError when quadrature at this resolution needs more than
-    MAX_COSINE_PAIRS node pairs.
+    """GeometryError when quadrature at this resolution needs a rule of
+    more than MAX_SURFACE_NODES nodes or more than MAX_COSINE_PAIRS node
+    pairs, naming the largest resolution that fits both limits.
 
-    Every catalog surface rule has c * resolution^(d-1) nodes, so the
-    constants c are read off the resolution-1 rules and nothing of the
-    requested size is built before the check."""
-    power = 2 * (gamma.dim - 1)
-    per_step = len(gamma.surface_quadrature(1)) * len(omega.surface_quadrature(1))
-    pairs = per_step * resolution ** power
-    if pairs <= MAX_COSINE_PAIRS:
+    A polytope's rule is its face list at every resolution and a ball's
+    has c * resolution^(d-1) nodes, so the counts are read off the
+    resolution-1 rules and nothing of the requested size is built."""
+    sizes = [(len(domain.surface_quadrature(1)),
+              0 if domain.is_polytope else domain.dim - 1)
+             for domain in (gamma, omega)]
+
+    def nodes(res):
+        return [count * res ** power for count, power in sizes]
+
+    def fits(res):
+        na, nb = nodes(res)
+        return max(na, nb) <= MAX_SURFACE_NODES and na * nb <= MAX_COSINE_PAIRS
+
+    if fits(resolution):
         return
-    # The float root can be off by one either way; settle it exactly.
-    fits = int((MAX_COSINE_PAIRS / per_step) ** (1.0 / power)) + 1
-    while fits > 0 and per_step * fits ** power > MAX_COSINE_PAIRS:
-        fits -= 1
+    lo, hi = 0, resolution            # fits(lo), not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    na, nb = nodes(resolution)
     raise GeometryError(
-        f"quadrature J at resolution {resolution} needs {pairs:.3g} surface "
-        f"node pairs, over the limit {MAX_COSINE_PAIRS:.3g}; the largest "
-        f"resolution that fits is {fits}")
-
-
-def _face_pair_sum(gamma: Domain, omega: Domain) -> float:
-    total = 0.0
-    for fa, na in gamma.faces():
-        for fb, nb in omega.faces():
-            total += fa * fb * abs(float(na @ nb))
-    return total
+        f"quadrature J at resolution {resolution} needs {na:.3g} x {nb:.3g} "
+        f"surface nodes, over the limits of {MAX_SURFACE_NODES:.3g} nodes "
+        f"per rule and {MAX_COSINE_PAIRS:.3g} node pairs; the largest "
+        f"resolution that fits is {lo}")
 
 
 def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
@@ -546,12 +503,12 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     """Boundary coefficient J for a momentum region and a spatial region.
 
     d=1: the product of the two endpoint counts (exact).
-    d>=2: (2*pi)^(1-d) times the double surface integral of |m . n|.
-    Polytope pairs use the exact face-pair sum; a spherical first factor
-    admits the closed form; anything else is integrated by product
-    quadrature at the given per-face resolution; a resolution needing
-    more than MAX_COSINE_PAIRS surface node pairs raises GeometryError,
-    naming the largest resolution that fits.
+    d>=2: (2*pi)^(1-d) times the double surface integral of |m . n|,
+    summed over the two surface rules.  Polytope pairs are exact (their
+    rules are the face lists); a spherical first factor admits the
+    closed form; a ball is integrated at the given resolution, and a
+    resolution over MAX_SURFACE_NODES or MAX_COSINE_PAIRS raises
+    GeometryError, naming the largest resolution that fits.
 
     method 'auto' picks the most exact applicable path; 'quadrature',
     'face_pair', 'closed_form' and 'monte_carlo' force a path.
@@ -571,10 +528,15 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
             method = "quadrature"
 
     prefactor = TWO_PI ** (1 - d)
+
+    def cosine_integral(res):
+        return prefactor * _cosine_sum(gamma.surface_quadrature(res),
+                                       omega.surface_quadrature(res))
+
     if method == "face_pair":
         if not (gamma.is_polytope and omega.is_polytope):
             raise GeometryError("face-pair sum needs two polytopes")
-        value = prefactor * _face_pair_sum(gamma, omega)
+        value = cosine_integral(resolution)
         return WidomCoefficient(value, "face_pair_exact", 1e-14 * abs(value))
     if method == "closed_form":
         if not isinstance(gamma, Ball):
@@ -587,14 +549,9 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
         raise GeometryError(f"unknown widom_J method {method!r}")
 
     _check_pair_count(gamma, omega, resolution)
-    qa = gamma.surface_quadrature(resolution)
-    qb = omega.surface_quadrature(resolution)
-    value = prefactor * _cosine_sum(qa, qb)
+    value = cosine_integral(resolution)
     # Error estimate from a coarser companion rule.
-    half = max(resolution // 2, 2)
-    coarse = prefactor * _cosine_sum(
-        gamma.surface_quadrature(half), omega.surface_quadrature(half)
-    )
+    coarse = cosine_integral(max(resolution // 2, 2))
     return WidomCoefficient(value, "quadrature", abs(value - coarse))
 
 
@@ -650,10 +607,9 @@ def _sample_normals(domain: Domain, count: int,
         phi = rng.uniform(0.0, TWO_PI, count)
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    measures, normals = zip(*domain.faces())
-    measures = np.array(measures)
-    return rng.choice(np.array(normals), size=count,
-                      p=measures / measures.sum())
+    faces = domain.surface_quadrature(1)
+    return rng.choice(faces.normals, size=count,
+                      p=faces.weights / faces.weights.sum())
 
 
 def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,

@@ -199,6 +199,22 @@ def test_bad_nodes_per_unit_exits_2(capsys, value):
     assert "disc.nodes_per_unit" in error["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("disc.lattice_budget", "-5"),
+    ("disc.lattice_budget", "0"),
+    ("disc.budget", "-1"),
+    ("disc.budget", "0"),
+])
+def test_bad_budget_exits_2(capsys, key, value):
+    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
+                             "entropy.L=10", f"{key}={value}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert key in error["message"]
+
+
 def test_entropy_rows_report_interior_count(capsys):
     record = run_json(capsys, "entropy", *LATTICE_ARGS, "entropy.L=200",
                       "alpha=0.25,1")
@@ -265,9 +281,9 @@ def test_jcoeff_interval_pair(capsys):
 
 
 def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
-    # At the default resolution 256 the ball/cube quadrature would need
-    # 5.2e10 surface node pairs (6 GiB blocks); it must be refused
-    # before any pair block is built.
+    # At the default resolution 256 the ball/ball quadrature would need
+    # 1.7e10 surface node pairs; it must be refused before any pair
+    # block is built.
     def forbidden(qa, qb):
         raise AssertionError("pair block built past the limit")
 
@@ -275,14 +291,29 @@ def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "jcoeff",
                              "gamma.shape=ball", "gamma.center=0,0,0",
                              "gamma.radius=1",
-                             "omega.shape=box", "omega.bounds=0:1,0:1,0:1")
+                             "omega.shape=ball", "omega.center=0,0,0",
+                             "omega.radius=1")
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "computation"
     assert error["type"] == "GeometryError"
     assert "resolution 256" in error["message"]
-    assert "largest resolution that fits is 80" in error["message"]
+    assert "largest resolution that fits is 105" in error["message"]
+
+
+def test_jcoeff_3d_ball_cube_default_resolution(capsys):
+    # The cube enters as its six faces, so the sphere rule at the
+    # default resolution 256 (131072 nodes) fits.
+    record = run_json(capsys, "jcoeff",
+                      "gamma.shape=ball", "gamma.center=0,0,0",
+                      "gamma.radius=1",
+                      "omega.shape=box", "omega.bounds=0:1,0:1,0:1")
+    methods = record["j"]["methods"]
+    assert [m["method"] for m in methods] == [
+        "closed_form", "quadrature", "monte_carlo"]
+    for method in methods:
+        assert abs(method["value"] - 3.0 / math.pi) <= method["error_estimate"]
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -140,19 +140,45 @@ def test_surface_quadrature_invariants(domain):
                                atol=1e-12)
     assert rule.weights.sum() == pytest.approx(domain.boundary_measure(),
                                                rel=1e-12)
-    assert len(rule) == len(rule.points) == len(rule.normals)
+    assert len(rule) == len(rule.normals)
+    # Each boundary is closed, so its weighted normals sum to zero.
+    np.testing.assert_allclose(rule.weights @ rule.normals, 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("domain", [
+    Box(((0.0, 2.0), (-1.0, 1.0))),
+    Box(((0.0, 2.0), (-1.0, 1.0), (0.0, 0.5))),
+    TRIANGLE,
+])
+@pytest.mark.parametrize("resolution", [1, 24, 256])
+def test_polytope_rule_is_its_face_list(domain, resolution):
+    rule = domain.surface_quadrature(resolution)
+    measures, normals = zip(*domain.faces())
+    np.testing.assert_array_equal(rule.weights, measures)
+    np.testing.assert_array_equal(rule.normals, normals)
 
 
 def test_surface_quadrature_normals_point_outward():
-    ball = Ball((2.0, -1.0), 1.5)
-    rule = ball.surface_quadrature(16)
-    radial = (rule.points - np.array(ball.center)) / ball.radius
-    np.testing.assert_allclose(rule.normals, radial, atol=1e-12)
-
-    centroid = np.mean(np.array(TRIANGLE.vertices), axis=0)
-    rule = TRIANGLE.surface_quadrature(8)
+    box = Box(((0.0, 2.0), (-1.0, 1.0), (0.0, 0.5)))
+    centroid = np.array([sum(b) / 2 for b in box.bounds])
+    midpoints = []
+    for axis, (lo, hi) in enumerate(box.bounds):
+        for value in (lo, hi):
+            midpoint = centroid.copy()
+            midpoint[axis] = value
+            midpoints.append(midpoint)
+    rule = box.surface_quadrature(8)
     assert np.all(np.einsum("ij,ij->i", rule.normals,
-                            rule.points - centroid) > 0)
+                            np.array(midpoints) - centroid) > 0)
+
+    vertices = np.array(TRIANGLE.vertices)
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    midpoints = vertices + 0.5 * edges
+    rule = TRIANGLE.surface_quadrature(8)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", rule.normals, edges),
+                               0.0, atol=1e-15)
+    assert np.all(np.einsum("ij,ij->i", rule.normals,
+                            midpoints - vertices.mean(axis=0)) > 0)
 
 
 def test_surface_quadrature_rejects_1d():
@@ -271,15 +297,39 @@ def test_widom_J_quadrature_refuses_oversized_pair_block(monkeypatch):
 
     monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
     ball = Ball((0.0, 0.0, 0.0), 1.0)
-    cube = Box(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
-    # 2 * 256^2 sphere nodes times 6 * 256^2 face nodes = 5.2e10 pairs.
+    # (2 * 256^2)^2 = 1.7e10 sphere node pairs at the default resolution.
     with pytest.raises(GeometryError, match="largest resolution that fits "
-                                            "is 80$"):
-        widom_J(ball, cube, method="quadrature")
-    # 12 * 80^4 = 4.9e8 pairs fit under the limit; 12 * 81^4 do not.
-    assert 12 * 80 ** 4 <= geometry.MAX_COSINE_PAIRS < 12 * 81 ** 4
-    with pytest.raises(GeometryError, match="resolution 81 "):
-        widom_J(cube, ball, resolution=81, method="quadrature")
+                                            "is 105$"):
+        widom_J(ball, ball, method="quadrature")
+    # 4 * 105^4 = 4.9e8 pairs fit under the limit; 4 * 106^4 do not.
+    assert 4 * 105 ** 4 <= geometry.MAX_COSINE_PAIRS < 4 * 106 ** 4
+    with pytest.raises(GeometryError, match="resolution 106 "):
+        widom_J(ball, ball, resolution=106, method="quadrature")
+
+
+def test_widom_J_quadrature_refuses_rule_over_node_cap(monkeypatch):
+    def forbidden(qa, qb):
+        raise AssertionError("pair block built past the limit")
+
+    ball_rule = Ball.surface_quadrature
+
+    def counted_only(self, resolution):
+        if resolution > 1:
+            raise AssertionError("sphere rule built past the limit")
+        return ball_rule(self, resolution)
+
+    monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
+    monkeypatch.setattr(Ball, "surface_quadrature", counted_only)
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    cube = Box(((0.0, 1.0),) * 3)
+    # 6 faces x 2 * 10^12 sphere nodes: the pair root is 6454, but one
+    # sphere rule may hold at most 2 * 1414^2 nodes.
+    assert 2 * 1414 ** 2 <= geometry.MAX_SURFACE_NODES < 2 * 1415 ** 2
+    for gamma, omega in ((cube, ball), (ball, cube)):
+        with pytest.raises(GeometryError, match="largest resolution that "
+                                                "fits is 1414$"):
+            widom_J(gamma, omega, resolution=10 ** 6, method="quadrature")
+    geometry._check_pair_count(cube, ball, 1414)
 
 
 def test_widom_J_density_form_agrees():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fermient.validate as validate
+from fermient.geometry import Ball, SurfaceQuadrature
 from fermient.validate import ALL_CHECKS, check_kernel_hermiticity, run_all
 
 
@@ -35,6 +36,20 @@ def test_hermiticity_check_catches_corruption():
         rng=np.random.default_rng(3), evaluator_override=corrupted)
     assert not passed
     assert "failed" in detail.lower()
+
+
+def test_widom_cross_check_catches_a_bad_sphere_rule(monkeypatch):
+    rule = Ball.surface_quadrature
+
+    def inflated(self, resolution):
+        quadrature = rule(self, resolution)
+        return SurfaceQuadrature(1.001 * quadrature.weights,
+                                 quadrature.normals)
+
+    monkeypatch.setattr(Ball, "surface_quadrature", inflated)
+    passed, detail = validate.check_widom_cross()
+    assert not passed
+    assert "square x disk" in detail
 
 
 def test_run_all_captures_exceptions(monkeypatch):
