@@ -35,10 +35,10 @@ from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        IntervalUnion, interval, mean_density, widom_J,
                        widom_J_density_form, widom_J_monte_carlo,
                        widom_J_sphere)
-from .kernels import FermiKernel, fermi_kernel, is_hermitian_sample
+from .kernels import FermiKernel, fermi_kernel
 from .spectra import (EntropyResult, PipelineConfig, Spectrum,
                       entropy_pipeline, eigenvalues, pipeline_spectrum,
-                      renyi_entropy, tensor_spectrum, trace_power_diagnostic)
+                      renyi_entropy, tensor_spectrum)
 
 __version__ = "0.1.0"
 
@@ -50,11 +50,11 @@ __all__ = [
     "entropy_function", "entropy_log_coefficient",
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
     "predicted_log_prefactor", "dilog", "dilog_one_minus",
-    "FermiKernel", "fermi_kernel", "is_hermitian_sample",
+    "FermiKernel", "fermi_kernel",
     "DiscretizedOperator", "LatticeCorrelation", "nystrom",
     "lattice_correlation", "ring_block_correlation",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
-    "renyi_entropy", "tensor_spectrum", "trace_power_diagnostic",
+    "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum", "entropy_pipeline",
     "SweepResult", "ScalingFit", "sweep", "synthetic_sweep",
     "fit_scaling", "predicted_prefactor", "widom_prediction",

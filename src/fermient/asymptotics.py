@@ -182,8 +182,8 @@ class ScalingFit:
 
     log_coefficient multiplies L^(d-1) ln L (the enhanced term),
     area_coefficient multiplies L^(d-1) (a constant in d = 1).
-    condition_number refers to the weighted design matrix; stderr are
-    the usual diagonal-covariance estimates."""
+    condition_number refers to the design matrix; stderr are the usual
+    diagonal-covariance estimates."""
 
     d: int
     log_coefficient: float
@@ -204,15 +204,12 @@ def _design_matrix(L: np.ndarray, d: int) -> np.ndarray:
     return np.column_stack([area * np.log(L), area])
 
 
-def fit_scaling(data, d: int | None = None, window=None,
-                weights: str = "unit") -> ScalingFit:
-    """Weighted least squares of S(L) on the two leading scaling terms.
+def fit_scaling(data, d: int | None = None, window=None) -> ScalingFit:
+    """Least squares of S(L) on the two leading scaling terms.
 
     data is a SweepResult or a pair of arrays (L, S); d is taken from
     the sweep geometry when omitted.  window = (L_min, L_max) restricts
-    the fit (inclusive); weights is 'unit' (default) or 'inverse_area'
-    (w proportional to 1 / L^(d-1), equalizing the rectified residuals).
-    At least 4 points must survive the window.
+    the fit (inclusive); at least 4 points must survive it.
     """
     if isinstance(data, SweepResult):
         L, S = data.L_values, data.S_values
@@ -230,24 +227,15 @@ def fit_scaling(data, d: int | None = None, window=None,
         raise FitError(f"fit window {window} keeps {len(L)} points; need >= 4")
 
     X = _design_matrix(L, d)
-    if weights == "unit":
-        w = np.ones_like(L)
-    elif weights == "inverse_area":
-        w = 1.0 / L ** (d - 1)
-    else:
-        raise FitError(f"unknown weight scheme {weights!r}")
-    sw = np.sqrt(w)
-    Xw = X * sw[:, None]
-    yw = S * sw
-    condition = float(np.linalg.cond(Xw))
-    coef, _, rank, _ = np.linalg.lstsq(Xw, yw, rcond=None)
+    condition = float(np.linalg.cond(X))
+    coef, _, rank, _ = np.linalg.lstsq(X, S, rcond=None)
     if rank < 2:
         raise FitError("rank-deficient design matrix (degenerate L grid)")
 
     residuals = S - X @ coef
     dof = max(len(L) - 2, 1)
-    sigma2 = float(residuals @ (w * residuals)) / dof
-    covariance = sigma2 * np.linalg.inv(Xw.T @ Xw)
+    sigma2 = float(residuals @ residuals) / dof
+    covariance = sigma2 * np.linalg.inv(X.T @ X)
     stderr = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     model = ("S ~ a*ln(L) + b" if d == 1
              else f"S ~ a*L^{d - 1}*ln(L) + b*L^{d - 1}")

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (FitError, compare_theory, fit_scaling, sweep,
                           synthetic_sweep)
-from .config import (ConfigError, RunConfig, alphas_from_config,
+from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
 from .discretize import DiscretizationError
@@ -80,6 +80,10 @@ def _gather_config(args) -> RunConfig:
         overrides["seed"] = str(args.seed)
     if overrides:
         config = config.updated(overrides)
+    unknown = sorted(set(config.values) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; the keys are "
+                          "listed in the fermient.config docstring")
     return config
 
 
@@ -140,7 +144,6 @@ def cmd_sweep(args) -> int:
     window = None
     if "sweep.window" in config:
         window = window_from_config(config.require("sweep.window"))
-    weights = config.get("sweep.weights", "unit")
 
     partial_path = args.out + ".partial" if args.out else None
     if args.self_test:
@@ -168,7 +171,7 @@ def cmd_sweep(args) -> int:
     rows, fits = [], []
     for alpha, result_set in by_order.items():
         rows.extend(entropy_row(r) for r in result_set.results)
-        fit = fit_scaling(result_set, window=window, weights=weights)
+        fit = fit_scaling(result_set, window=window)
         comparison = compare_theory(fit, gamma, omega, alpha)
         fits.append(fit_block(fit, comparison, alpha=alpha))
 
@@ -188,7 +191,6 @@ def cmd_sweep(args) -> int:
 def cmd_jcoeff(args) -> int:
     config = _gather_config(args)
     gamma, omega = _domains(config)
-    method = config.get("jcoeff.method", "auto").strip().lower()
     resolution = config.get_int("jcoeff.resolution", 256)
     if resolution < 1:
         raise ConfigError(f"jcoeff.resolution: need an integer >= 1, "
@@ -198,10 +200,7 @@ def cmd_jcoeff(args) -> int:
         raise ConfigError(f"seed: need an integer >= 0, got {seed}")
 
     coefficients = []
-    if method != "auto":
-        coefficients.append(widom_J(gamma, omega, resolution=resolution,
-                                    method=method))
-    elif gamma.dim == 1:
+    if gamma.dim == 1:
         coefficients.append(widom_J(gamma, omega))
     else:
         if gamma.is_polytope and omega.is_polytope:
@@ -229,12 +228,11 @@ def cmd_functional(args) -> int:
     config = _gather_config(args)
     alphas = alphas_from_config(config, key="functional.alphas",
                                 default=(0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 10.0))
-    tol = config.get_float("functional.tol", 1e-12)
 
     rows = []
     for alpha in alphas:
         target = predicted_log_prefactor(alpha)
-        numeric = entropy_log_coefficient(alpha, tol=tol)
+        numeric = entropy_log_coefficient(alpha)
         dilog_value = entropy_log_coefficient_dilog(alpha)
         rows.append({
             "alpha": "inf" if math.isinf(alpha) else alpha,
@@ -292,6 +290,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermient",
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the JSON record here "
                                       "(default: stdout)")
         sp.add_argument("--csv", help="also write flat CSV rows here")
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel sweep jobs (default 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for Monte Carlo cross-checks")

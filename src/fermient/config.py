@@ -5,7 +5,8 @@ sections, `#` comment lines and blank lines ignored.  Values stay
 strings until a typed accessor asks for them, and serialization writes
 keys sorted, so parse(serialize(config)) round-trips exactly.
 
-Key reference (all optional unless a command requires them):
+Key reference (all optional unless a command requires them; any other
+key is a config error):
 
     mode                    auto | continuum | lattice | tensor_box
     alpha                   Renyi order, or comma list; 'inf' allowed
@@ -21,19 +22,13 @@ Key reference (all optional unless a command requires them):
     entropy.L               dilation for single-point runs (finite, > 0)
     sweep.L                 lo:hi:count (geometric grid) or explicit list
                             of distinct finite L > 0
-    sweep.window            lo:hi fit window (default: whole grid)
-    sweep.weights           unit | inverse_area
+    sweep.window            lo:hi fit window, lo < hi (default: whole grid)
     disc.nodes_per_unit     finite float > 0 (default: resolution from
                             the kernel)
     disc.budget             max continuum matrix size, integer >= 1
     disc.lattice_budget     max lattice block size in sites, integer >= 1
-    disc.strict_nyquist     true | false
-                            (any other disc.* key is a config error)
-    jcoeff.method           auto | face_pair | closed_form | quadrature |
-                            monte_carlo
     jcoeff.resolution       ball surface rule resolution, integer >= 1
     functional.alphas       comma list for the functional command
-    functional.tol          quadrature stopping tolerance
 """
 
 from __future__ import annotations
@@ -58,10 +53,20 @@ __all__ = [
     "window_from_config",
     "alphas_from_config",
     "pipeline_config_from",
+    "KNOWN_KEYS",
 ]
 
-_DISC_KEYS = ("disc.nodes_per_unit", "disc.budget", "disc.lattice_budget",
-              "disc.strict_nyquist")
+_SHAPE_KEYS = ("shape", "intervals", "bounds", "center", "radius",
+               "vertices", "k_fermi")
+
+# Every key the program reads: the key reference above, with omega.*
+# spelled out.
+KNOWN_KEYS = frozenset(
+    ("mode", "alpha", "seed", "entropy.L", "sweep.L", "sweep.window",
+     "disc.nodes_per_unit", "disc.budget", "disc.lattice_budget",
+     "jcoeff.resolution", "functional.alphas")
+    + tuple(f"{prefix}.{key}" for prefix in ("gamma", "omega")
+            for key in _SHAPE_KEYS))
 
 
 class ConfigError(ValueError):
@@ -102,17 +107,6 @@ class RunConfig:
             return int(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}")
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
     def get_floats(self, key: str, default=None):
         raw = self.values.get(key)
@@ -254,9 +248,12 @@ def window_from_config(raw: str):
     if len(parts) != 2:
         raise ConfigError(f"window: expected lo:hi, got {raw!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"window: non-numeric field in {raw!r}")
+    if not lo < hi:
+        raise ConfigError(f"window: need lo < hi, got {raw!r}")
+    return lo, hi
 
 
 def alphas_from_config(config: RunConfig, key: str = "alpha",
@@ -273,15 +270,10 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
 
 
 def pipeline_config_from(config: RunConfig) -> PipelineConfig:
-    """PipelineConfig from mode and the disc.* keys; others are errors."""
+    """PipelineConfig from mode and the disc.* keys."""
     mode = config.get("mode", "auto").strip().lower()
     if mode not in ("auto", "continuum", "lattice", "tensor_box"):
         raise ConfigError(f"mode: unknown mode {mode!r}")
-    unknown = sorted(key for key in config.values
-                     if key.startswith("disc.") and key not in _DISC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; the disc.* keys "
-                          f"are {', '.join(_DISC_KEYS)}")
     nodes_per_unit = config.get_float("disc.nodes_per_unit")
     if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
         raise ConfigError(f"disc.nodes_per_unit: need a finite positive "
@@ -291,9 +283,4 @@ def pipeline_config_from(config: RunConfig) -> PipelineConfig:
     for key, value in budgets.items():
         if value < 1:
             raise ConfigError(f"disc.{key}: need an integer >= 1, got {value}")
-    return PipelineConfig(
-        mode=mode,
-        nodes_per_unit=nodes_per_unit,
-        strict_nyquist=config.get_bool("disc.strict_nyquist", True),
-        **budgets,
-    )
+    return PipelineConfig(mode=mode, nodes_per_unit=nodes_per_unit, **budgets)

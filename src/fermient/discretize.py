@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +189,7 @@ def _rule_ball(ball: Ball, nodes_per_unit: float):
 
 def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
             nodes_per_unit: float | None = None,
-            budget: int = DEFAULT_CONTINUUM_BUDGET,
-            strict_nyquist: bool = True) -> DiscretizedOperator:
+            budget: int = DEFAULT_CONTINUUM_BUDGET) -> DiscretizedOperator:
     """Quadrature discretization of the Fermi projection localized to L*omega.
 
     Builds a quadrature rule on the dilated region, evaluates the
@@ -209,8 +207,9 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     nodes_per_unit : nodes per unit length along each direction; default
         resolves eight nodes per Fermi wavelength (floor 2 per unit)
     budget : maximum matrix dimension; exceeding it raises BudgetError
-    strict_nyquist : reject (True) or merely warn (False) when the node
-        spacing cannot resolve the fastest kernel oscillation
+
+    A node spacing that cannot resolve the fastest kernel oscillation
+    raises DiscretizationError.
 
     Notes
     -----
@@ -232,13 +231,9 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
                              MIN_NODES_PER_UNIT)
     spacing = 1.0 / nodes_per_unit
     if spacing >= 0.5 * math.pi / p_max:
-        message = (
+        raise DiscretizationError(
             f"node spacing {spacing:.3g} exceeds the sampling guard "
-            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}"
-        )
-        if strict_nyquist:
-            raise DiscretizationError(message)
-        warnings.warn(message, stacklevel=2)
+            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
 
     region = omega.scaled(L) if L != 1.0 else omega
     if isinstance(region, (IntervalUnion,)) or (isinstance(region, Box)

@@ -21,7 +21,7 @@ from scipy.special import j1
 
 from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
 
-__all__ = ["FermiKernel", "fermi_kernel", "is_hermitian_sample"]
+__all__ = ["FermiKernel", "fermi_kernel"]
 
 # Below this |p_F * r| the Bessel/elementary radial forms switch to
 # Taylor branches: the d=3 numerator sin(x) - x*cos(x) loses ~x^{-2}
@@ -110,11 +110,6 @@ class FermiKernel:
     def is_real(self) -> bool:
         return self.gamma.is_centrally_symmetric
 
-    @property
-    def diagonal_value(self) -> float:
-        """K(0) = |gamma| / (2*pi)^d, the bulk particle density."""
-        return self.gamma.volume() / TWO_PI ** self.dim
-
     def displacement(self, u) -> np.ndarray:
         """Kernel values at displacements u.
 
@@ -145,36 +140,6 @@ class FermiKernel:
             return vals.real
         return vals
 
-    def evaluate(self, q, q2) -> np.ndarray:
-        """K(q, q2) on points or batches of points."""
-        qa = np.asarray(q, dtype=float)
-        qb = np.asarray(q2, dtype=float)
-        if self.dim == 1:
-            if qa.ndim and qa.shape[-1] == 1:
-                qa = qa[..., 0]
-            if qb.ndim and qb.shape[-1] == 1:
-                qb = qb[..., 0]
-        elif qa.shape[-1] != self.dim or qb.shape[-1] != self.dim:
-            raise GeometryError(
-                f"points of dimension {qa.shape[-1]} passed to a d={self.dim} kernel"
-            )
-        return self.displacement(qa - qb)
-
 
 def fermi_kernel(gamma: Domain) -> FermiKernel:
     return FermiKernel(gamma)
-
-
-def is_hermitian_sample(kernel: FermiKernel, sample_pairs, tol: float = 1e-12,
-                        evaluator=None) -> bool:
-    """Check K(q, q') = conj(K(q', q)) on a list of point pairs.
-
-    evaluator overrides the kernel's own evaluation (used by negative
-    controls with deliberately corrupted kernels)."""
-    ev = evaluator if evaluator is not None else kernel.evaluate
-    for q, q2 in sample_pairs:
-        forward = complex(np.asarray(ev(q, q2)))
-        backward = complex(np.asarray(ev(q2, q)))
-        if abs(forward - np.conj(backward)) > tol:
-            return False
-    return True

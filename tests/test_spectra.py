@@ -11,8 +11,6 @@ from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  nystrom)
 from fermient.geometry import Box, GeometryError, interval
 from fermient.spectra import (
-    EPS_ABORT,
-    EPS_WARN,
     PipelineConfig,
     SpectralViolationError,
     Spectrum,
@@ -21,7 +19,6 @@ from fermient.spectra import (
     pipeline_spectrum,
     renyi_entropy,
     tensor_spectrum,
-    trace_power_diagnostic,
 )
 
 GAMMA = interval(-1.0, 1.0)
@@ -36,7 +33,6 @@ def test_eigenvalues_accepts_bare_arrays():
     spectrum = eigenvalues(np.diag([0.25, 0.75]))
     np.testing.assert_allclose(spectrum.eigenvalues, [0.25, 0.75])
     assert spectrum.clamp_count == 0
-    assert not spectrum.warn
 
 
 def test_eigenvalues_sorted_ascending():
@@ -49,19 +45,16 @@ def test_eigenvalues_clamps_roundoff_violations():
     np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 0.5, 1.0])
     assert spectrum.clamp_count == 2
     assert spectrum.max_violation == pytest.approx(2e-9)
-    assert not spectrum.warn          # below the 1e-7 warning threshold
 
 
 def test_eigenvalues_warn_flag():
     spectrum = eigenvalues(np.diag([0.5, 1.0 + 1e-6]))
-    assert spectrum.warn
     assert spectrum.max_violation == pytest.approx(1e-6)
 
 
 def test_eigenvalues_aborts_on_gross_violation():
     with pytest.raises(SpectralViolationError):
         eigenvalues(np.diag([0.5, 1.01]))
-    assert EPS_WARN < EPS_ABORT
 
 
 def test_eigenvalues_rejects_non_hermitian():
@@ -194,33 +187,17 @@ def test_complement_symmetry_on_interior_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# Tensor spectra and the trace-power diagnostic
+# Tensor spectra
 # ---------------------------------------------------------------------------
 
 def test_tensor_spectrum_is_outer_product():
-    a = Spectrum(np.array([0.2, 0.8]), 1, 1e-9, warn=False)
-    b = Spectrum(np.array([0.5, 1.0, 0.1]), 2, 3e-8, warn=True)
+    a = Spectrum(np.array([0.2, 0.8]), 1, 1e-9)
+    b = Spectrum(np.array([0.5, 1.0, 0.1]), 2, 3e-8)
     product = tensor_spectrum(a, b)
     expected = np.sort(np.outer([0.2, 0.8], [0.5, 1.0, 0.1]).ravel())
     np.testing.assert_allclose(product.eigenvalues, expected)
     assert product.clamp_count == 3
     assert product.max_violation == 3e-8
-    assert product.warn
-
-
-def test_trace_power_diagnostic():
-    spectrum = Spectrum(np.array([0.5, 0.5]), 0, 0.0)
-    assert trace_power_diagnostic(spectrum, 1.0) == pytest.approx(0.5)
-    assert trace_power_diagnostic(spectrum, 0.5) == pytest.approx(1.0)
-    projector = Spectrum(np.array([0.0, 1.0]), 0, 0.0)
-    assert trace_power_diagnostic(projector, 0.5) == 0.0
-    # Accepts matrices directly.
-    assert trace_power_diagnostic(np.diag([0.5, 0.5]), 1.0) \
-        == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        trace_power_diagnostic(spectrum, 0.0)
-    with pytest.raises(ValueError):
-        trace_power_diagnostic(spectrum, 1.5)
 
 
 # ---------------------------------------------------------------------------

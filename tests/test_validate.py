@@ -5,6 +5,7 @@ import pytest
 
 import fermient.validate as validate
 from fermient.geometry import Ball, SurfaceQuadrature
+from fermient.kernels import FermiKernel
 from fermient.validate import ALL_CHECKS, check_kernel_hermiticity, run_all
 
 
@@ -28,12 +29,17 @@ def test_run_all_rejects_unknown_name():
         run_all(["ring_block_purity", "no_such_check"])
 
 
-def test_hermiticity_check_catches_corruption():
-    def corrupted(q, q2):
-        return float(np.sum(np.asarray(q)) - 2.0 * np.sum(np.asarray(q2)))
+def test_hermiticity_check_catches_corruption(monkeypatch):
+    displacement = FermiKernel.displacement
 
-    passed, detail = check_kernel_hermiticity(
-        rng=np.random.default_rng(3), evaluator_override=corrupted)
+    def corrupted(self, u):
+        # An imaginary part even in u breaks K(-u) = conj(K(u)).
+        u = np.asarray(u, dtype=float)
+        even = np.sum(u * u, axis=-1) if self.dim > 1 else u * u
+        return displacement(self, u) + 1e-6j * even
+
+    monkeypatch.setattr(FermiKernel, "displacement", corrupted)
+    passed, detail = check_kernel_hermiticity(rng=np.random.default_rng(3))
     assert not passed
     assert "failed" in detail.lower()
 
