@@ -9,8 +9,13 @@ Key reference (all optional unless a command requires them; any other
 key is a config error):
 
     mode                    auto | continuum | lattice | tensor_box
+                            (auto: tensor_box for box pairs, radial
+                            sectors for ball/ball pairs in d = 2, 3,
+                            else continuum; continuum forces the
+                            Nystrom matrix)
     alpha                   Renyi order, or comma list; 'inf' allowed
     seed                    integer >= 0, Monte Carlo cross-checks only
+                            (not part of the sweep resume hash)
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis)
@@ -25,7 +30,8 @@ key is a config error):
     sweep.window            lo:hi fit window, lo < hi (default: whole grid)
     disc.nodes_per_unit     finite float > 0 (default: resolution from
                             the kernel)
-    disc.budget             max continuum matrix size, integer >= 1
+    disc.budget             max continuum matrix size (and tensor axis
+                            or radial rule size), integer >= 1
     disc.lattice_budget     max lattice block size in sites, integer >= 1
     jcoeff.resolution       ball surface rule resolution, integer >= 1
     functional.alphas       comma list for the functional command

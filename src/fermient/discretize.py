@@ -187,6 +187,16 @@ def _rule_ball(ball: Ball, nodes_per_unit: float):
     raise DiscretizationError("ball rule needs d in {2, 3}")
 
 
+def check_sampling(nodes_per_unit: float, p_max: float) -> None:
+    """Nyquist guard: raise DiscretizationError when a node spacing of
+    1 / nodes_per_unit cannot resolve momenta up to p_max."""
+    spacing = 1.0 / nodes_per_unit
+    if spacing >= 0.5 * math.pi / p_max:
+        raise DiscretizationError(
+            f"node spacing {spacing:.3g} exceeds the sampling guard "
+            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
+
+
 def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
             nodes_per_unit: float | None = None,
             budget: int = DEFAULT_CONTINUUM_BUDGET) -> DiscretizedOperator:
@@ -229,11 +239,7 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     if nodes_per_unit is None:
         nodes_per_unit = max(NODES_PER_WAVELENGTH / wavelength,
                              MIN_NODES_PER_UNIT)
-    spacing = 1.0 / nodes_per_unit
-    if spacing >= 0.5 * math.pi / p_max:
-        raise DiscretizationError(
-            f"node spacing {spacing:.3g} exceeds the sampling guard "
-            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
+    check_sampling(nodes_per_unit, p_max)
 
     region = omega.scaled(L) if L != 1.0 else omega
     if isinstance(region, (IntervalUnion,)) or (isinstance(region, Box)

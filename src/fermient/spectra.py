@@ -27,25 +27,34 @@ against.
 pipeline_spectrum is the chain geometry -> matrix -> spectrum, routing
 box-product geometries through tensor spectra: the compression
 separates per axis there, so its eigenvalues are products of 1D
-eigenvalues and no d-dimensional matrix is needed.  Every order is a
-sum over that one spectrum, so callers wanting several orders at one L
-diagonalize once and call renyi_entropy per order; entropy_pipeline is
-the single-order composition of the two.
+eigenvalues and no d-dimensional matrix is needed.  A ball/ball pair in
+d = 2 or 3 commutes with rotations, so its compression splits into one
+radial operator per angular momentum (Slepian 1964, Bell Syst. Tech. J.
+43:3009): each sector is a small Gauss-Legendre matrix of a Bessel
+Christoffel-Darboux kernel, solved densely and counted with its
+multiplicity, and no n x n Nystrom matrix is formed.  Every other
+continuum geometry, and any pair under mode 'continuum', takes the
+Nystrom matrix, which is the oracle for both separable routes.  Every
+order is a sum over that one spectrum, so callers wanting several
+orders at one L diagonalize once and call renyi_entropy per order;
+entropy_pipeline is the single-order composition of the two.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as _fft
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv, roots_legendre
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import Box, Domain, GeometryError
+from .geometry import Ball, Box, Domain, GeometryError
 
 __all__ = [
     "SpectralViolationError",
@@ -75,6 +84,13 @@ MAX_TENSOR_EIGENVALUES = 20_000_000
 SNAP_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
 INTERIOR_TOL = 1e-12
+
+# Radial route: sectors run until the first l >= kR whose largest
+# eigenvalue is below SNAP_TOL.  That takes about 6.3 (kR)^(1/3)
+# sectors past kR (the width of the Bessel transition region); a sector
+# past kR + SECTOR_EXCESS * (1 + kR)^(1/3) that still carries an
+# eigenvalue is a failed solve.
+SECTOR_EXCESS = 12.0
 
 
 class SpectralViolationError(RuntimeError):
@@ -199,6 +215,64 @@ def _lattice_spectrum(k_fermi: float, n: int) -> np.ndarray:
                            1.0 - quotients[split:], np.ones(n - 1 - hi)])
 
 
+def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
+                        scale: np.ndarray) -> np.ndarray:
+    """Unclamped eigenvalues of the angular-momentum sector of order nu.
+
+    The matrix is scale_i scale_j K(r_i, r_j), scale = sqrt(w r) over a
+    radial rule (r, w), where K is the Christoffel-Darboux form of
+    integral_0^k p J_nu(p r) J_nu(p r') dp:
+
+        k [r J_nu+1(kr) J_nu(kr') - r' J_nu(kr) J_nu+1(kr')] / (r^2 - r'^2),
+
+    with diagonal k^2/2 (J_nu(kr)^2 - J_nu-1(kr) J_nu+1(kr)); scale
+    carries the sqrt(r r') that symmetrizes the radial measure r^(d-1) dr.
+    Numerator and denominator are both antisymmetric, so the matrix is
+    exactly symmetric.
+    """
+    kr = k * r
+    j_nu, j_next = jv(nu, kr), jv(nu + 1.0, kr)
+    p = r * j_next
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = k * (np.outer(p, j_nu) - np.outer(j_nu, p)) \
+            / np.subtract.outer(r * r, r * r)
+    np.fill_diagonal(kernel, 0.5 * k * k * (j_nu * j_nu
+                                            - jv(nu - 1.0, kr) * j_next))
+    return np.linalg.eigvalsh(kernel * np.outer(scale, scale))
+
+
+def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
+    """Unclamped eigenvalues of the ball of momentum radius k localized
+    to a ball of the given radius in d = 2 or 3, and the sector count.
+
+    Rotations split the compression into one radial operator per angular
+    momentum l, of Bessel order nu = l + (d - 2)/2, each solved on the
+    same n_r-node Gauss-Legendre rule on [0, radius] and repeated by its
+    multiplicity (1, then 2 in d = 2; 2l + 1 in d = 3).  Sectors run
+    until the first l >= k radius whose largest eigenvalue is below
+    SNAP_TOL; a sector at or past l = kR + SECTOR_EXCESS (1 + kR)^(1/3)
+    that has not decayed raises SpectralViolationError.
+    """
+    x, w = roots_legendre(n_r)
+    r = 0.5 * radius * (x + 1.0)
+    scale = np.sqrt(0.5 * radius * w * r)
+    kr_max = k * radius
+    l_max = kr_max + SECTOR_EXCESS * (1.0 + kr_max) ** (1.0 / 3.0)
+    sectors, multiplicities = [], []
+    for l in itertools.count():
+        vals = _sector_eigenvalues(l + 0.5 * (d - 2), k, r, scale)
+        sectors.append(vals)
+        multiplicities.append(2 * l + 1 if d == 3 else min(l + 1, 2))
+        if l >= kr_max and vals[-1] < SNAP_TOL:
+            break
+        if l >= l_max:
+            raise SpectralViolationError(
+                f"radial sector l={l} still has eigenvalue {vals[-1]:.3g} "
+                f"over {SNAP_TOL:.1g} (kR={kr_max:.6g})")
+    return (np.repeat(np.concatenate(sectors), np.repeat(multiplicities, n_r)),
+            len(sectors))
+
+
 def eigenvalues(op) -> Spectrum:
     """Full spectrum of a discretized operator, clamped to [0, 1].
 
@@ -215,19 +289,26 @@ def eigenvalues(op) -> Spectrum:
     in clamp_count and max_violation.
     """
     if isinstance(op, _disc.LatticeCorrelation):
-        vals = _lattice_spectrum(op.k_fermi, op.n)
-    else:
-        matrix = _as_matrix(op)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(
-                f"expected a square matrix, got shape {matrix.shape}")
-        defect = (np.max(np.abs(matrix - matrix.conj().T))
-                  if matrix.size else 0.0)
-        if defect > 1e-12:
-            raise SpectralViolationError(
-                f"matrix is not Hermitian (defect {defect:.3g})")
-        vals = np.linalg.eigvalsh(matrix) if matrix.size else np.empty(0)
+        return _clamped(_lattice_spectrum(op.k_fermi, op.n))
+    matrix = _as_matrix(op)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(
+            f"expected a square matrix, got shape {matrix.shape}")
+    defect = (np.max(np.abs(matrix - matrix.conj().T))
+              if matrix.size else 0.0)
+    if defect > 1e-12:
+        raise SpectralViolationError(
+            f"matrix is not Hermitian (defect {defect:.3g})")
+    return _clamped(np.linalg.eigvalsh(matrix) if matrix.size
+                    else np.empty(0))
 
+
+def _clamped(vals: np.ndarray) -> Spectrum:
+    """Sorted Spectrum of raw eigenvalues, clamped to [0, 1].
+
+    A violation of EPS_ABORT or more raises SpectralViolationError;
+    smaller ones are clamped and counted.
+    """
     below = np.maximum(-vals, 0.0)
     above = np.maximum(vals - 1.0, 0.0)
     max_violation = float(np.max(below + above, initial=0.0))
@@ -282,13 +363,17 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
 class PipelineConfig:
     """Knobs of the geometry -> entropy pipeline.
 
-    mode: 'auto' (tensor route for box-product geometries, else direct
-    continuum), 'continuum', 'tensor_box', or 'lattice'.  In lattice
-    mode gamma must be a symmetric interval (-k_F, k_F) with k_F < pi
-    and the block has round(L * |omega|) sites, at most lattice_budget
-    (default 100000; the tridiagonal route takes seconds there, and no
-    n x n matrix is formed).  A nodes_per_unit under the Nyquist guard
-    always fails.  EPS_ABORT and MAX_TENSOR_EIGENVALUES are fixed.
+    mode: 'auto' (tensor route for box-product geometries, radial
+    sectors for ball/ball pairs in d = 2 and 3, else the Nystrom
+    matrix), 'continuum' (the Nystrom matrix for every geometry),
+    'tensor_box', or 'lattice'.  In lattice mode gamma must be a
+    symmetric interval (-k_F, k_F) with k_F < pi and the block has
+    round(L * |omega|) sites, at most lattice_budget (default 100000;
+    the tridiagonal route takes seconds there, and no n x n matrix is
+    formed).  budget caps the Nystrom matrix size, each tensor axis and
+    the radial rule's node count n_r.  A nodes_per_unit under the
+    Nyquist guard always fails.  EPS_ABORT, MAX_TENSOR_EIGENVALUES and
+    SECTOR_EXCESS are fixed.
     """
 
     mode: str = "auto"
@@ -314,11 +399,45 @@ def _lattice_parameters(gamma: Domain, omega: Domain, L: float):
 
 
 def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
+    if mode not in ("auto", "continuum", "lattice", "tensor_box"):
+        raise ValueError(f"unknown pipeline mode {mode!r}")
     if mode != "auto":
         return mode
     if isinstance(gamma, Box) and isinstance(omega, Box) and gamma.dim >= 2:
         return "tensor_box"
+    if isinstance(gamma, Ball) and isinstance(omega, Ball) \
+            and gamma.dim == omega.dim >= 2:
+        return "radial"
     return "continuum"
+
+
+def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
+    """Ball/ball spectrum by angular-momentum sectors.
+
+    Gamma's center only multiplies the kernel by a phase and omega's
+    only translates the region, so both drop out: the spectrum is that
+    of momentum radius k = gamma.radius on a centered ball of radius
+    R = L * omega.radius.  The radial rule has ceil(1.5 k R) + 20 nodes,
+    or ceil(nodes_per_unit * R) (at least 4, as on Nystrom ball rules)
+    under the Nyquist guard for k; more than config.budget nodes raise
+    BudgetError before any sector is solved.
+    """
+    k, R = gamma.radius, omega.scaled(L).radius
+    if config.nodes_per_unit is None:
+        n_r = math.ceil(1.5 * k * R) + 20
+    else:
+        _disc.check_sampling(config.nodes_per_unit, k)
+        n_r = max(math.ceil(config.nodes_per_unit * R), 4)
+    if n_r > config.budget:
+        raise _disc.BudgetError(
+            f"radial rule would need n_r={n_r} nodes, over the budget "
+            f"{config.budget}; raise the budget or lower nodes_per_unit")
+    vals, sectors = _radial_spectrum(k, R, gamma.dim, n_r)
+    spectrum = _clamped(vals)
+    return spectrum, float(L), {
+        "mode": "radial", "n": len(spectrum), "n_r": n_r,
+        "sectors": sectors, "L": float(L),
+        "gamma": gamma.describe(), "omega": omega.describe()}
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
@@ -382,8 +501,8 @@ def _route_spectrum(gamma: Domain, omega: Domain, L: float,
             "mode": "tensor_box", "n": len(spectrum), "axis_ns": axis_ns,
             "gamma": gamma.describe(), "omega": omega.describe()}
 
-    if mode != "continuum":
-        raise ValueError(f"unknown pipeline mode {mode!r}")
+    if mode == "radial":
+        return _radial_route(gamma, omega, L, config)
 
     op = _disc.nystrom(
         gamma, omega, L, nodes_per_unit=config.nodes_per_unit,

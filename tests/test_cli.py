@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import geometry, spectra
+from fermient import asymptotics, geometry, spectra
 from fermient.cli import main
 from fermient.config import load_config
-from fermient.discretize import DEFAULT_LATTICE_BUDGET
+from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
 from fermient.records import append_partial_row, config_hash
 
 
@@ -286,6 +286,52 @@ def test_tensor_product_over_limit_exits_3(capsys, monkeypatch):
     assert "64 eigenvalues, over the limit 10" in error["message"]
 
 
+DISK_PAIR = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
+             "omega.shape=ball", "omega.center=0,0", "omega.radius=1"]
+
+
+@pytest.fixture
+def no_sector_solves(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a radial sector was solved")
+
+    monkeypatch.setattr(spectra, "_sector_eigenvalues", forbidden)
+
+
+def test_radial_rule_over_budget_exits_3(capsys, no_sector_solves):
+    # n_r = ceil(1.5 k R) + 20 = 23 already at L = 2.
+    code, out, err = run_cli(capsys, "sweep", *DISK_PAIR, "sweep.L=2:8:4",
+                             "disc.budget=22")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "n_r=23" in error["message"]
+    assert "budget 22" in error["message"]
+
+
+def test_radial_nodes_per_unit_under_nyquist_guard_exits_3(
+        capsys, no_sector_solves):
+    code, out, err = run_cli(capsys, "entropy", *DISK_PAIR, "entropy.L=4",
+                             "disc.nodes_per_unit=0.6")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DiscretizationError"
+    assert "sampling guard" in error["message"]
+
+
+def test_radial_sector_bound_exits_3(capsys, monkeypatch):
+    # With no excess allowed, the sectors must decay by l = kR = 4.
+    monkeypatch.setattr(spectra, "SECTOR_EXCESS", 0.0)
+    code, out, err = run_cli(capsys, "entropy", *DISK_PAIR, "entropy.L=4")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpectralViolationError"
+    assert "radial sector l=4" in error["message"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -523,6 +569,35 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
     assert (without_wall_times(json.loads(resumed.read_text()))
             == without_wall_times(uninterrupted))
     assert not (tmp_path / "resumed.json.partial").exists()
+
+
+def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", *LATTICE_ARGS, "alpha=1", "sweep.L=40:160:4",
+            "--out", str(out)]
+    original = asymptotics.pipeline_spectrum
+    solved = []
+
+    def interrupted(gamma, omega, L, config):
+        if L > 150.0:
+            raise DiscretizationError("interrupted")
+        return original(gamma, omega, L, config)
+
+    def spying(gamma, omega, L, config):
+        solved.append(L)
+        return original(gamma, omega, L, config)
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", interrupted)
+    code, _, _ = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 3
+    partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
+    assert [json.loads(line)["L"] for line in partial] == [40.0, 63.0, 101.0]
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", spying)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert solved == [160.0]
+    assert len(json.loads(out.read_text())["rows"]) == 4
 
 
 def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path):

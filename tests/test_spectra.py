@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fermient import spectra
+from fermient import discretize, spectra
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  LatticeCorrelation, lattice_correlation,
                                  nystrom)
-from fermient.geometry import Box, GeometryError, interval
+from fermient.geometry import Ball, Box, GeometryError, interval
+from fermient.records import entropy_row
 from fermient.spectra import (
     PipelineConfig,
     SpectralViolationError,
@@ -23,6 +24,8 @@ from fermient.spectra import (
 
 GAMMA = interval(-1.0, 1.0)
 OMEGA = interval(0.0, 1.0)
+DISK = Ball((0.0, 0.0), 1.0)
+BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,71 @@ def test_lattice_route_residual_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Ball/ball pairs: the radial route against the Nystrom oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_nystrom(gamma, omega, L, tol, nodes_per_unit=None):
+    radial, _, provenance = pipeline_spectrum(gamma, omega, L)
+    dense, _, oracle = pipeline_spectrum(
+        gamma, omega, L, PipelineConfig(mode="continuum",
+                                        nodes_per_unit=nodes_per_unit))
+    assert (provenance["mode"], oracle["mode"]) == ("radial", "continuum")
+    for alpha in (1.0, 2.0, math.inf):
+        assert abs(renyi_entropy(radial, alpha).S
+                   - renyi_entropy(dense, alpha).S) <= tol
+    return radial
+
+
+# At L = 3 the default Nystrom disk rule (6 radial nodes) is off the
+# converged value by 1.7e-8 at alpha = inf; at 3 nodes per unit it
+# agrees with the radial route to 2e-10.
+@pytest.mark.parametrize("L, nodes_per_unit", [(3.0, 3.0), (4.0, None),
+                                               (6.0, None)])
+def test_radial_disk_matches_nystrom(L, nodes_per_unit):
+    _assert_matches_nystrom(DISK, DISK, L, 1e-8, nodes_per_unit)
+
+
+def test_radial_off_center_pair_matches_nystrom():
+    gamma = Ball((0.3, -0.2), 1.0)
+    omega = Ball((1.0, 2.0), 1.0)
+    radial = _assert_matches_nystrom(gamma, omega, 4.0, 1e-8)
+    # Both centers drop out of the radial route.
+    centered = pipeline_spectrum(DISK, DISK, 4.0)[0]
+    np.testing.assert_array_equal(radial.eigenvalues, centered.eigenvalues)
+
+
+def test_radial_ball3_matches_nystrom():
+    _assert_matches_nystrom(BALL3, BALL3, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
+def test_radial_row_counts_every_stored_eigenvalue(ball):
+    spectrum, L, provenance = pipeline_spectrum(ball, ball, 2.5)
+    row = entropy_row(renyi_entropy(spectrum, 1.0, L, provenance))
+    sectors, n_r = provenance["sectors"], provenance["n_r"]
+    # Sectors l < sectors repeat 1, 2, 2, ... times in d = 2 and
+    # 2l + 1 times in d = 3.
+    multiplicity = 2 * sectors - 1 if ball.dim == 2 else sectors ** 2
+    assert row["n"] == provenance["n"] == len(spectrum) == multiplicity * n_r
+    assert 0 < row["interior"] < row["n"]
+    assert n_r == math.ceil(1.5 * 2.5) + 20
+
+
+@pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
+def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Nystrom matrix was assembled")
+
+    monkeypatch.setattr(discretize, "nystrom", forbidden)
+    result = entropy_pipeline(ball, ball, 3.0, 2.0)
+    assert result.provenance["mode"] == "radial"
+    assert result.S > 0.0
+    with pytest.raises(AssertionError, match="Nystrom"):
+        entropy_pipeline(ball, ball, 3.0, 2.0,
+                         PipelineConfig(mode="continuum"))
+
+
+# ---------------------------------------------------------------------------
 # renyi_entropy()
 # ---------------------------------------------------------------------------
 
@@ -241,6 +309,7 @@ def test_pipeline_spectrum_serves_every_order():
     (GAMMA, OMEGA, 30.0, "continuum"),
     (Box(((-1.0, 1.0), (-1.0, 1.0))), Box(((0.0, 1.0), (0.0, 1.0))), 4.0,
      "tensor_box"),
+    (DISK, DISK, 4.0, "auto"),
 ])
 def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
     spectrum, _, provenance = pipeline_spectrum(gamma, omega, L,
