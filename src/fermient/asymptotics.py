@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# Fewest points a two-term fit accepts: two fitted coefficients and
+# two degrees of freedom left for the residual.
+MIN_FIT_POINTS = 4
+
+
 class FitError(RuntimeError):
     """Fit impossible: too few points or a degenerate design matrix."""
 
@@ -54,7 +59,6 @@ class SweepResult:
     gamma: Domain
     omega: Domain
     alpha: float
-    mode: str
     results: tuple[EntropyResult, ...]
 
     def __post_init__(self):
@@ -82,9 +86,9 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     diagonalized once (pipeline_spectrum), and every order is a
     renyi_entropy sum over that spectrum.  One order returns a
     SweepResult; a sequence returns {alpha: SweepResult} in the order
-    given.  Every row at one L carries, as provenance wall_time_s, the
-    time spent assembling and diagonalizing that L, which its orders
-    share.
+    given.  Every EntropyResult at one L carries the route taken (mode)
+    and, as wall_time_s, the time spent assembling and diagonalizing
+    that L, which its orders share.
 
     jobs > 1 runs the L points in a thread pool (the eigensolver
     releases the interpreter lock); aggregation is always ordered by L,
@@ -120,10 +124,9 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
 
     def run_one(L: float, missing) -> list[EntropyResult]:
         start = time.perf_counter()
-        spectrum, realized_L, provenance = pipeline_spectrum(
-            gamma, omega, L, config)
-        provenance["wall_time_s"] = time.perf_counter() - start
-        return [renyi_entropy(spectrum, a, realized_L, provenance)
+        spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L, config)
+        wall_time_s = time.perf_counter() - start
+        return [renyi_entropy(spectrum, a, realized_L, mode, wall_time_s)
                 for a in missing]
 
     def collect(L: float, results) -> None:
@@ -142,10 +145,8 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
         for L, missing in todo.items():
             collect(L, run_one(L, missing))
 
-    by_order = {
-        a: SweepResult(gamma, omega, a, config.mode, tuple(done[a].values()))
-        for a in orders
-    }
+    by_order = {a: SweepResult(gamma, omega, a, tuple(done[a].values()))
+                for a in orders}
     return by_order[alpha] if single else by_order
 
 
@@ -168,12 +169,9 @@ def synthetic_sweep(gamma: Domain, omega: Domain, alpha: float, L_grid,
             + area_coefficient * L ** (d - 1)
         if noise:
             S += rng.normal(scale=noise)
-        results.append(EntropyResult(
-            alpha=alpha, S=float(S), n=0, L=L,
-            provenance={"mode": "synthetic", "theory": theory,
-                        "area_coefficient": area_coefficient,
-                        "noise": noise, "seed": seed}))
-    return SweepResult(gamma, omega, alpha, "synthetic", tuple(results))
+        results.append(EntropyResult(alpha=alpha, S=float(S), n=0, L=L,
+                                     mode="synthetic"))
+    return SweepResult(gamma, omega, alpha, tuple(results))
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def fit_scaling(data, d: int | None = None, window=None) -> ScalingFit:
 
     data is a SweepResult or a pair of arrays (L, S); d is taken from
     the sweep geometry when omitted.  window = (L_min, L_max) restricts
-    the fit (inclusive); at least 4 points must survive it.
+    the fit (inclusive); at least MIN_FIT_POINTS must survive it.
     """
     if isinstance(data, SweepResult):
         L, S = data.L_values, data.S_values
@@ -223,8 +221,9 @@ def fit_scaling(data, d: int | None = None, window=None) -> ScalingFit:
         window = (float(L.min()), float(L.max())) if len(L) else (0.0, 0.0)
     keep = (L >= window[0]) & (L <= window[1])
     L, S = L[keep], S[keep]
-    if len(L) < 4:
-        raise FitError(f"fit window {window} keeps {len(L)} points; need >= 4")
+    if len(L) < MIN_FIT_POINTS:
+        raise FitError(f"fit window {window} keeps {len(L)} points; "
+                       f"need >= {MIN_FIT_POINTS}")
 
     X = _design_matrix(L, d)
     condition = float(np.linalg.cond(X))

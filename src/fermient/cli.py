@@ -29,8 +29,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (FitError, compare_theory, fit_scaling, sweep,
-                          synthetic_sweep)
+from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
+                          fit_scaling, sweep, synthetic_sweep)
 from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
@@ -39,10 +39,10 @@ from .functionals import (dilog_one_minus, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           log_coefficient_functional, predicted_log_prefactor)
 from .geometry import Ball, GeometryError, widom_J, widom_J_monte_carlo
-from .records import (append_partial_row, config_hash, entropy_row, fit_block,
-                      j_block, load_partial_rows, make_record, write_csv,
-                      write_json)
-from .spectra import EntropyResult, SpectralViolationError
+from .records import (append_partial_row, config_hash, entropy_result,
+                      entropy_row, fit_block, j_block, load_partial_rows,
+                      make_record, write_csv, write_json)
+from .spectra import SpectralViolationError
 from .validate import run_all
 
 EXIT_OK = 0
@@ -121,18 +121,6 @@ def _lattice_grid(grid, omega):
     return sites / omega.volume()
 
 
-def _row_to_result(row: dict) -> EntropyResult:
-    alpha = row["alpha"]
-    if isinstance(alpha, str):
-        alpha = math.inf
-    return EntropyResult(
-        alpha=alpha, S=row["S"], n=row["n"], L=row["L"],
-        provenance={"clamp_count": row.get("clamp_count", 0),
-                    "max_violation": row.get("max_violation", 0.0),
-                    "interior": row.get("interior"),
-                    "mode": row.get("mode", ""), "resumed": True})
-
-
 def cmd_sweep(args) -> int:
     config = _gather_config(args)
     gamma, omega = _domains(config)
@@ -144,6 +132,12 @@ def cmd_sweep(args) -> int:
     window = None
     if "sweep.window" in config:
         window = window_from_config(config.require("sweep.window"))
+    lo, hi = window or (grid.min(), grid.max())
+    inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
+    if inside < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"fit window [{lo:g}, {hi:g}] keeps {inside} of the {len(grid)} "
+            f"sweep.L points; the fit needs at least {MIN_FIT_POINTS}")
 
     partial_path = args.out + ".partial" if args.out else None
     if args.self_test:
@@ -158,7 +152,7 @@ def cmd_sweep(args) -> int:
             digest = config_hash(config)
             for (_, L), row in load_partial_rows(partial_path,
                                                  digest).items():
-                result = _row_to_result(row)
+                result = entropy_result(row)
                 if result.alpha in precomputed:
                     precomputed[result.alpha][L] = result
 

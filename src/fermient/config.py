@@ -13,7 +13,8 @@ key is a config error):
                             sectors for ball/ball pairs in d = 2, 3,
                             else continuum; continuum forces the
                             Nystrom matrix)
-    alpha                   Renyi order, or comma list; 'inf' allowed
+    alpha                   Renyi order, or comma list of at least one;
+                            'inf' allowed
     seed                    integer >= 0, Monte Carlo cross-checks only
                             (not part of the sweep resume hash)
     gamma.shape             interval_union | box | ball | polygon
@@ -27,14 +28,16 @@ key is a config error):
     entropy.L               dilation for single-point runs (finite, > 0)
     sweep.L                 lo:hi:count (geometric grid) or explicit list
                             of distinct finite L > 0
-    sweep.window            lo:hi fit window, lo < hi (default: whole grid)
+    sweep.window            lo:hi fit window, lo < hi (default: whole
+                            grid); it must keep >= 4 grid points, counted
+                            after lattice rounding
     disc.nodes_per_unit     finite float > 0 (default: resolution from
                             the kernel)
     disc.budget             max continuum matrix size (and tensor axis
                             or radial rule size), integer >= 1
     disc.lattice_budget     max lattice block size in sites, integer >= 1
     jcoeff.resolution       ball surface rule resolution, integer >= 1
-    functional.alphas       comma list for the functional command
+    functional.alphas       nonempty comma list for the functional command
 """
 
 from __future__ import annotations
@@ -265,6 +268,8 @@ def window_from_config(raw: str):
 def alphas_from_config(config: RunConfig, key: str = "alpha",
                        default=(1.0,)) -> list[float]:
     alphas = config.get_floats(key, list(default))
+    if not alphas:
+        raise ConfigError(f"{key}: need at least one Renyi order")
     for alpha in alphas:
         if not alpha > 0:
             raise ConfigError(f"{key}: Renyi orders must be positive, "

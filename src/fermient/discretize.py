@@ -66,18 +66,16 @@ class BudgetError(DiscretizationError):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Nystrom matrix of a localized Fermi projection.
+    """Nystrom matrix of a localized Fermi projection, with its rule.
 
     matrix is Hermitian n x n (real symmetric when the momentum region
     is centrally symmetric); nodes are the quadrature points in the
     dilated spatial region; weights the corresponding positive weights.
-    provenance records the construction inputs.
     """
 
     matrix: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    provenance: dict
 
     @property
     def n(self) -> int:
@@ -219,7 +217,9 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     budget : maximum matrix dimension; exceeding it raises BudgetError
 
     A node spacing that cannot resolve the fastest kernel oscillation
-    raises DiscretizationError.
+    raises DiscretizationError.  The returned DiscretizedOperator holds
+    the matrix, nodes and weights only; the inputs that produced it are
+    the caller's (a CLI record keeps them in its config block).
 
     Notes
     -----
@@ -277,16 +277,7 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
         matrix[i0:i1] = kern.displacement(diff) \
             * (sqrt_w[i0:i1, None] * sqrt_w[None, :])
     matrix = 0.5 * (matrix + matrix.conj().T)
-
-    provenance = {
-        "mode": "continuum",
-        "gamma": gamma.describe(),
-        "omega": omega.describe(),
-        "L": float(L),
-        "n": n,
-        "nodes_per_unit": float(nodes_per_unit),
-    }
-    return DiscretizedOperator(matrix, nodes, weights, provenance)
+    return DiscretizedOperator(matrix, nodes, weights)
 
 
 def lattice_correlation(k_fermi: float, n: int) -> LatticeCorrelation:

@@ -5,12 +5,15 @@ config it ran from, and command-specific blocks.  JSON is written with
 sorted keys and default float repr (shortest exact round-trip), so
 identical configs give bit-identical records apart from wall times.
 Sweeps additionally append each finished row to a JSON-lines partial
-file tagged with a config hash, letting interrupted runs resume.
+file tagged with a config hash, letting interrupted runs resume.  An
+entropy row is an EntropyResult's fields: entropy_row writes one and
+entropy_result reads it back.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +27,7 @@ from .spectra import EntropyResult
 __all__ = [
     "SCHEMA_VERSION",
     "entropy_row",
+    "entropy_result",
     "fit_block",
     "j_block",
     "make_record",
@@ -46,21 +50,21 @@ def _json_safe(value):
     return value
 
 
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(EntropyResult))
+
+
 def entropy_row(result: EntropyResult) -> dict:
-    provenance = result.provenance or {}
-    row = {
-        "alpha": _json_safe(result.alpha),
-        "L": result.L,
-        "n": result.n,
-        "S": result.S,
-        "clamp_count": provenance.get("clamp_count", 0),
-        "max_violation": provenance.get("max_violation", 0.0),
-        "mode": provenance.get("mode", ""),
-    }
-    for key in ("interior", "wall_time_s"):
-        if provenance.get(key) is not None:
-            row[key] = provenance[key]
-    return row
+    """The result's fields as a JSON-safe dict; None fields are left out."""
+    row = {name: getattr(result, name) for name in _ROW_FIELDS}
+    row["alpha"] = _json_safe(result.alpha)
+    return {key: value for key, value in row.items() if value is not None}
+
+
+def entropy_result(row: dict) -> EntropyResult:
+    """Inverse of entropy_row; keys that are not fields are ignored."""
+    fields = {name: row[name] for name in _ROW_FIELDS if name in row}
+    fields["alpha"] = float(fields["alpha"])
+    return EntropyResult(**fields)
 
 
 def fit_block(fit: ScalingFit, comparison: dict | None = None,

@@ -37,7 +37,10 @@ continuum geometry, and any pair under mode 'continuum', takes the
 Nystrom matrix, which is the oracle for both separable routes.  Every
 order is a sum over that one spectrum, so callers wanting several
 orders at one L diagonalize once and call renyi_entropy per order;
-entropy_pipeline is the single-order composition of the two.
+entropy_pipeline is the single-order composition of the two.  An
+EntropyResult holds the order, the entropy, the spectrum's size, clamp
+bookkeeping and interior count, the realized L and the route taken;
+its fields are the columns of an output row.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as _fft
@@ -79,8 +82,8 @@ MAX_TENSOR_EIGENVALUES = 20_000_000
 # Lattice route: a window edge whose min(lambda, 1 - lambda) is below
 # SNAP_TOL ends the window, and eigenvalues beyond it are exactly 0 or
 # 1; an eigenpair residual |C v - lambda v| above RESIDUAL_TOL is a
-# failed solve.  Provenance counts eigenvalues with min(lambda,
-# 1 - lambda) above INTERIOR_TOL as interior.
+# failed solve.  Spectrum.interior counts eigenvalues with
+# min(lambda, 1 - lambda) above INTERIOR_TOL.
 SNAP_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
 INTERIOR_TOL = 1e-12
@@ -113,6 +116,14 @@ class Spectrum:
     def __len__(self):
         return len(self.eigenvalues)
 
+    @functools.cached_property
+    def interior(self) -> int:
+        """Eigenvalues with min(lambda, 1 - lambda) above INTERIOR_TOL;
+        the rest are 0 or 1 to within roundoff."""
+        lam = self.eigenvalues
+        return int(np.count_nonzero(np.minimum(lam, 1.0 - lam)
+                                    > INTERIOR_TOL))
+
     def complement(self) -> "Spectrum":
         """Spectrum with every lambda replaced by 1 - lambda."""
         return replace(self, eigenvalues=np.sort(1.0 - self.eigenvalues))
@@ -120,13 +131,24 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """One computed entropy value with its provenance."""
+    """One computed entropy value; its fields are the output row's.
+
+    n counts the spectrum's eigenvalues and L is the realized dilation.
+    mode names the route that produced the spectrum; clamp_count,
+    max_violation and interior are the spectrum's; wall_time_s is the
+    time spent assembling and diagonalizing it, which every order at
+    one L shares.  interior and wall_time_s are None where unknown.
+    """
 
     alpha: float
     S: float
     n: int
     L: float | None = None
-    provenance: dict = field(default_factory=dict)
+    mode: str = ""
+    clamp_count: int = 0
+    max_violation: float = 0.0
+    interior: int | None = None
+    wall_time_s: float | None = None
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -243,7 +265,7 @@ def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
 
 def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
     """Unclamped eigenvalues of the ball of momentum radius k localized
-    to a ball of the given radius in d = 2 or 3, and the sector count.
+    to a ball of the given radius in d = 2 or 3.
 
     Rotations split the compression into one radial operator per angular
     momentum l, of Bessel order nu = l + (d - 2)/2, each solved on the
@@ -269,8 +291,7 @@ def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
             raise SpectralViolationError(
                 f"radial sector l={l} still has eigenvalue {vals[-1]:.3g} "
                 f"over {SNAP_TOL:.1g} (kR={kr_max:.6g})")
-    return (np.repeat(np.concatenate(sectors), np.repeat(multiplicities, n_r)),
-            len(sectors))
+    return np.repeat(np.concatenate(sectors), np.repeat(multiplicities, n_r))
 
 
 def eigenvalues(op) -> Spectrum:
@@ -323,24 +344,24 @@ def _clamped(vals: np.ndarray) -> Spectrum:
 
 
 def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
-                  provenance: dict | None = None) -> EntropyResult:
+                  mode: str = "",
+                  wall_time_s: float | None = None) -> EntropyResult:
     """S_alpha = sum of the two-point entropies of all eigenvalues.
 
     alpha = math.inf gives the min-entropy -sum ln max(lambda, 1-lambda);
     exp(-S_inf) is then the largest Fock-space eigenvalue of the
     quasi-free reduced state, the product of max(lambda, 1-lambda).
     The summation order is fixed (ascending eigenvalues) so results are
-    reproducible run to run.  L and provenance (the spectrum's, as
-    returned by pipeline_spectrum) are carried into the result; the
-    clamp bookkeeping is added to a copy of the provenance.
+    reproducible run to run.  L, mode (the route pipeline_spectrum
+    took) and wall_time_s are carried into the result, next to the
+    spectrum's clamp bookkeeping and interior count.
     """
     values = entropy_function(spectrum.eigenvalues, alpha)
-    S = float(np.sum(values))
     return EntropyResult(
-        alpha=alpha, S=S, n=len(spectrum), L=L,
-        provenance={**(provenance or {}),
-                    "clamp_count": spectrum.clamp_count,
-                    "max_violation": spectrum.max_violation})
+        alpha=alpha, S=float(np.sum(values)), n=len(spectrum), L=L,
+        mode=mode, clamp_count=spectrum.clamp_count,
+        max_violation=spectrum.max_violation, interior=spectrum.interior,
+        wall_time_s=wall_time_s)
 
 
 def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
@@ -432,52 +453,30 @@ def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
         raise _disc.BudgetError(
             f"radial rule would need n_r={n_r} nodes, over the budget "
             f"{config.budget}; raise the budget or lower nodes_per_unit")
-    vals, sectors = _radial_spectrum(k, R, gamma.dim, n_r)
-    spectrum = _clamped(vals)
-    return spectrum, float(L), {
-        "mode": "radial", "n": len(spectrum), "n_r": n_r,
-        "sectors": sectors, "L": float(L),
-        "gamma": gamma.describe(), "omega": omega.describe()}
+    return _clamped(_radial_spectrum(k, R, gamma.dim, n_r))
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                       config: PipelineConfig = PipelineConfig()
-                      ) -> tuple[Spectrum, float, dict]:
+                      ) -> tuple[Spectrum, float, str]:
     """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
-    Returns (spectrum, realized L, provenance).  The realized L differs
-    from the requested one only in lattice mode, where the block has an
-    integer number of sites; provenance records the route taken and
-    `interior`, the number of eigenvalues with min(lambda, 1 - lambda)
-    above INTERIOR_TOL (the rest are 0 or 1 to within roundoff).  Every
-    Renyi order at this L is renyi_entropy of the one spectrum.
+    Returns (spectrum, realized L, mode), mode being the route taken:
+    'lattice', 'tensor_box', 'radial' or 'continuum'.  The realized L
+    differs from the requested one only in lattice mode, where the
+    block has an integer number of sites.  Every Renyi order at this L
+    is renyi_entropy of the one spectrum.
     """
-    spectrum, realized_L, provenance = _route_spectrum(gamma, omega, L,
-                                                       config)
-    lam = spectrum.eigenvalues
-    provenance["interior"] = int(np.count_nonzero(
-        np.minimum(lam, 1.0 - lam) > INTERIOR_TOL))
-    return spectrum, realized_L, provenance
-
-
-def _route_spectrum(gamma: Domain, omega: Domain, L: float,
-                    config: PipelineConfig):
     mode = _resolve_mode(config.mode, gamma, omega)
-
     if mode == "lattice":
         k_fermi, sites = _lattice_parameters(gamma, omega, L)
         if sites > config.lattice_budget:
             raise _disc.BudgetError(
                 f"lattice block n={sites} over budget {config.lattice_budget}")
-        op = _disc.lattice_correlation(k_fermi, sites)
-        spectrum = eigenvalues(op)
-        # Record the realized dilation (integer site count over |omega|)
+        spectrum = eigenvalues(_disc.lattice_correlation(k_fermi, sites))
+        # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
-        return spectrum, sites / omega.volume(), {
-            "mode": "lattice", "k_fermi": k_fermi, "n": sites,
-            "requested_L": float(L),
-            "gamma": gamma.describe(), "omega": omega.describe()}
-
+        return spectrum, sites / omega.volume(), mode
     if mode == "tensor_box":
         if not (isinstance(gamma, Box) and isinstance(omega, Box)):
             raise GeometryError("tensor_box mode needs box momentum and "
@@ -497,30 +496,24 @@ def _route_spectrum(gamma: Domain, omega: Domain, L: float,
                 f"tensor spectrum of axis sizes {axis_ns} needs {count:.3g} "
                 f"eigenvalues, over the limit {MAX_TENSOR_EIGENVALUES:.3g}")
         spectrum = functools.reduce(tensor_spectrum, axis_spectra)
-        return spectrum, float(L), {
-            "mode": "tensor_box", "n": len(spectrum), "axis_ns": axis_ns,
-            "gamma": gamma.describe(), "omega": omega.describe()}
-
-    if mode == "radial":
-        return _radial_route(gamma, omega, L, config)
-
-    op = _disc.nystrom(
-        gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
-        budget=config.budget)
-    spectrum = eigenvalues(op)
-    return spectrum, float(L), dict(op.provenance)
+    elif mode == "radial":
+        spectrum = _radial_route(gamma, omega, L, config)
+    else:
+        spectrum = eigenvalues(_disc.nystrom(
+            gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
+            budget=config.budget))
+    return spectrum, float(L), mode
 
 
 def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
                      config: PipelineConfig = PipelineConfig()) -> EntropyResult:
     """S_alpha of the gamma ground state reduced to the region L * omega.
 
-    pipeline_spectrum followed by renyi_entropy at one order; the
-    returned provenance records the route taken and the clamp
-    bookkeeping.  For several orders at one L, call pipeline_spectrum
-    once and renyi_entropy per order (as sweep does) instead of
-    repeating the eigensolve.
+    pipeline_spectrum followed by renyi_entropy at one order; the result
+    names the route taken and carries the spectrum's clamp bookkeeping
+    and interior count.  For several orders at one L, call
+    pipeline_spectrum once and renyi_entropy per order (as sweep does)
+    instead of repeating the eigensolve.
     """
-    spectrum, realized_L, provenance = pipeline_spectrum(gamma, omega, L,
-                                                         config)
-    return renyi_entropy(spectrum, alpha, realized_L, provenance)
+    spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L, config)
+    return renyi_entropy(spectrum, alpha, realized_L, mode)

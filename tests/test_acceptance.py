@@ -246,7 +246,7 @@ def _ball_pair_law(tag: str, d: int, tol: float) -> None:
         theory = (1.0 + alpha) / (24.0 * alpha) * J
         devs[alpha] = fit_scaling(result).log_coefficient / theory - 1.0
     ok = (all(abs(dev) < tol for dev in devs.values()) and elapsed < 2.0
-          and {r.provenance["mode"] for res in by_order.values()
+          and {r.mode for res in by_order.values()
                for r in res.results} == {"radial"})
     line = _report(tag, ok, ", ".join(
         f"alpha={a}: dev {dev:+.3%}" for a, dev in devs.items())

@@ -27,7 +27,7 @@ GAMMA_LATTICE = interval(-math.pi / 2.0, math.pi / 2.0)
 def make_sweep(L, S, gamma=GAMMA, omega=OMEGA, alpha=1.0, d=None):
     results = tuple(EntropyResult(alpha=alpha, S=float(s), n=0, L=float(l))
                     for l, s in zip(L, S))
-    return SweepResult(gamma, omega, alpha, "synthetic", results)
+    return SweepResult(gamma, omega, alpha, results)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,8 @@ def test_sweep_collects_all_points():
     result = sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 40, 80], config)
     assert len(result.results) == 3
     np.testing.assert_allclose(result.L_values, [20.0, 40.0, 80.0])
-    assert all(r.provenance["wall_time_s"] > 0 for r in result.results)
+    assert all(r.wall_time_s > 0 for r in result.results)
+    assert {r.mode for r in result.results} == {"lattice"}
     assert all(r.S > 0 for r in result.results)
 
 

@@ -265,6 +265,48 @@ def test_empty_or_nan_fit_window_exits_2(capsys, window):
     assert "window" in error["message"]
 
 
+@pytest.fixture
+def no_solves(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(spectra, "pipeline_spectrum", forbidden)
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", forbidden)
+
+
+@pytest.mark.parametrize("args", [
+    # Three lattice blocks: one point short of a two-term fit.
+    ["mode=lattice", "gamma.k_fermi=1.5", "omega.shape=interval",
+     "omega.intervals=0:1", "sweep.L=2000,4000,8000"],
+    # A window past the whole grid.
+    [*LATTICE_ARGS, "sweep.L=10:100:5", "sweep.window=200:300"],
+    # Five L values that round to three block sizes.
+    [*LATTICE_ARGS, "sweep.L=10,10.2,20,20.3,30"],
+], ids=["three-points", "window-past-grid", "lattice-rounding"])
+def test_unfittable_sweep_exits_2_before_solving(capsys, no_solves, args):
+    code, out, err = run_cli(capsys, "sweep", *args)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "the fit needs at least 4" in error["message"]
+
+
+@pytest.mark.parametrize("command, override", [
+    ("entropy", "alpha="),
+    ("entropy", "alpha=,"),
+    ("functional", "functional.alphas="),
+])
+def test_empty_order_list_exits_2(capsys, no_solves, command, override):
+    args = LATTICE_ARGS if command == "entropy" else []
+    code, out, err = run_cli(capsys, command, *args, override)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert override.partition("=")[0] in error["message"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2(capsys, jobs):
     with pytest.raises(SystemExit) as excinfo:
@@ -558,16 +600,19 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
     # alpha = 1 at L = 101; partial rows stay one line per (alpha, L).
     resumed = tmp_path / "resumed.json"
     digest = config_hash(load_config(cfg))
-    for row in uninterrupted["rows"]:
-        if row["L"] == 63.0 or (row["L"] == 101.0 and row["alpha"] == 1.0):
-            append_partial_row(str(resumed) + ".partial", row, digest)
+    saved = [row for row in uninterrupted["rows"] if row["L"] == 63.0
+             or (row["L"] == 101.0 and row["alpha"] == 1.0)]
+    for row in saved:
+        append_partial_row(str(resumed) + ".partial", row, digest)
     solves.clear()
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
                            "--out", str(resumed))
     assert code == 0, err
     assert solves == [40, 101, 160]
-    assert (without_wall_times(json.loads(resumed.read_text()))
-            == without_wall_times(uninterrupted))
+    record = json.loads(resumed.read_text())
+    # Loaded rows keep the wall time they were saved with.
+    assert [row for row in record["rows"] if row in saved] == saved
+    assert without_wall_times(record) == without_wall_times(uninterrupted)
     assert not (tmp_path / "resumed.json.partial").exists()
 
 
@@ -604,14 +649,14 @@ def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path):
     out = tmp_path / "sweep.json"
     code, _, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
                            "alpha=1",
-                           f"sweep.L=100,200,{DEFAULT_LATTICE_BUDGET + 1}",
+                           f"sweep.L=100,200,300,{DEFAULT_LATTICE_BUDGET + 1}",
                            "--out", str(out))
     assert code == 3
     assert "budget" in json.loads(err)["error"]["message"]
     assert not out.exists()
     partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
     saved = [json.loads(line)["L"] for line in partial]
-    assert saved == [100.0, 200.0]
+    assert saved == [100.0, 200.0, 300.0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fermient.geometry import Ball, Box, ConvexPolygon, IntervalUnion
 from fermient.records import (
     append_partial_row,
     config_hash,
+    entropy_result,
     entropy_row,
     fit_block,
     j_block,
@@ -34,9 +35,9 @@ from fermient.records import (
     write_csv,
     write_json,
 )
-from fermient.asymptotics import fit_scaling
+from fermient.asymptotics import fit_scaling, sweep, synthetic_sweep
 from fermient.geometry import widom_J, interval
-from fermient.spectra import EntropyResult
+from fermient.spectra import EntropyResult, PipelineConfig
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +222,9 @@ def test_known_keys_match_both_key_references():
 # ---------------------------------------------------------------------------
 
 def result_fixture():
-    return EntropyResult(alpha=2.0, S=1.25, n=40, L=10.0,
-                         provenance={"clamp_count": 1, "max_violation": 2e-9,
-                                     "mode": "continuum",
-                                     "wall_time_s": 0.125})
+    return EntropyResult(alpha=2.0, S=1.25, n=40, L=10.0, mode="continuum",
+                         clamp_count=1, max_violation=2e-9, interior=12,
+                         wall_time_s=0.125)
 
 
 def test_entropy_row_contents():
@@ -233,7 +233,7 @@ def test_entropy_row_contents():
     assert row["S"] == 1.25
     assert row["clamp_count"] == 1
     assert row["mode"] == "continuum"
-    # Wall time is copied from the provenance.
+    assert row["interior"] == 12
     assert row["wall_time_s"] == 0.125
 
 
@@ -242,6 +242,39 @@ def test_entropy_row_serializes_infinite_order():
     row = entropy_row(result)
     assert row["alpha"] == "inf"
     assert json.loads(json.dumps(row))["alpha"] == "inf"
+
+
+@pytest.mark.parametrize("mode, gamma, omega, L", [
+    ("lattice", interval(-math.pi / 2.0, math.pi / 2.0), interval(0.0, 1.0),
+     40.0),
+    ("continuum", interval(-1.0, 1.0), interval(0.0, 1.0), 5.0),
+    ("tensor_box", Box(((-1.0, 1.0), (-1.0, 1.0))),
+     Box(((0.0, 1.0), (0.0, 1.0))), 2.0),
+    ("radial", Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), 3.0),
+], ids=["lattice", "continuum", "tensor_box", "radial"])
+def test_entropy_result_inverts_entropy_row(mode, gamma, omega, L):
+    config = PipelineConfig(mode="auto" if mode == "radial" else mode)
+    by_order = sweep(gamma, omega, (0.5, 1.0, math.inf), [L], config)
+    for result_set in by_order.values():
+        (result,) = result_set.results
+        assert result.mode == mode
+        assert result.interior is not None and result.wall_time_s is not None
+        row = entropy_row(result)
+        assert entropy_result(row) == result
+        # Through JSON text with a partial row's tag, as a resume reads it.
+        saved = json.loads(json.dumps({**row, "config_hash": "abc"}))
+        assert entropy_result(saved) == result
+
+
+@pytest.mark.parametrize("alpha", [1.0, math.inf])
+def test_entropy_result_inverts_synthetic_rows(alpha):
+    grid = [10.0, 20.0, 40.0, 80.0]
+    for result in synthetic_sweep(interval(-1.0, 1.0), interval(0.0, 1.0),
+                                  alpha, grid).results:
+        row = entropy_row(result)
+        assert (row["mode"], row["n"]) == ("synthetic", 0)
+        assert "interior" not in row and "wall_time_s" not in row
+        assert entropy_result(json.loads(json.dumps(row))) == result
 
 
 def test_make_record_sorts_rows_and_drops_empty_blocks():

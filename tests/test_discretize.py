@@ -92,14 +92,6 @@ def test_dilatation_equivalence_is_exact():
     np.testing.assert_allclose(direct.matrix, reduced.matrix, atol=1e-13)
 
 
-def test_provenance_contents():
-    op = nystrom(GAMMA, OMEGA, L=2.0)
-    assert op.provenance["mode"] == "continuum"
-    assert op.provenance["L"] == 2.0
-    assert op.provenance["n"] == op.n
-    assert op.provenance["gamma"]["shape"] == "interval_union"
-
-
 # ---------------------------------------------------------------------------
 # Guards
 # ---------------------------------------------------------------------------

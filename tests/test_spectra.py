@@ -117,15 +117,15 @@ def test_lattice_route_budget_block_without_matrix(monkeypatch):
     n = 20_000
     assert n <= DEFAULT_LATTICE_BUDGET
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    spectrum, L, provenance = pipeline_spectrum(
+    spectrum, L, mode = pipeline_spectrum(
         gamma, OMEGA, float(n), PipelineConfig(mode="lattice"))
-    assert (L, len(spectrum)) == (n, n)
+    assert (L, len(spectrum), mode) == (n, n, "lattice")
     assert spectrum.max_violation < 1e-14
     # Jin & Korepin (2004): S_1 = ln(2 n sin k_F) / 3 + 0.4950179 at
     # large n, with corrections far below 1e-6 here.
     expected = math.log(2.0 * n) / 3.0 + 0.4950179
     assert renyi_entropy(spectrum, 1.0).S == pytest.approx(expected, abs=1e-6)
-    assert 0 < provenance["interior"] < 100
+    assert 0 < spectrum.interior < 100
 
 
 def test_lattice_route_window_grows_to_whole_spectrum(monkeypatch):
@@ -149,11 +149,11 @@ def test_lattice_route_residual_check(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _assert_matches_nystrom(gamma, omega, L, tol, nodes_per_unit=None):
-    radial, _, provenance = pipeline_spectrum(gamma, omega, L)
+    radial, _, mode = pipeline_spectrum(gamma, omega, L)
     dense, _, oracle = pipeline_spectrum(
         gamma, omega, L, PipelineConfig(mode="continuum",
                                         nodes_per_unit=nodes_per_unit))
-    assert (provenance["mode"], oracle["mode"]) == ("radial", "continuum")
+    assert (mode, oracle) == ("radial", "continuum")
     for alpha in (1.0, 2.0, math.inf):
         assert abs(renyi_entropy(radial, alpha).S
                    - renyi_entropy(dense, alpha).S) <= tol
@@ -183,16 +183,24 @@ def test_radial_ball3_matches_nystrom():
 
 
 @pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
-def test_radial_row_counts_every_stored_eigenvalue(ball):
-    spectrum, L, provenance = pipeline_spectrum(ball, ball, 2.5)
-    row = entropy_row(renyi_entropy(spectrum, 1.0, L, provenance))
-    sectors, n_r = provenance["sectors"], provenance["n_r"]
+def test_radial_row_counts_every_stored_eigenvalue(ball, monkeypatch):
+    orders = []
+    original = spectra._sector_eigenvalues
+
+    def counting(nu, *args):
+        orders.append(nu)
+        return original(nu, *args)
+
+    monkeypatch.setattr(spectra, "_sector_eigenvalues", counting)
+    spectrum, L, mode = pipeline_spectrum(ball, ball, 2.5)
+    row = entropy_row(renyi_entropy(spectrum, 1.0, L, mode))
+    sectors, n_r = len(orders), math.ceil(1.5 * 2.5) + 20
     # Sectors l < sectors repeat 1, 2, 2, ... times in d = 2 and
-    # 2l + 1 times in d = 3.
+    # 2l + 1 times in d = 3, each with n_r eigenvalues.
     multiplicity = 2 * sectors - 1 if ball.dim == 2 else sectors ** 2
-    assert row["n"] == provenance["n"] == len(spectrum) == multiplicity * n_r
+    assert row["n"] == len(spectrum) == multiplicity * n_r
     assert 0 < row["interior"] < row["n"]
-    assert n_r == math.ceil(1.5 * 2.5) + 20
+    assert row["mode"] == "radial"
 
 
 @pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
@@ -202,7 +210,7 @@ def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
 
     monkeypatch.setattr(discretize, "nystrom", forbidden)
     result = entropy_pipeline(ball, ball, 3.0, 2.0)
-    assert result.provenance["mode"] == "radial"
+    assert result.mode == "radial"
     assert result.S > 0.0
     with pytest.raises(AssertionError, match="Nystrom"):
         entropy_pipeline(ball, ball, 3.0, 2.0,
@@ -232,9 +240,11 @@ def test_renyi_entropy_metadata():
     spectrum = Spectrum(np.array([0.5, 0.5]), 1, 3e-9)
     result = renyi_entropy(spectrum, 1.0)
     assert result.n == 2
-    assert result.provenance["clamp_count"] == 1
-    assert result.provenance["max_violation"] == 3e-9
+    assert result.clamp_count == 1
+    assert result.max_violation == 3e-9
+    assert result.interior == 2
     assert result.L is None
+    assert (result.mode, result.wall_time_s) == ("", None)
 
 
 def test_entropy_decreases_with_alpha():
@@ -277,7 +287,7 @@ def test_pipeline_continuum():
     assert result.L == 10.0
     assert result.alpha == 1.0
     assert result.S > 0.5
-    assert result.provenance["mode"] == "continuum"
+    assert result.mode == "continuum"
 
 
 def test_pipeline_lattice_realized_dilation():
@@ -287,21 +297,20 @@ def test_pipeline_lattice_realized_dilation():
     # 100.4 sites round to 100; the realized dilation is recorded as L.
     assert result.L == 100.0
     assert result.n == 100
-    assert result.provenance["requested_L"] == 100.4
-    assert result.provenance["mode"] == "lattice"
-    assert result.provenance["k_fermi"] == pytest.approx(math.pi / 2.0)
+    assert result.mode == "lattice"
+    # The solved block is the one at k_F = pi/2.
+    block = lattice_correlation(math.pi / 2.0, 100)
+    assert result.S == renyi_entropy(eigenvalues(block), 1.0).S
 
 
 def test_pipeline_spectrum_serves_every_order():
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     config = PipelineConfig(mode="lattice")
-    spectrum, L, provenance = pipeline_spectrum(gamma, OMEGA, 100.4, config)
-    assert (L, len(spectrum), provenance["mode"]) == (100.0, 100, "lattice")
+    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4, config)
+    assert (L, len(spectrum), mode) == (100.0, 100, "lattice")
     for alpha in (0.5, 1.0, math.inf):
-        result = renyi_entropy(spectrum, alpha, L, provenance)
+        result = renyi_entropy(spectrum, alpha, L, mode)
         assert result == entropy_pipeline(gamma, OMEGA, 100.4, alpha, config)
-    # The shared provenance is copied, never extended in place.
-    assert "clamp_count" not in provenance
 
 
 @pytest.mark.parametrize("gamma, omega, L, mode", [
@@ -312,14 +321,14 @@ def test_pipeline_spectrum_serves_every_order():
     (DISK, DISK, 4.0, "auto"),
 ])
 def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
-    spectrum, _, provenance = pipeline_spectrum(gamma, omega, L,
-                                                PipelineConfig(mode=mode))
+    spectrum, _, route = pipeline_spectrum(gamma, omega, L,
+                                           PipelineConfig(mode=mode))
     lam = spectrum.eigenvalues
-    interior = provenance["interior"]
+    interior = spectrum.interior
     assert 0 < interior <= len(spectrum)
     assert interior == np.count_nonzero(np.minimum(lam, 1.0 - lam) > 1e-12)
     # The entropy row carries it.
-    assert renyi_entropy(spectrum, 1.0, L, provenance).provenance[
+    assert entropy_row(renyi_entropy(spectrum, 1.0, L, route))[
         "interior"] == interior
 
 
@@ -347,9 +356,8 @@ def test_pipeline_tensor_matches_direct_2d():
                               PipelineConfig(mode="tensor_box"))
     # Same per-axis rules, so the agreement is structural, not asymptotic.
     assert tensor.S == pytest.approx(direct.S, abs=1e-10)
-    assert tensor.provenance["mode"] == "tensor_box"
+    assert (tensor.mode, direct.mode) == ("tensor_box", "continuum")
     assert tensor.n == direct.n
-    assert int(np.prod(tensor.provenance["axis_ns"])) == direct.n
 
 
 def test_pipeline_tensor_refuses_oversized_product(monkeypatch):
@@ -374,9 +382,9 @@ def test_pipeline_auto_routing():
     gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
     auto = entropy_pipeline(gamma, omega, 2.0, 1.0)
-    assert auto.provenance["mode"] == "tensor_box"
+    assert auto.mode == "tensor_box"
     auto_1d = entropy_pipeline(GAMMA, OMEGA, 2.0, 1.0)
-    assert auto_1d.provenance["mode"] == "continuum"
+    assert auto_1d.mode == "continuum"
 
 
 def test_pipeline_tensor_requires_boxes():
