@@ -1,9 +1,11 @@
-"""Continuum 1D scaling sweep with the Nystrom discretization.
+"""Continuum 1D scaling sweeps: one interval and two.
 
 Momentum region [-1, 1], spatial region [0, 1] dilated by L: the von
 Neumann entropy follows S(L) = (1/3) ln L + const with the 1/3 fixed by
-I(h_1) * J = (1/12) * 4.  Making the spatial region two intervals
-doubles the boundary, and with it the fitted coefficient.
+I(h_1) * J = (1/12) * 4.  One interval takes the prolate route (n is
+its Legendre basis size); making the spatial region two intervals
+takes the Nystrom discretization (n is its node count) and doubles the
+boundary, and with it the fitted coefficient.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from fermient.asymptotics import compare_theory, fit_scaling, widom_prediction
 
 def run(gamma, omega, label):
     result = sweep(gamma, omega, 1.0, np.geomspace(20.0, 200.0, 8))
-    print(f"{label}:")
+    print(f"{label} ({result.results[0].mode} route):")
     print(f"{'L':>8} {'n':>6} {'S_1':>10}")
     for point in result.results:
         print(f"{point.L:8.2f} {point.n:6d} {point.S:10.6f}")

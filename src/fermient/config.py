@@ -9,7 +9,8 @@ Key reference (all optional unless a command requires them; any other
 key is a config error):
 
     mode                    auto | continuum | lattice | tensor_box
-                            (auto: tensor_box for box pairs, radial
+                            (auto: the prolate route for single
+                            intervals, tensor_box for box pairs, radial
                             sectors for ball/ball pairs in d = 2, 3,
                             else continuum; continuum forces the
                             Nystrom matrix)
@@ -32,8 +33,11 @@ key is a config error):
                             grid); it must keep >= 4 grid points, counted
                             after lattice rounding
     disc.nodes_per_unit     finite float > 0 (default: resolution from
-                            the kernel)
-    disc.budget             max continuum matrix size (and tensor axis
+                            the kernel); sets the Nystrom and radial
+                            rules, and is held only to the Nyquist
+                            guard on the prolate and tensor_box routes
+    disc.budget             max continuum matrix size (and prolate
+                            Legendre basis, per interval or tensor axis,
                             or radial rule size), integer >= 1
     disc.lattice_budget     max lattice block size in sites, integer >= 1
     jcoeff.resolution       ball surface rule resolution, integer >= 1

@@ -24,17 +24,28 @@ noise floor into the small-alpha entropies.  A bare ndarray still takes
 the dense route, which is the oracle the tridiagonal route is tested
 against.
 
-pipeline_spectrum is the chain geometry -> matrix -> spectrum, routing
-box-product geometries through tensor spectra: the compression
-separates per axis there, so its eigenvalues are products of 1D
-eigenvalues and no d-dimensional matrix is needed.  A ball/ball pair in
-d = 2 or 3 commutes with rotations, so its compression splits into one
-radial operator per angular momentum (Slepian 1964, Bell Syst. Tech. J.
-43:3009): each sector is a small Gauss-Legendre matrix of a Bessel
-Christoffel-Darboux kernel, solved densely and counted with its
-multiplicity, and no n x n Nystrom matrix is formed.  Every other
-continuum geometry, and any pair under mode 'continuum', takes the
-Nystrom matrix, which is the oracle for both separable routes.  Every
+A single momentum interval localized to a single spatial interval is
+the sinc kernel on [-1, 1] with c = |gamma| L |omega| / 4, up to a
+phase and a translation.  It commutes with the prolate differential
+operator (Slepian & Pollak 1961, Bell Syst. Tech. J. 40:43), two
+tridiagonals in the Legendre basis, and is solved like the lattice: a
+window of eigenvectors around 2c / pi, each eigenvalue from a ratio of
+Legendre coefficients (Osipov, Rokhlin & Xiao 2013, Prolate Spheroidal
+Wave Functions of Order Zero) or, near 1, from its out-of-band energy,
+and exact 0s and 1s outside the window.
+
+pipeline_spectrum is the chain geometry -> matrix -> spectrum.  Single
+intervals take the prolate route.  Box-product geometries take tensor
+spectra: the compression separates per axis there, so its eigenvalues
+are products of the axes' prolate eigenvalues and no d-dimensional
+matrix is needed.  A ball/ball pair in d = 2 or 3 commutes with
+rotations, so its compression splits into one radial operator per
+angular momentum (Slepian 1964, Bell Syst. Tech. J. 43:3009): each
+sector is a small Gauss-Legendre matrix of a Bessel Christoffel-Darboux
+kernel, solved densely and counted with its multiplicity, and no n x n
+Nystrom matrix is formed.  Every other continuum geometry (interval
+unions among them), and any pair under mode 'continuum', takes the
+Nystrom matrix, which is the oracle for all three reduced routes.  Every
 order is a sum over that one spectrum, so callers wanting several
 orders at one L diagonalize once and call renyi_entropy per order;
 entropy_pipeline is the single-order composition of the two.  An
@@ -74,19 +85,29 @@ __all__ = [
 EPS_ABORT = 1e-3
 
 # Most eigenvalues the tensor_box route forms from axis spectra: at the
-# ~65 bytes of peak memory per eigenvalue measured in 2D, about 1.3 GB.
-# k_F = 1 on the unit cube passes it at L = 130 (2.0e7).
+# ~66 bytes of peak memory per eigenvalue measured in 2D and 3D, about
+# 1.3 GB.  k_F = 1 on the unit cube passes it up to L = 308, where each
+# axis is a prolate basis of 271 degrees (1.99e7 products).
 MAX_TENSOR_EIGENVALUES = 20_000_000
 
 
-# Lattice route: a window edge whose min(lambda, 1 - lambda) is below
-# SNAP_TOL ends the window, and eigenvalues beyond it are exactly 0 or
-# 1; an eigenpair residual |C v - lambda v| above RESIDUAL_TOL is a
-# failed solve.  Spectrum.interior counts eigenvalues with
+# Lattice and prolate routes: a window edge whose min(lambda, 1 - lambda)
+# is below SNAP_TOL ends the window, and eigenvalues beyond it are
+# exactly 0 or 1.  A lattice eigenpair residual |C v - lambda v| above
+# RESIDUAL_TOL is a failed solve.  Spectrum.interior counts eigenvalues with
 # min(lambda, 1 - lambda) above INTERIOR_TOL.
 SNAP_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
 INTERIOR_TOL = 1e-12
+
+# Prolate route: the Legendre basis holds ceil(1.5 c) + PROLATE_PAD
+# degrees; an eigenvector carrying an interior eigenvalue whose last two
+# coefficients exceed TAIL_TOL in magnitude has not converged in it.
+# Near 1, an eigenvalue whose quotient leaves 1 - lambda under
+# OUT_OF_BAND_TOL takes 1 - lambda from its out-of-band energy.
+PROLATE_PAD = 40
+TAIL_TOL = 1e-13
+OUT_OF_BAND_TOL = 1e-10
 
 # Radial route: sectors run until the first l >= kR whose largest
 # eigenvalue is below SNAP_TOL.  That takes about 6.3 (kR)^(1/3)
@@ -237,6 +258,163 @@ def _lattice_spectrum(k_fermi: float, n: int) -> np.ndarray:
                            1.0 - quotients[split:], np.ones(n - 1 - hi)])
 
 
+def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
+    """j_k(x) for k < size at every x > 0, rows k, by Miller's backward
+    recurrence from far enough past max(size, x) that the start does
+    not show, normalized by j_0 or j_1, whichever is larger."""
+    top = math.ceil(max(size, x.max()) + 20 + 4 * x.max() ** (1 / 3))
+    table = np.empty((top + 1, len(x)))
+    after, value = np.zeros_like(x), np.ones_like(x)
+    table[top] = value
+    for k in range(top, 0, -1):
+        after, value = value, (2 * k + 1) / x * value - after
+        # A step grows the values by at most (2 top + 1) / x, under 30
+        # wherever the route calls this, so a check every 32 steps
+        # rescales long before float overflow.
+        if k % 32 == 0:
+            large = np.abs(value) > 1e200
+            if large.any():
+                table[k:, large] *= 1e-200
+                after[large] *= 1e-200
+                value[large] *= 1e-200
+        table[k - 1] = value
+    j0 = np.sin(x) / x
+    j1 = j0 / x - np.cos(x) / x
+    scale = np.where(np.abs(j0) >= np.abs(j1), j0 / table[0], j1 / table[1])
+    return table[:size] * scale
+
+
+def _spherical_hn(x: np.ndarray, size: int) -> np.ndarray:
+    """h_k(x) = j_k(x) + i y_k(x) for k < size, rows k, by forward
+    recurrence, which is stable for both parts while k < x."""
+    out = np.empty((size, len(x)), dtype=complex)
+    phase = np.exp(1j * x)
+    out[0] = -1j * phase / x
+    out[1] = -(x + 1j) * phase / (x * x)
+    for k in range(1, size - 1):
+        out[k + 1] = (2 * k + 1) / x * out[k] - out[k - 1]
+    return out
+
+
+def _out_of_band(c: float, size: int):
+    """Out-of-band energy of window eigenvectors: 1 - lambda without
+    cancellation.
+
+    A unit eigenvector beta on one parity's degrees k has transform
+    psi^(c t) = sum_k a_k j_k(c t), a_k = 2 sqrt(k + 1/2) (-1)^(k // 2)
+    beta_k, up to a unit phase, and 1 - lambda = (c/pi) int_1^inf
+    psi^(c t)^2 dt.  The sum is taken pointwise, so a tiny
+    psi^ beyond the band is not the difference of two numbers near 1.
+    Gauss-Legendre covers [1, T], T = (size + 30) / c, where every k is
+    below c t.  Past T, with H = sum_k a_k h_k(c t) and psi^ = Re H, the
+    integrand is |H|^2 / 2, smooth and integrated in s = T / t, plus
+    Re(H^2) / 2, whose integral is -Re H Im H / (2c) at T to first order
+    in 1 / (c T).  Returns a function of (k, coefficient columns); its
+    Bessel tables are built once, on first use, for both parities.
+    """
+    T = (size + 30) / c
+    x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
+    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+    w = 0.5 * (T - 1) * w
+    s, w_s = roots_legendre(48)
+    s = 0.5 * (s + 1.0)
+
+    @functools.cache
+    def tables():
+        return (_spherical_jn(c * t, size),
+                _spherical_hn(c * np.concatenate([[T], T / s]), size))
+
+    def energy(k: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
+            * coefficients
+        j_table, h_table = tables()
+        rows = k.astype(int)
+        inner = w @ (j_table[rows].T @ a) ** 2
+        H = h_table[rows].T @ a
+        outer = (0.25 * T * w_s / (s * s)) @ np.abs(H[1:]) ** 2 \
+            - H[0].real * H[0].imag / (2 * c)
+        return c / math.pi * (inner + outer)
+
+    return energy
+
+
+def _prolate_spectrum(c: float, size: int) -> np.ndarray:
+    """Unclamped eigenvalues of sin(c(x - y)) / (pi (x - y)) on [-1, 1],
+    one per Legendre degree below size: the even parity's, then the
+    odd's, each descending, with exact 1s and 0s outside its window.
+
+    The kernel commutes with -d/dx (1 - x^2) d/dx + c^2 x^2 (Slepian &
+    Pollak 1961), which in the normalized Legendre basis of degrees
+    k < size splits into one tridiagonal per parity, with diagonal
+    k(k+1) + c^2 (2k(k+1) - 1) / ((2k+3)(2k-1)) and (k, k+2) entry
+    c^2 (k+1)(k+2) / ((2k+3) sqrt((2k+1)(2k+5))); its eigenvectors in
+    ascending order carry the kernel's eigenvalues in descending order.
+    Per parity, eigenvectors are computed in an index window around the
+    c / pi of each parity that lie near 1 (trace 2c / pi); a side whose
+    edge eigenvalue is not yet 0 or 1 to SNAP_TOL has its width doubled
+    and the window solved again, and everything outside it is exactly 0
+    or 1.  With F the transform int_-1^1 exp(icxt) f(t) dt, each
+    eigenvector psi has F psi = mu psi and lambda = c |mu|^2 / (2 pi),
+    mu = sqrt(2) beta_0 / psi(0) for even and c sqrt(2/3) beta_1 /
+    psi'(0) for odd psi (Osipov, Rokhlin & Xiao 2013).  That quotient
+    is accurate to about c * 1e-16 near 1, so where it leaves
+    1 - lambda under OUT_OF_BAND_TOL, 1 - lambda is the out-of-band
+    energy instead.  A window eigenvector of an interior eigenvalue
+    whose last two coefficients exceed TAIL_TOL raises
+    SpectralViolationError: the basis is too small for it.
+    """
+    out_of_band = _out_of_band(c, size)
+    parts = []
+    for parity in (0, 1):
+        k = np.arange(parity, size, 2, dtype=float)
+        diagonal = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) \
+            / ((2 * k + 3) * (2 * k - 1))
+        j = k[:-1]
+        off_diagonal = c * c * (j + 1) * (j + 2) \
+            / ((2 * j + 3) * np.sqrt((2 * j + 1) * (2 * j + 5)))
+        # psi(0) (even) or psi'(0) (odd) is at_zero @ beta, from
+        # P_m(0) = prod over even j <= m of -(j - 1) / j at the even
+        # degrees m = k - parity, and P_k'(0) = k P_k-1(0) for odd k.
+        m = k - parity
+        at_zero = np.sqrt(k + 0.5) * (k if parity else 1.0) * np.cumprod(
+            np.where(m > 0, (1.0 - m) / np.maximum(m, 1.0), 1.0))
+        scale = c ** 3 / 3.0 if parity else c
+        center = round(c / math.pi - 0.5 * parity)
+        lower = upper = math.ceil(1.75 * math.log(c + 1.0)) + 4
+        last = len(k) - 1
+        while True:
+            lo, hi = max(center - lower, 0), min(center + upper, last)
+            # As on the lattice route, bisection to 1e-12 of the largest
+            # eigenvalue (about size^2) is ample for the inverse
+            # iteration that follows.
+            _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
+                                          select_range=(lo, hi),
+                                          tol=1e-12 * size * size)
+            lam = scale * vectors[0] ** 2 \
+                / (math.pi * (at_zero @ vectors) ** 2)
+            gap = 1.0 - lam
+            near_one = (lam > 0.5) & (gap < OUT_OF_BAND_TOL)
+            if near_one.any():
+                gap[near_one] = out_of_band(k, vectors[:, near_one])
+                lam[near_one] = 1.0 - gap[near_one]
+            interior = np.minimum(lam, gap) > INTERIOR_TOL
+            tail = np.max(np.abs(vectors[-2:, interior]), initial=0.0)
+            if tail > TAIL_TOL:
+                raise SpectralViolationError(
+                    f"prolate eigenvector tail {tail:.3g} over {TAIL_TOL:.1g} "
+                    f"in a basis of {size} degrees (c={c:.6g})")
+            grow_lo = lo > 0 and gap[0] >= SNAP_TOL
+            grow_hi = hi < last and lam[-1] >= SNAP_TOL
+            if not (grow_lo or grow_hi):
+                break
+            if grow_lo:
+                lower *= 2
+            if grow_hi:
+                upper *= 2
+        parts.append(np.concatenate([np.ones(lo), lam, np.zeros(last - hi)]))
+    return np.concatenate(parts)
+
+
 def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
                         scale: np.ndarray) -> np.ndarray:
     """Unclamped eigenvalues of the angular-momentum sector of order nu.
@@ -384,17 +562,21 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
 class PipelineConfig:
     """Knobs of the geometry -> entropy pipeline.
 
-    mode: 'auto' (tensor route for box-product geometries, radial
+    mode: 'auto' (the prolate route when gamma and omega are single
+    intervals, the tensor route for box-product geometries, radial
     sectors for ball/ball pairs in d = 2 and 3, else the Nystrom
     matrix), 'continuum' (the Nystrom matrix for every geometry),
-    'tensor_box', or 'lattice'.  In lattice mode gamma must be a
-    symmetric interval (-k_F, k_F) with k_F < pi and the block has
-    round(L * |omega|) sites, at most lattice_budget (default 100000;
-    the tridiagonal route takes seconds there, and no n x n matrix is
-    formed).  budget caps the Nystrom matrix size, each tensor axis and
-    the radial rule's node count n_r.  A nodes_per_unit under the
-    Nyquist guard always fails.  EPS_ABORT, MAX_TENSOR_EIGENVALUES and
-    SECTOR_EXCESS are fixed.
+    'tensor_box' (prolate axes), or 'lattice'.  In lattice mode gamma
+    must be a symmetric interval (-k_F, k_F) with k_F < pi and the block
+    has round(L * |omega|) sites, at most lattice_budget (default
+    100000; the tridiagonal route takes seconds there, and no n x n
+    matrix is formed).  budget caps the Nystrom matrix size, the
+    Legendre basis of a prolate interval or tensor axis, and the radial
+    rule's node count n_r.  nodes_per_unit sets the Nystrom and radial
+    rules; the prolate route builds no rule and only holds it to the
+    Nyquist guard, which a nodes_per_unit under it fails on every
+    route.  EPS_ABORT, MAX_TENSOR_EIGENVALUES, SECTOR_EXCESS and the
+    prolate tolerances are fixed.
     """
 
     mode: str = "auto"
@@ -429,7 +611,35 @@ def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
     if isinstance(gamma, Ball) and isinstance(omega, Ball) \
             and gamma.dim == omega.dim >= 2:
         return "radial"
+    if gamma.dim == omega.dim == 1 and all(
+            len(region.as_interval_union().intervals) == 1
+            for region in (gamma, omega)):
+        return "prolate"
     return "continuum"
+
+
+def _prolate_route(gamma: Domain, omega: Domain, L: float,
+                   config: PipelineConfig) -> Spectrum:
+    """Single-interval spectrum through the prolate tridiagonals.
+
+    Gamma's center only multiplies the kernel by a phase and omega's
+    only translates the region, so both drop out: the spectrum is that
+    of the sinc kernel with c = |gamma| L |omega| / 4 on [-1, 1].  The
+    basis has ceil(1.5 c) + PROLATE_PAD degrees, more than
+    config.budget of them raise BudgetError before any solve, and the
+    spectrum has one value per degree, exact 0s and 1s outside the
+    solved windows.  A nodes_per_unit is held only to the Nyquist
+    guard, as no rule is built.
+    """
+    if config.nodes_per_unit is not None:
+        _disc.check_sampling(config.nodes_per_unit, gamma.momentum_bound())
+    c = gamma.volume() * L * omega.volume() / 4.0
+    size = math.ceil(1.5 * c) + PROLATE_PAD
+    if size > config.budget:
+        raise _disc.BudgetError(
+            f"prolate basis would need {size} Legendre degrees, over the "
+            f"budget {config.budget}; raise the budget")
+    return _clamped(_prolate_spectrum(c, size))
 
 
 def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
@@ -462,7 +672,10 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
     Returns (spectrum, realized L, mode), mode being the route taken:
-    'lattice', 'tensor_box', 'radial' or 'continuum'.  The realized L
+    'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  On
+    the prolate and tensor_box routes the spectrum has one value per
+    Legendre degree of each axis basis, padded with exact zeros, as the
+    lattice route has one per site.  The realized L
     differs from the requested one only in lattice mode, where the
     block has an integer number of sites.  Every Renyi order at this L
     is renyi_entropy of the one spectrum.
@@ -483,12 +696,9 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                                 "spatial regions")
         if gamma.dim != omega.dim:
             raise GeometryError("tensor_box mode needs matching dimensions")
-        axis_spectra = [
-            eigenvalues(_disc.nystrom(
-                g_axis, o_axis, L, nodes_per_unit=config.nodes_per_unit,
-                budget=config.budget))
-            for g_axis, o_axis in zip(gamma.axis_intervals(),
-                                      omega.axis_intervals())]
+        axis_spectra = [_prolate_route(g_axis, o_axis, L, config)
+                        for g_axis, o_axis in zip(gamma.axis_intervals(),
+                                                  omega.axis_intervals())]
         axis_ns = [len(s) for s in axis_spectra]
         count = math.prod(axis_ns)
         if count > MAX_TENSOR_EIGENVALUES:
@@ -498,6 +708,8 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         spectrum = functools.reduce(tensor_spectrum, axis_spectra)
     elif mode == "radial":
         spectrum = _radial_route(gamma, omega, L, config)
+    elif mode == "prolate":
+        spectrum = _prolate_route(gamma, omega, L, config)
     else:
         spectrum = eigenvalues(_disc.nystrom(
             gamma, omega, L, nodes_per_unit=config.nodes_per_unit,

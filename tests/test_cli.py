@@ -325,7 +325,10 @@ def test_tensor_product_over_limit_exits_3(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "BudgetError"
-    assert "64 eigenvalues, over the limit 10" in error["message"]
+    # Each axis is a prolate basis of ceil(1.5 c) + 40 = 43 degrees
+    # (c = 2 at L = 4), and 43^2 = 1849.
+    assert ("axis sizes [43, 43] needs 1.85e+03 eigenvalues, over the "
+            "limit 10") in error["message"]
 
 
 DISK_PAIR = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
@@ -361,6 +364,31 @@ def test_radial_nodes_per_unit_under_nyquist_guard_exits_3(
     error = json.loads(err)["error"]
     assert error["type"] == "DiscretizationError"
     assert "sampling guard" in error["message"]
+
+
+INTERVAL_PAIR = ["gamma.k_fermi=1", "omega.shape=interval",
+                 "omega.intervals=0:1"]
+
+
+@pytest.mark.parametrize("pair, size", [
+    (INTERVAL_PAIR, 115),
+    (["gamma.shape=box", "gamma.bounds=-1:1,-1:1", "omega.shape=box",
+      "omega.bounds=0:1,0:1"], 115),
+])
+def test_prolate_basis_over_budget_exits_3(capsys, monkeypatch, pair, size):
+    def forbidden(*args):
+        raise AssertionError("a prolate window was solved")
+
+    monkeypatch.setattr(spectra, "_prolate_spectrum", forbidden)
+    # The basis has ceil(1.5 c) + 40 = 115 degrees at c = 50 (L = 100).
+    code, out, err = run_cli(capsys, "entropy", *pair, "entropy.L=100",
+                             f"disc.budget={size - 1}")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"{size} Legendre degrees" in error["message"]
+    assert f"budget {size - 1}" in error["message"]
 
 
 def test_radial_sector_bound_exits_3(capsys, monkeypatch):
@@ -571,13 +599,21 @@ def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):
         assert single["fit"] in record["fits"]
 
 
-def test_sweep_tensor_box_solves_two_axes_per_L(capsys, solves):
+def test_sweep_tensor_box_solves_two_axes_per_L(capsys, monkeypatch):
+    axes = []
+    original = spectra._prolate_spectrum
+
+    def counting(c, size):
+        axes.append(c)
+        return original(c, size)
+
+    monkeypatch.setattr(spectra, "_prolate_spectrum", counting)
     record = run_json(capsys, "sweep",
                       "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
                       "omega.shape=box", "omega.bounds=0:1,0:1",
                       "mode=tensor_box", "alpha=0.5,1,2",
                       "sweep.L=10:40:4")
-    assert len(solves) == 2 * 4
+    assert len(axes) == 2 * 4
     assert len(record["rows"]) == 3 * 4
 
 

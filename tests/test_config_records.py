@@ -251,9 +251,11 @@ def test_entropy_row_serializes_infinite_order():
     ("tensor_box", Box(((-1.0, 1.0), (-1.0, 1.0))),
      Box(((0.0, 1.0), (0.0, 1.0))), 2.0),
     ("radial", Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), 3.0),
-], ids=["lattice", "continuum", "tensor_box", "radial"])
+    ("prolate", interval(-1.0, 1.0), interval(0.0, 1.0), 5.0),
+], ids=["lattice", "continuum", "tensor_box", "radial", "prolate"])
 def test_entropy_result_inverts_entropy_row(mode, gamma, omega, L):
-    config = PipelineConfig(mode="auto" if mode == "radial" else mode)
+    config = PipelineConfig(
+        mode="auto" if mode in ("radial", "prolate") else mode)
     by_order = sweep(gamma, omega, (0.5, 1.0, math.inf), [L], config)
     for result_set in by_order.values():
         (result,) = result_set.results

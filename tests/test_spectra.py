@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fermient import discretize, spectra
+from fermient import asymptotics, discretize, spectra
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  LatticeCorrelation, lattice_correlation,
                                  nystrom)
-from fermient.geometry import Ball, Box, GeometryError, interval
+from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
+                               interval)
 from fermient.records import entropy_row
 from fermient.spectra import (
     PipelineConfig,
@@ -218,6 +219,182 @@ def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Single intervals: the prolate route against the Nystrom oracle
+# ---------------------------------------------------------------------------
+
+# At L = 2 the default Nystrom rule has 4 nodes and is off the converged
+# entropy by 1e-7; at 8 nodes per unit it agrees with the prolate route
+# to 3e-15.
+@pytest.mark.parametrize("L, nodes_per_unit", [(2.0, 8.0), (60.0, None),
+                                               (200.0, None), (600.0, None)])
+def test_prolate_matches_nystrom(L, nodes_per_unit):
+    prolate, _, mode = pipeline_spectrum(GAMMA, OMEGA, L)
+    dense, _, oracle = pipeline_spectrum(
+        GAMMA, OMEGA, L, PipelineConfig(mode="continuum",
+                                        nodes_per_unit=nodes_per_unit))
+    assert (mode, oracle) == ("prolate", "continuum")
+    assert len(prolate) == math.ceil(1.5 * L / 2.0) + spectra.PROLATE_PAD
+    for alpha in (1.0, 2.0, math.inf):
+        assert abs(renyi_entropy(prolate, alpha).S
+                   - renyi_entropy(dense, alpha).S) <= 1e-9
+
+
+def test_prolate_centers_drop_out():
+    # |gamma| L |omega| / 4 is the same for both pairs.
+    shifted, _, mode = pipeline_spectrum(interval(0.3, 2.1),
+                                         interval(2.0, 3.5), 40.0)
+    centered = pipeline_spectrum(interval(-0.9, 0.9), interval(0.0, 1.5),
+                                 40.0)[0]
+    assert mode == "prolate"
+    np.testing.assert_allclose(shifted.eigenvalues, centered.eigenvalues,
+                               rtol=0.0, atol=1e-14)
+    # The Nystrom oracle of the shifted pair has a complex kernel.
+    dense = pipeline_spectrum(interval(0.3, 2.1), interval(2.0, 3.5), 40.0,
+                              PipelineConfig(mode="continuum"))[0]
+    for alpha in (1.0, 2.0, math.inf):
+        assert abs(renyi_entropy(shifted, alpha).S
+                   - renyi_entropy(dense, alpha).S) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma, omega", [
+    (GAMMA, OMEGA), (interval(0.3, 2.1), interval(2.0, 3.5))])
+@pytest.mark.parametrize("L", [0.5, 7.0, 60.0, 600.0])
+def test_prolate_trace_is_weyl_term(gamma, omega, L):
+    spectrum = pipeline_spectrum(gamma, omega, L)[0]
+    weyl = gamma.volume() * L * omega.volume() / (2.0 * math.pi)
+    assert np.sum(spectrum.eigenvalues) == pytest.approx(weyl, rel=1e-12)
+
+
+def test_prolate_window_grows_to_whole_basis(monkeypatch):
+    windows = []
+    original = spectra.eigh_tridiagonal
+
+    def recording(diagonal, *args, select_range, **kwargs):
+        windows.append((select_range, len(diagonal)))
+        return original(diagonal, *args, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", recording)
+    default = pipeline_spectrum(GAMMA, OMEGA, 200.0)[0]
+    assert all(hi - lo + 1 < size for (lo, hi), size in windows)
+    # With a negative snap tolerance no window edge ever counts as 0 or
+    # 1, so each parity's window doubles until it spans its whole basis.
+    monkeypatch.setattr(spectra, "SNAP_TOL", -1.0)
+    windows.clear()
+    whole = pipeline_spectrum(GAMMA, OMEGA, 200.0)[0]
+    # Each parity of the 190-degree basis has 95; its last window is all
+    # of them.
+    assert windows.count(((0, 94), 95)) == 2
+    assert windows[-1] == ((0, 94), 95)
+    # The values the default window leaves out are below SNAP_TOL, and a
+    # quotient from a wider solve moves by its own accuracy, about
+    # c * 1e-16 (c = 100).
+    np.testing.assert_allclose(whole.eigenvalues, default.eigenvalues,
+                               rtol=0.0, atol=1e-13)
+    for alpha in (1.0, 2.0):
+        assert renyi_entropy(whole, alpha).S == pytest.approx(
+            renyi_entropy(default, alpha).S, abs=1e-12)
+
+
+def test_prolate_tail_guard(monkeypatch):
+    # A basis of ceil(1.5 c) degrees at c = 50 cuts the eigenvectors
+    # near lambda = 1/2 off at a coefficient of about 1e-2.
+    monkeypatch.setattr(spectra, "PROLATE_PAD", 0)
+    with pytest.raises(SpectralViolationError, match="tail"):
+        pipeline_spectrum(GAMMA, OMEGA, 100.0)
+
+
+def test_prolate_keeps_only_the_nyquist_guard():
+    coarse = pipeline_spectrum(GAMMA, OMEGA, 30.0,
+                               PipelineConfig(nodes_per_unit=1.0))[0]
+    fine = pipeline_spectrum(GAMMA, OMEGA, 30.0,
+                             PipelineConfig(nodes_per_unit=9.0))[0]
+    np.testing.assert_array_equal(coarse.eigenvalues, fine.eigenvalues)
+    with pytest.raises(discretize.DiscretizationError, match="sampling"):
+        pipeline_spectrum(GAMMA, OMEGA, 30.0,
+                          PipelineConfig(nodes_per_unit=0.6))
+
+
+def test_prolate_budget_caps_the_basis(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a prolate window was solved")
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", forbidden)
+    size = math.ceil(1.5 * 50.0) + spectra.PROLATE_PAD
+    with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
+        pipeline_spectrum(GAMMA, OMEGA, 100.0,
+                          PipelineConfig(budget=size - 1))
+
+
+@pytest.mark.parametrize("gamma, omega, mode", [
+    (GAMMA, OMEGA, "prolate"),
+    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), "tensor_box"),
+    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), "tensor_box"),
+])
+def test_prolate_routes_never_assemble_nystrom(gamma, omega, mode,
+                                               monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Nystrom matrix was assembled")
+
+    monkeypatch.setattr(discretize, "nystrom", forbidden)
+    monkeypatch.setattr(spectra, "eigenvalues", forbidden)
+    results = asymptotics.sweep(gamma, omega, (0.5, 1.0), [2.0, 5.0, 9.0])
+    assert {r.mode for res in results.values() for r in res.results} \
+        == {mode}
+    with pytest.raises(AssertionError, match="Nystrom"):
+        entropy_pipeline(gamma, omega, 2.0, 1.0,
+                         PipelineConfig(mode="continuum"))
+
+
+def _mp_prolate_gaps(c, size, parity, digits=40):
+    """1 - lambda of one parity's prolate eigenvalues, ascending in the
+    tridiagonal, from a digits-precision solve of the same basis."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        c = mpmath.mpf(c)
+        degrees = range(parity, size, 2)
+        matrix = mpmath.zeros(len(degrees))
+        at_zero, value = [], mpmath.mpf(1)
+        for i, k in enumerate(degrees):
+            k = mpmath.mpf(k)
+            matrix[i, i] = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) \
+                / ((2 * k + 3) * (2 * k - 1))
+            if i + 1 < len(degrees):
+                matrix[i, i + 1] = matrix[i + 1, i] = \
+                    c * c * (k + 1) * (k + 2) \
+                    / ((2 * k + 3) * mpmath.sqrt((2 * k + 1) * (2 * k + 5)))
+            if k > 1:
+                value *= -(k - 1 - parity) / (k - parity)
+            at_zero.append(mpmath.sqrt(k + 0.5) * value * (k if parity else 1))
+        chi, vectors = mpmath.eigsy(matrix)
+        gaps = []
+        for j in sorted(range(len(degrees)), key=lambda j: chi[j]):
+            column = [vectors[i, j] for i in range(len(degrees))]
+            psi = mpmath.fsum(a * b for a, b in zip(at_zero, column))
+            scale = c ** 3 / 3 if parity else c
+            gaps.append(float(1 - scale * column[0] ** 2
+                              / (mpmath.pi * psi ** 2)))
+        return np.array(gaps)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_prolate_gap_near_one_against_mpmath(parity):
+    # At c = 30 the quotient alone leaves 1 - lambda with an error of
+    # up to 7e-15 (it reads -7e-15 for a true 3.5e-17); the out-of-band
+    # energy takes it to 1e-5 relative, and the stored lambda = 1 - gap
+    # then rounds at 1.1e-16.
+    c, size = 30.0, math.ceil(1.5 * 30.0) + spectra.PROLATE_PAD
+    exact = _mp_prolate_gaps(c, size, parity)
+    lam = spectra._prolate_spectrum(c, size)
+    half = lam[:(size + 1) // 2] if parity == 0 else lam[(size + 1) // 2:]
+    near_one = exact < 1e-3
+    assert np.count_nonzero(near_one) >= 5
+    np.testing.assert_allclose((1.0 - half)[near_one], exact[near_one],
+                               rtol=1e-4, atol=1.2e-16)
+    deep = exact < 1e-16
+    assert np.all(half[deep] == 1.0)
+
+
+# ---------------------------------------------------------------------------
 # renyi_entropy()
 # ---------------------------------------------------------------------------
 
@@ -283,7 +460,8 @@ def test_tensor_spectrum_is_outer_product():
 # ---------------------------------------------------------------------------
 
 def test_pipeline_continuum():
-    result = entropy_pipeline(GAMMA, OMEGA, 10.0, 1.0)
+    result = entropy_pipeline(GAMMA, OMEGA, 10.0, 1.0,
+                              PipelineConfig(mode="continuum"))
     assert result.L == 10.0
     assert result.alpha == 1.0
     assert result.S > 0.5
@@ -350,14 +528,18 @@ def test_pipeline_lattice_budget():
 def test_pipeline_tensor_matches_direct_2d():
     gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
+    # The default rule has 4 nodes per axis here and misses by 1.1e-7; at
+    # 4 nodes per unit (8 per axis) the gap is 5e-15.
     direct = entropy_pipeline(gamma, omega, 2.0, 1.0,
-                              PipelineConfig(mode="continuum"))
+                              PipelineConfig(mode="continuum",
+                                             nodes_per_unit=4.0))
     tensor = entropy_pipeline(gamma, omega, 2.0, 1.0,
                               PipelineConfig(mode="tensor_box"))
-    # Same per-axis rules, so the agreement is structural, not asymptotic.
     assert tensor.S == pytest.approx(direct.S, abs=1e-10)
     assert (tensor.mode, direct.mode) == ("tensor_box", "continuum")
-    assert tensor.n == direct.n
+    # Each axis is a prolate basis of ceil(1.5 c) + PROLATE_PAD degrees,
+    # c = 1 here.
+    assert tensor.n == (math.ceil(1.5) + spectra.PROLATE_PAD) ** 2
 
 
 def test_pipeline_tensor_refuses_oversized_product(monkeypatch):
@@ -384,7 +566,10 @@ def test_pipeline_auto_routing():
     auto = entropy_pipeline(gamma, omega, 2.0, 1.0)
     assert auto.mode == "tensor_box"
     auto_1d = entropy_pipeline(GAMMA, OMEGA, 2.0, 1.0)
-    assert auto_1d.mode == "continuum"
+    assert auto_1d.mode == "prolate"
+    two_intervals = IntervalUnion(((0.0, 1.0), (1.5, 2.5)))
+    union = entropy_pipeline(GAMMA, two_intervals, 2.0, 1.0)
+    assert union.mode == "continuum"
 
 
 def test_pipeline_tensor_requires_boxes():
@@ -401,9 +586,12 @@ def test_pipeline_unknown_mode():
 def test_pipeline_entropy_stable_under_refinement():
     # +50% node density moves the entropy by far less than the fit
     # tolerances; this is the resolution self-consistency check.
-    base = entropy_pipeline(GAMMA, OMEGA, 50.0, 1.0)
+    base = entropy_pipeline(GAMMA, OMEGA, 50.0, 1.0,
+                            PipelineConfig(mode="continuum"))
     fine = entropy_pipeline(GAMMA, OMEGA, 50.0, 1.0,
-                            PipelineConfig(nodes_per_unit=3.0))
+                            PipelineConfig(mode="continuum",
+                                           nodes_per_unit=3.0))
+    assert base.n < fine.n
     assert abs(fine.S - base.S) < 1e-4
 
 
@@ -411,5 +599,6 @@ def test_pipeline_alpha_consistency_with_direct_sum():
     op = nystrom(GAMMA, OMEGA, L=10.0)
     spectrum = eigenvalues(op)
     direct = renyi_entropy(spectrum, 2.0).S
-    piped = entropy_pipeline(GAMMA, OMEGA, 10.0, 2.0).S
+    piped = entropy_pipeline(GAMMA, OMEGA, 10.0, 2.0,
+                             PipelineConfig(mode="continuum")).S
     assert piped == pytest.approx(direct, rel=1e-12)
