@@ -10,6 +10,9 @@ Discretized matrices are only approximately contractions, so
 eigenvalues poke slightly outside [0, 1]; they are clamped with
 bookkeeping (how many, and the worst violation) and a hard failure
 past 1e-3 (which indicates a broken discretization, not roundoff).
+A Spectrum stores values with multiplicities: the exact routes below
+keep their exact 0s and 1s, which add nothing to any entropy, as one
+entry each.
 
 Lattice blocks are never diagonalized densely.  The discrete sine
 kernel commutes with Slepian's tridiagonal matrix (Slepian 1978, Bell
@@ -84,13 +87,6 @@ __all__ = [
 
 EPS_ABORT = 1e-3
 
-# Most eigenvalues the tensor_box route forms from axis spectra: at the
-# ~66 bytes of peak memory per eigenvalue measured in 2D and 3D, about
-# 1.3 GB.  k_F = 1 on the unit cube passes it up to L = 308, where each
-# axis is a prolate basis of 271 degrees (1.99e7 products).
-MAX_TENSOR_EIGENVALUES = 20_000_000
-
-
 # Lattice and prolate routes: a window edge whose min(lambda, 1 - lambda)
 # is below SNAP_TOL ends the window, and eigenvalues beyond it are
 # exactly 0 or 1.  A lattice eigenpair residual |C v - lambda v| above
@@ -125,29 +121,35 @@ class SpectralViolationError(RuntimeError):
 class Spectrum:
     """Clamped eigenvalues of a localized Fermi projection.
 
-    eigenvalues are sorted ascending in [0, 1]; clamp_count says how
-    many were moved, max_violation how far the worst one sat outside
-    before clamping.
+    values[i] in [0, 1] occurs multiplicities[i] times; clamp_count says
+    how many eigenvalues were moved, max_violation how far the worst one
+    sat outside before clamping.
     """
 
-    eigenvalues: np.ndarray
+    values: np.ndarray
+    multiplicities: np.ndarray
     clamp_count: int
     max_violation: float
 
     def __len__(self):
-        return len(self.eigenvalues)
+        return int(np.sum(self.multiplicities))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue, each copy stored, sorted ascending."""
+        return np.sort(np.repeat(self.values, self.multiplicities))
 
     @functools.cached_property
     def interior(self) -> int:
         """Eigenvalues with min(lambda, 1 - lambda) above INTERIOR_TOL;
         the rest are 0 or 1 to within roundoff."""
-        lam = self.eigenvalues
-        return int(np.count_nonzero(np.minimum(lam, 1.0 - lam)
-                                    > INTERIOR_TOL))
+        lam = self.values
+        return int(np.sum(self.multiplicities,
+                          where=np.minimum(lam, 1.0 - lam) > INTERIOR_TOL))
 
     def complement(self) -> "Spectrum":
         """Spectrum with every lambda replaced by 1 - lambda."""
-        return replace(self, eigenvalues=np.sort(1.0 - self.eigenvalues))
+        return replace(self, values=1.0 - self.values)
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,8 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_spectrum(k_fermi: float, n: int) -> np.ndarray:
-    """Unclamped eigenvalues of the n-site sine kernel C, ascending.
+def _lattice_spectrum(k_fermi: float, n: int):
+    """Unclamped (values, multiplicities) of the n-site sine kernel C.
 
     T, with diagonal ((n-1-2j)/2)^2 cos k_F and off-diagonal
     (j+1)(n-1-j)/2, commutes with C and orders its eigenvectors as C's
@@ -254,8 +256,9 @@ def _lattice_spectrum(k_fermi: float, n: int) -> np.ndarray:
             lower *= 2
         if grow_hi:
             upper *= 2
-    return np.concatenate([np.zeros(lo), quotients[:split],
-                           1.0 - quotients[split:], np.ones(n - 1 - hi)])
+    window = np.concatenate([quotients[:split], 1.0 - quotients[split:]])
+    return (np.append(window, (0.0, 1.0)),
+            np.append(np.full(len(window), 1), (lo, n - 1 - hi)))
 
 
 def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
@@ -338,10 +341,10 @@ def _out_of_band(c: float, size: int):
     return energy
 
 
-def _prolate_spectrum(c: float, size: int) -> np.ndarray:
-    """Unclamped eigenvalues of sin(c(x - y)) / (pi (x - y)) on [-1, 1],
-    one per Legendre degree below size: the even parity's, then the
-    odd's, each descending, with exact 1s and 0s outside its window.
+def _prolate_spectrum(c: float, size: int):
+    """Unclamped (values, multiplicities) of sin(c(x - y)) / (pi (x - y))
+    on [-1, 1], one eigenvalue per Legendre degree below size: each
+    parity's window, descending, then its exact 1s and 0s.
 
     The kernel commutes with -d/dx (1 - x^2) d/dx + c^2 x^2 (Slepian &
     Pollak 1961), which in the normalized Legendre basis of degrees
@@ -411,8 +414,9 @@ def _prolate_spectrum(c: float, size: int) -> np.ndarray:
                 lower *= 2
             if grow_hi:
                 upper *= 2
-        parts.append(np.concatenate([np.ones(lo), lam, np.zeros(last - hi)]))
-    return np.concatenate(parts)
+        parts.append((np.append(lam, (1.0, 0.0)),
+                      np.append(np.full(len(lam), 1), (lo, last - hi))))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
@@ -442,16 +446,17 @@ def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
 
 
 def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
-    """Unclamped eigenvalues of the ball of momentum radius k localized
-    to a ball of the given radius in d = 2 or 3.
+    """Unclamped (values, multiplicities) of the ball of momentum radius
+    k localized to a ball of the given radius in d = 2 or 3.
 
     Rotations split the compression into one radial operator per angular
     momentum l, of Bessel order nu = l + (d - 2)/2, each solved on the
-    same n_r-node Gauss-Legendre rule on [0, radius] and repeated by its
-    multiplicity (1, then 2 in d = 2; 2l + 1 in d = 3).  Sectors run
-    until the first l >= k radius whose largest eigenvalue is below
-    SNAP_TOL; a sector at or past l = kR + SECTOR_EXCESS (1 + kR)^(1/3)
-    that has not decayed raises SpectralViolationError.
+    same n_r-node Gauss-Legendre rule on [0, radius], its values stored
+    once with the sector's multiplicity (1, then 2 in d = 2; 2l + 1 in
+    d = 3).  Sectors run until the first l >= k radius whose largest
+    eigenvalue is below SNAP_TOL; a sector at or past
+    l = kR + SECTOR_EXCESS (1 + kR)^(1/3) that has not decayed raises
+    SpectralViolationError.
     """
     x, w = roots_legendre(n_r)
     r = 0.5 * radius * (x + 1.0)
@@ -469,7 +474,7 @@ def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
             raise SpectralViolationError(
                 f"radial sector l={l} still has eigenvalue {vals[-1]:.3g} "
                 f"over {SNAP_TOL:.1g} (kR={kr_max:.6g})")
-    return np.repeat(np.concatenate(sectors), np.repeat(multiplicities, n_r))
+    return np.concatenate(sectors), np.repeat(multiplicities, n_r)
 
 
 def eigenvalues(op) -> Spectrum:
@@ -488,7 +493,7 @@ def eigenvalues(op) -> Spectrum:
     in clamp_count and max_violation.
     """
     if isinstance(op, _disc.LatticeCorrelation):
-        return _clamped(_lattice_spectrum(op.k_fermi, op.n))
+        return _clamped(*_lattice_spectrum(op.k_fermi, op.n))
     matrix = _as_matrix(op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(
@@ -498,27 +503,25 @@ def eigenvalues(op) -> Spectrum:
     if defect > 1e-12:
         raise SpectralViolationError(
             f"matrix is not Hermitian (defect {defect:.3g})")
-    return _clamped(np.linalg.eigvalsh(matrix) if matrix.size
-                    else np.empty(0))
+    vals = np.linalg.eigvalsh(matrix) if matrix.size else np.empty(0)
+    return _clamped(vals, np.full(len(vals), 1))
 
 
-def _clamped(vals: np.ndarray) -> Spectrum:
-    """Sorted Spectrum of raw eigenvalues, clamped to [0, 1].
+def _clamped(vals: np.ndarray, multiplicities: np.ndarray) -> Spectrum:
+    """Spectrum of raw eigenvalues with multiplicities, clamped to [0, 1].
 
     A violation of EPS_ABORT or more raises SpectralViolationError;
-    smaller ones are clamped and counted.
+    smaller ones are clamped and counted with their multiplicities.
     """
-    below = np.maximum(-vals, 0.0)
-    above = np.maximum(vals - 1.0, 0.0)
-    max_violation = float(np.max(below + above, initial=0.0))
+    clamped = np.clip(vals, 0.0, 1.0)
+    max_violation = float(np.max(np.abs(vals - clamped), initial=0.0))
     if max_violation >= EPS_ABORT:
         raise SpectralViolationError(
             f"eigenvalues violate [0, 1] by {max_violation:.3g} "
             f"(abort threshold {EPS_ABORT:.1g}); the discretization "
             "is under-resolved")
-    clamp_count = int(np.count_nonzero((vals < 0.0) | (vals > 1.0)))
-    clamped = np.clip(vals, 0.0, 1.0)
-    return Spectrum(np.sort(clamped), clamp_count, max_violation)
+    clamp_count = int(np.sum(multiplicities, where=clamped != vals))
+    return Spectrum(clamped, multiplicities, clamp_count, max_violation)
 
 
 def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
@@ -529,15 +532,15 @@ def renyi_entropy(spectrum: Spectrum, alpha: float, L: float | None = None,
     alpha = math.inf gives the min-entropy -sum ln max(lambda, 1-lambda);
     exp(-S_inf) is then the largest Fock-space eigenvalue of the
     quasi-free reduced state, the product of max(lambda, 1-lambda).
-    The summation order is fixed (ascending eigenvalues) so results are
-    reproducible run to run.  L, mode (the route pipeline_spectrum
-    took) and wall_time_s are carried into the result, next to the
-    spectrum's clamp bookkeeping and interior count.
+    Values count with their multiplicities, summed in stored order so
+    results are reproducible run to run.  L, mode (the route
+    pipeline_spectrum took) and wall_time_s are carried into the
+    result, next to the spectrum's clamp bookkeeping and interior count.
     """
-    values = entropy_function(spectrum.eigenvalues, alpha)
+    values = entropy_function(spectrum.values, alpha)
     return EntropyResult(
-        alpha=alpha, S=float(np.sum(values)), n=len(spectrum), L=L,
-        mode=mode, clamp_count=spectrum.clamp_count,
+        alpha=alpha, S=float(spectrum.multiplicities @ values),
+        n=len(spectrum), L=L, mode=mode, clamp_count=spectrum.clamp_count,
         max_violation=spectrum.max_violation, interior=spectrum.interior,
         wall_time_s=wall_time_s)
 
@@ -547,12 +550,14 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
 
     For box-product geometries the localized projection factorizes per
     axis, so the d-dimensional eigenvalues are exactly the pairwise
-    products of the 1D ones.  Clamp bookkeeping carries over by sum
+    products of the 1D ones, each occurring as often as the product of
+    its factors' multiplicities.  Clamp bookkeeping carries over by sum
     (products of clamped values need no new clamping).
     """
-    products = np.multiply.outer(spec_x.eigenvalues, spec_y.eigenvalues)
     return Spectrum(
-        np.sort(products.ravel()),
+        np.multiply.outer(spec_x.values, spec_y.values).ravel(),
+        np.multiply.outer(spec_x.multiplicities,
+                          spec_y.multiplicities).ravel(),
         spec_x.clamp_count + spec_y.clamp_count,
         max(spec_x.max_violation, spec_y.max_violation),
     )
@@ -575,8 +580,8 @@ class PipelineConfig:
     rule's node count n_r.  nodes_per_unit sets the Nystrom and radial
     rules; the prolate route builds no rule and only holds it to the
     Nyquist guard, which a nodes_per_unit under it fails on every
-    route.  EPS_ABORT, MAX_TENSOR_EIGENVALUES, SECTOR_EXCESS and the
-    prolate tolerances are fixed.
+    route.  EPS_ABORT, SECTOR_EXCESS and the prolate tolerances are
+    fixed.
     """
 
     mode: str = "auto"
@@ -639,7 +644,7 @@ def _prolate_route(gamma: Domain, omega: Domain, L: float,
         raise _disc.BudgetError(
             f"prolate basis would need {size} Legendre degrees, over the "
             f"budget {config.budget}; raise the budget")
-    return _clamped(_prolate_spectrum(c, size))
+    return _clamped(*_prolate_spectrum(c, size))
 
 
 def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
@@ -663,7 +668,7 @@ def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
         raise _disc.BudgetError(
             f"radial rule would need n_r={n_r} nodes, over the budget "
             f"{config.budget}; raise the budget or lower nodes_per_unit")
-    return _clamped(_radial_spectrum(k, R, gamma.dim, n_r))
+    return _clamped(*_radial_spectrum(k, R, gamma.dim, n_r))
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
@@ -673,12 +678,12 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
 
     Returns (spectrum, realized L, mode), mode being the route taken:
     'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  On
-    the prolate and tensor_box routes the spectrum has one value per
-    Legendre degree of each axis basis, padded with exact zeros, as the
-    lattice route has one per site.  The realized L
-    differs from the requested one only in lattice mode, where the
-    block has an integer number of sites.  Every Renyi order at this L
-    is renyi_entropy of the one spectrum.
+    the prolate and tensor_box routes the spectrum counts one eigenvalue
+    per Legendre degree of each axis basis, as the lattice route counts
+    one per site, but stores each axis's exact 0s and 1s once.  The
+    realized L differs from the requested one only in lattice mode,
+    where the block has an integer number of sites.  Every Renyi order
+    at this L is renyi_entropy of the one spectrum.
     """
     mode = _resolve_mode(config.mode, gamma, omega)
     if mode == "lattice":
@@ -699,12 +704,6 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         axis_spectra = [_prolate_route(g_axis, o_axis, L, config)
                         for g_axis, o_axis in zip(gamma.axis_intervals(),
                                                   omega.axis_intervals())]
-        axis_ns = [len(s) for s in axis_spectra]
-        count = math.prod(axis_ns)
-        if count > MAX_TENSOR_EIGENVALUES:
-            raise _disc.BudgetError(
-                f"tensor spectrum of axis sizes {axis_ns} needs {count:.3g} "
-                f"eigenvalues, over the limit {MAX_TENSOR_EIGENVALUES:.3g}")
         spectrum = functools.reduce(tensor_spectrum, axis_spectra)
     elif mode == "radial":
         spectrum = _radial_route(gamma, omega, L, config)

@@ -162,7 +162,7 @@ def check_ring_purity(tol: float = 1e-10):
 
 def check_projector_entropy(tol: float = 0.0):
     """Exact projector spectra carry exactly zero entropy."""
-    spectrum = spc.Spectrum(np.array([0.0, 1.0, 1.0, 0.0, 1.0]), 0, 0.0)
+    spectrum = spc.Spectrum(np.array([0.0, 1.0]), np.array([2, 3]), 0, 0.0)
     values = [spc.renyi_entropy(spectrum, a).S
               for a in (0.5, 1.0, 2.0, math.inf)]
     worst = max(abs(v) for v in values)
@@ -182,8 +182,8 @@ def check_entropy_monotonicity():
     values = [spc.renyi_entropy(spectrum, a).S for a in alphas]
     if any(b > a + 1e-12 for a, b in zip(values, values[1:])):
         return False, f"monotonicity violated: {values}"
-    interior = spc.Spectrum(
-        np.sort(np.random.default_rng(3).uniform(0.02, 0.98, 200)), 0, 0.0)
+    interior = spc.Spectrum(np.random.default_rng(3).uniform(0.02, 0.98, 200),
+                            np.full(200, 1), 0, 0.0)
     sym_dev = max(abs(spc.renyi_entropy(interior, a).S
                       - spc.renyi_entropy(interior.complement(), a).S)
                   for a in alphas)

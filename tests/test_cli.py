@@ -315,20 +315,28 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_tensor_product_over_limit_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", 10)
-    code, out, err = run_cli(capsys, "entropy",
-                             "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
-                             "omega.shape=box", "omega.bounds=0:1,0:1",
-                             "entropy.L=4")
-    assert code == 3
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "BudgetError"
-    # Each axis is a prolate basis of ceil(1.5 c) + 40 = 43 degrees
-    # (c = 2 at L = 4), and 43^2 = 1849.
-    assert ("axis sizes [43, 43] needs 1.85e+03 eigenvalues, over the "
-            "limit 10") in error["message"]
+def test_entropy_unit_cube_stores_axis_entries_only(capsys, monkeypatch):
+    # k_F = 1 on the unit cube at L = 400: each axis is a prolate basis
+    # of ceil(1.5 c) + 40 = 340 degrees (c = 200), so the spectrum counts
+    # 340^3 = 3.9e7 eigenvalues, but every axis stores its exact 0s and
+    # 1s as one entry each and the product stores far fewer.
+    stored = []
+    original = asymptotics.pipeline_spectrum
+
+    def recording(*args):
+        spectrum, realized_L, mode = original(*args)
+        stored.append(spectrum.values.size)
+        return spectrum, realized_L, mode
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", recording)
+    record = run_json(capsys, "entropy",
+                      "gamma.shape=box", "gamma.bounds=-1:1,-1:1,-1:1",
+                      "omega.shape=box", "omega.bounds=0:1,0:1,0:1",
+                      "entropy.L=400", "alpha=1")
+    row, = record["rows"]
+    assert (row["mode"], row["n"]) == ("tensor_box", 340 ** 3)
+    assert row["S"] > 0.0
+    assert len(stored) == 1 and stored[0] < 300_000
 
 
 DISK_PAIR = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",

@@ -9,6 +9,7 @@ from fermient import asymptotics, discretize, spectra
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  LatticeCorrelation, lattice_correlation,
                                  nystrom)
+from fermient.functionals import entropy_function
 from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
                                interval)
 from fermient.records import entropy_row
@@ -73,10 +74,11 @@ def test_eigenvalues_rejects_non_square():
 
 
 def test_spectrum_complement():
-    spectrum = Spectrum(np.array([0.1, 0.4, 0.9]), 0, 0.0)
+    spectrum = Spectrum(np.array([0.1, 0.4, 0.9]), np.array([1, 2, 1]),
+                        0, 0.0)
     np.testing.assert_allclose(spectrum.complement().eigenvalues,
-                               [0.1, 0.6, 0.9])
-    assert len(spectrum) == 3
+                               [0.1, 0.6, 0.6, 0.9])
+    assert len(spectrum) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +87,10 @@ def test_spectrum_complement():
 
 def _snapped(spectrum, floor):
     """Spectrum with every min(lambda, 1 - lambda) below floor at 0 or 1."""
-    lam = spectrum.eigenvalues
+    lam = spectrum.values
     return Spectrum(np.where(np.minimum(lam, 1.0 - lam) < floor,
-                             np.round(lam), lam), 0, 0.0)
+                             np.round(lam), lam), spectrum.multiplicities,
+                    0, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 200, 2000])
@@ -384,8 +387,11 @@ def test_prolate_gap_near_one_against_mpmath(parity):
     # then rounds at 1.1e-16.
     c, size = 30.0, math.ceil(1.5 * 30.0) + spectra.PROLATE_PAD
     exact = _mp_prolate_gaps(c, size, parity)
-    lam = spectra._prolate_spectrum(c, size)
+    # Every copy, even parity's first; exact lists one parity's gaps in
+    # descending order of lambda.
+    lam = np.repeat(*spectra._prolate_spectrum(c, size))
     half = lam[:(size + 1) // 2] if parity == 0 else lam[(size + 1) // 2:]
+    half = np.sort(half)[::-1]
     near_one = exact < 1e-3
     assert np.count_nonzero(near_one) >= 5
     np.testing.assert_allclose((1.0 - half)[near_one], exact[near_one],
@@ -399,22 +405,22 @@ def test_prolate_gap_near_one_against_mpmath(parity):
 # ---------------------------------------------------------------------------
 
 def test_renyi_entropy_hand_values():
-    half = Spectrum(np.array([0.5]), 0, 0.0)
+    half = Spectrum(np.array([0.5]), np.array([1]), 0, 0.0)
     for alpha in (0.5, 1.0, 2.0, math.inf):
         assert renyi_entropy(half, alpha).S == pytest.approx(math.log(2.0))
-    quarter = Spectrum(np.array([0.25]), 0, 0.0)
+    quarter = Spectrum(np.array([0.25]), np.array([1]), 0, 0.0)
     assert renyi_entropy(quarter, 2.0).S == pytest.approx(-math.log(0.625))
     assert renyi_entropy(quarter, math.inf).S == pytest.approx(-math.log(0.75))
 
 
 def test_renyi_entropy_projector_is_zero():
-    projector = Spectrum(np.array([0.0, 0.0, 1.0, 1.0]), 0, 0.0)
+    projector = Spectrum(np.array([0.0, 1.0]), np.array([2, 2]), 0, 0.0)
     for alpha in (0.5, 1.0, 3.0, math.inf):
         assert renyi_entropy(projector, alpha).S == 0.0
 
 
 def test_renyi_entropy_metadata():
-    spectrum = Spectrum(np.array([0.5, 0.5]), 1, 3e-9)
+    spectrum = Spectrum(np.array([0.5]), np.array([2]), 1, 3e-9)
     result = renyi_entropy(spectrum, 1.0)
     assert result.n == 2
     assert result.clamp_count == 1
@@ -433,8 +439,8 @@ def test_entropy_decreases_with_alpha():
 
 
 def test_complement_symmetry_on_interior_spectrum():
-    interior = Spectrum(
-        np.sort(np.random.default_rng(1).uniform(0.05, 0.95, 100)), 0, 0.0)
+    interior = Spectrum(np.random.default_rng(1).uniform(0.05, 0.95, 100),
+                        np.ones(100, dtype=int), 0, 0.0)
     for alpha in (0.25, 0.5, 1.0, 2.0, math.inf):
         direct = renyi_entropy(interior, alpha).S
         flipped = renyi_entropy(interior.complement(), alpha).S
@@ -446,11 +452,14 @@ def test_complement_symmetry_on_interior_spectrum():
 # ---------------------------------------------------------------------------
 
 def test_tensor_spectrum_is_outer_product():
-    a = Spectrum(np.array([0.2, 0.8]), 1, 1e-9)
-    b = Spectrum(np.array([0.5, 1.0, 0.1]), 2, 3e-8)
+    a = Spectrum(np.array([0.2, 0.8]), np.array([1, 2]), 1, 1e-9)
+    b = Spectrum(np.array([0.5, 1.0, 0.1]), np.array([1, 1, 3]), 2, 3e-8)
     product = tensor_spectrum(a, b)
-    expected = np.sort(np.outer([0.2, 0.8], [0.5, 1.0, 0.1]).ravel())
+    expected = np.sort(np.repeat(
+        np.outer([0.2, 0.8], [0.5, 1.0, 0.1]).ravel(),
+        np.outer([1, 2], [1, 1, 3]).ravel()))
     np.testing.assert_allclose(product.eigenvalues, expected)
+    assert len(product) == 15
     assert product.clamp_count == 3
     assert product.max_violation == 3e-8
 
@@ -542,24 +551,6 @@ def test_pipeline_tensor_matches_direct_2d():
     assert tensor.n == (math.ceil(1.5) + spectra.PROLATE_PAD) ** 2
 
 
-def test_pipeline_tensor_refuses_oversized_product(monkeypatch):
-    gamma = Box(((-1.0, 1.0),) * 3)
-    omega = Box(((0.0, 1.0),) * 3)
-    count = len(pipeline_spectrum(gamma, omega, 2.0)[0])
-    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", count)
-    assert len(pipeline_spectrum(gamma, omega, 2.0)[0]) == count
-
-    def forbidden(*args):
-        raise AssertionError("product spectrum formed past the limit")
-
-    monkeypatch.setattr(spectra, "MAX_TENSOR_EIGENVALUES", count - 1)
-    monkeypatch.setattr(spectra, "tensor_spectrum", forbidden)
-    with pytest.raises(BudgetError) as excinfo:
-        pipeline_spectrum(gamma, omega, 2.0)
-    assert f"{count:.3g} eigenvalues" in str(excinfo.value)
-    assert f"limit {count - 1:.3g}" in str(excinfo.value)
-
-
 def test_pipeline_auto_routing():
     gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
@@ -570,6 +561,54 @@ def test_pipeline_auto_routing():
     two_intervals = IntervalUnion(((0.0, 1.0), (1.5, 2.5)))
     union = entropy_pipeline(GAMMA, two_intervals, 2.0, 1.0)
     assert union.mode == "continuum"
+
+
+def test_pipeline_off_center_boxes_take_tensor_route():
+    # Neither box is centered: gamma's center is a phase and omega's a
+    # translation on each axis, so the tensor route holds.
+    gamma = Box(((0.2, 2.2), (-1.5, 0.5)))
+    omega = Box(((1.0, 2.0), (-0.5, 1.0)))
+    tensor, _, route = pipeline_spectrum(gamma, omega, 2.0)
+    direct, _, _ = pipeline_spectrum(
+        gamma, omega, 2.0, PipelineConfig(mode="continuum",
+                                          nodes_per_unit=4.0))
+    assert route == "tensor_box"
+    for alpha in (1.0, 2.0, math.inf):
+        assert renyi_entropy(tensor, alpha).S == pytest.approx(
+            renyi_entropy(direct, alpha).S, abs=1e-12)
+
+
+# (n, interior, clamp_count) of each route's spectrum, and the most
+# entries it may store: exact 0s and 1s are one entry each, and radial
+# sector values one entry per sector.
+BOOKKEEPING = [
+    (interval(-math.pi / 2.0, math.pi / 2.0), OMEGA, 2000.0, "lattice",
+     (2000, 44, 0), 65),
+    (GAMMA, OMEGA, 600.0, "auto", (490, 37, 0), 62),
+    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), 200.0, "auto",
+     (36_100, 3842, 0), 3364),
+    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 100.0, "auto",
+     (1_520_875, 76_630, 0), 125_000),
+    (DISK, DISK, 8.0, "auto", (1376, 127, 577), 704),
+    (BALL3, BALL3, 16.0, "auto", (45_056, 2560, 19_440), 1408),
+]
+
+
+@pytest.mark.parametrize("gamma, omega, L, mode, counts, entries",
+                         BOOKKEEPING,
+                         ids=["lattice", "interval", "square", "cube",
+                              "disk", "ball3"])
+def test_multiplicities_count_every_eigenvalue(gamma, omega, L, mode,
+                                               counts, entries):
+    spectrum, _, _ = pipeline_spectrum(gamma, omega, L,
+                                       PipelineConfig(mode=mode))
+    assert (len(spectrum), spectrum.interior, spectrum.clamp_count) == counts
+    assert spectrum.values.size <= entries
+    lam = spectrum.eigenvalues
+    assert len(lam) == len(spectrum)
+    for alpha in (0.25, 1.0, 2.0, math.inf):
+        assert renyi_entropy(spectrum, alpha).S == pytest.approx(
+            entropy_function(lam, alpha).sum(), rel=1e-12)
 
 
 def test_pipeline_tensor_requires_boxes():
