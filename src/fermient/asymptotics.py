@@ -90,9 +90,12 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     and, as wall_time_s, the time spent assembling and diagonalizing
     that L, which its orders share.
 
-    jobs > 1 runs the L points in a thread pool (the eigensolver
-    releases the interpreter lock); aggregation is always ordered by L,
-    so the result is deterministic regardless of completion order.
+    jobs > 1 runs the L points in a thread pool; aggregation is always
+    ordered by L, so the result is deterministic regardless of
+    completion order.  Only the routes that solve with dense eigvalsh
+    (radial sectors and the Nystrom matrix) gain from it: the lattice,
+    prolate and tensor_box routes spend their time in
+    eigh_tridiagonal, which holds the interpreter lock.
 
     on_result, if given, is called in the calling thread with each
     EntropyResult as its point completes, which is how the CLI persists

@@ -306,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(default: stdout)")
         sp.add_argument("--csv", help="also write flat CSV rows here")
         sp.add_argument("--jobs", type=_positive_int, default=1,
-                        help="parallel sweep jobs (default 1)")
+                        help="sweep threads (default 1); only radial "
+                             "and Nystrom sweeps, which solve with dense "
+                             "eigvalsh, run faster with more")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for Monte Carlo cross-checks")
         sp.add_argument("overrides", nargs="*", metavar="key=value",

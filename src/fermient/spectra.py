@@ -19,9 +19,11 @@ kernel commutes with Slepian's tridiagonal matrix (Slepian 1978, Bell
 Syst. Tech. J. 57:1371; Eisler & Peschel 2013, J. Stat. Mech. P04028),
 whose eigenvectors are those of the kernel in the same ascending
 order.  Only the window of eigenvectors around the Fermi level, where
-lambda is neither 0 nor 1 to machine precision, is computed; the
-eigenvalues there are Rayleigh quotients taken with an FFT Toeplitz
-product, and every eigenvalue outside the window is exactly 0 or 1.
+lambda is neither 0 nor 1 to machine precision, is computed, on the
+even and odd blocks into which the reflection j -> n-1-j splits the
+tridiagonal, each solving its half of the window; the eigenvalues
+there are Rayleigh quotients taken with an FFT Toeplitz product, and
+every eigenvalue outside the window is exactly 0 or 1.
 That costs O(n * window) instead of O(n^3) and carries no eigensolver
 noise floor into the small-alpha entropies.  A bare ndarray still takes
 the dense route, which is the oracle the tridiagonal route is tested
@@ -210,7 +212,22 @@ def _lattice_spectrum(k_fermi: float, n: int):
     c0 = n - round(n k_F / pi).  Eigenvectors are computed in the index
     window [c0 - lower, c0 + upper]; a side whose edge eigenvalue is not
     yet 0 or 1 to SNAP_TOL has its width doubled and the window solved
-    again.  Below c0 the eigenvalue is v^T C v.  From c0 up it is
+    again.
+
+    T is centrosymmetric (unchanged by j -> n-1-j, J the reversal), so
+    each eigenvector is even or odd under J, and the parities alternate
+    down the index: ascending index i is even when n-1-i is.  The window
+    is solved on T's two parity blocks, each for its own indices.  For
+    n = 2m both blocks are T[:m, :m] with e = T[m-1, m] added to (even)
+    or taken from (odd) the last diagonal entry, and a block vector u
+    lifts to [u; +-Ju] / sqrt(2).  For n = 2m + 1 the even block is
+    T[:m+1, :m+1] with its last coupling times sqrt(2), lifting to
+    [u[:m]; sqrt(2) u[m]; Ju[:m]] / sqrt(2), and the odd block is
+    T[:m, :m], lifting to [u; 0; -Ju] / sqrt(2).  Each block solve is
+    half the size for half the indices, and inverse iteration
+    reorthogonalizes two half-width clusters instead of one.
+
+    Below c0 the eigenvalue is v^T C v.  From c0 up it is
     1 - w^T C' w with w = (-1)^j v and C' the kernel at pi - k_F, since
     1 - C = D C' D with D = diag((-1)^j): that takes 1 - lambda
     directly, below the 1e-16 rounding of lambda near 1, so the edge
@@ -219,6 +236,17 @@ def _lattice_spectrum(k_fermi: float, n: int):
     j = np.arange(n, dtype=float)
     diagonal = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(k_fermi)
     off_diagonal = (j[1:] * (n - j[1:])) / 2
+    half = n // 2
+    if n % 2:
+        couplings = off_diagonal[:half].copy()
+        couplings[-1:] *= math.sqrt(2.0)
+        blocks = ((diagonal[:half + 1], couplings),
+                  (diagonal[:half], off_diagonal[:max(half - 1, 0)]))
+    else:
+        edge = np.zeros(half)
+        edge[-1] = off_diagonal[half - 1]
+        blocks = ((diagonal[:half] + edge, off_diagonal[:half - 1]),
+                  (diagonal[:half] - edge, off_diagonal[:half - 1]))
     c0 = n - round(n * k_fermi / math.pi)
     columns = (_disc.LatticeCorrelation(k_fermi, n).column,
                _disc.LatticeCorrelation(math.pi - k_fermi, n).column)
@@ -229,13 +257,25 @@ def _lattice_spectrum(k_fermi: float, n: int):
     lower = upper = math.ceil(3.5 * math.log(n)) + 4
     while True:
         lo, hi = max(c0 - lower, 0), min(c0 + upper, n - 1)
-        # T's eigenvalues reach about n^2 / 4; bisecting them to 1e-12 n^2
-        # rather than to machine precision is ample for the inverse
-        # iteration that follows, and the residual check guards it.
-        _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
-                                      select_range=(lo, hi),
-                                      tol=1e-12 * n * n)
-        rows = vectors.T.copy()
+        index = np.arange(lo, hi + 1)
+        rows = np.zeros((len(index), n))
+        for parity, (block_diagonal, block_off_diagonal) in enumerate(blocks):
+            mine = index[(n - 1 - index) % 2 == parity]
+            if not len(mine):
+                continue
+            position = len(block_diagonal) - 1 - (n - 1 - mine) // 2
+            # T's eigenvalues reach about n^2 / 4; bisecting them to
+            # 1e-12 n^2 rather than to machine precision is ample for the
+            # inverse iteration that follows, and the residual check
+            # guards it.
+            _, vectors = eigh_tridiagonal(
+                block_diagonal, block_off_diagonal, select="i",
+                select_range=(position[0], position[-1]), tol=1e-12 * n * n)
+            top = vectors[:half].T / math.sqrt(2.0)
+            rows[mine - lo, :half] = top
+            rows[mine - lo, n - half:] = (-1.0) ** parity * top[:, ::-1]
+            if n % 2 and parity == 0:
+                rows[mine - lo, half] = vectors[half]
         split = min(max(c0 - lo, 0), len(rows))
         rows[split:] *= signs
         images = np.concatenate([_toeplitz_apply(columns[0], rows[:split]),

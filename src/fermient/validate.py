@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0
 
 from . import discretize as disc
@@ -63,6 +62,10 @@ def check_kernel_hermiticity(rng=None):
 
 def _kernel_oracle(gamma, u):
     """Direct numerical Fourier transform of the gamma indicator."""
+    # scipy.integrate pulls in scipy.optimize, sparse and spatial; only
+    # this oracle needs it, so CLI start-up does not import it.
+    from scipy.integrate import quad
+
     if gamma.dim == 1:
         total = 0.0 + 0.0j
         for a, b in gamma.as_interval_union().intervals:

@@ -433,6 +433,18 @@ def test_module_entry_point():
     assert "fermient" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only validate's kernel oracle integrates; importing scipy.integrate
+    # at start-up would also load scipy.optimize, sparse and spatial.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = ("import sys, fermient.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # jcoeff
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from fermient import asymptotics, discretize, spectra
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
@@ -93,7 +94,9 @@ def _snapped(spectrum, floor):
                     0, 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 200, 2000])
+# Odd n = 1 leaves the odd parity block empty; the other odd sizes put
+# a center site in the even block.
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 201, 2000, 2001])
 @pytest.mark.parametrize("k_fermi", [0.3, 1.0, math.pi / 2.0, 2.5, 3.0])
 def test_lattice_route_matches_dense_oracle(k_fermi, n):
     block = lattice_correlation(k_fermi, n)
@@ -136,10 +139,28 @@ def test_lattice_route_window_grows_to_whole_spectrum(monkeypatch):
     # With a negative snap tolerance no window edge ever counts as 0 or
     # 1, so the window doubles until it spans every index.
     monkeypatch.setattr(spectra, "SNAP_TOL", -1.0)
-    block = lattice_correlation(1.0, 200)
-    np.testing.assert_allclose(eigenvalues(block).eigenvalues,
-                               eigenvalues(block.matrix).eigenvalues,
-                               rtol=0.0, atol=1e-12)
+    for n in (200, 201):
+        block = lattice_correlation(1.0, n)
+        np.testing.assert_allclose(eigenvalues(block).eigenvalues,
+                                   eigenvalues(block.matrix).eigenvalues,
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+@pytest.mark.parametrize("k_fermi", [0.3, math.pi / 2.0])
+def test_lattice_parity_blocks_match_unsplit_window(k_fermi, n):
+    # The same index window solved on the whole of Slepian's T: the
+    # Rayleigh quotients of its eigenvectors against the dense kernel.
+    values, multiplicities = spectra._lattice_spectrum(k_fermi, n)
+    lo, hi = multiplicities[-2], n - 1 - multiplicities[-1]
+    j = np.arange(n, dtype=float)
+    _, vectors = eigh_tridiagonal(((n - 1 - 2 * j) / 2) ** 2
+                                  * math.cos(k_fermi),
+                                  (j[1:] * (n - j[1:])) / 2, select="i",
+                                  select_range=(lo, hi))
+    kernel = lattice_correlation(k_fermi, n).matrix
+    unsplit = np.einsum("ji,jk,ki->i", vectors, kernel, vectors)
+    assert np.max(np.abs(values[:-2] - unsplit)) <= 1e-13
 
 
 def test_lattice_route_residual_check(monkeypatch):
