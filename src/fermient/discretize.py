@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
 from .kernels import fermi_kernel
@@ -111,7 +110,8 @@ class LatticeCorrelation:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return toeplitz(self.column)
+        idx = np.arange(self.n)
+        return self.column[np.abs(idx[:, None] - idx)]
 
 
 def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
@@ -322,7 +322,7 @@ def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:
         raise DiscretizationError(
             f"block of {block_sites} sites outside ring of {num_sites}")
     filled = num_sites // 2          # odd by construction
-    u = np.arange(block_sites, dtype=float)
+    u = np.arange(block_sites)
     with np.errstate(divide="ignore", invalid="ignore"):
         column = np.where(
             u > 0,
@@ -330,4 +330,4 @@ def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:
             / (num_sites * np.sin(math.pi * u / num_sites)),
             filled / num_sites,
         )
-    return toeplitz(column)
+    return column[np.abs(u[:, None] - u)]

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "entropy_function",
@@ -101,7 +100,8 @@ class FunctionalResult:
     """Value of I(f) with convergence telemetry.
 
     error_estimate is the last trapezoid-halving increment; evaluations
-    counts integrand calls (node count summed over refinement levels)."""
+    counts the distinct nodes at which the integrand was evaluated (each
+    halving evaluates only the new midpoints)."""
 
     value: float
     error_estimate: float
@@ -126,9 +126,11 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
 
     the weight 1/(t(1-t)) cancelling against dt/du exactly.  The
     trapezoid rule on a symmetric truncation then converges
-    geometrically in the step halving.  For u > 0 the complement
-    s = 1 - t = expit(-2u) is the well-represented quantity, so the
-    integrand near t = 1 is evaluated through `reflected(s) = f(1 - s)`;
+    geometrically in the step halving.  The halvings are nested: each
+    keeps the running node sum and evaluates only the new midpoints.
+    For u > 0 the complement s = 1 - t = expit(-2u) is the
+    well-represented quantity, so the integrand near t = 1 is
+    evaluated through `reflected(s) = f(1 - s)`;
     by default that is literally f(1.0 - s), which loses accuracy once
     s < 1e-16.  Callers with endpoint-sensitive f (any alpha < 1 power
     behavior) should pass an explicit reflected form.
@@ -153,25 +155,33 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
         f_at_one = float(np.asarray(f(np.array([1.0])))[0])
 
     def node_values(u):
+        # expit(-2|u|): t = expit(2u) for u <= 0, s = expit(-2u) for u > 0.
+        e = np.exp(-2.0 * np.abs(u))
+        p = e / (1.0 + e)
         vals = np.empty_like(u)
         neg = u <= 0.0
-        t = expit(2.0 * u[neg])
+        t = p[neg]
         vals[neg] = np.asarray(f(t)) - t * f_at_one
-        s = expit(-2.0 * u[~neg])
+        s = p[~neg]
         vals[~neg] = (np.asarray(reflected(s)) - f_at_one) + s * f_at_one
         return 2.0 * vals
 
     step = 0.5
-    previous = None
-    evaluations = 0
-    for _ in range(max_levels):
-        u = np.arange(-half_width, half_width + 0.5 * step, step)
-        evaluations += len(u)
-        value = step * float(node_values(u).sum()) / (4.0 * math.pi ** 2)
-        if previous is not None and abs(value - previous) < tol:
+    u = np.arange(-half_width, half_width + 0.5 * step, step)
+    intervals = len(u) - 1
+    total = float(node_values(u).sum())
+    evaluations = len(u)
+    previous = step * total / (4.0 * math.pi ** 2)
+    for _ in range(max_levels - 1):
+        step *= 0.5
+        midpoints = -half_width + step * np.arange(1, 2 * intervals, 2)
+        intervals *= 2
+        total += float(node_values(midpoints).sum())
+        evaluations += len(midpoints)
+        value = step * total / (4.0 * math.pi ** 2)
+        if abs(value - previous) < tol:
             return FunctionalResult(value, abs(value - previous), evaluations, True)
         previous = value
-        step *= 0.5
     return FunctionalResult(previous, math.inf, evaluations, False)
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 __all__ = [
     "GeometryError",
@@ -303,7 +302,7 @@ class Ball(Domain):
 
     def volume(self):
         d, r = self.dim, self.radius
-        return float(math.pi ** (d / 2) / _gamma_fn(d / 2 + 1) * r ** d)
+        return float(math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r ** d)
 
     def boundary_measure(self):
         d, r = self.dim, self.radius
@@ -568,7 +567,7 @@ def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> flo
     _check_positive(omega_boundary_measure, "omega boundary measure")
     half = (d - 1) / 2.0
     return float(
-        2.0 / _gamma_fn(half + 1.0)
+        2.0 / math.gamma(half + 1.0)
         * (p_fermi ** 2 / (4.0 * math.pi)) ** half
         * omega_boundary_measure
     )
@@ -589,8 +588,8 @@ def widom_J_density_form(gamma: Domain, omega: Domain) -> float:
     rho = mean_density(gamma)
     boundary_particles = rho ** ((d - 1) / d) * omega.boundary_measure()
     return float(
-        2.0 / _gamma_fn((d - 1) / 2.0 + 1.0)
-        * _gamma_fn(d / 2.0 + 1.0) ** ((d - 1) / d)
+        2.0 / math.gamma((d - 1) / 2.0 + 1.0)
+        * math.gamma(d / 2.0 + 1.0) ** ((d - 1) / d)
         * boundary_particles
     )
 

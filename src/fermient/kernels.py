@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1
 
 from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
 
@@ -56,6 +55,8 @@ def _ball_radial(p_fermi, d, r):
     small = np.abs(x) < _SMALL_ARGUMENT
     out = np.empty_like(r)
     if d == 2:
+        from scipy.special import j1
+
         # p_F^2 / (2*pi) * J1(x)/x, with J1(x)/x -> 1/2 as x -> 0.
         xs = x[small]
         x2 = xs * xs

@@ -57,6 +57,11 @@ entropy_pipeline is the single-order composition of the two.  An
 EntropyResult holds the order, the entropy, the spectrum's size, clamp
 bookkeeping and interior count, the realized L and the route taken;
 its fields are the columns of an output row.
+
+Each route imports the scipy functions it calls (eigh_tridiagonal,
+scipy.fft, jv, roots_legendre) inside the function that calls them, so
+importing this module, and the jcoeff and functional commands that
+solve no spectrum, load no scipy module.
 """
 
 from __future__ import annotations
@@ -67,9 +72,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import jv, roots_legendre
 
 from . import discretize as _disc
 from .functionals import entropy_function
@@ -189,17 +191,19 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     diagonalizes; rows are transformed in chunks of about 2**21
     entries so memory stays O(n) per row at any n.
     """
+    from scipy import fft
+
     n = len(column)
-    size = _fft.next_fast_len(2 * n - 1, real=True)
+    size = fft.next_fast_len(2 * n - 1, real=True)
     circulant = np.zeros(size)
     circulant[:n] = column
     circulant[size - n + 1:] = column[:0:-1]
-    symbol = _fft.rfft(circulant)
+    symbol = fft.rfft(circulant)
     out = np.empty_like(rows)
     chunk = max(1, 2 ** 21 // size)
     for start in range(0, len(rows), chunk):
-        block = _fft.rfft(rows[start:start + chunk], size)
-        out[start:start + chunk] = _fft.irfft(block * symbol, size)[:, :n]
+        block = fft.rfft(rows[start:start + chunk], size)
+        out[start:start + chunk] = fft.irfft(block * symbol, size)[:, :n]
     return out
 
 
@@ -233,6 +237,8 @@ def _lattice_spectrum(k_fermi: float, n: int):
     directly, below the 1e-16 rounding of lambda near 1, so the edge
     test stays clear of roundoff at any n.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     j = np.arange(n, dtype=float)
     diagonal = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(k_fermi)
     off_diagonal = (j[1:] * (n - j[1:])) / 2
@@ -355,6 +361,8 @@ def _out_of_band(c: float, size: int):
     in 1 / (c T).  Returns a function of (k, coefficient columns); its
     Bessel tables are built once, on first use, for both parities.
     """
+    from scipy.special import roots_legendre
+
     T = (size + 30) / c
     x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
     t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
@@ -406,6 +414,8 @@ def _prolate_spectrum(c: float, size: int):
     whose last two coefficients exceed TAIL_TOL raises
     SpectralViolationError: the basis is too small for it.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     out_of_band = _out_of_band(c, size)
     parts = []
     for parity in (0, 1):
@@ -474,6 +484,8 @@ def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
     Numerator and denominator are both antisymmetric, so the matrix is
     exactly symmetric.
     """
+    from scipy.special import jv
+
     kr = k * r
     j_nu, j_next = jv(nu, kr), jv(nu + 1.0, kr)
     p = r * j_next
@@ -498,6 +510,8 @@ def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
     l = kR + SECTOR_EXCESS (1 + kR)^(1/3) that has not decayed raises
     SpectralViolationError.
     """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n_r)
     r = 0.5 * radius * (x + 1.0)
     scale = np.sqrt(0.5 * radius * w * r)

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from . import discretize as disc
 from . import functionals as fn
@@ -62,9 +61,11 @@ def check_kernel_hermiticity(rng=None):
 
 def _kernel_oracle(gamma, u):
     """Direct numerical Fourier transform of the gamma indicator."""
-    # scipy.integrate pulls in scipy.optimize, sparse and spatial; only
-    # this oracle needs it, so CLI start-up does not import it.
+    # Only this oracle needs scipy, and scipy.integrate pulls in
+    # scipy.optimize, sparse and spatial; importing it here keeps every
+    # scipy module out of CLI start-up.
     from scipy.integrate import quad
+    from scipy.special import j0
 
     if gamma.dim == 1:
         total = 0.0 + 0.0j

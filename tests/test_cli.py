@@ -445,6 +445,57 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _run_fresh(code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_jcoeff_and_functional_leave_scipy_unloaded(tmp_path):
+    # Neither command solves a spectrum, so neither may load scipy; a
+    # lattice entropy afterwards must load it, or the first check is
+    # vacuous.
+    out = str(tmp_path / "record.json")
+    code = f"""
+import json, sys
+import fermient, fermient.cli
+from fermient.cli import main
+assert main(["jcoeff", "--out", {out!r}, "gamma.shape=ball",
+             "gamma.center=0,0,0", "gamma.radius=1", "omega.shape=box",
+             "omega.bounds=0:1,0:1,0:1"]) == 0
+assert main(["functional", "--out", {out!r},
+             "functional.alphas=0.25,1,inf"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+assert main(["entropy", "--out", {out!r}, "mode=lattice",
+             "gamma.k_fermi=1", "omega.shape=interval",
+             "omega.intervals=0:1", "entropy.L=8"]) == 0
+print(json.dumps("scipy.linalg" in sys.modules))
+"""
+    loaded, after_entropy = _run_fresh(code).splitlines()
+    assert json.loads(loaded) == []
+    assert json.loads(after_entropy) is True
+
+
+def test_threaded_first_scipy_import_matches_serial_sweep(tmp_path):
+    # The --jobs 2 sweep runs first, so the radial route's first
+    # scipy.special import happens inside the worker threads.
+    outs = {jobs: str(tmp_path / f"jobs{jobs}.json") for jobs in (2, 1)}
+    code = "from fermient.cli import main\n" + "".join(
+        f"assert main(['sweep', '--jobs', '{jobs}', '--out', {path!r}, "
+        f"*{DISK_PAIR!r}, 'sweep.L=2:8:4']) == 0\n"
+        for jobs, path in outs.items())
+    assert _run_fresh(code) == ""
+    rows = {}
+    for jobs, path in outs.items():
+        with open(path) as handle:
+            rows[jobs] = [{k: v for k, v in row.items() if k != "wall_time_s"}
+                          for row in json.load(handle)["rows"]]
+    assert rows[2] == rows[1]
+    assert len(rows[1]) == 4
+
+
 # ---------------------------------------------------------------------------
 # jcoeff
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import spence
+from scipy.special import expit, spence
 
 from fermient.functionals import (
     MIN_ENTROPY_LOG_PREFACTOR,
@@ -123,6 +123,25 @@ def test_functional_reports_nonconvergence():
                                         tol=1e-30, max_levels=3)
     assert not result.converged
     assert math.isinf(result.error_estimate)
+
+
+@pytest.mark.parametrize("alpha, evaluations", [
+    (0.25, 5601), (1.0, 5601), (2.0, 11201), (math.inf, 1400 * 2 ** 10 + 1),
+])
+def test_nested_trapezoid_equals_final_step_sum(alpha, evaluations):
+    # Each halving evaluates only the new midpoints, so the count is the
+    # final grid's node count, and the running sum is that grid's
+    # trapezoid sum.  h_alpha is its own reflection and h_alpha(1) = 0,
+    # so every node of t = expit(2u) contributes 2 h_alpha(expit(-2|u|)).
+    result = entropy_log_coefficient(alpha)
+    assert result.evaluations == evaluations
+    half_width = 350.0
+    step = 2.0 * half_width / (evaluations - 1)
+    u = np.arange(-half_width, half_width + 0.5 * step, step)
+    assert len(u) == evaluations
+    scratch = step * float(np.sum(2.0 * entropy_function(
+        expit(-2.0 * np.abs(u)), alpha))) / (4.0 * math.pi ** 2)
+    assert abs(result.value - scratch) < 1e-15
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

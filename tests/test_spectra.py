@@ -291,13 +291,14 @@ def test_prolate_trace_is_weyl_term(gamma, omega, L):
 
 def test_prolate_window_grows_to_whole_basis(monkeypatch):
     windows = []
-    original = spectra.eigh_tridiagonal
+    original = eigh_tridiagonal
 
     def recording(diagonal, *args, select_range, **kwargs):
         windows.append((select_range, len(diagonal)))
         return original(diagonal, *args, select_range=select_range, **kwargs)
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", recording)
+    # The route imports eigh_tridiagonal from scipy.linalg when it runs.
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", recording)
     default = pipeline_spectrum(GAMMA, OMEGA, 200.0)[0]
     assert all(hi - lo + 1 < size for (lo, hi), size in windows)
     # With a negative snap tolerance no window edge ever counts as 0 or
@@ -342,7 +343,7 @@ def test_prolate_budget_caps_the_basis(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a prolate window was solved")
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", forbidden)
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", forbidden)
     size = math.ceil(1.5 * 50.0) + spectra.PROLATE_PAD
     with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
         pipeline_spectrum(GAMMA, OMEGA, 100.0,
