@@ -15,7 +15,7 @@ from fermient.asymptotics import compare_theory, fit_scaling, widom_prediction
 
 
 def run(gamma, omega, label):
-    result = sweep(gamma, omega, 1.0, np.geomspace(20.0, 200.0, 8))
+    result = sweep(gamma, omega, [1.0], np.geomspace(20.0, 200.0, 8))[1.0]
     print(f"{label} ({result.results[0].mode} route):")
     print(f"{'L':>8} {'n':>6} {'S_1':>10}")
     for point in result.results:

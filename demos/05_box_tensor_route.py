@@ -30,8 +30,8 @@ print(f"L = 3 cross-check: direct n = {direct.n}, S = {direct.S:.12f}")
 print(f"                   tensor n = {tensor.n}, S = {tensor.S:.12f}")
 print(f"                   |difference| = {abs(direct.S - tensor.S):.2e}\n")
 
-result = sweep(gamma, omega, 1.0, np.geomspace(20.0, 200.0, 8),
-               PipelineConfig(mode="tensor_box"))
+result = sweep(gamma, omega, [1.0], np.geomspace(20.0, 200.0, 8),
+               PipelineConfig(mode="tensor_box"))[1.0]
 print(f"{'L':>8} {'n':>8} {'S_1':>12} {'S_1 / (L ln L)':>15}")
 for point in result.results:
     print(f"{point.L:8.2f} {point.n:8d} {point.S:12.4f} "

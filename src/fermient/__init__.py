@@ -12,8 +12,9 @@ The usual entry points:
                        every Renyi order at that L is summed from
     entropy_pipeline   the same, then the entropy at one order
     sweep, fit_scaling, compare_theory
-                       scaling runs (one spectrum per L for any set of
-                       orders) against the predicted coefficient
+                       scaling runs: {alpha: SweepResult} from one
+                       spectrum per L, one fit per SweepResult, and the
+                       fit against the predicted coefficient
     widom_J            the boundary coefficient J by exact or
                        quadrature routes
     entropy_log_coefficient, predicted_log_prefactor
@@ -22,7 +23,7 @@ The usual entry points:
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, predicted_prefactor, sweep,
-                          synthetic_sweep, widom_prediction)
+                          widom_prediction)
 from .discretize import (DiscretizedOperator, LatticeCorrelation,
                          lattice_correlation, nystrom,
                          ring_block_correlation)
@@ -56,8 +57,7 @@ __all__ = [
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum", "entropy_pipeline",
-    "SweepResult", "ScalingFit", "sweep", "synthetic_sweep",
-    "fit_scaling", "predicted_prefactor", "widom_prediction",
-    "compare_theory",
+    "SweepResult", "ScalingFit", "sweep", "fit_scaling",
+    "predicted_prefactor", "widom_prediction", "compare_theory",
     "__version__",
 ]

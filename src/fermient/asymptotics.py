@@ -35,7 +35,6 @@ __all__ = [
     "ScalingFit",
     "FitError",
     "sweep",
-    "synthetic_sweep",
     "fit_scaling",
     "predicted_prefactor",
     "widom_prediction",
@@ -79,16 +78,16 @@ class SweepResult:
 
 def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
           config: PipelineConfig = PipelineConfig(), jobs: int = 1,
-          on_result=None, precomputed: dict | None = None):
+          on_result=None, precomputed: dict | None = None
+          ) -> dict[float, SweepResult]:
     """Entropies over every L in the grid, one spectrum per L.
 
-    alpha is one order or a sequence of orders.  Each L is assembled and
+    alpha is a sequence of orders, and the result is {alpha:
+    SweepResult} in the order given.  Each L is assembled and
     diagonalized once (pipeline_spectrum), and every order is a
-    renyi_entropy sum over that spectrum.  One order returns a
-    SweepResult; a sequence returns {alpha: SweepResult} in the order
-    given.  Every EntropyResult at one L carries the route taken (mode)
-    and, as wall_time_s, the time spent assembling and diagonalizing
-    that L, which its orders share.
+    renyi_entropy sum over that spectrum.  Every EntropyResult at one L
+    carries the route taken (mode) and, as wall_time_s, the time spent
+    assembling and diagonalizing that L, which its orders share.
 
     jobs > 1 runs the L points in a thread pool; aggregation is always
     ordered by L, so the result is deterministic regardless of
@@ -100,23 +99,19 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     on_result, if given, is called in the calling thread with each
     EntropyResult as its point completes, which is how the CLI persists
     partial rows.  precomputed holds already-known EntropyResults
-    (resumed rows), keyed like the return value: {L: result} for one
-    order, {alpha: {L: result}} for a sequence.  An L whose orders are
-    all precomputed is not diagonalized; otherwise its missing orders
-    are computed from a fresh spectrum.
+    (resumed rows) as {alpha: {L: result}}.  An L whose orders are all
+    precomputed is not diagonalized; otherwise its missing orders are
+    computed from a fresh spectrum.
 
     An empty grid returns empty SweepResults.
     """
-    single = np.ndim(alpha) == 0
-    orders = [alpha] if single else [float(a) for a in alpha]
+    orders = [float(a) for a in alpha]
     if len(set(orders)) != len(orders):
         raise ValueError("sweep orders contain duplicates")
     grid = [float(L) for L in L_grid]
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate L values")
     known = precomputed or {}
-    if single:
-        known = {alpha: known}
     done = {a: {L: known[a][L] for L in grid if L in known.get(a, {})}
             for a in orders}
     todo = {}
@@ -148,33 +143,8 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
         for L, missing in todo.items():
             collect(L, run_one(L, missing))
 
-    by_order = {a: SweepResult(gamma, omega, a, tuple(done[a].values()))
-                for a in orders}
-    return by_order[alpha] if single else by_order
-
-
-def synthetic_sweep(gamma: Domain, omega: Domain, alpha: float, L_grid,
-                    area_coefficient: float = 0.1,
-                    noise: float = 0.0, seed: int = 0) -> SweepResult:
-    """Sweep with S generated from the predicted law instead of computed.
-
-    S(L) = theory * L^(d-1) * ln L + area_coefficient * L^(d-1), plus
-    optional Gaussian noise.  Used by the self-test path: fitting this
-    data must recover the theory coefficient to roundoff (or to the
-    noise level)."""
-    d = gamma.dim
-    theory = predicted_prefactor(gamma, omega, alpha)
-    rng = np.random.default_rng(seed)
-    results = []
-    for L in L_grid:
-        L = float(L)
-        S = theory * L ** (d - 1) * math.log(L) \
-            + area_coefficient * L ** (d - 1)
-        if noise:
-            S += rng.normal(scale=noise)
-        results.append(EntropyResult(alpha=alpha, S=float(S), n=0, L=L,
-                                     mode="synthetic"))
-    return SweepResult(gamma, omega, alpha, tuple(results))
+    return {a: SweepResult(gamma, omega, a, tuple(done[a].values()))
+            for a in orders}
 
 
 @dataclass(frozen=True)
@@ -205,21 +175,15 @@ def _design_matrix(L: np.ndarray, d: int) -> np.ndarray:
     return np.column_stack([area * np.log(L), area])
 
 
-def fit_scaling(data, d: int | None = None, window=None) -> ScalingFit:
+def fit_scaling(data: SweepResult, window=None) -> ScalingFit:
     """Least squares of S(L) on the two leading scaling terms.
 
-    data is a SweepResult or a pair of arrays (L, S); d is taken from
-    the sweep geometry when omitted.  window = (L_min, L_max) restricts
-    the fit (inclusive); at least MIN_FIT_POINTS must survive it.
+    d is the dimension of the sweep geometry.  window = (L_min, L_max)
+    restricts the fit (inclusive); at least MIN_FIT_POINTS must survive
+    it.
     """
-    if isinstance(data, SweepResult):
-        L, S = data.L_values, data.S_values
-        if d is None:
-            d = data.gamma.dim
-    else:
-        L, S = (np.asarray(x, dtype=float) for x in data)
-        if d is None:
-            raise FitError("d must be given when fitting bare arrays")
+    L, S = data.L_values, data.S_values
+    d = data.gamma.dim
     if window is None:
         window = (float(L.min()), float(L.max())) if len(L) else (0.0, 0.0)
     keep = (L >= window[0]) & (L <= window[1])

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
-                          fit_scaling, sweep, synthetic_sweep)
+                          fit_scaling, sweep)
 from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
@@ -139,43 +139,32 @@ def cmd_sweep(args) -> int:
             f"fit window [{lo:g}, {hi:g}] keeps {inside} of the {len(grid)} "
             f"sweep.L points; the fit needs at least {MIN_FIT_POINTS}")
 
+    # Partial rows are one line per (alpha, L); an L is solved again
+    # unless every requested order was persisted for it.
     partial_path = args.out + ".partial" if args.out else None
-    if args.self_test:
-        by_order = {alpha: synthetic_sweep(gamma, omega, alpha, grid)
-                    for alpha in alphas}
-    else:
-        # Partial rows are one line per (alpha, L); an L is solved again
-        # unless every requested order was persisted for it.
-        precomputed = {alpha: {} for alpha in alphas}
-        on_result = None
-        if partial_path:
-            digest = config_hash(config)
-            for (_, L), row in load_partial_rows(partial_path,
-                                                 digest).items():
-                result = entropy_result(row)
-                if result.alpha in precomputed:
-                    precomputed[result.alpha][L] = result
+    precomputed = {alpha: {} for alpha in alphas}
+    on_result = None
+    if partial_path:
+        digest = config_hash(config)
+        for (_, L), row in load_partial_rows(partial_path, digest).items():
+            result = entropy_result(row)
+            if result.alpha in precomputed:
+                precomputed[result.alpha][L] = result
 
-            def on_result(res):
-                append_partial_row(partial_path, entropy_row(res), digest)
-        by_order = sweep(gamma, omega, alphas, grid, pipeline,
-                         jobs=args.jobs, on_result=on_result,
-                         precomputed=precomputed)
+        def on_result(res):
+            append_partial_row(partial_path, entropy_row(res), digest)
+    by_order = sweep(gamma, omega, alphas, grid, pipeline, jobs=args.jobs,
+                     on_result=on_result, precomputed=precomputed)
 
     rows, fits = [], []
     for alpha, result_set in by_order.items():
         rows.extend(entropy_row(r) for r in result_set.results)
         fit = fit_scaling(result_set, window=window)
         comparison = compare_theory(fit, gamma, omega, alpha)
-        fits.append(fit_block(fit, comparison, alpha=alpha))
+        fits.append(fit_block(fit, comparison, alpha))
 
-    record = make_record(
-        "sweep", config, rows=rows,
-        fits=fits,
-        fit=fits[0] if len(fits) == 1 else None,
-        j=j_block(widom_J(gamma, omega)),
-        self_test=bool(args.self_test) or None,
-    )
+    record = make_record("sweep", config, rows=rows, fits=fits,
+                         j=j_block(widom_J(gamma, omega)))
     _emit(record, args, rows, d=gamma.dim)
     if partial_path and os.path.exists(partial_path):
         os.remove(partial_path)
@@ -199,7 +188,7 @@ def cmd_jcoeff(args) -> int:
     else:
         if gamma.is_polytope and omega.is_polytope:
             coefficients.append(widom_J(gamma, omega, method="face_pair"))
-        if isinstance(gamma, Ball):
+        if isinstance(gamma, Ball) or isinstance(omega, Ball):
             coefficients.append(widom_J(gamma, omega, method="closed_form"))
         coefficients.append(widom_J(gamma, omega, resolution=resolution,
                                     method="quadrature"))
@@ -320,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="L sweep, scaling fit, theory check")
     add_common(sp)
-    sp.add_argument("--self-test", action="store_true", dest="self_test",
-                    help="fit synthetic data generated from the predicted "
-                         "law instead of computing spectra")
     sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("jcoeff", help="boundary coefficient J, all methods")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        IntervalUnion, interval)
-from .spectra import PipelineConfig
+from .spectra import PIPELINE_MODES, PipelineConfig
 
 __all__ = [
     "ConfigError",
@@ -287,7 +287,7 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
 def pipeline_config_from(config: RunConfig) -> PipelineConfig:
     """PipelineConfig from mode and the disc.* keys."""
     mode = config.get("mode", "auto").strip().lower()
-    if mode not in ("auto", "continuum", "lattice", "tensor_box"):
+    if mode not in PIPELINE_MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
     nodes_per_unit = config.get_float("disc.nodes_per_unit")
     if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:

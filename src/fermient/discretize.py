@@ -242,15 +242,11 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     check_sampling(nodes_per_unit, p_max)
 
     region = omega.scaled(L) if L != 1.0 else omega
-    if isinstance(region, (IntervalUnion,)) or (isinstance(region, Box)
-                                                and region.dim == 1):
-        union = region.as_interval_union()
-        nodes, weights = _rule_1d(union, nodes_per_unit, wavelength)
-    elif isinstance(region, Box):
-        nodes, weights = _rule_box(region, nodes_per_unit, wavelength)
-    elif isinstance(region, Ball) and region.dim == 1:
+    if region.dim == 1:
         nodes, weights = _rule_1d(region.as_interval_union(), nodes_per_unit,
                                   wavelength)
+    elif isinstance(region, Box):
+        nodes, weights = _rule_box(region, nodes_per_unit, wavelength)
     elif isinstance(region, Ball):
         nodes, weights = _rule_ball(region, nodes_per_unit)
     else:

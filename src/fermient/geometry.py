@@ -504,8 +504,9 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     d=1: the product of the two endpoint counts (exact).
     d>=2: (2*pi)^(1-d) times the double surface integral of |m . n|,
     summed over the two surface rules.  Polytope pairs are exact (their
-    rules are the face lists); a spherical first factor admits the
-    closed form; a ball is integrated at the given resolution, and a
+    rules are the face lists); J is symmetric in its two boundaries, so
+    a ball on either side admits the closed form (gamma's, when both
+    are balls); a ball is integrated at the given resolution, and a
     resolution over MAX_SURFACE_NODES or MAX_COSINE_PAIRS raises
     GeometryError, naming the largest resolution that fits.
 
@@ -521,7 +522,7 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     if method == "auto":
         if gamma.is_polytope and omega.is_polytope:
             method = "face_pair"
-        elif isinstance(gamma, Ball):
+        elif isinstance(gamma, Ball) or isinstance(omega, Ball):
             method = "closed_form"
         else:
             method = "quadrature"
@@ -538,9 +539,11 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
         value = cosine_integral(resolution)
         return WidomCoefficient(value, "face_pair_exact", 1e-14 * abs(value))
     if method == "closed_form":
-        if not isinstance(gamma, Ball):
-            raise GeometryError("closed form needs a spherical momentum region")
-        value = widom_J_sphere(gamma.radius, omega.boundary_measure(), d)
+        ball, other = ((gamma, omega) if isinstance(gamma, Ball)
+                       else (omega, gamma))
+        if not isinstance(ball, Ball):
+            raise GeometryError("closed form needs a ball on either side")
+        value = widom_J_sphere(ball.radius, other.boundary_measure(), d)
         return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
     if method == "monte_carlo":
         return widom_J_monte_carlo(gamma, omega)

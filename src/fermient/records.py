@@ -67,9 +67,9 @@ def entropy_result(row: dict) -> EntropyResult:
     return EntropyResult(**fields)
 
 
-def fit_block(fit: ScalingFit, comparison: dict | None = None,
-              alpha: float | None = None) -> dict:
-    block = {
+def fit_block(fit: ScalingFit, comparison: dict, alpha: float) -> dict:
+    return {
+        "alpha": _json_safe(alpha),
         "a": fit.log_coefficient,
         "b": fit.area_coefficient,
         "stderr_a": fit.stderr_log,
@@ -79,13 +79,9 @@ def fit_block(fit: ScalingFit, comparison: dict | None = None,
         "residual_norm": fit.residual_norm,
         "condition_number": fit.condition_number,
         "model": fit.model,
+        "theory": comparison["theory"],
+        "rel_dev": comparison["rel_dev"],
     }
-    if alpha is not None:
-        block["alpha"] = _json_safe(alpha)
-    if comparison is not None:
-        block["theory"] = comparison["theory"]
-        block["rel_dev"] = comparison["rel_dev"]
-    return block
 
 
 def j_block(coefficient: WidomCoefficient) -> dict:

@@ -617,6 +617,11 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
     )
 
 
+# The modes a PipelineConfig accepts; 'radial' and 'prolate' are routes
+# that only 'auto' picks.
+PIPELINE_MODES = ("auto", "continuum", "lattice", "tensor_box")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of the geometry -> entropy pipeline.
@@ -661,7 +666,7 @@ def _lattice_parameters(gamma: Domain, omega: Domain, L: float):
 
 
 def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
-    if mode not in ("auto", "continuum", "lattice", "tensor_box"):
+    if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if mode != "auto":
         return mode

@@ -279,18 +279,10 @@ ALL_CHECKS = (
 )
 
 
-def run_all(names=None) -> list[CheckResult]:
-    """Run the named checks (all by default, in registry order)."""
-    if names is None:
-        selected = ALL_CHECKS
-    else:
-        known = {n for n, _ in ALL_CHECKS}
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise ValueError("unknown check names: " + ", ".join(unknown))
-        selected = [(n, f) for n, f in ALL_CHECKS if n in names]
+def run_all() -> list[CheckResult]:
+    """Run every check in registry order; a check that raises fails."""
     results = []
-    for name, func in selected:
+    for name, func in ALL_CHECKS:
         start = time.perf_counter()
         try:
             passed, detail = func()

@@ -55,17 +55,17 @@ def lattice_sweeps():
 @pytest.fixture(scope="session")
 def continuum_sweep():
     """1D continuum sweep: momentum [-1, 1], region [0, 1], alpha = 1."""
-    return sweep(GAMMA_1D, OMEGA_UNIT, 1.0, L_GRID)
+    return sweep(GAMMA_1D, OMEGA_UNIT, [1.0], L_GRID)[1.0]
 
 
 @pytest.fixture(scope="session")
 def two_interval_sweep():
     """Same momentum region, but the spatial region has two components."""
-    return sweep(GAMMA_1D, OMEGA_TWO_INTERVALS, 1.0, L_GRID)
+    return sweep(GAMMA_1D, OMEGA_TWO_INTERVALS, [1.0], L_GRID)[1.0]
 
 
 @pytest.fixture(scope="session")
 def box_sweep():
     """2D box pair via per-axis spectra and eigenvalue products."""
     config = PipelineConfig(mode="tensor_box")
-    return sweep(GAMMA_BOX, OMEGA_BOX, 1.0, L_GRID, config)
+    return sweep(GAMMA_BOX, OMEGA_BOX, [1.0], L_GRID, config)[1.0]

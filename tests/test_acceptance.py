@@ -87,7 +87,8 @@ def test_continuum_quarter_order_log_law():
     The prolate route leaves no eigensolver noise near 0 or 1 (the dense
     Nystrom spectrum biased this fit by +4.9%).  The L_GRID sweep (20..200)
     reads +0.9% here, too close to the bound to gate."""
-    result = sweep(GAMMA_1D, OMEGA_UNIT, 0.25, np.geomspace(60.0, 600.0, 8))
+    result = sweep(GAMMA_1D, OMEGA_UNIT, [0.25],
+                   np.geomspace(60.0, 600.0, 8))[0.25]
     dev = abs(fit_scaling(result).log_coefficient / (5.0 / 6.0) - 1.0)
     ok = dev < 0.01 and {r.mode for r in result.results} == {"prolate"}
     line = _report("A3q", ok, f"alpha=1/4: dev {dev:.3%} (tol 1%)")

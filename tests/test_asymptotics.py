@@ -13,7 +13,6 @@ from fermient.asymptotics import (
     fit_scaling,
     predicted_prefactor,
     sweep,
-    synthetic_sweep,
     widom_prediction,
 )
 from fermient.geometry import Ball, Box, interval
@@ -22,9 +21,11 @@ from fermient.spectra import EntropyResult, PipelineConfig
 GAMMA = interval(-1.0, 1.0)
 OMEGA = interval(0.0, 1.0)
 GAMMA_LATTICE = interval(-math.pi / 2.0, math.pi / 2.0)
+GAMMA_2D = Box(((-1.0, 1.0), (-1.0, 1.0)))
+OMEGA_2D = Box(((0.0, 1.0), (0.0, 1.0)))
 
 
-def make_sweep(L, S, gamma=GAMMA, omega=OMEGA, alpha=1.0, d=None):
+def make_sweep(L, S, gamma=GAMMA, omega=OMEGA, alpha=1.0):
     results = tuple(EntropyResult(alpha=alpha, S=float(s), n=0, L=float(l))
                     for l, s in zip(L, S))
     return SweepResult(gamma, omega, alpha, results)
@@ -52,7 +53,7 @@ def test_sweep_result_rejects_duplicate_L():
 def test_fit_recovers_exact_1d_law():
     L = np.geomspace(10.0, 300.0, 9)
     S = 0.37 * np.log(L) + 0.81
-    fit = fit_scaling((L, S), d=1)
+    fit = fit_scaling(make_sweep(L, S))
     assert fit.log_coefficient == pytest.approx(0.37, abs=1e-12)
     assert fit.area_coefficient == pytest.approx(0.81, abs=1e-12)
     assert fit.residual_norm < 1e-12
@@ -62,7 +63,8 @@ def test_fit_recovers_exact_1d_law():
 def test_fit_recovers_exact_2d_law():
     L = np.geomspace(10.0, 300.0, 9)
     S = 0.21 * L * np.log(L) - 0.05 * L
-    fit = fit_scaling((L, S), d=2)
+    fit = fit_scaling(make_sweep(L, S, gamma=GAMMA_2D, omega=OMEGA_2D))
+    assert fit.d == 2
     assert fit.log_coefficient == pytest.approx(0.21, abs=1e-12)
     assert fit.area_coefficient == pytest.approx(-0.05, abs=1e-11)
     assert fit.stderr_log < 1e-12
@@ -73,7 +75,7 @@ def test_fit_noise_within_stderr():
     rng = np.random.default_rng(17)
     L = np.geomspace(10.0, 300.0, 40)
     S = 0.37 * np.log(L) + 0.81 + rng.normal(scale=1e-3, size=len(L))
-    fit = fit_scaling((L, S), d=1)
+    fit = fit_scaling(make_sweep(L, S))
     assert abs(fit.log_coefficient - 0.37) < 4.0 * fit.stderr_log
     assert fit.stderr_log > 0
 
@@ -81,16 +83,11 @@ def test_fit_noise_within_stderr():
 def test_fit_window_restricts_points():
     L = np.arange(1.0, 11.0)
     S = 2.0 * np.log(L) + 1.0
-    fit = fit_scaling((L, S), d=1, window=(3.0, 8.0))
+    fit = fit_scaling(make_sweep(L, S), window=(3.0, 8.0))
     assert fit.npoints == 6
     assert fit.window == (3.0, 8.0)
     with pytest.raises(FitError):
-        fit_scaling((L, S), d=1, window=(3.0, 5.0))   # only 3 points left
-
-
-def test_fit_needs_dimension_for_bare_arrays():
-    with pytest.raises(FitError):
-        fit_scaling((np.arange(1.0, 9.0), np.arange(8.0)))
+        fit_scaling(make_sweep(L, S), window=(3.0, 5.0))   # only 3 left
 
 
 def test_fit_takes_dimension_from_sweep():
@@ -105,11 +102,11 @@ def test_fit_takes_dimension_from_sweep():
 
 
 def test_fit_rejects_degenerate_grid():
-    # All L equal: ln(L) and 1 are exactly collinear, rank 1.
-    L = np.full(6, 10.0)
+    # L one ulp apart: ln(L) and 1 are collinear to roundoff, rank 1.
+    L = 10.0 + np.spacing(10.0) * np.arange(6)
     S = np.ones(6)
     with pytest.raises(FitError):
-        fit_scaling((L, S), d=1)
+        fit_scaling(make_sweep(L, S))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +115,7 @@ def test_fit_rejects_degenerate_grid():
 
 def test_sweep_collects_all_points():
     config = PipelineConfig(mode="lattice")
-    result = sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 40, 80], config)
+    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40, 80], config)[1.0]
     assert len(result.results) == 3
     np.testing.assert_allclose(result.L_values, [20.0, 40.0, 80.0])
     assert all(r.wall_time_s > 0 for r in result.results)
@@ -129,8 +126,9 @@ def test_sweep_collects_all_points():
 def test_sweep_parallel_equals_serial():
     config = PipelineConfig(mode="lattice")
     grid = [20, 30, 40, 60]
-    serial = sweep(GAMMA_LATTICE, OMEGA, 2.0, grid, config, jobs=1)
-    parallel = sweep(GAMMA_LATTICE, OMEGA, 2.0, grid, config, jobs=3)
+    serial = sweep(GAMMA_LATTICE, OMEGA, [2.0], grid, config, jobs=1)[2.0]
+    parallel = sweep(GAMMA_LATTICE, OMEGA, [2.0], grid, config,
+                     jobs=3)[2.0]
     np.testing.assert_array_equal(serial.S_values, parallel.S_values)
     np.testing.assert_array_equal(serial.L_values, parallel.L_values)
 
@@ -151,7 +149,7 @@ def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
     assert len(calls) == len(grid)
     assert list(by_order) == list(orders)
     for alpha in orders:
-        single = sweep(GAMMA_LATTICE, OMEGA, alpha, grid, config)
+        single = sweep(GAMMA_LATTICE, OMEGA, [alpha], grid, config)[alpha]
         assert by_order[alpha].alpha == alpha
         np.testing.assert_array_equal(by_order[alpha].S_values,
                                       single.S_values)
@@ -184,7 +182,7 @@ def test_sweep_orders_resume_only_missing_points():
 def test_sweep_on_result_callback():
     seen = []
     config = PipelineConfig(mode="lattice")
-    sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 40], config,
+    sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40], config,
           on_result=seen.append)
     assert sorted(r.L for r in seen) == [20.0, 40.0]
 
@@ -192,8 +190,8 @@ def test_sweep_on_result_callback():
 def test_sweep_precomputed_rows_are_not_recomputed():
     config = PipelineConfig(mode="lattice")
     sentinel = EntropyResult(alpha=1.0, S=99.0, n=40, L=40.0)
-    result = sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 40], config,
-                   precomputed={40.0: sentinel})
+    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40], config,
+                   precomputed={1.0: {40.0: sentinel}})[1.0]
     by_L = {r.L: r for r in result.results}
     assert by_L[40.0].S == 99.0
     assert by_L[20.0].S != 99.0
@@ -201,7 +199,7 @@ def test_sweep_precomputed_rows_are_not_recomputed():
 
 def test_sweep_rejects_duplicate_grid():
     with pytest.raises(ValueError):
-        sweep(GAMMA_LATTICE, OMEGA, 1.0, [20, 20],
+        sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 20],
               PipelineConfig(mode="lattice"))
 
 
@@ -212,21 +210,13 @@ def test_sweep_rejects_duplicate_orders():
 
 
 def test_synthetic_sweep_recovers_theory():
-    grid = np.geomspace(20.0, 200.0, 8)
-    result = synthetic_sweep(GAMMA, OMEGA, 1.0, grid, area_coefficient=0.3)
-    fit = fit_scaling(result)
+    # S generated from the predicted law: the fit must return it.
+    L = np.geomspace(20.0, 200.0, 8)
+    theory = predicted_prefactor(GAMMA, OMEGA, 1.0)
+    fit = fit_scaling(make_sweep(L, theory * np.log(L) + 0.3))
     comparison = compare_theory(fit, GAMMA, OMEGA, 1.0)
     assert comparison["rel_dev"] < 1e-12
     assert fit.area_coefficient == pytest.approx(0.3, abs=1e-12)
-
-
-def test_synthetic_sweep_noise_is_reproducible():
-    grid = np.geomspace(20.0, 200.0, 8)
-    a = synthetic_sweep(GAMMA, OMEGA, 1.0, grid, noise=0.01, seed=5)
-    b = synthetic_sweep(GAMMA, OMEGA, 1.0, grid, noise=0.01, seed=5)
-    np.testing.assert_array_equal(a.S_values, b.S_values)
-    c = synthetic_sweep(GAMMA, OMEGA, 1.0, grid, noise=0.01, seed=6)
-    assert np.any(a.S_values != c.S_values)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +257,7 @@ def test_widom_prediction_for_generic_function():
 def test_compare_theory_structure():
     L = np.geomspace(10.0, 100.0, 8)
     S = (1.0 / 3.0) * np.log(L) + 0.2
-    fit = fit_scaling((L, S), d=1)
+    fit = fit_scaling(make_sweep(L, S))
     comparison = compare_theory(fit, GAMMA, OMEGA, 1.0)
     assert comparison["theory"] == pytest.approx(1.0 / 3.0)
     assert comparison["rel_dev"] < 1e-12

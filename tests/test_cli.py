@@ -544,6 +544,20 @@ def test_jcoeff_3d_ball_cube_default_resolution(capsys):
         assert abs(method["value"] - 3.0 / math.pi) <= method["error_estimate"]
 
 
+def test_jcoeff_3d_box_ball_reads_the_closed_form(capsys):
+    # J is symmetric, so a ball spatial region has the closed form too.
+    record = run_json(capsys, "jcoeff",
+                      "gamma.shape=box", "gamma.bounds=-1:1,-1:1,-1:1",
+                      "omega.shape=ball", "omega.center=0,0,0",
+                      "omega.radius=1", "jcoeff.resolution=64")
+    methods = record["j"]["methods"]
+    assert [m["method"] for m in methods] == [
+        "closed_form", "quadrature", "monte_carlo"]
+    assert record["j"]["value"] == pytest.approx(12.0 / math.pi, abs=1e-14)
+    for method in methods:
+        assert abs(method["value"] - 12.0 / math.pi) <= method["error_estimate"]
+
+
 @pytest.mark.parametrize("argv, key", [
     (["jcoeff.resolution=0"], "jcoeff.resolution"),
     (["jcoeff.resolution=-3"], "jcoeff.resolution"),
@@ -596,17 +610,14 @@ def test_functional_default_grid(capsys):
 # sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_self_test_recovers_theory(capsys):
-    record = run_json(capsys, "sweep", "--self-test",
-                      "gamma.shape=interval", "gamma.intervals=-1:1",
-                      "omega.shape=interval", "omega.intervals=0:1",
-                      "alpha=1", "sweep.L=20:200:8")
-    assert record["self_test"] is True
-    fit = record["fit"]
-    assert fit["rel_dev"] < 1e-10
-    assert fit["theory"] == pytest.approx(1.0 / 3.0)
-    assert len(record["rows"]) == 8
-    assert record["j"]["value"] == 4.0
+def test_sweep_record_has_one_fit_shape(capsys):
+    # One order or several, the fits are a list; no second copy of the
+    # fit and no self-test flag ride along.
+    record = run_json(capsys, "sweep", *LATTICE_ARGS,
+                      "alpha=1", "sweep.L=40:160:4")
+    assert len(record["fits"]) == 1
+    assert record["fits"][0]["alpha"] == 1.0
+    assert "fit" not in record and "self_test" not in record
 
 
 def test_sweep_lattice_writes_fit_and_cleans_partial(capsys, tmp_path):
@@ -619,7 +630,7 @@ def test_sweep_lattice_writes_fit_and_cleans_partial(capsys, tmp_path):
     record = json.loads(out.read_text())
     assert len(record["rows"]) == 4
     assert [row["L"] for row in record["rows"]] == [40.0, 63.0, 101.0, 160.0]
-    fit = record["fit"]
+    (fit,) = record["fits"]
     assert fit["theory"] == pytest.approx(1.0 / 3.0)
     # Small blocks, so only loose agreement is expected here.
     assert abs(fit["rel_dev"]) < 0.10
@@ -667,7 +678,7 @@ def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):
                           "sweep.L=40:160:4")
         for row in single["rows"]:
             assert multi[(row["alpha"], row["L"])] == row["S"]
-        assert single["fit"] in record["fits"]
+        assert single["fits"][0] in record["fits"]
 
 
 def test_sweep_tensor_box_solves_two_axes_per_L(capsys, monkeypatch):

@@ -35,7 +35,7 @@ from fermient.records import (
     write_csv,
     write_json,
 )
-from fermient.asymptotics import fit_scaling, sweep, synthetic_sweep
+from fermient.asymptotics import SweepResult, fit_scaling, sweep
 from fermient.geometry import widom_J, interval
 from fermient.spectra import EntropyResult, PipelineConfig
 
@@ -270,11 +270,13 @@ def test_entropy_result_inverts_entropy_row(mode, gamma, omega, L):
 
 @pytest.mark.parametrize("alpha", [1.0, math.inf])
 def test_entropy_result_inverts_synthetic_rows(alpha):
-    grid = [10.0, 20.0, 40.0, 80.0]
-    for result in synthetic_sweep(interval(-1.0, 1.0), interval(0.0, 1.0),
-                                  alpha, grid).results:
+    # Hand-made results whose interior and wall_time_s are unknown: the
+    # rows leave those None fields out, and read back without them.
+    for L in (10.0, 20.0, 40.0, 80.0):
+        result = EntropyResult(alpha=alpha, S=0.5 * math.log(L), n=0, L=L,
+                               mode="prolate")
         row = entropy_row(result)
-        assert (row["mode"], row["n"]) == ("synthetic", 0)
+        assert (row["mode"], row["n"]) == ("prolate", 0)
         assert "interior" not in row and "wall_time_s" not in row
         assert entropy_result(json.loads(json.dumps(row))) == result
 
@@ -307,8 +309,11 @@ def test_write_json_deterministic(tmp_path):
 
 
 def test_fit_and_j_blocks():
-    L = np.geomspace(10.0, 100.0, 8)
-    fit = fit_scaling((L, (1 / 3) * np.log(L) + 0.4), d=1)
+    results = tuple(EntropyResult(alpha=1.0, S=(1 / 3) * math.log(L) + 0.4,
+                                  n=0, L=float(L))
+                    for L in np.geomspace(10.0, 100.0, 8))
+    fit = fit_scaling(SweepResult(interval(-1.0, 1.0), interval(0.0, 1.0),
+                                  1.0, results))
     block = fit_block(fit, {"theory": 1 / 3, "fitted": fit.log_coefficient,
                             "rel_dev": 0.0, "stderr": 0.0}, alpha=1.0)
     assert block["a"] == pytest.approx(1 / 3)

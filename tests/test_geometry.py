@@ -262,8 +262,22 @@ def test_widom_J_swap_symmetry():
         widom_J(TRIANGLE, gamma).value, rel=1e-14)
     disk = Ball((0.0, 0.0), 1.0)
     forward = widom_J(disk, gamma).value              # closed form
-    backward = widom_J(gamma, disk, resolution=512).value   # quadrature
+    backward = widom_J(gamma, disk, resolution=512,
+                       method="quadrature").value
     assert backward == pytest.approx(forward, rel=1e-4)
+
+
+def test_widom_J_closed_form_takes_the_ball_from_either_side():
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    result = widom_J(Box(((-1.0, 1.0),) * 3), ball)
+    assert result.method == "closed_form"
+    assert result.value == pytest.approx(12.0 / math.pi, abs=1e-14)
+    hexagon = ConvexPolygon(tuple(
+        (math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
+        for k in range(6)))
+    disk = Ball((0.0, 0.0), 1.0)
+    assert widom_J(hexagon, disk).method == "closed_form"
+    assert widom_J(hexagon, disk).value == widom_J(disk, hexagon).value
 
 
 @pytest.mark.parametrize("factor", [2.0, 3.0])
@@ -397,6 +411,7 @@ def test_widom_J_argument_errors():
     with pytest.raises(GeometryError):
         widom_J(disk, disk, method="face_pair")
     with pytest.raises(GeometryError):
-        widom_J(Box(((-1.0, 1.0), (-1.0, 1.0))), disk, method="closed_form")
+        widom_J(Box(((-1.0, 1.0), (-1.0, 1.0))), TRIANGLE,
+                method="closed_form")
     with pytest.raises(GeometryError):
         widom_J(disk, disk, method="simpson")

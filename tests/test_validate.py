@@ -1,7 +1,6 @@
 """The structural invariant suite should pass, and should be able to fail."""
 
 import numpy as np
-import pytest
 
 import fermient.validate as validate
 from fermient.geometry import Ball, SurfaceQuadrature
@@ -15,18 +14,6 @@ def test_all_checks_pass():
     failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     assert not failed, failed
     assert all(r.seconds >= 0.0 for r in results)
-
-
-def test_run_all_subset_runs_in_registry_order():
-    results = run_all(["projector_entropy_zero", "ring_block_purity"])
-    assert [r.name for r in results] == ["ring_block_purity",
-                                         "projector_entropy_zero"]
-    assert all(r.passed for r in results)
-
-
-def test_run_all_rejects_unknown_name():
-    with pytest.raises(ValueError, match="no_such_check"):
-        run_all(["ring_block_purity", "no_such_check"])
 
 
 def test_hermiticity_check_catches_corruption(monkeypatch):
