@@ -2,16 +2,18 @@
 
 Momentum region [-1, 1], spatial region [0, 1] dilated by L: the von
 Neumann entropy follows S(L) = (1/3) ln L + const with the 1/3 fixed by
-I(h_1) * J = (1/12) * 4.  One interval takes the prolate route (n is
-its Legendre basis size); making the spatial region two intervals
-takes the Nystrom discretization (n is its node count) and doubles the
-boundary, and with it the fitted coefficient.
+I(h_1) * J = (1/12) * 4, the predicted prefactor printed first.  One
+interval takes the prolate route (n is its Legendre basis size); making
+the spatial region two intervals takes the Nystrom discretization (n is
+its node count) and doubles the boundary, and with it the fitted
+coefficient.
 """
 
 import numpy as np
 
 from fermient import IntervalUnion, interval, sweep
-from fermient.asymptotics import compare_theory, fit_scaling, widom_prediction
+from fermient.asymptotics import (compare_theory, fit_scaling,
+                                  predicted_prefactor)
 
 
 def run(gamma, omega, label):
@@ -31,11 +33,9 @@ def run(gamma, omega, label):
 
 def main():
     gamma = interval(-1.0, 1.0)
-    prediction = widom_prediction(1.0, gamma, interval(0.0, 1.0), 100.0)
-    print("predicted pieces at L = 100: "
-          f"log term {prediction['log_term']:.4f}, "
-          f"Weyl term {prediction['weyl_term']:.4f} "
-          "(h_1(1) = 0 kills the volume term)\n")
+    prefactor = predicted_prefactor(gamma, interval(0.0, 1.0), 1.0)
+    print(f"predicted coefficient of ln L: {prefactor:.6f} "
+          "(h_1(1) = 0, so no volume term)\n")
 
     single = run(gamma, interval(0.0, 1.0), "omega = [0, 1]")
     double = run(gamma, IntervalUnion(((0.0, 1.0), (1.5, 2.5))),

@@ -22,13 +22,11 @@ The usual entry points:
 """
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
-                          fit_scaling, predicted_prefactor, sweep,
-                          widom_prediction)
+                          fit_scaling, predicted_prefactor, sweep)
 from .discretize import (DiscretizedOperator, LatticeCorrelation,
                          lattice_correlation, nystrom,
                          ring_block_correlation)
-from .functionals import (dilog, dilog_one_minus, entropy_function,
-                          entropy_log_coefficient,
+from .functionals import (dilog, entropy_function, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           log_coefficient_functional,
                           predicted_log_prefactor)
@@ -50,7 +48,7 @@ __all__ = [
     "widom_J_sphere",
     "entropy_function", "entropy_log_coefficient",
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
-    "predicted_log_prefactor", "dilog", "dilog_one_minus",
+    "predicted_log_prefactor", "dilog",
     "FermiKernel", "fermi_kernel",
     "DiscretizedOperator", "LatticeCorrelation", "nystrom",
     "lattice_correlation", "ring_block_correlation",
@@ -58,6 +56,6 @@ __all__ = [
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum", "entropy_pipeline",
     "SweepResult", "ScalingFit", "sweep", "fit_scaling",
-    "predicted_prefactor", "widom_prediction", "compare_theory",
+    "predicted_prefactor", "compare_theory",
     "__version__",
 ]

@@ -18,14 +18,13 @@ model to justify it.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import (log_coefficient_functional, predicted_log_prefactor)
+from .functionals import predicted_log_prefactor
 from .geometry import Domain, widom_J
 from .spectra import (EntropyResult, PipelineConfig, pipeline_spectrum,
                       renyi_entropy)
@@ -37,7 +36,6 @@ __all__ = [
     "sweep",
     "fit_scaling",
     "predicted_prefactor",
-    "widom_prediction",
     "compare_theory",
 ]
 
@@ -225,40 +223,6 @@ def predicted_prefactor(gamma: Domain, omega: Domain, alpha: float) -> float:
         (1 + alpha) / (24 * alpha) * J(dGamma, dOmega).
     """
     return predicted_log_prefactor(alpha) * widom_J(gamma, omega).value
-
-
-def widom_prediction(f_or_alpha, gamma: Domain, omega: Domain, L: float,
-                     reflected=None) -> dict:
-    """Two-term trace asymptotics of f applied to the localized projection:
-
-        Tr f(D) ~ f(1) * (2*pi)^(-d) |Gamma| |Omega| L^d        (Weyl term)
-                  + I(f) * J(dGamma, dOmega) * L^(d-1) * ln L   (log term).
-
-    f_or_alpha is either a callable test function (f(0) = 0, Hoelder at
-    the endpoints) or a Renyi order; entropy functions have f(1) = 0,
-    so their Weyl term vanishes identically and only the boundary term
-    survives.  Returns the two evaluated terms plus the ingredients.
-    """
-    d = gamma.dim
-    if callable(f_or_alpha):
-        f = f_or_alpha
-        f_at_one = float(np.asarray(f(np.array([1.0])))[0])
-        functional = log_coefficient_functional(
-            f, reflected=reflected, f_at_one=f_at_one).value
-    else:
-        f_at_one = 0.0
-        functional = predicted_log_prefactor(float(f_or_alpha))
-    j_value = widom_J(gamma, omega).value
-    weyl = f_at_one * (2.0 * math.pi) ** (-d) * gamma.volume() \
-        * omega.volume() * L ** d
-    log_term = functional * j_value * L ** (d - 1) * math.log(L)
-    return {
-        "weyl_term": weyl,
-        "log_term": log_term,
-        "functional_value": functional,
-        "j_value": j_value,
-        "f_at_one": f_at_one,
-    }
 
 
 def compare_theory(fit: ScalingFit, gamma: Domain, omega: Domain,

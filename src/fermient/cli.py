@@ -11,11 +11,13 @@ Subcommands:
     functional  I(h_alpha) numeric vs closed form over an alpha grid
     validate    structural invariant suite
 
-Each command reads `--config PATH` plus inline `key=value` overrides
-(same syntax as config lines) and writes a canonical JSON record to
-`--out` (stdout if omitted), optionally a flat CSV to `--csv`.  Exit
-codes: 0 success, 2 config error, 3 computation error, 4 validation
-failure.
+Each command but validate reads `--config PATH` plus inline `key=value`
+overrides (same syntax as config lines) and writes a canonical JSON
+record to `--out` (stdout if omitted).  entropy and sweep also write
+flat CSV rows to `--csv`, sweep runs its L values in `--jobs` threads,
+and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
+command that does not read it is an argparse error.  Exit codes: 0
+success, 2 config error, 3 computation error, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
 from .discretize import DiscretizationError
-from .functionals import (dilog_one_minus, entropy_log_coefficient,
+from .functionals import (dilog, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           log_coefficient_functional, predicted_log_prefactor)
 from .geometry import Ball, GeometryError, widom_J, widom_J_monte_carlo
@@ -76,8 +78,6 @@ def _gather_config(args) -> RunConfig:
         if not sep or not key.strip():
             raise ConfigError(f"override {item!r} is not of the form key=value")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     if overrides:
         config = config.updated(overrides)
     unknown = sorted(set(config.values) - KNOWN_KEYS)
@@ -87,12 +87,10 @@ def _gather_config(args) -> RunConfig:
     return config
 
 
-def _emit(record: dict, args, rows=None, d: int = 1) -> None:
-    text = write_json(record, args.out)
-    if args.out is None:
+def _emit(record: dict, out) -> None:
+    text = write_json(record, out)
+    if out is None:
         print(text)
-    if args.csv and rows is not None:
-        write_csv(rows, args.csv, d=d)
 
 
 def cmd_entropy(args) -> int:
@@ -108,7 +106,9 @@ def cmd_entropy(args) -> int:
     rows = [entropy_row(result) for result_set in by_order.values()
             for result in result_set.results]
     record = make_record("entropy", config, rows=rows)
-    _emit(record, args, rows, d=gamma.dim)
+    _emit(record, args.out)
+    if args.csv:
+        write_csv(rows, args.csv, d=gamma.dim)
     return EXIT_OK
 
 
@@ -165,7 +165,9 @@ def cmd_sweep(args) -> int:
 
     record = make_record("sweep", config, rows=rows, fits=fits,
                          j=j_block(widom_J(gamma, omega)))
-    _emit(record, args, rows, d=gamma.dim)
+    _emit(record, args.out)
+    if args.csv:
+        write_csv(rows, args.csv, d=gamma.dim)
     if partial_path and os.path.exists(partial_path):
         os.remove(partial_path)
     return EXIT_OK
@@ -173,6 +175,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_jcoeff(args) -> int:
     config = _gather_config(args)
+    if args.seed is not None:
+        config = config.updated({"seed": str(args.seed)})
     gamma, omega = _domains(config)
     resolution = config.get_int("jcoeff.resolution", 256)
     if resolution < 1:
@@ -203,7 +207,7 @@ def cmd_jcoeff(args) -> int:
         "methods": [j_block(c) for c in coefficients],
     }
     record = make_record("jcoeff", config, j=block)
-    _emit(record, args)
+    _emit(record, args.out)
     return EXIT_OK
 
 
@@ -229,7 +233,7 @@ def cmd_functional(args) -> int:
         })
 
     y = 1.0e6
-    limit_value = dilog_one_minus(y) + 0.5 * math.log(y) ** 2
+    limit_value = dilog(1.0 - y) + 0.5 * math.log(y) ** 2
     checks = {
         "linear_function_value": log_coefficient_functional(lambda t: t).value,
         "dilog_limit": {
@@ -241,7 +245,7 @@ def cmd_functional(args) -> int:
     }
     record = make_record("functional", config, functional_rows=rows,
                          checks=checks)
-    _emit(record, args)
+    _emit(record, args.out)
     return EXIT_OK
 
 
@@ -289,35 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_command(name, handler, help_text):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a key = value config file")
         sp.add_argument("--out", help="write the JSON record here "
                                       "(default: stdout)")
-        sp.add_argument("--csv", help="also write flat CSV rows here")
-        sp.add_argument("--jobs", type=_positive_int, default=1,
-                        help="sweep threads (default 1); only radial "
-                             "and Nystrom sweeps, which solve with dense "
-                             "eigvalsh, run faster with more")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for Monte Carlo cross-checks")
         sp.add_argument("overrides", nargs="*", metavar="key=value",
                         help="inline config overrides")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("entropy", help="single entropy evaluation")
-    add_common(sp)
-    sp.set_defaults(handler=cmd_entropy)
-
-    sp = sub.add_parser("sweep", help="L sweep, scaling fit, theory check")
-    add_common(sp)
-    sp.set_defaults(handler=cmd_sweep)
-
-    sp = sub.add_parser("jcoeff", help="boundary coefficient J, all methods")
-    add_common(sp)
-    sp.set_defaults(handler=cmd_jcoeff)
-
-    sp = sub.add_parser("functional", help="I(h_alpha) vs closed form")
-    add_common(sp)
-    sp.set_defaults(handler=cmd_functional)
+    entropy_parser = add_command("entropy", cmd_entropy,
+                                 "single entropy evaluation")
+    sweep_parser = add_command("sweep", cmd_sweep,
+                               "L sweep, scaling fit, theory check")
+    for sp in (entropy_parser, sweep_parser):
+        sp.add_argument("--csv", help="also write flat CSV rows here")
+    sweep_parser.add_argument("--jobs", type=_positive_int, default=1,
+                              help="sweep threads (default 1); only radial "
+                                   "and Nystrom sweeps, which solve with "
+                                   "dense eigvalsh, run faster with more")
+    jcoeff_parser = add_command("jcoeff", cmd_jcoeff,
+                                "boundary coefficient J, all methods")
+    jcoeff_parser.add_argument("--seed", type=int, default=None,
+                               help="seed for the Monte Carlo estimate")
+    add_command("functional", cmd_functional, "I(h_alpha) vs closed form")
 
     sp = sub.add_parser("validate", help="run the invariant suite")
     sp.add_argument("--out", help="write a JSON report here")

@@ -16,8 +16,9 @@ key is a config error):
                             Nystrom matrix)
     alpha                   Renyi order, or comma list of at least one;
                             'inf' allowed
-    seed                    integer >= 0, Monte Carlo cross-checks only
-                            (not part of the sweep resume hash)
+    seed                    integer >= 0, read by jcoeff's Monte Carlo
+                            estimate only (jcoeff --seed sets it too);
+                            not part of the sweep resume hash
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis)
@@ -200,13 +201,13 @@ def _parse_pairs(raw: str, what: str):
 def domain_from_config(config: RunConfig, prefix: str) -> Domain:
     """Build the gamma/omega domain from keys under the given prefix."""
     k_fermi = config.get_float(f"{prefix}.k_fermi")
-    if k_fermi is not None:
-        return interval(-k_fermi, k_fermi)
     shape = config.get(f"{prefix}.shape")
-    if shape is None:
-        raise ConfigError(f"missing {prefix}.shape (or {prefix}.k_fermi)")
-    shape = shape.strip().lower()
     try:
+        if k_fermi is not None:
+            return interval(-k_fermi, k_fermi)
+        if shape is None:
+            raise ConfigError(f"missing {prefix}.shape (or {prefix}.k_fermi)")
+        shape = shape.strip().lower()
         if shape in ("interval", "interval_union"):
             raw = config.require(f"{prefix}.intervals")
             return IntervalUnion(_parse_pairs(raw, f"{prefix}.intervals"))

@@ -10,8 +10,8 @@ and prefactor(alpha) is the value of a singular integral functional
     I(f) = (1 / (4*pi^2)) * integral_0^1 (f(t) - t * f(1)) / (t * (1 - t)) dt
 
 at the order-alpha entropy function.  This module provides the entropy
-functions themselves, a robust quadrature for I(f) on arbitrary
-integrands, a from-scratch dilogarithm, and an independent closed-form
+functions themselves, one trapezoid quadrature for I(f) with fixed
+settings, a from-scratch dilogarithm, and an independent closed-form
 route to I(h_alpha) through dilogarithm identities.  Both routes give
 
     I(h_alpha) = (1 + alpha) / (24 * alpha).
@@ -30,7 +30,6 @@ __all__ = [
     "log_coefficient_functional",
     "entropy_log_coefficient",
     "dilog",
-    "dilog_one_minus",
     "entropy_log_coefficient_dilog",
     "predicted_log_prefactor",
     "MIN_ENTROPY_LOG_PREFACTOR",
@@ -39,6 +38,14 @@ __all__ = [
 # Limit of (1 + alpha) / (24 * alpha) as alpha -> infinity: the
 # min-entropy (largest alpha) prefactor, and the infimum over alpha.
 MIN_ENTROPY_LOG_PREFACTOR = 1.0 / 24.0
+
+# Settings of the I(f) quadrature: the truncation |u| <= HALF_WIDTH of
+# the substituted integral (t within ~1e-304 of the endpoints), the
+# absolute stopping tolerance on the halving increment, and the number
+# of step-halving refinements attempted.
+HALF_WIDTH = 350.0
+TOL = 1e-12
+MAX_LEVELS = 11
 
 
 def entropy_function(t, alpha: float):
@@ -109,10 +116,7 @@ class FunctionalResult:
     converged: bool
 
 
-def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
-                               half_width: float = 350.0,
-                               tol: float = 1e-12,
-                               max_levels: int = 11) -> FunctionalResult:
+def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
     """Singular integral functional
 
         I(f) = (1 / (4*pi^2)) * integral_0^1 (f(t) - t*f(1)) / (t*(1-t)) dt
@@ -125,9 +129,10 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
         integral_R 2 * (f(t(u)) - t(u) * f(1)) du,
 
     the weight 1/(t(1-t)) cancelling against dt/du exactly.  The
-    trapezoid rule on a symmetric truncation then converges
-    geometrically in the step halving.  The halvings are nested: each
-    keeps the running node sum and evaluates only the new midpoints.
+    trapezoid rule on the truncation |u| <= HALF_WIDTH then converges
+    geometrically in the step halving, up to MAX_LEVELS refinements and
+    to an increment below TOL.  The halvings are nested: each keeps the
+    running node sum and evaluates only the new midpoints.
     For u > 0 the complement s = 1 - t = expit(-2u) is the
     well-represented quantity, so the integrand near t = 1 is
     evaluated through `reflected(s) = f(1 - s)`;
@@ -139,11 +144,6 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
     ----------
     f : callable mapping ndarray in [0, 1] to ndarray
     reflected : callable, optional; reflected(s) must equal f(1 - s)
-    f_at_one : float, optional; defaults to f(1.0)
-    half_width : truncation |u| <= half_width (t within ~1e-304 of the
-        endpoints at the default)
-    tol : absolute stopping tolerance on the halving increment
-    max_levels : number of step-halving refinements attempted
 
     Returns
     -------
@@ -151,8 +151,7 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
     """
     if reflected is None:
         reflected = lambda s: f(1.0 - s)
-    if f_at_one is None:
-        f_at_one = float(np.asarray(f(np.array([1.0])))[0])
+    f_at_one = float(np.asarray(f(np.array([1.0])))[0])
 
     def node_values(u):
         # expit(-2|u|): t = expit(2u) for u <= 0, s = expit(-2u) for u > 0.
@@ -167,25 +166,25 @@ def log_coefficient_functional(f, reflected=None, f_at_one: float | None = None,
         return 2.0 * vals
 
     step = 0.5
-    u = np.arange(-half_width, half_width + 0.5 * step, step)
+    u = np.arange(-HALF_WIDTH, HALF_WIDTH + 0.5 * step, step)
     intervals = len(u) - 1
     total = float(node_values(u).sum())
     evaluations = len(u)
     previous = step * total / (4.0 * math.pi ** 2)
-    for _ in range(max_levels - 1):
+    for _ in range(MAX_LEVELS - 1):
         step *= 0.5
-        midpoints = -half_width + step * np.arange(1, 2 * intervals, 2)
+        midpoints = -HALF_WIDTH + step * np.arange(1, 2 * intervals, 2)
         intervals *= 2
         total += float(node_values(midpoints).sum())
         evaluations += len(midpoints)
         value = step * total / (4.0 * math.pi ** 2)
-        if abs(value - previous) < tol:
+        if abs(value - previous) < TOL:
             return FunctionalResult(value, abs(value - previous), evaluations, True)
         previous = value
     return FunctionalResult(previous, math.inf, evaluations, False)
 
 
-def entropy_log_coefficient(alpha: float, tol: float = 1e-12) -> FunctionalResult:
+def entropy_log_coefficient(alpha: float) -> FunctionalResult:
     """I(h_alpha) by direct quadrature of the functional.
 
     h_alpha is symmetric about t = 1/2, so its own reflection is itself;
@@ -193,13 +192,13 @@ def entropy_log_coefficient(alpha: float, tol: float = 1e-12) -> FunctionalResul
     alpha down to the slowly decaying small orders.
 
     Finite orders give an integrand analytic in a strip, where the
-    trapezoid refinement converges geometrically and meets tol.  The
+    trapezoid refinement converges geometrically and meets TOL.  The
     min-entropy function (alpha = inf) has a kink at t = 1/2 that drops
     the rule to second order: the value still lands within ~1e-9 of
-    1/24 at the default depth, but the converged flag stays False for
-    tolerances tighter than that."""
+    1/24 after MAX_LEVELS refinements, but the converged flag stays
+    False."""
     f = lambda t: entropy_function(t, alpha)
-    return log_coefficient_functional(f, reflected=f, f_at_one=0.0, tol=tol)
+    return log_coefficient_functional(f, reflected=f)
 
 
 def predicted_log_prefactor(alpha: float) -> float:
@@ -258,23 +257,6 @@ def dilog(x: float) -> float:
         term *= x
         if k > 200:
             return total
-
-
-def dilog_one_minus(y: float) -> float:
-    """Li2(1 - y) for y >= 0, the combination natural to this problem.
-
-    Satisfies Li2(1 - y) + ln(y)^2 / 2 -> -zeta(2) as y -> infinity,
-    with O(ln(y)/y) deviation.  Computed from dilog() with the argument
-    folds done in terms of y to avoid cancellation in 1 - y for large y.
-    """
-    if y < 0.0:
-        raise ValueError(f"argument must be >= 0, got {y}")
-    if y <= 2.0:
-        return dilog(1.0 - y)
-    # 1 - y < -1: apply the inversion identity directly in y so that
-    # log(-(1-y)) = log(y - 1) is formed without cancellation.
-    x_inv = 1.0 / (1.0 - y)
-    return -dilog(x_inv) - _ZETA2 - 0.5 * math.log(y - 1.0) ** 2
 
 
 def entropy_log_coefficient_dilog(alpha: float) -> float:

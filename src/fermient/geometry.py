@@ -139,6 +139,13 @@ def _check_positive(value, name):
         raise GeometryError(f"{name} must be positive, got {value}")
 
 
+def _check_finite(values, name):
+    """GeometryError unless every value is a finite float (no NaN, no
+    +-inf): a shape's coordinates must describe a bounded region."""
+    if not all(math.isfinite(v) for v in values):
+        raise GeometryError(f"{name} must be finite, got {list(values)}")
+
+
 @dataclass(frozen=True)
 class IntervalUnion(Domain):
     """Union of finitely many pairwise disjoint closed intervals (d=1)."""
@@ -152,6 +159,7 @@ class IntervalUnion(Domain):
             (float(a), float(b)) for a, b in
             sorted(self.intervals, key=lambda iv: iv[0])
         )
+        _check_finite([e for iv in ivs for e in iv], "interval endpoints")
         for a, b in ivs:
             if not b > a:
                 raise GeometryError(f"interval [{a}, {b}] has non-positive length")
@@ -169,9 +177,6 @@ class IntervalUnion(Domain):
 
     def boundary_measure(self):
         return float(2 * len(self.intervals))
-
-    def endpoints(self) -> np.ndarray:
-        return np.array([e for iv in self.intervals for e in iv])
 
     def scaled(self, factor):
         _check_positive(factor, "scale factor")
@@ -212,6 +217,7 @@ class Box(Domain):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if not 1 <= len(bounds) <= 3:
             raise GeometryError(f"box dimension {len(bounds)} outside 1..3")
+        _check_finite([e for side in bounds for e in side], "box bounds")
         for lo, hi in bounds:
             if not hi > lo:
                 raise GeometryError(f"box side [{lo}, {hi}] has non-positive length")
@@ -292,6 +298,8 @@ class Ball(Domain):
         center = tuple(float(c) for c in self.center)
         if not 1 <= len(center) <= 3:
             raise GeometryError(f"ball dimension {len(center)} outside 1..3")
+        _check_finite(center, "ball center")
+        _check_finite([self.radius], "ball radius")
         _check_positive(self.radius, "ball radius")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
@@ -366,6 +374,8 @@ class ConvexPolygon(Domain):
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
+        _check_finite([c for vertex in verts for c in vertex],
+                      "polygon vertices")
         v = np.array(verts)
         nv = len(verts)
         for i in range(nv):
@@ -520,12 +530,9 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
         return WidomCoefficient(value, "closed_form", 0.0)
 
     if method == "auto":
-        if gamma.is_polytope and omega.is_polytope:
-            method = "face_pair"
-        elif isinstance(gamma, Ball) or isinstance(omega, Ball):
-            method = "closed_form"
-        else:
-            method = "quadrature"
+        # Every d >= 2 catalog shape is a polytope or a ball.
+        method = ("face_pair" if gamma.is_polytope and omega.is_polytope
+                  else "closed_form")
 
     prefactor = TWO_PI ** (1 - d)
 

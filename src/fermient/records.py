@@ -155,8 +155,8 @@ def config_hash(config: RunConfig) -> str:
 
     Output paths and job counts are command-line flags, not config keys,
     so changing them does not orphan partial rows.  seed is left out:
-    only jcoeff's Monte Carlo reads it, so a sweep resumed under another
-    --seed, or none, keeps its rows."""
+    only jcoeff's Monte Carlo reads it (the key, or jcoeff --seed), so a
+    sweep resumed under another seed override, or none, keeps its rows."""
     semantic = RunConfig({key: value for key, value in config.values.items()
                           if key != "seed"})
     digest = hashlib.sha256(serialize_config(semantic).encode()).hexdigest()

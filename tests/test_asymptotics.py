@@ -13,7 +13,6 @@ from fermient.asymptotics import (
     fit_scaling,
     predicted_prefactor,
     sweep,
-    widom_prediction,
 )
 from fermient.geometry import Ball, Box, interval
 from fermient.spectra import EntropyResult, PipelineConfig
@@ -233,25 +232,6 @@ def test_predicted_prefactor_values():
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
     assert predicted_prefactor(gamma, omega, 1.0) == pytest.approx(
         2.0 / (3.0 * math.pi))
-
-
-def test_widom_prediction_for_entropy_orders():
-    prediction = widom_prediction(2.0, GAMMA, OMEGA, 50.0)
-    assert prediction["f_at_one"] == 0.0
-    assert prediction["weyl_term"] == 0.0
-    assert prediction["j_value"] == 4.0
-    assert prediction["log_term"] == pytest.approx(0.25 * math.log(50.0))
-
-
-def test_widom_prediction_for_generic_function():
-    # f = t^2: f(1) = 1, I(f) = -1/(4 pi^2).
-    prediction = widom_prediction(lambda t: t ** 2, GAMMA, OMEGA, 5.0)
-    assert prediction["f_at_one"] == pytest.approx(1.0)
-    assert prediction["weyl_term"] == pytest.approx(5.0 / math.pi)
-    assert prediction["functional_value"] == pytest.approx(
-        -1.0 / (4 * math.pi ** 2), abs=1e-12)
-    assert prediction["log_term"] == pytest.approx(
-        -math.log(5.0) / math.pi ** 2, rel=1e-10)
 
 
 def test_compare_theory_structure():

@@ -315,6 +315,59 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("entropy", ["--jobs", "8"]),
+    ("entropy", ["--seed", "1"]),
+    ("sweep", ["--seed", "1"]),
+    ("jcoeff", ["--csv", "x.csv"]),
+    ("jcoeff", ["--jobs", "2"]),
+    ("functional", ["--csv", "x.csv"]),
+    ("functional", ["--jobs", "2"]),
+    ("functional", ["--seed", "1"]),
+])
+def test_flag_a_command_does_not_read_exits_2(capsys, tmp_path, monkeypatch,
+                                              command, flag):
+    monkeypatch.chdir(tmp_path)
+    args = {"entropy": [*LATTICE_ARGS, "entropy.L=20"], "sweep": SWEEP_ARGS,
+            "jcoeff": BOX_PAIR, "functional": []}[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *flag, *args])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+INTERVAL_PAIR = ["gamma.k_fermi=1", "omega.shape=interval",
+                 "omega.intervals=0:1"]
+DISK_IN_SQUARE = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
+                  "omega.shape=box", "omega.bounds=0:1,0:1"]
+
+
+@pytest.mark.parametrize("command, args, override", [
+    ("entropy", INTERVAL_PAIR, "gamma.k_fermi=inf"),
+    ("entropy", INTERVAL_PAIR, "gamma.k_fermi=nan"),
+    ("entropy", INTERVAL_PAIR, "gamma.k_fermi=-1"),
+    ("entropy", INTERVAL_PAIR, "omega.intervals=0:inf"),
+    ("entropy", DISK_IN_SQUARE, "gamma.radius=inf"),
+    ("entropy", DISK_IN_SQUARE, "gamma.center=0,nan"),
+    ("entropy", BOX_PAIR, "gamma.bounds=-1:1,-1:inf"),
+    ("jcoeff", DISK_IN_SQUARE, "gamma.radius=inf"),
+    ("jcoeff", BOX_PAIR, "gamma.bounds=-1:1,-1:inf"),
+    ("jcoeff", BOX_PAIR, "omega.bounds=0:1,-inf:1"),
+])
+def test_non_finite_or_invalid_geometry_exits_2(capsys, no_solves, command,
+                                                args, override):
+    extra = ["entropy.L=5"] if command == "entropy" else []
+    code, out, err = run_cli(capsys, command, *args, *extra, override)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(override.partition(".")[0] + ": ")
+
+
 def test_entropy_unit_cube_stores_axis_entries_only(capsys, monkeypatch):
     # k_F = 1 on the unit cube at L = 400: each axis is a prolate basis
     # of ceil(1.5 c) + 40 = 340 degrees (c = 200), so the spectrum counts
@@ -736,8 +789,8 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
 
 def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
     out = tmp_path / "sweep.json"
-    argv = ["sweep", *LATTICE_ARGS, "alpha=1", "sweep.L=40:160:4",
-            "--out", str(out)]
+    argv = ["sweep", "--out", str(out), *LATTICE_ARGS, "alpha=1",
+            "sweep.L=40:160:4"]
     original = asymptotics.pipeline_spectrum
     solved = []
 
@@ -751,7 +804,7 @@ def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
         return original(gamma, omega, L, config)
 
     monkeypatch.setattr(asymptotics, "pipeline_spectrum", interrupted)
-    code, _, _ = run_cli(capsys, *argv, "--seed", "1")
+    code, _, _ = run_cli(capsys, *argv, "seed=1")
     assert code == 3
     partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
     assert [json.loads(line)["L"] for line in partial] == [40.0, 63.0, 101.0]

@@ -32,7 +32,6 @@ def test_interval_union_sorted_and_disjoint():
     assert union.intervals == ((-1.0, 0.5), (2.0, 3.0))
     assert union.volume() == pytest.approx(2.5)
     assert union.boundary_measure() == 4.0
-    np.testing.assert_allclose(union.endpoints(), [-1.0, 0.5, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [
@@ -56,6 +55,23 @@ def test_box_and_ball_validation():
         Ball((0.0, 0.0), 0.0)
     with pytest.raises(GeometryError):
         Ball((0.0,) * 4, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: IntervalUnion(((0.0, 1.0), (2.0, bad))),
+    lambda bad: IntervalUnion(((-bad, 1.0),)),
+    lambda bad: Box(((0.0, 1.0), (0.0, bad))),
+    lambda bad: Box(((-bad, 1.0),)),
+    lambda bad: Ball((0.0, bad), 1.0),
+    lambda bad: Ball((0.0, 0.0, 0.0), bad),
+    lambda bad: ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (bad, 1.0))),
+    lambda bad: ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, bad))),
+], ids=["union-end", "union-start", "box-hi", "box-lo", "ball-center",
+        "ball-radius", "polygon-x", "polygon-y"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_shapes_reject_non_finite_coordinates(build, bad):
+    with pytest.raises(GeometryError, match="must be finite"):
+        build(bad)
 
 
 def test_polygon_orientation_and_convexity():
