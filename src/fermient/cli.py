@@ -12,8 +12,9 @@ Subcommands:
     validate    structural invariant suite
 
 Each command but validate reads `--config PATH` plus inline `key=value`
-overrides (same syntax as config lines) and writes a canonical JSON
-record to `--out` (stdout if omitted).  entropy and sweep also write
+overrides (same syntax as config lines, before or after any flag; a
+later override of a key wins) and writes a canonical JSON record to
+`--out` (stdout if omitted).  entropy and sweep also write
 flat CSV rows to `--csv`, sweep runs its L values in `--jobs` threads,
 and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
 command that does not read it is an argparse error.  Exit codes: 0
@@ -330,7 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # An overrides positional is filled by one run of arguments, so
+    # key=value items after an option flag come back unparsed; they
+    # join the others in command-line order.  (parse_intermixed_args
+    # would gather them but refuses a parser with subcommands.)
+    args, stray = parser.parse_known_args(argv)
+    if stray and hasattr(args, "overrides") \
+            and not any(item.startswith("-") for item in stray):
+        args.overrides += stray
+    elif stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -444,12 +444,19 @@ class WidomCoefficient:
 
     method is one of 'closed_form', 'face_pair_exact', 'quadrature',
     'monte_carlo'; error_estimate is an empirical absolute error bound
-    (0 for exact paths up to roundoff).
+    (0 for exact paths up to roundoff).  A value that is not finite
+    raises GeometryError: the regions are too large for float arithmetic.
     """
 
     value: float
     method: str
     error_estimate: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise GeometryError(
+                f"J by {self.method} is {self.value}: the regions are too "
+                "large for float arithmetic")
 
 
 def _check_same_dim(gamma, omega):
@@ -569,7 +576,10 @@ def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> flo
 
         J = 2 / ((d-1)/2)! * (p_fermi^2 / (4*pi))^((d-1)/2) * |dOmega|
 
-    with half-integer factorials taken as gamma(z+1).
+    with half-integer factorials taken as gamma(z+1).  The power is
+    taken as p_fermi^h (p_fermi / (4*pi))^h, h = (d-1)/2, so p_fermi is
+    never squared: a J past the float range comes out inf, which
+    WidomCoefficient refuses, instead of raising OverflowError.
     """
     if d not in (1, 2, 3):
         raise GeometryError(f"dimension {d} outside 1..3")
@@ -578,7 +588,7 @@ def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> flo
     half = (d - 1) / 2.0
     return float(
         2.0 / math.gamma(half + 1.0)
-        * (p_fermi ** 2 / (4.0 * math.pi)) ** half
+        * p_fermi ** half * (p_fermi / (4.0 * math.pi)) ** half
         * omega_boundary_measure
     )
 

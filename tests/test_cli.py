@@ -463,6 +463,42 @@ def test_radial_sector_bound_exits_3(capsys, monkeypatch):
     assert "radial sector l=4" in error["message"]
 
 
+def test_overrides_after_a_flag_equal_overrides_before_it(capsys,
+                                                          tmp_path):
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    assert main(["sweep", *INTERVAL_PAIR, "--out", str(first),
+                 "sweep.L=10:100:5"]) == 0
+    assert main(["sweep", *INTERVAL_PAIR, "sweep.L=10:100:5",
+                 "--out", str(last)]) == 0
+    capsys.readouterr()
+    assert without_wall_times(json.loads(first.read_text())) \
+        == without_wall_times(json.loads(last.read_text()))
+
+
+def test_later_override_after_a_flag_wins(capsys, tmp_path):
+    record = run_json(capsys, "entropy", *LATTICE_ARGS, "entropy.L=30",
+                      "--csv", str(tmp_path / "rows.csv"), "entropy.L=40")
+    assert [row["L"] for row in record["rows"]] == [40.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *SWEEP_ARGS, "--bogus"],
+    ["sweep", "--out", "x.json", *SWEEP_ARGS, "--bogus", "alpha=1"],
+    ["validate", "alpha=1"],
+], ids=["unknown-flag", "unknown-flag-between-overrides",
+        "override-on-validate"])
+def test_unknown_arguments_around_overrides_exit_2(capsys, tmp_path,
+                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -611,6 +647,32 @@ def test_jcoeff_3d_box_ball_reads_the_closed_form(capsys):
         assert abs(method["value"] - 12.0 / math.pi) <= method["error_estimate"]
 
 
+def test_jcoeff_huge_disk_has_a_finite_closed_form(capsys):
+    # p_fermi = 1e300 squared overflows a float; J itself does not.
+    record = run_json(capsys, "jcoeff", *DISK_IN_SQUARE, "gamma.radius=1e300",
+                      "jcoeff.resolution=32")
+    methods = {m["method"]: m for m in record["j"]["methods"]}
+    assert methods["closed_form"]["value"] == pytest.approx(
+        8.0e300 / math.pi, rel=1e-14)
+    for method in methods.values():
+        assert abs(method["value"] - 8.0e300 / math.pi) \
+            <= method["error_estimate"]
+
+
+def test_jcoeff_infinite_J_exits_3(capsys):
+    # (1e200)^2 / (4 pi) is past the float range, so the closed form is
+    # inf; that is a computation error, not a record.
+    code, out, err = run_cli(capsys, "jcoeff",
+                             "gamma.shape=ball", "gamma.center=0,0,0",
+                             "gamma.radius=1e200", "omega.shape=box",
+                             "omega.bounds=0:1,0:1,0:1")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["type"]) == ("computation", "GeometryError")
+    assert "closed_form is inf" in error["message"]
+
+
 @pytest.mark.parametrize("argv, key", [
     (["jcoeff.resolution=0"], "jcoeff.resolution"),
     (["jcoeff.resolution=-3"], "jcoeff.resolution"),
@@ -734,7 +796,15 @@ def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):
         assert single["fits"][0] in record["fits"]
 
 
-def test_sweep_tensor_box_solves_two_axes_per_L(capsys, monkeypatch):
+@pytest.mark.parametrize("gamma_bounds, omega_bounds, solves_per_L", [
+    ("-1:1,-1:1", "0:1,0:1", 1),
+    ("-1:1,-1:1", "0:1,0:2", 2),
+    ("-1:1,-1:1,-1:1", "0:1,0:1,0:1", 1),
+], ids=["square", "rectangle", "cube"])
+def test_sweep_tensor_box_solves_each_distinct_axis_once(
+        capsys, monkeypatch, gamma_bounds, omega_bounds, solves_per_L):
+    # An axis spectrum depends only on c = |gamma_i| L |omega_i| / 4:
+    # the square and the cube have one c per L, the rectangle two.
     axes = []
     original = spectra._prolate_spectrum
 
@@ -744,11 +814,11 @@ def test_sweep_tensor_box_solves_two_axes_per_L(capsys, monkeypatch):
 
     monkeypatch.setattr(spectra, "_prolate_spectrum", counting)
     record = run_json(capsys, "sweep",
-                      "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
-                      "omega.shape=box", "omega.bounds=0:1,0:1",
+                      "gamma.shape=box", f"gamma.bounds={gamma_bounds}",
+                      "omega.shape=box", f"omega.bounds={omega_bounds}",
                       "mode=tensor_box", "alpha=0.5,1,2",
                       "sweep.L=10:40:4")
-    assert len(axes) == 2 * 4
+    assert len(axes) == solves_per_L * 4
     assert len(record["rows"]) == 3 * 4
 
 

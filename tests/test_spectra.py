@@ -1,5 +1,6 @@
 """Spectra, clamping policy, entropies, and the pipeline routes."""
 
+import functools
 import math
 
 import numpy as np
@@ -422,6 +423,62 @@ def test_prolate_gap_near_one_against_mpmath(parity):
     assert np.all(half[deep] == 1.0)
 
 
+def test_out_of_band_energy_matches_complex_product(monkeypatch):
+    # The route takes Re H and Im H as two real products; here H is the
+    # complex product of the same Hankel table, on every window
+    # eigenvector the route sends to the out-of-band energy at c = 300.
+    # The sums behind each energy cancel to 1e-10 and below, so its last
+    # digits are the rounding of those sums in whatever order a product
+    # takes them (the complex product itself moves them by up to 3e-8
+    # relative between one and two BLAS threads).  The energies must
+    # agree to 1e-14 of the first-order size of that rounding: the
+    # energy's terms, each squared sum taken as |sum| times the sum of
+    # absolute values.
+    from scipy.special import roots_legendre
+
+    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
+    calls = []
+    original = spectra._out_of_band
+
+    def recording(c, size):
+        energy = original(c, size)
+
+        def recorded(k, coefficients):
+            gaps = energy(k, coefficients)
+            calls.append((k, coefficients, gaps))
+            return gaps
+        return recorded
+
+    monkeypatch.setattr(spectra, "_out_of_band", recording)
+    spectra._prolate_spectrum(c, size)
+    assert len(calls) == 2
+
+    T = (size + 30) / c
+    x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
+    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+    w = 0.5 * (T - 1) * w
+    s, w_s = roots_legendre(48)
+    s = 0.5 * (s + 1.0)
+    v = 0.25 * T * w_s / (s * s)
+    j_table = spectra._spherical_jn(c * t, size)
+    h_table = spectra._spherical_hn(c * np.concatenate([[T], T / s]), size)
+    for k, coefficients, gaps in calls:
+        a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
+            * coefficients
+        J, H_table = j_table[k.astype(int)].T, h_table[k.astype(int)].T
+        psi, H = J @ a, H_table @ a.astype(complex)
+        assert H.dtype == complex
+        expected = c / math.pi * (w @ psi ** 2 + v @ np.abs(H[1:]) ** 2
+                                  - H[0].real * H[0].imag / (2 * c))
+        psi_size = np.abs(J) @ np.abs(a)
+        H_size = np.abs(H_table) @ np.abs(a)
+        rounding = c / math.pi * (w @ (np.abs(psi) * psi_size)
+                                  + v @ (np.abs(H[1:]) * H_size[1:])
+                                  + np.abs(H[0]) * H_size[0] / (2 * c))
+        assert np.all(np.abs(gaps - expected) <= 1e-14 * rounding)
+        assert np.all(gaps > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # renyi_entropy()
 # ---------------------------------------------------------------------------
@@ -484,6 +541,49 @@ def test_tensor_spectrum_is_outer_product():
     assert len(product) == 15
     assert product.clamp_count == 3
     assert product.max_violation == 3e-8
+
+
+def _assert_same_spectrum(actual, expected):
+    np.testing.assert_array_equal(actual.values, expected.values)
+    np.testing.assert_array_equal(actual.multiplicities,
+                                  expected.multiplicities)
+    assert (actual.clamp_count, actual.max_violation) \
+        == (expected.clamp_count, expected.max_violation)
+
+
+@pytest.mark.parametrize("omega_axes", [
+    ((0.0, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, 2.0)),
+], ids=["square", "cube", "rectangle"])
+def test_tensor_route_equals_separately_solved_axes(omega_axes):
+    # Axes with the same c share one solve; the product is bit for bit
+    # that of the axes solved one by one on the prolate route.
+    gamma = Box(((-1.0, 1.0),) * len(omega_axes))
+    L = 37.0
+    spectrum, _, mode = pipeline_spectrum(gamma, Box(omega_axes), L)
+    axes = [pipeline_spectrum(GAMMA, interval(*axis), L)[0]
+            for axis in omega_axes]
+    assert mode == "tensor_box"
+    _assert_same_spectrum(spectrum, functools.reduce(tensor_spectrum, axes))
+
+
+def test_tensor_route_guards_every_axis_before_any_solve(monkeypatch):
+    # Both axes have c = L / 2, but momenta reach 1 on the first and 4 on
+    # the second: one node per unit resolves the first axis only.
+    gamma = Box(((-1.0, 1.0), (2.0, 4.0)))
+    omega = Box(((0.0, 1.0), (0.0, 1.0)))
+    fine = pipeline_spectrum(gamma, omega, 20.0,
+                             PipelineConfig(nodes_per_unit=3.0))[0]
+    _assert_same_spectrum(fine, pipeline_spectrum(gamma, omega, 20.0)[0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a prolate axis was solved")
+
+    monkeypatch.setattr(spectra, "_prolate_spectrum", forbidden)
+    with pytest.raises(discretize.DiscretizationError, match="sampling"):
+        pipeline_spectrum(gamma, omega, 20.0,
+                          PipelineConfig(nodes_per_unit=1.0))
 
 
 # ---------------------------------------------------------------------------
