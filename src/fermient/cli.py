@@ -18,7 +18,8 @@ later override of a key wins) and writes a canonical JSON record to
 flat CSV rows to `--csv`, sweep runs its L values in `--jobs` threads,
 and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
 command that does not read it is an argparse error.  Exit codes: 0
-success, 2 config error, 3 computation error, 4 validation failure.
+success, 2 config error, 3 computation error, 4 validation failure.  A
+stdout closed early (`| head`) drops only the rest of the record.
 """
 
 from __future__ import annotations
@@ -91,7 +92,11 @@ def _gather_config(args) -> RunConfig:
 def _emit(record: dict, out) -> None:
     text = write_json(record, out)
     if out is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # reader gone: keep the exit flush silent
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def cmd_entropy(args) -> int:

@@ -29,17 +29,17 @@ noise floor into the small-alpha entropies.  A bare ndarray still takes
 the dense route, which is the oracle the tridiagonal route is tested
 against.
 
-A single momentum interval localized to a single spatial interval is
-the sinc kernel on [-1, 1] with c = |gamma| L |omega| / 4, up to a
-phase and a translation.  It commutes with the prolate differential
-operator (Slepian & Pollak 1961, Bell Syst. Tech. J. 40:43), two
-tridiagonals in the Legendre basis, and is solved like the lattice: a
-window of eigenvectors around 2c / pi, each eigenvalue from a ratio of
-Legendre coefficients (Osipov, Rokhlin & Xiao 2013, Prolate Spheroidal
-Wave Functions of Order Zero) or, near 1, from its out-of-band energy,
-and exact 0s and 1s outside the window.  The out-of-band energy is a
-Bessel series whose Hankel part is kept as real and imaginary tables,
-so it runs on real BLAS products only.
+A single momentum interval localized to a single spatial interval is the
+sinc kernel on [-1, 1] with c = |gamma| L |omega| / 4, up to a phase and
+a translation.  It commutes with the prolate differential operator
+(Slepian & Pollak 1961, Bell Syst. Tech. J. 40:43), two tridiagonals in
+the Legendre basis, and is solved like the lattice, by the same window
+loop (_window): a window of eigenvectors around 2c / pi, each eigenvalue
+from a ratio of Legendre coefficients (Osipov, Rokhlin & Xiao 2013,
+Prolate Spheroidal Wave Functions of Order Zero) or, near 1, from its
+out-of-band energy, and exact 0s and 1s outside the window.  The
+out-of-band energy is a Bessel series whose Hankel part is kept as real
+and imaginary tables, so it runs on real BLAS products only.
 
 pipeline_spectrum is the chain geometry -> matrix -> spectrum.  Single
 intervals take the prolate route.  Box-product geometries take tensor
@@ -52,15 +52,15 @@ or 3 commutes with rotations, so its compression splits into one radial
 operator per angular momentum (Slepian 1964, Bell Syst. Tech. J.
 43:3009): each sector is a small Gauss-Legendre matrix of a Bessel
 Christoffel-Darboux kernel, solved densely and counted with its
-multiplicity, and no n x n Nystrom matrix is formed.  Every other continuum geometry (interval
-unions among them), and any pair under mode 'continuum', takes the
-Nystrom matrix, which is the oracle for all three reduced routes.  Every
-order is a sum over that one spectrum, so callers wanting several
-orders at one L diagonalize once and call renyi_entropy per order;
-entropy_pipeline is the single-order composition of the two.  An
-EntropyResult holds the order, the entropy, the spectrum's size, clamp
-bookkeeping and interior count, the realized L and the route taken;
-its fields are the columns of an output row.
+multiplicity, and no n x n Nystrom matrix is formed.  Every other
+continuum geometry (interval unions among them), and any pair under mode
+'continuum', takes the Nystrom matrix, which is the oracle for all three
+reduced routes.  Every order is a sum over that one spectrum, so callers
+wanting several orders at one L diagonalize once and call renyi_entropy
+per order; entropy_pipeline is the single-order composition of the
+two.  An EntropyResult holds the order, the entropy, the spectrum's
+size, clamp bookkeeping and interior count, the realized L and the route
+taken; its fields are the columns of an output row.
 
 Each route imports the scipy functions it calls (eigh_tridiagonal,
 scipy.fft, jv, roots_legendre) inside the function that calls them, so
@@ -95,11 +95,11 @@ __all__ = [
 
 EPS_ABORT = 1e-3
 
-# Lattice and prolate routes: a window edge whose min(lambda, 1 - lambda)
-# is below SNAP_TOL ends the window, and eigenvalues beyond it are
-# exactly 0 or 1.  A lattice eigenpair residual |C v - lambda v| above
-# RESIDUAL_TOL is a failed solve.  Spectrum.interior counts eigenvalues with
-# min(lambda, 1 - lambda) above INTERIOR_TOL.
+# SNAP_TOL: a window edge with min(lambda, 1 - lambda) below it ends
+# that side of the window (_window).  A lattice eigenpair residual
+# |C v - lambda v| above RESIDUAL_TOL is a failed solve.
+# Spectrum.interior counts eigenvalues with min(lambda, 1 - lambda)
+# above INTERIOR_TOL.
 SNAP_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
 INTERIOR_TOL = 1e-12
@@ -182,12 +182,6 @@ class EntropyResult:
     wall_time_s: float | None = None
 
 
-def _as_matrix(op) -> np.ndarray:
-    if hasattr(op, "matrix"):
-        return np.asarray(op.matrix)
-    return np.asarray(op)
-
-
 def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """C @ row for each row, C the symmetric Toeplitz matrix of column.
 
@@ -211,16 +205,37 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window(solve, center: int, width: int, last: int, outside):
+    """Unclamped (values, multiplicities) of a spectrum on indices 0..last
+    solved in a window lo..hi: its values, then outside[0] lo times and
+    outside[1] last - hi times.
+
+    solve(lo, hi) returns (lambda, 1 - lambda) on lo..hi, each without
+    cancellation.  The window starts at center +- width, clipped to
+    [0, last]; each unclipped side whose edge min(lambda, 1 - lambda) is
+    not below SNAP_TOL doubles its width, and the window is solved again.
+    """
+    lower = upper = width
+    while True:
+        lo, hi = max(center - lower, 0), min(center + upper, last)
+        lam, gap = solve(lo, hi)
+        edges = np.minimum(lam, gap)[[0, -1]]
+        grow_lo = lo > 0 and edges[0] >= SNAP_TOL
+        grow_hi = hi < last and edges[1] >= SNAP_TOL
+        if not (grow_lo or grow_hi):
+            return (np.append(lam, outside),
+                    np.append(np.full(len(lam), 1), (lo, last - hi)))
+        lower *= 2 if grow_lo else 1
+        upper *= 2 if grow_hi else 1
+
+
 def _lattice_spectrum(k_fermi: float, n: int):
     """Unclamped (values, multiplicities) of the n-site sine kernel C.
 
     T, with diagonal ((n-1-2j)/2)^2 cos k_F and off-diagonal
     (j+1)(n-1-j)/2, commutes with C and orders its eigenvectors as C's
     eigenvalues ascend; the 0 -> 1 transition sits near index
-    c0 = n - round(n k_F / pi).  Eigenvectors are computed in the index
-    window [c0 - lower, c0 + upper]; a side whose edge eigenvalue is not
-    yet 0 or 1 to SNAP_TOL has its width doubled and the window solved
-    again.
+    c0 = n - round(n k_F / pi), around which _window solves.
 
     T is centrosymmetric (unchanged by j -> n-1-j, J the reversal), so
     each eigenvector is even or odd under J, and the parities alternate
@@ -261,12 +276,8 @@ def _lattice_spectrum(k_fermi: float, n: int):
     columns = (_disc.LatticeCorrelation(k_fermi, n).column,
                _disc.LatticeCorrelation(math.pi - k_fermi, n).column)
     signs = np.where(j % 2, -1.0, 1.0)
-    # Near the Fermi level lambda = 1 / (1 + exp(eps)) with eps spaced
-    # about pi^2 / ln n, so min(lambda, 1 - lambda) falls below SNAP_TOL
-    # about ln(1/SNAP_TOL) ln(n) / pi^2 = 3.5 ln n indices from c0.
-    lower = upper = math.ceil(3.5 * math.log(n)) + 4
-    while True:
-        lo, hi = max(c0 - lower, 0), min(c0 + upper, n - 1)
+
+    def solve(lo, hi):
         index = np.arange(lo, hi + 1)
         rows = np.zeros((len(index), n))
         for parity, (block_diagonal, block_off_diagonal) in enumerate(blocks):
@@ -297,18 +308,14 @@ def _lattice_spectrum(k_fermi: float, n: int):
             raise SpectralViolationError(
                 f"lattice eigenpair residual {residual:.3g} over "
                 f"{RESIDUAL_TOL:.1g} (n={n}, k_fermi={k_fermi})")
-        edges = np.minimum(quotients, 1.0 - quotients)[[0, -1]]
-        grow_lo = lo > 0 and edges[0] >= SNAP_TOL
-        grow_hi = hi < n - 1 and edges[1] >= SNAP_TOL
-        if not (grow_lo or grow_hi):
-            break
-        if grow_lo:
-            lower *= 2
-        if grow_hi:
-            upper *= 2
-    window = np.concatenate([quotients[:split], 1.0 - quotients[split:]])
-    return (np.append(window, (0.0, 1.0)),
-            np.append(np.full(len(window), 1), (lo, n - 1 - hi)))
+        return (np.concatenate([quotients[:split], 1.0 - quotients[split:]]),
+                np.concatenate([1.0 - quotients[:split], quotients[split:]]))
+
+    # Near the Fermi level lambda = 1 / (1 + exp(eps)) with eps spaced
+    # about pi^2 / ln n, so min(lambda, 1 - lambda) falls below SNAP_TOL
+    # about ln(1/SNAP_TOL) ln(n) / pi^2 = 3.5 ln n indices from c0.
+    return _window(solve, c0, math.ceil(3.5 * math.log(n)) + 4, n - 1,
+                   (0.0, 1.0))
 
 
 def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
@@ -411,18 +418,15 @@ def _prolate_spectrum(c: float, size: int):
     k(k+1) + c^2 (2k(k+1) - 1) / ((2k+3)(2k-1)) and (k, k+2) entry
     c^2 (k+1)(k+2) / ((2k+3) sqrt((2k+1)(2k+5))); its eigenvectors in
     ascending order carry the kernel's eigenvalues in descending order.
-    Per parity, eigenvectors are computed in an index window around the
-    c / pi of each parity that lie near 1 (trace 2c / pi); a side whose
-    edge eigenvalue is not yet 0 or 1 to SNAP_TOL has its width doubled
-    and the window solved again, and everything outside it is exactly 0
-    or 1.  With F the transform int_-1^1 exp(icxt) f(t) dt, each
-    eigenvector psi has F psi = mu psi and lambda = c |mu|^2 / (2 pi),
-    mu = sqrt(2) beta_0 / psi(0) for even and c sqrt(2/3) beta_1 /
-    psi'(0) for odd psi (Osipov, Rokhlin & Xiao 2013).  That quotient
-    is accurate to about c * 1e-16 near 1, so where it leaves
-    1 - lambda under OUT_OF_BAND_TOL, 1 - lambda is the out-of-band
-    energy instead.  A window eigenvector of an interior eigenvalue
-    whose last two coefficients exceed TAIL_TOL raises
+    Each parity has about c / pi eigenvalues near 1 (trace 2c / pi), and
+    _window solves around that index.  With F the transform
+    int_-1^1 exp(icxt) f(t) dt, each eigenvector psi has F psi = mu psi
+    and lambda = c |mu|^2 / (2 pi), mu = sqrt(2) beta_0 / psi(0) for
+    even and c sqrt(2/3) beta_1 / psi'(0) for odd psi (Osipov, Rokhlin &
+    Xiao 2013).  That quotient is accurate to about c * 1e-16 near 1, so
+    where it leaves 1 - lambda under OUT_OF_BAND_TOL, 1 - lambda is the
+    out-of-band energy instead.  A window eigenvector of an interior
+    eigenvalue whose last two coefficients exceed TAIL_TOL raises
     SpectralViolationError: the basis is too small for it.
     """
     from scipy.linalg import eigh_tridiagonal
@@ -443,11 +447,8 @@ def _prolate_spectrum(c: float, size: int):
         at_zero = np.sqrt(k + 0.5) * (k if parity else 1.0) * np.cumprod(
             np.where(m > 0, (1.0 - m) / np.maximum(m, 1.0), 1.0))
         scale = c ** 3 / 3.0 if parity else c
-        center = round(c / math.pi - 0.5 * parity)
-        lower = upper = math.ceil(1.75 * math.log(c + 1.0)) + 4
-        last = len(k) - 1
-        while True:
-            lo, hi = max(center - lower, 0), min(center + upper, last)
+
+        def solve(lo, hi):
             # As on the lattice route, bisection to 1e-12 of the largest
             # eigenvalue (about size^2) is ample for the inverse
             # iteration that follows.
@@ -467,16 +468,11 @@ def _prolate_spectrum(c: float, size: int):
                 raise SpectralViolationError(
                     f"prolate eigenvector tail {tail:.3g} over {TAIL_TOL:.1g} "
                     f"in a basis of {size} degrees (c={c:.6g})")
-            grow_lo = lo > 0 and gap[0] >= SNAP_TOL
-            grow_hi = hi < last and lam[-1] >= SNAP_TOL
-            if not (grow_lo or grow_hi):
-                break
-            if grow_lo:
-                lower *= 2
-            if grow_hi:
-                upper *= 2
-        parts.append((np.append(lam, (1.0, 0.0)),
-                      np.append(np.full(len(lam), 1), (lo, last - hi))))
+            return lam, gap
+
+        parts.append(_window(solve, round(c / math.pi - 0.5 * parity),
+                             math.ceil(1.75 * math.log(c + 1.0)) + 4,
+                             len(k) - 1, (1.0, 0.0)))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -559,7 +555,7 @@ def eigenvalues(op) -> Spectrum:
     """
     if isinstance(op, _disc.LatticeCorrelation):
         return _clamped(*_lattice_spectrum(op.k_fermi, op.n))
-    matrix = _as_matrix(op)
+    matrix = np.asarray(op.matrix if hasattr(op, "matrix") else op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(
             f"expected a square matrix, got shape {matrix.shape}")

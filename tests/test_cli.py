@@ -522,6 +522,27 @@ def test_module_entry_point():
     assert "fermient" in proc.stdout
 
 
+def test_closed_stdout_finishes_quietly(tmp_path):
+    # The read end is closed before the child starts, so the record's
+    # first write meets a broken pipe; the command still writes its CSV
+    # and exits 0 without a traceback.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    csv = tmp_path / "rows.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermient", "entropy", "mode=lattice",
+             "gamma.k_fermi=1", "omega.shape=interval", "omega.intervals=0:1",
+             "entropy.L=400", "--csv", str(csv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert csv.read_text().count("\n") == 2
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # Only validate's kernel oracle integrates; importing scipy.integrate
     # at start-up would also load scipy.optimize, sparse and spatial.

@@ -164,6 +164,52 @@ def test_lattice_parity_blocks_match_unsplit_window(k_fermi, n):
     assert np.max(np.abs(values[:-2] - unsplit)) <= 1e-13
 
 
+def _fermi_dirac_solve(center, width, calls):
+    # lambda_i = 1 / (1 + exp((i - center) / width)), descending in i, and
+    # 1 - lambda_i, each without cancellation; every (lo, hi) is recorded,
+    # and a window that never settles fails instead of looping.
+    def solve(lo, hi):
+        calls.append((lo, hi))
+        assert len(calls) < 20, "the window does not stop growing"
+        x = (np.arange(lo, hi + 1) - center) / width
+        return 1.0 / (1.0 + np.exp(x)), 1.0 / (1.0 + np.exp(-x))
+    return solve
+
+
+def test_window_doubles_only_the_side_not_yet_snapped():
+    # The window starts 20 indices right of the profile's center: its
+    # right edge is already below SNAP_TOL, its left edge is at 1/2.
+    calls = []
+    values, multiplicities = spectra._window(
+        _fermi_dirac_solve(500, 1.0, calls), 520, 20, 999, (1.0, 0.0))
+    assert calls == [(500, 540), (480, 540), (440, 540)]
+    lam, gap = _fermi_dirac_solve(500, 1.0, [])(440, 540)
+    np.testing.assert_array_equal(values, np.append(lam, (1.0, 0.0)))
+    # The outside counts are lo and last - hi.
+    np.testing.assert_array_equal(multiplicities,
+                                  np.append(np.full(101, 1), (440, 459)))
+    assert min(gap[0], lam[-1]) < spectra.SNAP_TOL
+
+
+@pytest.mark.parametrize("center, clipped", [(5, 0), (994, 999)])
+def test_window_side_clipped_at_the_end_stops_growing(center, clipped):
+    # The profile's center is 5 indices from one end, so that side is
+    # clipped there while its edge is still far from 0 or 1; only the
+    # other side keeps doubling, until its edge is below SNAP_TOL.
+    calls = []
+    values, multiplicities = spectra._window(
+        _fermi_dirac_solve(center, 1.0, calls), center, 4, 999, (1.0, 0.0))
+    ends = [lo if clipped == 0 else hi for lo, hi in calls]
+    assert ends[0] != clipped and set(ends[1:]) == {clipped}
+    far = [hi - lo for lo, hi in calls]
+    assert far == sorted(far) and len(set(far)) == len(far) == 5
+    lo, hi = calls[-1]
+    assert multiplicities[-2:].tolist() == [lo, 999 - hi]
+    assert int(multiplicities.sum()) == 1000
+    edge = values[0] if clipped == 0 else values[-3]
+    assert min(edge, 1.0 - edge) > 1e-3
+
+
 def test_lattice_route_residual_check(monkeypatch):
     monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SpectralViolationError, match="residual"):
