@@ -19,7 +19,8 @@ flat CSV rows to `--csv`, sweep runs its L values in `--jobs` threads,
 and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
 command that does not read it is an argparse error.  Exit codes: 0
 success, 2 config error, 3 computation error, 4 validation failure.  A
-stdout closed early (`| head`) drops only the rest of the record.
+stdout closed early (`| head`) drops only the rest of the record or of
+validate's table.
 """
 
 from __future__ import annotations
@@ -89,14 +90,18 @@ def _gather_config(args) -> RunConfig:
     return config
 
 
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # reader gone: keep the exit flush silent
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _emit(record: dict, out) -> None:
     text = write_json(record, out)
     if out is None:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:  # reader gone: keep the exit flush silent
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        _print(text)
 
 
 def cmd_entropy(args) -> int:
@@ -259,13 +264,16 @@ def cmd_validate(args) -> int:
     results = run_all()
     failures = [r for r in results if not r.passed]
     width = max(len(r.name) for r in results)
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = f"{r.name:<{width}}  {status}  {r.seconds:7.3f}s"
         if args.verbose or not r.passed:
             line += f"  {r.detail}"
-        print(line)
-    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+        lines.append(line)
+    lines.append(
+        f"{len(results) - len(failures)}/{len(results)} checks passed")
+    _print("\n".join(lines))
     if args.out:
         record = {
             "schema_version": 1,

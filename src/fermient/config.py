@@ -13,7 +13,8 @@ key is a config error):
                             intervals, tensor_box for box pairs, radial
                             sectors for ball/ball pairs in d = 2, 3,
                             else continuum; continuum forces the
-                            Nystrom matrix)
+                            Nystrom matrix; lattice needs omega to be
+                            one interval)
     alpha                   Renyi order, or comma list of at least one;
                             'inf' allowed
     seed                    integer >= 0, read by jcoeff's Monte Carlo

@@ -528,7 +528,8 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
     GeometryError, naming the largest resolution that fits.
 
     method 'auto' picks the most exact applicable path; 'quadrature',
-    'face_pair', 'closed_form' and 'monte_carlo' force a path.
+    'face_pair' and 'closed_form' force a path.  The Monte Carlo
+    estimate is widom_J_monte_carlo.
     """
     _check_same_dim(gamma, omega)
     d = gamma.dim
@@ -559,8 +560,6 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
             raise GeometryError("closed form needs a ball on either side")
         value = widom_J_sphere(ball.radius, other.boundary_measure(), d)
         return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
-    if method == "monte_carlo":
-        return widom_J_monte_carlo(gamma, omega)
     if method != "quadrature":
         raise GeometryError(f"unknown widom_J method {method!r}")
 

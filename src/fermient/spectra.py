@@ -41,26 +41,26 @@ out-of-band energy, and exact 0s and 1s outside the window.  The
 out-of-band energy is a Bessel series whose Hankel part is kept as real
 and imaginary tables, so it runs on real BLAS products only.
 
-pipeline_spectrum is the chain geometry -> matrix -> spectrum.  Single
-intervals take the prolate route.  Box-product geometries take tensor
-spectra: the compression separates per axis there, so its eigenvalues
-are products of the axes' prolate eigenvalues and no d-dimensional
-matrix is needed.  An axis spectrum depends only on its c, so axes with
-the same c (every axis of a square or cube pair) share one solve within
-the call; nothing is cached across calls.  A ball/ball pair in d = 2
-or 3 commutes with rotations, so its compression splits into one radial
-operator per angular momentum (Slepian 1964, Bell Syst. Tech. J.
-43:3009): each sector is a small Gauss-Legendre matrix of a Bessel
-Christoffel-Darboux kernel, solved densely and counted with its
-multiplicity, and no n x n Nystrom matrix is formed.  Every other
-continuum geometry (interval unions among them), and any pair under mode
-'continuum', takes the Nystrom matrix, which is the oracle for all three
-reduced routes.  Every order is a sum over that one spectrum, so callers
-wanting several orders at one L diagonalize once and call renyi_entropy
-per order; entropy_pipeline is the single-order composition of the
-two.  An EntropyResult holds the order, the entropy, the spectrum's
-size, clamp bookkeeping and interior count, the realized L and the route
-taken; its fields are the columns of an output row.
+pipeline_spectrum is the chain geometry -> matrix -> spectrum.  A box
+pair's compression separates per axis, so its eigenvalues are products
+of the axes' prolate eigenvalues and no d-dimensional matrix is needed;
+a single-interval pair is the one-axis case of that route.  An axis
+spectrum depends only on its c, so axes with the same c (every axis of
+a square or cube pair) share one solve within the call; nothing is
+cached across calls.  A ball/ball pair in d = 2 or 3 commutes with
+rotations, so its compression splits into one radial operator per
+angular momentum (Slepian 1964, Bell Syst. Tech. J. 43:3009): each
+sector is a small Gauss-Legendre matrix of a Bessel Christoffel-Darboux
+kernel, solved densely and counted with its multiplicity, and no n x n
+Nystrom matrix is formed.  Every other continuum geometry (interval
+unions among them), and any pair under mode 'continuum', takes the
+Nystrom matrix, which is the oracle for both reduced routes.  Every
+order is a sum over that one spectrum, so callers wanting several
+orders at one L diagonalize once and call renyi_entropy per order;
+entropy_pipeline is the single-order composition of the two.  An
+EntropyResult holds the order, the entropy, the spectrum's size, clamp
+bookkeeping and interior count, the realized L and the route taken; its
+fields are the columns of an output row.
 
 Each route imports the scipy functions it calls (eigh_tridiagonal,
 scipy.fft, jv, roots_legendre) inside the function that calls them, so
@@ -633,21 +633,20 @@ PIPELINE_MODES = ("auto", "continuum", "lattice", "tensor_box")
 class PipelineConfig:
     """Knobs of the geometry -> entropy pipeline.
 
-    mode: 'auto' (the prolate route when gamma and omega are single
-    intervals, the tensor route for box-product geometries, radial
-    sectors for ball/ball pairs in d = 2 and 3, else the Nystrom
-    matrix), 'continuum' (the Nystrom matrix for every geometry),
-    'tensor_box' (prolate axes), or 'lattice'.  In lattice mode gamma
-    must be a symmetric interval (-k_F, k_F) with k_F < pi and the block
-    has round(L * |omega|) sites, at most lattice_budget (default
-    100000; the tridiagonal route takes seconds there, and no n x n
-    matrix is formed).  budget caps the Nystrom matrix size, the
-    Legendre basis of a prolate interval or tensor axis, and the radial
-    rule's node count n_r.  nodes_per_unit sets the Nystrom and radial
-    rules; the prolate route builds no rule and only holds it to the
-    Nyquist guard, which a nodes_per_unit under it fails on every
-    route.  EPS_ABORT, SECTOR_EXCESS and the prolate tolerances are
-    fixed.
+    mode: 'auto' (per-axis prolate spectra for a single-interval or
+    box-product pair, radial sectors for ball/ball pairs in d = 2 and 3,
+    else the Nystrom matrix), 'continuum' (the Nystrom matrix for every
+    geometry), 'tensor_box' (per-axis prolate spectra of a box pair), or
+    'lattice'.  In lattice mode gamma must be a symmetric interval
+    (-k_F, k_F) with k_F < pi and omega one interval, and the block has
+    round(L * |omega|) sites, at most lattice_budget (default 100000;
+    the tridiagonal route takes seconds there, and no n x n matrix is
+    formed).  budget caps the Nystrom matrix size, the Legendre basis of
+    each prolate axis, and the radial rule's node count n_r.
+    nodes_per_unit sets the Nystrom and radial rules; the prolate axes
+    build no rule and only hold it to the Nyquist guard, which a
+    nodes_per_unit under it fails on every route.  EPS_ABORT,
+    SECTOR_EXCESS and the prolate tolerances are fixed.
     """
 
     mode: str = "auto"
@@ -656,91 +655,26 @@ class PipelineConfig:
     lattice_budget: int = _disc.DEFAULT_LATTICE_BUDGET
 
 
-def _lattice_parameters(gamma: Domain, omega: Domain, L: float):
-    union = gamma.as_interval_union()
-    if len(union.intervals) != 1 or not union.is_centrally_symmetric:
-        raise GeometryError(
-            "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
-    k_fermi = union.intervals[0][1]
-    if not 0.0 < k_fermi < math.pi:
-        raise GeometryError(
-            f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
-    sites = int(round(L * omega.volume()))
-    if sites < 1:
-        raise GeometryError(
-            f"lattice block of {sites} sites (L={L}, |omega|={omega.volume()})")
-    return k_fermi, sites
-
-
 def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
+    """The route of mode for this pair, after the checks every route
+    shares: a known mode, and gamma and omega of one dimension."""
     if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown pipeline mode {mode!r}")
+    if gamma.dim != omega.dim:
+        raise GeometryError(
+            "tensor_box mode needs matching dimensions"
+            if mode == "tensor_box" else
+            f"dimension mismatch: gamma d={gamma.dim}, omega d={omega.dim}")
     if mode != "auto":
         return mode
     if isinstance(gamma, Box) and isinstance(omega, Box) and gamma.dim >= 2:
         return "tensor_box"
-    if isinstance(gamma, Ball) and isinstance(omega, Ball) \
-            and gamma.dim == omega.dim >= 2:
+    if isinstance(gamma, Ball) and isinstance(omega, Ball) and gamma.dim >= 2:
         return "radial"
-    if gamma.dim == omega.dim == 1 and all(
-            len(region.as_interval_union().intervals) == 1
-            for region in (gamma, omega)):
+    if gamma.dim == 1 and all(len(region.as_interval_union().intervals) == 1
+                              for region in (gamma, omega)):
         return "prolate"
     return "continuum"
-
-
-def _prolate_c(gamma: Domain, omega: Domain, L: float,
-               config: PipelineConfig) -> float:
-    """c = |gamma| L |omega| / 4 of a single-interval pair.
-
-    Gamma's center only multiplies the kernel by a phase and omega's
-    only translates the region, so both drop out: the spectrum is that
-    of the sinc kernel with this c on [-1, 1].  A nodes_per_unit is held
-    to the Nyquist guard for gamma's momentum bound, as no rule is
-    built.
-    """
-    if config.nodes_per_unit is not None:
-        _disc.check_sampling(config.nodes_per_unit, gamma.momentum_bound())
-    return gamma.volume() * L * omega.volume() / 4.0
-
-
-def _prolate_solve(c: float, budget: int) -> Spectrum:
-    """Clamped sinc-kernel spectrum at c through the prolate tridiagonals.
-
-    The basis has ceil(1.5 c) + PROLATE_PAD degrees, more than budget of
-    them raise BudgetError before any solve, and the spectrum has one
-    value per degree, exact 0s and 1s outside the solved windows.
-    """
-    size = math.ceil(1.5 * c) + PROLATE_PAD
-    if size > budget:
-        raise _disc.BudgetError(
-            f"prolate basis would need {size} Legendre degrees, over the "
-            f"budget {budget}; raise the budget")
-    return _clamped(*_prolate_spectrum(c, size))
-
-
-def _radial_route(gamma: Ball, omega: Ball, L: float, config: PipelineConfig):
-    """Ball/ball spectrum by angular-momentum sectors.
-
-    Gamma's center only multiplies the kernel by a phase and omega's
-    only translates the region, so both drop out: the spectrum is that
-    of momentum radius k = gamma.radius on a centered ball of radius
-    R = L * omega.radius.  The radial rule has ceil(1.5 k R) + 20 nodes,
-    or ceil(nodes_per_unit * R) (at least 4, as on Nystrom ball rules)
-    under the Nyquist guard for k; more than config.budget nodes raise
-    BudgetError before any sector is solved.
-    """
-    k, R = gamma.radius, omega.scaled(L).radius
-    if config.nodes_per_unit is None:
-        n_r = math.ceil(1.5 * k * R) + 20
-    else:
-        _disc.check_sampling(config.nodes_per_unit, k)
-        n_r = max(math.ceil(config.nodes_per_unit * R), 4)
-    if n_r > config.budget:
-        raise _disc.BudgetError(
-            f"radial rule would need n_r={n_r} nodes, over the budget "
-            f"{config.budget}; raise the budget or lower nodes_per_unit")
-    return _clamped(*_radial_spectrum(k, R, gamma.dim, n_r))
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
@@ -749,21 +683,39 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
     Returns (spectrum, realized L, mode), mode being the route taken:
-    'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  On
-    the prolate and tensor_box routes the spectrum counts one eigenvalue
-    per Legendre degree of each axis basis, as the lattice route counts
-    one per site, but stores each axis's exact 0s and 1s once.  On the
-    tensor_box route every axis passes the Nyquist guard for its own
-    momentum bound before any solve, and each distinct
-    c = |gamma_i| L |omega_i| / 4 is solved once, its spectrum reused by
-    every axis with that c.  The
-    realized L differs from the requested one only in lattice mode,
-    where the block has an integer number of sites.  Every Renyi order
-    at this L is renyi_entropy of the one spectrum.
+    'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  Each
+    route checks its preconditions, its budget among them, before it
+    solves anything.  'prolate' (a single-interval pair) and
+    'tensor_box' (a box pair) are one per-axis route: a box pair gives
+    its axis intervals, and a single-interval pair is its own one axis.
+    Every axis passes the Nyquist guard for its own momentum bound and
+    the budget on its basis of ceil(1.5 c) + PROLATE_PAD Legendre
+    degrees, then each distinct c = |gamma_i| L |omega_i| / 4 is solved
+    once, and tensor_spectrum combines the axes (one axis is its own
+    spectrum).  The spectrum counts one eigenvalue per degree of each
+    axis basis, as the lattice route counts one per site, but stores
+    each axis's exact 0s and 1s once.  The realized L differs from the
+    requested one only in lattice mode, where the block has an integer
+    number of sites.  Every Renyi order at this L is renyi_entropy of
+    the one spectrum.
     """
     mode = _resolve_mode(config.mode, gamma, omega)
     if mode == "lattice":
-        k_fermi, sites = _lattice_parameters(gamma, omega, L)
+        union = gamma.as_interval_union()
+        if len(union.intervals) != 1 or not union.is_centrally_symmetric:
+            raise GeometryError(
+                "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
+        if len(omega.as_interval_union().intervals) != 1:
+            raise GeometryError("lattice mode needs a single spatial interval")
+        k_fermi = union.intervals[0][1]
+        if not 0.0 < k_fermi < math.pi:
+            raise GeometryError(
+                f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
+        sites = int(round(L * omega.volume()))
+        if sites < 1:
+            raise GeometryError(
+                f"lattice block of {sites} sites (L={L}, "
+                f"|omega|={omega.volume()})")
         if sites > config.lattice_budget:
             raise _disc.BudgetError(
                 f"lattice block n={sites} over budget {config.lattice_budget}")
@@ -771,26 +723,49 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
         return spectrum, sites / omega.volume(), mode
-    if mode == "tensor_box":
-        if not (isinstance(gamma, Box) and isinstance(omega, Box)):
+    if mode in ("prolate", "tensor_box"):
+        if mode == "tensor_box" and not (isinstance(gamma, Box)
+                                         and isinstance(omega, Box)):
             raise GeometryError("tensor_box mode needs box momentum and "
                                 "spatial regions")
-        if gamma.dim != omega.dim:
-            raise GeometryError("tensor_box mode needs matching dimensions")
-        # Every axis passes the Nyquist guard before any solve; axes
-        # with the same c share one solve.
-        axis_c = [_prolate_c(g_axis, o_axis, L, config)
-                  for g_axis, o_axis in zip(gamma.axis_intervals(),
-                                            omega.axis_intervals())]
-        solved = {c: _prolate_solve(c, config.budget)
-                  for c in dict.fromkeys(axis_c)}
+        # Gamma's center only multiplies an axis kernel by a phase and
+        # omega's only translates the axis, so each axis is the sinc
+        # kernel on [-1, 1] at its c.
+        axes = (list(zip(gamma.axis_intervals(), omega.axis_intervals()))
+                if mode == "tensor_box" else [(gamma, omega)])
+        if config.nodes_per_unit is not None:
+            for gamma_axis, _ in axes:
+                _disc.check_sampling(config.nodes_per_unit,
+                                     gamma_axis.momentum_bound())
+        axis_c = [gamma_axis.volume() * L * omega_axis.volume() / 4.0
+                  for gamma_axis, omega_axis in axes]
+        sizes = {c: math.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
+        for size in sizes.values():
+            if size > config.budget:
+                raise _disc.BudgetError(
+                    f"prolate basis would need {size} Legendre degrees, over "
+                    f"the budget {config.budget}; raise the budget")
+        solved = {c: _clamped(*_prolate_spectrum(c, size))
+                  for c, size in sizes.items()}
         spectrum = functools.reduce(tensor_spectrum,
                                     [solved[c] for c in axis_c])
     elif mode == "radial":
-        spectrum = _radial_route(gamma, omega, L, config)
-    elif mode == "prolate":
-        spectrum = _prolate_solve(_prolate_c(gamma, omega, L, config),
-                                  config.budget)
+        # Both centers drop out as on the prolate axes: the spectrum is
+        # that of momentum radius k on a centered ball of radius R.  The
+        # radial rule has ceil(1.5 k R) + 20 nodes, or
+        # ceil(nodes_per_unit * R) (at least 4, as on Nystrom ball rules)
+        # under the Nyquist guard for k.
+        k, R = gamma.radius, omega.scaled(L).radius
+        if config.nodes_per_unit is None:
+            n_r = math.ceil(1.5 * k * R) + 20
+        else:
+            _disc.check_sampling(config.nodes_per_unit, k)
+            n_r = max(math.ceil(config.nodes_per_unit * R), 4)
+        if n_r > config.budget:
+            raise _disc.BudgetError(
+                f"radial rule would need n_r={n_r} nodes, over the budget "
+                f"{config.budget}; raise the budget or lower nodes_per_unit")
+        spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, n_r))
     else:
         spectrum = eigenvalues(_disc.nystrom(
             gamma, omega, L, nodes_per_unit=config.nodes_per_unit,

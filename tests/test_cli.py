@@ -167,6 +167,17 @@ def test_malformed_override_exits_2(capsys):
     assert json.loads(err)["error"]["kind"] == "config"
 
 
+def test_lattice_interval_union_exits_3(capsys):
+    # Two intervals are not one block of sites.
+    code, out, err = run_cli(
+        capsys, "entropy", "mode=lattice", "gamma.k_fermi=1",
+        "omega.shape=interval", "omega.intervals=0:1,2:3", "entropy.L=100")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "GeometryError"
+    assert "single spatial interval" in error["message"]
+
+
 def test_compute_failure_exits_3(capsys):
     code, _, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
                            f"entropy.L={DEFAULT_LATTICE_BUDGET + 1}")
@@ -541,6 +552,24 @@ def test_closed_stdout_finishes_quietly(tmp_path):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert csv.read_text().count("\n") == 2
+
+
+def test_validate_with_closed_stdout_writes_its_report(tmp_path):
+    # As above, for validate's table: the command still writes --out.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    report = tmp_path / "validate.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermient", "validate", "--out",
+             str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(report.read_text())["passed"] is True
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

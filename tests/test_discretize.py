@@ -111,7 +111,7 @@ def test_budget_guard():
     assert issubclass(BudgetError, DiscretizationError)
 
 
-def test_nyquist_guard_strict_and_warn():
+def test_nyquist_guard_rejects_undersampled_rule():
     wide = interval(-20.0, 20.0)
     with pytest.raises(DiscretizationError):
         nystrom(wide, OMEGA, L=5.0, nodes_per_unit=2.0)

@@ -54,7 +54,7 @@ def test_eigenvalues_clamps_roundoff_violations():
     assert spectrum.max_violation == pytest.approx(2e-9)
 
 
-def test_eigenvalues_warn_flag():
+def test_eigenvalues_records_small_violation():
     spectrum = eigenvalues(np.diag([0.5, 1.0 + 1e-6]))
     assert spectrum.max_violation == pytest.approx(1e-6)
 
@@ -329,7 +329,7 @@ def test_prolate_centers_drop_out():
 
 @pytest.mark.parametrize("gamma, omega", [
     (GAMMA, OMEGA), (interval(0.3, 2.1), interval(2.0, 3.5))])
-@pytest.mark.parametrize("L", [0.5, 7.0, 60.0, 600.0])
+@pytest.mark.parametrize("L", [0.5, 7.0, 60.0, 600.0, 2400.0])
 def test_prolate_trace_is_weyl_term(gamma, omega, L):
     spectrum = pipeline_spectrum(gamma, omega, L)[0]
     weyl = gamma.volume() * L * omega.volume() / (2.0 * math.pi)
@@ -395,6 +395,20 @@ def test_prolate_budget_caps_the_basis(monkeypatch):
     with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
         pipeline_spectrum(GAMMA, OMEGA, 100.0,
                           PipelineConfig(budget=size - 1))
+
+
+def test_tensor_axes_pass_the_budget_before_any_solve(monkeypatch):
+    # The first axis (c = 15) fits the budget and the second (c = 3000)
+    # does not: neither is solved.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a prolate axis was solved")
+
+    monkeypatch.setattr(spectra, "_prolate_spectrum", forbidden)
+    size = math.ceil(1.5 * 3000.0) + spectra.PROLATE_PAD
+    with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
+        pipeline_spectrum(Box(((-1.0, 1.0),) * 2),
+                          Box(((0.0, 1.0), (0.0, 200.0))), 30.0,
+                          PipelineConfig(budget=100))
 
 
 @pytest.mark.parametrize("gamma, omega, mode", [
@@ -523,6 +537,24 @@ def test_out_of_band_energy_matches_complex_product(monkeypatch):
                                   + np.abs(H[0]) * H_size[0] / (2 * c))
         assert np.all(np.abs(gaps - expected) <= 1e-14 * rounding)
         assert np.all(gaps > 0.0)
+
+
+def test_spherical_jn_rescales_past_overflow():
+    # At c = 1200 the backward recurrence passes 1e200 on some of the
+    # out-of-band nodes, and the rows already stored there are rescaled
+    # with it; a row left unscaled would be off by 1e200.
+    from scipy.special import roots_legendre, spherical_jn
+
+    c = 1200.0
+    size = math.ceil(1.5 * c) + spectra.PROLATE_PAD
+    T = (size + 30) / c
+    x, _ = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
+    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+    table = spectra._spherical_jn(c * t, size)
+    exact = spherical_jn(np.arange(size)[:, None], c * t)
+    shown = np.abs(exact) > 1e-280
+    assert shown.any()
+    np.testing.assert_allclose(table[shown], exact[shown], rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +725,20 @@ def test_pipeline_lattice_requires_symmetric_interval():
         entropy_pipeline(interval(0.0, 1.0), OMEGA, 50.0, 1.0, config)
     with pytest.raises(GeometryError):
         entropy_pipeline(interval(-4.0, 4.0), OMEGA, 50.0, 1.0, config)
+
+
+def test_pipeline_lattice_rejects_interval_union():
+    # Two intervals are not one block of round(L |omega|) sites.
+    two_intervals = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(GeometryError, match="single spatial interval"):
+        pipeline_spectrum(interval(-1.0, 1.0), two_intervals, 100.0,
+                          PipelineConfig(mode="lattice"))
+
+
+def test_pipeline_lattice_rejects_2d_omega():
+    with pytest.raises(GeometryError, match="dimension mismatch"):
+        pipeline_spectrum(interval(-1.0, 1.0), Box(((0.0, 1.0),) * 2), 10.0,
+                          PipelineConfig(mode="lattice"))
 
 
 def test_pipeline_lattice_budget():
