@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
+from .geometry import (Ball, Box, Domain, IntervalUnion, TWO_PI,
+                       _check_same_dim)
 from .kernels import fermi_kernel
 
 __all__ = [
@@ -226,9 +227,7 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     With nodes_per_unit scaled by 1/L, nystrom(gamma.scaled(L), omega, 1)
     assembles the identical matrix (dilatation equivalence).
     """
-    if gamma.dim != omega.dim:
-        raise GeometryError(
-            f"dimension mismatch: gamma d={gamma.dim}, omega d={omega.dim}")
+    _check_same_dim(gamma, omega)
     if not L > 0:
         raise DiscretizationError(f"dilation factor must be positive, got {L}")
 

@@ -10,9 +10,10 @@ and prefactor(alpha) is the value of a singular integral functional
     I(f) = (1 / (4*pi^2)) * integral_0^1 (f(t) - t * f(1)) / (t * (1 - t)) dt
 
 at the order-alpha entropy function.  This module provides the entropy
-functions themselves, one trapezoid quadrature for I(f) with fixed
-settings, a from-scratch dilogarithm, and an independent closed-form
-route to I(h_alpha) through dilogarithm identities.  Both routes give
+functions themselves, one double-exponential quadrature for I(f) with
+fixed settings, a from-scratch dilogarithm, and an independent
+closed-form route to I(h_alpha) through dilogarithm identities.  Both
+routes give
 
     I(h_alpha) = (1 + alpha) / (24 * alpha).
 """
@@ -39,11 +40,12 @@ __all__ = [
 # min-entropy (largest alpha) prefactor, and the infimum over alpha.
 MIN_ENTROPY_LOG_PREFACTOR = 1.0 / 24.0
 
-# Settings of the I(f) quadrature: the truncation |u| <= HALF_WIDTH of
-# the substituted integral (t within ~1e-304 of the endpoints), the
-# absolute stopping tolerance on the halving increment, and the number
-# of step-halving refinements attempted.
-HALF_WIDTH = 350.0
+# Settings of the I(f) quadrature: the truncation |v| <= HALF_WIDTH of
+# the double-exponential variable (|u| from 2e-19 to 4e18, so t lies
+# within 1e-19 of 1/2 at one end and underflows to the endpoint at the
+# other), the absolute stopping tolerance on the halving increment, and
+# the number of step-halving refinements attempted.
+HALF_WIDTH = 4.0
 TOL = 1e-12
 MAX_LEVELS = 11
 
@@ -106,7 +108,7 @@ def entropy_function(t, alpha: float):
 class FunctionalResult:
     """Value of I(f) with convergence telemetry.
 
-    error_estimate is the last trapezoid-halving increment; evaluations
+    error_estimate is the last step-halving increment; evaluations
     counts the distinct nodes at which the integrand was evaluated (each
     halving evaluates only the new midpoints)."""
 
@@ -128,14 +130,20 @@ def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
 
         integral_R 2 * (f(t(u)) - t(u) * f(1)) du,
 
-    the weight 1/(t(1-t)) cancelling against dt/du exactly.  The
-    trapezoid rule on the truncation |u| <= HALF_WIDTH then converges
-    geometrically in the step halving, up to MAX_LEVELS refinements and
-    to an increment below TOL.  The halvings are nested: each keeps the
-    running node sum and evaluates only the new midpoints.
-    For u > 0 the complement s = 1 - t = expit(-2u) is the
-    well-represented quantity, so the integrand near t = 1 is
-    evaluated through `reflected(s) = f(1 - s)`;
+    the weight 1/(t(1-t)) cancelling against dt/du exactly.  The u-line
+    is split at u = 0 (t = 1/2, where entropy functions such as the
+    min-entropy have their kink), and each half is mapped by the
+    double-exponential substitution u = +-exp((pi/2) sinh v) of Takahasi
+    and Mori, so the kink and both ends of [0, 1] sit at v = +-inf where
+    the transformed integrand decays double exponentially.  The
+    trapezoid rule in v on |v| <= HALF_WIDTH then converges
+    geometrically in the step halving for integrands smooth on each side
+    of t = 1/2, up to MAX_LEVELS refinements and to an increment below
+    TOL.  The halvings are nested: each keeps the running node sum and
+    evaluates only the new midpoints.  Each v node evaluates both
+    halves: f at t = expit(-2|u|) <= 1/2, and the half t >= 1/2 through
+    its complement s = 1 - t = expit(-2|u|), the well-represented
+    quantity there, as `reflected(s) = f(1 - s)`;
     by default that is literally f(1.0 - s), which loses accuracy once
     s < 1e-16.  Callers with endpoint-sensitive f (any alpha < 1 power
     behavior) should pass an explicit reflected form.
@@ -153,30 +161,30 @@ def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
         reflected = lambda s: f(1.0 - s)
     f_at_one = float(np.asarray(f(np.array([1.0])))[0])
 
-    def node_values(u):
-        # expit(-2|u|): t = expit(2u) for u <= 0, s = expit(-2u) for u > 0.
-        e = np.exp(-2.0 * np.abs(u))
+    def node_values(v):
+        # |u| = exp((pi/2) sinh v), du/dv = (pi/2) cosh(v) |u|; within
+        # |v| <= HALF_WIDTH nothing overflows, and where exp(-2|u|)
+        # underflows both halves give exactly 0 (f(0) = 0).  The halves'
+        # -p f(1) and +p f(1) terms cancel, leaving
+        # f(p) + (f(1 - p) - f(1)) for each pair of nodes.
+        u = np.exp(0.5 * math.pi * np.sinh(v))
+        e = np.exp(-2.0 * u)
         p = e / (1.0 + e)
-        vals = np.empty_like(u)
-        neg = u <= 0.0
-        t = p[neg]
-        vals[neg] = np.asarray(f(t)) - t * f_at_one
-        s = p[~neg]
-        vals[~neg] = (np.asarray(reflected(s)) - f_at_one) + s * f_at_one
-        return 2.0 * vals
+        pair = np.asarray(f(p)) + (np.asarray(reflected(p)) - f_at_one)
+        return math.pi * np.cosh(v) * u * pair
 
     step = 0.5
-    u = np.arange(-HALF_WIDTH, HALF_WIDTH + 0.5 * step, step)
-    intervals = len(u) - 1
-    total = float(node_values(u).sum())
-    evaluations = len(u)
+    intervals = int(round(2.0 * HALF_WIDTH / step))
+    v = -HALF_WIDTH + step * np.arange(intervals + 1)
+    total = float(node_values(v).sum())
+    evaluations = 2 * len(v)
     previous = step * total / (4.0 * math.pi ** 2)
     for _ in range(MAX_LEVELS - 1):
         step *= 0.5
         midpoints = -HALF_WIDTH + step * np.arange(1, 2 * intervals, 2)
         intervals *= 2
         total += float(node_values(midpoints).sum())
-        evaluations += len(midpoints)
+        evaluations += 2 * len(midpoints)
         value = step * total / (4.0 * math.pi ** 2)
         if abs(value - previous) < TOL:
             return FunctionalResult(value, abs(value - previous), evaluations, True)
@@ -191,12 +199,9 @@ def entropy_log_coefficient(alpha: float) -> FunctionalResult:
     passing it as the reflected form keeps endpoint precision for all
     alpha down to the slowly decaying small orders.
 
-    Finite orders give an integrand analytic in a strip, where the
-    trapezoid refinement converges geometrically and meets TOL.  The
-    min-entropy function (alpha = inf) has a kink at t = 1/2 that drops
-    the rule to second order: the value still lands within ~1e-9 of
-    1/24 after MAX_LEVELS refinements, but the converged flag stays
-    False."""
+    Every order, alpha = inf included, converges to TOL in a few hundred
+    nodes: h_alpha is analytic on each side of t = 1/2, and the
+    min-entropy's kink there sits at an end of the split quadrature."""
     f = lambda t: entropy_function(t, alpha)
     return log_coefficient_functional(f, reflected=f)
 

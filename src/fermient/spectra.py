@@ -79,7 +79,7 @@ import numpy as np
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import Ball, Box, Domain, GeometryError
+from .geometry import Ball, Box, Domain, GeometryError, _check_same_dim
 
 __all__ = [
     "SpectralViolationError",
@@ -660,11 +660,7 @@ def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
     shares: a known mode, and gamma and omega of one dimension."""
     if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown pipeline mode {mode!r}")
-    if gamma.dim != omega.dim:
-        raise GeometryError(
-            "tensor_box mode needs matching dimensions"
-            if mode == "tensor_box" else
-            f"dimension mismatch: gamma d={gamma.dim}, omega d={omega.dim}")
+    _check_same_dim(gamma, omega)
     if mode != "auto":
         return mode
     if isinstance(gamma, Box) and isinstance(omega, Box) and gamma.dim >= 2:

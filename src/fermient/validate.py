@@ -230,15 +230,21 @@ def check_widom_cross():
 
 
 def check_functional():
-    """Quadrature and dilogarithm routes hit (1+alpha)/(24 alpha)."""
-    worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
+    """Quadrature and dilogarithm routes hit (1+alpha)/(24 alpha), and
+    every quadrature converges."""
+    linear = fn.log_coefficient_functional(lambda t: t)
+    quadratures = [linear]
+    worst = abs(linear.value)
+    for alpha in (0.5, 1.0, 2.0, math.inf):
         target = fn.predicted_log_prefactor(alpha)
-        worst = max(worst,
-                    abs(fn.entropy_log_coefficient(alpha).value - target),
+        result = fn.entropy_log_coefficient(alpha)
+        quadratures.append(result)
+        worst = max(worst, abs(result.value - target),
                     abs(fn.entropy_log_coefficient_dilog(alpha) - target))
-    linear = fn.log_coefficient_functional(lambda t: t).value
-    worst = max(worst, abs(linear))
+    unconverged = sum(not q.converged for q in quadratures)
+    if unconverged:
+        return False, (f"{unconverged} of {len(quadratures)} quadratures "
+                       f"did not converge")
     return worst < 1e-8, f"max closed-form deviation {worst:.2e}"
 
 

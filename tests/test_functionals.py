@@ -122,37 +122,45 @@ def test_functional_reports_nonconvergence(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha, evaluations", [
-    (0.25, 5601), (1.0, 5601), (2.0, 11201), (math.inf, 1400 * 2 ** 10 + 1),
+    (0.25, 514), (1.0, 514), (2.0, 258), (math.inf, 258),
 ])
 def test_nested_trapezoid_equals_final_step_sum(alpha, evaluations):
     # Each halving evaluates only the new midpoints, so the count is the
-    # final grid's node count, and the running sum is that grid's
-    # trapezoid sum.  h_alpha is its own reflection and h_alpha(1) = 0,
-    # so every node of t = expit(2u) contributes 2 h_alpha(expit(-2|u|)).
+    # final v grid's node count (two evaluations per node, one for each
+    # half of the u-line), and the running sum is that grid's trapezoid
+    # sum in v.  h_alpha is its own reflection and h_alpha(1) = 0, so
+    # both halves of node v contribute 2 h_alpha(expit(-2|u|)) du/dv,
+    # with |u| = exp((pi/2) sinh v).
     result = entropy_log_coefficient(alpha)
     assert result.evaluations == evaluations
     half_width = functionals.HALF_WIDTH
-    step = 2.0 * half_width / (evaluations - 1)
-    u = np.arange(-half_width, half_width + 0.5 * step, step)
-    assert len(u) == evaluations
-    scratch = step * float(np.sum(2.0 * entropy_function(
-        expit(-2.0 * np.abs(u)), alpha))) / (4.0 * math.pi ** 2)
+    nodes = evaluations // 2
+    step = 2.0 * half_width / (nodes - 1)
+    v = -half_width + step * np.arange(nodes)
+    u = np.exp(0.5 * math.pi * np.sinh(v))
+    weight = 0.5 * math.pi * np.cosh(v) * u
+    scratch = step * float(np.sum(weight * 4.0 * entropy_function(
+        expit(-2.0 * u), alpha))) / (4.0 * math.pi ** 2)
     assert abs(result.value - scratch) < 1e-15
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_entropy_log_coefficient_closed_form(alpha):
+    # The min-entropy's kink at t = 1/2 sits at an end of the split
+    # double-exponential rule, so alpha = inf converges like the rest.
     target = predicted_log_prefactor(alpha)
     result = entropy_log_coefficient(alpha)
-    if math.isinf(alpha):
-        # The t = 1/2 kink of the min-entropy function reduces the
-        # trapezoid to second order: ~1e-9 accuracy, converged stays
-        # False at the 1e-12 tolerance.  Finite orders are analytic
-        # and converge geometrically.
-        assert abs(result.value - target) < 1e-8
-    else:
-        assert result.converged
-        assert abs(result.value - target) < 1e-11
+    assert result.converged
+    assert abs(result.value - target) < 1e-13
+    assert result.evaluations <= 1000
+
+
+def test_functional_tent():
+    # f = min(t, 1-t): f(1) = 0 and f(t)/(t(1-t)) = 1/(1-t) on [0, 1/2]
+    # and 1/t on [1/2, 1], so I(f) = 2 ln 2 / (4 pi^2) = ln 2 / (2 pi^2).
+    result = log_coefficient_functional(lambda t: np.minimum(t, 1.0 - t))
+    assert result.converged
+    assert abs(result.value - math.log(2.0) / (2.0 * math.pi ** 2)) < 1e-15
 
 
 def test_predicted_log_prefactor():

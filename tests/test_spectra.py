@@ -741,6 +741,19 @@ def test_pipeline_lattice_rejects_2d_omega():
                           PipelineConfig(mode="lattice"))
 
 
+@pytest.mark.parametrize("mode", ["tensor_box", "auto", "continuum"])
+def test_dimension_mismatch_has_one_message(mode):
+    # Forced tensor_box, the auto routing and the Nystrom assembly all
+    # report a gamma/omega dimension mismatch through the one geometry
+    # check.
+    message = "dimension mismatch: gamma has d=2, omega has d=3"
+    square, cube = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 3)
+    with pytest.raises(GeometryError, match=message):
+        pipeline_spectrum(square, cube, 10.0, PipelineConfig(mode=mode))
+    with pytest.raises(GeometryError, match=message):
+        discretize.nystrom(square, cube, L=10.0)
+
+
 def test_pipeline_lattice_budget():
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     config = PipelineConfig(mode="lattice", lattice_budget=100)

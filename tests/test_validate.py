@@ -3,6 +3,7 @@
 import numpy as np
 
 import fermient.validate as validate
+from fermient import functionals
 from fermient.geometry import Ball, SurfaceQuadrature
 from fermient.kernels import FermiKernel
 from fermient.validate import ALL_CHECKS, check_kernel_hermiticity, run_all
@@ -56,3 +57,13 @@ def test_run_all_captures_exceptions(monkeypatch):
     assert not result.passed
     assert "raised RuntimeError" in result.detail
     assert "boom" in result.detail
+
+
+def test_functional_check_requires_convergence(monkeypatch):
+    # One refinement level cannot meet the halving tolerance, so every
+    # quadrature reports converged = False and the check fails even
+    # where its values sit close to the closed form.
+    monkeypatch.setattr(functionals, "MAX_LEVELS", 1)
+    passed, detail = validate.check_functional()
+    assert not passed
+    assert "did not converge" in detail
