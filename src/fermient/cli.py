@@ -124,12 +124,12 @@ def cmd_entropy(args) -> int:
 
 
 def _lattice_grid(grid, omega):
-    """Round an L grid to realizable lattice block sizes, deduplicated."""
-    sites = np.unique(np.round(np.asarray(grid) * omega.volume()).astype(int))
-    sites = sites[sites >= 1]
-    if len(sites) == 0:
-        raise ConfigError("sweep.L: no realizable lattice sizes in grid")
-    return sites / omega.volume()
+    """Round an L grid to lattice block sizes (floats), deduplicated."""
+    sites = np.round(np.asarray(grid) * omega.volume())
+    if (sites < 1).any():
+        raise ConfigError(f"sweep.L: L={grid[np.argmax(sites < 1)]:g} "
+                          "rounds to a lattice block of 0 sites")
+    return np.unique(sites) / omega.volume()
 
 
 def cmd_sweep(args) -> int:

@@ -41,7 +41,8 @@ key is a config error):
     disc.budget             max continuum matrix size (and prolate
                             Legendre basis, per interval or tensor axis,
                             or radial rule size), integer >= 1
-    disc.lattice_budget     max lattice block size in sites, integer >= 1
+    disc.lattice_budget     max lattice block size in sites, integer >= 1;
+                            both checked before any build; inf sizes fail too
     jcoeff.resolution       ball surface rule resolution, integer >= 1
     functional.alphas       nonempty comma list for the functional command
 """

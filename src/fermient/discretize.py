@@ -19,6 +19,10 @@ Discretizing on the dilated region (rather than dilating the momentum
 region) is licensed by the unitary dilatation equivalence of the two
 compressions; with correspondingly scaled rules the two matrices are
 equal entry by entry.
+
+Every route counts its size as a float and passes it through one gate,
+check_budget, before it builds anything, so an oversized or overflowing
+(inf) size raises BudgetError up front.
 """
 
 from __future__ import annotations
@@ -126,23 +130,28 @@ def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
     return nodes, weights
 
 
-def _rule_1d(union: IntervalUnion, nodes_per_unit: float, wavelength: float):
-    """Composite Gauss rule over every interval of a 1D region."""
-    all_nodes, all_weights = [], []
+def _ceil(x: float, floor: float) -> float:
+    """max(ceil(x), floor) as a float: inf stays inf, NaN gives floor."""
+    return max(floor, float(np.ceil(x)))
+
+
+def _panels(union: IntervalUnion, nodes_per_unit: float, wavelength: float):
+    """Per interval of a 1D region: (a, b, panels, points per panel)."""
+    plan = []
     for a, b in union.intervals:
-        length = b - a
-        target = max(int(math.ceil(length * nodes_per_unit)), 4)
-        num_panels = max(int(math.ceil(length / wavelength)), 1)
-        per_panel = max(int(math.ceil(target / num_panels)), 4)
-        nodes, weights = _gauss_panels(a, b, num_panels, per_panel)
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
+        target = _ceil((b - a) * nodes_per_unit, 4.0)
+        num_panels = _ceil((b - a) / wavelength, 1.0)
+        plan.append((a, b, num_panels, _ceil(target / num_panels, 4.0)))
+    return plan
 
 
-def _rule_box(box: Box, nodes_per_unit: float, wavelength: float):
-    axes = [_rule_1d(iv, nodes_per_unit, wavelength)
-            for iv in box.axis_intervals()]
+def _rule_axes(plans):
+    """Gauss rule of one _panels plan per axis; (n, d) nodes if d > 1."""
+    axes = [tuple(map(np.concatenate, zip(*[
+        _gauss_panels(a, b, int(num_panels), int(per_panel))
+        for a, b, num_panels, per_panel in plan]))) for plan in plans]
+    if len(axes) == 1:
+        return axes[0]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = axes[0][1]
@@ -151,39 +160,31 @@ def _rule_box(box: Box, nodes_per_unit: float, wavelength: float):
     return nodes, weights
 
 
-def _rule_ball(ball: Ball, nodes_per_unit: float):
-    """Product polar/spherical grid: Gauss in radius, uniform in angles."""
+def _rule_ball(ball: Ball, n_r: int, n_t: int):
+    """Gauss in radius (and polar cosine in d = 3) times uniform azimuth."""
     r_max = ball.radius
     center = np.array(ball.center)
-    n_r = max(int(math.ceil(nodes_per_unit * r_max)), 4)
     x, w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * r_max * (x + 1.0)
     w_r = 0.5 * r_max * w
+    theta = TWO_PI * (np.arange(n_t) + 0.5) / n_t
     if ball.dim == 2:
-        n_t = max(int(math.ceil(nodes_per_unit * TWO_PI * r_max)), 8)
-        theta = TWO_PI * (np.arange(n_t) + 0.5) / n_t
         R, T = np.meshgrid(r, theta, indexing="ij")
         nodes = center + np.stack(
             [(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
         weights = (np.repeat(w_r * r, n_t)) * (TWO_PI / n_t)
         return nodes, weights
-    if ball.dim == 3:
-        n_c = max(int(math.ceil(nodes_per_unit * r_max)), 4)
-        c, w_c = np.polynomial.legendre.leggauss(n_c)
-        n_p = max(int(math.ceil(nodes_per_unit * TWO_PI * r_max)), 8)
-        phi = TWO_PI * (np.arange(n_p) + 0.5) / n_p
-        R, C, P = np.meshgrid(r, c, phi, indexing="ij")
-        S = np.sqrt(np.maximum(1.0 - C ** 2, 0.0))
-        nodes = center + np.stack([
-            (R * S * np.cos(P)).ravel(),
-            (R * S * np.sin(P)).ravel(),
-            (R * C).ravel(),
-        ], axis=-1)
-        W_r = np.repeat(w_r * r * r, n_c * n_p)
-        W_c = np.tile(np.repeat(w_c, n_p), n_r)
-        weights = W_r * W_c * (TWO_PI / n_p)
-        return nodes, weights
-    raise DiscretizationError("ball rule needs d in {2, 3}")
+    R, C, P = np.meshgrid(r, x, theta, indexing="ij")
+    S = np.sqrt(np.maximum(1.0 - C ** 2, 0.0))
+    nodes = center + np.stack([
+        (R * S * np.cos(P)).ravel(),
+        (R * S * np.sin(P)).ravel(),
+        (R * C).ravel(),
+    ], axis=-1)
+    W_r = np.repeat(w_r * r * r, n_r * n_t)
+    W_c = np.tile(np.repeat(w, n_t), n_r)
+    weights = W_r * W_c * (TWO_PI / n_t)
+    return nodes, weights
 
 
 def check_sampling(nodes_per_unit: float, p_max: float) -> None:
@@ -194,6 +195,13 @@ def check_sampling(nodes_per_unit: float, p_max: float) -> None:
         raise DiscretizationError(
             f"node spacing {spacing:.3g} exceeds the sampling guard "
             f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
+
+
+def check_budget(size: float, budget: float, what: str) -> None:
+    """Raise BudgetError unless size <= budget (a float: inf fails too)."""
+    if not size <= budget:
+        raise BudgetError(
+            f"would need {size:.6g} {what}, over the budget {budget}")
 
 
 def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
@@ -215,7 +223,8 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     L : dilation factor applied to omega, >= 0 excluded
     nodes_per_unit : nodes per unit length along each direction; default
         resolves eight nodes per Fermi wavelength (floor 2 per unit)
-    budget : maximum matrix dimension; exceeding it raises BudgetError
+    budget : maximum matrix dimension; the rule's node count (inf
+        included) is held to it before any node array exists
 
     A node spacing that cannot resolve the fastest kernel oscillation
     raises DiscretizationError.  The returned DiscretizedOperator holds
@@ -240,24 +249,26 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
                              MIN_NODES_PER_UNIT)
     check_sampling(nodes_per_unit, p_max)
 
+    # The node count is the product of the rule's factors' counts.
     region = omega.scaled(L) if L != 1.0 else omega
-    if region.dim == 1:
-        nodes, weights = _rule_1d(region.as_interval_union(), nodes_per_unit,
-                                  wavelength)
-    elif isinstance(region, Box):
-        nodes, weights = _rule_box(region, nodes_per_unit, wavelength)
-    elif isinstance(region, Ball):
-        nodes, weights = _rule_ball(region, nodes_per_unit)
+    ball = isinstance(region, Ball) and region.dim > 1
+    if ball:
+        n_r = _ceil(nodes_per_unit * region.radius, 4.0)
+        n_t = _ceil(nodes_per_unit * TWO_PI * region.radius, 8.0)
+        counts = [n_r, n_t] if region.dim == 2 else [n_r, n_r, n_t]
+    elif region.dim == 1 or isinstance(region, Box):
+        axes = (region.axis_intervals() if isinstance(region, Box)
+                else [region.as_interval_union()])
+        plans = [_panels(axis, nodes_per_unit, wavelength) for axis in axes]
+        counts = [sum(p * q for _, _, p, q in plan) for plan in plans]
     else:
         raise DiscretizationError(
             f"no node rule for {type(region).__name__} spatial regions")
+    check_budget(math.prod(counts), budget, "Nystrom nodes")
+    nodes, weights = (_rule_ball(region, int(n_r), int(n_t)) if ball
+                      else _rule_axes(plans))
 
     n = len(weights)
-    if n > budget:
-        raise BudgetError(
-            f"discretization would need n={n} nodes, over the budget {budget}; "
-            "raise the budget or lower nodes_per_unit")
-
     kern = fermi_kernel(gamma)
     sqrt_w = np.sqrt(weights)
     dtype = float if kern.is_real else complex

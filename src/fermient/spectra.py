@@ -374,33 +374,31 @@ def _out_of_band(c: float, size: int):
     complex product would go to complex BLAS, which at two threads runs
     a 49 x 245 x 10 product multithreaded in 8 ms, against 0.02 ms for
     the two real ones (2-vCPU VM, c = 300).
-    Returns a function of (k, coefficient columns); its Bessel tables
-    are built once, on first use, for both parities.
+    Returns a function of (k, coefficient columns); its rules and tables
+    are built on its first call (never at c = 0), for both parities.
     """
     from scipy.special import roots_legendre
 
-    T = (size + 30) / c
-    x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
-    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
-    w = 0.5 * (T - 1) * w
-    s, w_s = roots_legendre(48)
-    s = 0.5 * (s + 1.0)
-
     @functools.cache
     def tables():
+        T = (size + 30) / c
+        x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
+        t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+        s, w_s = roots_legendre(48)
+        s = 0.5 * (s + 1.0)
         h_table = _spherical_hn(c * np.concatenate([[T], T / s]), size)
-        return _spherical_jn(c * t, size), h_table.real.copy(), \
-            h_table.imag.copy()
+        return (0.5 * (T - 1) * w, _spherical_jn(c * t, size),
+                0.25 * T * w_s / (s * s), h_table.real.copy(),
+                h_table.imag.copy())
 
     def energy(k: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
             * coefficients
-        j_table, h_real, h_imag = tables()
+        w, j_table, w_outer, h_real, h_imag = tables()
         rows = k.astype(int)
         inner = w @ (j_table[rows].T @ a) ** 2
         H_real, H_imag = h_real[rows].T @ a, h_imag[rows].T @ a
-        outer = (0.25 * T * w_s / (s * s)) \
-            @ (H_real[1:] ** 2 + H_imag[1:] ** 2) \
+        outer = w_outer @ (H_real[1:] ** 2 + H_imag[1:] ** 2) \
             - H_real[0] * H_imag[0] / (2 * c)
         return c / math.pi * (inner + outer)
 
@@ -642,7 +640,8 @@ class PipelineConfig:
     round(L * |omega|) sites, at most lattice_budget (default 100000;
     the tridiagonal route takes seconds there, and no n x n matrix is
     formed).  budget caps the Nystrom matrix size, the Legendre basis of
-    each prolate axis, and the radial rule's node count n_r.
+    each prolate axis, and the radial rule's node count n_r; both are
+    checked before anything is built, an overflowing (inf) size included.
     nodes_per_unit sets the Nystrom and radial rules; the prolate axes
     build no rule and only hold it to the Nyquist guard, which a
     nodes_per_unit under it fails on every route.  EPS_ABORT,
@@ -680,10 +679,11 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
 
     Returns (spectrum, realized L, mode), mode being the route taken:
     'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  Each
-    route checks its preconditions, its budget among them, before it
-    solves anything.  'prolate' (a single-interval pair) and
-    'tensor_box' (a box pair) are one per-axis route: a box pair gives
-    its axis intervals, and a single-interval pair is its own one axis.
+    route checks its preconditions, its float size through
+    discretize.check_budget among them, before it solves anything.
+    'prolate' (a single-interval pair) and 'tensor_box' (a box pair) are
+    one per-axis route: a box pair gives its axis intervals, and a
+    single-interval pair is its own one axis.
     Every axis passes the Nyquist guard for its own momentum bound and
     the budget on its basis of ceil(1.5 c) + PROLATE_PAD Legendre
     degrees, then each distinct c = |gamma_i| L |omega_i| / 4 is solved
@@ -707,15 +707,9 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         if not 0.0 < k_fermi < math.pi:
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
-        sites = int(round(L * omega.volume()))
-        if sites < 1:
-            raise GeometryError(
-                f"lattice block of {sites} sites (L={L}, "
-                f"|omega|={omega.volume()})")
-        if sites > config.lattice_budget:
-            raise _disc.BudgetError(
-                f"lattice block n={sites} over budget {config.lattice_budget}")
-        spectrum = eigenvalues(_disc.lattice_correlation(k_fermi, sites))
+        sites = round(L * omega.volume(), 0)
+        _disc.check_budget(sites, config.lattice_budget, "lattice sites")
+        spectrum = eigenvalues(_disc.lattice_correlation(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
         return spectrum, sites / omega.volume(), mode
@@ -735,13 +729,10 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                                      gamma_axis.momentum_bound())
         axis_c = [gamma_axis.volume() * L * omega_axis.volume() / 4.0
                   for gamma_axis, omega_axis in axes]
-        sizes = {c: math.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
+        sizes = {c: np.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
         for size in sizes.values():
-            if size > config.budget:
-                raise _disc.BudgetError(
-                    f"prolate basis would need {size} Legendre degrees, over "
-                    f"the budget {config.budget}; raise the budget")
-        solved = {c: _clamped(*_prolate_spectrum(c, size))
+            _disc.check_budget(size, config.budget, "Legendre degrees")
+        solved = {c: _clamped(*_prolate_spectrum(c, int(size)))
                   for c, size in sizes.items()}
         spectrum = functools.reduce(tensor_spectrum,
                                     [solved[c] for c in axis_c])
@@ -753,15 +744,12 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         # under the Nyquist guard for k.
         k, R = gamma.radius, omega.scaled(L).radius
         if config.nodes_per_unit is None:
-            n_r = math.ceil(1.5 * k * R) + 20
+            n_r = np.ceil(1.5 * k * R) + 20
         else:
             _disc.check_sampling(config.nodes_per_unit, k)
-            n_r = max(math.ceil(config.nodes_per_unit * R), 4)
-        if n_r > config.budget:
-            raise _disc.BudgetError(
-                f"radial rule would need n_r={n_r} nodes, over the budget "
-                f"{config.budget}; raise the budget or lower nodes_per_unit")
-        spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, n_r))
+            n_r = max(np.ceil(config.nodes_per_unit * R), 4)
+        _disc.check_budget(n_r, config.budget, "radial nodes")
+        spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, int(n_r)))
     else:
         spectrum = eigenvalues(_disc.nystrom(
             gamma, omega, L, nodes_per_unit=config.nodes_per_unit,

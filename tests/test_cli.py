@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import asymptotics, geometry, spectra
+from fermient import asymptotics, discretize, geometry, spectra
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
@@ -423,7 +423,7 @@ def test_radial_rule_over_budget_exits_3(capsys, no_sector_solves):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "BudgetError"
-    assert "n_r=23" in error["message"]
+    assert "23 radial nodes" in error["message"]
     assert "budget 22" in error["message"]
 
 
@@ -461,6 +461,92 @@ def test_prolate_basis_over_budget_exits_3(capsys, monkeypatch, pair, size):
     assert error["type"] == "BudgetError"
     assert f"{size} Legendre degrees" in error["message"]
     assert f"budget {size - 1}" in error["message"]
+
+
+@pytest.mark.parametrize("args, builders, message", [
+    # A 2.5e8-node interval rule: 1.9 GiB of nodes alone.
+    (["entropy", "mode=continuum", "gamma.k_fermi=100000",
+      "omega.shape=interval", "omega.intervals=0:1", "entropy.L=2000"],
+     [(discretize, "_gauss_panels")],
+     "2.54648e+08 Nystrom nodes, over the budget 6000"),
+    # A 20696 x 20696 grid on the square.
+    (["entropy", "gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
+      "omega.shape=box", "omega.bounds=0:1,0:1", "entropy.L=1e4"],
+     [(discretize, "_gauss_panels"), (np, "meshgrid")],
+     "4.28324e+08 Nystrom nodes, over the budget 6000"),
+    (["entropy", "gamma.k_fermi=1e300", "omega.shape=interval",
+      "omega.intervals=0:1", "entropy.L=1e300"],
+     [(spectra, "_prolate_spectrum")],
+     "inf Legendre degrees, over the budget 6000"),
+    (["entropy", "gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1e300",
+      "omega.shape=ball", "omega.center=0,0", "omega.radius=1",
+      "entropy.L=1e300"],
+     [(spectra, "_radial_spectrum")],
+     "inf radial nodes, over the budget 6000"),
+    (["entropy", "mode=lattice", "gamma.k_fermi=1", "omega.shape=interval",
+      "omega.intervals=0:1e10", "entropy.L=1e300"],
+     [(spectra, "_lattice_spectrum")],
+     "inf lattice sites, over the budget 100000"),
+    (["entropy", "mode=lattice", "gamma.k_fermi=1", "omega.shape=interval",
+      "omega.intervals=0:1", "entropy.L=1e300"],
+     [(spectra, "_lattice_spectrum")],
+     "1e+300 lattice sites, over the budget 100000"),
+], ids=["nystrom-interval", "nystrom-square", "prolate", "radial",
+        "lattice-inf", "lattice"])
+def test_oversized_request_exits_3_before_building(capsys, monkeypatch, args,
+                                                   builders, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oversized request was built")
+
+    for module, name in builders:
+        monkeypatch.setattr(module, name, forbidden)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"would need {message}" in error["message"]
+
+
+def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
+    # L = 1e30 was cast to a negative site count and silently dropped.
+    solved = []
+    original = spectra._lattice_spectrum
+
+    def guarded(k_fermi, n):
+        assert n <= DEFAULT_LATTICE_BUDGET
+        solved.append(n)
+        return original(k_fermi, n)
+
+    monkeypatch.setattr(spectra, "_lattice_spectrum", guarded)
+    code, out, err = run_cli(capsys, "sweep", "mode=lattice",
+                             "gamma.k_fermi=1", "omega.shape=interval",
+                             "omega.intervals=0:1",
+                             "sweep.L=100,200,300,400,1e30")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "would need 1e+30 lattice sites, over the budget 100000" \
+        in error["message"]
+    assert solved == [100, 200, 300, 400]
+
+
+def test_lattice_sweep_under_half_a_site_exits_2(capsys, no_solves):
+    code, out, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
+                             "sweep.L=100,0.2,200,0.3,300,400")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "sweep.L: L=0.2 rounds to a lattice block of 0 sites" \
+        in error["message"]
+
+
+def test_lattice_entropy_under_half_a_site_exits_3(capsys):
+    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS, "entropy.L=0.4")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "DiscretizationError"
+    assert "block length must be >= 1, got 0" in error["message"]
 
 
 def test_radial_sector_bound_exits_3(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Quadrature discretization and lattice matrices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from fermient.discretize import (
     DEFAULT_CONTINUUM_BUDGET,
     BudgetError,
     DiscretizationError,
+    check_budget,
     lattice_correlation,
     nystrom,
     ring_block_correlation,
 )
+from fermient import discretize
 from fermient.geometry import (
     Ball,
     Box,
@@ -109,6 +112,56 @@ def test_budget_guard():
         nystrom(GAMMA, OMEGA, L=100.0, nodes_per_unit=100.0, budget=500)
     # BudgetError is a DiscretizationError, so one except clause covers both.
     assert issubclass(BudgetError, DiscretizationError)
+
+
+def test_check_budget_refuses_only_past_the_budget():
+    check_budget(500.0, 500, "nodes")
+    for size, shown in ((501.0, "501"), (2.54648e8, "2.54648e+08"),
+                        (math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(BudgetError, match=re.escape(
+                f"would need {shown} nodes, over the budget 500")):
+            check_budget(size, 500, "nodes")
+
+
+def _forbid_node_rules(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a node rule was built")
+
+    monkeypatch.setattr(discretize, "_gauss_panels", forbidden)
+    monkeypatch.setattr(np, "meshgrid", forbidden)
+
+
+@pytest.mark.parametrize("gamma, omega, L", [
+    (GAMMA, IntervalUnion(((0.0, 1.0), (2.0, 2.5))), 7.0),
+    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0), (0.0, 2.0))), 3.0),
+    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 1.5),
+    (Ball((0.0, 0.0), 1.0), Ball((0.3, 0.0), 1.0), 3.0),
+    (Ball((0.0, 0.0, 0.0), 1.0), Ball((0.0, 0.0, 0.0), 1.0), 1.5),
+], ids=["interval-union", "square", "cube", "disk", "ball3"])
+def test_nystrom_budget_counts_the_rule_before_building_it(
+        monkeypatch, gamma, omega, L):
+    # The count the gate sees is the node count of the rule: a budget of
+    # exactly n builds it, and n - 1 refuses before any node exists.
+    n = nystrom(gamma, omega, L).n
+    assert nystrom(gamma, omega, L, budget=n).n == n
+    _forbid_node_rules(monkeypatch)
+    with pytest.raises(BudgetError, match=re.escape(
+            f"would need {n} Nystrom nodes, over the budget {n - 1}")):
+        nystrom(gamma, omega, L, budget=n - 1)
+
+
+@pytest.mark.parametrize("gamma, omega, L", [
+    # Panels and points per panel both overflow on one interval.
+    (interval(-1e10, 1e10), OMEGA, 1e300),
+    # About 1e200 nodes per axis: finite per axis, inf as a product.
+    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), 5e199),
+    (Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), 1e300),
+], ids=["interval", "square", "disk"])
+def test_nystrom_overflowing_count_fails_the_budget(monkeypatch, gamma, omega,
+                                                    L):
+    _forbid_node_rules(monkeypatch)
+    with pytest.raises(BudgetError, match="would need inf Nystrom nodes"):
+        nystrom(gamma, omega, L)
 
 
 def test_nyquist_guard_rejects_undersampled_rule():

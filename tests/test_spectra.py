@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -759,6 +760,86 @@ def test_pipeline_lattice_budget():
     config = PipelineConfig(mode="lattice", lattice_budget=100)
     with pytest.raises(BudgetError):
         entropy_pipeline(gamma, OMEGA, 500.0, 1.0, config)
+
+
+SQUARE_MOMENTUM, SQUARE = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2)
+HALF_FILLED = interval(-math.pi / 2.0, math.pi / 2.0)
+
+
+@pytest.mark.parametrize("gamma, omega, L, config, builder, message", [
+    # c = 50: ceil(1.5 c) + 40 = 115 degrees.
+    (GAMMA, OMEGA, 100.0, PipelineConfig(budget=114), "_prolate_spectrum",
+     "115 Legendre degrees, over the budget 114"),
+    (interval(-1e300, 1e300), OMEGA, 1e300, PipelineConfig(),
+     "_prolate_spectrum", "inf Legendre degrees, over the budget 6000"),
+    (SQUARE_MOMENTUM, SQUARE, 100.0, PipelineConfig(budget=114),
+     "_prolate_spectrum",
+     "115 Legendre degrees, over the budget 114"),
+    (Box(((-1e300, 1e300),) * 2), SQUARE, 1e300, PipelineConfig(),
+     "_prolate_spectrum", "inf Legendre degrees, over the budget 6000"),
+    # n_r = ceil(1.5 k R) + 20 = 23 at R = 2, or ceil(3 R) = 15 at R = 5.
+    (DISK, DISK, 2.0, PipelineConfig(budget=22), "_radial_spectrum",
+     "23 radial nodes, over the budget 22"),
+    (BALL3, BALL3, 5.0, PipelineConfig(nodes_per_unit=3.0, budget=14),
+     "_radial_spectrum", "15 radial nodes, over the budget 14"),
+    (Ball((0.0, 0.0), 1e300), DISK, 1e300, PipelineConfig(),
+     "_radial_spectrum", "inf radial nodes, over the budget 6000"),
+    (HALF_FILLED, OMEGA, 101.0, PipelineConfig(mode="lattice",
+                                               lattice_budget=100),
+     "_lattice_spectrum", "101 lattice sites, over the budget 100"),
+    (HALF_FILLED, interval(0.0, 1e10), 1e300, PipelineConfig(mode="lattice"),
+     "_lattice_spectrum", "inf lattice sites, over the budget 100000"),
+], ids=["prolate", "prolate-inf", "tensor", "tensor-inf", "radial",
+        "radial-nodes-per-unit", "radial-inf", "lattice", "lattice-inf"])
+def test_every_route_passes_the_budget_before_building(
+        monkeypatch, gamma, omega, L, config, builder, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{builder} was called")
+
+    monkeypatch.setattr(spectra, builder, forbidden)
+    with pytest.raises(BudgetError, match=re.escape(f"would need {message}")):
+        pipeline_spectrum(gamma, omega, L, config)
+
+
+@pytest.mark.parametrize("L, n_r", [(5.0, 15), (1.2, 4), (0.5, 4)])
+def test_radial_rule_size_with_nodes_per_unit(monkeypatch, L, n_r):
+    # n_r = max(ceil(nodes_per_unit R), 4): 3 nodes per unit give 15 at
+    # R = 5 and the floor of 4 at R = 1.2 (ceil 3.6) and R = 0.5.
+    seen = []
+    original = spectra._radial_spectrum
+
+    def recording(k, radius, d, n):
+        seen.append(n)
+        return original(k, radius, d, n)
+
+    monkeypatch.setattr(spectra, "_radial_spectrum", recording)
+    spectrum, _, mode = pipeline_spectrum(DISK, DISK, L,
+                                          PipelineConfig(nodes_per_unit=3.0))
+    assert mode == "radial"
+    assert seen == [n_r] and type(seen[0]) is int
+    assert len(spectrum) % n_r == 0
+
+
+@pytest.mark.parametrize("gamma, omega, L, size", [
+    # c = |gamma| L |omega| / 4 underflows to 0 ...
+    (interval(-1e-200, 1e-200), OMEGA, 1e-200, 40),
+    (Box(((-1e-200, 1e-200),) * 2), SQUARE, 1e-200, 40 * 40),
+    # ... or is subnormal (5e-321).
+    (GAMMA, OMEGA, 1e-320, 41),
+    (SQUARE_MOMENTUM, SQUARE, 1e-320, 41 * 41),
+], ids=["interval-zero", "square-zero", "interval-subnormal",
+        "square-subnormal"])
+def test_prolate_axis_with_tiny_c(gamma, omega, L, size):
+    # No eigenvalue is near 1, so the out-of-band tables, whose interval
+    # [1, (size + 30) / c] is not finite at c = 0, are never built.
+    spectrum, _, _ = pipeline_spectrum(gamma, omega, L)
+    assert len(spectrum) == size
+    assert spectrum.eigenvalues[-1] <= 1e-320
+    for alpha in (0.25, 1.0, math.inf):
+        S = renyi_entropy(spectrum, alpha).S
+        assert 0.0 <= S < 1e-70
+        if L == 1e-200:
+            assert S == 0.0
 
 
 def test_pipeline_tensor_matches_direct_2d():
