@@ -18,6 +18,7 @@ model to justify it.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -87,12 +88,14 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     carries the route taken (mode) and, as wall_time_s, the time spent
     assembling and diagonalizing that L, which its orders share.
 
-    jobs > 1 runs the L points in a thread pool; aggregation is always
-    ordered by L, so the result is deterministic regardless of
-    completion order.  Only the routes that solve with dense eigvalsh
-    (radial sectors and the Nystrom matrix) gain from it: the lattice,
-    prolate and tensor_box routes spend their time in
-    eigh_tridiagonal, which holds the interpreter lock.
+    The L points run largest first: every route's size grows with L, so
+    an L past the budget fails before any smaller L is solved, and no L
+    starts after the first error.  jobs > 1 runs the L points in a
+    thread pool; aggregation is always ordered by L, so the result is
+    deterministic regardless of completion order.  Only the routes that
+    solve with dense eigvalsh (radial sectors and the Nystrom matrix)
+    gain from it: the lattice, prolate and tensor_box routes spend their
+    time in eigh_tridiagonal, which holds the interpreter lock.
 
     on_result, if given, is called in the calling thread with each
     EntropyResult as its point completes, which is how the CLI persists
@@ -113,14 +116,25 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     done = {a: {L: known[a][L] for L in grid if L in known.get(a, {})}
             for a in orders}
     todo = {}
-    for L in grid:
+    for L in sorted(grid, reverse=True):
         missing = [a for a in orders if L not in done[a]]
         if missing:
             todo[L] = missing
 
+    failed = threading.Event()
+
     def run_one(L: float, missing) -> list[EntropyResult]:
+        # No L starts after an error; a pool thread sets this before it
+        # can take its next L.
+        if failed.is_set():
+            return []
         start = time.perf_counter()
-        spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L, config)
+        try:
+            spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L,
+                                                           config)
+        except Exception:
+            failed.set()
+            raise
         wall_time_s = time.perf_counter() - start
         return [renyi_entropy(spectrum, a, realized_L, mode, wall_time_s)
                 for a in missing]

@@ -22,8 +22,10 @@ key is a config error):
                             not part of the sweep resume hash
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
-    gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis)
-    gamma.center            x[,y[,z]]           (ball)
+    gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis; one
+                                                pair is the interval lo:hi)
+    gamma.center            x[,y[,z]]           (ball; one coordinate c is
+                                                the interval c-r:c+r)
     gamma.radius            r                   (ball)
     gamma.vertices          x:y[,x:y...]        (polygon, ccw)
     gamma.k_fermi           k                   (shorthand: interval -k:k)
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, interval)
+                       IntervalUnion, _check_ball, interval)
 from .spectra import PIPELINE_MODES, PipelineConfig
 
 __all__ = [
@@ -214,8 +216,9 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
             raw = config.require(f"{prefix}.intervals")
             return IntervalUnion(_parse_pairs(raw, f"{prefix}.intervals"))
         if shape == "box":
-            raw = config.require(f"{prefix}.bounds")
-            return Box(_parse_pairs(raw, f"{prefix}.bounds"))
+            bounds = _parse_pairs(config.require(f"{prefix}.bounds"),
+                                  f"{prefix}.bounds")
+            return IntervalUnion(bounds) if len(bounds) == 1 else Box(bounds)
         if shape == "ball":
             center = config.get_floats(f"{prefix}.center")
             if center is None:
@@ -223,6 +226,9 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
             radius = config.get_float(f"{prefix}.radius")
             if radius is None:
                 raise ConfigError(f"missing {prefix}.radius")
+            if len(center) == 1:
+                _check_ball(center, radius)
+                return interval(center[0] - radius, center[0] + radius)
             return Ball(tuple(center), radius)
         if shape in ("polygon", "convex_polygon"):
             raw = config.require(f"{prefix}.vertices")

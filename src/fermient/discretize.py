@@ -251,14 +251,14 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
 
     # The node count is the product of the rule's factors' counts.
     region = omega.scaled(L) if L != 1.0 else omega
-    ball = isinstance(region, Ball) and region.dim > 1
+    ball = isinstance(region, Ball)
     if ball:
         n_r = _ceil(nodes_per_unit * region.radius, 4.0)
         n_t = _ceil(nodes_per_unit * TWO_PI * region.radius, 8.0)
         counts = [n_r, n_t] if region.dim == 2 else [n_r, n_r, n_t]
-    elif region.dim == 1 or isinstance(region, Box):
+    elif isinstance(region, (IntervalUnion, Box)):
         axes = (region.axis_intervals() if isinstance(region, Box)
-                else [region.as_interval_union()])
+                else [region])
         plans = [_panels(axis, nodes_per_unit, wavelength) for axis in axes]
         counts = [sum(p * q for _, _, p, q in plan) for plan in plans]
     else:

@@ -1,10 +1,10 @@
 """Geometry catalog for Fermi seas and spatial regions.
 
-The library works with a fixed catalog of shapes in dimensions 1 to 3:
-unions of disjoint intervals, axis-aligned boxes, balls, and strictly
-convex polygons (d=2 only).  A shape can play either role: the momentum
-region whose occupied states define the ground state, or the position
-region the state is reduced to.
+The library works with a fixed catalog of shapes: unions of disjoint
+intervals (the only d=1 shape), axis-aligned boxes and balls in
+d in {2, 3}, and strictly convex polygons (d=2).  A shape can play
+either role: the momentum region whose occupied states define the
+ground state, or the position region the state is reduced to.
 
 Everything is dimensionless with hbar = 1, so the cosine-transform
 surface coefficient
@@ -126,9 +126,6 @@ class Domain:
         measures, normals = zip(*self.faces())
         return SurfaceQuadrature(np.array(measures), np.array(normals))
 
-    def as_interval_union(self) -> "IntervalUnion":
-        raise GeometryError(f"{type(self).__name__} is not one-dimensional")
-
     def describe(self) -> dict:
         """Plain-data description used in configs and result provenance."""
         raise NotImplementedError
@@ -144,6 +141,13 @@ def _check_finite(values, name):
     +-inf): a shape's coordinates must describe a bounded region."""
     if not all(math.isfinite(v) for v in values):
         raise GeometryError(f"{name} must be finite, got {list(values)}")
+
+
+def _check_ball(center, radius):
+    """GeometryError unless center is finite and radius finite and > 0."""
+    _check_finite(center, "ball center")
+    _check_finite([radius], "ball radius")
+    _check_positive(radius, "ball radius")
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,6 @@ class IntervalUnion(Domain):
             for x, y in zip(mirrored, ivs)
         )
 
-    def as_interval_union(self):
-        return self
-
     def describe(self):
         return {"shape": "interval_union", "dim": 1,
                 "intervals": [list(iv) for iv in self.intervals]}
@@ -209,14 +210,14 @@ def interval(a: float, b: float) -> IntervalUnion:
 
 @dataclass(frozen=True)
 class Box(Domain):
-    """Axis-aligned box given by per-axis closed intervals, d in {1, 2, 3}."""
+    """Axis-aligned box given by per-axis closed intervals, d in {2, 3}."""
 
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if not 1 <= len(bounds) <= 3:
-            raise GeometryError(f"box dimension {len(bounds)} outside 1..3")
+        if not 2 <= len(bounds) <= 3:
+            raise GeometryError(f"box dimension {len(bounds)} outside 2..3")
         _check_finite([e for side in bounds for e in side], "box bounds")
         for lo, hi in bounds:
             if not hi > lo:
@@ -236,8 +237,6 @@ class Box(Domain):
     def boundary_measure(self):
         d = self.dim
         sides = self.side_lengths()
-        if d == 1:
-            return 2.0
         if d == 2:
             return float(2.0 * sides.sum())
         vol = float(np.prod(sides))
@@ -252,16 +251,11 @@ class Box(Domain):
 
     @property
     def is_polytope(self):
-        return self.dim >= 2
+        return True
 
     @property
     def is_centrally_symmetric(self):
         return all(math.isclose(lo, -hi, abs_tol=1e-15) for lo, hi in self.bounds)
-
-    def as_interval_union(self):
-        if self.dim != 1:
-            raise GeometryError("only a 1D box reduces to an interval union")
-        return IntervalUnion((self.bounds[0],))
 
     def axis_intervals(self) -> list[IntervalUnion]:
         """Per-axis 1D factors; the box is their Cartesian product."""
@@ -269,8 +263,6 @@ class Box(Domain):
 
     def faces(self):
         d = self.dim
-        if d < 2:
-            raise GeometryError("1D boxes have point boundaries, not faces")
         sides = self.side_lengths()
         vol = float(np.prod(sides))
         out = []
@@ -289,18 +281,16 @@ class Box(Domain):
 
 @dataclass(frozen=True)
 class Ball(Domain):
-    """Ball of given center and radius, d in {1, 2, 3}."""
+    """Ball of given center and radius, d in {2, 3}."""
 
     center: tuple[float, ...]
     radius: float
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
-        if not 1 <= len(center) <= 3:
-            raise GeometryError(f"ball dimension {len(center)} outside 1..3")
-        _check_finite(center, "ball center")
-        _check_finite([self.radius], "ball radius")
-        _check_positive(self.radius, "ball radius")
+        if not 2 <= len(center) <= 3:
+            raise GeometryError(f"ball dimension {len(center)} outside 2..3")
+        _check_ball(center, self.radius)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -314,8 +304,6 @@ class Ball(Domain):
 
     def boundary_measure(self):
         d, r = self.dim, self.radius
-        if d == 1:
-            return 2.0
         if d == 2:
             return TWO_PI * r
         return 4.0 * math.pi * r * r
@@ -331,12 +319,6 @@ class Ball(Domain):
     def is_centrally_symmetric(self):
         return all(c == 0.0 for c in self.center)
 
-    def as_interval_union(self):
-        if self.dim != 1:
-            raise GeometryError("only a 1D ball reduces to an interval union")
-        c = self.center[0]
-        return IntervalUnion(((c - self.radius, c + self.radius),))
-
     def surface_quadrature(self, resolution):
         d, r = self.dim, self.radius
         if d == 2:
@@ -344,20 +326,18 @@ class Ball(Domain):
             normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             weights = np.full(resolution, TWO_PI * r / resolution)
             return SurfaceQuadrature(weights, normals)
-        if d == 3:
-            # Gauss-Legendre in cos(polar angle), uniform in azimuth.
-            nz, nphi = resolution, 2 * resolution
-            z, wz = np.polynomial.legendre.leggauss(nz)
-            phi = TWO_PI * (np.arange(nphi) + 0.5) / nphi
-            Z, PHI = np.meshgrid(z, phi, indexing="ij")
-            rho = np.sqrt(np.maximum(1.0 - Z ** 2, 0.0))
-            normals = np.stack(
-                [(rho * np.cos(PHI)).ravel(), (rho * np.sin(PHI)).ravel(), Z.ravel()],
-                axis=1,
-            )
-            weights = (np.repeat(wz, nphi) * (TWO_PI / nphi)) * r * r
-            return SurfaceQuadrature(weights, normals)
-        return super().surface_quadrature(resolution)
+        # Gauss-Legendre in cos(polar angle), uniform in azimuth.
+        nz, nphi = resolution, 2 * resolution
+        z, wz = np.polynomial.legendre.leggauss(nz)
+        phi = TWO_PI * (np.arange(nphi) + 0.5) / nphi
+        Z, PHI = np.meshgrid(z, phi, indexing="ij")
+        rho = np.sqrt(np.maximum(1.0 - Z ** 2, 0.0))
+        normals = np.stack(
+            [(rho * np.cos(PHI)).ravel(), (rho * np.sin(PHI)).ravel(), Z.ravel()],
+            axis=1,
+        )
+        weights = (np.repeat(wz, nphi) * (TWO_PI / nphi)) * r * r
+        return SurfaceQuadrature(weights, normals)
 
     def describe(self):
         return {"shape": "ball", "dim": self.dim,

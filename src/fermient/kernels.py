@@ -5,10 +5,11 @@ momenta in gamma acts by convolution with
 
     K(u) = (2*pi)^(-d) * integral_gamma exp(i p . u) dp,   u = q - q',
 
-and every shape in the catalog admits a closed form: sinc combinations
-for interval unions, per-axis products for boxes, and Bessel or
-elementary radial forms for balls.  Kernels are Hermitian for any
-gamma (K(-u) = conj(K(u))) and real exactly when gamma = -gamma.
+and every catalog shape but ConvexPolygon admits a closed form: sinc
+combinations for interval unions, per-axis products for boxes, and
+Bessel or elementary radial forms for balls in d = 2 and 3.  Kernels
+are Hermitian for any gamma (K(-u) = conj(K(u))) and real exactly when
+gamma = -gamma.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _interval_union_kernel(intervals, u):
 
 
 def _ball_radial(p_fermi, d, r):
-    """Radial factor of the ball kernel at centered displacement radii r."""
+    """Radial factor of the d = 2 or 3 ball kernel at centered
+    displacement radii r."""
     shape = np.shape(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     x = p_fermi * r
@@ -66,20 +68,18 @@ def _ball_radial(p_fermi, d, r):
         xl = x[~small]
         out[~small] = p_fermi ** 2 / TWO_PI * j1(xl) / xl
         return out.reshape(shape)
-    if d == 3:
-        # (sin x - x cos x) / (2*pi^2 r^3); the numerator's Taylor series
-        # is sum_{k>=1} (-1)^{k+1} * 2k * x^{2k+1} / (2k+1)!.
-        xs = x[small]
-        x2 = xs * xs
-        series = (1.0 / 3.0) + x2 * (-1.0 / 30.0 + x2 * (
-            1.0 / 840.0 + x2 * (-1.0 / 45360.0 + x2 / 3991680.0)))
-        out[small] = p_fermi ** 3 / (2.0 * math.pi ** 2) * series
-        xl = x[~small]
-        rl = r[~small]
-        out[~small] = (np.sin(xl) - xl * np.cos(xl)) \
-            / (2.0 * math.pi ** 2 * rl ** 3)
-        return out.reshape(shape)
-    raise GeometryError(f"no radial ball kernel in d={d}")
+    # d = 3: (sin x - x cos x) / (2*pi^2 r^3); the numerator's Taylor
+    # series is sum_{k>=1} (-1)^{k+1} * 2k * x^{2k+1} / (2k+1)!.
+    xs = x[small]
+    x2 = xs * xs
+    series = (1.0 / 3.0) + x2 * (-1.0 / 30.0 + x2 * (
+        1.0 / 840.0 + x2 * (-1.0 / 45360.0 + x2 / 3991680.0)))
+    out[small] = p_fermi ** 3 / (2.0 * math.pi ** 2) * series
+    xl = x[~small]
+    rl = r[~small]
+    out[~small] = (np.sin(xl) - xl * np.cos(xl)) \
+        / (2.0 * math.pi ** 2 * rl ** 3)
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -87,21 +87,17 @@ class FermiKernel:
     """Translation-invariant kernel of the projection onto momenta in gamma.
 
     Immutable and reentrant; all evaluation is vectorized over
-    displacement arrays.  ConvexPolygon momentum regions are out of
-    scope (no catalog closed form).
+    displacement arrays.  A ConvexPolygon momentum region raises
+    GeometryError: it has no closed form.
     """
 
     gamma: Domain
 
     def __post_init__(self):
         g = self.gamma
-        if isinstance(g, (IntervalUnion, Box)):
-            return
-        if isinstance(g, Ball) and g.dim in (1, 2, 3):
-            return
-        raise GeometryError(
-            f"no closed-form Fermi kernel for {type(g).__name__}"
-        )
+        if not isinstance(g, (IntervalUnion, Box, Ball)):
+            raise GeometryError(
+                f"no closed-form Fermi kernel for {type(g).__name__}")
 
     @property
     def dim(self) -> int:
@@ -120,16 +116,14 @@ class FermiKernel:
         the roundoff-level imaginary part is dropped).
         """
         g = self.gamma
+        uv = np.asarray(u, dtype=float)
         if self.dim == 1:
-            u1 = np.asarray(u, dtype=float)
-            vals = _interval_union_kernel(g.as_interval_union().intervals, u1)
+            vals = _interval_union_kernel(g.intervals, uv)
         elif isinstance(g, Box):
-            uv = np.asarray(u, dtype=float)
             vals = np.ones(uv.shape[:-1], dtype=complex)
             for axis, bounds in enumerate(g.bounds):
                 vals = vals * _interval_union_kernel((bounds,), uv[..., axis])
         else:
-            uv = np.asarray(u, dtype=float)
             center = np.array(g.center)
             r = np.sqrt(np.sum(uv * uv, axis=-1))
             radial = _ball_radial(g.radius, g.dim, r)

@@ -79,7 +79,8 @@ import numpy as np
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import Ball, Box, Domain, GeometryError, _check_same_dim
+from .geometry import (Ball, Box, Domain, GeometryError, IntervalUnion,
+                       _check_same_dim)
 
 __all__ = [
     "SpectralViolationError",
@@ -662,12 +663,11 @@ def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
     _check_same_dim(gamma, omega)
     if mode != "auto":
         return mode
-    if isinstance(gamma, Box) and isinstance(omega, Box) and gamma.dim >= 2:
+    if isinstance(gamma, Box) and isinstance(omega, Box):
         return "tensor_box"
-    if isinstance(gamma, Ball) and isinstance(omega, Ball) and gamma.dim >= 2:
+    if isinstance(gamma, Ball) and isinstance(omega, Ball):
         return "radial"
-    if gamma.dim == 1 and all(len(region.as_interval_union().intervals) == 1
-                              for region in (gamma, omega)):
+    if gamma.dim == 1 and len(gamma.intervals) == len(omega.intervals) == 1:
         return "prolate"
     return "continuum"
 
@@ -697,13 +697,13 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     """
     mode = _resolve_mode(config.mode, gamma, omega)
     if mode == "lattice":
-        union = gamma.as_interval_union()
-        if len(union.intervals) != 1 or not union.is_centrally_symmetric:
+        if not (isinstance(gamma, IntervalUnion) and len(gamma.intervals) == 1
+                and gamma.is_centrally_symmetric):
             raise GeometryError(
                 "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
-        if len(omega.as_interval_union().intervals) != 1:
+        if len(omega.intervals) != 1:
             raise GeometryError("lattice mode needs a single spatial interval")
-        k_fermi = union.intervals[0][1]
+        k_fermi = gamma.intervals[0][1]
         if not 0.0 < k_fermi < math.pi:
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")

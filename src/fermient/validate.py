@@ -69,7 +69,7 @@ def _kernel_oracle(gamma, u):
 
     if gamma.dim == 1:
         total = 0.0 + 0.0j
-        for a, b in gamma.as_interval_union().intervals:
+        for a, b in gamma.intervals:
             re = quad(lambda p: math.cos(p * u), a, b, limit=200)[0]
             im = quad(lambda p: math.sin(p * u), a, b, limit=200)[0]
             total += (re + 1j * im) / (2.0 * math.pi)

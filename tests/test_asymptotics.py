@@ -1,11 +1,13 @@
 """Sweeps, scaling fits, and theory comparison."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from fermient import spectra
+from fermient import asymptotics, spectra
 from fermient.asymptotics import (
     FitError,
     SweepResult,
@@ -14,6 +16,7 @@ from fermient.asymptotics import (
     predicted_prefactor,
     sweep,
 )
+from fermient.discretize import DiscretizationError
 from fermient.geometry import Ball, Box, interval
 from fermient.spectra import EntropyResult, PipelineConfig
 
@@ -163,6 +166,53 @@ def test_sweep_orders_parallel_equals_serial():
     for alpha in orders:
         for a, b in zip(serial[alpha].results, parallel[alpha].results):
             assert (a.alpha, a.L, a.n, a.S) == (b.alpha, b.L, b.n, b.S)
+
+
+def test_sweep_runs_largest_L_first(monkeypatch):
+    # Every route's size grows with L, so an L past the budget fails
+    # before any smaller L is solved.
+    started = []
+    original = asymptotics.pipeline_spectrum
+
+    def recording(gamma, omega, L, config):
+        started.append(L)
+        return original(gamma, omega, L, config)
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", recording)
+    seen = []
+    sweep(GAMMA_LATTICE, OMEGA, [1.0], [40, 20, 80, 30],
+          PipelineConfig(mode="lattice"), on_result=seen.append)
+    assert started == [80.0, 40.0, 30.0, 20.0]
+    assert [r.L for r in seen] == started
+
+
+def test_sweep_starts_no_L_after_an_error(monkeypatch):
+    # Eight threads, more than the cores, at a 1 us switch interval.  A
+    # thread holds one L at a time, so once the failing L has raised,
+    # only the L values the other seven already hold may still run.
+    jobs, failing = 8, 350.0
+    order = [float(L) for L in range(400, 0, -10)]
+    config = PipelineConfig(mode="lattice")
+    solved = asymptotics.pipeline_spectrum(GAMMA_LATTICE, OMEGA, 10.0, config)
+    started = []
+
+    def solving(gamma, omega, L, config):
+        started.append(L)
+        if L == failing:
+            raise DiscretizationError("injected")
+        time.sleep(1e-3)
+        return solved
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", solving)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(DiscretizationError, match="injected"):
+            sweep(GAMMA_LATTICE, OMEGA, [1.0], order, config, jobs=jobs)
+    finally:
+        sys.setswitchinterval(switch)
+    assert failing in started
+    assert set(started) <= set(order[:order.index(failing) + jobs])
 
 
 def test_sweep_orders_resume_only_missing_points():

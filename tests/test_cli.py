@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main(argv)."""
 
+import csv
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import asymptotics, discretize, geometry, spectra
+from fermient import asymptotics, discretize, geometry, spectra, validate
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
@@ -114,6 +115,43 @@ def test_entropy_csv_output(capsys, tmp_path):
     # Float cells round-trip exactly through repr.
     cell = dict(zip(header, lines[1].split(",")))
     assert float(cell["S"]) == record["rows"][0]["S"]
+
+
+OMEGA_SPELLINGS = {
+    "interval": ["omega.shape=interval", "omega.intervals=0:1"],
+    "box": ["omega.shape=box", "omega.bounds=0:1"],
+    "ball": ["omega.shape=ball", "omega.center=0.5", "omega.radius=0.5"],
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "continuum", "lattice"])
+def test_one_dimensional_omega_spellings_give_one_record(capsys, mode):
+    # A one-pair box and a one-coordinate ball are read as the interval
+    # 0:1; the ball once solved a 3-site lattice block at L = 3.5, its
+    # volume coming out 0.9999999999999999.
+    rows = {name: without_wall_times(run_json(
+        capsys, "entropy", "gamma.k_fermi=1", *omega, f"mode={mode}",
+        "entropy.L=3.5", "alpha=0.5,1,2"))["rows"]
+        for name, omega in OMEGA_SPELLINGS.items()}
+    assert rows["box"] == rows["interval"]
+    assert rows["ball"] == rows["interval"]
+    if mode == "lattice":
+        assert {(row["n"], row["L"]) for row in rows["ball"]} == {(4, 4.0)}
+
+
+def test_tensor_box_mode_on_one_axis_boxes_exits_3(capsys):
+    # A one-pair box is an interval, which the tensor_box route refuses;
+    # auto gives it the prolate route.
+    pair = ["gamma.shape=box", "gamma.bounds=-1:1", "omega.shape=box",
+            "omega.bounds=0:1", "entropy.L=10"]
+    code, out, err = run_cli(capsys, "entropy", "mode=tensor_box", *pair)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "GeometryError"
+    assert "tensor_box mode needs box momentum and spatial regions" \
+        in error["message"]
+    (row,) = run_json(capsys, "entropy", *pair)["rows"]
+    assert row["mode"] == "prolate"
 
 
 def test_config_file_and_override_precedence(capsys, tmp_path):
@@ -354,6 +392,7 @@ INTERVAL_PAIR = ["gamma.k_fermi=1", "omega.shape=interval",
                  "omega.intervals=0:1"]
 DISK_IN_SQUARE = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
                   "omega.shape=box", "omega.bounds=0:1,0:1"]
+OMEGA_BALL_1D = ["gamma.k_fermi=1", *OMEGA_SPELLINGS["ball"]]
 
 
 @pytest.mark.parametrize("command, args, override", [
@@ -367,6 +406,9 @@ DISK_IN_SQUARE = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
     ("jcoeff", DISK_IN_SQUARE, "gamma.radius=inf"),
     ("jcoeff", BOX_PAIR, "gamma.bounds=-1:1,-1:inf"),
     ("jcoeff", BOX_PAIR, "omega.bounds=0:1,-inf:1"),
+    ("entropy", OMEGA_BALL_1D, "omega.radius=inf"),
+    ("entropy", OMEGA_BALL_1D, "omega.radius=0"),
+    ("entropy", OMEGA_BALL_1D, "omega.center=nan"),
 ])
 def test_non_finite_or_invalid_geometry_exits_2(capsys, no_solves, command,
                                                 args, override):
@@ -377,6 +419,24 @@ def test_non_finite_or_invalid_geometry_exits_2(capsys, no_solves, command,
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
     assert error["message"].startswith(override.partition(".")[0] + ": ")
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("entropy", [*LATTICE_ARGS, "alpha=1,x"], "alpha"),
+    ("entropy", [*INTERVAL_PAIR, "omega.intervals=0:a"], "omega.intervals"),
+    ("entropy", [*INTERVAL_PAIR, "omega.intervals=,"], "omega.intervals"),
+    ("entropy", ["gamma.k_fermi=1", "omega.shape=ball", "omega.radius=1"],
+     "omega.center"),
+    ("sweep", [*LATTICE_ARGS, "sweep.L=10:a:5"], "grid"),
+], ids=["non-numeric-list", "non-numeric-pair", "empty-pairs",
+        "ball-without-center", "non-numeric-grid-field"])
+def test_malformed_config_value_exits_2(capsys, no_solves, command, args,
+                                        key):
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert key in error["message"]
 
 
 def test_entropy_unit_cube_stores_axis_entries_only(capsys, monkeypatch):
@@ -416,14 +476,14 @@ def no_sector_solves(monkeypatch):
 
 
 def test_radial_rule_over_budget_exits_3(capsys, no_sector_solves):
-    # n_r = ceil(1.5 k R) + 20 = 23 already at L = 2.
+    # The largest L runs first: n_r = ceil(1.5 k R) + 20 = 32 at L = 8.
     code, out, err = run_cli(capsys, "sweep", *DISK_PAIR, "sweep.L=2:8:4",
                              "disc.budget=22")
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "BudgetError"
-    assert "23 radial nodes" in error["message"]
+    assert "32 radial nodes" in error["message"]
     assert "budget 22" in error["message"]
 
 
@@ -436,10 +496,6 @@ def test_radial_nodes_per_unit_under_nyquist_guard_exits_3(
     error = json.loads(err)["error"]
     assert error["type"] == "DiscretizationError"
     assert "sampling guard" in error["message"]
-
-
-INTERVAL_PAIR = ["gamma.k_fermi=1", "omega.shape=interval",
-                 "omega.intervals=0:1"]
 
 
 @pytest.mark.parametrize("pair, size", [
@@ -508,8 +564,9 @@ def test_oversized_request_exits_3_before_building(capsys, monkeypatch, args,
     assert f"would need {message}" in error["message"]
 
 
-def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
-    # L = 1e30 was cast to a negative site count and silently dropped.
+def lattice_sweep_past_the_budget(capsys, monkeypatch, *flags):
+    """Run the lattice sweep whose largest L = 1e30 is past the budget;
+    return the block sizes solved before it exits 3."""
     solved = []
     original = spectra._lattice_spectrum
 
@@ -519,7 +576,7 @@ def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
         return original(k_fermi, n)
 
     monkeypatch.setattr(spectra, "_lattice_spectrum", guarded)
-    code, out, err = run_cli(capsys, "sweep", "mode=lattice",
+    code, out, err = run_cli(capsys, "sweep", *flags, "mode=lattice",
                              "gamma.k_fermi=1", "omega.shape=interval",
                              "omega.intervals=0:1",
                              "sweep.L=100,200,300,400,1e30")
@@ -528,7 +585,24 @@ def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
     assert error["type"] == "BudgetError"
     assert "would need 1e+30 lattice sites, over the budget 100000" \
         in error["message"]
-    assert solved == [100, 200, 300, 400]
+    return solved
+
+
+def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
+    # L = 1e30 was cast to a negative site count and silently dropped,
+    # then was reached only after every smaller block was solved.  The
+    # largest L runs first, so nothing is solved.
+    assert lattice_sweep_past_the_budget(capsys, monkeypatch) == []
+
+
+def test_lattice_sweep_past_the_budget_with_jobs_exits_3(capsys,
+                                                         monkeypatch):
+    # No L starts after the first error: at most the one block taken by
+    # the second thread before L = 1e30 failed.
+    solved = lattice_sweep_past_the_budget(capsys, monkeypatch,
+                                           "--jobs", "2")
+    assert len(solved) <= 2
+    assert set(solved) <= {400, 300}
 
 
 def test_lattice_sweep_under_half_a_site_exits_2(capsys, no_solves):
@@ -920,7 +994,7 @@ def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):
                            "alpha=" + ",".join(orders), "sweep.L=40:160:4",
                            "--out", str(out))
     assert code == 0, err
-    assert solves == [40, 63, 101, 160]
+    assert solves == [160, 101, 63, 40]      # largest L first
     record = json.loads(out.read_text())
     assert len(record["rows"]) == 4 * len(orders)
     multi = {(row["alpha"], row["L"]): row["S"] for row in record["rows"]}
@@ -985,7 +1059,7 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
                            "--out", str(resumed))
     assert code == 0, err
-    assert solves == [40, 101, 160]
+    assert solves == [160, 101, 40]
     record = json.loads(resumed.read_text())
     # Loaded rows keep the wall time they were saved with.
     assert [row for row in record["rows"] if row in saved] == saved
@@ -1001,7 +1075,7 @@ def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
     solved = []
 
     def interrupted(gamma, omega, L, config):
-        if L > 150.0:
+        if L < 45.0:
             raise DiscretizationError("interrupted")
         return original(gamma, omega, L, config)
 
@@ -1013,32 +1087,83 @@ def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, *argv, "seed=1")
     assert code == 3
     partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
-    assert [json.loads(line)["L"] for line in partial] == [40.0, 63.0, 101.0]
+    assert [json.loads(line)["L"] for line in partial] == [160.0, 101.0, 63.0]
 
     monkeypatch.setattr(asymptotics, "pipeline_spectrum", spying)
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert solved == [160.0]
+    assert solved == [40.0]
     assert len(json.loads(out.read_text())["rows"]) == 4
 
 
-def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path):
+def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path,
+                                                monkeypatch):
+    # The largest L runs first, so the failure is injected at the
+    # smallest: the rows solved before it are persisted.
     out = tmp_path / "sweep.json"
-    code, _, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
-                           "alpha=1",
-                           f"sweep.L=100,200,300,{DEFAULT_LATTICE_BUDGET + 1}",
-                           "--out", str(out))
+    argv = ["sweep", *LATTICE_ARGS, "alpha=1", "sweep.L=100,200,300,400",
+            "--out", str(out)]
+    original = asymptotics.pipeline_spectrum
+    solved, interrupted = [], [True]
+
+    def failing(gamma, omega, L, config):
+        if interrupted and L == 100.0:
+            raise discretize.BudgetError("would need more, over the budget")
+        solved.append(L)
+        return original(gamma, omega, L, config)
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", failing)
+    code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert "budget" in json.loads(err)["error"]["message"]
     assert not out.exists()
     partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
     saved = [json.loads(line)["L"] for line in partial]
-    assert saved == [100.0, 200.0, 300.0]
+    assert saved == [400.0, 300.0, 200.0]
+
+    interrupted.clear()
+    solved.clear()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert solved == [100.0]
+    assert len(json.loads(out.read_text())["rows"]) == 4
+    assert not (tmp_path / "sweep.json.partial").exists()
+
+
+def test_sweep_csv_rectifies_by_dimension(capsys, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    record = run_json(capsys, "sweep", *BOX_PAIR, "alpha=1,2",
+                      "sweep.L=10:40:4", "--csv", str(csv_path))
+    with open(csv_path, newline="") as handle:
+        cells = list(csv.DictReader(handle))
+    assert len(cells) == len(record["rows"]) == 2 * 4
+    for cell, row in zip(cells, record["rows"]):
+        assert float(cell["S"]) == row["S"]
+        assert float(cell["S_scaled"]) == row["S"] / row["L"]   # d = 2
 
 
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+def test_validate_failure_exits_4(capsys, tmp_path, monkeypatch):
+    def failing():
+        return False, "forced failure"
+
+    monkeypatch.setattr(validate, "ALL_CHECKS", tuple(
+        (name, failing if name == "nystrom_trace" else check)
+        for name, check in validate.ALL_CHECKS))
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(capsys, "validate", "--out", str(out))
+    assert code == 4
+    assert err.splitlines() == ["failed: nystrom_trace"]
+    *table, summary = stdout.splitlines()
+    failed = [line.split() for line in table if "FAIL" in line]
+    assert [(words[0], words[-2:]) for words in failed] \
+        == [("nystrom_trace", ["forced", "failure"])]
+    assert summary == "9/10 checks passed"
+    assert json.loads(out.read_text())["passed"] is False
+
 
 def test_validate_passes_and_writes_report(capsys, tmp_path):
     out = tmp_path / "report.json"

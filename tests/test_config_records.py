@@ -130,6 +130,20 @@ def test_domain_from_config_shapes():
         ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
+def test_one_axis_box_and_ball_are_intervals():
+    # IntervalUnion is the only 1D domain: a one-pair box is that
+    # interval, and a one-coordinate ball is interval(c - r, c + r).
+    config = RunConfig({
+        "box.shape": "box", "box.bounds": "0:1",
+        "ball.shape": "ball", "ball.center": "0.25", "ball.radius": "1",
+        "unit.shape": "ball", "unit.center": "0.5", "unit.radius": "0.5",
+    })
+    assert domain_from_config(config, "box") == interval(0.0, 1.0)
+    assert domain_from_config(config, "ball") == interval(-0.75, 1.25)
+    unit = domain_from_config(config, "unit")
+    assert unit == interval(0.0, 1.0) and unit.volume() == 1.0
+
+
 def test_domain_from_config_errors():
     with pytest.raises(ConfigError):
         domain_from_config(RunConfig({}), "gamma")

@@ -50,13 +50,6 @@ def test_weights_sum_to_region_size():
         assert np.all(op.weights > 0)
         assert op.n == len(op.nodes) == len(op.weights)
 
-    # A 1D box or ball is its interval: the same rule and matrix.
-    reference = nystrom(GAMMA, OMEGA, L=3.0, nodes_per_unit=4.0)
-    for omega in (Box(((0.0, 1.0),)), Ball((0.5,), 0.5)):
-        op = nystrom(GAMMA, omega, L=3.0, nodes_per_unit=4.0)
-        np.testing.assert_array_equal(op.nodes, reference.nodes)
-        np.testing.assert_array_equal(op.matrix, reference.matrix)
-
 
 def test_nodes_lie_inside_the_dilated_region():
     op = nystrom(GAMMA, IntervalUnion(((0.0, 1.0), (2.0, 2.5))), L=2.0)

@@ -55,13 +55,18 @@ def test_box_and_ball_validation():
         Ball((0.0, 0.0), 0.0)
     with pytest.raises(GeometryError):
         Ball((0.0,) * 4, 1.0)
+    # IntervalUnion is the only 1D shape.
+    with pytest.raises(GeometryError, match="box dimension 1"):
+        Box(((0, 1),))
+    with pytest.raises(GeometryError, match="ball dimension 1"):
+        Ball((0.0,), 1.0)
 
 
 @pytest.mark.parametrize("build", [
     lambda bad: IntervalUnion(((0.0, 1.0), (2.0, bad))),
     lambda bad: IntervalUnion(((-bad, 1.0),)),
     lambda bad: Box(((0.0, 1.0), (0.0, bad))),
-    lambda bad: Box(((-bad, 1.0),)),
+    lambda bad: Box(((-bad, 1.0), (0.0, 1.0))),
     lambda bad: Ball((0.0, bad), 1.0),
     lambda bad: Ball((0.0, 0.0, 0.0), bad),
     lambda bad: ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (bad, 1.0))),

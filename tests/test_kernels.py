@@ -157,14 +157,6 @@ def test_ball_small_argument_branches_overlap():
     assert taylor == pytest.approx(direct, rel=1e-12)
 
 
-def test_ball1_matches_interval():
-    ball = fermi_kernel(Ball((0.25,), 1.0))
-    union = fermi_kernel(interval(-0.75, 1.25))
-    u = np.linspace(-5.0, 5.0, 41)
-    np.testing.assert_allclose(ball.displacement(u), union.displacement(u),
-                               atol=1e-14)
-
-
 def test_dataclass_is_frozen():
     kernel = FermiKernel(interval(-1.0, 1.0))
     with pytest.raises(AttributeError):
