@@ -11,9 +11,9 @@ coefficient.
 
 import numpy as np
 
-from fermient import IntervalUnion, interval, sweep
-from fermient.asymptotics import (compare_theory, fit_scaling,
-                                  predicted_prefactor)
+from fermient import (IntervalUnion, interval, predicted_log_prefactor,
+                      sweep, widom_J)
+from fermient.asymptotics import compare_theory, fit_scaling
 
 
 def run(gamma, omega, label):
@@ -23,7 +23,7 @@ def run(gamma, omega, label):
     for point in result.results:
         print(f"{point.L:8.2f} {point.n:6d} {point.S:10.6f}")
     fit = fit_scaling(result)
-    comparison = compare_theory(fit, gamma, omega, 1.0)
+    comparison = compare_theory(fit, widom_J(gamma, omega).value, 1.0)
     print(f"    fitted a = {fit.log_coefficient:.6f} +- {fit.stderr_log:.1e}"
           f"   theory {comparison['theory']:.6f}"
           f"   rel dev {comparison['rel_dev']:.2e}")
@@ -33,7 +33,8 @@ def run(gamma, omega, label):
 
 def main():
     gamma = interval(-1.0, 1.0)
-    prefactor = predicted_prefactor(gamma, interval(0.0, 1.0), 1.0)
+    prefactor = predicted_log_prefactor(1.0) \
+        * widom_J(gamma, interval(0.0, 1.0)).value
     print(f"predicted coefficient of ln L: {prefactor:.6f} "
           "(h_1(1) = 0, so no volume term)\n")
 

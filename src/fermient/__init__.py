@@ -14,15 +14,15 @@ The usual entry points:
     sweep, fit_scaling, compare_theory
                        scaling runs: {alpha: SweepResult} from one
                        spectrum per L, one fit per SweepResult, and the
-                       fit against the predicted coefficient
-    widom_J            the boundary coefficient J by exact or
-                       quadrature routes
+                       fit against the coefficient predicted from J
+    widom_J            the boundary coefficient J, exact, or by
+                       quadrature at a given resolution
     entropy_log_coefficient, predicted_log_prefactor
                        the functional I(h_alpha) and its closed form
 """
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
-                          fit_scaling, predicted_prefactor, sweep)
+                          fit_scaling, sweep)
 from .discretize import (DiscretizedOperator, LatticeCorrelation,
                          lattice_correlation, nystrom,
                          ring_block_correlation)
@@ -34,7 +34,7 @@ from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        IntervalUnion, interval, mean_density, widom_J,
                        widom_J_density_form, widom_J_monte_carlo,
                        widom_J_sphere)
-from .kernels import FermiKernel, fermi_kernel
+from .kernels import FermiKernel
 from .spectra import (EntropyResult, PipelineConfig, Spectrum,
                       entropy_pipeline, eigenvalues, pipeline_spectrum,
                       renyi_entropy, tensor_spectrum)
@@ -49,13 +49,12 @@ __all__ = [
     "entropy_function", "entropy_log_coefficient",
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
     "predicted_log_prefactor", "dilog",
-    "FermiKernel", "fermi_kernel",
+    "FermiKernel",
     "DiscretizedOperator", "LatticeCorrelation", "nystrom",
     "lattice_correlation", "ring_block_correlation",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum", "entropy_pipeline",
-    "SweepResult", "ScalingFit", "sweep", "fit_scaling",
-    "predicted_prefactor", "compare_theory",
+    "SweepResult", "ScalingFit", "sweep", "fit_scaling", "compare_theory",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import predicted_log_prefactor
-from .geometry import Domain, widom_J
+from .geometry import Domain
 from .spectra import (EntropyResult, PipelineConfig, pipeline_spectrum,
                       renyi_entropy)
 
@@ -36,7 +36,6 @@ __all__ = [
     "FitError",
     "sweep",
     "fit_scaling",
-    "predicted_prefactor",
     "compare_theory",
 ]
 
@@ -92,10 +91,12 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     an L past the budget fails before any smaller L is solved, and no L
     starts after the first error.  jobs > 1 runs the L points in a
     thread pool; aggregation is always ordered by L, so the result is
-    deterministic regardless of completion order.  Only the routes that
-    solve with dense eigvalsh (radial sectors and the Nystrom matrix)
-    gain from it: the lattice, prolate and tensor_box routes spend their
-    time in eigh_tridiagonal, which holds the interpreter lock.
+    deterministic regardless of completion order.  Threads gain only
+    where a solve leaves cores idle: a Nystrom eigvalsh with a
+    single-threaded BLAS.  A multithreaded BLAS already keeps the cores
+    busy, radial sweeps measured slower in threads, and the lattice,
+    prolate and tensor_box routes spend their time in eigh_tridiagonal,
+    which holds the interpreter lock (timings in the README).
 
     on_result, if given, is called in the calling thread with each
     EntropyResult as its point completes, which is how the CLI persists
@@ -231,22 +232,16 @@ def fit_scaling(data: SweepResult, window=None) -> ScalingFit:
     )
 
 
-def predicted_prefactor(gamma: Domain, omega: Domain, alpha: float) -> float:
-    """The predicted coefficient of L^(d-1) ln L:
+def compare_theory(fit: ScalingFit, J: float, alpha: float) -> dict:
+    """Fitted leading coefficient against the prediction
 
-        (1 + alpha) / (24 * alpha) * J(dGamma, dOmega).
-    """
-    return predicted_log_prefactor(alpha) * widom_J(gamma, omega).value
+        theory = (1 + alpha) / (24 * alpha) * J,
 
-
-def compare_theory(fit: ScalingFit, gamma: Domain, omega: Domain,
-                   alpha: float) -> dict:
-    """Fitted leading coefficient against the prediction.
-
+    with J the boundary coefficient's value (geometry.widom_J).
     rel_dev = |fitted - theory| / theory; the theory value is nonzero
     for every valid catalog pair (J > 0 and the prefactor is positive),
     but a zero is guarded anyway."""
-    theory = predicted_prefactor(gamma, omega, alpha)
+    theory = predicted_log_prefactor(alpha) * J
     if theory == 0.0:
         raise FitError("predicted coefficient is zero; comparison undefined")
     fitted = fit.log_coefficient

@@ -7,7 +7,8 @@ Subcommands:
     sweep       L sweep + scaling fit + comparison to the predicted
                 coefficient, one spectrum per L shared by every order;
                 persists partial rows and resumes
-    jcoeff      boundary coefficient J by every applicable method
+    jcoeff      the exact boundary coefficient J, checked by quadrature
+                where a boundary is a ball and by Monte Carlo in d >= 2
     functional  I(h_alpha) numeric vs closed form over an alpha grid
     validate    structural invariant suite
 
@@ -43,7 +44,7 @@ from .discretize import DiscretizationError
 from .functionals import (dilog, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           log_coefficient_functional, predicted_log_prefactor)
-from .geometry import Ball, GeometryError, widom_J, widom_J_monte_carlo
+from .geometry import GeometryError, widom_J, widom_J_monte_carlo
 from .records import (append_partial_row, config_hash, entropy_result,
                       entropy_row, fit_block, j_block, load_partial_rows,
                       make_record, write_csv, write_json)
@@ -167,15 +168,16 @@ def cmd_sweep(args) -> int:
     by_order = sweep(gamma, omega, alphas, grid, pipeline, jobs=args.jobs,
                      on_result=on_result, precomputed=precomputed)
 
+    J = widom_J(gamma, omega)
     rows, fits = [], []
     for alpha, result_set in by_order.items():
         rows.extend(entropy_row(r) for r in result_set.results)
         fit = fit_scaling(result_set, window=window)
-        comparison = compare_theory(fit, gamma, omega, alpha)
+        comparison = compare_theory(fit, J.value, alpha)
         fits.append(fit_block(fit, comparison, alpha))
 
     record = make_record("sweep", config, rows=rows, fits=fits,
-                         j=j_block(widom_J(gamma, omega)))
+                         j=j_block(J))
     _emit(record, args.out)
     if args.csv:
         write_csv(rows, args.csv, d=gamma.dim)
@@ -197,16 +199,13 @@ def cmd_jcoeff(args) -> int:
     if seed < 0:
         raise ConfigError(f"seed: need an integer >= 0, got {seed}")
 
-    coefficients = []
-    if gamma.dim == 1:
-        coefficients.append(widom_J(gamma, omega))
-    else:
-        if gamma.is_polytope and omega.is_polytope:
-            coefficients.append(widom_J(gamma, omega, method="face_pair"))
-        if isinstance(gamma, Ball) or isinstance(omega, Ball):
-            coefficients.append(widom_J(gamma, omega, method="closed_form"))
-        coefficients.append(widom_J(gamma, omega, resolution=resolution,
-                                    method="quadrature"))
+    exact = widom_J(gamma, omega)
+    coefficients = [exact]
+    if gamma.dim > 1:
+        # A polytope pair's quadrature is its face-pair sum again; a
+        # ball's closed form is checked against its surface rule.
+        if exact.method == "closed_form":
+            coefficients.append(widom_J(gamma, omega, resolution))
         coefficients.append(widom_J_monte_carlo(
             gamma, omega, rng=np.random.default_rng(seed)))
 
@@ -324,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (entropy_parser, sweep_parser):
         sp.add_argument("--csv", help="also write flat CSV rows here")
     sweep_parser.add_argument("--jobs", type=_positive_int, default=1,
-                              help="sweep threads (default 1); only radial "
-                                   "and Nystrom sweeps, which solve with "
-                                   "dense eigvalsh, run faster with more")
+                              help="sweep threads (default 1); on two cores "
+                                   "only a Nystrom sweep with single-"
+                                   "threaded BLAS measured faster with more")
     jcoeff_parser = add_command("jcoeff", cmd_jcoeff,
-                                "boundary coefficient J, all methods")
+                                "boundary coefficient J and its checks")
     jcoeff_parser.add_argument("--seed", type=int, default=None,
                                help="seed for the Monte Carlo estimate")
     add_command("functional", cmd_functional, "I(h_alpha) vs closed form")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import (Ball, Box, Domain, IntervalUnion, TWO_PI,
                        _check_same_dim)
-from .kernels import fermi_kernel
+from .kernels import FermiKernel
 
 __all__ = [
     "DiscretizationError",
@@ -269,11 +269,13 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
                       else _rule_axes(plans))
 
     n = len(weights)
-    kern = fermi_kernel(gamma)
+    kern = FermiKernel(gamma)
     sqrt_w = np.sqrt(weights)
     dtype = float if kern.is_real else complex
     matrix = np.empty((n, n), dtype=dtype)
     block = max(1, min(n, int(8e6 / max(n, 1))))
+    # Exactly Hermitian as assembled: q_j - q_k is -(q_k - q_j) bit for
+    # bit and each closed form gives K(-u) = conj(K(u)) bit for bit.
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         if gamma.dim == 1:
@@ -282,7 +284,6 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
             diff = nodes[i0:i1, None, :] - nodes[None, :, :]
         matrix[i0:i1] = kern.displacement(diff) \
             * (sqrt_w[i0:i1, None] * sqrt_w[None, :])
-    matrix = 0.5 * (matrix + matrix.conj().T)
     return DiscretizedOperator(matrix, nodes, weights)
 
 

@@ -191,12 +191,8 @@ class IntervalUnion(Domain):
 
     @property
     def is_centrally_symmetric(self):
-        ivs = self.intervals
-        mirrored = sorted((-b, -a) for a, b in ivs)
-        return all(
-            math.isclose(x[0], y[0], abs_tol=1e-15) and math.isclose(x[1], y[1], abs_tol=1e-15)
-            for x, y in zip(mirrored, ivs)
-        )
+        return sorted((-b, -a) for a, b in self.intervals) \
+            == list(self.intervals)
 
     def describe(self):
         return {"shape": "interval_union", "dim": 1,
@@ -255,7 +251,7 @@ class Box(Domain):
 
     @property
     def is_centrally_symmetric(self):
-        return all(math.isclose(lo, -hi, abs_tol=1e-15) for lo, hi in self.bounds)
+        return all(lo == -hi for lo, hi in self.bounds)
 
     def axis_intervals(self) -> list[IntervalUnion]:
         """Per-axis 1D factors; the box is their Cartesian product."""
@@ -494,22 +490,23 @@ def _check_pair_count(gamma: Domain, omega: Domain, resolution: int) -> None:
         f"resolution that fits is {lo}")
 
 
-def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
-            method: str = "auto") -> WidomCoefficient:
+def widom_J(gamma: Domain, omega: Domain,
+            resolution: int | None = None) -> WidomCoefficient:
     """Boundary coefficient J for a momentum region and a spatial region.
 
-    d=1: the product of the two endpoint counts (exact).
-    d>=2: (2*pi)^(1-d) times the double surface integral of |m . n|,
-    summed over the two surface rules.  Polytope pairs are exact (their
-    rules are the face lists); J is symmetric in its two boundaries, so
-    a ball on either side admits the closed form (gamma's, when both
-    are balls); a ball is integrated at the given resolution, and a
-    resolution over MAX_SURFACE_NODES or MAX_COSINE_PAIRS raises
-    GeometryError, naming the largest resolution that fits.
+    With no resolution, J is exact: in d=1 the product of the two
+    endpoint counts; for two polytopes the face-pair sum; and, since J
+    is symmetric in its two boundaries, the ball closed form when
+    either boundary is a ball (gamma's, when both are).  Every d >= 2
+    catalog shape is a polytope or a ball.
 
-    method 'auto' picks the most exact applicable path; 'quadrature',
-    'face_pair' and 'closed_form' force a path.  The Monte Carlo
-    estimate is widom_J_monte_carlo.
+    A resolution asks for the quadrature oracle instead (d >= 2): the
+    double surface integral of |m . n| times (2*pi)^(1-d), summed over
+    the two surface rules at that resolution, with a coarser companion
+    rule for the error estimate.  A resolution over MAX_SURFACE_NODES
+    or MAX_COSINE_PAIRS raises GeometryError, naming the largest
+    resolution that fits.  The Monte Carlo estimate is
+    widom_J_monte_carlo.
     """
     _check_same_dim(gamma, omega)
     d = gamma.dim
@@ -517,37 +514,25 @@ def widom_J(gamma: Domain, omega: Domain, resolution: int = 256,
         value = gamma.boundary_measure() * omega.boundary_measure()
         return WidomCoefficient(value, "closed_form", 0.0)
 
-    if method == "auto":
-        # Every d >= 2 catalog shape is a polytope or a ball.
-        method = ("face_pair" if gamma.is_polytope and omega.is_polytope
-                  else "closed_form")
-
     prefactor = TWO_PI ** (1 - d)
 
     def cosine_integral(res):
         return prefactor * _cosine_sum(gamma.surface_quadrature(res),
                                        omega.surface_quadrature(res))
 
-    if method == "face_pair":
-        if not (gamma.is_polytope and omega.is_polytope):
-            raise GeometryError("face-pair sum needs two polytopes")
+    if resolution is not None:
+        _check_pair_count(gamma, omega, resolution)
         value = cosine_integral(resolution)
+        # Error estimate from a coarser companion rule.
+        coarse = cosine_integral(max(resolution // 2, 2))
+        return WidomCoefficient(value, "quadrature", abs(value - coarse))
+    if gamma.is_polytope and omega.is_polytope:
+        # The rules are the face lists at every resolution.
+        value = cosine_integral(1)
         return WidomCoefficient(value, "face_pair_exact", 1e-14 * abs(value))
-    if method == "closed_form":
-        ball, other = ((gamma, omega) if isinstance(gamma, Ball)
-                       else (omega, gamma))
-        if not isinstance(ball, Ball):
-            raise GeometryError("closed form needs a ball on either side")
-        value = widom_J_sphere(ball.radius, other.boundary_measure(), d)
-        return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
-    if method != "quadrature":
-        raise GeometryError(f"unknown widom_J method {method!r}")
-
-    _check_pair_count(gamma, omega, resolution)
-    value = cosine_integral(resolution)
-    # Error estimate from a coarser companion rule.
-    coarse = cosine_integral(max(resolution // 2, 2))
-    return WidomCoefficient(value, "quadrature", abs(value - coarse))
+    ball, other = (gamma, omega) if isinstance(gamma, Ball) else (omega, gamma)
+    value = widom_J_sphere(ball.radius, other.boundary_measure(), d)
+    return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
 
 
 def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> float:

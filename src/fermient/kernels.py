@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import Ball, Box, Domain, GeometryError, IntervalUnion, TWO_PI
 
-__all__ = ["FermiKernel", "fermi_kernel"]
+__all__ = ["FermiKernel"]
 
 # Below this |p_F * r| the Bessel/elementary radial forms switch to
 # Taylor branches: the d=3 numerator sin(x) - x*cos(x) loses ~x^{-2}
@@ -134,7 +134,3 @@ class FermiKernel:
         if self.is_real and np.iscomplexobj(vals):
             return vals.real
         return vals
-
-
-def fermi_kernel(gamma: Domain) -> FermiKernel:
-    return FermiKernel(gamma)

@@ -48,7 +48,7 @@ def check_kernel_hermiticity():
     rng = np.random.default_rng(7)
     worst = 0.0
     for gamma in _sample_shapes():
-        kernel = ker.fermi_kernel(gamma)
+        kernel = ker.FermiKernel(gamma)
         u = rng.normal(size=(20, gamma.dim) if gamma.dim > 1 else 20)
         defect = float(np.max(np.abs(kernel.displacement(-u)
                                      - np.conj(kernel.displacement(u)))))
@@ -100,7 +100,7 @@ def check_kernel_fourier():
     rng = np.random.default_rng(11)
     worst = 0.0
     for gamma in _sample_shapes():
-        kernel = ker.fermi_kernel(gamma)
+        kernel = ker.FermiKernel(gamma)
         d = gamma.dim
         for _ in range(100 // len(_sample_shapes()) + 1):
             u = rng.normal(scale=2.0, size=d) if d > 1 \
@@ -213,8 +213,7 @@ def check_widom_cross():
         return False, f"face-pair square value {exact} != 8/pi"
     # The unit disk against the unit square's four faces is 8/pi too.
     unit_disk = geo.Ball((0.0, 0.0), 1.0)
-    quad = geo.widom_J(unit_square, unit_disk, method="quadrature",
-                       resolution=256)
+    quad = geo.widom_J(unit_square, unit_disk, resolution=256)
     quad_error = abs(quad.value - 8.0 / math.pi)
     if quad_error > quad.error_estimate:
         return False, f"square x disk quadrature off 8/pi by " \

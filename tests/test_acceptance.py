@@ -137,15 +137,15 @@ def test_A4_box_2d(box_sweep):
 def test_A5_widom_coefficients():
     """Boundary coefficient engine: exact sums, closed forms, quadrature."""
     start = time.perf_counter()
-    square_exact = widom_J(GAMMA_BOX, OMEGA_BOX, method="face_pair").value
+    square_exact = widom_J(GAMMA_BOX, OMEGA_BOX).value
     # The unit square against the unit disk is 8/pi as well; only the
     # disk side is discretized.
     disk = Ball((0.0, 0.0), 1.0)
-    square_quad = widom_J(OMEGA_BOX, disk, method="quadrature")
+    square_quad = widom_J(OMEGA_BOX, disk, resolution=256)
     dev_square = abs(square_quad.value - 8.0 / math.pi)
 
-    disk_closed = widom_J(disk, disk, method="closed_form").value
-    disk_quad = widom_J(disk, disk, method="quadrature").value
+    disk_closed = widom_J(disk, disk).value
+    disk_quad = widom_J(disk, disk, resolution=256).value
     dev_disk = abs(disk_closed - disk_quad)
     dev_density = abs(widom_J_density_form(disk, disk) - disk_closed)
     elapsed = time.perf_counter() - start
@@ -258,7 +258,7 @@ def _ball_pair_law(tag: str, d: int, tol: float) -> None:
     -14% (3D), finite-size structure that snapping each sector's
     near-0/1 eigenvalues makes worse, not solver noise."""
     ball = Ball((0.0,) * d, 1.0)
-    J = widom_J(ball, ball, method="closed_form").value
+    J = widom_J(ball, ball).value
     start = time.perf_counter()
     by_order = sweep(ball, ball, (1.0, 2.0), np.geomspace(8.0, 64.0, 8))
     elapsed = time.perf_counter() - start

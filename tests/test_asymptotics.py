@@ -13,11 +13,11 @@ from fermient.asymptotics import (
     SweepResult,
     compare_theory,
     fit_scaling,
-    predicted_prefactor,
     sweep,
 )
 from fermient.discretize import DiscretizationError
-from fermient.geometry import Ball, Box, interval
+from fermient.functionals import predicted_log_prefactor
+from fermient.geometry import Ball, Box, interval, widom_J
 from fermient.spectra import EntropyResult, PipelineConfig
 
 GAMMA = interval(-1.0, 1.0)
@@ -261,9 +261,9 @@ def test_sweep_rejects_duplicate_orders():
 def test_synthetic_sweep_recovers_theory():
     # S generated from the predicted law: the fit must return it.
     L = np.geomspace(20.0, 200.0, 8)
-    theory = predicted_prefactor(GAMMA, OMEGA, 1.0)
+    theory = predicted_log_prefactor(1.0) * 4.0
     fit = fit_scaling(make_sweep(L, theory * np.log(L) + 0.3))
-    comparison = compare_theory(fit, GAMMA, OMEGA, 1.0)
+    comparison = compare_theory(fit, 4.0, 1.0)
     assert comparison["rel_dev"] < 1e-12
     assert fit.area_coefficient == pytest.approx(0.3, abs=1e-12)
 
@@ -273,22 +273,32 @@ def test_synthetic_sweep_recovers_theory():
 # ---------------------------------------------------------------------------
 
 def test_predicted_prefactor_values():
+    # compare_theory's theory is (1+a)/(24a) * J, in that order.
+    fit = fit_scaling(make_sweep(np.geomspace(10.0, 100.0, 8),
+                                 np.linspace(1.0, 2.0, 8)))
+
+    def theory(J, alpha):
+        value = compare_theory(fit, J, alpha)["theory"]
+        assert value == predicted_log_prefactor(alpha) * J
+        return value
+
     # Single interval pair: J = 4, so the coefficient is (1+a)/(6a).
-    assert predicted_prefactor(GAMMA, OMEGA, 1.0) == pytest.approx(1.0 / 3.0)
-    assert predicted_prefactor(GAMMA, OMEGA, 2.0) == pytest.approx(1.0 / 4.0)
-    assert predicted_prefactor(GAMMA, OMEGA, 0.5) == pytest.approx(1.0 / 2.0)
+    J = widom_J(GAMMA, OMEGA).value
+    assert theory(J, 1.0) == pytest.approx(1.0 / 3.0)
+    assert theory(J, 2.0) == pytest.approx(1.0 / 4.0)
+    assert theory(J, 0.5) == pytest.approx(1.0 / 2.0)
     # Square pair: (1/12) * 8/pi.
-    gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
-    omega = Box(((0.0, 1.0), (0.0, 1.0)))
-    assert predicted_prefactor(gamma, omega, 1.0) == pytest.approx(
-        2.0 / (3.0 * math.pi))
+    J = widom_J(GAMMA_2D, OMEGA_2D).value
+    assert theory(J, 1.0) == pytest.approx(2.0 / (3.0 * math.pi))
+    with pytest.raises(FitError):
+        compare_theory(fit, 0.0, 1.0)
 
 
 def test_compare_theory_structure():
     L = np.geomspace(10.0, 100.0, 8)
     S = (1.0 / 3.0) * np.log(L) + 0.2
     fit = fit_scaling(make_sweep(L, S))
-    comparison = compare_theory(fit, GAMMA, OMEGA, 1.0)
+    comparison = compare_theory(fit, 4.0, 1.0)
     assert comparison["theory"] == pytest.approx(1.0 / 3.0)
     assert comparison["rel_dev"] < 1e-12
     assert set(comparison) == {"theory", "fitted", "rel_dev", "stderr"}

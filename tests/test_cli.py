@@ -216,6 +216,18 @@ def test_lattice_interval_union_exits_3(capsys):
     assert "single spatial interval" in error["message"]
 
 
+def test_lattice_nearly_symmetric_sea_exits_3(capsys):
+    # A 1e-10 asymmetry is no symmetric Fermi sea: central symmetry is
+    # compared exactly.
+    code, out, err = run_cli(
+        capsys, "entropy", "mode=lattice", "gamma.shape=interval",
+        "gamma.intervals=-1:1.0000000001", "omega.shape=interval",
+        "omega.intervals=0:1", "entropy.L=100")
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "GeometryError"
+
+
 def test_compute_failure_exits_3(capsys):
     code, _, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
                            f"entropy.L={DEFAULT_LATTICE_BUDGET + 1}")
@@ -900,13 +912,14 @@ def test_jcoeff_bad_resolution_or_seed_exits_2(capsys, argv, key):
 
 
 def test_jcoeff_square_pair_all_methods(capsys):
+    # A polytope pair's quadrature would be its face-pair sum again.
     record = run_json(capsys, "jcoeff", "--seed", "7",
                       "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
                       "omega.shape=box", "omega.bounds=0:1,0:1")
     block = record["j"]
     assert block["value"] == pytest.approx(8.0 / math.pi, abs=1e-12)
-    methods = {entry["method"] for entry in block["methods"]}
-    assert {"face_pair_exact", "quadrature", "monte_carlo"} <= methods
+    assert [entry["method"] for entry in block["methods"]] == [
+        "face_pair_exact", "monte_carlo"]
     assert block["agreement"] < 0.05
 
 
@@ -985,6 +998,27 @@ def test_sweep_resumes_from_partial_rows(capsys, tmp_path):
     assert by_L[63.0]["S"] == 99.0          # reused, not recomputed
     assert 0.0 < by_L[40.0]["S"] < 5.0      # freshly computed
     assert not (tmp_path / "sweep.json.partial").exists()
+
+
+def test_sweep_computes_J_once_for_every_order(capsys, monkeypatch):
+    calls = []
+    exact = geometry.widom_J
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    # Every fermient module that imported it by name calls the counter.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fermient") \
+                and getattr(module, "widom_J", None) is exact:
+            monkeypatch.setattr(module, "widom_J", counted)
+    record = run_json(capsys, "sweep", *LATTICE_ARGS, "alpha=0.5,1,2",
+                      "sweep.L=40:160:4")
+    assert len(calls) == 1
+    J = record["j"]["value"]
+    assert [fit["theory"] for fit in record["fits"]] == [
+        (1.0 + alpha) / (24.0 * alpha) * J for alpha in (0.5, 1.0, 2.0)]
 
 
 def test_sweep_solves_each_L_once_for_all_orders(capsys, tmp_path, solves):

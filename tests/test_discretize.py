@@ -80,6 +80,20 @@ def test_matrix_is_hermitian_and_trace_matches_density():
         assert op.trace() == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, omega, dtype", [
+    (Ball((0.0, 0.0), 1.0), Box(((0.0, 1.0),) * 2), np.float64),
+    (Ball((0.3, -0.2), 1.0), Box(((0.0, 1.0),) * 2), np.complex128),
+    (IntervalUnion(((-0.7, 1.3), (2.0, 2.5))),
+     IntervalUnion(((0.0, 1.0), (2.0, 3.0))), np.complex128),
+], ids=["disk-square", "offcentre-disk-square", "interval-unions"])
+def test_assembly_is_exactly_hermitian(gamma, omega, dtype):
+    # q_j - q_k is exactly -(q_k - q_j) and K(-u) is exactly conj(K(u)),
+    # so the assembled matrix needs no symmetrization.
+    op = nystrom(gamma, omega, L=6.0)
+    assert op.matrix.dtype == dtype
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
 def test_shifted_momentum_region_gives_complex_matrix():
     op = nystrom(interval(0.25, 1.75), OMEGA, L=4.0)
     assert np.iscomplexobj(op.matrix)

@@ -1,5 +1,6 @@
 """Shape catalog and the boundary coefficient J."""
 
+import inspect
 import math
 
 import numpy as np
@@ -143,6 +144,15 @@ def test_central_symmetry_flags():
     assert not Ball((0.1, 0.0), 1.0).is_centrally_symmetric
 
 
+def test_central_symmetry_is_exact():
+    # A 1e-10 asymmetry is an asymmetric region: its kernel is complex.
+    assert not interval(-1.0, 1.0 + 1e-10).is_centrally_symmetric
+    assert not IntervalUnion(((-2.0, -1.0), (1.0, 2.0 + 1e-10))) \
+        .is_centrally_symmetric
+    assert not Box(((-1.0, 1.0), (-0.5, 0.5 + 1e-10))).is_centrally_symmetric
+    assert not Box(((-1.0 - 1e-10, 1.0),) * 3).is_centrally_symmetric
+
+
 # ---------------------------------------------------------------------------
 # Surface quadratures and faces
 # ---------------------------------------------------------------------------
@@ -246,8 +256,7 @@ def test_widom_J_quadrature_matches_face_pairs():
     square = Box(((0.0, 1.0), (0.0, 1.0)))
     exact = widom_J(Box(((-1.0, 1.0), (-1.0, 1.0))), square).value
     assert exact == pytest.approx(8.0 / math.pi, rel=1e-14)
-    quad = widom_J(square, Ball((0.0, 0.0), 1.0), resolution=64,
-                   method="quadrature")
+    quad = widom_J(square, Ball((0.0, 0.0), 1.0), resolution=64)
     assert quad.method == "quadrature"
     assert abs(quad.value - exact) <= quad.error_estimate
 
@@ -257,7 +266,7 @@ def test_widom_J_disk_pair():
     closed = widom_J(disk, disk)
     assert closed.method == "closed_form"
     assert closed.value == pytest.approx(4.0, rel=1e-14)
-    quad = widom_J(disk, disk, resolution=512, method="quadrature")
+    quad = widom_J(disk, disk, resolution=512)
     assert abs(quad.value - 4.0) < 1e-3
 
 
@@ -271,7 +280,7 @@ def test_widom_J_polygon_pair():
     exact = widom_J(disk, TRIANGLE).value
     assert exact == pytest.approx(2.0 / math.pi * (2.0 + math.sqrt(2.0)),
                                   rel=1e-14)
-    quad = widom_J(TRIANGLE, disk, resolution=128, method="quadrature")
+    quad = widom_J(TRIANGLE, disk, resolution=128)
     assert abs(quad.value - exact) <= quad.error_estimate
 
 
@@ -283,8 +292,7 @@ def test_widom_J_swap_symmetry():
         widom_J(TRIANGLE, gamma).value, rel=1e-14)
     disk = Ball((0.0, 0.0), 1.0)
     forward = widom_J(disk, gamma).value              # closed form
-    backward = widom_J(gamma, disk, resolution=512,
-                       method="quadrature").value
+    backward = widom_J(gamma, disk, resolution=512).value
     assert backward == pytest.approx(forward, rel=1e-4)
 
 
@@ -329,7 +337,7 @@ def test_widom_J_sphere_values():
 def test_widom_J_sphere_matches_quadrature_in_3d():
     ball = Ball((0.0, 0.0, 0.0), 1.0)
     closed = widom_J(ball, ball).value
-    quad = widom_J(ball, ball, resolution=96, method="quadrature").value
+    quad = widom_J(ball, ball, resolution=96).value
     assert closed == pytest.approx(2.0, rel=1e-12)
     assert abs(quad - closed) < 1e-3
 
@@ -340,14 +348,14 @@ def test_widom_J_quadrature_refuses_oversized_pair_block(monkeypatch):
 
     monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
     ball = Ball((0.0, 0.0, 0.0), 1.0)
-    # (2 * 256^2)^2 = 1.7e10 sphere node pairs at the default resolution.
+    # (2 * 256^2)^2 = 1.7e10 sphere node pairs at resolution 256.
     with pytest.raises(GeometryError, match="largest resolution that fits "
                                             "is 105$"):
-        widom_J(ball, ball, method="quadrature")
+        widom_J(ball, ball, resolution=256)
     # 4 * 105^4 = 4.9e8 pairs fit under the limit; 4 * 106^4 do not.
     assert 4 * 105 ** 4 <= geometry.MAX_COSINE_PAIRS < 4 * 106 ** 4
     with pytest.raises(GeometryError, match="resolution 106 "):
-        widom_J(ball, ball, resolution=106, method="quadrature")
+        widom_J(ball, ball, resolution=106)
 
 
 def test_widom_J_quadrature_refuses_rule_over_node_cap(monkeypatch):
@@ -371,7 +379,7 @@ def test_widom_J_quadrature_refuses_rule_over_node_cap(monkeypatch):
     for gamma, omega in ((cube, ball), (ball, cube)):
         with pytest.raises(GeometryError, match="largest resolution that "
                                                 "fits is 1414$"):
-            widom_J(gamma, omega, resolution=10 ** 6, method="quadrature")
+            widom_J(gamma, omega, resolution=10 ** 6)
     geometry._check_pair_count(cube, ball, 1414)
 
 
@@ -429,10 +437,19 @@ def test_widom_J_argument_errors():
     disk = Ball((0.0, 0.0), 1.0)
     with pytest.raises(GeometryError):
         widom_J(disk, interval(0.0, 1.0))
-    with pytest.raises(GeometryError):
-        widom_J(disk, disk, method="face_pair")
-    with pytest.raises(GeometryError):
-        widom_J(Box(((-1.0, 1.0), (-1.0, 1.0))), TRIANGLE,
-                method="closed_form")
-    with pytest.raises(GeometryError):
-        widom_J(disk, disk, method="simpson")
+    # One exact route per pair: no switch to force another.
+    assert list(inspect.signature(widom_J).parameters) == [
+        "gamma", "omega", "resolution"]
+    with pytest.raises(TypeError):
+        widom_J(disk, disk, method="closed_form")
+
+
+def test_widom_J_polytope_quadrature_is_the_face_pair_sum():
+    # A polytope's rule is its face list at every resolution, so its
+    # quadrature repeats the exact sum bit for bit, with a zero estimate.
+    square = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    exact = widom_J(square, TRIANGLE)
+    for resolution in (1, 8, 256):
+        quad = widom_J(square, TRIANGLE, resolution)
+        assert quad.method == "quadrature"
+        assert (quad.value, quad.error_estimate) == (exact.value, 0.0)

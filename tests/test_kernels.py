@@ -16,7 +16,7 @@ from fermient.geometry import (
     interval,
     mean_density,
 )
-from fermient.kernels import FermiKernel, fermi_kernel
+from fermient.kernels import FermiKernel
 
 
 def interval_union_oracle(union, u):
@@ -36,7 +36,7 @@ def interval_union_oracle(union, u):
 def test_kernel_rejects_polygon_momentum_regions():
     polygon = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(GeometryError):
-        fermi_kernel(polygon)
+        FermiKernel(polygon)
 
 
 def test_diagonal_value_is_density():
@@ -44,30 +44,42 @@ def test_diagonal_value_is_density():
                   IntervalUnion(((-2.0, -0.5), (0.25, 1.5))),
                   Box(((-1.0, 1.0), (-0.5, 0.5))),
                   Ball((0.0, 0.0, 0.0), 1.3)):
-        kernel = fermi_kernel(gamma)
+        kernel = FermiKernel(gamma)
         zero = np.zeros(gamma.dim) if gamma.dim > 1 else 0.0
         assert complex(np.asarray(kernel.displacement(zero))).real \
             == pytest.approx(mean_density(gamma))
 
 
 def test_reality_tracks_central_symmetry():
-    symmetric = fermi_kernel(interval(-1.0, 1.0))
+    symmetric = FermiKernel(interval(-1.0, 1.0))
     assert symmetric.is_real
     values = symmetric.displacement(np.linspace(-4, 4, 17))
     assert not np.iscomplexobj(values)
 
-    shifted = fermi_kernel(interval(0.0, 2.0))
+    shifted = FermiKernel(interval(0.0, 2.0))
     assert not shifted.is_real
     values = shifted.displacement(np.linspace(-4, 4, 17))
     assert np.iscomplexobj(values)
     assert np.max(np.abs(values.imag)) > 0.01
 
 
+def test_a_tiny_asymmetry_keeps_the_imaginary_part():
+    # Mid-point 5e-11: at u = 1000 the phase is 5e-8 and the kernel's
+    # imaginary part 1.3e-11, which a real kernel would drop.
+    kernel = FermiKernel(interval(-1.0, 1.0 + 1e-10))
+    assert not kernel.is_real
+    value = complex(kernel.displacement(1000.0))
+    assert value.imag == pytest.approx(value.real * math.tan(5e-8), rel=1e-6)
+    box = FermiKernel(Box(((-1.0, 1.0), (-0.5, 0.5 + 1e-10))))
+    assert not box.is_real
+    assert np.iscomplexobj(box.displacement(np.array([[0.0, 1000.0]])))
+
+
 def test_hermiticity_conjugate_symmetry():
     u = np.linspace(-5.0, 5.0, 41)
     for gamma in (interval(0.3, 1.7),
                   IntervalUnion(((-2.0, -0.5), (0.25, 1.5)))):
-        kernel = fermi_kernel(gamma)
+        kernel = FermiKernel(gamma)
         np.testing.assert_allclose(kernel.displacement(-u),
                                    np.conj(kernel.displacement(u)),
                                    atol=1e-15)
@@ -79,7 +91,7 @@ def test_hermiticity_conjugate_symmetry():
 
 def test_interval_union_kernel_against_quadrature():
     union = IntervalUnion(((-2.0, -0.5), (0.25, 1.5)))
-    kernel = fermi_kernel(union)
+    kernel = FermiKernel(union)
     for u in (-3.7, -0.2, 0.0, 0.04, 1.0, 8.5):
         closed = complex(np.asarray(kernel.displacement(u)))
         assert closed == pytest.approx(interval_union_oracle(union, u),
@@ -88,8 +100,8 @@ def test_interval_union_kernel_against_quadrature():
 
 def test_shifted_interval_is_phase_times_symmetric():
     k, c = 0.8, 1.7
-    shifted = fermi_kernel(interval(c - k, c + k))
-    centered = fermi_kernel(interval(-k, k))
+    shifted = FermiKernel(interval(c - k, c + k))
+    centered = FermiKernel(interval(-k, k))
     u = np.linspace(-6.0, 6.0, 101)
     np.testing.assert_allclose(shifted.displacement(u),
                                np.exp(1j * c * u) * centered.displacement(u),
@@ -98,9 +110,9 @@ def test_shifted_interval_is_phase_times_symmetric():
 
 def test_box_kernel_is_per_axis_product():
     box = Box(((-1.0, 1.0), (0.0, 0.5)))
-    kernel = fermi_kernel(box)
-    kx = fermi_kernel(interval(-1.0, 1.0))
-    ky = fermi_kernel(interval(0.0, 0.5))
+    kernel = FermiKernel(box)
+    kx = FermiKernel(interval(-1.0, 1.0))
+    ky = FermiKernel(interval(0.0, 0.5))
     u = np.random.default_rng(2).normal(size=(40, 2))
     product = np.asarray(kx.displacement(u[:, 0]), dtype=complex) \
         * np.asarray(ky.displacement(u[:, 1]), dtype=complex)
@@ -111,7 +123,7 @@ def test_disk_kernel_against_bessel_quadrature():
     # (2pi)^-2 integral over |p| <= R of e^{ip.u} reduces to the radial
     # integral (1/2pi) int_0^R p J0(p r) dp; the closed form uses J1.
     gamma = Ball((0.0, 0.0), 1.3)
-    kernel = fermi_kernel(gamma)
+    kernel = FermiKernel(gamma)
     for r in (0.05, 0.2, 1.0, 4.0, 11.0):
         u = np.array([[r * 0.6, r * 0.8]])
         closed = float(np.asarray(kernel.displacement(u))[0])
@@ -122,7 +134,7 @@ def test_disk_kernel_against_bessel_quadrature():
 
 def test_ball3_kernel_against_radial_quadrature():
     gamma = Ball((0.0, 0.0, 0.0), 0.9)
-    kernel = fermi_kernel(gamma)
+    kernel = FermiKernel(gamma)
     for r in (0.01, 0.2, 0.5, 3.0):
         u = np.array([[r, 0.0, 0.0]])
         closed = float(np.asarray(kernel.displacement(u))[0])
@@ -133,8 +145,8 @@ def test_ball3_kernel_against_radial_quadrature():
 
 def test_off_center_ball_carries_plane_wave_phase():
     center = np.array([0.4, -0.2, 0.1])
-    shifted = fermi_kernel(Ball(tuple(center), 0.9))
-    symmetric = fermi_kernel(Ball((0.0, 0.0, 0.0), 0.9))
+    shifted = FermiKernel(Ball(tuple(center), 0.9))
+    symmetric = FermiKernel(Ball((0.0, 0.0, 0.0), 0.9))
     u = np.random.default_rng(9).normal(size=(30, 3))
     expected = np.asarray(symmetric.displacement(u)) * np.exp(1j * (u @ center))
     np.testing.assert_allclose(shifted.displacement(u), expected, atol=1e-15)
@@ -145,13 +157,13 @@ def test_ball_small_argument_branches_overlap():
     # Taylor branch; it must match the Bessel/elementary form evaluated
     # at the same point to the series truncation level.
     r = 0.2499999
-    disk = fermi_kernel(Ball((0.0, 0.0), 1.0))
+    disk = FermiKernel(Ball((0.0, 0.0), 1.0))
     taylor = float(np.asarray(disk.displacement(np.array([[r, 0.0]])))[0])
     from scipy.special import j1
     direct = j1(r) / r / (2.0 * math.pi)
     assert taylor == pytest.approx(direct, rel=1e-10)
 
-    ball = fermi_kernel(Ball((0.0, 0.0, 0.0), 1.0))
+    ball = FermiKernel(Ball((0.0, 0.0, 0.0), 1.0))
     taylor = float(np.asarray(ball.displacement(np.array([[r, 0.0, 0.0]])))[0])
     direct = (math.sin(r) - r * math.cos(r)) / (2.0 * math.pi ** 2 * r ** 3)
     assert taylor == pytest.approx(direct, rel=1e-12)
