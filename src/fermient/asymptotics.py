@@ -18,17 +18,15 @@ model to justify it.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functionals import predicted_log_prefactor
 from .geometry import Domain
-from .spectra import (EntropyResult, PipelineConfig, pipeline_spectrum,
-                      renyi_entropy)
+from .spectra import (EntropyResult, PipelineConfig, lattice_sites,
+                      pipeline_spectrum, renyi_entropy)
 
 __all__ = [
     "SweepResult",
@@ -75,9 +73,8 @@ class SweepResult:
 
 
 def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
-          config: PipelineConfig = PipelineConfig(), jobs: int = 1,
-          on_result=None, precomputed: dict | None = None
-          ) -> dict[float, SweepResult]:
+          config: PipelineConfig = PipelineConfig(), on_result=None,
+          precomputed: dict | None = None) -> dict[float, SweepResult]:
     """Entropies over every L in the grid, one spectrum per L.
 
     alpha is a sequence of orders, and the result is {alpha:
@@ -87,23 +84,18 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     carries the route taken (mode) and, as wall_time_s, the time spent
     assembling and diagonalizing that L, which its orders share.
 
-    The L points run largest first: every route's size grows with L, so
-    an L past the budget fails before any smaller L is solved, and no L
-    starts after the first error.  jobs > 1 runs the L points in a
-    thread pool; aggregation is always ordered by L, so the result is
-    deterministic regardless of completion order.  Threads gain only
-    where a solve leaves cores idle: a Nystrom eigvalsh with a
-    single-threaded BLAS.  A multithreaded BLAS already keeps the cores
-    busy, radial sweeps measured slower in threads, and the lattice,
-    prolate and tensor_box routes spend their time in eigh_tridiagonal,
-    which holds the interpreter lock (timings in the README).
+    The L points run serially, largest first: every route's size grows
+    with L, so an L past the budget fails before any smaller L is
+    solved, and an error propagates at once.  In lattice mode two L
+    values that round to one block (spectra.lattice_sites) are refused
+    before any solve, as duplicates are.
 
-    on_result, if given, is called in the calling thread with each
-    EntropyResult as its point completes, which is how the CLI persists
-    partial rows.  precomputed holds already-known EntropyResults
-    (resumed rows) as {alpha: {L: result}}.  An L whose orders are all
-    precomputed is not diagonalized; otherwise its missing orders are
-    computed from a fresh spectrum.
+    on_result, if given, is called with each EntropyResult as its point
+    completes, which is how the CLI persists partial rows.  precomputed
+    holds already-known EntropyResults (resumed rows) as {alpha: {L:
+    result}}.  An L whose orders are all precomputed is not
+    diagonalized; otherwise its missing orders are computed from a
+    fresh spectrum.
 
     An empty grid returns empty SweepResults.
     """
@@ -113,48 +105,26 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     grid = [float(L) for L in L_grid]
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate L values")
+    if config.mode == "lattice" \
+            and len(set(lattice_sites(grid, omega))) != len(grid):
+        raise ValueError("sweep grid has L values that round to one "
+                         "lattice block")
     known = precomputed or {}
     done = {a: {L: known[a][L] for L in grid if L in known.get(a, {})}
             for a in orders}
-    todo = {}
     for L in sorted(grid, reverse=True):
         missing = [a for a in orders if L not in done[a]]
-        if missing:
-            todo[L] = missing
-
-    failed = threading.Event()
-
-    def run_one(L: float, missing) -> list[EntropyResult]:
-        # No L starts after an error; a pool thread sets this before it
-        # can take its next L.
-        if failed.is_set():
-            return []
+        if not missing:
+            continue
         start = time.perf_counter()
-        try:
-            spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L,
-                                                           config)
-        except Exception:
-            failed.set()
-            raise
+        spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L,
+                                                       config)
         wall_time_s = time.perf_counter() - start
-        return [renyi_entropy(spectrum, a, realized_L, mode, wall_time_s)
-                for a in missing]
-
-    def collect(L: float, results) -> None:
-        for result in results:
-            done[result.alpha][L] = result
+        for a in missing:
+            result = renyi_entropy(spectrum, a, realized_L, mode, wall_time_s)
+            done[a][L] = result
             if on_result is not None:
                 on_result(result)
-
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, L, missing): L
-                       for L, missing in todo.items()}
-            for future in as_completed(futures):
-                collect(futures[future], future.result())
-    else:
-        for L, missing in todo.items():
-            collect(L, run_one(L, missing))
 
     return {a: SweepResult(gamma, omega, a, tuple(done[a].values()))
             for a in orders}

@@ -15,8 +15,8 @@ Subcommands:
 Each command but validate reads `--config PATH` plus inline `key=value`
 overrides (same syntax as config lines, before or after any flag; a
 later override of a key wins) and writes a canonical JSON record to
-`--out` (stdout if omitted).  entropy and sweep also write
-flat CSV rows to `--csv`, sweep runs its L values in `--jobs` threads,
+`--out` (stdout if omitted).  entropy and sweep also write flat CSV
+rows to `--csv`, sweep accepts `--jobs 1` (its L values run serially),
 and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
 command that does not read it is an argparse error.  Exit codes: 0
 success, 2 config error, 3 computation error, 4 validation failure.  A
@@ -48,7 +48,7 @@ from .geometry import GeometryError, widom_J, widom_J_monte_carlo
 from .records import (append_partial_row, config_hash, entropy_result,
                       entropy_row, fit_block, j_block, load_partial_rows,
                       make_record, write_csv, write_json)
-from .spectra import SpectralViolationError
+from .spectra import SpectralViolationError, lattice_sites
 from .validate import run_all
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def cmd_entropy(args) -> int:
 
 def _lattice_grid(grid, omega):
     """Round an L grid to lattice block sizes (floats), deduplicated."""
-    sites = np.round(np.asarray(grid) * omega.volume())
+    sites = lattice_sites(grid, omega)
     if (sites < 1).any():
         raise ConfigError(f"sweep.L: L={grid[np.argmax(sites < 1)]:g} "
                           "rounds to a lattice block of 0 sites")
@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
 
         def on_result(res):
             append_partial_row(partial_path, entropy_row(res), digest)
-    by_order = sweep(gamma, omega, alphas, grid, pipeline, jobs=args.jobs,
+    by_order = sweep(gamma, omega, alphas, grid, pipeline,
                      on_result=on_result, precomputed=precomputed)
 
     J = widom_J(gamma, omega)
@@ -191,21 +191,25 @@ def cmd_jcoeff(args) -> int:
     if args.seed is not None:
         config = config.updated({"seed": str(args.seed)})
     gamma, omega = _domains(config)
-    resolution = config.get_int("jcoeff.resolution", 256)
-    if resolution < 1:
-        raise ConfigError(f"jcoeff.resolution: need an integer >= 1, "
-                          f"got {resolution}")
     seed = config.get_int("seed", 0)
     if seed < 0:
         raise ConfigError(f"seed: need an integer >= 0, got {seed}")
 
     exact = widom_J(gamma, omega)
     coefficients = [exact]
+    if gamma.dim > 1 and exact.method == "closed_form":
+        # A ball's closed form is checked against its surface rule.
+        resolution = config.get_int("jcoeff.resolution", 256)
+        if resolution < 1:
+            raise ConfigError(f"jcoeff.resolution: need an integer >= 1, "
+                              f"got {resolution}")
+        coefficients.append(widom_J(gamma, omega, resolution))
+    elif "jcoeff.resolution" in config:
+        # A polytope pair's quadrature is its face-pair sum again, and a
+        # d = 1 J is an endpoint count: no rule to resolve.
+        raise ConfigError("jcoeff.resolution: read for ball pairs only; "
+                          "this pair's J is exact with no quadrature")
     if gamma.dim > 1:
-        # A polytope pair's quadrature is its face-pair sum again; a
-        # ball's closed form is checked against its surface rule.
-        if exact.method == "closed_form":
-            coefficients.append(widom_J(gamma, omega, resolution))
         coefficients.append(widom_J_monte_carlo(
             gamma, omega, rng=np.random.default_rng(seed)))
 
@@ -290,13 +294,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermient",
@@ -322,10 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "L sweep, scaling fit, theory check")
     for sp in (entropy_parser, sweep_parser):
         sp.add_argument("--csv", help="also write flat CSV rows here")
-    sweep_parser.add_argument("--jobs", type=_positive_int, default=1,
-                              help="sweep threads (default 1); on two cores "
-                                   "only a Nystrom sweep with single-"
-                                   "threaded BLAS measured faster with more")
+    sweep_parser.add_argument("--jobs", type=int, choices=(1,), default=1,
+                              help="only 1: sweeps run their L values "
+                                   "serially")
     jcoeff_parser = add_command("jcoeff", cmd_jcoeff,
                                 "boundary coefficient J and its checks")
     jcoeff_parser.add_argument("--seed", type=int, default=None,

@@ -45,7 +45,9 @@ key is a config error):
                             or radial rule size), integer >= 1
     disc.lattice_budget     max lattice block size in sites, integer >= 1;
                             both checked before any build; inf sizes fail too
-    jcoeff.resolution       ball surface rule resolution, integer >= 1
+    jcoeff.resolution       ball surface rule resolution, integer >= 1;
+                            ball pairs only (any other pair is a
+                            config error)
     functional.alphas       nonempty comma list for the functional command
 """
 

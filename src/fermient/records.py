@@ -153,8 +153,8 @@ def _csv_cell(value):
 def config_hash(config: RunConfig) -> str:
     """Hash of the config (resume identity).
 
-    Output paths and job counts are command-line flags, not config keys,
-    so changing them does not orphan partial rows.  seed is left out:
+    Output paths are command-line flags, not config keys, so changing
+    them does not orphan partial rows.  seed is left out:
     only jcoeff's Monte Carlo reads it (the key, or jcoeff --seed), so a
     sweep resumed under another seed override, or none, keeps its rows."""
     semantic = RunConfig({key: value for key, value in config.values.items()

@@ -655,6 +655,14 @@ class PipelineConfig:
     lattice_budget: int = _disc.DEFAULT_LATTICE_BUDGET
 
 
+def lattice_sites(L, omega: Domain):
+    """round(L * |omega|), the site count of the lattice block at
+    dilation L, as a float (an overflowing L stays countable); L may be
+    an array.  The realized L is this count over |omega|."""
+    with np.errstate(over="ignore"):
+        return np.round(np.asarray(L, dtype=float) * omega.volume())
+
+
 def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
     """The route of mode for this pair, after the checks every route
     shares: a known mode, and gamma and omega of one dimension."""
@@ -707,7 +715,7 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         if not 0.0 < k_fermi < math.pi:
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
-        sites = round(L * omega.volume(), 0)
+        sites = float(lattice_sites(L, omega))
         _disc.check_budget(sites, config.lattice_budget, "lattice sites")
         spectrum = eigenvalues(_disc.lattice_correlation(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)

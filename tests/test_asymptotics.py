@@ -1,8 +1,6 @@
 """Sweeps, scaling fits, and theory comparison."""
 
 import math
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -125,16 +123,6 @@ def test_sweep_collects_all_points():
     assert all(r.S > 0 for r in result.results)
 
 
-def test_sweep_parallel_equals_serial():
-    config = PipelineConfig(mode="lattice")
-    grid = [20, 30, 40, 60]
-    serial = sweep(GAMMA_LATTICE, OMEGA, [2.0], grid, config, jobs=1)[2.0]
-    parallel = sweep(GAMMA_LATTICE, OMEGA, [2.0], grid, config,
-                     jobs=3)[2.0]
-    np.testing.assert_array_equal(serial.S_values, parallel.S_values)
-    np.testing.assert_array_equal(serial.L_values, parallel.L_values)
-
-
 def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
     calls = []
     original = spectra.eigenvalues
@@ -157,17 +145,6 @@ def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
                                       single.S_values)
 
 
-def test_sweep_orders_parallel_equals_serial():
-    config = PipelineConfig(mode="lattice")
-    grid = [20, 30, 40, 60]
-    orders = [0.5, 1.0, 2.0]
-    serial = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config, jobs=1)
-    parallel = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config, jobs=2)
-    for alpha in orders:
-        for a, b in zip(serial[alpha].results, parallel[alpha].results):
-            assert (a.alpha, a.L, a.n, a.S) == (b.alpha, b.L, b.n, b.S)
-
-
 def test_sweep_runs_largest_L_first(monkeypatch):
     # Every route's size grows with L, so an L past the budget fails
     # before any smaller L is solved.
@@ -186,33 +163,41 @@ def test_sweep_runs_largest_L_first(monkeypatch):
     assert [r.L for r in seen] == started
 
 
-def test_sweep_starts_no_L_after_an_error(monkeypatch):
-    # Eight threads, more than the cores, at a 1 us switch interval.  A
-    # thread holds one L at a time, so once the failing L has raised,
-    # only the L values the other seven already hold may still run.
-    jobs, failing = 8, 350.0
-    order = [float(L) for L in range(400, 0, -10)]
+def test_sweep_stops_at_the_first_error(monkeypatch):
+    # The L values run serially, largest first, so a failure at a middle
+    # L leaves every smaller L unstarted and reports only the larger.
+    failing = 50.0
     config = PipelineConfig(mode="lattice")
-    solved = asymptotics.pipeline_spectrum(GAMMA_LATTICE, OMEGA, 10.0, config)
+    spectrum, _, mode = asymptotics.pipeline_spectrum(GAMMA_LATTICE, OMEGA,
+                                                      10.0, config)
     started = []
 
     def solving(gamma, omega, L, config):
         started.append(L)
         if L == failing:
             raise DiscretizationError("injected")
-        time.sleep(1e-3)
-        return solved
+        return spectrum, L, mode
 
     monkeypatch.setattr(asymptotics, "pipeline_spectrum", solving)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.raises(DiscretizationError, match="injected"):
-            sweep(GAMMA_LATTICE, OMEGA, [1.0], order, config, jobs=jobs)
-    finally:
-        sys.setswitchinterval(switch)
-    assert failing in started
-    assert set(started) <= set(order[:order.index(failing) + jobs])
+    seen = []
+    with pytest.raises(DiscretizationError, match="injected"):
+        sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0], [20, 80, 30, 50, 90, 40],
+              config, on_result=seen.append)
+    assert started == [90.0, 80.0, 50.0]
+    assert [(r.L, r.alpha) for r in seen] == [
+        (90.0, 1.0), (90.0, 2.0), (80.0, 1.0), (80.0, 2.0)]
+
+
+def test_lattice_sweep_refuses_L_values_sharing_a_block(monkeypatch):
+    # 100.2 and 100.4 both round to a 100-site block, which would be
+    # solved twice: refused before any block is solved.
+    def forbidden(*args):
+        raise AssertionError("a lattice block was solved")
+
+    monkeypatch.setattr(spectra, "_lattice_spectrum", forbidden)
+    with pytest.raises(ValueError, match="round to one lattice block"):
+        sweep(interval(-1.0, 1.0), OMEGA, [1.0], [100.2, 100.4, 300],
+              PipelineConfig(mode="lattice"))
 
 
 def test_sweep_orders_resume_only_missing_points():

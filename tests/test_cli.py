@@ -376,6 +376,28 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_jobs_2_exits_2(capsys):
+    # Sweeps run serially; 1 is the only --jobs value.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--jobs", "2", *SWEEP_ARGS])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
+def test_jobs_1_writes_the_record_of_no_flag(tmp_path):
+    records = []
+    for flags in ([], ["--jobs", "1"]):
+        out = str(tmp_path / f"sweep{len(flags)}.json")
+        assert main(["sweep", *flags, "--out", out, *SWEEP_ARGS,
+                     "alpha=0.5,1,2"]) == 0
+        with open(out) as handle:
+            records.append(without_wall_times(json.load(handle)))
+    assert records[0] == records[1]
+    assert len(records[0]["rows"]) == 12
+
+
 @pytest.mark.parametrize("command, flag", [
     ("entropy", ["--jobs", "8"]),
     ("entropy", ["--seed", "1"]),
@@ -576,45 +598,24 @@ def test_oversized_request_exits_3_before_building(capsys, monkeypatch, args,
     assert f"would need {message}" in error["message"]
 
 
-def lattice_sweep_past_the_budget(capsys, monkeypatch, *flags):
-    """Run the lattice sweep whose largest L = 1e30 is past the budget;
-    return the block sizes solved before it exits 3."""
-    solved = []
-    original = spectra._lattice_spectrum
-
-    def guarded(k_fermi, n):
-        assert n <= DEFAULT_LATTICE_BUDGET
-        solved.append(n)
-        return original(k_fermi, n)
-
-    monkeypatch.setattr(spectra, "_lattice_spectrum", guarded)
-    code, out, err = run_cli(capsys, "sweep", *flags, "mode=lattice",
-                             "gamma.k_fermi=1", "omega.shape=interval",
-                             "omega.intervals=0:1",
-                             "sweep.L=100,200,300,400,1e30")
-    assert (code, out) == (3, "")
-    error = json.loads(err)["error"]
-    assert error["type"] == "BudgetError"
-    assert "would need 1e+30 lattice sites, over the budget 100000" \
-        in error["message"]
-    return solved
-
-
 def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
     # L = 1e30 was cast to a negative site count and silently dropped,
     # then was reached only after every smaller block was solved.  The
     # largest L runs first, so nothing is solved.
-    assert lattice_sweep_past_the_budget(capsys, monkeypatch) == []
+    def forbidden(*args):
+        raise AssertionError("a lattice block was solved")
 
-
-def test_lattice_sweep_past_the_budget_with_jobs_exits_3(capsys,
-                                                         monkeypatch):
-    # No L starts after the first error: at most the one block taken by
-    # the second thread before L = 1e30 failed.
-    solved = lattice_sweep_past_the_budget(capsys, monkeypatch,
-                                           "--jobs", "2")
-    assert len(solved) <= 2
-    assert set(solved) <= {400, 300}
+    monkeypatch.setattr(spectra, "_lattice_spectrum", forbidden)
+    code, out, err = run_cli(capsys, "sweep", "mode=lattice",
+                             "gamma.k_fermi=1", "omega.shape=interval",
+                             "omega.intervals=0:1",
+                             "sweep.L=100,200,300,400,1e30")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "would need 1e+30 lattice sites, over the budget 100000" \
+        in error["message"]
 
 
 def test_lattice_sweep_under_half_a_site_exits_2(capsys, no_solves):
@@ -789,24 +790,6 @@ print(json.dumps("scipy.linalg" in sys.modules))
     assert json.loads(after_entropy) is True
 
 
-def test_threaded_first_scipy_import_matches_serial_sweep(tmp_path):
-    # The --jobs 2 sweep runs first, so the radial route's first
-    # scipy.special import happens inside the worker threads.
-    outs = {jobs: str(tmp_path / f"jobs{jobs}.json") for jobs in (2, 1)}
-    code = "from fermient.cli import main\n" + "".join(
-        f"assert main(['sweep', '--jobs', '{jobs}', '--out', {path!r}, "
-        f"*{DISK_PAIR!r}, 'sweep.L=2:8:4']) == 0\n"
-        for jobs, path in outs.items())
-    assert _run_fresh(code) == ""
-    rows = {}
-    for jobs, path in outs.items():
-        with open(path) as handle:
-            rows[jobs] = [{k: v for k, v in row.items() if k != "wall_time_s"}
-                          for row in json.load(handle)["rows"]]
-    assert rows[2] == rows[1]
-    assert len(rows[1]) == 4
-
-
 # ---------------------------------------------------------------------------
 # jcoeff
 # ---------------------------------------------------------------------------
@@ -901,14 +884,25 @@ def test_jcoeff_infinite_J_exits_3(capsys):
     (["--seed", "-1"], "seed"),
 ])
 def test_jcoeff_bad_resolution_or_seed_exits_2(capsys, argv, key):
-    code, out, err = run_cli(capsys, "jcoeff", *argv,
-                             "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
-                             "omega.shape=box", "omega.bounds=0:1,0:1")
+    code, out, err = run_cli(capsys, "jcoeff", *argv, *DISK_IN_SQUARE)
     assert code == 2
     assert out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
     assert error["message"].startswith(key)
+
+
+@pytest.mark.parametrize("pair", [BOX_PAIR, INTERVAL_PAIR],
+                         ids=["box-box", "interval"])
+def test_jcoeff_resolution_without_a_ball_exits_2(capsys, pair):
+    # Only a ball boundary has a surface rule; any other pair's J is
+    # exact, so a resolution for it would be silently ignored.
+    code, out, err = run_cli(capsys, "jcoeff", *pair, "jcoeff.resolution=5")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith("jcoeff.resolution")
+    assert "ball pairs only" in error["message"]
 
 
 def test_jcoeff_square_pair_all_methods(capsys):
