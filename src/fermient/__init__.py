@@ -8,9 +8,12 @@ area law
 
 The usual entry points:
 
-    pipeline_spectrum  geometry -> matrix -> spectrum, the one eigensolve
-                       every Renyi order at that L is summed from
-    entropy_pipeline   the same, then the entropy at one order
+    pipeline_spectrum  geometry -> spectrum, the one solve per L that
+                       every Renyi order is summed from
+    renyi_entropy      the entropy of a spectrum at one order
+    eigenvalues        the dense solve of a nystrom or lattice_correlation
+                       matrix: the Nystrom route, and the oracle of the
+                       lattice, prolate and radial routes
     sweep, fit_scaling, compare_theory
                        scaling runs: {alpha: SweepResult} from one
                        spectrum per L, one fit per SweepResult, and the
@@ -23,8 +26,7 @@ The usual entry points:
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, sweep)
-from .discretize import (DiscretizedOperator, LatticeCorrelation,
-                         lattice_correlation, nystrom,
+from .discretize import (DiscretizedOperator, lattice_correlation, nystrom,
                          ring_block_correlation)
 from .functionals import (dilog, entropy_function, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
@@ -35,9 +37,8 @@ from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        widom_J_density_form, widom_J_monte_carlo,
                        widom_J_sphere)
 from .kernels import FermiKernel
-from .spectra import (EntropyResult, PipelineConfig, Spectrum,
-                      entropy_pipeline, eigenvalues, pipeline_spectrum,
-                      renyi_entropy, tensor_spectrum)
+from .spectra import (EntropyResult, PipelineConfig, Spectrum, eigenvalues,
+                      pipeline_spectrum, renyi_entropy, tensor_spectrum)
 
 __version__ = "0.1.0"
 
@@ -50,11 +51,11 @@ __all__ = [
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
     "predicted_log_prefactor", "dilog",
     "FermiKernel",
-    "DiscretizedOperator", "LatticeCorrelation", "nystrom",
+    "DiscretizedOperator", "nystrom",
     "lattice_correlation", "ring_block_correlation",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
-    "pipeline_spectrum", "entropy_pipeline",
+    "pipeline_spectrum",
     "SweepResult", "ScalingFit", "sweep", "fit_scaling", "compare_theory",
     "__version__",
 ]

@@ -9,7 +9,8 @@ Subcommands:
                 persists partial rows and resumes
     jcoeff      the exact boundary coefficient J, checked by quadrature
                 where a boundary is a ball and by Monte Carlo in d >= 2
-    functional  I(h_alpha) numeric vs closed form over an alpha grid
+    functional  I(h_alpha) by quadrature and by the dilogarithm route
+                vs the closed form over an alpha grid
     validate    structural invariant suite
 
 Each command but validate reads `--config PATH` plus inline `key=value`
@@ -17,8 +18,9 @@ overrides (same syntax as config lines, before or after any flag; a
 later override of a key wins) and writes a canonical JSON record to
 `--out` (stdout if omitted).  entropy and sweep also write flat CSV
 rows to `--csv`, sweep accepts `--jobs 1` (its L values run serially),
-and jcoeff seeds its Monte Carlo estimate with `--seed`.  A flag on a
-command that does not read it is an argparse error.  Exit codes: 0
+and jcoeff seeds its Monte Carlo estimate with `--seed` (or the `seed`
+key), which a d = 1 pair, having no such estimate, refuses.  A flag on
+a command that does not read it is an argparse error.  Exit codes: 0
 success, 2 config error, 3 computation error, 4 validation failure.  A
 stdout closed early (`| head`) drops only the rest of the record or of
 validate's table.
@@ -41,9 +43,9 @@ from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
 from .discretize import DiscretizationError
-from .functionals import (dilog, entropy_log_coefficient,
+from .functionals import (entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
-                          log_coefficient_functional, predicted_log_prefactor)
+                          predicted_log_prefactor)
 from .geometry import GeometryError, widom_J, widom_J_monte_carlo
 from .records import (append_partial_row, config_hash, entropy_result,
                       entropy_row, fit_block, j_block, load_partial_rows,
@@ -191,6 +193,9 @@ def cmd_jcoeff(args) -> int:
     if args.seed is not None:
         config = config.updated({"seed": str(args.seed)})
     gamma, omega = _domains(config)
+    if gamma.dim == 1 and "seed" in config:
+        raise ConfigError("seed: read for d >= 2 pairs only; a d = 1 J is "
+                          "exact with no Monte Carlo estimate")
     seed = config.get_int("seed", 0)
     if seed < 0:
         raise ConfigError(f"seed: need an integer >= 0, got {seed}")
@@ -246,19 +251,7 @@ def cmd_functional(args) -> int:
             "converged": numeric.converged,
         })
 
-    y = 1.0e6
-    limit_value = dilog(1.0 - y) + 0.5 * math.log(y) ** 2
-    checks = {
-        "linear_function_value": log_coefficient_functional(lambda t: t).value,
-        "dilog_limit": {
-            "y": y,
-            "value": limit_value,
-            "target": -math.pi ** 2 / 6.0,
-            "abs_dev": abs(limit_value + math.pi ** 2 / 6.0),
-        },
-    }
-    record = make_record("functional", config, functional_rows=rows,
-                         checks=checks)
+    record = make_record("functional", config, functional_rows=rows)
     _emit(record, args.out)
     return EXIT_OK
 
@@ -325,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     jcoeff_parser = add_command("jcoeff", cmd_jcoeff,
                                 "boundary coefficient J and its checks")
     jcoeff_parser.add_argument("--seed", type=int, default=None,
-                               help="seed for the Monte Carlo estimate")
+                               help="seed for the Monte Carlo estimate "
+                                    "(d >= 2 pairs only)")
     add_command("functional", cmd_functional, "I(h_alpha) vs closed form")
 
     sp = sub.add_parser("validate", help="run the invariant suite")

@@ -18,8 +18,10 @@ key is a config error):
     alpha                   Renyi order, or comma list of at least one;
                             'inf' allowed
     seed                    integer >= 0, read by jcoeff's Monte Carlo
-                            estimate only (jcoeff --seed sets it too);
-                            not part of the sweep resume hash
+                            estimate only (jcoeff --seed sets it too),
+                            so d >= 2 pairs only (a d = 1 jcoeff
+                            refuses it); not part of the sweep resume
+                            hash
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis; one
@@ -115,7 +117,7 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return _parse_order(raw)
+            return float(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected a number, got {raw!r}")
 
@@ -133,7 +135,7 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return [_parse_order(part) for part in raw.split(",") if part.strip()]
+            return [float(part) for part in raw.split(",") if part.strip()]
         except ValueError:
             raise ConfigError(f"key {key!r}: expected comma-separated numbers, "
                               f"got {raw!r}")
@@ -142,14 +144,6 @@ class RunConfig:
         merged = dict(self.values)
         merged.update(overrides)
         return RunConfig(merged)
-
-
-def _parse_order(raw: str) -> float:
-    """Float parser that admits 'inf' spellings for the min-entropy order."""
-    text = raw.strip().lower()
-    if text in ("inf", "infinity", "+inf"):
-        return math.inf
-    return float(text)
 
 
 def parse_config_text(text: str) -> RunConfig:

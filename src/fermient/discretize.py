@@ -11,7 +11,8 @@ realizations are provided:
   closed-form kernel into the Hermitian matrix
   A[j, k] = sqrt(w_j * w_k) * K(q_j - q_k).
 * Exact Toeplitz correlation matrices for a block of n successive
-  sites of the 1D lattice gas (no discretization error).
+  sites of the 1D lattice gas (no discretization error), the dense
+  oracle of the lattice route in spectra.
 * Exact correlation matrices for blocks of a finite half-filled ring,
   used for finite-size purity identities.
 
@@ -27,7 +28,6 @@ check_budget, before it builds anything, so an oversized or overflowing
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +41,6 @@ __all__ = [
     "DiscretizationError",
     "BudgetError",
     "DiscretizedOperator",
-    "LatticeCorrelation",
     "nystrom",
     "lattice_correlation",
     "ring_block_correlation",
@@ -70,11 +69,12 @@ class BudgetError(DiscretizationError):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Nystrom matrix of a localized Fermi projection, with its rule.
+    """Matrix of a localized Fermi projection, with its rule.
 
     matrix is Hermitian n x n (real symmetric when the momentum region
     is centrally symmetric); nodes are the quadrature points in the
-    dilated spatial region; weights the corresponding positive weights.
+    dilated spatial region (a lattice block's sites); weights the
+    corresponding positive weights (1 on the lattice).
     """
 
     matrix: np.ndarray
@@ -88,35 +88,6 @@ class DiscretizedOperator:
     def trace(self) -> float:
         """Tr A, approximating the mean particle number in the region."""
         return float(np.real(np.trace(self.matrix)))
-
-
-@dataclass(frozen=True)
-class LatticeCorrelation:
-    """Exact correlation matrix of n successive sites of the lattice gas.
-
-    Entries C[j, k] = sin(k_fermi * (j - k)) / (pi * (j - k)) with
-    diagonal k_fermi / pi; real symmetric Toeplitz, eigenvalues in [0, 1].
-    The block is defined by (k_fermi, n) alone: spectra.eigenvalues
-    solves it without forming the n x n matrix, which is built only
-    when .matrix is first read (the dense test oracle).
-    """
-
-    k_fermi: float
-    n: int
-
-    @property
-    def column(self) -> np.ndarray:
-        """First column of C; C is the symmetric Toeplitz matrix of it."""
-        idx = np.arange(self.n, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(idx > 0,
-                            np.sin(self.k_fermi * idx) / (math.pi * idx),
-                            self.k_fermi / math.pi)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return self.column[np.abs(idx[:, None] - idx)]
 
 
 def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
@@ -287,7 +258,22 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     return DiscretizedOperator(matrix, nodes, weights)
 
 
-def lattice_correlation(k_fermi: float, n: int) -> LatticeCorrelation:
+def _sine_column(k_fermi: float, n: int) -> np.ndarray:
+    """First column of the n-site lattice correlation matrix, the
+    discrete sine kernel sin(k_fermi u) / (pi u) at u = 0..n-1 with
+    k_fermi / pi at u = 0, once k_fermi lies in (0, pi) and n >= 1."""
+    if not 0.0 < k_fermi < math.pi:
+        raise DiscretizationError(
+            f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
+    if n < 1:
+        raise DiscretizationError(f"block length must be >= 1, got {n}")
+    u = np.arange(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u > 0, np.sin(k_fermi * u) / (math.pi * u),
+                        k_fermi / math.pi)
+
+
+def lattice_correlation(k_fermi: float, n: int) -> DiscretizedOperator:
     """Correlation matrix of n successive sites of the 1D lattice gas.
 
     The ground state fills lattice momenta in [-k_fermi, k_fermi]; the
@@ -295,16 +281,15 @@ def lattice_correlation(k_fermi: float, n: int) -> LatticeCorrelation:
 
         C[j, k] = sin(k_fermi (j - k)) / (pi (j - k)),    C[j, j] = k_fermi/pi,
 
-    exactly, with no quadrature involved.  Construction is O(1): the
-    matrix is built on first access to .matrix, and eigenvalues() never
-    reads it.
+    exactly, with no quadrature involved: its nodes are the sites 0..n-1
+    and its weights 1.  This dense n x n block is the test oracle;
+    spectra.pipeline_spectrum in lattice mode solves the same block
+    without forming it.
     """
-    if not 0.0 < k_fermi < math.pi:
-        raise DiscretizationError(
-            f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
-    if n < 1:
-        raise DiscretizationError(f"block length must be >= 1, got {n}")
-    return LatticeCorrelation(float(k_fermi), int(n))
+    column = _sine_column(k_fermi, n)
+    sites = np.arange(n)
+    return DiscretizedOperator(column[np.abs(sites[:, None] - sites)],
+                               sites.astype(float), np.ones(n))
 
 
 def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:

@@ -41,13 +41,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _json_safe(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-    return value
+def _json_safe(alpha: float):
+    """A Renyi order (> 0) for JSON: the min-entropy order as "inf"."""
+    return "inf" if alpha == math.inf else alpha
 
 
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(EntropyResult))

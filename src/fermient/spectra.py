@@ -14,7 +14,7 @@ A Spectrum stores values with multiplicities: the exact routes below
 keep their exact 0s and 1s, which add nothing to any entropy, as one
 entry each.
 
-Lattice blocks are never diagonalized densely.  The discrete sine
+The lattice route never diagonalizes a block densely.  The discrete sine
 kernel commutes with Slepian's tridiagonal matrix (Slepian 1978, Bell
 Syst. Tech. J. 57:1371; Eisler & Peschel 2013, J. Stat. Mech. P04028),
 whose eigenvectors are those of the kernel in the same ascending
@@ -25,9 +25,9 @@ tridiagonal, each solving its half of the window; the eigenvalues
 there are Rayleigh quotients taken with an FFT Toeplitz product, and
 every eigenvalue outside the window is exactly 0 or 1.
 That costs O(n * window) instead of O(n^3) and carries no eigensolver
-noise floor into the small-alpha entropies.  A bare ndarray still takes
-the dense route, which is the oracle the tridiagonal route is tested
-against.
+noise floor into the small-alpha entropies.  eigenvalues() is the dense
+solve of any matrix; eigenvalues(discretize.lattice_correlation(k_F, n))
+is the oracle the tridiagonal route is tested against.
 
 A single momentum interval localized to a single spatial interval is the
 sinc kernel on [-1, 1] with c = |gamma| L |omega| / 4, up to a phase and
@@ -55,12 +55,11 @@ kernel, solved densely and counted with its multiplicity, and no n x n
 Nystrom matrix is formed.  Every other continuum geometry (interval
 unions among them), and any pair under mode 'continuum', takes the
 Nystrom matrix, which is the oracle for both reduced routes.  Every
-order is a sum over that one spectrum, so callers wanting several
-orders at one L diagonalize once and call renyi_entropy per order;
-entropy_pipeline is the single-order composition of the two.  An
-EntropyResult holds the order, the entropy, the spectrum's size, clamp
-bookkeeping and interior count, the realized L and the route taken; its
-fields are the columns of an output row.
+order is a sum over that one spectrum, so a caller diagonalizes once
+per L and calls renyi_entropy per order.  An EntropyResult holds the
+order, the entropy, the spectrum's size, clamp bookkeeping and interior
+count, the realized L and the route taken; its fields are the columns
+of an output row.
 
 Each route imports the scipy functions it calls (eigh_tridiagonal,
 scipy.fft, jv, roots_legendre) inside the function that calls them, so
@@ -91,7 +90,6 @@ __all__ = [
     "renyi_entropy",
     "tensor_spectrum",
     "pipeline_spectrum",
-    "entropy_pipeline",
 ]
 
 EPS_ABORT = 1e-3
@@ -255,10 +253,14 @@ def _lattice_spectrum(k_fermi: float, n: int):
     1 - w^T C' w with w = (-1)^j v and C' the kernel at pi - k_F, since
     1 - C = D C' D with D = diag((-1)^j): that takes 1 - lambda
     directly, below the 1e-16 rounding of lambda near 1, so the edge
-    test stays clear of roundoff at any n.
+    test stays clear of roundoff at any n.  Both kernel columns come
+    first, from discretize._sine_column, which refuses k_F outside
+    (0, pi) and n < 1 with DiscretizationError.
     """
     from scipy.linalg import eigh_tridiagonal
 
+    columns = (_disc._sine_column(k_fermi, n),
+               _disc._sine_column(math.pi - k_fermi, n))
     j = np.arange(n, dtype=float)
     diagonal = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(k_fermi)
     off_diagonal = (j[1:] * (n - j[1:])) / 2
@@ -274,8 +276,6 @@ def _lattice_spectrum(k_fermi: float, n: int):
         blocks = ((diagonal[:half] + edge, off_diagonal[:half - 1]),
                   (diagonal[:half] - edge, off_diagonal[:half - 1]))
     c0 = n - round(n * k_fermi / math.pi)
-    columns = (_disc.LatticeCorrelation(k_fermi, n).column,
-               _disc.LatticeCorrelation(math.pi - k_fermi, n).column)
     signs = np.where(j % 2, -1.0, 1.0)
 
     def solve(lo, hi):
@@ -538,22 +538,17 @@ def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
 
 
 def eigenvalues(op) -> Spectrum:
-    """Full spectrum of a discretized operator, clamped to [0, 1].
+    """Full spectrum of a matrix, by a dense solve, clamped to [0, 1].
 
-    op may be a DiscretizedOperator, a LatticeCorrelation, or a bare
-    Hermitian ndarray.  A LatticeCorrelation takes the commuting
-    tridiagonal route (_lattice_spectrum): no matrix is formed, each
-    computed eigenpair must have residual below RESIDUAL_TOL, and the
-    eigenvalues outside the computed window are exactly 0 or 1.
-    Anything else is solved densely after Hermiticity is asserted
-    (continuum sizes are budget-capped upstream, so O(n^3) is fine);
-    eigenvalues(lattice.matrix) is that dense route, kept as the
-    oracle.  Violating [0, 1] by EPS_ABORT raises
+    op is a DiscretizedOperator (a Nystrom matrix or a
+    discretize.lattice_correlation block) or a bare Hermitian ndarray;
+    it is solved densely after Hermiticity is asserted (continuum sizes
+    are budget-capped upstream, so O(n^3) is fine).  This is the
+    Nystrom route and the oracle of the lattice, prolate and radial
+    routes.  Violating [0, 1] by EPS_ABORT raises
     SpectralViolationError; smaller violations are clamped and recorded
     in clamp_count and max_violation.
     """
-    if isinstance(op, _disc.LatticeCorrelation):
-        return _clamped(*_lattice_spectrum(op.k_fermi, op.n))
     matrix = np.asarray(op.matrix if hasattr(op, "matrix") else op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(
@@ -689,6 +684,9 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  Each
     route checks its preconditions, its float size through
     discretize.check_budget among them, before it solves anything.
+    'lattice' solves its block of round(L |omega|) sites on the
+    commuting tridiagonal (_lattice_spectrum), forming no matrix; a
+    block of 0 sites raises DiscretizationError.
     'prolate' (a single-interval pair) and 'tensor_box' (a box pair) are
     one per-axis route: a box pair gives its axis intervals, and a
     single-interval pair is its own one axis.
@@ -717,7 +715,7 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
         sites = float(lattice_sites(L, omega))
         _disc.check_budget(sites, config.lattice_budget, "lattice sites")
-        spectrum = eigenvalues(_disc.lattice_correlation(k_fermi, int(sites)))
+        spectrum = _clamped(*_lattice_spectrum(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
         return spectrum, sites / omega.volume(), mode
@@ -763,17 +761,3 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
             gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
             budget=config.budget))
     return spectrum, float(L), mode
-
-
-def entropy_pipeline(gamma: Domain, omega: Domain, L: float, alpha: float,
-                     config: PipelineConfig = PipelineConfig()) -> EntropyResult:
-    """S_alpha of the gamma ground state reduced to the region L * omega.
-
-    pipeline_spectrum followed by renyi_entropy at one order; the result
-    names the route taken and carries the spectrum's clamp bookkeeping
-    and interior count.  For several orders at one L, call
-    pipeline_spectrum once and renyi_entropy per order (as sweep does)
-    instead of repeating the eigensolve.
-    """
-    spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L, config)
-    return renyi_entropy(spectrum, alpha, realized_L, mode)

@@ -179,7 +179,9 @@ def check_entropy_monotonicity():
     below ~1e-16 onto the boundary, so the spectral form of the check
     uses orders >= 1 (bounded endpoint amplification) while a synthetic
     interior spectrum checks all orders at machine precision."""
-    spectrum = spc.eigenvalues(disc.lattice_correlation(math.pi / 2, 64))
+    spectrum, _, _ = spc.pipeline_spectrum(
+        geo.interval(-math.pi / 2, math.pi / 2), geo.interval(0.0, 1.0), 64.0,
+        spc.PipelineConfig(mode="lattice"))
     alphas = (0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
     values = [spc.renyi_entropy(spectrum, a).S for a in alphas]
     if any(b > a + 1e-12 for a, b in zip(values, values[1:])):

@@ -14,9 +14,8 @@ from fermient import (
     Box,
     IntervalUnion,
     PipelineConfig,
-    eigenvalues,
     interval,
-    lattice_correlation,
+    pipeline_spectrum,
     sweep,
 )
 
@@ -37,8 +36,10 @@ LATTICE_SIZES = np.unique(np.round(np.geomspace(200, 2000, 10)).astype(int))
 @pytest.fixture(scope="session")
 def lattice_spectra():
     """{n: Spectrum} of half-filled Toeplitz blocks on the size grid."""
+    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     return {
-        int(n): eigenvalues(lattice_correlation(math.pi / 2.0, int(n)))
+        int(n): pipeline_spectrum(gamma, OMEGA_UNIT, float(n),
+                                  PipelineConfig(mode="lattice"))[0]
         for n in LATTICE_SIZES
     }
 

@@ -16,7 +16,7 @@ from fermient import (
     PipelineConfig,
     eigenvalues,
     interval,
-    lattice_correlation,
+    pipeline_spectrum,
     renyi_entropy,
     sweep,
 )
@@ -24,7 +24,6 @@ from fermient.asymptotics import fit_scaling
 from fermient.discretize import nystrom, ring_block_correlation
 from fermient.functionals import entropy_log_coefficient, entropy_function
 from fermient.geometry import widom_J, widom_J_density_form, mean_density
-from fermient.spectra import entropy_pipeline
 from fermient.validate import (check_kernel_fourier, check_kernel_hermiticity,
                                check_projector_entropy, check_trace_identity)
 
@@ -121,10 +120,11 @@ def test_A4_box_2d(box_sweep):
     theory = 2.0 / (3.0 * math.pi)
     dev_fit = abs(fit.log_coefficient / theory - 1.0)
 
-    direct = entropy_pipeline(GAMMA_BOX, OMEGA_BOX, 3.0, 1.0,
-                              PipelineConfig(mode="continuum", budget=3000))
-    tensor = entropy_pipeline(GAMMA_BOX, OMEGA_BOX, 3.0, 1.0,
-                              PipelineConfig(mode="tensor_box"))
+    direct = renyi_entropy(pipeline_spectrum(
+        GAMMA_BOX, OMEGA_BOX, 3.0,
+        PipelineConfig(mode="continuum", budget=3000))[0], 1.0)
+    tensor = renyi_entropy(pipeline_spectrum(
+        GAMMA_BOX, OMEGA_BOX, 3.0, PipelineConfig(mode="tensor_box"))[0], 1.0)
     dev_direct = abs(direct.S - tensor.S)
     ok = dev_fit < 0.10 and dev_direct < 1e-6 and direct.n <= 3000
     line = _report("A4", ok,
@@ -233,9 +233,11 @@ def test_A7_property_suite(lattice_spectra):
 
     # Tr A(1-A) grows like c * ln n: equal increments per x4 step.
     diag = {}
+    half_filled = interval(-math.pi / 2.0, math.pi / 2.0)
     for n in (125, 500, 2000):
-        lam = (lattice_spectra.get(n) or eigenvalues(
-            lattice_correlation(math.pi / 2.0, n))).eigenvalues
+        lam = (lattice_spectra.get(n) or pipeline_spectrum(
+            half_filled, OMEGA_UNIT, float(n),
+            PipelineConfig(mode="lattice"))[0]).eigenvalues
         diag[n] = float(np.sum(lam * (1.0 - lam)))
     increments = (diag[500] - diag[125], diag[2000] - diag[500])
     growth_dev = abs(increments[1] / increments[0] - 1.0)

@@ -10,6 +10,26 @@ MODULES = ["asymptotics", "cli", "config", "discretize", "functionals",
            "geometry", "kernels", "records", "spectra", "validate"]
 
 
+def test_package_exports_are_pinned():
+    assert sorted(fermient.__all__) == sorted([
+        "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
+        "IntervalUnion", "interval", "mean_density",
+        "widom_J", "widom_J_density_form", "widom_J_monte_carlo",
+        "widom_J_sphere",
+        "entropy_function", "entropy_log_coefficient",
+        "entropy_log_coefficient_dilog", "log_coefficient_functional",
+        "predicted_log_prefactor", "dilog",
+        "FermiKernel",
+        "DiscretizedOperator", "nystrom", "lattice_correlation",
+        "ring_block_correlation",
+        "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
+        "renyi_entropy", "tensor_spectrum", "pipeline_spectrum",
+        "SweepResult", "ScalingFit", "sweep", "fit_scaling",
+        "compare_theory",
+        "__version__",
+    ])
+
+
 def test_package_exports_resolve():
     missing = [name for name in fermient.__all__
                if not hasattr(fermient, name)]

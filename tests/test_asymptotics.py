@@ -125,13 +125,13 @@ def test_sweep_collects_all_points():
 
 def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
     calls = []
-    original = spectra.eigenvalues
+    original = spectra._lattice_spectrum
 
-    def counting(op, *args, **kwargs):
-        calls.append(op)
-        return original(op, *args, **kwargs)
+    def counting(k_fermi, n):
+        calls.append(n)
+        return original(k_fermi, n)
 
-    monkeypatch.setattr(spectra, "eigenvalues", counting)
+    monkeypatch.setattr(spectra, "_lattice_spectrum", counting)
     config = PipelineConfig(mode="lattice")
     grid = [20, 30, 40]
     orders = (0.5, 1.0, math.inf)

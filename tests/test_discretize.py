@@ -202,7 +202,10 @@ def test_lattice_correlation_structure():
     np.testing.assert_allclose(np.diag(matrix), 0.5)
     np.testing.assert_allclose(matrix, matrix.T)
     # Toeplitz: entry depends only on j - k.
-    np.testing.assert_array_equal(matrix, toeplitz(block.column))
+    np.testing.assert_array_equal(matrix, toeplitz(matrix[:, 0]))
+    # The rule is the sites with unit weights.
+    np.testing.assert_array_equal(block.nodes, np.arange(64))
+    np.testing.assert_array_equal(block.weights, np.ones(64))
     assert matrix[3, 4] == pytest.approx(math.sin(math.pi / 2) / math.pi)
     assert np.trace(matrix) == pytest.approx(32.0)
 

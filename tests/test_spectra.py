@@ -1,5 +1,6 @@
 """Spectra, clamping policy, entropies, and the pipeline routes."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -10,8 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from fermient import asymptotics, discretize, spectra
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
-                                 LatticeCorrelation, lattice_correlation,
-                                 nystrom)
+                                 lattice_correlation, nystrom)
 from fermient.functionals import entropy_function
 from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
                                interval)
@@ -21,7 +21,6 @@ from fermient.spectra import (
     SpectralViolationError,
     Spectrum,
     eigenvalues,
-    entropy_pipeline,
     pipeline_spectrum,
     renyi_entropy,
     tensor_spectrum,
@@ -85,8 +84,17 @@ def test_spectrum_complement():
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues() of a LatticeCorrelation: the commuting tridiagonal route
+# The lattice route (commuting tridiagonal) against the dense oracle
+# eigenvalues(lattice_correlation(k_F, n))
 # ---------------------------------------------------------------------------
+
+def _lattice_route(k_fermi, n):
+    """Spectrum of the n-site block at k_fermi on the lattice route."""
+    spectrum, _, _ = pipeline_spectrum(interval(-k_fermi, k_fermi), OMEGA,
+                                       float(n),
+                                       PipelineConfig(mode="lattice"))
+    return spectrum
+
 
 def _snapped(spectrum, floor):
     """Spectrum with every min(lambda, 1 - lambda) below floor at 0 or 1."""
@@ -101,10 +109,8 @@ def _snapped(spectrum, floor):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 201, 2000, 2001])
 @pytest.mark.parametrize("k_fermi", [0.3, 1.0, math.pi / 2.0, 2.5, 3.0])
 def test_lattice_route_matches_dense_oracle(k_fermi, n):
-    block = lattice_correlation(k_fermi, n)
-    fast = eigenvalues(block)
-    assert "matrix" not in vars(block)     # the route never forms C
-    dense = eigenvalues(block.matrix)      # a bare ndarray: dense eigvalsh
+    fast = _lattice_route(k_fermi, n)
+    dense = eigenvalues(lattice_correlation(k_fermi, n))
     assert len(fast) == n
     assert np.max(np.abs(fast.eigenvalues - dense.eigenvalues)) <= 1e-12
     for alpha in (1.0, 2.0, math.inf):
@@ -119,10 +125,11 @@ def test_lattice_route_matches_dense_oracle(k_fermi, n):
 
 
 def test_lattice_route_budget_block_without_matrix(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("the n x n lattice matrix was built")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the n x n lattice matrix was built or solved")
 
-    monkeypatch.setattr(LatticeCorrelation, "matrix", property(forbidden))
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(discretize, "lattice_correlation", forbidden)
     n = 20_000
     assert n <= DEFAULT_LATTICE_BUDGET
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
@@ -142,10 +149,9 @@ def test_lattice_route_window_grows_to_whole_spectrum(monkeypatch):
     # 1, so the window doubles until it spans every index.
     monkeypatch.setattr(spectra, "SNAP_TOL", -1.0)
     for n in (200, 201):
-        block = lattice_correlation(1.0, n)
-        np.testing.assert_allclose(eigenvalues(block).eigenvalues,
-                                   eigenvalues(block.matrix).eigenvalues,
-                                   rtol=0.0, atol=1e-12)
+        dense = eigenvalues(lattice_correlation(1.0, n))
+        np.testing.assert_allclose(_lattice_route(1.0, n).eigenvalues,
+                                   dense.eigenvalues, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2000, 2001])
@@ -214,7 +220,7 @@ def test_window_side_clipped_at_the_end_stops_growing(center, clipped):
 def test_lattice_route_residual_check(monkeypatch):
     monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SpectralViolationError, match="residual"):
-        eigenvalues(lattice_correlation(1.0, 64))
+        _lattice_route(1.0, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +288,11 @@ def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
         raise AssertionError("the Nystrom matrix was assembled")
 
     monkeypatch.setattr(discretize, "nystrom", forbidden)
-    result = entropy_pipeline(ball, ball, 3.0, 2.0)
-    assert result.mode == "radial"
-    assert result.S > 0.0
+    spectrum, _, mode = pipeline_spectrum(ball, ball, 3.0)
+    assert mode == "radial"
+    assert renyi_entropy(spectrum, 2.0).S > 0.0
     with pytest.raises(AssertionError, match="Nystrom"):
-        entropy_pipeline(ball, ball, 3.0, 2.0,
-                         PipelineConfig(mode="continuum"))
+        pipeline_spectrum(ball, ball, 3.0, PipelineConfig(mode="continuum"))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +433,7 @@ def test_prolate_routes_never_assemble_nystrom(gamma, omega, mode,
     assert {r.mode for res in results.values() for r in res.results} \
         == {mode}
     with pytest.raises(AssertionError, match="Nystrom"):
-        entropy_pipeline(gamma, omega, 2.0, 1.0,
-                         PipelineConfig(mode="continuum"))
+        pipeline_spectrum(gamma, omega, 2.0, PipelineConfig(mode="continuum"))
 
 
 def _mp_prolate_gaps(c, size, parity, digits=40):
@@ -589,7 +593,7 @@ def test_renyi_entropy_metadata():
 
 
 def test_entropy_decreases_with_alpha():
-    spectrum = eigenvalues(lattice_correlation(math.pi / 2.0, 100))
+    spectrum = _lattice_route(math.pi / 2.0, 100)
     alphas = (0.25, 0.5, 1.0, 2.0, 4.0, math.inf)
     values = [renyi_entropy(spectrum, a).S for a in alphas]
     assert all(later <= earlier + 1e-12
@@ -666,39 +670,40 @@ def test_tensor_route_guards_every_axis_before_any_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# entropy_pipeline routes
+# pipeline_spectrum routes
 # ---------------------------------------------------------------------------
 
 def test_pipeline_continuum():
-    result = entropy_pipeline(GAMMA, OMEGA, 10.0, 1.0,
-                              PipelineConfig(mode="continuum"))
-    assert result.L == 10.0
-    assert result.alpha == 1.0
-    assert result.S > 0.5
-    assert result.mode == "continuum"
+    spectrum, L, mode = pipeline_spectrum(GAMMA, OMEGA, 10.0,
+                                          PipelineConfig(mode="continuum"))
+    assert L == 10.0
+    assert renyi_entropy(spectrum, 1.0).S > 0.5
+    assert mode == "continuum"
 
 
 def test_pipeline_lattice_realized_dilation():
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     config = PipelineConfig(mode="lattice")
-    result = entropy_pipeline(gamma, OMEGA, 100.4, 1.0, config)
+    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4, config)
     # 100.4 sites round to 100; the realized dilation is recorded as L.
-    assert result.L == 100.0
-    assert result.n == 100
-    assert result.mode == "lattice"
+    assert (L, len(spectrum), mode) == (100.0, 100, "lattice")
     # The solved block is the one at k_F = pi/2.
-    block = lattice_correlation(math.pi / 2.0, 100)
-    assert result.S == renyi_entropy(eigenvalues(block), 1.0).S
+    dense = eigenvalues(lattice_correlation(math.pi / 2.0, 100))
+    assert renyi_entropy(spectrum, 1.0).S == pytest.approx(
+        renyi_entropy(dense, 1.0).S, abs=1e-9)
 
 
 def test_pipeline_spectrum_serves_every_order():
+    # A sweep's rows at one L are renyi_entropy of the one spectrum.
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     config = PipelineConfig(mode="lattice")
     spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4, config)
-    assert (L, len(spectrum), mode) == (100.0, 100, "lattice")
-    for alpha in (0.5, 1.0, math.inf):
-        result = renyi_entropy(spectrum, alpha, L, mode)
-        assert result == entropy_pipeline(gamma, OMEGA, 100.4, alpha, config)
+    alphas = (0.5, 1.0, math.inf)
+    swept = asymptotics.sweep(gamma, OMEGA, alphas, [100.4], config)
+    for alpha in alphas:
+        (row,) = swept[alpha].results
+        assert dataclasses.replace(row, wall_time_s=None) \
+            == renyi_entropy(spectrum, alpha, L, mode)
 
 
 @pytest.mark.parametrize("gamma, omega, L, mode", [
@@ -723,9 +728,9 @@ def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
 def test_pipeline_lattice_requires_symmetric_interval():
     config = PipelineConfig(mode="lattice")
     with pytest.raises(GeometryError):
-        entropy_pipeline(interval(0.0, 1.0), OMEGA, 50.0, 1.0, config)
+        pipeline_spectrum(interval(0.0, 1.0), OMEGA, 50.0, config)
     with pytest.raises(GeometryError):
-        entropy_pipeline(interval(-4.0, 4.0), OMEGA, 50.0, 1.0, config)
+        pipeline_spectrum(interval(-4.0, 4.0), OMEGA, 50.0, config)
 
 
 def test_pipeline_lattice_rejects_interval_union():
@@ -759,7 +764,7 @@ def test_pipeline_lattice_budget():
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
     config = PipelineConfig(mode="lattice", lattice_budget=100)
     with pytest.raises(BudgetError):
-        entropy_pipeline(gamma, OMEGA, 500.0, 1.0, config)
+        pipeline_spectrum(gamma, OMEGA, 500.0, config)
 
 
 SQUARE_MOMENTUM, SQUARE = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2)
@@ -847,28 +852,26 @@ def test_pipeline_tensor_matches_direct_2d():
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
     # The default rule has 4 nodes per axis here and misses by 1.1e-7; at
     # 4 nodes per unit (8 per axis) the gap is 5e-15.
-    direct = entropy_pipeline(gamma, omega, 2.0, 1.0,
-                              PipelineConfig(mode="continuum",
-                                             nodes_per_unit=4.0))
-    tensor = entropy_pipeline(gamma, omega, 2.0, 1.0,
-                              PipelineConfig(mode="tensor_box"))
-    assert tensor.S == pytest.approx(direct.S, abs=1e-10)
-    assert (tensor.mode, direct.mode) == ("tensor_box", "continuum")
+    direct, _, direct_mode = pipeline_spectrum(
+        gamma, omega, 2.0, PipelineConfig(mode="continuum",
+                                          nodes_per_unit=4.0))
+    tensor, _, tensor_mode = pipeline_spectrum(
+        gamma, omega, 2.0, PipelineConfig(mode="tensor_box"))
+    assert renyi_entropy(tensor, 1.0).S == pytest.approx(
+        renyi_entropy(direct, 1.0).S, abs=1e-10)
+    assert (tensor_mode, direct_mode) == ("tensor_box", "continuum")
     # Each axis is a prolate basis of ceil(1.5 c) + PROLATE_PAD degrees,
     # c = 1 here.
-    assert tensor.n == (math.ceil(1.5) + spectra.PROLATE_PAD) ** 2
+    assert len(tensor) == (math.ceil(1.5) + spectra.PROLATE_PAD) ** 2
 
 
 def test_pipeline_auto_routing():
     gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
-    auto = entropy_pipeline(gamma, omega, 2.0, 1.0)
-    assert auto.mode == "tensor_box"
-    auto_1d = entropy_pipeline(GAMMA, OMEGA, 2.0, 1.0)
-    assert auto_1d.mode == "prolate"
+    assert pipeline_spectrum(gamma, omega, 2.0)[2] == "tensor_box"
+    assert pipeline_spectrum(GAMMA, OMEGA, 2.0)[2] == "prolate"
     two_intervals = IntervalUnion(((0.0, 1.0), (1.5, 2.5)))
-    union = entropy_pipeline(GAMMA, two_intervals, 2.0, 1.0)
-    assert union.mode == "continuum"
+    assert pipeline_spectrum(GAMMA, two_intervals, 2.0)[2] == "continuum"
 
 
 def test_pipeline_off_center_boxes_take_tensor_route():
@@ -922,30 +925,30 @@ def test_multiplicities_count_every_eigenvalue(gamma, omega, L, mode,
 def test_pipeline_tensor_requires_boxes():
     config = PipelineConfig(mode="tensor_box")
     with pytest.raises(GeometryError):
-        entropy_pipeline(GAMMA, OMEGA, 2.0, 1.0, config)
+        pipeline_spectrum(GAMMA, OMEGA, 2.0, config)
 
 
 def test_pipeline_unknown_mode():
     with pytest.raises(ValueError):
-        entropy_pipeline(GAMMA, OMEGA, 2.0, 1.0, PipelineConfig(mode="exact"))
+        pipeline_spectrum(GAMMA, OMEGA, 2.0, PipelineConfig(mode="exact"))
 
 
 def test_pipeline_entropy_stable_under_refinement():
     # +50% node density moves the entropy by far less than the fit
     # tolerances; this is the resolution self-consistency check.
-    base = entropy_pipeline(GAMMA, OMEGA, 50.0, 1.0,
-                            PipelineConfig(mode="continuum"))
-    fine = entropy_pipeline(GAMMA, OMEGA, 50.0, 1.0,
-                            PipelineConfig(mode="continuum",
-                                           nodes_per_unit=3.0))
-    assert base.n < fine.n
-    assert abs(fine.S - base.S) < 1e-4
+    base = pipeline_spectrum(GAMMA, OMEGA, 50.0,
+                             PipelineConfig(mode="continuum"))[0]
+    fine = pipeline_spectrum(GAMMA, OMEGA, 50.0,
+                             PipelineConfig(mode="continuum",
+                                            nodes_per_unit=3.0))[0]
+    assert len(base) < len(fine)
+    assert abs(renyi_entropy(fine, 1.0).S - renyi_entropy(base, 1.0).S) < 1e-4
 
 
 def test_pipeline_alpha_consistency_with_direct_sum():
     op = nystrom(GAMMA, OMEGA, L=10.0)
     spectrum = eigenvalues(op)
     direct = renyi_entropy(spectrum, 2.0).S
-    piped = entropy_pipeline(GAMMA, OMEGA, 10.0, 2.0,
-                             PipelineConfig(mode="continuum")).S
+    piped = renyi_entropy(pipeline_spectrum(
+        GAMMA, OMEGA, 10.0, PipelineConfig(mode="continuum"))[0], 2.0).S
     assert piped == pytest.approx(direct, rel=1e-12)
