@@ -61,10 +61,11 @@ order, the entropy, the spectrum's size, clamp bookkeeping and interior
 count, the realized L and the route taken; its fields are the columns
 of an output row.
 
-Each route imports the scipy functions it calls (eigh_tridiagonal,
-scipy.fft, jv, roots_legendre) inside the function that calls them, so
-importing this module, and the jcoeff and functional commands that
-solve no spectrum, load no scipy module.
+Each route imports the scipy functions it calls (eigh_tridiagonal, jv,
+roots_legendre) inside the function that calls them, so importing this
+module, and the jcoeff and functional commands that solve no spectrum,
+load no scipy module.  The lattice route's Toeplitz products run on
+numpy.fft, so that route loads scipy.linalg alone.
 """
 
 from __future__ import annotations
@@ -181,6 +182,21 @@ class EntropyResult:
     wall_time_s: float | None = None
 
 
+def _fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target: scipy.fft.next_fast_len(target,
+    real=True), the lengths pocketfft transforms fastest."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """C @ row for each row, C the symmetric Toeplitz matrix of column.
 
@@ -188,19 +204,17 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     diagonalizes; rows are transformed in chunks of about 2**21
     entries so memory stays O(n) per row at any n.
     """
-    from scipy import fft
-
     n = len(column)
-    size = fft.next_fast_len(2 * n - 1, real=True)
+    size = _fast_len(2 * n - 1)
     circulant = np.zeros(size)
     circulant[:n] = column
     circulant[size - n + 1:] = column[:0:-1]
-    symbol = fft.rfft(circulant)
+    symbol = np.fft.rfft(circulant)
     out = np.empty_like(rows)
     chunk = max(1, 2 ** 21 // size)
     for start in range(0, len(rows), chunk):
-        block = fft.rfft(rows[start:start + chunk], size)
-        out[start:start + chunk] = fft.irfft(block * symbol, size)[:, :n]
+        block = np.fft.rfft(rows[start:start + chunk], size)
+        out[start:start + chunk] = np.fft.irfft(block * symbol, size)[:, :n]
     return out
 
 

@@ -59,38 +59,53 @@ def check_kernel_hermiticity():
     return True, f"max |K(-u) - conj(K(u))| = {worst:.2e}"
 
 
-def _kernel_oracle(gamma, u):
-    """Direct numerical Fourier transform of the gamma indicator."""
-    # Only this oracle needs scipy, and scipy.integrate pulls in
-    # scipy.optimize, sparse and spatial; importing it here keeps every
-    # scipy module out of CLI start-up.
-    from scipy.integrate import quad
+_ORACLE_NODES = 32
+
+
+def _integrate(f, a, b, rule):
+    """Gauss-Legendre sum of f over [a, b] on rule = (nodes, weights)."""
+    nodes, weights = rule
+    half = 0.5 * (b - a)
+    return half * float(weights @ f(0.5 * (a + b) + half * nodes))
+
+
+def _kernel_oracle(gamma, u, rule):
+    """Direct numerical Fourier transform of the gamma indicator.
+
+    Each integrand (cos, sin, p j0(p r), p sin(p r)) is entire with
+    phase at most |u| times the interval's width.  check_kernel_fourier
+    draws phases up to 7.5 (the disk of radius 1.3 at |u| = 5.8); its
+    _ORACLE_NODES-point rule is exact to rounding up to phase 60.
+    """
+    # scipy.special only for j0: the 2D ball kernel loads it anyway.
     from scipy.special import j0
 
     if gamma.dim == 1:
         total = 0.0 + 0.0j
         for a, b in gamma.intervals:
-            re = quad(lambda p: math.cos(p * u), a, b, limit=200)[0]
-            im = quad(lambda p: math.sin(p * u), a, b, limit=200)[0]
+            re = _integrate(lambda p: np.cos(p * u), a, b, rule)
+            im = _integrate(lambda p: np.sin(p * u), a, b, rule)
             total += (re + 1j * im) / (2.0 * math.pi)
         return total
     if isinstance(gamma, geo.Box):
         total = 1.0 + 0.0j
         for axis, bounds in enumerate(gamma.bounds):
-            total *= _kernel_oracle(geo.IntervalUnion((bounds,)), u[axis])
+            total *= _kernel_oracle(geo.IntervalUnion((bounds,)), u[axis],
+                                    rule)
         return total
     if isinstance(gamma, geo.Ball):
         center = np.array(gamma.center)
         r = float(np.linalg.norm(u))
         if gamma.dim == 2:
-            radial = quad(lambda p: p * j0(p * r), 0.0, gamma.radius,
-                          limit=200)[0] / (2.0 * math.pi)
+            radial = _integrate(lambda p: p * j0(p * r), 0.0, gamma.radius,
+                                rule) / (2.0 * math.pi)
         else:
             if r < 1e-12:
                 radial = gamma.radius ** 3 / (6.0 * math.pi ** 2)
             else:
-                radial = quad(lambda p: p * math.sin(p * r), 0.0, gamma.radius,
-                              limit=200)[0] / (2.0 * math.pi ** 2 * r)
+                radial = _integrate(lambda p: p * np.sin(p * r), 0.0,
+                                    gamma.radius,
+                                    rule) / (2.0 * math.pi ** 2 * r)
         return radial * np.exp(1j * float(center @ u))
     raise geo.GeometryError("no oracle for this shape")
 
@@ -98,6 +113,7 @@ def _kernel_oracle(gamma, u):
 def check_kernel_fourier():
     """Closed forms against direct quadrature of the defining integral."""
     rng = np.random.default_rng(11)
+    rule = np.polynomial.legendre.leggauss(_ORACLE_NODES)
     worst = 0.0
     for gamma in _sample_shapes():
         kernel = ker.FermiKernel(gamma)
@@ -108,7 +124,7 @@ def check_kernel_fourier():
             closed = complex(np.asarray(
                 kernel.displacement(np.asarray(u).reshape(1, -1) if d > 1 else u)
             ).ravel()[0])
-            oracle = _kernel_oracle(gamma, u)
+            oracle = _kernel_oracle(gamma, u, rule)
             worst = max(worst, abs(closed - oracle))
     return worst < 1e-8, f"max closed-form vs quadrature deviation {worst:.2e}"
 

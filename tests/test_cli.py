@@ -745,8 +745,8 @@ def test_validate_with_closed_stdout_writes_its_report(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # Only validate's kernel oracle integrates; importing scipy.integrate
-    # at start-up would also load scipy.optimize, sparse and spatial.
+    # No command calls scipy.integrate, which would also load
+    # scipy.optimize, sparse and spatial; importing the CLI must not.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     code = ("import sys, fermient.cli; "
             "print('scipy.integrate' in sys.modules)")
@@ -787,6 +787,39 @@ print(json.dumps("scipy.linalg" in sys.modules))
     loaded, after_entropy = _run_fresh(code).splitlines()
     assert json.loads(loaded) == []
     assert json.loads(after_entropy) is True
+
+
+def test_validate_leaves_scipy_integrate_unloaded(tmp_path):
+    # validate's kernel oracle runs a Gauss-Legendre rule, so of scipy it
+    # loads scipy.linalg and scipy.special only; scipy.integrate would
+    # bring in optimize, sparse and spatial.
+    out = str(tmp_path / "validate.json")
+    code = f"""
+import json, sys
+from fermient.cli import main
+assert main(["validate", "--out", {out!r}]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+    # validate prints its table first; the module list is the last line.
+    loaded = set(json.loads(_run_fresh(code).splitlines()[-1]))
+    assert {"scipy.linalg", "scipy.special"} <= loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize",
+                         "scipy.sparse", "scipy.spatial"}
+
+
+def test_lattice_entropy_loads_scipy_linalg_without_fft(tmp_path):
+    # The Toeplitz products run on numpy.fft: scipy.linalg's tridiagonal
+    # solver is the lattice route's only scipy call.
+    out = str(tmp_path / "record.json")
+    code = f"""
+import json, sys
+from fermient.cli import main
+assert main(["entropy", "--out", {out!r}, "mode=lattice",
+             "gamma.k_fermi=1", "omega.shape=interval",
+             "omega.intervals=0:1", "entropy.L=2001"]) == 0
+print(json.dumps(["scipy.linalg" in sys.modules, "scipy.fft" in sys.modules]))
+"""
+    assert json.loads(_run_fresh(code)) == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,25 @@ def test_window_side_clipped_at_the_end_stops_growing(center, clipped):
     assert min(edge, 1.0 - edge) > 1e-3
 
 
+def test_fast_len_is_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    assert [spectra._fast_len(m) for m in range(1, 10_001)] == \
+        [next_fast_len(m, real=True) for m in range(1, 10_001)]
+
+
+# 2n - 1 = 2017 is prime, so the circulant is padded to 2025 = 3^4 5^2.
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1009])
+def test_toeplitz_apply_matches_dense_product(n):
+    from scipy.linalg import toeplitz
+
+    column = discretize._sine_column(1.0, n)
+    rows = np.random.default_rng(n).normal(size=(3, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    np.testing.assert_allclose(spectra._toeplitz_apply(column, rows),
+                               rows @ toeplitz(column).T, rtol=0, atol=1e-13)
+
+
 def test_lattice_route_residual_check(monkeypatch):
     monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SpectralViolationError, match="residual"):

@@ -1,10 +1,14 @@
 """The structural invariant suite should pass, and should be able to fail."""
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import j0
 
 import fermient.validate as validate
 from fermient import functionals
-from fermient.geometry import Ball, SurfaceQuadrature
+from fermient.geometry import Ball, Box, IntervalUnion, SurfaceQuadrature
 from fermient.kernels import FermiKernel
 from fermient.validate import ALL_CHECKS, check_kernel_hermiticity, run_all
 
@@ -67,3 +71,61 @@ def test_functional_check_requires_convergence(monkeypatch):
     passed, detail = validate.check_functional()
     assert not passed
     assert "did not converge" in detail
+
+
+def _quad_oracle(gamma, u):
+    """The Fourier transform of the gamma indicator by adaptive quad."""
+    if gamma.dim == 1:
+        return sum(complex(quad(lambda p: math.cos(p * u), a, b, limit=200)[0],
+                           quad(lambda p: math.sin(p * u), a, b, limit=200)[0])
+                   for a, b in gamma.intervals) / (2.0 * math.pi)
+    if isinstance(gamma, Box):
+        return math.prod(_quad_oracle(IntervalUnion((bounds,)), u[axis])
+                         for axis, bounds in enumerate(gamma.bounds))
+    r = float(np.linalg.norm(u))
+    if gamma.dim == 2:
+        radial = quad(lambda p: p * j0(p * r), 0.0, gamma.radius,
+                      limit=200)[0] / (2.0 * math.pi)
+    else:
+        radial = quad(lambda p: p * math.sin(p * r), 0.0, gamma.radius,
+                      limit=200)[0] / (2.0 * math.pi ** 2 * r)
+    return radial * np.exp(1j * float(np.array(gamma.center) @ u))
+
+
+def _oracle_displacements():
+    # The draws of check_kernel_fourier, in its order, then |u| = 10.
+    rng = np.random.default_rng(11)
+    shapes = validate._sample_shapes()
+    for gamma in shapes:
+        d = gamma.dim
+        for _ in range(100 // len(shapes) + 1):
+            yield gamma, (rng.normal(scale=2.0, size=d) if d > 1
+                          else float(rng.normal(scale=2.0)))
+    for gamma in shapes:
+        d = gamma.dim
+        for sign in (1.0, -1.0):
+            yield gamma, (sign * 10.0 * np.ones(d) / math.sqrt(d) if d > 1
+                          else sign * 10.0)
+
+
+def test_kernel_oracle_matches_adaptive_quadrature():
+    rule = np.polynomial.legendre.leggauss(validate._ORACLE_NODES)
+    cases = list(_oracle_displacements())
+    assert len(cases) == 5 * 21 + 5 * 2
+    for gamma, u in cases:
+        assert abs(validate._kernel_oracle(gamma, u, rule)
+                   - _quad_oracle(gamma, u)) <= 1e-12, (gamma, u)
+
+
+def test_fourier_check_catches_a_flipped_sine_part(monkeypatch):
+    oracle = validate._kernel_oracle
+
+    def flipped(gamma, u, rule):
+        # Conjugating a 1D transform flips the sign of its sine integral.
+        value = oracle(gamma, u, rule)
+        return np.conj(value) if gamma.dim == 1 else value
+
+    monkeypatch.setattr(validate, "_kernel_oracle", flipped)
+    passed, detail = validate.check_kernel_fourier()
+    assert not passed
+    assert "deviation" in detail
