@@ -14,17 +14,16 @@ import math
 
 import numpy as np
 
-from fermient import (Box, PipelineConfig, pipeline_spectrum, renyi_entropy,
-                      sweep)
+from fermient import (Box, PipelineConfig, eigenvalues, nystrom,
+                      pipeline_spectrum, renyi_entropy, sweep)
 from fermient.asymptotics import fit_scaling
 
 gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
 omega = Box(((0.0, 1.0), (0.0, 1.0)))
 
 # Small-L consistency: same operator, two constructions.
-direct = renyi_entropy(pipeline_spectrum(
-    gamma, omega, 3.0,
-    PipelineConfig(mode="continuum", nodes_per_unit=4.0))[0], 1.0)
+direct = renyi_entropy(
+    eigenvalues(nystrom(gamma, omega, 3.0, nodes_per_unit=4.0)), 1.0)
 tensor = renyi_entropy(pipeline_spectrum(
     gamma, omega, 3.0, PipelineConfig(mode="tensor_box"))[0], 1.0)
 print(f"L = 3 cross-check: direct n = {direct.n}, S = {direct.S:.12f}")

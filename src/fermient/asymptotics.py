@@ -207,17 +207,12 @@ def compare_theory(fit: ScalingFit, J: float, alpha: float) -> dict:
 
         theory = (1 + alpha) / (24 * alpha) * J,
 
-    with J the boundary coefficient's value (geometry.widom_J).
-    rel_dev = |fitted - theory| / theory; the theory value is nonzero
-    for every valid catalog pair (J > 0 and the prefactor is positive),
-    but a zero is guarded anyway."""
+    with J the boundary coefficient's value (geometry.widom_J), as
+    {theory, rel_dev}, rel_dev = |fit.log_coefficient - theory| / theory.
+    theory is nonzero for every valid catalog pair (J > 0 and the
+    prefactor is positive), but a zero is guarded anyway."""
     theory = predicted_log_prefactor(alpha) * J
     if theory == 0.0:
         raise FitError("predicted coefficient is zero; comparison undefined")
-    fitted = fit.log_coefficient
-    return {
-        "theory": theory,
-        "fitted": fitted,
-        "rel_dev": abs(fitted - theory) / theory,
-        "stderr": fit.stderr_log,
-    }
+    return {"theory": theory,
+            "rel_dev": abs(fit.log_coefficient - theory) / theory}

@@ -38,15 +38,11 @@ key is a config error):
     sweep.window            lo:hi fit window, lo < hi (default: whole
                             grid); it must keep >= 4 grid points, counted
                             after lattice rounding
-    disc.nodes_per_unit     finite float > 0 (default: resolution from
-                            the kernel); sets the Nystrom and radial
-                            rules, and is held only to the Nyquist
-                            guard on the prolate and tensor_box routes
-    disc.budget             max continuum matrix size (and prolate
-                            Legendre basis, per interval or tensor axis,
-                            or radial rule size), integer >= 1
-    disc.lattice_budget     max lattice block size in sites, integer >= 1;
-                            both checked before any build; inf sizes fail too
+    disc.budget             max size of the route, integer >= 1: lattice
+                            sites (default 100000), else Nystrom rows,
+                            Legendre degrees per prolate axis or radial
+                            nodes (default 6000); checked before any
+                            build, and inf sizes fail too
     jcoeff.resolution       ball surface rule resolution, integer >= 1;
                             ball pairs only (any other pair is a
                             config error)
@@ -85,8 +81,7 @@ _SHAPE_KEYS = ("shape", "intervals", "bounds", "center", "radius",
 # spelled out.
 KNOWN_KEYS = frozenset(
     ("mode", "alpha", "seed", "entropy.L", "sweep.L", "sweep.window",
-     "disc.nodes_per_unit", "disc.budget", "disc.lattice_budget",
-     "jcoeff.resolution", "functional.alphas")
+     "disc.budget", "jcoeff.resolution", "functional.alphas")
     + tuple(f"{prefix}.{key}" for prefix in ("gamma", "omega")
             for key in _SHAPE_KEYS))
 
@@ -290,17 +285,11 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
 
 
 def pipeline_config_from(config: RunConfig) -> PipelineConfig:
-    """PipelineConfig from mode and the disc.* keys."""
+    """PipelineConfig from mode and disc.budget."""
     mode = config.get("mode", "auto").strip().lower()
     if mode not in PIPELINE_MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
-    nodes_per_unit = config.get_float("disc.nodes_per_unit")
-    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
-        raise ConfigError(f"disc.nodes_per_unit: need a finite positive "
-                          f"density, got {nodes_per_unit}")
-    budgets = {key: config.get_int(f"disc.{key}", getattr(PipelineConfig, key))
-               for key in ("budget", "lattice_budget")}
-    for key, value in budgets.items():
-        if value < 1:
-            raise ConfigError(f"disc.{key}: need an integer >= 1, got {value}")
-    return PipelineConfig(mode=mode, nodes_per_unit=nodes_per_unit, **budgets)
+    budget = config.get_int("disc.budget")
+    if budget is not None and budget < 1:
+        raise ConfigError(f"disc.budget: need an integer >= 1, got {budget}")
+    return PipelineConfig(mode=mode, budget=budget)

@@ -158,16 +158,6 @@ def _rule_ball(ball: Ball, n_r: int, n_t: int):
     return nodes, weights
 
 
-def check_sampling(nodes_per_unit: float, p_max: float) -> None:
-    """Nyquist guard: raise DiscretizationError when a node spacing of
-    1 / nodes_per_unit cannot resolve momenta up to p_max."""
-    spacing = 1.0 / nodes_per_unit
-    if spacing >= 0.5 * math.pi / p_max:
-        raise DiscretizationError(
-            f"node spacing {spacing:.3g} exceeds the sampling guard "
-            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
-
-
 def check_budget(size: float, budget: float, what: str) -> None:
     """Raise BudgetError unless size <= budget (a float: inf fails too)."""
     if not size <= budget:
@@ -218,7 +208,11 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     if nodes_per_unit is None:
         nodes_per_unit = max(NODES_PER_WAVELENGTH / wavelength,
                              MIN_NODES_PER_UNIT)
-    check_sampling(nodes_per_unit, p_max)
+    spacing = 1.0 / nodes_per_unit
+    if spacing >= 0.5 * math.pi / p_max:
+        raise DiscretizationError(
+            f"node spacing {spacing:.3g} exceeds the sampling guard "
+            f"{0.5 * math.pi / p_max:.3g} for momenta up to {p_max:.3g}")
 
     # The node count is the product of the rule's factors' counts.
     region = omega.scaled(L) if L != 1.0 else omega

@@ -96,7 +96,7 @@ def make_record(command: str, config: RunConfig, rows=None, **blocks) -> dict:
     }
     if rows is not None:
         record["rows"] = sorted(
-            rows, key=lambda r: (_sort_alpha(r.get("alpha")), r.get("L") or 0))
+            rows, key=lambda r: (_sort_alpha(r["alpha"]), r["L"]))
     for name, block in blocks.items():
         if block is not None:
             record[name] = block
@@ -104,9 +104,7 @@ def make_record(command: str, config: RunConfig, rows=None, **blocks) -> dict:
 
 
 def _sort_alpha(alpha):
-    if isinstance(alpha, str):
-        return math.inf
-    return alpha if alpha is not None else -1.0
+    return math.inf if isinstance(alpha, str) else alpha
 
 
 def write_json(record: dict, path=None) -> str:

@@ -639,7 +639,7 @@ PIPELINE_MODES = ("auto", "continuum", "lattice", "tensor_box")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the geometry -> entropy pipeline.
+    """Mode and size budget of the geometry -> entropy pipeline.
 
     mode: 'auto' (per-axis prolate spectra for a single-interval or
     box-product pair, radial sectors for ball/ball pairs in d = 2 and 3,
@@ -647,21 +647,25 @@ class PipelineConfig:
     geometry), 'tensor_box' (per-axis prolate spectra of a box pair), or
     'lattice'.  In lattice mode gamma must be a symmetric interval
     (-k_F, k_F) with k_F < pi and omega one interval, and the block has
-    round(L * |omega|) sites, at most lattice_budget (default 100000;
-    the tridiagonal route takes seconds there, and no n x n matrix is
-    formed).  budget caps the Nystrom matrix size, the Legendre basis of
-    each prolate axis, and the radial rule's node count n_r; both are
-    checked before anything is built, an overflowing (inf) size included.
-    nodes_per_unit sets the Nystrom and radial rules; the prolate axes
-    build no rule and only hold it to the Nyquist guard, which a
-    nodes_per_unit under it fails on every route.  EPS_ABORT,
-    SECTOR_EXCESS and the prolate tolerances are fixed.
+    round(L * |omega|) sites.
+    budget caps each route's size in its own unit: lattice sites,
+    Nystrom rows, Legendre degrees per prolate axis, or radial nodes.
+    It is checked before anything is built, an overflowing (inf) size
+    included.  Unset, it is DEFAULT_LATTICE_BUDGET (100000) in lattice
+    mode, where the tridiagonal route takes seconds and forms no n x n
+    matrix, and DEFAULT_CONTINUUM_BUDGET (6000) otherwise.  Each route
+    sets its own resolution; EPS_ABORT, SECTOR_EXCESS and the prolate
+    tolerances are fixed.
     """
 
     mode: str = "auto"
-    nodes_per_unit: float | None = None
-    budget: int = _disc.DEFAULT_CONTINUUM_BUDGET
-    lattice_budget: int = _disc.DEFAULT_LATTICE_BUDGET
+    budget: int | None = None
+
+    def __post_init__(self):
+        if self.budget is None:
+            object.__setattr__(self, "budget", (
+                _disc.DEFAULT_LATTICE_BUDGET if self.mode == "lattice"
+                else _disc.DEFAULT_CONTINUUM_BUDGET))
 
 
 def lattice_sites(L, omega: Domain):
@@ -704,16 +708,17 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     'prolate' (a single-interval pair) and 'tensor_box' (a box pair) are
     one per-axis route: a box pair gives its axis intervals, and a
     single-interval pair is its own one axis.
-    Every axis passes the Nyquist guard for its own momentum bound and
-    the budget on its basis of ceil(1.5 c) + PROLATE_PAD Legendre
-    degrees, then each distinct c = |gamma_i| L |omega_i| / 4 is solved
-    once, and tensor_spectrum combines the axes (one axis is its own
-    spectrum).  The spectrum counts one eigenvalue per degree of each
-    axis basis, as the lattice route counts one per site, but stores
-    each axis's exact 0s and 1s once.  The realized L differs from the
-    requested one only in lattice mode, where the block has an integer
-    number of sites.  Every Renyi order at this L is renyi_entropy of
-    the one spectrum.
+    Every axis passes the budget on its basis of ceil(1.5 c) +
+    PROLATE_PAD Legendre degrees, then each distinct
+    c = |gamma_i| L |omega_i| / 4 is solved once, and tensor_spectrum
+    combines the axes (one axis is its own spectrum).  The spectrum
+    counts one eigenvalue per degree of each axis basis, as the lattice
+    route counts one per site, but stores each axis's exact 0s and 1s
+    once.  'radial' solves on ceil(1.5 k R) + 20 nodes and 'continuum'
+    on nystrom's default rule, each within the budget.  The realized L
+    differs from the requested one only in lattice mode, where the block
+    has an integer number of sites.  Every Renyi order at this L is
+    renyi_entropy of the one spectrum.
     """
     mode = _resolve_mode(config.mode, gamma, omega)
     if mode == "lattice":
@@ -728,7 +733,7 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
         sites = float(lattice_sites(L, omega))
-        _disc.check_budget(sites, config.lattice_budget, "lattice sites")
+        _disc.check_budget(sites, config.budget, "lattice sites")
         spectrum = _clamped(*_lattice_spectrum(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
@@ -743,10 +748,6 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         # kernel on [-1, 1] at its c.
         axes = (list(zip(gamma.axis_intervals(), omega.axis_intervals()))
                 if mode == "tensor_box" else [(gamma, omega)])
-        if config.nodes_per_unit is not None:
-            for gamma_axis, _ in axes:
-                _disc.check_sampling(config.nodes_per_unit,
-                                     gamma_axis.momentum_bound())
         axis_c = [gamma_axis.volume() * L * omega_axis.volume() / 4.0
                   for gamma_axis, omega_axis in axes]
         sizes = {c: np.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
@@ -759,19 +760,12 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     elif mode == "radial":
         # Both centers drop out as on the prolate axes: the spectrum is
         # that of momentum radius k on a centered ball of radius R.  The
-        # radial rule has ceil(1.5 k R) + 20 nodes, or
-        # ceil(nodes_per_unit * R) (at least 4, as on Nystrom ball rules)
-        # under the Nyquist guard for k.
+        # radial rule has ceil(1.5 k R) + 20 nodes.
         k, R = gamma.radius, omega.scaled(L).radius
-        if config.nodes_per_unit is None:
-            n_r = np.ceil(1.5 * k * R) + 20
-        else:
-            _disc.check_sampling(config.nodes_per_unit, k)
-            n_r = max(np.ceil(config.nodes_per_unit * R), 4)
+        n_r = np.ceil(1.5 * k * R) + 20
         _disc.check_budget(n_r, config.budget, "radial nodes")
         spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, int(n_r)))
     else:
-        spectrum = eigenvalues(_disc.nystrom(
-            gamma, omega, L, nodes_per_unit=config.nodes_per_unit,
-            budget=config.budget))
+        spectrum = eigenvalues(_disc.nystrom(gamma, omega, L,
+                                             budget=config.budget))
     return spectrum, float(L), mode

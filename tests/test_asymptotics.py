@@ -286,4 +286,4 @@ def test_compare_theory_structure():
     comparison = compare_theory(fit, 4.0, 1.0)
     assert comparison["theory"] == pytest.approx(1.0 / 3.0)
     assert comparison["rel_dev"] < 1e-12
-    assert set(comparison) == {"theory", "fitted", "rel_dev", "stderr"}
+    assert set(comparison) == {"theory", "rel_dev"}

@@ -247,21 +247,20 @@ def test_non_finite_or_non_positive_L_exits_2(capsys, L):
     assert "entropy.L" in error["message"]
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-def test_bad_nodes_per_unit_exits_2(capsys, value):
-    code, out, err = run_cli(capsys, "entropy", "gamma.k_fermi=1",
-                             "omega.shape=interval", "omega.intervals=0:1",
-                             "entropy.L=10", f"disc.nodes_per_unit={value}")
-    assert code == 2
-    assert out == ""
+@pytest.mark.parametrize("key", ["disc.nodes_per_unit",
+                                 "disc.lattice_budget"])
+def test_removed_pipeline_keys_exit_2(capsys, key):
+    # Each route sets its own resolution, and disc.budget caps lattice
+    # blocks too, so neither key exists.
+    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
+                             "entropy.L=10", f"{key}=3")
+    assert (code, out) == (2, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
-    assert "disc.nodes_per_unit" in error["message"]
+    assert key in error["message"]
 
 
 @pytest.mark.parametrize("key, value", [
-    ("disc.lattice_budget", "-5"),
-    ("disc.lattice_budget", "0"),
     ("disc.budget", "-1"),
     ("disc.budget", "0"),
 ])
@@ -520,17 +519,6 @@ def test_radial_rule_over_budget_exits_3(capsys, no_sector_solves):
     assert "budget 22" in error["message"]
 
 
-def test_radial_nodes_per_unit_under_nyquist_guard_exits_3(
-        capsys, no_sector_solves):
-    code, out, err = run_cli(capsys, "entropy", *DISK_PAIR, "entropy.L=4",
-                             "disc.nodes_per_unit=0.6")
-    assert code == 3
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "DiscretizationError"
-    assert "sampling guard" in error["message"]
-
-
 @pytest.mark.parametrize("pair, size", [
     (INTERVAL_PAIR, 115),
     (["gamma.shape=box", "gamma.bounds=-1:1,-1:1", "omega.shape=box",
@@ -614,6 +602,18 @@ def test_lattice_sweep_past_the_budget_exits_3(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["type"] == "BudgetError"
     assert "would need 1e+30 lattice sites, over the budget 100000" \
+        in error["message"]
+
+
+def test_lattice_sweep_over_disc_budget_exits_3(capsys, solves):
+    # disc.budget caps lattice blocks too; the largest L runs first, so
+    # no block is solved.
+    code, out, err = run_cli(capsys, "sweep", *LATTICE_ARGS,
+                             "sweep.L=100,200,300,400", "disc.budget=100")
+    assert (code, out, solves) == (3, "", [])
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "would need 400 lattice sites, over the budget 100" \
         in error["message"]
 
 

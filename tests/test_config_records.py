@@ -198,14 +198,12 @@ def test_alphas_from_config():
 
 
 def test_pipeline_config_from():
-    config = RunConfig({"mode": "lattice", "disc.nodes_per_unit": "5",
-                        "disc.budget": "800"})
-    pipeline = pipeline_config_from(config)
-    assert pipeline.mode == "lattice"
-    assert pipeline.nodes_per_unit == 5.0
-    assert pipeline.budget == 800
+    config = RunConfig({"mode": "lattice", "disc.budget": "800"})
+    assert pipeline_config_from(config) == PipelineConfig("lattice", 800)
+    assert pipeline_config_from(RunConfig({"mode": "lattice"})).budget \
+        == 100_000
     defaults = pipeline_config_from(RunConfig({}))
-    assert defaults.mode == "auto"
+    assert (defaults.mode, defaults.budget) == ("auto", 6000)
     with pytest.raises(ConfigError):
         pipeline_config_from(RunConfig({"mode": "quantum"}))
 
@@ -228,7 +226,7 @@ def test_known_keys_match_both_key_references():
     block = readme.split("### Config keys\n\n```\n", 1)[1].split("```")[0]
     assert _documented_keys(docstring.splitlines(), 4) == KNOWN_KEYS
     assert _documented_keys(block.splitlines(), 0) == KNOWN_KEYS
-    assert len(KNOWN_KEYS) == 11 + 2 * 7
+    assert len(KNOWN_KEYS) == 9 + 2 * 7
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +326,7 @@ def test_fit_and_j_blocks():
                     for L in np.geomspace(10.0, 100.0, 8))
     fit = fit_scaling(SweepResult(interval(-1.0, 1.0), interval(0.0, 1.0),
                                   1.0, results))
-    block = fit_block(fit, {"theory": 1 / 3, "fitted": fit.log_coefficient,
-                            "rel_dev": 0.0, "stderr": 0.0}, alpha=1.0)
+    block = fit_block(fit, {"theory": 1 / 3, "rel_dev": 0.0}, alpha=1.0)
     assert block["a"] == pytest.approx(1 / 3)
     assert block["b"] == pytest.approx(0.4)
     assert block["alpha"] == 1.0

@@ -17,6 +17,7 @@ from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
                                interval)
 from fermient.records import entropy_row
 from fermient.spectra import (
+    PIPELINE_MODES,
     PipelineConfig,
     SpectralViolationError,
     Spectrum,
@@ -248,10 +249,9 @@ def test_lattice_route_residual_check(monkeypatch):
 
 def _assert_matches_nystrom(gamma, omega, L, tol, nodes_per_unit=None):
     radial, _, mode = pipeline_spectrum(gamma, omega, L)
-    dense, _, oracle = pipeline_spectrum(
-        gamma, omega, L, PipelineConfig(mode="continuum",
-                                        nodes_per_unit=nodes_per_unit))
-    assert (mode, oracle) == ("radial", "continuum")
+    dense = eigenvalues(nystrom(gamma, omega, L,
+                                nodes_per_unit=nodes_per_unit))
+    assert mode == "radial"
     for alpha in (1.0, 2.0, math.inf):
         assert abs(renyi_entropy(radial, alpha).S
                    - renyi_entropy(dense, alpha).S) <= tol
@@ -325,10 +325,9 @@ def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
                                                (200.0, None), (600.0, None)])
 def test_prolate_matches_nystrom(L, nodes_per_unit):
     prolate, _, mode = pipeline_spectrum(GAMMA, OMEGA, L)
-    dense, _, oracle = pipeline_spectrum(
-        GAMMA, OMEGA, L, PipelineConfig(mode="continuum",
-                                        nodes_per_unit=nodes_per_unit))
-    assert (mode, oracle) == ("prolate", "continuum")
+    dense = eigenvalues(nystrom(GAMMA, OMEGA, L,
+                                nodes_per_unit=nodes_per_unit))
+    assert mode == "prolate"
     assert len(prolate) == math.ceil(1.5 * L / 2.0) + spectra.PROLATE_PAD
     for alpha in (1.0, 2.0, math.inf):
         assert abs(renyi_entropy(prolate, alpha).S
@@ -398,17 +397,6 @@ def test_prolate_tail_guard(monkeypatch):
     monkeypatch.setattr(spectra, "PROLATE_PAD", 0)
     with pytest.raises(SpectralViolationError, match="tail"):
         pipeline_spectrum(GAMMA, OMEGA, 100.0)
-
-
-def test_prolate_keeps_only_the_nyquist_guard():
-    coarse = pipeline_spectrum(GAMMA, OMEGA, 30.0,
-                               PipelineConfig(nodes_per_unit=1.0))[0]
-    fine = pipeline_spectrum(GAMMA, OMEGA, 30.0,
-                             PipelineConfig(nodes_per_unit=9.0))[0]
-    np.testing.assert_array_equal(coarse.eigenvalues, fine.eigenvalues)
-    with pytest.raises(discretize.DiscretizationError, match="sampling"):
-        pipeline_spectrum(GAMMA, OMEGA, 30.0,
-                          PipelineConfig(nodes_per_unit=0.6))
 
 
 def test_prolate_budget_caps_the_basis(monkeypatch):
@@ -670,24 +658,6 @@ def test_tensor_route_equals_separately_solved_axes(omega_axes):
     _assert_same_spectrum(spectrum, functools.reduce(tensor_spectrum, axes))
 
 
-def test_tensor_route_guards_every_axis_before_any_solve(monkeypatch):
-    # Both axes have c = L / 2, but momenta reach 1 on the first and 4 on
-    # the second: one node per unit resolves the first axis only.
-    gamma = Box(((-1.0, 1.0), (2.0, 4.0)))
-    omega = Box(((0.0, 1.0), (0.0, 1.0)))
-    fine = pipeline_spectrum(gamma, omega, 20.0,
-                             PipelineConfig(nodes_per_unit=3.0))[0]
-    _assert_same_spectrum(fine, pipeline_spectrum(gamma, omega, 20.0)[0])
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a prolate axis was solved")
-
-    monkeypatch.setattr(spectra, "_prolate_spectrum", forbidden)
-    with pytest.raises(discretize.DiscretizationError, match="sampling"):
-        pipeline_spectrum(gamma, omega, 20.0,
-                          PipelineConfig(nodes_per_unit=1.0))
-
-
 # ---------------------------------------------------------------------------
 # pipeline_spectrum routes
 # ---------------------------------------------------------------------------
@@ -779,9 +749,21 @@ def test_dimension_mismatch_has_one_message(mode):
         discretize.nystrom(square, cube, L=10.0)
 
 
+def test_pipeline_config_is_mode_and_budget():
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] \
+        == ["mode", "budget"]
+
+
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_unset_budget_follows_the_mode(mode):
+    assert PipelineConfig(mode=mode).budget \
+        == (100_000 if mode == "lattice" else 6000)
+    assert PipelineConfig(mode=mode, budget=7).budget == 7
+
+
 def test_pipeline_lattice_budget():
     gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    config = PipelineConfig(mode="lattice", lattice_budget=100)
+    config = PipelineConfig(mode="lattice", budget=100)
     with pytest.raises(BudgetError):
         pipeline_spectrum(gamma, OMEGA, 500.0, config)
 
@@ -801,20 +783,17 @@ HALF_FILLED = interval(-math.pi / 2.0, math.pi / 2.0)
      "115 Legendre degrees, over the budget 114"),
     (Box(((-1e300, 1e300),) * 2), SQUARE, 1e300, PipelineConfig(),
      "_prolate_spectrum", "inf Legendre degrees, over the budget 6000"),
-    # n_r = ceil(1.5 k R) + 20 = 23 at R = 2, or ceil(3 R) = 15 at R = 5.
+    # n_r = ceil(1.5 k R) + 20 = 23 at R = 2.
     (DISK, DISK, 2.0, PipelineConfig(budget=22), "_radial_spectrum",
      "23 radial nodes, over the budget 22"),
-    (BALL3, BALL3, 5.0, PipelineConfig(nodes_per_unit=3.0, budget=14),
-     "_radial_spectrum", "15 radial nodes, over the budget 14"),
     (Ball((0.0, 0.0), 1e300), DISK, 1e300, PipelineConfig(),
      "_radial_spectrum", "inf radial nodes, over the budget 6000"),
-    (HALF_FILLED, OMEGA, 101.0, PipelineConfig(mode="lattice",
-                                               lattice_budget=100),
+    (HALF_FILLED, OMEGA, 101.0, PipelineConfig(mode="lattice", budget=100),
      "_lattice_spectrum", "101 lattice sites, over the budget 100"),
     (HALF_FILLED, interval(0.0, 1e10), 1e300, PipelineConfig(mode="lattice"),
      "_lattice_spectrum", "inf lattice sites, over the budget 100000"),
 ], ids=["prolate", "prolate-inf", "tensor", "tensor-inf", "radial",
-        "radial-nodes-per-unit", "radial-inf", "lattice", "lattice-inf"])
+        "radial-inf", "lattice", "lattice-inf"])
 def test_every_route_passes_the_budget_before_building(
         monkeypatch, gamma, omega, L, config, builder, message):
     def forbidden(*args, **kwargs):
@@ -823,25 +802,6 @@ def test_every_route_passes_the_budget_before_building(
     monkeypatch.setattr(spectra, builder, forbidden)
     with pytest.raises(BudgetError, match=re.escape(f"would need {message}")):
         pipeline_spectrum(gamma, omega, L, config)
-
-
-@pytest.mark.parametrize("L, n_r", [(5.0, 15), (1.2, 4), (0.5, 4)])
-def test_radial_rule_size_with_nodes_per_unit(monkeypatch, L, n_r):
-    # n_r = max(ceil(nodes_per_unit R), 4): 3 nodes per unit give 15 at
-    # R = 5 and the floor of 4 at R = 1.2 (ceil 3.6) and R = 0.5.
-    seen = []
-    original = spectra._radial_spectrum
-
-    def recording(k, radius, d, n):
-        seen.append(n)
-        return original(k, radius, d, n)
-
-    monkeypatch.setattr(spectra, "_radial_spectrum", recording)
-    spectrum, _, mode = pipeline_spectrum(DISK, DISK, L,
-                                          PipelineConfig(nodes_per_unit=3.0))
-    assert mode == "radial"
-    assert seen == [n_r] and type(seen[0]) is int
-    assert len(spectrum) % n_r == 0
 
 
 @pytest.mark.parametrize("gamma, omega, L, size", [
@@ -871,14 +831,12 @@ def test_pipeline_tensor_matches_direct_2d():
     omega = Box(((0.0, 1.0), (0.0, 1.0)))
     # The default rule has 4 nodes per axis here and misses by 1.1e-7; at
     # 4 nodes per unit (8 per axis) the gap is 5e-15.
-    direct, _, direct_mode = pipeline_spectrum(
-        gamma, omega, 2.0, PipelineConfig(mode="continuum",
-                                          nodes_per_unit=4.0))
+    direct = eigenvalues(nystrom(gamma, omega, 2.0, nodes_per_unit=4.0))
     tensor, _, tensor_mode = pipeline_spectrum(
         gamma, omega, 2.0, PipelineConfig(mode="tensor_box"))
     assert renyi_entropy(tensor, 1.0).S == pytest.approx(
         renyi_entropy(direct, 1.0).S, abs=1e-10)
-    assert (tensor_mode, direct_mode) == ("tensor_box", "continuum")
+    assert tensor_mode == "tensor_box"
     # Each axis is a prolate basis of ceil(1.5 c) + PROLATE_PAD degrees,
     # c = 1 here.
     assert len(tensor) == (math.ceil(1.5) + spectra.PROLATE_PAD) ** 2
@@ -899,9 +857,7 @@ def test_pipeline_off_center_boxes_take_tensor_route():
     gamma = Box(((0.2, 2.2), (-1.5, 0.5)))
     omega = Box(((1.0, 2.0), (-0.5, 1.0)))
     tensor, _, route = pipeline_spectrum(gamma, omega, 2.0)
-    direct, _, _ = pipeline_spectrum(
-        gamma, omega, 2.0, PipelineConfig(mode="continuum",
-                                          nodes_per_unit=4.0))
+    direct = eigenvalues(nystrom(gamma, omega, 2.0, nodes_per_unit=4.0))
     assert route == "tensor_box"
     for alpha in (1.0, 2.0, math.inf):
         assert renyi_entropy(tensor, alpha).S == pytest.approx(
@@ -957,9 +913,7 @@ def test_pipeline_entropy_stable_under_refinement():
     # tolerances; this is the resolution self-consistency check.
     base = pipeline_spectrum(GAMMA, OMEGA, 50.0,
                              PipelineConfig(mode="continuum"))[0]
-    fine = pipeline_spectrum(GAMMA, OMEGA, 50.0,
-                             PipelineConfig(mode="continuum",
-                                            nodes_per_unit=3.0))[0]
+    fine = eigenvalues(nystrom(GAMMA, OMEGA, 50.0, nodes_per_unit=3.0))
     assert len(base) < len(fine)
     assert abs(renyi_entropy(fine, 1.0).S - renyi_entropy(base, 1.0).S) < 1e-4
 
