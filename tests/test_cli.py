@@ -247,20 +247,25 @@ def test_non_finite_or_non_positive_L_exits_2(capsys, L):
     assert "entropy.L" in error["message"]
 
 
-@pytest.mark.parametrize("key", ["disc.nodes_per_unit",
-                                 "disc.lattice_budget"])
-def test_removed_pipeline_keys_exit_2(capsys, key):
-    # Each route sets its own resolution, and disc.budget caps lattice
-    # blocks too, so neither key exists.
-    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
-                             "entropy.L=10", f"{key}=3")
-    assert (code, out) == (2, "")
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_bad_nodes_per_unit_exits_2(capsys, value):
+    # Each route sets its own resolution, so disc.nodes_per_unit is not a
+    # key: any value is a config error that names it.
+    code, out, err = run_cli(capsys, "entropy", "gamma.k_fermi=1",
+                             "omega.shape=interval", "omega.intervals=0:1",
+                             "entropy.L=10", f"disc.nodes_per_unit={value}")
+    assert code == 2
+    assert out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
-    assert key in error["message"]
+    assert "disc.nodes_per_unit" in error["message"]
 
 
 @pytest.mark.parametrize("key, value", [
+    # disc.budget caps lattice blocks too, so disc.lattice_budget is not a
+    # key: any value is a config error that names it.
+    ("disc.lattice_budget", "-5"),
+    ("disc.lattice_budget", "0"),
     ("disc.budget", "-1"),
     ("disc.budget", "0"),
 ])
