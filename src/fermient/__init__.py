@@ -33,8 +33,7 @@ from .functionals import (dilog, entropy_function, entropy_log_coefficient,
                           log_coefficient_functional,
                           predicted_log_prefactor)
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, interval, mean_density, widom_J,
-                       widom_J_density_form, widom_J_monte_carlo,
+                       IntervalUnion, interval, widom_J, widom_J_monte_carlo,
                        widom_J_sphere)
 from .kernels import FermiKernel
 from .spectra import (EntropyResult, PipelineConfig, Spectrum, eigenvalues,
@@ -44,9 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
-    "IntervalUnion", "interval", "mean_density",
-    "widom_J", "widom_J_density_form", "widom_J_monte_carlo",
-    "widom_J_sphere",
+    "IntervalUnion", "interval",
+    "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
     "entropy_function", "entropy_log_coefficient",
     "entropy_log_coefficient_dilog", "log_coefficient_functional",
     "predicted_log_prefactor", "dilog",

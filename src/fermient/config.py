@@ -8,13 +8,13 @@ keys sorted, so parse(serialize(config)) round-trips exactly.
 Key reference (all optional unless a command requires them; any other
 key is a config error):
 
-    mode                    auto | continuum | lattice | tensor_box
+    mode                    auto | lattice | tensor_box
                             (auto: the prolate route for single
                             intervals, tensor_box for box pairs, radial
                             sectors for ball/ball pairs in d = 2, 3,
-                            else continuum; continuum forces the
-                            Nystrom matrix; lattice needs omega to be
-                            one interval)
+                            else the Nystrom matrix, labelled
+                            continuum; lattice needs omega to be one
+                            interval)
     alpha                   Renyi order, or comma list of at least one;
                             'inf' allowed
     seed                    integer >= 0, read by jcoeff's Monte Carlo
@@ -58,7 +58,7 @@ import numpy as np
 
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
                        IntervalUnion, _check_ball, interval)
-from .spectra import PIPELINE_MODES, PipelineConfig
+from .spectra import PipelineConfig
 
 __all__ = [
     "ConfigError",
@@ -287,9 +287,11 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
 def pipeline_config_from(config: RunConfig) -> PipelineConfig:
     """PipelineConfig from mode and disc.budget."""
     mode = config.get("mode", "auto").strip().lower()
-    if mode not in PIPELINE_MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
     budget = config.get_int("disc.budget")
-    if budget is not None and budget < 1:
+    try:
+        pipeline = PipelineConfig(mode=mode, budget=budget)
+    except ValueError:
+        raise ConfigError(f"mode: unknown mode {mode!r}")
+    if pipeline.budget < 1:
         raise ConfigError(f"disc.budget: need an integer >= 1, got {budget}")
-    return PipelineConfig(mode=mode, budget=budget)
+    return pipeline

@@ -255,10 +255,8 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
 def _sine_column(k_fermi: float, n: int) -> np.ndarray:
     """First column of the n-site lattice correlation matrix, the
     discrete sine kernel sin(k_fermi u) / (pi u) at u = 0..n-1 with
-    k_fermi / pi at u = 0, once k_fermi lies in (0, pi) and n >= 1."""
-    if not 0.0 < k_fermi < math.pi:
-        raise DiscretizationError(
-            f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
+    k_fermi / pi at u = 0, once n >= 1; k_fermi is the caller's to
+    check."""
     if n < 1:
         raise DiscretizationError(f"block length must be >= 1, got {n}")
     u = np.arange(n, dtype=float)
@@ -278,8 +276,12 @@ def lattice_correlation(k_fermi: float, n: int) -> DiscretizedOperator:
     exactly, with no quadrature involved: its nodes are the sites 0..n-1
     and its weights 1.  This dense n x n block is the test oracle;
     spectra.pipeline_spectrum in lattice mode solves the same block
-    without forming it.
+    without forming it.  k_fermi outside (0, pi) and n < 1 raise
+    DiscretizationError.
     """
+    if not 0.0 < k_fermi < math.pi:
+        raise DiscretizationError(
+            f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
     column = _sine_column(k_fermi, n)
     sites = np.arange(n)
     return DiscretizedOperator(column[np.abs(sites[:, None] - sites)],

@@ -35,10 +35,8 @@ __all__ = [
     "SurfaceQuadrature",
     "WidomCoefficient",
     "interval",
-    "mean_density",
     "widom_J",
     "widom_J_sphere",
-    "widom_J_density_form",
     "widom_J_monte_carlo",
 ]
 
@@ -405,11 +403,6 @@ class ConvexPolygon(Domain):
                 "vertices": [list(v) for v in self.vertices]}
 
 
-def mean_density(gamma: Domain) -> float:
-    """Bulk particle density of the ground state with momentum region gamma."""
-    return gamma.volume() / TWO_PI ** gamma.dim
-
-
 # ---------------------------------------------------------------------------
 # Surface-integral coefficient J
 # ---------------------------------------------------------------------------
@@ -554,27 +547,6 @@ def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> flo
         2.0 / math.gamma(half + 1.0)
         * p_fermi ** half * (p_fermi / (4.0 * math.pi)) ** half
         * omega_boundary_measure
-    )
-
-
-def widom_J_density_form(gamma: Domain, omega: Domain) -> float:
-    """J re-expressed through the bulk density rho = |gamma| / (2*pi)^d:
-
-        J = 2 / ((d-1)/2)! * ((d/2)!)^((d-1)/d) * rho^((d-1)/d) * |dOmega|
-
-    Valid for spherical momentum regions only; agrees with widom_J_sphere
-    to machine precision.
-    """
-    _check_same_dim(gamma, omega)
-    if not isinstance(gamma, Ball):
-        raise GeometryError("density form needs a spherical momentum region")
-    d = gamma.dim
-    rho = mean_density(gamma)
-    boundary_particles = rho ** ((d - 1) / d) * omega.boundary_measure()
-    return float(
-        2.0 / math.gamma((d - 1) / 2.0 + 1.0)
-        * math.gamma(d / 2.0 + 1.0) ** ((d - 1) / d)
-        * boundary_particles
     )
 
 

@@ -53,13 +53,13 @@ angular momentum (Slepian 1964, Bell Syst. Tech. J. 43:3009): each
 sector is a small Gauss-Legendre matrix of a Bessel Christoffel-Darboux
 kernel, solved densely and counted with its multiplicity, and no n x n
 Nystrom matrix is formed.  Every other continuum geometry (interval
-unions among them), and any pair under mode 'continuum', takes the
-Nystrom matrix, which is the oracle for both reduced routes.  Every
-order is a sum over that one spectrum, so a caller diagonalizes once
-per L and calls renyi_entropy per order.  An EntropyResult holds the
-order, the entropy, the spectrum's size, clamp bookkeeping and interior
-count, the realized L and the route taken; its fields are the columns
-of an output row.
+unions and mixed ball/box pairs) takes the Nystrom matrix, whose dense
+solve eigenvalues(discretize.nystrom(...)) is the oracle for both
+reduced routes.  Every order is a sum over that one spectrum, so a
+caller diagonalizes once per L and calls renyi_entropy per order.  An
+EntropyResult holds the order, the entropy, the spectrum's size, clamp
+bookkeeping and interior count, the realized L and the route taken; its
+fields are the columns of an output row.
 
 Each route imports the scipy functions it calls (eigh_tridiagonal, jv,
 roots_legendre) inside the function that calls them, so importing this
@@ -268,8 +268,8 @@ def _lattice_spectrum(k_fermi: float, n: int):
     1 - C = D C' D with D = diag((-1)^j): that takes 1 - lambda
     directly, below the 1e-16 rounding of lambda near 1, so the edge
     test stays clear of roundoff at any n.  Both kernel columns come
-    first, from discretize._sine_column, which refuses k_F outside
-    (0, pi) and n < 1 with DiscretizationError.
+    first, from discretize._sine_column, which refuses n < 1 with
+    DiscretizationError; k_F in (0, pi) is the caller's to check.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -632,9 +632,9 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
     )
 
 
-# The modes a PipelineConfig accepts; 'radial' and 'prolate' are routes
-# that only 'auto' picks.
-PIPELINE_MODES = ("auto", "continuum", "lattice", "tensor_box")
+# The modes a PipelineConfig accepts; 'radial', 'prolate' and
+# 'continuum' are routes that only 'auto' picks.
+PIPELINE_MODES = ("auto", "lattice", "tensor_box")
 
 
 @dataclass(frozen=True)
@@ -643,11 +643,12 @@ class PipelineConfig:
 
     mode: 'auto' (per-axis prolate spectra for a single-interval or
     box-product pair, radial sectors for ball/ball pairs in d = 2 and 3,
-    else the Nystrom matrix), 'continuum' (the Nystrom matrix for every
-    geometry), 'tensor_box' (per-axis prolate spectra of a box pair), or
-    'lattice'.  In lattice mode gamma must be a symmetric interval
-    (-k_F, k_F) with k_F < pi and omega one interval, and the block has
-    round(L * |omega|) sites.
+    else the Nystrom matrix), 'tensor_box' (per-axis prolate spectra of
+    a box pair), or 'lattice'; any other mode raises ValueError.  The
+    Nystrom matrix of any pair is eigenvalues(discretize.nystrom(...)),
+    the oracle of the other routes.  In lattice mode gamma must be a
+    symmetric interval (-k_F, k_F) with k_F < pi and omega one interval,
+    and the block has round(L * |omega|) sites.
     budget caps each route's size in its own unit: lattice sites,
     Nystrom rows, Legendre degrees per prolate axis, or radial nodes.
     It is checked before anything is built, an overflowing (inf) size
@@ -662,6 +663,8 @@ class PipelineConfig:
     budget: int | None = None
 
     def __post_init__(self):
+        if self.mode not in PIPELINE_MODES:
+            raise ValueError(f"unknown pipeline mode {self.mode!r}")
         if self.budget is None:
             object.__setattr__(self, "budget", (
                 _disc.DEFAULT_LATTICE_BUDGET if self.mode == "lattice"
@@ -677,10 +680,9 @@ def lattice_sites(L, omega: Domain):
 
 
 def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
-    """The route of mode for this pair, after the checks every route
-    shares: a known mode, and gamma and omega of one dimension."""
-    if mode not in PIPELINE_MODES:
-        raise ValueError(f"unknown pipeline mode {mode!r}")
+    """The route of mode (one of PIPELINE_MODES, checked by
+    PipelineConfig) for this pair, after the check every route shares:
+    gamma and omega of one dimension."""
     _check_same_dim(gamma, omega)
     if mode != "auto":
         return mode
@@ -702,9 +704,10 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  Each
     route checks its preconditions, its float size through
     discretize.check_budget among them, before it solves anything.
-    'lattice' solves its block of round(L |omega|) sites on the
-    commuting tridiagonal (_lattice_spectrum), forming no matrix; a
-    block of 0 sites raises DiscretizationError.
+    'lattice' checks k_F in (0, pi) once (GeometryError) and solves its
+    block of round(L |omega|) sites on the commuting tridiagonal
+    (_lattice_spectrum), forming no matrix; a block of 0 sites raises
+    DiscretizationError.
     'prolate' (a single-interval pair) and 'tensor_box' (a box pair) are
     one per-axis route: a box pair gives its axis intervals, and a
     single-interval pair is its own one axis.
@@ -714,8 +717,9 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     combines the axes (one axis is its own spectrum).  The spectrum
     counts one eigenvalue per degree of each axis basis, as the lattice
     route counts one per site, but stores each axis's exact 0s and 1s
-    once.  'radial' solves on ceil(1.5 k R) + 20 nodes and 'continuum'
-    on nystrom's default rule, each within the budget.  The realized L
+    once.  'radial' solves on ceil(1.5 k R) + 20 nodes, and 'continuum'
+    (interval unions and mixed ball/box pairs) on nystrom's default
+    rule, each within the budget.  The realized L
     differs from the requested one only in lattice mode, where the block
     has an integer number of sites.  Every Renyi order at this L is
     renyi_entropy of the one spectrum.

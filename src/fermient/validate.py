@@ -223,7 +223,9 @@ def check_entropy_monotonicity():
 
 
 def check_widom_cross():
-    """Surface-coefficient engine against its exact values."""
+    """Surface-coefficient engine against its exact values: the
+    face-pair sum and the ball quadrature against 8/pi, and the ball
+    closed form against 4."""
     square2 = geo.Box(((-1.0, 1.0), (-1.0, 1.0)))
     unit_square = geo.Box(((0.0, 1.0), (0.0, 1.0)))
     exact = geo.widom_J(square2, unit_square).value
@@ -240,10 +242,8 @@ def check_widom_cross():
     closed = geo.widom_J(unit_disk, unit_disk).value
     if abs(closed - 4.0) > 1e-12:
         return False, f"disk closed form {closed} != 4"
-    density = geo.widom_J_density_form(unit_disk, unit_disk)
-    if abs(density - closed) > 1e-12:
-        return False, "density form disagrees with closed form"
-    return True, "square and disk coefficients agree across all routes"
+    return True, ("square face-pair sum and square x disk quadrature "
+                  "give 8/pi; disk closed form gives 4")
 
 
 def check_functional():

@@ -13,9 +13,8 @@ MODULES = ["asymptotics", "cli", "config", "discretize", "functionals",
 def test_package_exports_are_pinned():
     assert sorted(fermient.__all__) == sorted([
         "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
-        "IntervalUnion", "interval", "mean_density",
-        "widom_J", "widom_J_density_form", "widom_J_monte_carlo",
-        "widom_J_sphere",
+        "IntervalUnion", "interval",
+        "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
         "entropy_function", "entropy_log_coefficient",
         "entropy_log_coefficient_dilog", "log_coefficient_functional",
         "predicted_log_prefactor", "dilog",

@@ -123,7 +123,7 @@ OMEGA_SPELLINGS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["auto", "continuum", "lattice"])
+@pytest.mark.parametrize("mode", ["auto", "lattice"])
 def test_one_dimensional_omega_spellings_give_one_record(capsys, mode):
     # A one-pair box and a one-coordinate ball are read as the interval
     # 0:1; the ball once solved a 3-site lattice block at L = 3.5, its
@@ -285,6 +285,19 @@ def test_entropy_rows_report_interior_count(capsys):
     counts = {row["interior"] for row in record["rows"]}
     assert len(counts) == 1             # one spectrum serves both orders
     assert 0 < counts.pop() <= 200
+
+
+def test_continuum_mode_exits_2(capsys, no_solves):
+    # auto sends interval unions and mixed pairs to the Nystrom matrix;
+    # no mode forces it on other pairs.
+    code, out, err = run_cli(capsys, "entropy", "mode=continuum",
+                             "gamma.k_fermi=1", "omega.shape=interval",
+                             "omega.intervals=0:1")
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith("mode")
 
 
 def test_unknown_disc_key_exits_2(capsys):
@@ -546,9 +559,10 @@ def test_prolate_basis_over_budget_exits_3(capsys, monkeypatch, pair, size):
 
 
 @pytest.mark.parametrize("args, builders, message", [
-    # A 2.5e8-node interval rule: 1.9 GiB of nodes alone.
-    (["entropy", "mode=continuum", "gamma.k_fermi=100000",
-      "omega.shape=interval", "omega.intervals=0:1", "entropy.L=2000"],
+    # A 2.5e8-node rule on two intervals, which auto sends to Nystrom:
+    # 1.9 GiB of nodes alone.
+    (["entropy", "gamma.k_fermi=100000", "omega.shape=interval",
+      "omega.intervals=0:0.5,1:1.5", "entropy.L=2000"],
      [(discretize, "_gauss_panels")],
      "2.54648e+08 Nystrom nodes, over the budget 6000"),
     # A 20696 x 20696 grid on the square.

@@ -259,7 +259,8 @@ def test_entropy_row_serializes_infinite_order():
 @pytest.mark.parametrize("mode, gamma, omega, L", [
     ("lattice", interval(-math.pi / 2.0, math.pi / 2.0), interval(0.0, 1.0),
      40.0),
-    ("continuum", interval(-1.0, 1.0), interval(0.0, 1.0), 5.0),
+    ("continuum", interval(-1.0, 1.0),
+     IntervalUnion(((0.0, 0.5), (1.0, 1.5))), 5.0),
     ("tensor_box", Box(((-1.0, 1.0), (-1.0, 1.0))),
      Box(((0.0, 1.0), (0.0, 1.0))), 2.0),
     ("radial", Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), 3.0),
@@ -267,7 +268,7 @@ def test_entropy_row_serializes_infinite_order():
 ], ids=["lattice", "continuum", "tensor_box", "radial", "prolate"])
 def test_entropy_result_inverts_entropy_row(mode, gamma, omega, L):
     config = PipelineConfig(
-        mode="auto" if mode in ("radial", "prolate") else mode)
+        mode="auto" if mode in ("radial", "prolate", "continuum") else mode)
     by_order = sweep(gamma, omega, (0.5, 1.0, math.inf), [L], config)
     for result_set in by_order.values():
         (result,) = result_set.results

@@ -24,7 +24,6 @@ from fermient.geometry import (
     GeometryError,
     IntervalUnion,
     interval,
-    mean_density,
 )
 from fermient.spectra import eigenvalues
 
@@ -76,7 +75,8 @@ def test_matrix_is_hermitian_and_trace_matches_density():
         L = 4.0
         op = nystrom(gamma, omega, L=L, nodes_per_unit=3.0)
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-15
-        expected = mean_density(gamma) * omega.volume() * L ** gamma.dim
+        expected = gamma.volume() / (2 * math.pi) ** gamma.dim \
+            * omega.volume() * L ** gamma.dim
         assert op.trace() == pytest.approx(expected, rel=1e-12)
 
 

@@ -14,9 +14,7 @@ from fermient.geometry import (
     GeometryError,
     IntervalUnion,
     interval,
-    mean_density,
     widom_J,
-    widom_J_density_form,
     widom_J_monte_carlo,
     widom_J_sphere,
 )
@@ -108,12 +106,6 @@ def test_boundary_measures():
     assert Box(((0.0, 1.0), (0.0, 1.0))).boundary_measure() == 4.0
     assert Box(((0.0, 1.0),) * 3).boundary_measure() == 6.0
     assert TRIANGLE.boundary_measure() == pytest.approx(2.0 + math.sqrt(2.0))
-
-
-def test_mean_density():
-    assert mean_density(interval(-math.pi, math.pi)) == pytest.approx(1.0)
-    assert mean_density(Ball((0.0, 0.0), 1.0)) == pytest.approx(1 / (4 * math.pi))
-    assert mean_density(interval(-0.7, 0.7)) == pytest.approx(0.7 / math.pi)
 
 
 def test_scaling_laws():
@@ -381,17 +373,6 @@ def test_widom_J_quadrature_refuses_rule_over_node_cap(monkeypatch):
                                                 "fits is 1414$"):
             widom_J(gamma, omega, resolution=10 ** 6)
     geometry._check_pair_count(cube, ball, 1414)
-
-
-def test_widom_J_density_form_agrees():
-    disk = Ball((0.0, 0.0), 1.0)
-    assert widom_J_density_form(disk, disk) == pytest.approx(
-        widom_J(disk, disk).value, rel=1e-12)
-    ball = Ball((0.0, 0.0, 0.0), 1.0)
-    assert widom_J_density_form(ball, ball) == pytest.approx(
-        widom_J_sphere(1.0, 4 * math.pi, 3), rel=1e-12)
-    with pytest.raises(GeometryError):
-        widom_J_density_form(Box(((-1.0, 1.0), (-1.0, 1.0))), disk)
 
 
 def test_widom_J_monte_carlo_within_error():

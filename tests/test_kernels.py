@@ -14,7 +14,6 @@ from fermient.geometry import (
     GeometryError,
     IntervalUnion,
     interval,
-    mean_density,
 )
 from fermient.kernels import FermiKernel
 
@@ -47,7 +46,7 @@ def test_diagonal_value_is_density():
         kernel = FermiKernel(gamma)
         zero = np.zeros(gamma.dim) if gamma.dim > 1 else 0.0
         assert complex(np.asarray(kernel.displacement(zero))).real \
-            == pytest.approx(mean_density(gamma))
+            == pytest.approx(gamma.volume() / (2 * math.pi) ** gamma.dim)
 
 
 def test_reality_tracks_central_symmetry():

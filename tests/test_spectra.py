@@ -310,8 +310,9 @@ def test_radial_is_the_auto_route_for_balls(ball, monkeypatch):
     spectrum, _, mode = pipeline_spectrum(ball, ball, 3.0)
     assert mode == "radial"
     assert renyi_entropy(spectrum, 2.0).S > 0.0
+    # A ball/box pair, which auto sends to Nystrom, reaches the patch.
     with pytest.raises(AssertionError, match="Nystrom"):
-        pipeline_spectrum(ball, ball, 3.0, PipelineConfig(mode="continuum"))
+        pipeline_spectrum(ball, Box(((0.0, 1.0),) * ball.dim), 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,7 @@ def test_prolate_centers_drop_out():
     np.testing.assert_allclose(shifted.eigenvalues, centered.eigenvalues,
                                rtol=0.0, atol=1e-14)
     # The Nystrom oracle of the shifted pair has a complex kernel.
-    dense = pipeline_spectrum(interval(0.3, 2.1), interval(2.0, 3.5), 40.0,
-                              PipelineConfig(mode="continuum"))[0]
+    dense = eigenvalues(nystrom(interval(0.3, 2.1), interval(2.0, 3.5), 40.0))
     for alpha in (1.0, 2.0, math.inf):
         assert abs(renyi_entropy(shifted, alpha).S
                    - renyi_entropy(dense, alpha).S) <= 1e-9
@@ -439,8 +439,12 @@ def test_prolate_routes_never_assemble_nystrom(gamma, omega, mode,
     results = asymptotics.sweep(gamma, omega, (0.5, 1.0), [2.0, 5.0, 9.0])
     assert {r.mode for res in results.values() for r in res.results} \
         == {mode}
+    # A pair of the same dimension that auto sends to Nystrom reaches
+    # the patch.
+    other = (IntervalUnion(((0.0, 1.0), (2.0, 3.0))) if gamma.dim == 1
+             else Ball((0.5,) * gamma.dim, 0.5))
     with pytest.raises(AssertionError, match="Nystrom"):
-        pipeline_spectrum(gamma, omega, 2.0, PipelineConfig(mode="continuum"))
+        pipeline_spectrum(gamma, other, 2.0)
 
 
 def _mp_prolate_gaps(c, size, parity, digits=40):
@@ -663,8 +667,8 @@ def test_tensor_route_equals_separately_solved_axes(omega_axes):
 # ---------------------------------------------------------------------------
 
 def test_pipeline_continuum():
-    spectrum, L, mode = pipeline_spectrum(GAMMA, OMEGA, 10.0,
-                                          PipelineConfig(mode="continuum"))
+    two_intervals = IntervalUnion(((0.0, 0.5), (1.0, 1.5)))
+    spectrum, L, mode = pipeline_spectrum(GAMMA, two_intervals, 10.0)
     assert L == 10.0
     assert renyi_entropy(spectrum, 1.0).S > 0.5
     assert mode == "continuum"
@@ -697,7 +701,7 @@ def test_pipeline_spectrum_serves_every_order():
 
 @pytest.mark.parametrize("gamma, omega, L, mode", [
     (interval(-1.0, 1.0), OMEGA, 300.0, "lattice"),
-    (GAMMA, OMEGA, 30.0, "continuum"),
+    (GAMMA, IntervalUnion(((0.0, 1.0), (1.5, 2.5))), 30.0, "auto"),
     (Box(((-1.0, 1.0), (-1.0, 1.0))), Box(((0.0, 1.0), (0.0, 1.0))), 4.0,
      "tensor_box"),
     (DISK, DISK, 4.0, "auto"),
@@ -736,7 +740,7 @@ def test_pipeline_lattice_rejects_2d_omega():
                           PipelineConfig(mode="lattice"))
 
 
-@pytest.mark.parametrize("mode", ["tensor_box", "auto", "continuum"])
+@pytest.mark.parametrize("mode", ["tensor_box", "auto"])
 def test_dimension_mismatch_has_one_message(mode):
     # Forced tensor_box, the auto routing and the Nystrom assembly all
     # report a gamma/omega dimension mismatch through the one geometry
@@ -908,20 +912,28 @@ def test_pipeline_unknown_mode():
         pipeline_spectrum(GAMMA, OMEGA, 2.0, PipelineConfig(mode="exact"))
 
 
+def test_pipeline_config_refuses_continuum_mode():
+    # The Nystrom matrix is auto's route for interval unions and mixed
+    # pairs, and eigenvalues(nystrom(...)) is the oracle for any pair.
+    assert PIPELINE_MODES == ("auto", "lattice", "tensor_box")
+    with pytest.raises(ValueError, match="unknown pipeline mode 'continuum'"):
+        PipelineConfig(mode="continuum")
+
+
 def test_pipeline_entropy_stable_under_refinement():
     # +50% node density moves the entropy by far less than the fit
     # tolerances; this is the resolution self-consistency check.
-    base = pipeline_spectrum(GAMMA, OMEGA, 50.0,
-                             PipelineConfig(mode="continuum"))[0]
+    base = eigenvalues(nystrom(GAMMA, OMEGA, 50.0))
     fine = eigenvalues(nystrom(GAMMA, OMEGA, 50.0, nodes_per_unit=3.0))
     assert len(base) < len(fine)
     assert abs(renyi_entropy(fine, 1.0).S - renyi_entropy(base, 1.0).S) < 1e-4
 
 
 def test_pipeline_alpha_consistency_with_direct_sum():
-    op = nystrom(GAMMA, OMEGA, L=10.0)
+    two_intervals = IntervalUnion(((0.0, 0.5), (1.0, 1.5)))
+    op = nystrom(GAMMA, two_intervals, L=10.0)
     spectrum = eigenvalues(op)
     direct = renyi_entropy(spectrum, 2.0).S
     piped = renyi_entropy(pipeline_spectrum(
-        GAMMA, OMEGA, 10.0, PipelineConfig(mode="continuum"))[0], 2.0).S
+        GAMMA, two_intervals, 10.0)[0], 2.0).S
     assert piped == pytest.approx(direct, rel=1e-12)
