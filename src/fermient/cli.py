@@ -19,11 +19,11 @@ later override of a key wins) and writes a canonical JSON record to
 `--out` (stdout if omitted).  entropy and sweep also write flat CSV
 rows to `--csv`, sweep accepts `--jobs 1` (its L values run serially),
 and jcoeff seeds its Monte Carlo estimate with `--seed` (or the `seed`
-key), which a d = 1 pair, having no such estimate, refuses.  A flag on
-a command that does not read it is an argparse error.  Exit codes: 0
-success, 2 config error, 3 computation error, 4 validation failure.  A
-stdout closed early (`| head`) drops only the rest of the record or of
-validate's table.
+key).  A flag on a command that does not read it is an argparse error,
+and a config key it does not read for its input a config error.  Exit
+codes: 0 success, 2 config error, 3 computation error, 4 validation
+failure.  A stdout closed early (`| head`) drops only the rest of the
+record or of validate's table.
 """
 
 from __future__ import annotations
@@ -39,17 +39,18 @@ import numpy as np
 from . import __version__
 from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
                           fit_scaling, sweep)
-from .config import (KNOWN_KEYS, ConfigError, RunConfig, alphas_from_config,
+from .config import (ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      pipeline_config_from, window_from_config)
 from .discretize import DiscretizationError
 from .functionals import (entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           predicted_log_prefactor)
-from .geometry import GeometryError, widom_J, widom_J_monte_carlo
-from .records import (append_partial_row, config_hash, entropy_result,
-                      entropy_row, fit_block, j_block, load_partial_rows,
-                      make_record, write_csv, write_json)
+from .geometry import (GeometryError, _check_same_dim, widom_J,
+                       widom_J_monte_carlo)
+from .records import (SCHEMA_VERSION, append_partial_row, config_hash,
+                      entropy_result, entropy_row, fit_block, j_block,
+                      load_partial_rows, make_record, write_csv, write_json)
 from .spectra import SpectralViolationError, lattice_sites
 from .validate import run_all
 
@@ -70,9 +71,10 @@ def _error_object(exc, kind: str) -> str:
 def _domains(config: RunConfig):
     gamma = domain_from_config(config, "gamma")
     omega = domain_from_config(config, "omega")
-    if gamma.dim != omega.dim:
-        raise ConfigError(
-            f"gamma has d={gamma.dim} but omega has d={omega.dim}")
+    try:
+        _check_same_dim(gamma, omega)
+    except GeometryError as exc:
+        raise ConfigError(str(exc))
     return gamma, omega
 
 
@@ -86,10 +88,6 @@ def _gather_config(args) -> RunConfig:
         overrides[key.strip()] = value.strip()
     if overrides:
         config = config.updated(overrides)
-    unknown = sorted(set(config.values) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; the keys are "
-                          "listed in the fermient.config docstring")
     return config
 
 
@@ -115,8 +113,10 @@ def cmd_entropy(args) -> int:
     if not 0 < L < math.inf:
         raise ConfigError(f"entropy.L: need a finite positive dilation, "
                           f"got {L}")
+    pipeline = pipeline_config_from(config)
+    config.check_read("entropy")
     # A one-point sweep: one spectrum, summed once per order.
-    by_order = sweep(gamma, omega, alphas, [L], pipeline_config_from(config))
+    by_order = sweep(gamma, omega, alphas, [L], pipeline)
     rows = [entropy_row(result) for result_set in by_order.values()
             for result in result_set.results]
     record = make_record("entropy", config, rows=rows)
@@ -146,6 +146,7 @@ def cmd_sweep(args) -> int:
     window = None
     if "sweep.window" in config:
         window = window_from_config(config.require("sweep.window"))
+    config.check_read("sweep")
     lo, hi = window or (grid.min(), grid.max())
     inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
     if inside < MIN_FIT_POINTS:
@@ -193,28 +194,25 @@ def cmd_jcoeff(args) -> int:
     if args.seed is not None:
         config = config.updated({"seed": str(args.seed)})
     gamma, omega = _domains(config)
-    if gamma.dim == 1 and "seed" in config:
-        raise ConfigError("seed: read for d >= 2 pairs only; a d = 1 J is "
-                          "exact with no Monte Carlo estimate")
-    seed = config.get_int("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed: need an integer >= 0, got {seed}")
-
-    exact = widom_J(gamma, omega)
-    coefficients = [exact]
-    if gamma.dim > 1 and exact.method == "closed_form":
-        # A ball's closed form is checked against its surface rule.
-        resolution = config.get_int("jcoeff.resolution", 256)
-        if resolution < 1:
-            raise ConfigError(f"jcoeff.resolution: need an integer >= 1, "
-                              f"got {resolution}")
-        coefficients.append(widom_J(gamma, omega, resolution))
-    elif "jcoeff.resolution" in config:
-        # A polytope pair's quadrature is its face-pair sum again, and a
-        # d = 1 J is an endpoint count: no rule to resolve.
-        raise ConfigError("jcoeff.resolution: read for ball pairs only; "
-                          "this pair's J is exact with no quadrature")
+    # A d = 1 J is an endpoint count with no estimate to seed, and a
+    # polytope pair's quadrature is its face-pair sum again: a ball's
+    # closed form alone is checked against its surface rule.
+    seed = resolution = None
     if gamma.dim > 1:
+        seed = config.get_int("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"seed: need an integer >= 0, got {seed}")
+        if not (gamma.is_polytope and omega.is_polytope):
+            resolution = config.get_int("jcoeff.resolution", 256)
+            if resolution < 1:
+                raise ConfigError(f"jcoeff.resolution: need an integer "
+                                  f">= 1, got {resolution}")
+    config.check_read("jcoeff")
+
+    coefficients = [widom_J(gamma, omega)]
+    if resolution is not None:
+        coefficients.append(widom_J(gamma, omega, resolution))
+    if seed is not None:
         coefficients.append(widom_J_monte_carlo(
             gamma, omega, rng=np.random.default_rng(seed)))
 
@@ -234,11 +232,15 @@ def cmd_functional(args) -> int:
     config = _gather_config(args)
     alphas = alphas_from_config(config, key="functional.alphas",
                                 default=(0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 10.0))
+    config.check_read("functional")
 
     rows = []
     for alpha in alphas:
         target = predicted_log_prefactor(alpha)
         numeric = entropy_log_coefficient(alpha)
+        if not numeric.converged:
+            raise DiscretizationError(f"I(h_alpha) at alpha={alpha:g}: the "
+                                      "quadrature did not converge")
         dilog_value = entropy_log_coefficient_dilog(alpha)
         rows.append({
             "alpha": "inf" if math.isinf(alpha) else alpha,
@@ -272,7 +274,7 @@ def cmd_validate(args) -> int:
     _print("\n".join(lines))
     if args.out:
         record = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "command": "validate",
             "checks": [{"name": r.name, "passed": r.passed,
                         "detail": r.detail, "seconds": r.seconds}

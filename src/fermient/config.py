@@ -5,8 +5,9 @@ sections, `#` comment lines and blank lines ignored.  Values stay
 strings until a typed accessor asks for them, and serialization writes
 keys sorted, so parse(serialize(config)) round-trips exactly.
 
-Key reference (all optional unless a command requires them; any other
-key is a config error):
+Key reference (all optional unless a command requires them).  A
+command reads a key only where its value is used, and a key the command
+does not read for its input is a config error that names it:
 
     mode                    auto | lattice | tensor_box
                             (auto: the prolate route for single
@@ -19,9 +20,7 @@ key is a config error):
                             'inf' allowed
     seed                    integer >= 0, read by jcoeff's Monte Carlo
                             estimate only (jcoeff --seed sets it too),
-                            so d >= 2 pairs only (a d = 1 jcoeff
-                            refuses it); not part of the sweep resume
-                            hash
+                            so d >= 2 pairs only
     gamma.shape             interval_union | box | ball | polygon
     gamma.intervals         a:b[,c:d...]        (interval_union)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis; one
@@ -44,8 +43,7 @@ key is a config error):
                             nodes (default 6000); checked before any
                             build, and inf sizes fail too
     jcoeff.resolution       ball surface rule resolution, integer >= 1;
-                            ball pairs only (any other pair is a
-                            config error)
+                            read only where a boundary is a ball
     functional.alphas       nonempty comma list for the functional command
 """
 
@@ -71,19 +69,7 @@ __all__ = [
     "window_from_config",
     "alphas_from_config",
     "pipeline_config_from",
-    "KNOWN_KEYS",
 ]
-
-_SHAPE_KEYS = ("shape", "intervals", "bounds", "center", "radius",
-               "vertices", "k_fermi")
-
-# Every key the program reads: the key reference above, with omega.*
-# spelled out.
-KNOWN_KEYS = frozenset(
-    ("mode", "alpha", "seed", "entropy.L", "sweep.L", "sweep.window",
-     "disc.budget", "jcoeff.resolution", "functional.alphas")
-    + tuple(f"{prefix}.{key}" for prefix in ("gamma", "omega")
-            for key in _SHAPE_KEYS))
 
 
 class ConfigError(ValueError):
@@ -92,23 +78,27 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Raw key -> value strings plus typed accessors."""
+    """Raw key -> value strings plus typed accessors, which add each key
+    they are asked for to `read` (a membership test does not), so
+    check_read can name the keys set but never read."""
 
     values: dict = field(default_factory=dict)
+    read: set = field(default_factory=set, init=False, compare=False)
 
     def __contains__(self, key):
         return key in self.values
 
     def get(self, key: str, default: str | None = None) -> str | None:
+        self.read.add(key)
         return self.values.get(key, default)
 
     def require(self, key: str) -> str:
         if key not in self.values:
             raise ConfigError(f"missing required config key {key!r}")
-        return self.values[key]
+        return self.get(key)
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -117,7 +107,7 @@ class RunConfig:
             raise ConfigError(f"key {key!r}: expected a number, got {raw!r}")
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -126,7 +116,7 @@ class RunConfig:
             raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}")
 
     def get_floats(self, key: str, default=None):
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -134,6 +124,13 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"key {key!r}: expected comma-separated numbers, "
                               f"got {raw!r}")
+
+    def check_read(self, command: str) -> None:
+        """ConfigError naming every key that is set but was never read."""
+        unread = sorted(set(self.values) - self.read)
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by {command} "
+                              "for this input")
 
     def updated(self, overrides: dict) -> "RunConfig":
         merged = dict(self.values)
@@ -196,10 +193,10 @@ def _parse_pairs(raw: str, what: str):
 def domain_from_config(config: RunConfig, prefix: str) -> Domain:
     """Build the gamma/omega domain from keys under the given prefix."""
     k_fermi = config.get_float(f"{prefix}.k_fermi")
-    shape = config.get(f"{prefix}.shape")
     try:
         if k_fermi is not None:
             return interval(-k_fermi, k_fermi)
+        shape = config.get(f"{prefix}.shape")
         if shape is None:
             raise ConfigError(f"missing {prefix}.shape (or {prefix}.k_fermi)")
         shape = shape.strip().lower()

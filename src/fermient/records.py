@@ -148,12 +148,9 @@ def config_hash(config: RunConfig) -> str:
     """Hash of the config (resume identity).
 
     Output paths are command-line flags, not config keys, so changing
-    them does not orphan partial rows.  seed is left out:
-    only jcoeff's Monte Carlo reads it (the key, or jcoeff --seed), so a
-    sweep resumed under another seed override, or none, keeps its rows."""
-    semantic = RunConfig({key: value for key, value in config.values.items()
-                          if key != "seed"})
-    digest = hashlib.sha256(serialize_config(semantic).encode()).hexdigest()
+    them does not orphan partial rows, and a sweep refuses every key it
+    does not read, so each key hashed is one the sweep reads."""
+    digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
     return digest[:16]
 
 

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import asymptotics, discretize, geometry, spectra, validate
+from fermient import (asymptotics, cli, discretize, geometry, spectra,
+                      validate)
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
@@ -190,12 +191,16 @@ def test_bad_alpha_exits_2(capsys):
 
 
 def test_dimension_mismatch_exits_2(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "entropy",
         "gamma.k_fermi=1.0",
         "omega.shape=box", "omega.bounds=0:1,0:1")
-    assert code == 2
-    assert "d=1" in json.loads(err)["error"]["message"]
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    # The library's message: one wording for one decision.
+    assert error["message"] == ("dimension mismatch: gamma has d=1, "
+                                "omega has d=2")
 
 
 def test_malformed_override_exits_2(capsys):
@@ -487,6 +492,43 @@ def test_malformed_config_value_exits_2(capsys, no_solves, command, args,
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
     assert key in error["message"]
+
+
+@pytest.fixture
+def no_computes(monkeypatch, no_solves):
+    """No spectrum, J, Monte Carlo estimate or I(h_alpha) is computed."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a number was computed")
+
+    for name in ("widom_J", "widom_J_monte_carlo", "entropy_log_coefficient",
+                 "entropy_log_coefficient_dilog"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+@pytest.mark.parametrize("command, args, unread", [
+    ("entropy", [*LATTICE_ARGS, "sweep.L=10:100:5"], "sweep.L"),
+    ("entropy", [*LATTICE_ARGS, "sweep.window=5:1"], "sweep.window"),
+    # k_fermi is the whole momentum region: no shape key is read.
+    ("entropy", [*INTERVAL_PAIR, "gamma.shape=ball"], "gamma.shape"),
+    ("sweep", [*SWEEP_ARGS, "entropy.L=10"], "entropy.L"),
+    ("jcoeff", [*BOX_PAIR, "alpha=1"], "alpha"),
+    ("jcoeff", [*BOX_PAIR, "mode=lattice"], "mode"),
+    ("jcoeff", [*DISK_IN_SQUARE, "alpha=-1", "disc.budget=-1",
+                "entropy.L=-1"], "alpha, disc.budget, entropy.L"),
+    ("functional", ["alpha=1"], "alpha"),
+    ("functional", ["alpha=-3", "mode=bogus"], "alpha, mode"),
+], ids=["entropy-sweep.L", "entropy-sweep.window", "entropy-gamma.shape",
+        "sweep-entropy.L", "jcoeff-alpha", "jcoeff-mode", "jcoeff-three",
+        "functional-alpha", "functional-two"])
+def test_unread_key_exits_2_before_computing(capsys, no_computes, command,
+                                             args, unread):
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert error["message"] == (f"{unread}: not read by {command} "
+                                "for this input")
 
 
 def test_entropy_unit_cube_stores_axis_entries_only(capsys, monkeypatch):
@@ -934,10 +976,9 @@ def test_jcoeff_infinite_J_exits_3(capsys):
     (["jcoeff.resolution=-3", *DISK_IN_SQUARE], "jcoeff.resolution"),
     (["--seed", "-1", *DISK_IN_SQUARE], "seed"),
     # A d = 1 J has no Monte Carlo estimate, so a seed would be ignored.
-    pytest.param(["--seed", "1", *INTERVAL_PAIR],
-                 "seed: read for d >= 2 pairs only", id="interval-seed-flag"),
-    pytest.param(["seed=7", *INTERVAL_PAIR],
-                 "seed: read for d >= 2 pairs only", id="interval-seed-key"),
+    pytest.param(["--seed", "1", *INTERVAL_PAIR], "seed",
+                 id="interval-seed-flag"),
+    pytest.param(["seed=7", *INTERVAL_PAIR], "seed", id="interval-seed-key"),
 ])
 def test_jcoeff_bad_resolution_or_seed_exits_2(capsys, argv, key):
     code, out, err = run_cli(capsys, "jcoeff", *argv)
@@ -958,7 +999,6 @@ def test_jcoeff_resolution_without_a_ball_exits_2(capsys, pair):
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
     assert error["message"].startswith("jcoeff.resolution")
-    assert "ball pairs only" in error["message"]
 
 
 def test_jcoeff_square_pair_all_methods(capsys):
@@ -991,6 +1031,22 @@ def test_functional_default_grid(capsys):
         assert row["converged"]
     assert set(record) == {"schema_version", "command", "config",
                            "functional_rows"}
+
+
+def test_functional_unconverged_order_exits_3(capsys, tmp_path):
+    # The fixed rule converges from about alpha = 0.035 (A1 pins the
+    # orders 0.25 ... 10 and inf); at 0.001 its last value is 52% off
+    # the closed form.
+    out = tmp_path / "functional.json"
+    code, stdout, err = run_cli(capsys, "functional", "--out", str(out),
+                                "functional.alphas=1,0.001")
+    assert (code, stdout) == (3, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["type"]) == ("computation",
+                                              "DiscretizationError")
+    assert error["message"].startswith("I(h_alpha) at alpha=0.001: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1150,33 +1206,16 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
     assert not (tmp_path / "resumed.json.partial").exists()
 
 
-def test_sweep_resume_ignores_seed(capsys, tmp_path, monkeypatch):
+def test_sweep_seed_exits_2_before_solving(capsys, tmp_path, no_solves):
+    # No sweep reads a seed, so none reaches a record or the resume hash.
     out = tmp_path / "sweep.json"
-    argv = ["sweep", "--out", str(out), *LATTICE_ARGS, "alpha=1",
-            "sweep.L=40:160:4"]
-    original = asymptotics.pipeline_spectrum
-    solved = []
-
-    def interrupted(gamma, omega, L, config):
-        if L < 45.0:
-            raise DiscretizationError("interrupted")
-        return original(gamma, omega, L, config)
-
-    def spying(gamma, omega, L, config):
-        solved.append(L)
-        return original(gamma, omega, L, config)
-
-    monkeypatch.setattr(asymptotics, "pipeline_spectrum", interrupted)
-    code, _, _ = run_cli(capsys, *argv, "seed=1")
-    assert code == 3
-    partial = (tmp_path / "sweep.json.partial").read_text().splitlines()
-    assert [json.loads(line)["L"] for line in partial] == [160.0, 101.0, 63.0]
-
-    monkeypatch.setattr(asymptotics, "pipeline_spectrum", spying)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert solved == [40.0]
-    assert len(json.loads(out.read_text())["rows"]) == 4
+    code, stdout, err = run_cli(capsys, "sweep", "--out", str(out),
+                                *SWEEP_ARGS, "alpha=1", "seed=1")
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert error["message"] == "seed: not read by sweep for this input"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path,

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fermient import config as config_module
+from fermient.cli import main
 from fermient.config import (
-    KNOWN_KEYS,
     ConfigError,
     RunConfig,
     alphas_from_config,
@@ -220,13 +220,44 @@ def _documented_keys(lines, indent):
     return keys
 
 
+DOCUMENTED_KEYS = _documented_keys(
+    config_module.__doc__.split("Key reference", 1)[1].splitlines(), 4)
+
+
 def test_known_keys_match_both_key_references():
-    docstring = config_module.__doc__.split("Key reference", 1)[1]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Config keys\n\n```\n", 1)[1].split("```")[0]
-    assert _documented_keys(docstring.splitlines(), 4) == KNOWN_KEYS
-    assert _documented_keys(block.splitlines(), 0) == KNOWN_KEYS
-    assert len(KNOWN_KEYS) == 9 + 2 * 7
+    assert _documented_keys(block.splitlines(), 0) == DOCUMENTED_KEYS
+    assert len(DOCUMENTED_KEYS) == 9 + 2 * 7
+
+
+# Command lines that between them set every documented key, each where
+# the command reads it.
+READING_LINES = [
+    ["entropy", "mode=lattice", "alpha=1,2", "disc.budget=100",
+     "entropy.L=10", "gamma.k_fermi=1", "omega.shape=interval",
+     "omega.intervals=0:1"],
+    ["sweep", "gamma.shape=interval", "gamma.intervals=-1:1",
+     "omega.k_fermi=0.5", "sweep.L=10:40:4", "sweep.window=10:40"],
+    ["jcoeff", "seed=1", "jcoeff.resolution=16", "gamma.shape=ball",
+     "gamma.center=0,0", "gamma.radius=1", "omega.shape=box",
+     "omega.bounds=0:1,0:1"],
+    ["jcoeff", "gamma.shape=polygon", "gamma.vertices=0:0,1:0,0:1",
+     "omega.shape=ball", "omega.center=0,0", "omega.radius=1"],
+    ["jcoeff", "gamma.shape=box", "gamma.bounds=-1:1,-1:1",
+     "omega.shape=polygon", "omega.vertices=0:0,1:0,1:1,0:1"],
+    ["functional", "functional.alphas=1"],
+]
+
+
+@pytest.mark.parametrize("key", sorted(DOCUMENTED_KEYS))
+def test_every_documented_key_is_read(capsys, key):
+    argv = next(line for line in READING_LINES
+                if any(item.startswith(key + "=") for item in line))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert key in json.loads(captured.out)["config"]
 
 
 # ---------------------------------------------------------------------------
