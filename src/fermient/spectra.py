@@ -201,8 +201,10 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """C @ row for each row, C the symmetric Toeplitz matrix of column.
 
     C is embedded in a circulant of length >= 2n - 1, which the FFT
-    diagonalizes; rows are transformed in chunks of about 2**21
-    entries so memory stays O(n) per row at any n.
+    diagonalizes.  Each row is transformed on its own, so the product
+    does not depend on how rows are grouped; they go in chunks of about
+    2**15 entries, which keeps a chunk's transforms in cache and memory
+    O(n) per row at any n.
     """
     n = len(column)
     size = _fast_len(2 * n - 1)
@@ -211,7 +213,7 @@ def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     circulant[size - n + 1:] = column[:0:-1]
     symbol = np.fft.rfft(circulant)
     out = np.empty_like(rows)
-    chunk = max(1, 2 ** 21 // size)
+    chunk = max(1, 2 ** 15 // size)
     for start in range(0, len(rows), chunk):
         block = np.fft.rfft(rows[start:start + chunk], size)
         out[start:start + chunk] = np.fft.irfft(block * symbol, size)[:, :n]
@@ -300,13 +302,15 @@ def _lattice_spectrum(k_fermi: float, n: int):
             if not len(mine):
                 continue
             position = len(block_diagonal) - 1 - (n - 1 - mine) // 2
-            # T's eigenvalues reach about n^2 / 4; bisecting them to
-            # 1e-12 n^2 rather than to machine precision is ample for the
-            # inverse iteration that follows, and the residual check
-            # guards it.
+            # Inverse iteration needs each shift close only on the scale
+            # of the eigenvalue gap, and every gap in a block's share of
+            # the window is at least 0.2 n sin k_F (measured for n up to
+            # 10^5, k_F in 0.05..3.1).  Bisecting to 1e-5 n sin k_F, at
+            # most 5e-5 of a gap, is ample; the residual check guards it.
             _, vectors = eigh_tridiagonal(
                 block_diagonal, block_off_diagonal, select="i",
-                select_range=(position[0], position[-1]), tol=1e-12 * n * n)
+                select_range=(position[0], position[-1]),
+                tol=1e-5 * n * math.sin(k_fermi))
             top = vectors[:half].T / math.sqrt(2.0)
             rows[mine - lo, :half] = top
             rows[mine - lo, n - half:] = (-1.0) ** parity * top[:, ::-1]
@@ -462,9 +466,8 @@ def _prolate_spectrum(c: float, size: int):
         scale = c ** 3 / 3.0 if parity else c
 
         def solve(lo, hi):
-            # As on the lattice route, bisection to 1e-12 of the largest
-            # eigenvalue (about size^2) is ample for the inverse
-            # iteration that follows.
+            # Bisection to 1e-12 of the largest eigenvalue (about
+            # size^2) is ample for the inverse iteration that follows.
             _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
                                           select_range=(lo, hi),
                                           tol=1e-12 * size * size)

@@ -145,6 +145,19 @@ def test_lattice_route_budget_block_without_matrix(monkeypatch):
     assert 0 < spectrum.interior < 100
 
 
+def test_lattice_route_low_hole_density_block():
+    # Few holes: the window's eigenvalue gaps are about 0.3 n sin k_F,
+    # small beside n^2, and bisection must resolve them.  At 1e-9 n^2
+    # the residual check fails here (8.1e-10 over 1e-10).
+    n, k_fermi = 30_000, 3.1
+    spectrum, L, mode = pipeline_spectrum(
+        interval(-k_fermi, k_fermi), OMEGA, float(n),
+        PipelineConfig(mode="lattice"))
+    assert (L, len(spectrum), mode) == (n, n, "lattice")
+    expected = math.log(2.0 * n * math.sin(k_fermi)) / 3.0 + 0.4950179
+    assert renyi_entropy(spectrum, 1.0).S == pytest.approx(expected, abs=1e-6)
+
+
 def test_lattice_route_window_grows_to_whole_spectrum(monkeypatch):
     # With a negative snap tolerance no window edge ever counts as 0 or
     # 1, so the window doubles until it spans every index.
@@ -235,6 +248,23 @@ def test_toeplitz_apply_matches_dense_product(n):
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     np.testing.assert_allclose(spectra._toeplitz_apply(column, rows),
                                rows @ toeplitz(column).T, rtol=0, atol=1e-13)
+
+
+def test_toeplitz_apply_across_chunks():
+    # The circulant has 2025 entries, so a chunk holds 16 rows and 40
+    # rows take three chunks.  Each row is transformed on its own: the
+    # product is the same bit for bit as row by row.
+    from scipy.linalg import toeplitz
+
+    n = 1009
+    column = discretize._sine_column(1.0, n)
+    rows = np.random.default_rng(n).normal(size=(40, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    product = spectra._toeplitz_apply(column, rows)
+    np.testing.assert_allclose(product, rows @ toeplitz(column).T,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(product, np.concatenate(
+        [spectra._toeplitz_apply(column, row[None]) for row in rows]))
 
 
 def test_lattice_route_residual_check(monkeypatch):
