@@ -46,8 +46,8 @@ from .discretize import DiscretizationError
 from .functionals import (entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           predicted_log_prefactor)
-from .geometry import (GeometryError, _check_same_dim, widom_J,
-                       widom_J_monte_carlo)
+from .geometry import (GeometryError, _check_same_dim, _largest_resolution,
+                       widom_J, widom_J_monte_carlo)
 from .records import (SCHEMA_VERSION, append_partial_row, config_hash,
                       entropy_result, entropy_row, fit_block, j_block,
                       load_partial_rows, make_record, write_csv, write_json)
@@ -196,14 +196,16 @@ def cmd_jcoeff(args) -> int:
     gamma, omega = _domains(config)
     # A d = 1 J is an endpoint count with no estimate to seed, and a
     # polytope pair's quadrature is its face-pair sum again: a ball's
-    # closed form alone is checked against its surface rule.
+    # closed form alone is checked against its surface rule, by default
+    # at the largest resolution up to 256 that fits the node limits.
     seed = resolution = None
     if gamma.dim > 1:
         seed = config.get_int("seed", 0)
         if seed < 0:
             raise ConfigError(f"seed: need an integer >= 0, got {seed}")
         if not (gamma.is_polytope and omega.is_polytope):
-            resolution = config.get_int("jcoeff.resolution", 256)
+            resolution = config.get_int(
+                "jcoeff.resolution", _largest_resolution(gamma, omega, 256))
             if resolution < 1:
                 raise ConfigError(f"jcoeff.resolution: need an integer "
                                   f">= 1, got {resolution}")
@@ -250,7 +252,6 @@ def cmd_functional(args) -> int:
             "dilog_route": dilog_value,
             "dilog_abs_dev": abs(dilog_value - target),
             "evaluations": numeric.evaluations,
-            "converged": numeric.converged,
         })
 
     record = make_record("functional", config, functional_rows=rows)

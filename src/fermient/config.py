@@ -42,8 +42,10 @@ does not read for its input is a config error that names it:
                             Legendre degrees per prolate axis or radial
                             nodes (default 6000); checked before any
                             build, and inf sizes fail too
-    jcoeff.resolution       ball surface rule resolution, integer >= 1;
-                            read only where a boundary is a ball
+    jcoeff.resolution       ball surface rule resolution, integer >= 1
+                            (default: the largest up to 256 that fits
+                            geometry's node limits); read only where a
+                            boundary is a ball
     functional.alphas       nonempty comma list for the functional command
 """
 

@@ -69,17 +69,14 @@ class BudgetError(DiscretizationError):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Matrix of a localized Fermi projection, with its rule.
+    """Matrix of a localized Fermi projection.
 
     matrix is Hermitian n x n (real symmetric when the momentum region
-    is centrally symmetric); nodes are the quadrature points in the
-    dilated spatial region (a lattice block's sites); weights the
-    corresponding positive weights (1 on the lattice).
+    is centrally symmetric).  The quadrature rule behind a Nystrom
+    matrix is nystrom's own and is not kept.
     """
 
     matrix: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -189,8 +186,8 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
 
     A node spacing that cannot resolve the fastest kernel oscillation
     raises DiscretizationError.  The returned DiscretizedOperator holds
-    the matrix, nodes and weights only; the inputs that produced it are
-    the caller's (a CLI record keeps them in its config block).
+    the matrix only; the inputs that produced it are the caller's (a CLI
+    record keeps them in its config block).
 
     Notes
     -----
@@ -249,7 +246,7 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
             diff = nodes[i0:i1, None, :] - nodes[None, :, :]
         matrix[i0:i1] = kern.displacement(diff) \
             * (sqrt_w[i0:i1, None] * sqrt_w[None, :])
-    return DiscretizedOperator(matrix, nodes, weights)
+    return DiscretizedOperator(matrix)
 
 
 def _sine_column(k_fermi: float, n: int) -> np.ndarray:
@@ -273,19 +270,17 @@ def lattice_correlation(k_fermi: float, n: int) -> DiscretizedOperator:
 
         C[j, k] = sin(k_fermi (j - k)) / (pi (j - k)),    C[j, j] = k_fermi/pi,
 
-    exactly, with no quadrature involved: its nodes are the sites 0..n-1
-    and its weights 1.  This dense n x n block is the test oracle;
-    spectra.pipeline_spectrum in lattice mode solves the same block
-    without forming it.  k_fermi outside (0, pi) and n < 1 raise
-    DiscretizationError.
+    exactly, with no quadrature involved.  This dense n x n block is the
+    test oracle; spectra.pipeline_spectrum in lattice mode solves the
+    same block without forming it.  k_fermi outside (0, pi) and n < 1
+    raise DiscretizationError.
     """
     if not 0.0 < k_fermi < math.pi:
         raise DiscretizationError(
             f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
     column = _sine_column(k_fermi, n)
     sites = np.arange(n)
-    return DiscretizedOperator(column[np.abs(sites[:, None] - sites)],
-                               sites.astype(float), np.ones(n))
+    return DiscretizedOperator(column[np.abs(sites[:, None] - sites)])
 
 
 def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:

@@ -56,9 +56,10 @@ def entropy_function(t, alpha: float):
         h_alpha(t) = ln(t^alpha + (1-t)^alpha) / (1 - alpha)
 
     for alpha != 1, the binary Shannon entropy at alpha = 1, and
-    -ln(max(t, 1-t)) at alpha = inf.  Defined as 0 outside [0, 1];
-    inputs are clipped by a tiny margin so that eigenvalues pushed just
-    outside [0, 1] by roundoff contribute 0 rather than NaN.
+    -ln(max(t, 1-t)) at alpha = inf.  t is clipped to [0, 1], so a
+    value outside it reads as the endpoint it passed, where h_alpha is
+    0; NaN stays NaN.  Deciding whether such a value is roundoff or a
+    broken spectrum is spectra._clamped's, which a Spectrum has passed.
 
     Evaluated in the form
 
@@ -80,12 +81,7 @@ def entropy_function(t, alpha: float):
         raise ValueError(f"Renyi order must be positive, got {alpha}")
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-
-    out = np.zeros_like(t_arr)
-    eps = 1e-12
-    inside = (t_arr > -eps) & (t_arr < 1.0 + eps)
-    x = np.clip(t_arr[inside], 0.0, 1.0)
+    x = np.clip(np.atleast_1d(t_arr), 0.0, 1.0)
     big = np.maximum(x, 1.0 - x)
     small = np.minimum(x, 1.0 - x)
 
@@ -100,8 +96,7 @@ def entropy_function(t, alpha: float):
         with np.errstate(divide="ignore"):
             log_ratio_term = np.log1p(ratio ** alpha)
         vals = (alpha * np.log(big) + log_ratio_term) / (1.0 - alpha)
-    out[inside] = vals
-    return float(out[0]) if scalar else out
+    return float(vals[0]) if scalar else vals
 
 
 @dataclass(frozen=True)

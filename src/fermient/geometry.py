@@ -450,37 +450,31 @@ def _cosine_sum(qa: SurfaceQuadrature, qb: SurfaceQuadrature) -> float:
     return total
 
 
-def _check_pair_count(gamma: Domain, omega: Domain, resolution: int) -> None:
-    """GeometryError when quadrature at this resolution needs a rule of
-    more than MAX_SURFACE_NODES nodes or more than MAX_COSINE_PAIRS node
-    pairs, naming the largest resolution that fits both limits.
+def _largest_resolution(gamma: Domain, omega: Domain, resolution: int) -> int:
+    """The largest resolution up to this one (itself when it fits, 0
+    when none does) whose quadrature J needs at most MAX_SURFACE_NODES
+    nodes per rule and MAX_COSINE_PAIRS node pairs.
 
     A polytope's rule is its face list at every resolution and a ball's
     has c * resolution^(d-1) nodes, so the counts are read off the
-    resolution-1 rules and nothing of the requested size is built."""
-    sizes = [(len(domain.surface_quadrature(1)),
-              0 if domain.is_polytope else domain.dim - 1)
-             for domain in (gamma, omega)]
-
-    def nodes(res):
-        return [count * res ** power for count, power in sizes]
+    resolution-1 rules (whose weights may overflow: only their length
+    is read) and nothing of the requested size is built."""
+    with np.errstate(over="ignore"):
+        sizes = [(len(domain.surface_quadrature(1)),
+                  0 if domain.is_polytope else domain.dim - 1)
+                 for domain in (gamma, omega)]
 
     def fits(res):
-        na, nb = nodes(res)
+        na, nb = [count * res ** power for count, power in sizes]
         return max(na, nb) <= MAX_SURFACE_NODES and na * nb <= MAX_COSINE_PAIRS
 
     if fits(resolution):
-        return
+        return resolution
     lo, hi = 0, resolution            # fits(lo), not fits(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    na, nb = nodes(resolution)
-    raise GeometryError(
-        f"quadrature J at resolution {resolution} needs {na:.3g} x {nb:.3g} "
-        f"surface nodes, over the limits of {MAX_SURFACE_NODES:.3g} nodes "
-        f"per rule and {MAX_COSINE_PAIRS:.3g} node pairs; the largest "
-        f"resolution that fits is {lo}")
+    return lo
 
 
 def widom_J(gamma: Domain, omega: Domain,
@@ -514,7 +508,13 @@ def widom_J(gamma: Domain, omega: Domain,
                                        omega.surface_quadrature(res))
 
     if resolution is not None:
-        _check_pair_count(gamma, omega, resolution)
+        largest = _largest_resolution(gamma, omega, resolution)
+        if largest < resolution:
+            raise GeometryError(
+                f"quadrature J at resolution {resolution} is over the "
+                f"limits of {MAX_SURFACE_NODES:.3g} surface nodes per rule "
+                f"and {MAX_COSINE_PAIRS:.3g} node pairs; the largest "
+                f"resolution that fits is {largest}")
         value = cosine_integral(resolution)
         # Error estimate from a coarser companion rule.
         coarse = cosine_integral(max(resolution // 2, 2))

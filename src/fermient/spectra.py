@@ -7,9 +7,9 @@ entropy of the reduced state is the plain spectral sum
     S_alpha = sum_i h_alpha(lambda_i).
 
 Discretized matrices are only approximately contractions, so
-eigenvalues poke slightly outside [0, 1]; they are clamped with
+eigenvalues poke slightly outside [0, 1]; _clamped clamps them with
 bookkeeping (how many, and the worst violation) and a hard failure
-past 1e-3 (which indicates a broken discretization, not roundoff).
+past 1e-3 or on NaN or inf (a broken discretization, not roundoff).
 A Spectrum stores values with multiplicities: the exact routes below
 keep their exact 0s and 1s, which add nothing to any entropy, as one
 entry each.
@@ -129,9 +129,9 @@ class SpectralViolationError(RuntimeError):
 class Spectrum:
     """Clamped eigenvalues of a localized Fermi projection.
 
-    values[i] in [0, 1] occurs multiplicities[i] times; clamp_count says
-    how many eigenvalues were moved, max_violation how far the worst one
-    sat outside before clamping.
+    values[i], finite and in [0, 1], occurs multiplicities[i] times;
+    clamp_count says how many eigenvalues were moved, max_violation how
+    far the worst one sat outside before _clamped clamped it.
     """
 
     values: np.ndarray
@@ -323,7 +323,7 @@ def _lattice_spectrum(k_fermi: float, n: int):
         quotients = np.einsum("ij,ij->i", rows, images)
         residual = np.max(np.linalg.norm(
             images - quotients[:, None] * rows, axis=1))
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             raise SpectralViolationError(
                 f"lattice eigenpair residual {residual:.3g} over "
                 f"{RESIDUAL_TOL:.1g} (n={n}, k_fermi={k_fermi})")
@@ -480,7 +480,7 @@ def _prolate_spectrum(c: float, size: int):
                 lam[near_one] = 1.0 - gap[near_one]
             interior = np.minimum(lam, gap) > INTERIOR_TOL
             tail = np.max(np.abs(vectors[-2:, interior]), initial=0.0)
-            if tail > TAIL_TOL:
+            if not tail <= TAIL_TOL:
                 raise SpectralViolationError(
                     f"prolate eigenvector tail {tail:.3g} over {TAIL_TOL:.1g} "
                     f"in a basis of {size} degrees (c={c:.6g})")
@@ -559,35 +559,36 @@ def eigenvalues(op) -> Spectrum:
 
     op is a DiscretizedOperator (a Nystrom matrix or a
     discretize.lattice_correlation block) or a bare Hermitian ndarray;
-    it is solved densely after Hermiticity is asserted (continuum sizes
-    are budget-capped upstream, so O(n^3) is fine).  This is the
-    Nystrom route and the oracle of the lattice, prolate and radial
-    routes.  Violating [0, 1] by EPS_ABORT raises
-    SpectralViolationError; smaller violations are clamped and recorded
-    in clamp_count and max_violation.
+    it is solved densely (continuum sizes are budget-capped upstream, so
+    O(n^3) is fine) once its Hermiticity defect is at most 1e-12; a
+    larger defect, or the NaN defect of a non-finite entry, raises
+    SpectralViolationError.  This is the Nystrom route and the oracle
+    of the lattice, prolate and radial routes; its eigenvalues pass
+    _clamped.
     """
     matrix = np.asarray(op.matrix if hasattr(op, "matrix") else op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(
             f"expected a square matrix, got shape {matrix.shape}")
-    defect = (np.max(np.abs(matrix - matrix.conj().T))
-              if matrix.size else 0.0)
-    if defect > 1e-12:
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(matrix - matrix.conj().T), initial=0.0)
+    if not defect <= 1e-12:
         raise SpectralViolationError(
-            f"matrix is not Hermitian (defect {defect:.3g})")
-    vals = np.linalg.eigvalsh(matrix) if matrix.size else np.empty(0)
+            f"matrix is not finite and Hermitian (defect {defect:.3g})")
+    vals = np.linalg.eigvalsh(matrix)
     return _clamped(vals, np.full(len(vals), 1))
 
 
 def _clamped(vals: np.ndarray, multiplicities: np.ndarray) -> Spectrum:
     """Spectrum of raw eigenvalues with multiplicities, clamped to [0, 1].
 
-    A violation of EPS_ABORT or more raises SpectralViolationError;
-    smaller ones are clamped and counted with their multiplicities.
+    A violation that is not below EPS_ABORT (a NaN or inf value's is
+    not) raises SpectralViolationError; smaller ones are clamped and
+    counted with their multiplicities.
     """
     clamped = np.clip(vals, 0.0, 1.0)
     max_violation = float(np.max(np.abs(vals - clamped), initial=0.0))
-    if max_violation >= EPS_ABORT:
+    if not max_violation < EPS_ABORT:
         raise SpectralViolationError(
             f"eigenvalues violate [0, 1] by {max_violation:.3g} "
             f"(abort threshold {EPS_ABORT:.1g}); the discretization "

@@ -895,19 +895,20 @@ def test_jcoeff_interval_pair(capsys):
     assert record["j"]["agreement"] == 0.0
 
 
-def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
-    # At the default resolution 256 the ball/ball quadrature would need
-    # 1.7e10 surface node pairs; it must be refused before any pair
-    # block is built.
+BALL3_PAIR = ("gamma.shape=ball", "gamma.center=0,0,0", "gamma.radius=1",
+              "omega.shape=ball", "omega.center=0,0,0", "omega.radius=1")
+
+
+def test_jcoeff_3d_resolution_over_the_limit_exits_3(capsys, monkeypatch):
+    # At resolution 256 the ball/ball quadrature would need 1.7e10
+    # surface node pairs; it must be refused before any pair block is
+    # built.
     def forbidden(qa, qb):
         raise AssertionError("pair block built past the limit")
 
     monkeypatch.setattr(geometry, "_cosine_sum", forbidden)
-    code, out, err = run_cli(capsys, "jcoeff",
-                             "gamma.shape=ball", "gamma.center=0,0,0",
-                             "gamma.radius=1",
-                             "omega.shape=ball", "omega.center=0,0,0",
-                             "omega.radius=1")
+    code, out, err = run_cli(capsys, "jcoeff", *BALL3_PAIR,
+                             "jcoeff.resolution=256")
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]
@@ -915,6 +916,38 @@ def test_jcoeff_3d_default_resolution_exits_3(capsys, monkeypatch):
     assert error["type"] == "GeometryError"
     assert "resolution 256" in error["message"]
     assert "largest resolution that fits is 105" in error["message"]
+
+
+def test_jcoeff_3d_default_resolution_is_the_largest_fit(capsys,
+                                                         monkeypatch):
+    # A ball/ball rule pair has (2 res^2)^2 node pairs: under a limit of
+    # 4 * 20^4 the default resolution is 20, not 256, and an explicit 21
+    # is refused before any pair block is built.
+    monkeypatch.setattr(geometry, "MAX_COSINE_PAIRS", 4 * 20 ** 4)
+    resolutions = []
+    cosine_sum = geometry._cosine_sum
+
+    def counted(qa, qb):
+        resolutions.append(len(qa))
+        return cosine_sum(qa, qb)
+
+    monkeypatch.setattr(geometry, "_cosine_sum", counted)
+    record = run_json(capsys, "jcoeff", *BALL3_PAIR)
+    assert "jcoeff.resolution" not in record["config"]
+    # The quadrature at 20 and its companion at 10: 2 res^2 nodes each.
+    assert resolutions == [2 * 20 ** 2, 2 * 10 ** 2]
+    closed, quadrature, _ = record["j"]["methods"]
+    assert abs(quadrature["value"] - closed["value"]) \
+        <= quadrature["error_estimate"]
+
+    resolutions.clear()
+    code, out, err = run_cli(capsys, "jcoeff", *BALL3_PAIR,
+                             "jcoeff.resolution=21")
+    assert (code, out, resolutions) == (3, "", [])
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["type"]) == ("computation", "GeometryError")
+    assert error["message"].endswith("the largest resolution that fits "
+                                     "is 20")
 
 
 def test_jcoeff_3d_ball_cube_default_resolution(capsys):
@@ -1028,7 +1061,7 @@ def test_functional_default_grid(capsys):
         assert row["closed_form"] == pytest.approx(expected, abs=1e-15)
         assert row["abs_dev"] < 1e-8
         assert row["dilog_abs_dev"] < 1e-10
-        assert row["converged"]
+        assert "converged" not in row
     assert set(record) == {"schema_version", "command", "config",
                            "functional_rows"}
 

@@ -35,30 +35,43 @@ OMEGA = interval(0.0, 1.0)
 # Node rules
 # ---------------------------------------------------------------------------
 
+def _axes_rule(region, nodes_per_unit):
+    """nystrom's Gauss-panel rule on an interval union or a box, with
+    panels at most one unit long."""
+    axes = region.axis_intervals() if isinstance(region, Box) else [region]
+    return discretize._rule_axes([discretize._panels(axis, nodes_per_unit,
+                                                     1.0) for axis in axes])
+
+
 def test_weights_sum_to_region_size():
-    gamma_2d = Box(((-1.0, 1.0), (-1.0, 1.0)))
-    for gamma, omega, size in (
-        (GAMMA, OMEGA, 1.0),
-        (GAMMA, IntervalUnion(((0.0, 1.0), (2.0, 2.5))), 1.5),
-        (gamma_2d, Box(((0.0, 1.0), (0.0, 2.0))), 2.0),
-        (gamma_2d, Ball((0.0, 0.0), 1.0), math.pi),
+    for region, size in (
+        (OMEGA, 1.0),
+        (IntervalUnion(((0.0, 1.0), (2.0, 2.5))), 1.5),
+        (Box(((0.0, 1.0), (0.0, 2.0))), 2.0),
     ):
-        op = nystrom(gamma, omega, L=3.0, nodes_per_unit=4.0)
-        assert op.weights.sum() == pytest.approx(size * 3.0 ** omega.dim,
-                                                 rel=1e-12)
-        assert np.all(op.weights > 0)
-        assert op.n == len(op.nodes) == len(op.weights)
+        nodes, weights = _axes_rule(region.scaled(3.0), 4.0)
+        assert weights.sum() == pytest.approx(size * 3.0 ** region.dim,
+                                              rel=1e-12)
+        assert np.all(weights > 0)
+        assert len(nodes) == len(weights)
+    for ball in (Ball((0.0, 0.0), 3.0), Ball((1.0, -1.0, 0.5), 3.0)):
+        nodes, weights = discretize._rule_ball(ball, 12, 76)
+        assert weights.sum() == pytest.approx(ball.volume(), rel=1e-12)
+        assert np.all(weights > 0)
+        assert len(nodes) == len(weights)
 
 
 def test_nodes_lie_inside_the_dilated_region():
-    op = nystrom(GAMMA, IntervalUnion(((0.0, 1.0), (2.0, 2.5))), L=2.0)
-    inside = ((op.nodes >= 0.0) & (op.nodes <= 2.0)) \
-        | ((op.nodes >= 4.0) & (op.nodes <= 5.0))
+    nodes, _ = _axes_rule(IntervalUnion(((0.0, 1.0), (2.0, 2.5))).scaled(2.0),
+                          3.0)
+    inside = ((nodes >= 0.0) & (nodes <= 2.0)) \
+        | ((nodes >= 4.0) & (nodes <= 5.0))
     assert np.all(inside)
 
-    op = nystrom(Box(((-1.0, 1.0),) * 2), Ball((0.0, 0.0), 1.0), L=2.0,
-                 nodes_per_unit=3.0)
-    assert np.all(np.linalg.norm(op.nodes, axis=1) <= 2.0 + 1e-12)
+    for ball in (Ball((0.0, 0.0), 2.0), Ball((1.0, -1.0, 0.5), 2.0)):
+        nodes, _ = discretize._rule_ball(ball, 6, 38)
+        assert np.all(np.linalg.norm(nodes - ball.center, axis=1)
+                      <= 2.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +216,6 @@ def test_lattice_correlation_structure():
     np.testing.assert_allclose(matrix, matrix.T)
     # Toeplitz: entry depends only on j - k.
     np.testing.assert_array_equal(matrix, toeplitz(matrix[:, 0]))
-    # The rule is the sites with unit weights.
-    np.testing.assert_array_equal(block.nodes, np.arange(64))
-    np.testing.assert_array_equal(block.weights, np.ones(64))
     assert matrix[3, 4] == pytest.approx(math.sin(math.pi / 2) / math.pi)
     assert np.trace(matrix) == pytest.approx(32.0)
 

@@ -47,6 +47,15 @@ def test_entropy_function_outside_unit_interval_is_zero():
     np.testing.assert_array_equal(values, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, math.inf])
+def test_entropy_function_keeps_nan(alpha):
+    # Clipping leaves NaN as it is: a NaN value is not read as 0.
+    assert math.isnan(entropy_function(math.nan, alpha))
+    values = entropy_function(np.array([0.25, math.nan, 2.0]), alpha)
+    assert np.isnan(values).tolist() == [False, True, False]
+    assert values[2] == 0.0
+
+
 def test_entropy_function_known_values():
     # alpha = 2: h(t) = -ln(t^2 + (1-t)^2)
     assert entropy_function(0.25, 2.0) == pytest.approx(-math.log(0.625))

@@ -372,7 +372,7 @@ def test_widom_J_quadrature_refuses_rule_over_node_cap(monkeypatch):
         with pytest.raises(GeometryError, match="largest resolution that "
                                                 "fits is 1414$"):
             widom_J(gamma, omega, resolution=10 ** 6)
-    geometry._check_pair_count(cube, ball, 1414)
+    assert geometry._largest_resolution(cube, ball, 1414) == 1414
 
 
 def test_widom_J_monte_carlo_within_error():

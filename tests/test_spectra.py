@@ -76,6 +76,34 @@ def test_eigenvalues_rejects_non_square():
         eigenvalues(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [(0, 0, math.nan), (0, 0, math.inf),
+                                   (0, 1, math.nan)])
+def test_eigenvalues_rejects_non_finite_entries(entry):
+    # A non-finite entry makes the Hermiticity defect NaN, which must
+    # fail the defect <= 1e-12 gate: solved, a NaN diagonal reads as
+    # S = 0 at every order.
+    i, j, value = entry
+    matrix = np.diag([0.25, 0.5])
+    matrix[i, j] = matrix[j, i] = value
+    with pytest.raises(SpectralViolationError, match="defect nan"):
+        eigenvalues(matrix)
+
+
+def test_eigenvalues_of_an_empty_matrix():
+    spectrum = eigenvalues(np.zeros((0, 0)))
+    assert (len(spectrum), spectrum.clamp_count, spectrum.max_violation) \
+        == (0, 0, 0.0)
+    assert renyi_entropy(spectrum, 1.0).S == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_clamped_rejects_non_finite_values(value):
+    # A NaN violation must fail the abort gate: summed as h = 0, the
+    # spectrum [nan, 0.5] would read S_1 = ln 2.
+    with pytest.raises(SpectralViolationError, match="violate"):
+        spectra._clamped(np.array([value, 0.5]), np.array([1, 1]))
+
+
 def test_spectrum_complement():
     spectrum = Spectrum(np.array([0.1, 0.4, 0.9]), np.array([1, 2, 1]),
                         0, 0.0)
