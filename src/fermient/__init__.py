@@ -28,8 +28,7 @@ from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, sweep)
 from .discretize import (DiscretizedOperator, lattice_correlation, nystrom,
                          ring_block_correlation)
-from .functionals import (dilog, entropy_function, entropy_log_coefficient,
-                          entropy_log_coefficient_dilog,
+from .functionals import (entropy_function, entropy_log_coefficient,
                           log_coefficient_functional,
                           predicted_log_prefactor)
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
@@ -46,8 +45,7 @@ __all__ = [
     "IntervalUnion", "interval",
     "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
     "entropy_function", "entropy_log_coefficient",
-    "entropy_log_coefficient_dilog", "log_coefficient_functional",
-    "predicted_log_prefactor", "dilog",
+    "log_coefficient_functional", "predicted_log_prefactor",
     "FermiKernel",
     "DiscretizedOperator", "nystrom",
     "lattice_correlation", "ring_block_correlation",

@@ -11,11 +11,11 @@ and prefactor(alpha) is the value of a singular integral functional
 
 at the order-alpha entropy function.  This module provides the entropy
 functions themselves, one double-exponential quadrature for I(f) with
-fixed settings, a from-scratch dilogarithm, and an independent
-closed-form route to I(h_alpha) through dilogarithm identities.  Both
-routes give
+fixed settings that raises unless it converges, and its oracle
 
     I(h_alpha) = (1 + alpha) / (24 * alpha).
+
+A dilogarithm route to it remains for the `functional` record alone.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import DiscretizationError
+
 __all__ = [
     "entropy_function",
     "FunctionalResult",
     "log_coefficient_functional",
     "entropy_log_coefficient",
-    "dilog",
-    "entropy_log_coefficient_dilog",
     "predicted_log_prefactor",
     "MIN_ENTROPY_LOG_PREFACTOR",
 ]
@@ -101,16 +101,13 @@ def entropy_function(t, alpha: float):
 
 @dataclass(frozen=True)
 class FunctionalResult:
-    """Value of I(f) with convergence telemetry.
+    """Converged value of I(f).
 
-    error_estimate is the last step-halving increment; evaluations
-    counts the distinct nodes at which the integrand was evaluated (each
-    halving evaluates only the new midpoints)."""
+    evaluations counts the distinct nodes at which the integrand was
+    evaluated (each halving evaluates only the new midpoints)."""
 
     value: float
-    error_estimate: float
     evaluations: int
-    converged: bool
 
 
 def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
@@ -134,12 +131,13 @@ def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
     trapezoid rule in v on |v| <= HALF_WIDTH then converges
     geometrically in the step halving for integrands smooth on each side
     of t = 1/2, up to MAX_LEVELS refinements and to an increment below
-    TOL.  The halvings are nested: each keeps the running node sum and
-    evaluates only the new midpoints.  Each v node evaluates both
-    halves: f at t = expit(-2|u|) <= 1/2, and the half t >= 1/2 through
-    its complement s = 1 - t = expit(-2|u|), the well-represented
-    quantity there, as `reflected(s) = f(1 - s)`;
-    by default that is literally f(1.0 - s), which loses accuracy once
+    TOL; an increment not below TOL at MAX_LEVELS raises
+    DiscretizationError.  The halvings are nested: each keeps the
+    running node sum and evaluates only the new midpoints.  Each v node
+    evaluates both halves: f at t = expit(-2|u|) <= 1/2, and the half
+    t >= 1/2 through its complement s = 1 - t = expit(-2|u|), the
+    well-represented quantity there, as `reflected(s) = f(1 - s)`; by
+    default that is literally f(1.0 - s), which loses accuracy once
     s < 1e-16.  Callers with endpoint-sensitive f (any alpha < 1 power
     behavior) should pass an explicit reflected form.
 
@@ -182,9 +180,10 @@ def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
         evaluations += 2 * len(midpoints)
         value = step * total / (4.0 * math.pi ** 2)
         if abs(value - previous) < TOL:
-            return FunctionalResult(value, abs(value - previous), evaluations, True)
+            return FunctionalResult(value, evaluations)
         previous = value
-    return FunctionalResult(previous, math.inf, evaluations, False)
+    raise DiscretizationError(f"the quadrature did not converge to {TOL:g} "
+                              f"in {MAX_LEVELS} levels")
 
 
 def entropy_log_coefficient(alpha: float) -> FunctionalResult:
@@ -194,11 +193,16 @@ def entropy_log_coefficient(alpha: float) -> FunctionalResult:
     passing it as the reflected form keeps endpoint precision for all
     alpha down to the slowly decaying small orders.
 
-    Every order, alpha = inf included, converges to TOL in a few hundred
-    nodes: h_alpha is analytic on each side of t = 1/2, and the
-    min-entropy's kink there sits at an end of the split quadrature."""
+    Every order from about alpha = 0.035 up, alpha = inf included,
+    converges to TOL in a few hundred nodes: h_alpha is analytic on each
+    side of t = 1/2, and the min-entropy's kink there sits at an end of
+    the split quadrature.  Below it, the error names alpha."""
     f = lambda t: entropy_function(t, alpha)
-    return log_coefficient_functional(f, reflected=f)
+    try:
+        return log_coefficient_functional(f, reflected=f)
+    except DiscretizationError as exc:
+        raise DiscretizationError(
+            f"I(h_alpha) at alpha={alpha:g}: {exc}") from None
 
 
 def predicted_log_prefactor(alpha: float) -> float:

@@ -43,9 +43,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Most surface node pairs |qa| * |qb| the quadrature route of widom_J
-# will sum.  _cosine_sum materializes min(|qa|, 2048) x |qb| products per
-# block, so past this a ball/ball block runs to gigabytes: in 3D,
-# resolution 105 (4.9e8 pairs) fits and 106 does not.
+# will sum, a bound on its time: in 3D, a ball/ball pair at resolution
+# 105 (4.9e8 pairs) fits and 106 does not.  _cosine_sum holds one block
+# of min(|qa|, 2048) x |qb| floats, 0.36 GB for that pair.
 MAX_COSINE_PAIRS = 500_000_000
 # Most nodes in one surface rule.  A polytope's rule is its few faces,
 # so a ball/polytope pair is bounded by the ball's rule alone: in 3D,
@@ -438,14 +438,16 @@ def _check_same_dim(gamma, omega):
 def _cosine_sum(qa: SurfaceQuadrature, qb: SurfaceQuadrature) -> float:
     """Double sum of w_a w_b |m . n| over two surface quadratures.
 
-    Blocked over rows to bound memory; summation order is fixed, so the
-    result does not depend on block size.
+    Blocked over rows into one reused buffer to bound memory; summation
+    order is fixed, so the result does not depend on block size.
     """
     total = 0.0
     block = 2048
-    na = qa.normals
+    buffer = np.empty((min(block, len(qa)), len(qb)))
     for i0 in range(0, len(qa), block):
-        dots = np.abs(na[i0:i0 + block] @ qb.normals.T)
+        rows = qa.normals[i0:i0 + block]
+        dots = np.matmul(rows, qb.normals.T, out=buffer[:len(rows)])
+        np.abs(dots, out=dots)
         total += float(qa.weights[i0:i0 + block] @ dots @ qb.weights)
     return total
 

@@ -582,10 +582,15 @@ def eigenvalues(op) -> Spectrum:
 def _clamped(vals: np.ndarray, multiplicities: np.ndarray) -> Spectrum:
     """Spectrum of raw eigenvalues with multiplicities, clamped to [0, 1].
 
-    A violation that is not below EPS_ABORT (a NaN or inf value's is
-    not) raises SpectralViolationError; smaller ones are clamped and
-    counted with their multiplicities.
+    A NaN or inf value, or a violation that is not below EPS_ABORT,
+    raises SpectralViolationError; smaller ones are clamped and counted
+    with their multiplicities.
     """
+    non_finite = int(np.sum(multiplicities, where=~np.isfinite(vals)))
+    if non_finite:
+        raise SpectralViolationError(
+            f"{non_finite} of {int(np.sum(multiplicities))} eigenvalues are "
+            "NaN or inf; the input or its solve is broken")
     clamped = np.clip(vals, 0.0, 1.0)
     max_violation = float(np.max(np.abs(vals - clamped), initial=0.0))
     if not max_violation < EPS_ABORT:
@@ -624,14 +629,16 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
     For box-product geometries the localized projection factorizes per
     axis, so the d-dimensional eigenvalues are exactly the pairwise
     products of the 1D ones, each occurring as often as the product of
-    its factors' multiplicities.  Clamp bookkeeping carries over by sum
-    (products of clamped values need no new clamping).
+    its factors' multiplicities.  Products of clamped values need no new
+    clamping; a product counts as clamped when either factor was, so
+    clamp_count is N_x N_y - (N_x - c_x)(N_y - c_y) with N = len().
     """
+    n_x, n_y = len(spec_x), len(spec_y)
     return Spectrum(
         np.multiply.outer(spec_x.values, spec_y.values).ravel(),
         np.multiply.outer(spec_x.multiplicities,
                           spec_y.multiplicities).ravel(),
-        spec_x.clamp_count + spec_y.clamp_count,
+        n_x * n_y - (n_x - spec_x.clamp_count) * (n_y - spec_y.clamp_count),
         max(spec_x.max_violation, spec_y.max_violation),
     )
 

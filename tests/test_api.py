@@ -16,8 +16,7 @@ def test_package_exports_are_pinned():
         "IntervalUnion", "interval",
         "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
         "entropy_function", "entropy_log_coefficient",
-        "entropy_log_coefficient_dilog", "log_coefficient_functional",
-        "predicted_log_prefactor", "dilog",
+        "log_coefficient_functional", "predicted_log_prefactor",
         "FermiKernel",
         "DiscretizedOperator", "nystrom", "lattice_correlation",
         "ring_block_correlation",

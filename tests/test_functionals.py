@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit, spence
 
 from fermient import functionals
+from fermient.discretize import DiscretizationError
 from fermient.functionals import (
     MIN_ENTROPY_LOG_PREFACTOR,
     dilog,
@@ -105,7 +106,6 @@ def test_entropy_function_precision_near_endpoints():
 def test_functional_linear_function_is_zero():
     result = log_coefficient_functional(lambda t: t)
     assert abs(result.value) < 1e-14
-    assert result.converged
 
 
 def test_functional_parabola():
@@ -123,11 +123,11 @@ def test_functional_square():
 
 
 def test_functional_reports_nonconvergence(monkeypatch):
+    # A rule that has not met TOL raises: no unconverged value is returned.
     monkeypatch.setattr(functionals, "TOL", 1e-30)
     monkeypatch.setattr(functionals, "MAX_LEVELS", 3)
-    result = log_coefficient_functional(lambda t: t * (1.0 - t))
-    assert not result.converged
-    assert math.isinf(result.error_estimate)
+    with pytest.raises(DiscretizationError, match="did not converge"):
+        log_coefficient_functional(lambda t: t * (1.0 - t))
 
 
 @pytest.mark.parametrize("alpha, evaluations", [
@@ -159,7 +159,6 @@ def test_entropy_log_coefficient_closed_form(alpha):
     # double-exponential rule, so alpha = inf converges like the rest.
     target = predicted_log_prefactor(alpha)
     result = entropy_log_coefficient(alpha)
-    assert result.converged
     assert abs(result.value - target) < 1e-13
     assert result.evaluations <= 1000
 
@@ -168,7 +167,6 @@ def test_functional_tent():
     # f = min(t, 1-t): f(1) = 0 and f(t)/(t(1-t)) = 1/(1-t) on [0, 1/2]
     # and 1/t on [1/2, 1], so I(f) = 2 ln 2 / (4 pi^2) = ln 2 / (2 pi^2).
     result = log_coefficient_functional(lambda t: np.minimum(t, 1.0 - t))
-    assert result.converged
     assert abs(result.value - math.log(2.0) / (2.0 * math.pi ** 2)) < 1e-15
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,21 @@ def test_widom_J_sphere_matches_quadrature_in_3d():
     quad = widom_J(ball, ball, resolution=96).value
     assert closed == pytest.approx(2.0, rel=1e-12)
     assert abs(quad - closed) < 1e-3
+
+
+def test_cosine_sum_holds_one_block():
+    # |qa| = 3200 rows in two blocks against |qb| = 7200 columns: the
+    # peak is one 2048 x |qb| buffer, not a product and its abs copy.
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    qa, qb = ball.surface_quadrature(40), ball.surface_quadrature(60)
+    assert (len(qa), len(qb)) == (3200, 7200)
+    tracemalloc.start()
+    try:
+        geometry._cosine_sum(qa, qb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2048 * len(qb) * 8
 
 
 def test_widom_J_quadrature_refuses_oversized_pair_block(monkeypatch):

@@ -98,10 +98,20 @@ def test_eigenvalues_of_an_empty_matrix():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_clamped_rejects_non_finite_values(value):
-    # A NaN violation must fail the abort gate: summed as h = 0, the
-    # spectrum [nan, 0.5] would read S_1 = ln 2.
-    with pytest.raises(SpectralViolationError, match="violate"):
-        spectra._clamped(np.array([value, 0.5]), np.array([1, 1]))
+    # A NaN must fail the gate: summed as h = 0, the spectrum [nan, 0.5]
+    # would read S_1 = ln 2.  The message counts the non-finite
+    # eigenvalues, with multiplicities, instead of calling a NaN a
+    # violation of [0, 1] by nan.
+    with pytest.raises(SpectralViolationError) as info:
+        spectra._clamped(np.array([value, 0.5, value]), np.array([1, 1, 2]))
+    assert str(info.value) == ("3 of 4 eigenvalues are NaN or inf; the "
+                               "input or its solve is broken")
+
+
+def test_clamped_keeps_the_violation_message_for_finite_values():
+    with pytest.raises(SpectralViolationError,
+                       match=r"violate \[0, 1\] by 0\.002 .*under-resolved"):
+        spectra._clamped(np.array([-0.002, 0.5]), np.array([1, 1]))
 
 
 def test_spectrum_complement():
@@ -691,8 +701,18 @@ def test_tensor_spectrum_is_outer_product():
         np.outer([1, 2], [1, 1, 3]).ravel()))
     np.testing.assert_allclose(product.eigenvalues, expected)
     assert len(product) == 15
-    assert product.clamp_count == 3
+    # 9 of the 15 products have a clamped factor: 15 - (3 - 1)(5 - 2).
+    assert product.clamp_count == 9
     assert product.max_violation == 3e-8
+
+
+def test_tensor_spectrum_counts_clamped_products_with_multiplicities():
+    # The one clamped x eigenvalue meets all 4 y eigenvalues, so 4
+    # product eigenvalues come from it, not 1 + 0.
+    x = Spectrum(np.array([0.0, 0.5]), np.array([1, 1]), 1, 1e-15)
+    y = Spectrum(np.array([0.3, 0.7, 1.0]), np.array([1, 1, 2]), 0, 0.0)
+    assert tensor_spectrum(x, y).clamp_count == 4
+    assert tensor_spectrum(y, x).clamp_count == 4
 
 
 def _assert_same_spectrum(actual, expected):

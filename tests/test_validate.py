@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.special import j0
 
 import fermient.validate as validate
 from fermient import functionals
+from fermient.discretize import DiscretizationError
 from fermient.geometry import Ball, Box, IntervalUnion, SurfaceQuadrature
 from fermient.kernels import FermiKernel
 from fermient.validate import ALL_CHECKS, check_kernel_hermiticity, run_all
@@ -64,13 +66,19 @@ def test_run_all_captures_exceptions(monkeypatch):
 
 
 def test_functional_check_requires_convergence(monkeypatch):
-    # One refinement level cannot meet the halving tolerance, so every
-    # quadrature reports converged = False and the check fails even
-    # where its values sit close to the closed form.
+    # One refinement level cannot meet the halving tolerance, so the
+    # first quadrature raises, and run_all fails the check even where
+    # its values sit close to the closed form.
     monkeypatch.setattr(functionals, "MAX_LEVELS", 1)
-    passed, detail = validate.check_functional()
-    assert not passed
-    assert "did not converge" in detail
+    with pytest.raises(DiscretizationError, match="did not converge"):
+        validate.check_functional()
+    monkeypatch.setattr(validate, "ALL_CHECKS", tuple(
+        check for check in validate.ALL_CHECKS
+        if check[0] == "functional_closed_form"))
+    (result,) = validate.run_all()
+    assert not result.passed
+    assert result.detail.startswith("raised DiscretizationError: ")
+    assert "did not converge" in result.detail
 
 
 def _quad_oracle(gamma, u):
