@@ -22,8 +22,9 @@ order.  Only the window of eigenvectors around the Fermi level, where
 lambda is neither 0 nor 1 to machine precision, is computed, on the
 even and odd blocks into which the reflection j -> n-1-j splits the
 tridiagonal, each solving its half of the window; the eigenvalues
-there are Rayleigh quotients taken with an FFT Toeplitz product, and
-every eigenvalue outside the window is exactly 0 or 1.
+there are Rayleigh quotients of the half-length block vectors, taken
+with an FFT Toeplitz-plus-Hankel product, and every eigenvalue outside
+the window is exactly 0 or 1.
 That costs O(n * window) instead of O(n^3) and carries no eigensolver
 noise floor into the small-alpha entropies.  eigenvalues() is the dense
 solve of any matrix; eigenvalues(discretize.lattice_correlation(k_F, n))
@@ -64,8 +65,8 @@ fields are the columns of an output row.
 Each route imports the scipy functions it calls (eigh_tridiagonal, jv,
 roots_legendre) inside the function that calls them, so importing this
 module, and the jcoeff and functional commands that solve no spectrum,
-load no scipy module.  The lattice route's Toeplitz products run on
-numpy.fft, so that route loads scipy.linalg alone.
+load no scipy module.  The lattice route's products run on numpy.fft,
+so that route loads scipy.linalg alone.
 """
 
 from __future__ import annotations
@@ -197,26 +198,51 @@ def _fast_len(target: int) -> int:
     return best
 
 
-def _toeplitz_apply(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """C @ row for each row, C the symmetric Toeplitz matrix of column.
+def _half_apply(column: np.ndarray, rows: np.ndarray,
+                signs: np.ndarray) -> np.ndarray:
+    """Half of C v, for each row u the half of an even or odd v.
 
-    C is embedded in a circulant of length >= 2n - 1, which the FFT
-    diagonalizes.  Each row is transformed on its own, so the product
-    does not depend on how rows are grouped; they go in chunks of about
-    2**15 entries, which keeps a chunk's transforms in cache and memory
-    O(n) per row at any n.
+    C is the n x n symmetric Toeplitz matrix of column.  Each row u, of
+    length M = ceil(n/2), stands for v = [u; sign Ju] / sqrt(2), J the
+    reversal and sign that row's entry of signs; for odd n the centre
+    entry of v is u[-1] itself (0 for an odd v), so |v| = |u|.  C
+    commutes with J, so C v is even or odd with v, and its half, scaled
+    as u is, is the image S (T + sign H) S u, with T[i, l] =
+    column[|i - l|], H[i, l] = column[n - 1 - i - l], and S the identity
+    but for 1/sqrt(2) at the centre of odd n.  So u . image = v^T C v,
+    and |image - q u| = |C v - q v|.
+
+    T and H share one circulant length, size >= 2M - 1, about n, half
+    that of C's own circulant.  H u = H' Ju with H' the Toeplitz matrix
+    H'[i, l] = column[n - M + l - i], and Ju, padded to size, transforms
+    to conj(U) times exp(-2 pi i k (M - 1) / size).  Its argument is
+    reduced mod size in integers first: unreduced, it grows to about
+    M / 2 turns, and its rounding put errors of 1.5e-15 rms on the
+    quotients below 1e-6 (n <= 431), 35 times the product's own.  So
+    each row takes one rfft and one irfft, of U T^ + sign conj(U) H'^.
+    Each row is transformed on its own, so the product does not depend
+    on how rows are grouped; they go in chunks of about 2**15 entries,
+    which keeps a chunk's transforms in cache.
     """
-    n = len(column)
-    size = _fast_len(2 * n - 1)
-    circulant = np.zeros(size)
-    circulant[:n] = column
-    circulant[size - n + 1:] = column[:0:-1]
-    symbol = np.fft.rfft(circulant)
+    n, half = len(column), rows.shape[1]
+    size = _fast_len(2 * half - 1)
+    offset = np.arange(1 - half, half)
+    toeplitz, hankel = np.zeros(size), np.zeros(size)
+    toeplitz[offset % size] = column[np.abs(offset)]
+    hankel[offset % size] = column[n - half - offset]
+    turn = np.arange(size // 2 + 1) * (half - 1) % size
+    symbols = (np.fft.rfft(toeplitz),
+               np.fft.rfft(hankel) * np.exp(-2j * math.pi / size * turn))
+    scale = np.ones(half)
+    scale[-1] = math.sqrt(0.5) if n % 2 else 1.0
     out = np.empty_like(rows)
     chunk = max(1, 2 ** 15 // size)
     for start in range(0, len(rows), chunk):
-        block = np.fft.rfft(rows[start:start + chunk], size)
-        out[start:start + chunk] = np.fft.irfft(block * symbol, size)[:, :n]
+        block = np.fft.rfft(rows[start:start + chunk] * scale, size)
+        block = block * symbols[0] + signs[start:start + chunk, None] \
+            * block.conj() * symbols[1]
+        out[start:start + chunk] = np.fft.irfft(block, size)[:, :half] \
+            * scale
     return out
 
 
@@ -258,18 +284,24 @@ def _lattice_spectrum(k_fermi: float, n: int):
     is solved on T's two parity blocks, each for its own indices.  For
     n = 2m both blocks are T[:m, :m] with e = T[m-1, m] added to (even)
     or taken from (odd) the last diagonal entry, and a block vector u
-    lifts to [u; +-Ju] / sqrt(2).  For n = 2m + 1 the even block is
-    T[:m+1, :m+1] with its last coupling times sqrt(2), lifting to
-    [u[:m]; sqrt(2) u[m]; Ju[:m]] / sqrt(2), and the odd block is
-    T[:m, :m], lifting to [u; 0; -Ju] / sqrt(2).  Each block solve is
-    half the size for half the indices, and inverse iteration
-    reorthogonalizes two half-width clusters instead of one.
+    stands for v = [u; +-Ju] / sqrt(2).  For n = 2m + 1 the even block
+    is T[:m+1, :m+1] with its last coupling times sqrt(2), u standing
+    for [u[:m]; sqrt(2) u[m]; Ju[:m]] / sqrt(2), and the odd block is
+    T[:m, :m], u for [u; 0; -Ju] / sqrt(2).  Each block solve is half
+    the size for half the indices, and inverse iteration
+    reorthogonalizes two half-width clusters instead of one.  No vector
+    is lifted to length n: _half_apply takes the half of C v from u by
+    a Toeplitz-plus-Hankel product at half length, and v's quotient and
+    residual are u's against it, so the window holds (window x n/2)
+    floats, not (window x n).
 
     Below c0 the eigenvalue is v^T C v.  From c0 up it is
     1 - w^T C' w with w = (-1)^j v and C' the kernel at pi - k_F, since
     1 - C = D C' D with D = diag((-1)^j): that takes 1 - lambda
     directly, below the 1e-16 rounding of lambda near 1, so the edge
-    test stays clear of roundoff at any n.  Both kernel columns come
+    test stays clear of roundoff at any n.  w is again even or odd,
+    with v's sign times (-1)^(n-1), and its half is (-1)^j u.  Both
+    kernel columns come
     first, from discretize._sine_column, which refuses n < 1 with
     DiscretizationError; k_F in (0, pi) is the caller's to check.
     """
@@ -292,11 +324,12 @@ def _lattice_spectrum(k_fermi: float, n: int):
         blocks = ((diagonal[:half] + edge, off_diagonal[:half - 1]),
                   (diagonal[:half] - edge, off_diagonal[:half - 1]))
     c0 = n - round(n * k_fermi / math.pi)
-    signs = np.where(j % 2, -1.0, 1.0)
+    alternating = np.where(j[:n - half] % 2, -1.0, 1.0)
 
     def solve(lo, hi):
         index = np.arange(lo, hi + 1)
-        rows = np.zeros((len(index), n))
+        rows = np.zeros((len(index), n - half))
+        signs = np.empty(len(index))
         for parity, (block_diagonal, block_off_diagonal) in enumerate(blocks):
             mine = index[(n - 1 - index) % 2 == parity]
             if not len(mine):
@@ -307,22 +340,24 @@ def _lattice_spectrum(k_fermi: float, n: int):
             # the window is at least 0.2 n sin k_F (measured for n up to
             # 10^5, k_F in 0.05..3.1).  Bisecting to 1e-5 n sin k_F, at
             # most 5e-5 of a gap, is ample; the residual check guards it.
-            _, vectors = eigh_tridiagonal(
+            rows[mine - lo, :len(block_diagonal)] = eigh_tridiagonal(
                 block_diagonal, block_off_diagonal, select="i",
                 select_range=(position[0], position[-1]),
-                tol=1e-5 * n * math.sin(k_fermi))
-            top = vectors[:half].T / math.sqrt(2.0)
-            rows[mine - lo, :half] = top
-            rows[mine - lo, n - half:] = (-1.0) ** parity * top[:, ::-1]
-            if n % 2 and parity == 0:
-                rows[mine - lo, half] = vectors[half]
+                tol=1e-5 * n * math.sin(k_fermi))[1].T
+            signs[mine - lo] = (-1.0) ** parity
         split = min(max(c0 - lo, 0), len(rows))
-        rows[split:] *= signs
-        images = np.concatenate([_toeplitz_apply(columns[0], rows[:split]),
-                                 _toeplitz_apply(columns[1], rows[split:])])
-        quotients = np.einsum("ij,ij->i", rows, images)
-        residual = np.max(np.linalg.norm(
-            images - quotients[:, None] * rows, axis=1))
+        rows[split:] *= alternating
+        signs[split:] *= (-1.0) ** (n - 1)
+        quotients, residual = [], 0.0
+        for column, part, part_signs in zip(columns, np.split(rows, [split]),
+                                            np.split(signs, [split])):
+            images = _half_apply(column, part, part_signs)
+            quotients.append(np.einsum("ij,ij->i", part, images))
+            images -= quotients[-1][:, None] * part
+            residual = max(residual, math.sqrt(np.max(
+                np.einsum("ij,ij->i", images, images), initial=0.0)))
+            del images  # the next part's images replace these
+        quotients = np.concatenate(quotients)
         if not residual <= RESIDUAL_TOL:
             raise SpectralViolationError(
                 f"lattice eigenpair residual {residual:.3g} over "
@@ -466,11 +501,15 @@ def _prolate_spectrum(c: float, size: int):
         scale = c ** 3 / 3.0 if parity else c
 
         def solve(lo, hi):
-            # Bisection to 1e-12 of the largest eigenvalue (about
-            # size^2) is ample for the inverse iteration that follows.
+            # As on the lattice, inverse iteration needs each shift close
+            # only on the scale of the eigenvalue gap: every gap in a
+            # parity's window is at least 1.08 c, and at least 6 below
+            # c = 1 (measured for c = 0.5 up to the default budget,
+            # c = 3973).  Bisecting to 1e-5 max(c, 1), at most 1e-5 of
+            # a gap, is ample; the tail check and oracle tests guard it.
             _, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i",
                                           select_range=(lo, hi),
-                                          tol=1e-12 * size * size)
+                                          tol=1e-5 * max(c, 1.0))
             lam = scale * vectors[0] ** 2 \
                 / (math.pi * (at_zero @ vectors) ** 2)
             gap = 1.0 - lam

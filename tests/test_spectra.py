@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,33 +277,144 @@ def test_fast_len_is_scipy_next_fast_len():
         [next_fast_len(m, real=True) for m in range(1, 10_001)]
 
 
-# 2n - 1 = 2017 is prime, so the circulant is padded to 2025 = 3^4 5^2.
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1009])
-def test_toeplitz_apply_matches_dense_product(n):
+def _lift(rows, signs, n):
+    """The even (sign +1) or odd (-1) vectors v = [u; sign Ju] / sqrt(2)
+    that half-length rows u stand for; for odd n the centre entry of v
+    is u[-1]."""
+    half = n // 2
+    v = np.zeros((len(rows), n), dtype=rows.dtype)
+    v[:, :half] = rows[:, :half] / np.sqrt(rows.dtype.type(2.0))
+    v[:, n - half:] = signs[:, None] * v[:, :half][:, ::-1]
+    if n % 2:
+        v[:, half] = rows[:, half]
+    return v
+
+
+def _halved(images, n):
+    """The inverse of _lift on vectors that are even or odd: sqrt(2)
+    times their first ceil(n/2) entries, the centre of odd n as is."""
+    out = np.sqrt(2.0) * images[:, :n - n // 2]
+    if n % 2:
+        out[:, -1] = images[:, n // 2]
+    return out
+
+
+def _half_rows(n, signs, seed):
+    # Random unit rows for the given signs; an odd vector of odd n has
+    # no centre entry.
+    half = n - n // 2
+    rows = np.random.default_rng(seed).normal(size=(len(signs), half))
+    if n % 2:
+        rows[signs < 0, -1] = 0.0
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+# 2M - 1 = 1009 is prime, so the circulant of M = 505 is padded to
+# 1024; n = 1009 has a centre entry.
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 1009, 1010])
+@pytest.mark.parametrize("k_fermi", [1.0, math.pi - 1.0])
+def test_half_apply_matches_dense_product(k_fermi, n):
     from scipy.linalg import toeplitz
 
-    column = discretize._sine_column(1.0, n)
-    rows = np.random.default_rng(n).normal(size=(3, n))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    np.testing.assert_allclose(spectra._toeplitz_apply(column, rows),
-                               rows @ toeplitz(column).T, rtol=0, atol=1e-13)
+    column = discretize._sine_column(k_fermi, n)
+    # A single site has no odd vector.
+    signs = np.array([1.0, -1.0, 1.0, -1.0]) if n > 1 else np.ones(2)
+    rows = _half_rows(n, signs, n)
+    images = spectra._half_apply(column, rows, signs)
+    dense = _lift(rows, signs, n) @ toeplitz(column)
+    np.testing.assert_allclose(images, _halved(dense, n), rtol=0, atol=1e-13)
+    # Even and odd images stay even and odd: the halves carry all of
+    # C v, and u . image is the quotient v^T C v.
+    np.testing.assert_allclose(_lift(_halved(dense, n), signs, n), dense,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", rows, images),
+                               np.einsum("ij,ij->i", _lift(rows, signs, n),
+                                         dense), rtol=0, atol=1e-13)
 
 
-def test_toeplitz_apply_across_chunks():
+def test_half_apply_across_chunks():
     # The circulant has 2025 entries, so a chunk holds 16 rows and 40
     # rows take three chunks.  Each row is transformed on its own: the
     # product is the same bit for bit as row by row.
-    from scipy.linalg import toeplitz
-
-    n = 1009
+    n = 2017
     column = discretize._sine_column(1.0, n)
-    rows = np.random.default_rng(n).normal(size=(40, n))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    product = spectra._toeplitz_apply(column, rows)
-    np.testing.assert_allclose(product, rows @ toeplitz(column).T,
-                               rtol=0, atol=1e-13)
+    signs = np.where(np.arange(40) % 3, 1.0, -1.0)
+    rows = _half_rows(n, signs, n)
+    assert spectra._fast_len(2 * rows.shape[1] - 1) == 2025
+    product = spectra._half_apply(column, rows, signs)
     np.testing.assert_array_equal(product, np.concatenate(
-        [spectra._toeplitz_apply(column, row[None]) for row in rows]))
+        [spectra._half_apply(column, row[None], sign[None])
+         for row, sign in zip(rows, signs)]))
+
+
+def _full_length_apply(column, rows):
+    # C @ row through the circulant of length >= 2n - 1 that embeds the
+    # whole of C: the full-length product the half-length one replaced.
+    n = len(column)
+    size = spectra._fast_len(2 * n - 1)
+    circulant = np.zeros(size)
+    circulant[:n] = column
+    circulant[size - n + 1:] = column[:0:-1]
+    return np.fft.irfft(np.fft.rfft(rows, size) * np.fft.rfft(circulant),
+                        size)[:, :n]
+
+
+def test_half_apply_small_quotients_as_accurate_as_full_length(monkeypatch):
+    # The route's own window vectors, with the quotients below 1e-6 that
+    # the small-alpha entropies rest on, against a long double dense
+    # product.  Two symbols round about as much as one: pooled over this
+    # grid the half-length rms error reads 4.6e-17 against the
+    # full-length FFT's 3.7e-17, and each stays far below SNAP_TOL.
+    calls = []
+    original = spectra._half_apply
+
+    def recording(column, rows, signs):
+        calls.append((column, rows.copy(), signs.copy()))
+        return original(column, rows, signs)
+
+    monkeypatch.setattr(spectra, "_half_apply", recording)
+    half_errors, full_errors = [], []
+    for k_fermi in (math.pi / 2.0, 1.0, 0.3, 2.5, 0.05, 3.0):
+        for n in (200, 201, 431):
+            calls.clear()
+            spectra._lattice_spectrum(k_fermi, n)
+            for column, rows, signs in calls[-2:]:
+                v = _lift(rows, signs, n)
+                exact = column.astype(np.longdouble)[
+                    np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+                wide = v.astype(np.longdouble)
+                reference = np.einsum("ij,ij->i", wide, wide @ exact)
+                small = reference < 1e-6
+                half = np.einsum("ij,ij->i", rows,
+                                 original(column, rows, signs))
+                full = np.einsum("ij,ij->i", v, _full_length_apply(column, v))
+                half_errors.append((half - reference)[small])
+                full_errors.append((full - reference)[small])
+    half_errors = np.concatenate(half_errors).astype(float)
+    full_errors = np.concatenate(full_errors).astype(float)
+    assert len(half_errors) > 400
+    rms_half, rms_full = (math.sqrt(np.mean(e * e))
+                          for e in (half_errors, full_errors))
+    assert rms_half <= 1.5 * rms_full and rms_half < 1e-16
+    assert np.max(np.abs(half_errors)) < 1e-15
+
+
+def test_lattice_window_holds_no_full_length_array():
+    # At n = 20000, half filling, the window holds 79 vectors of
+    # M = 10000 entries: 6.3 MB.  The peak read 2.2 times that, the
+    # half-length rows beside inverse iteration's output; a (window x n)
+    # array on top of the rows would be 3 times, and the full-length
+    # product held 9.2 times.
+    n = 20_000
+    tracemalloc.start()
+    try:
+        _, multiplicities = spectra._lattice_spectrum(math.pi / 2.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = n - int(multiplicities[-2:].sum())
+    assert window == 79
+    assert peak <= 2.75 * window * (n // 2) * 8
 
 
 def test_lattice_route_residual_check(monkeypatch):
