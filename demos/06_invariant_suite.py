@@ -1,10 +1,11 @@
 """Run the structural invariant suite and print the timing table.
 
 Same checks as `fermient validate`: kernel Hermiticity and Fourier
-consistency, the EFE/FEF spectral identity, block-complement purity on
-finite rings, entropy monotonicity, boundary-coefficient cross-checks,
-the closed-form functional values, dilatation equivalence, and the
-Nystrom trace rule.
+consistency, entropy monotonicity, the lattice, prolate, tensor_box and
+radial routes against their dense oracles, lattice particle-hole
+symmetry, the role swap on the Nystrom route, boundary-coefficient
+cross-checks, the closed-form functional values, dilatation
+equivalence, and the Nystrom trace rule.
 """
 
 from fermient.validate import run_all

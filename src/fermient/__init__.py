@@ -12,8 +12,8 @@ The usual entry points:
                        every Renyi order is summed from
     renyi_entropy      the entropy of a spectrum at one order
     eigenvalues        the dense solve of a nystrom or lattice_correlation
-                       matrix: the Nystrom route, and the oracle of the
-                       lattice, prolate and radial routes
+                       matrix: the Nystrom route, and the oracle that
+                       `fermient validate` checks every other route against
     sweep, fit_scaling, compare_theory
                        scaling runs: {alpha: SweepResult} from one
                        spectrum per L, one fit per SweepResult, and the
@@ -26,8 +26,7 @@ The usual entry points:
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, sweep)
-from .discretize import (DiscretizedOperator, lattice_correlation, nystrom,
-                         ring_block_correlation)
+from .discretize import DiscretizedOperator, lattice_correlation, nystrom
 from .functionals import (entropy_function, entropy_log_coefficient,
                           log_coefficient_functional,
                           predicted_log_prefactor)
@@ -47,8 +46,7 @@ __all__ = [
     "entropy_function", "entropy_log_coefficient",
     "log_coefficient_functional", "predicted_log_prefactor",
     "FermiKernel",
-    "DiscretizedOperator", "nystrom",
-    "lattice_correlation", "ring_block_correlation",
+    "DiscretizedOperator", "nystrom", "lattice_correlation",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum",

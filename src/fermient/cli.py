@@ -11,7 +11,7 @@ Subcommands:
                 where a boundary is a ball and by Monte Carlo in d >= 2
     functional  I(h_alpha) by quadrature vs the closed form over an
                 alpha grid
-    validate    structural invariant suite
+    validate    structural invariants and each route against its oracle
 
 Each command but validate reads `--config PATH` plus inline `key=value`
 overrides (same syntax as config lines, before or after any flag; a
@@ -241,13 +241,18 @@ def cmd_functional(args) -> int:
         target = predicted_log_prefactor(alpha)
         numeric = entropy_log_coefficient(alpha)
         dilog_value = entropy_log_coefficient_dilog(alpha)
+        dilog_dev = abs(dilog_value - target)
+        if not dilog_dev <= 1e-12:
+            raise DiscretizationError(
+                f"I(h_alpha) at alpha={alpha:g}: the dilogarithm route is "
+                f"{dilog_dev:.3g} off the closed form, over 1e-12")
         rows.append({
             "alpha": "inf" if math.isinf(alpha) else alpha,
             "numeric": numeric.value,
             "closed_form": target,
             "abs_dev": abs(numeric.value - target),
             "dilog_route": dilog_value,
-            "dilog_abs_dev": abs(dilog_value - target),
+            "dilog_abs_dev": dilog_dev,
             "evaluations": numeric.evaluations,
         })
 

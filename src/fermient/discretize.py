@@ -3,7 +3,7 @@
 The object of study is the Fermi projection compressed to a bounded
 spatial region: multiply by the region indicator, project onto the
 momentum region, multiply by the indicator again.  Its spectrum lives
-in [0, 1] and carries every reduced-state entropy.  Three matrix
+in [0, 1] and carries every reduced-state entropy.  Two matrix
 realizations are provided:
 
 * Nystrom discretization on the continuum: a quadrature rule on the
@@ -13,8 +13,6 @@ realizations are provided:
 * Exact Toeplitz correlation matrices for a block of n successive
   sites of the 1D lattice gas (no discretization error), the dense
   oracle of the lattice route in spectra.
-* Exact correlation matrices for blocks of a finite half-filled ring,
-  used for finite-size purity identities.
 
 Discretizing on the dilated region (rather than dilating the momentum
 region) is licensed by the unitary dilatation equivalence of the two
@@ -43,7 +41,6 @@ __all__ = [
     "DiscretizedOperator",
     "nystrom",
     "lattice_correlation",
-    "ring_block_correlation",
     "DEFAULT_CONTINUUM_BUDGET",
     "DEFAULT_LATTICE_BUDGET",
 ]
@@ -282,35 +279,3 @@ def lattice_correlation(k_fermi: float, n: int) -> DiscretizedOperator:
     sites = np.arange(n)
     return DiscretizedOperator(column[np.abs(sites[:, None] - sites)])
 
-
-def ring_block_correlation(num_sites: int, block_sites: int) -> np.ndarray:
-    """Correlation matrix of a site block of a half-filled finite ring.
-
-    The ring of N = num_sites sites (N = 2 mod 4 so that half filling
-    selects a symmetric momentum set) is filled with the N/2 lowest
-    momenta 2*pi*m/N, m = -M..M, N/2 = 2M + 1.  The block correlation
-    is the Dirichlet kernel
-
-        C[j, k] = sin((2M+1) pi u / N) / (N sin(pi u / N)),   u = j - k,
-
-    with diagonal 1/2.  The ground state of the whole ring is pure, so
-    block and complement-block entropies agree exactly; this builder
-    feeds that identity.
-    """
-    if num_sites % 4 != 2:
-        raise DiscretizationError(
-            "ring size must be 2 mod 4 for unambiguous half filling, "
-            f"got {num_sites}")
-    if not 1 <= block_sites <= num_sites:
-        raise DiscretizationError(
-            f"block of {block_sites} sites outside ring of {num_sites}")
-    filled = num_sites // 2          # odd by construction
-    u = np.arange(block_sites)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        column = np.where(
-            u > 0,
-            np.sin(math.pi * filled * u / num_sites)
-            / (num_sites * np.sin(math.pi * u / num_sites)),
-            filled / num_sites,
-        )
-    return column[np.abs(u[:, None] - u)]

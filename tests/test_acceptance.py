@@ -23,11 +23,11 @@ from fermient import (
     sweep,
 )
 from fermient.asymptotics import fit_scaling
-from fermient.discretize import nystrom, ring_block_correlation
+from fermient.discretize import nystrom
 from fermient.functionals import entropy_log_coefficient, entropy_function
 from fermient.geometry import widom_J
 from fermient.validate import (check_kernel_fourier, check_kernel_hermiticity,
-                               check_projector_entropy, check_trace_identity)
+                               check_projector_entropy, check_role_swap)
 
 from conftest import GAMMA_1D, GAMMA_BOX, OMEGA_BOX, OMEGA_UNIT
 
@@ -256,32 +256,36 @@ def test_A5_widom_coefficients():
 
 
 def test_A6_structural_identities():
-    """Block vs complement purity, EFE/FEF spectra, projector entropies."""
-    worst_ring = 0.0
+    """Particle-hole symmetry of lattice blocks, the role swap on the
+    Nystrom route, projector entropies."""
+    # 1 - C(k_F) = D C(pi - k_F) D, D = diag((-1)^j), so S_alpha(k_F) =
+    # S_alpha(pi - k_F); the route solves both fillings independently.
+    worst_ph = 0.0
     worst_half = 0.0
-    for num_sites, block in ((42, 11), (102, 30)):
-        spec = eigenvalues(ring_block_correlation(num_sites, block))
-        comp = eigenvalues(ring_block_correlation(num_sites,
-                                                  num_sites - block))
+    for k_fermi, n in ((1.0, 200), (0.3, 1000)):
+        particles, holes = (
+            pipeline_spectrum(interval(-k, k), OMEGA_UNIT, float(n),
+                              PipelineConfig(mode="lattice"))[0]
+            for k in (k_fermi, math.pi - k_fermi))
         for alpha in (1.0, 2.0, 4.0, math.inf):
-            dev = abs(renyi_entropy(spec, alpha).S
-                      - renyi_entropy(comp, alpha).S)
-            worst_ring = max(worst_ring, dev)
+            dev = abs(renyi_entropy(holes, alpha).S
+                      / renyi_entropy(particles, alpha).S - 1.0)
+            worst_ph = max(worst_ph, dev)
         # alpha < 1 amplifies eigenvalue noise near the spectral edges
-        # (h' ~ lambda^(alpha-1)), so the pure-state identity only holds
-        # to a few 1e-7 there; checked at its own documented tolerance.
-        dev = abs(renyi_entropy(spec, 0.5).S - renyi_entropy(comp, 0.5).S)
+        # (h' ~ lambda^(alpha-1)); checked at its own tolerance.
+        dev = abs(renyi_entropy(holes, 0.5).S
+                  / renyi_entropy(particles, 0.5).S - 1.0)
         worst_half = max(worst_half, dev)
 
-    traces_ok, traces_detail = check_trace_identity()
+    swap_ok, swap_detail = check_role_swap()
     projector_ok, projector_detail = check_projector_entropy()
 
-    ok = (worst_ring < 1e-10 and worst_half < 2e-6
-          and traces_ok and projector_ok)
+    ok = (worst_ph < 2e-13 and worst_half < 3e-8
+          and swap_ok and projector_ok)
     line = _report("A6", ok,
-                   f"ring purity dev {worst_ring:.2e} (tol 1e-10), "
-                   f"alpha=1/2 dev {worst_half:.2e} (tol 2e-6); "
-                   f"{traces_detail}; {projector_detail}")
+                   f"particle-hole rel dev {worst_ph:.2e} (tol 2e-13), "
+                   f"alpha=1/2 rel dev {worst_half:.2e} (tol 3e-8); "
+                   f"role swap: {swap_detail}; {projector_detail}")
     assert ok, line
 
 

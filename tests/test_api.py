@@ -19,7 +19,6 @@ def test_package_exports_are_pinned():
         "log_coefficient_functional", "predicted_log_prefactor",
         "FermiKernel",
         "DiscretizedOperator", "nystrom", "lattice_correlation",
-        "ring_block_correlation",
         "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
         "renyi_entropy", "tensor_spectrum", "pipeline_spectrum",
         "SweepResult", "ScalingFit", "sweep", "fit_scaling",

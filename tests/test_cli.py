@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -1082,6 +1083,25 @@ def test_functional_unconverged_order_exits_3(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_functional_dilog_route_off_the_closed_form_exits_3(capsys,
+                                                           tmp_path):
+    # The dilogarithm route loses digits at both ends: 4.3e-12 at
+    # alpha = 0.04, 6.5e-8 at 50 and 4.1e-5 at 100, against at most
+    # 1.1e-13 from 0.05 to 20.
+    out = tmp_path / "functional.json"
+    code, stdout, err = run_cli(capsys, "functional", "--out", str(out),
+                                "functional.alphas=1,100")
+    assert (code, stdout) == (3, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["type"]) == ("computation",
+                                              "DiscretizationError")
+    assert re.fullmatch(r"I\(h_alpha\) at alpha=100: the dilogarithm route "
+                        r"is 4\.\d+e-05 off the closed form, over 1e-12",
+                        error["message"]), error["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -1316,7 +1336,7 @@ def test_validate_failure_exits_4(capsys, tmp_path, monkeypatch):
     failed = [line.split() for line in table if "FAIL" in line]
     assert [(words[0], words[-2:]) for words in failed] \
         == [("nystrom_trace", ["forced", "failure"])]
-    assert summary == "9/10 checks passed"
+    assert summary == "13/14 checks passed"
     assert json.loads(out.read_text())["passed"] is False
 
 
@@ -1327,5 +1347,5 @@ def test_validate_passes_and_writes_report(capsys, tmp_path):
     assert "checks passed" in stdout
     report = json.loads(out.read_text())
     assert report["passed"] is True
-    assert len(report["checks"]) == 10
+    assert len(report["checks"]) == 14
     assert all(check["passed"] for check in report["checks"])

@@ -14,7 +14,6 @@ from fermient.discretize import (
     check_budget,
     lattice_correlation,
     nystrom,
-    ring_block_correlation,
 )
 from fermient import discretize
 from fermient.geometry import (
@@ -233,31 +232,3 @@ def test_lattice_correlation_guards():
     with pytest.raises(DiscretizationError):
         lattice_correlation(1.0, 0)
 
-
-def test_ring_block_structure():
-    matrix = ring_block_correlation(42, 11)
-    assert matrix.shape == (11, 11)
-    np.testing.assert_allclose(np.diag(matrix), 0.5)
-    np.testing.assert_allclose(matrix, matrix.T)
-    np.testing.assert_array_equal(matrix, toeplitz(matrix[:, 0]))
-
-
-def test_ring_full_block_is_a_projection():
-    # Taking the whole ring as the block reduces the correlation matrix
-    # to the rank-N/2 projection onto the filled momenta.
-    num_sites = 42
-    matrix = ring_block_correlation(num_sites, num_sites)
-    vals = np.linalg.eigvalsh(matrix)
-    ones = np.sum(vals > 0.5)
-    assert ones == num_sites // 2
-    np.testing.assert_allclose(np.sort(vals)[-ones:], 1.0, atol=1e-10)
-    np.testing.assert_allclose(np.sort(vals)[:-ones], 0.0, atol=1e-10)
-
-
-def test_ring_block_guards():
-    with pytest.raises(DiscretizationError):
-        ring_block_correlation(40, 10)      # 0 mod 4: ambiguous filling
-    with pytest.raises(DiscretizationError):
-        ring_block_correlation(42, 0)
-    with pytest.raises(DiscretizationError):
-        ring_block_correlation(42, 43)

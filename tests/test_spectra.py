@@ -423,6 +423,23 @@ def test_lattice_route_residual_check(monkeypatch):
         _lattice_route(1.0, 64)
 
 
+# 1 - C(k_F) = D C(pi - k_F) D with D = diag((-1)^j), so S_alpha(k_F) =
+# S_alpha(pi - k_F) exactly.  The route solves both fillings as they
+# come, so the difference is its noise floor: measured at n = 4000 as
+# -3.25e-5 at alpha = 1/4, -4.2e-9 at 1/2 and at most 1.3e-15 from
+# alpha = 1 on.  A fix of the small-order floor can tighten the first
+# two bounds; a change that raises the floor fails them.
+def test_lattice_particle_hole_identity():
+    particles, holes = (_lattice_route(k_fermi, 4000)
+                        for k_fermi in (1.0, math.pi - 1.0))
+    bounds = {0.25: 5e-5, 0.5: 1e-8, 1.0: 1e-13, 2.0: 1e-13, math.inf: 1e-13}
+    deviations = {alpha: abs(renyi_entropy(holes, alpha).S
+                             / renyi_entropy(particles, alpha).S - 1.0)
+                  for alpha in bounds}
+    assert all(deviations[alpha] <= bounds[alpha] for alpha in bounds), \
+        deviations
+
+
 # ---------------------------------------------------------------------------
 # Ball/ball pairs: the radial route against the Nystrom oracle
 # ---------------------------------------------------------------------------

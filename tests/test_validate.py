@@ -1,6 +1,8 @@
 """The structural invariant suite should pass, and should be able to fail."""
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 import fermient.validate as validate
-from fermient import functionals
+from fermient import functionals, kernels, spectra
 from fermient.discretize import DiscretizationError
 from fermient.geometry import Ball, Box, IntervalUnion, SurfaceQuadrature
 from fermient.kernels import FermiKernel
@@ -52,6 +54,83 @@ def test_widom_cross_check_catches_a_bad_sphere_rule(monkeypatch):
     assert "square x disk" in detail
 
 
+def _plant(monkeypatch, module, name, old, new):
+    """Replace module.name by its own source with old, which must occur
+    exactly once, rewritten to new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def _run_one(monkeypatch, name):
+    """The CheckResult of one registered check, run as run_all runs it."""
+    monkeypatch.setattr(validate, "ALL_CHECKS", tuple(
+        check for check in validate.ALL_CHECKS if check[0] == name))
+    (result,) = validate.run_all()
+    return result
+
+
+def test_each_route_has_a_check():
+    names = [name for name, _ in ALL_CHECKS]
+    for route in ("lattice", "prolate", "tensor_box", "radial", "nystrom"):
+        assert any(name.startswith(route) for name in names), route
+
+
+@pytest.mark.parametrize("name", ["lattice_route", "lattice_particle_hole"])
+def test_lattice_checks_catch_swapped_columns(monkeypatch, name):
+    # C' = C(pi - k_F) taking C's rows: the eigenvectors of Slepian's T
+    # are not C' eigenvectors, so the route's residual guard raises and
+    # the check fails.
+    _plant(monkeypatch, spectra, "_lattice_spectrum",
+           "columns = (_disc._sine_column(k_fermi, n),\n"
+           "               _disc._sine_column(math.pi - k_fermi, n))",
+           "columns = (_disc._sine_column(math.pi - k_fermi, n),\n"
+           "               _disc._sine_column(k_fermi, n))")
+    result = _run_one(monkeypatch, name)
+    assert not result.passed
+    assert "raised SpectralViolationError" in result.detail
+    assert "residual" in result.detail
+
+
+def _assert_fails_its_comparison(check):
+    passed, detail = check()
+    assert not passed
+    assert "deviation" in detail
+
+
+def test_prolate_check_catches_a_wrong_scale(monkeypatch):
+    # The even parity's lambda = c |mu|^2 / (2 pi) with c off by 1e-9.
+    _plant(monkeypatch, spectra, "_prolate_spectrum",
+           "scale = c ** 3 / 3.0 if parity else c",
+           "scale = c ** 3 / 3.0 if parity else c * (1 + 1e-9)")
+    _assert_fails_its_comparison(validate.check_prolate_route)
+
+
+def test_tensor_check_catches_a_dropped_axis(monkeypatch):
+    monkeypatch.setattr(spectra, "tensor_spectrum",
+                        lambda spec_x, spec_y: spec_x)
+    _assert_fails_its_comparison(validate.check_tensor_route)
+
+
+def test_radial_check_catches_perturbed_sectors(monkeypatch):
+    sector = spectra._sector_eigenvalues
+    monkeypatch.setattr(spectra, "_sector_eigenvalues",
+                        lambda *args: (1.0 + 1e-6) * sector(*args))
+    _assert_fails_its_comparison(validate.check_radial_route)
+
+
+def test_role_swap_check_catches_a_truncated_union_kernel(monkeypatch):
+    # A union kernel that keeps its first interval: the swapped pair's
+    # momentum region is one interval, so only the direct pair changes.
+    kernel = kernels._interval_union_kernel
+    monkeypatch.setattr(kernels, "_interval_union_kernel",
+                        lambda intervals, u: kernel(intervals[:1], u))
+    _assert_fails_its_comparison(validate.check_role_swap)
+
+
 def test_run_all_captures_exceptions(monkeypatch):
     def exploding():
         raise RuntimeError("boom")
@@ -72,10 +151,7 @@ def test_functional_check_requires_convergence(monkeypatch):
     monkeypatch.setattr(functionals, "MAX_LEVELS", 1)
     with pytest.raises(DiscretizationError, match="did not converge"):
         validate.check_functional()
-    monkeypatch.setattr(validate, "ALL_CHECKS", tuple(
-        check for check in validate.ALL_CHECKS
-        if check[0] == "functional_closed_form"))
-    (result,) = validate.run_all()
+    result = _run_one(monkeypatch, "functional_closed_form")
     assert not result.passed
     assert result.detail.startswith("raised DiscretizationError: ")
     assert "did not converge" in result.detail
