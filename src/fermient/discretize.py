@@ -49,9 +49,13 @@ DEFAULT_CONTINUUM_BUDGET = 6000
 DEFAULT_LATTICE_BUDGET = 100_000
 
 # Default spatial sampling density, in nodes per Fermi wavelength
-# 2*pi/p_max.  Eight nodes per oscillation keeps the downstream entropy
-# stable to ~1e-5 under refinement (see the convergence tests); the
-# hard floor below protects short regions at low Fermi momentum.
+# 2*pi/p_max; the hard floor below protects short regions at low Fermi
+# momentum.  Eight nodes per oscillation is not uniformly accurate on
+# interval unions, and a larger region does not make it better: the role
+# swap of (-2, -1) u (1, 2) against [-a, a] (both on this rule, L = 1)
+# reads 6.2e-5 relative at alpha >= 1 for a = 3, 3.0e-7 at 4, 9.1e-8
+# at 6 and 1.0e-6 at 8; that of (-1.5, -0.25) u (0.25, 1.5) reads
+# 3.1e-5 at a = 6 and 1.3e-7 at 8.
 NODES_PER_WAVELENGTH = 8.0
 MIN_NODES_PER_UNIT = 2.0
 

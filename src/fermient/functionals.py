@@ -132,7 +132,13 @@ def log_coefficient_functional(f, reflected=None) -> FunctionalResult:
     geometrically in the step halving for integrands smooth on each side
     of t = 1/2, up to MAX_LEVELS refinements and to an increment below
     TOL; an increment not below TOL at MAX_LEVELS raises
-    DiscretizationError.  The halvings are nested: each keeps the
+    DiscretizationError.  The increment understates the error near the
+    convergence edge: for h_alpha the result is 6.0e-12 off the closed
+    form at alpha = 0.035, where the increment met TOL = 1e-12, and
+    7.6e-14 off at 0.04.  From alpha = 0.05 up it is at most 1.1e-16
+    off, except within 0.06 of alpha = 1, where h_alpha's division by
+    1 - alpha leaves up to 9.3e-16 (608 orders from 0.05 to 10^4 and
+    inf).  The halvings are nested: each keeps the
     running node sum and evaluates only the new midpoints.  Each v node
     evaluates both halves: f at t = expit(-2|u|) <= 1/2, and the half
     t >= 1/2 through its complement s = 1 - t = expit(-2|u|), the

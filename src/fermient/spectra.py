@@ -39,8 +39,13 @@ loop (_window): a window of eigenvectors around 2c / pi, each eigenvalue
 from a ratio of Legendre coefficients (Osipov, Rokhlin & Xiao 2013,
 Prolate Spheroidal Wave Functions of Order Zero) or, near 1, from its
 out-of-band energy, and exact 0s and 1s outside the window.  The
-out-of-band energy is a Bessel series whose Hankel part is kept as real
-and imaginary tables, so it runs on real BLAS products only.
+out-of-band energy is a Bessel series over the K = min(size, ceil(c +
+11 c^(1/3)) + 10) degrees that the near-1 eigenvectors reach: a Gauss
+rule on [1, T], T = (K + 30) / c, then the tail past T, whose
+oscillatory part is taken to second order in 1 / (cT).  Its Hankel part
+is kept as real and imaginary tables, so it runs on real BLAS products
+only.  A near-1 vector with more weight past K than its 1 - lambda
+allows raises SpectralViolationError.
 
 pipeline_spectrum is the chain geometry -> matrix -> spectrum.  A box
 pair's compression separates per axis, so its eigenvalues are products
@@ -109,10 +114,15 @@ INTERIOR_TOL = 1e-12
 # degrees; an eigenvector carrying an interior eigenvalue whose last two
 # coefficients exceed TAIL_TOL in magnitude has not converged in it.
 # Near 1, an eigenvalue whose quotient leaves 1 - lambda under
-# OUT_OF_BAND_TOL takes 1 - lambda from its out-of-band energy.
+# OUT_OF_BAND_TOL takes 1 - lambda from its out-of-band energy, whose
+# Bessel tables hold the degrees below min(size, ceil(c + REACH_EXCESS
+# c^(1/3)) + 10); a vector whose coefficients past them have a norm over
+# REACH_TOL sqrt(1 - lambda) reaches too far for them (_out_of_band).
 PROLATE_PAD = 40
 TAIL_TOL = 1e-13
 OUT_OF_BAND_TOL = 1e-10
+REACH_EXCESS = 11.0
+REACH_TOL = 1e-6
 
 # Radial route: sectors run until the first l >= kR whose largest
 # eigenvalue is below SNAP_TOL.  That takes about 6.3 (kR)^(1/3)
@@ -377,9 +387,8 @@ def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
     recurrence from far enough past max(size, x) that the start does
     not show, normalized by j_0 or j_1, whichever is larger."""
     top = math.ceil(max(size, x.max()) + 20 + 4 * x.max() ** (1 / 3))
-    table = np.empty((top + 1, len(x)))
+    table = np.empty((size, len(x)))
     after, value = np.zeros_like(x), np.ones_like(x)
-    table[top] = value
     for k in range(top, 0, -1):
         after, value = value, (2 * k + 1) / x * value - after
         # A step grows the values by at most (2 top + 1) / x, under 30
@@ -391,23 +400,25 @@ def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
                 table[k:, large] *= 1e-200
                 after[large] *= 1e-200
                 value[large] *= 1e-200
-        table[k - 1] = value
+        if k <= size:
+            table[k - 1] = value
     j0 = np.sin(x) / x
     j1 = j0 / x - np.cos(x) / x
-    scale = np.where(np.abs(j0) >= np.abs(j1), j0 / table[0], j1 / table[1])
-    return table[:size] * scale
+    table *= np.where(np.abs(j0) >= np.abs(j1), j0 / table[0], j1 / table[1])
+    return table
 
 
-def _spherical_hn(x: np.ndarray, size: int) -> np.ndarray:
-    """h_k(x) = j_k(x) + i y_k(x) for k < size, rows k, by forward
-    recurrence, which is stable for both parts while k < x."""
-    out = np.empty((size, len(x)), dtype=complex)
-    phase = np.exp(1j * x)
-    out[0] = -1j * phase / x
-    out[1] = -(x + 1j) * phase / (x * x)
+def _spherical_hn(x: np.ndarray, size: int):
+    """(j_k(x), y_k(x)), the real and imaginary parts of h_k(x), for
+    k < size, rows k, by forward recurrence, which is stable for both
+    while k < x; both parts step together, as rows of one table."""
+    table = np.empty((size, 2, len(x)))
+    real, imag = table[:, 0], table[:, 1]
+    real[0], imag[0] = np.sin(x) / x, -np.cos(x) / x
+    real[1], imag[1] = real[0] / x + imag[0], imag[0] / x - real[0]
     for k in range(1, size - 1):
-        out[k + 1] = (2 * k + 1) / x * out[k] - out[k - 1]
-    return out
+        table[k + 1] = (2 * k + 1) / x * table[k] - table[k - 1]
+    return real, imag
 
 
 def _out_of_band(c: float, size: int):
@@ -419,42 +430,74 @@ def _out_of_band(c: float, size: int):
     beta_k, up to a unit phase, and 1 - lambda = (c/pi) int_1^inf
     psi^(c t)^2 dt.  The sum is taken pointwise, so a tiny
     psi^ beyond the band is not the difference of two numbers near 1.
-    Gauss-Legendre covers [1, T], T = (size + 30) / c, where every k is
-    below c t.  Past T, with H = sum_k a_k h_k(c t) and psi^ = Re H, the
+    The tables hold the degrees k < K = min(size, ceil(c + REACH_EXCESS
+    c^(1/3)) + 10), which the near-1 vectors' coefficients reach: from
+    c = 13.1, where the first near-1 vector appears, to the default
+    budget's c = 3973, the degrees whose norm the guard below would
+    refuse end 20 to 36 degrees short of K.  Gauss-Legendre covers
+    [1, T], T = (K + 30) / c, past which every k < K is below c t.
+    Past T, with H = sum_k a_k h_k(c t) and psi^ = Re H, the
     integrand is |H|^2 / 2, smooth and integrated in s = T / t, plus
-    Re(H^2) / 2, whose integral is -Re H Im H / (2c) at T to first order
-    in 1 / (c T).  The a_k are real, so Re H and Im H are two real
-    products with the real and imaginary parts of the h_k table.  The
-    complex product would go to complex BLAS, which at two threads runs
-    a 49 x 245 x 10 product multithreaded in 8 ms, against 0.02 ms for
-    the two real ones (2-vCPU VM, c = 300).
+    Re(H^2) / 2.  With H^2 = e^(2iX) G(X), X = c t, integration by parts
+    gives that part's integral as Re of -H^2 / (2i) - e^(2iX) G'(X) / 4
+    at X = cT, over 2c, to second order in 1 / (c T); e^(2iX) G' is
+    2 H (H' - i H), and H' comes from the same Hankel column through
+    h_k' = h_k-1 - (k + 1) h_k / X (h_0' = -h_1).  The a_k are real,
+    so Re H and Im H are two real products with the j_k and y_k tables.
+    The complex product would go to complex BLAS, which at two threads
+    runs a 49 x 245 x 10 product multithreaded in 8 ms, against 0.02 ms
+    for the two real ones (2-vCPU VM, c = 300).
+    The degrees from K up add to psi^ a part whose out-of-band energy is
+    at most their squared norm (int_R j_m j_k dx = pi delta_mk /
+    (2k + 1)), so leaving them out moves sqrt(1 - lambda) by at most
+    that norm.  A vector whose norm there is over REACH_TOL
+    sqrt(1 - lambda), which could move 1 - lambda by over 2 REACH_TOL
+    relative, raises SpectralViolationError.
     Returns a function of (k, coefficient columns); its rules and tables
     are built on its first call (never at c = 0), for both parities.
     """
     from scipy.special import roots_legendre
 
+    reach = min(size, math.ceil(c + REACH_EXCESS * c ** (1 / 3)) + 10)
+
     @functools.cache
     def tables():
-        T = (size + 30) / c
+        T = (reach + 30) / c
         x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
         t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
         s, w_s = roots_legendre(48)
         s = 0.5 * (s + 1.0)
-        h_table = _spherical_hn(c * np.concatenate([[T], T / s]), size)
-        return (0.5 * (T - 1) * w, _spherical_jn(c * t, size),
-                0.25 * T * w_s / (s * s), h_table.real.copy(),
-                h_table.imag.copy())
+        h_real, h_imag = _spherical_hn(c * np.concatenate([[T], T / s]),
+                                       reach)
+        # j_k' and y_k' at cT.
+        slopes = [np.concatenate([[-part[1, 0]], part[:-1, 0]
+                                  - np.arange(2, reach + 1) * part[1:, 0]
+                                  / (c * T)])
+                  for part in (h_real, h_imag)]
+        return (0.5 * (T - 1) * w, _spherical_jn(c * t, reach),
+                0.25 * T * w_s / (s * s), h_real, h_imag, *slopes)
 
     def energy(k: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
             * coefficients
-        w, j_table, w_outer, h_real, h_imag = tables()
-        rows = k.astype(int)
+        w, j_table, w_outer, h_real, h_imag, slope_real, slope_imag = tables()
+        reached = k < reach
+        rows, a = k[reached].astype(int), a[reached]
         inner = w @ (j_table[rows].T @ a) ** 2
         H_real, H_imag = h_real[rows].T @ a, h_imag[rows].T @ a
+        # Re(H (H' - i H)) at cT, the second-order term's factor.
+        second = H_real[0] * (slope_real[rows] @ a + H_imag[0]) \
+            - H_imag[0] * (slope_imag[rows] @ a - H_real[0])
         outer = w_outer @ (H_real[1:] ** 2 + H_imag[1:] ** 2) \
-            - H_real[0] * H_imag[0] / (2 * c)
-        return c / math.pi * (inner + outer)
+            - H_real[0] * H_imag[0] / (2 * c) - second / (4 * c)
+        gaps = c / math.pi * (inner + outer)
+        dropped = np.sqrt(np.sum(coefficients[~reached] ** 2, axis=0))
+        if not np.all(dropped <= REACH_TOL * np.sqrt(gaps)):
+            raise SpectralViolationError(
+                f"prolate eigenvector near 1 has norm {np.max(dropped):.3g} "
+                f"at degrees {reach} and up, over {REACH_TOL:.1g} "
+                f"sqrt(1 - lambda) (c={c:.6g})")
+        return gaps
 
     return energy
 

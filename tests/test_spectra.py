@@ -675,41 +675,9 @@ def _mp_prolate_gaps(c, size, parity, digits=40):
         return np.array(gaps)
 
 
-@pytest.mark.parametrize("parity", [0, 1])
-def test_prolate_gap_near_one_against_mpmath(parity):
-    # At c = 30 the quotient alone leaves 1 - lambda with an error of
-    # up to 7e-15 (it reads -7e-15 for a true 3.5e-17); the out-of-band
-    # energy takes it to 1e-5 relative, and the stored lambda = 1 - gap
-    # then rounds at 1.1e-16.
-    c, size = 30.0, math.ceil(1.5 * 30.0) + spectra.PROLATE_PAD
-    exact = _mp_prolate_gaps(c, size, parity)
-    # Every copy, even parity's first; exact lists one parity's gaps in
-    # descending order of lambda.
-    lam = np.repeat(*spectra._prolate_spectrum(c, size))
-    half = lam[:(size + 1) // 2] if parity == 0 else lam[(size + 1) // 2:]
-    half = np.sort(half)[::-1]
-    near_one = exact < 1e-3
-    assert np.count_nonzero(near_one) >= 5
-    np.testing.assert_allclose((1.0 - half)[near_one], exact[near_one],
-                               rtol=1e-4, atol=1.2e-16)
-    deep = exact < 1e-16
-    assert np.all(half[deep] == 1.0)
-
-
-def test_out_of_band_energy_matches_complex_product(monkeypatch):
-    # The route takes Re H and Im H as two real products; here H is the
-    # complex product of the same Hankel table, on every window
-    # eigenvector the route sends to the out-of-band energy at c = 300.
-    # The sums behind each energy cancel to 1e-10 and below, so its last
-    # digits are the rounding of those sums in whatever order a product
-    # takes them (the complex product itself moves them by up to 3e-8
-    # relative between one and two BLAS threads).  The energies must
-    # agree to 1e-14 of the first-order size of that rounding: the
-    # energy's terms, each squared sum taken as |sum| times the sum of
-    # absolute values.
-    from scipy.special import roots_legendre
-
-    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
+def _record_out_of_band(monkeypatch):
+    """Patch spectra._out_of_band so each energy call appends its
+    (degrees, coefficient columns, gaps) to the returned list."""
     calls = []
     original = spectra._out_of_band
 
@@ -723,39 +691,121 @@ def test_out_of_band_energy_matches_complex_product(monkeypatch):
         return recorded
 
     monkeypatch.setattr(spectra, "_out_of_band", recording)
+    return calls
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_prolate_gap_near_one_against_mpmath(parity, monkeypatch):
+    # At c = 30 the quotient alone leaves 1 - lambda with an error of
+    # up to 7e-15 (it reads -7e-15 for a true 3.5e-17); the out-of-band
+    # energy takes it to 2e-6 relative, and the stored lambda = 1 - gap
+    # then rounds at 1.1e-16.
+    c, size = 30.0, math.ceil(1.5 * 30.0) + spectra.PROLATE_PAD
+    calls = _record_out_of_band(monkeypatch)
+    exact = _mp_prolate_gaps(c, size, parity)
+    # Every copy, even parity's first; exact lists one parity's gaps in
+    # descending order of lambda.
+    lam = np.repeat(*spectra._prolate_spectrum(c, size))
+    half = lam[:(size + 1) // 2] if parity == 0 else lam[(size + 1) // 2:]
+    half = np.sort(half)[::-1]
+    near_one = exact < 1e-3
+    assert np.count_nonzero(near_one) >= 5
+    np.testing.assert_allclose((1.0 - half)[near_one], exact[near_one],
+                               rtol=1e-4, atol=1.2e-16)
+    deep = exact < 1e-16
+    assert np.all(half[deep] == 1.0)
+    # The gaps themselves, before lambda = 1 - gap rounds them away, run
+    # from 3e-11 down to 3.4e-25 and read at most 1.8e-6 relative off
+    # (2.4e-5 with the first-order tail alone, on tables of every
+    # degree).  Each parity's window starts at index 0, so its near-1
+    # vectors are the first of its gaps.
+    mine = [gaps for k, _, gaps in calls if k[0] == parity]
+    assert mine
+    for gaps in mine:
+        assert len(gaps) >= 4
+        np.testing.assert_allclose(gaps, exact[:len(gaps)], rtol=5e-6,
+                                   atol=0.0)
+
+
+def test_prolate_reach_guard(monkeypatch):
+    # Tables cut at c + 10 = 40 degrees leave the near-1 vectors at
+    # c = 30 a norm of up to 5e-7 past the cut, far over REACH_TOL
+    # sqrt(1 - lambda); at the default cut, 75 degrees, that norm is at
+    # most 1.7e-11 sqrt(1 - lambda).
+    monkeypatch.setattr(spectra, "REACH_EXCESS", 0.0)
+    with pytest.raises(SpectralViolationError, match="degrees 40 and up"):
+        pipeline_spectrum(GAMMA, OMEGA, 60.0)
+
+
+def test_out_of_band_energy_matches_complex_product(monkeypatch):
+    # The route takes Re H and Im H as two real products; here H is the
+    # complex product of the same Hankel tables, and H' that of the
+    # derivative column from h_k' = h_k-1 - (k + 1) h_k / X, on every
+    # window eigenvector the route sends to the out-of-band energy at
+    # c = 300, over the degrees below the tables' cut.
+    # The sums behind each energy cancel to 1e-10 and below, so its last
+    # digits are the rounding of those sums in whatever order a product
+    # takes them (the complex product itself moves them by up to 3e-8
+    # relative between one and two BLAS threads).  The energies must
+    # agree to 1e-14 of the first-order size of that rounding: the
+    # energy's terms, each squared sum taken as |sum| times the sum of
+    # absolute values.
+    from scipy.special import roots_legendre
+
+    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
+    calls = _record_out_of_band(monkeypatch)
     spectra._prolate_spectrum(c, size)
     assert len(calls) == 2
 
-    T = (size + 30) / c
+    reach = math.ceil(c + spectra.REACH_EXCESS * c ** (1 / 3)) + 10
+    assert reach < size
+    T = (reach + 30) / c
     x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
     t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
     w = 0.5 * (T - 1) * w
     s, w_s = roots_legendre(48)
     s = 0.5 * (s + 1.0)
     v = 0.25 * T * w_s / (s * s)
-    j_table = spectra._spherical_jn(c * t, size)
-    h_table = spectra._spherical_hn(c * np.concatenate([[T], T / s]), size)
+    j_table = spectra._spherical_jn(c * t, reach)
+    h_real, h_imag = spectra._spherical_hn(c * np.concatenate([[T], T / s]),
+                                           reach)
+    h_table = h_real + 1j * h_imag
+    h_slope = np.concatenate([[-h_table[1, 0]], h_table[:-1, 0]
+                              - np.arange(2, reach + 1) * h_table[1:, 0]
+                              / (c * T)])
     for k, coefficients, gaps in calls:
+        assert k[-1] >= reach
+        reached = k < reach
         a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
             * coefficients
-        J, H_table = j_table[k.astype(int)].T, h_table[k.astype(int)].T
+        a, rows = a[reached], k[reached].astype(int)
+        J, H_table, H_slope = j_table[rows].T, h_table[rows].T, h_slope[rows]
         psi, H = J @ a, H_table @ a.astype(complex)
-        assert H.dtype == complex
+        D = H_slope @ a.astype(complex) - 1j * H[0]
+        assert H.dtype == D.dtype == complex
         expected = c / math.pi * (w @ psi ** 2 + v @ np.abs(H[1:]) ** 2
-                                  - H[0].real * H[0].imag / (2 * c))
+                                  - H[0].real * H[0].imag / (2 * c)
+                                  - (H[0] * D).real / (4 * c))
         psi_size = np.abs(J) @ np.abs(a)
         H_size = np.abs(H_table) @ np.abs(a)
+        D_size = np.abs(H_slope) @ np.abs(a) + H_size[0]
         rounding = c / math.pi * (w @ (np.abs(psi) * psi_size)
                                   + v @ (np.abs(H[1:]) * H_size[1:])
-                                  + np.abs(H[0]) * H_size[0] / (2 * c))
+                                  + np.abs(H[0]) * H_size[0] / (2 * c)
+                                  + (np.abs(H[0]) * D_size
+                                     + np.abs(D) * H_size[0]) / (4 * c))
         assert np.all(np.abs(gaps - expected) <= 1e-14 * rounding)
         assert np.all(gaps > 0.0)
 
 
 def test_spherical_jn_rescales_past_overflow():
-    # At c = 1200 the backward recurrence passes 1e200 on some of the
-    # out-of-band nodes, and the rows already stored there are rescaled
-    # with it; a row left unscaled would be off by 1e200.
+    # Tables of every degree of the c = 1200 basis, on nodes of [1, T]
+    # with T = (size + 30) / c: the backward recurrence passes 1e200 on
+    # some nodes from degree 1376 down, and the rows already stored there
+    # are rescaled with it; a row left unscaled would be off by 1e200.
+    # (The route's tables stop at the near-1 reach; there the values grow
+    # by at most 1e180 for c from 0.5 to the default budget's 3973, and
+    # the rescaling never runs.)
     from scipy.special import roots_legendre, spherical_jn
 
     c = 1200.0
