@@ -21,6 +21,7 @@ to the product of the two endpoint counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,19 @@ TWO_PI = 2.0 * math.pi
 
 # Most surface node pairs |qa| * |qb| the quadrature route of widom_J
 # will sum, a bound on its time: in 3D, a ball/ball pair at resolution
-# 105 (4.9e8 pairs) fits and 106 does not.  _cosine_sum holds one block
-# of min(|qa|, 2048) x |qb| floats, 0.36 GB for that pair.
+# 105 (4.9e8 pairs) fits and 106 does not.
 MAX_COSINE_PAIRS = 500_000_000
+# Most floats in _cosine_sum's row block (2 MiB), or one row of |qb|
+# floats when a row alone is larger: 11 rows x 22050 columns for the
+# ball/ball pair at resolution 105.
+COSINE_BLOCK_FLOATS = 2 ** 18
 # Most nodes in one surface rule.  A polytope's rule is its few faces,
 # so a ball/polytope pair is bounded by the ball's rule alone: in 3D,
 # resolution 1414 (4.0e6 nodes, about 0.3 GB at peak) fits.
 MAX_SURFACE_NODES = 4_000_000
+# Samples widom_J_monte_carlo draws and reduces at a time, so that its
+# memory (about 1.5 MiB) does not grow with the sample count.
+MC_CHUNK = 2 ** 14
 
 
 class GeometryError(ValueError):
@@ -438,11 +445,14 @@ def _check_same_dim(gamma, omega):
 def _cosine_sum(qa: SurfaceQuadrature, qb: SurfaceQuadrature) -> float:
     """Double sum of w_a w_b |m . n| over two surface quadratures.
 
-    Blocked over rows into one reused buffer to bound memory; summation
-    order is fixed, so the result does not depend on block size.
+    Blocked over rows into one reused buffer of at most
+    COSINE_BLOCK_FLOATS floats (at least one row) to bound memory.  The
+    blocks' sums are added in a fixed order, but the block size groups
+    the additions: blocks of 2048 rows gave sums up to 2.4e-14 relative
+    off these (1.1e-15 on the 3D ball pair at resolution 105).
     """
     total = 0.0
-    block = 2048
+    block = max(1, COSINE_BLOCK_FLOATS // len(qb))
     buffer = np.empty((min(block, len(qa)), len(qb)))
     for i0 in range(0, len(qa), block):
         rows = qa.normals[i0:i0 + block]
@@ -552,21 +562,31 @@ def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> flo
     )
 
 
-def _sample_normals(domain: Domain, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Outward normals at count boundary points uniform in surface measure
-    (d >= 2): ball directions, or polytope faces drawn by measure."""
+def _normal_sampler(domain: Domain):
+    """(k, normals) for a d >= 2 boundary: normals maps an (m, k) array
+    of uniforms on [0, 1) to the outward normals at m boundary points
+    uniform in surface measure.  A ball's are directions (a 2D ball
+    takes the angle 2*pi*u, a 3D ball z = 2u - 1 and the azimuth
+    2*pi*u); a polytope's are its faces drawn by measure, found as
+    Generator.choice does, by searchsorted on the cumulative measures."""
     if isinstance(domain, Ball):
         if domain.dim == 2:
-            theta = rng.uniform(0.0, TWO_PI, count)
-            return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        z = rng.uniform(-1.0, 1.0, count)
-        phi = rng.uniform(0.0, TWO_PI, count)
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+            def normals(u):
+                theta = TWO_PI * u[:, 0]
+                return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            return 1, normals
+
+        def normals(u):
+            z = 2.0 * u[:, 0] - 1.0
+            phi = TWO_PI * u[:, 1]
+            rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+        return 2, normals
     faces = domain.surface_quadrature(1)
-    return rng.choice(faces.normals, size=count,
-                      p=faces.weights / faces.weights.sum())
+    cdf = np.cumsum(faces.weights)
+    cdf /= cdf[-1]
+    return 1, lambda u: faces.normals[np.searchsorted(cdf, u[:, 0],
+                                                      side="right")]
 
 
 def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
@@ -576,18 +596,38 @@ def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
     J depends on the normals only: the mean of |m . n| over `samples`
     pairs, each normal uniform in surface measure on its boundary, times
     (2*pi)^(1-d) and both boundary measures.  error_estimate is three
-    standard errors.  Balls and polytopes in d = 2, 3 are supported.
+    standard errors (ddof = 1).  Balls and polytopes in d = 2, 3 are
+    supported; samples must be an integer >= 2.
+
+    The pairs are drawn and reduced MC_CHUNK at a time, so memory does
+    not grow with `samples`; the chunks' means and squared deviations
+    are merged by the pairwise update of Chan, Golub & LeVeque.  Each
+    pair takes one row of uniforms, gamma's columns then omega's, so the
+    sample sequence does not depend on the chunk size.
     """
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise GeometryError(f"samples: need an integer >= 2, got {samples!r}")
     _check_same_dim(gamma, omega)
     d = gamma.dim
     if d == 1:
         return widom_J(gamma, omega)
     if rng is None:
         rng = np.random.default_rng(0)
-    m = _sample_normals(gamma, samples, rng)
-    n = _sample_normals(omega, samples, rng)
-    vals = np.abs(np.einsum("ij,ij->i", m, n))
+    k_gamma, gamma_normals = _normal_sampler(gamma)
+    k_omega, omega_normals = _normal_sampler(omega)
+    count, mean, square_sum = 0, 0.0, 0.0
+    for start in range(0, samples, MC_CHUNK):
+        size = min(MC_CHUNK, samples - start)
+        u = rng.random((size, k_gamma + k_omega))
+        vals = np.abs(np.einsum("ij,ij->i", gamma_normals(u[:, :k_gamma]),
+                                omega_normals(u[:, k_gamma:])))
+        chunk_mean = float(vals.mean())
+        vals -= chunk_mean
+        delta = chunk_mean - mean
+        total = count + size
+        mean += delta * size / total
+        square_sum += float(vals @ vals) + delta * delta * count * size / total
+        count = total
     scale = TWO_PI ** (1 - d) * gamma.boundary_measure() * omega.boundary_measure()
-    value = scale * float(vals.mean())
-    stderr = scale * float(vals.std(ddof=1) / math.sqrt(samples))
-    return WidomCoefficient(value, "monte_carlo", 3.0 * stderr)
+    stderr = math.sqrt(square_sum / (samples - 1) / samples)
+    return WidomCoefficient(scale * mean, "monte_carlo", 3.0 * scale * stderr)

@@ -385,7 +385,14 @@ def _lattice_spectrum(k_fermi: float, n: int):
 def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
     """j_k(x) for k < size at every x > 0, rows k, by Miller's backward
     recurrence from far enough past max(size, x) that the start does
-    not show, normalized by j_0 or j_1, whichever is larger."""
+    not show, normalized by j_0 or j_1, whichever is larger.
+
+    On the prolate route's own nodes (x = c t on [1, T], degrees below
+    the near-1 reach) the recurrence grows by at most 1e97 for
+    c >= 13.1, where tables are first built, 1e180 at c = 0.5 and 1e35
+    at the default budget's c = 3973, so the 1e200 rescaling below
+    never runs there; it guards other inputs, such as tables over
+    every degree of a large basis."""
     top = math.ceil(max(size, x.max()) + 20 + 4 * x.max() ** (1 / 3))
     table = np.empty((size, len(x)))
     after, value = np.zeros_like(x), np.ones_like(x)

@@ -21,6 +21,10 @@ from fermient.geometry import (
 )
 
 TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+DISK = Ball((0.0, 0.0), 1.0)
+BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
+CUBE = Box(((0.0, 1.0),) * 3)
+SQUARE = Box(((0.0, 1.0), (0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +340,9 @@ def test_widom_J_sphere_matches_quadrature_in_3d():
 
 
 def test_cosine_sum_holds_one_block():
-    # |qa| = 3200 rows in two blocks against |qb| = 7200 columns: the
-    # peak is one 2048 x |qb| buffer, not a product and its abs copy.
+    # |qa| = 3200 rows in blocks of 36 against |qb| = 7200 columns: the
+    # peak is one buffer of at most COSINE_BLOCK_FLOATS floats, not a
+    # product and its abs copy, nor a block of a fixed row count.
     ball = Ball((0.0, 0.0, 0.0), 1.0)
     qa, qb = ball.surface_quadrature(40), ball.surface_quadrature(60)
     assert (len(qa), len(qb)) == (3200, 7200)
@@ -347,7 +352,7 @@ def test_cosine_sum_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 2048 * len(qb) * 8
+    assert peak <= 1.1 * geometry.COSINE_BLOCK_FLOATS * 8
 
 
 def test_widom_J_quadrature_refuses_oversized_pair_block(monkeypatch):
@@ -408,8 +413,8 @@ def test_widom_J_monte_carlo_within_error():
 def test_sampled_normals_follow_face_measures(domain):
     faces = domain.faces()
     count = 100_000
-    normals = geometry._sample_normals(domain, count,
-                                       np.random.default_rng(5))
+    k, sampler = geometry._normal_sampler(domain)
+    normals = sampler(np.random.default_rng(5).random((count, k)))
     hits = np.array([np.all(normals == n, axis=1).sum() for _, n in faces])
     assert hits.sum() == count          # every sample is some face normal
     share = np.array([m for m, _ in faces]) / domain.boundary_measure()
@@ -428,6 +433,56 @@ def test_widom_J_monte_carlo_3d_within_error(ball_first):
     estimate = widom_J_monte_carlo(gamma, omega,
                                    rng=np.random.default_rng(3))
     assert abs(estimate.value - exact) < estimate.error_estimate
+
+
+@pytest.mark.parametrize("gamma, omega", [
+    (BALL3, CUBE), (CUBE, BALL3), (DISK, SQUARE), (BALL3, BALL3),
+    (TRIANGLE, ConvexPolygon(((0.0, 0.0), (3.0, 0.0), (2.0, 1.5),
+                              (0.0, 1.0)))),
+], ids=["ball3-box3", "box3-ball3", "disk-square", "ball3-ball3",
+        "polygon-pair"])
+def test_widom_J_monte_carlo_does_not_depend_on_chunk_size(monkeypatch,
+                                                           gamma, omega):
+    # Each sample takes one row of uniforms, so the draws are the same
+    # sequence at any chunk size; only the merge of the chunks' sums
+    # rounds differently.
+    samples = 50_000
+
+    def estimate():
+        return widom_J_monte_carlo(gamma, omega, samples,
+                                   np.random.default_rng(17))
+
+    default = estimate()
+    for chunk in (1000, samples):
+        monkeypatch.setattr(geometry, "MC_CHUNK", chunk)
+        other = estimate()
+        assert other.value == pytest.approx(default.value, rel=1e-14, abs=0)
+        assert other.error_estimate == pytest.approx(default.error_estimate,
+                                                     rel=1e-14, abs=0)
+
+
+def test_widom_J_monte_carlo_memory_does_not_grow_with_samples():
+    # Holding 2e6 normals of each side at once takes 122 MiB traced;
+    # chunks of MC_CHUNK samples hold about 1.5 MiB.
+    tracemalloc.start()
+    try:
+        widom_J_monte_carlo(BALL3, CUBE, samples=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples", [0, 1, -5, 2.5])
+def test_widom_J_monte_carlo_refuses_bad_sample_count(samples):
+    with pytest.raises(GeometryError, match=r"^samples: need an integer "
+                                            r">= 2, got "):
+        widom_J_monte_carlo(DISK, SQUARE, samples)
+
+
+def test_widom_J_monte_carlo_takes_numpy_integer_samples():
+    estimate = widom_J_monte_carlo(DISK, SQUARE, np.int64(2))
+    assert np.isfinite(estimate.error_estimate)
 
 
 def test_widom_J_argument_errors():
