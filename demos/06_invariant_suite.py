@@ -8,11 +8,8 @@ cross-checks, the closed-form functional values, dilatation
 equivalence, and the Nystrom trace rule.
 """
 
-from fermient.validate import run_all
+import sys
 
-results = run_all()
-width = max(len(r.name) for r in results)
-for r in results:
-    status = "PASS" if r.passed else "FAIL"
-    print(f"{r.name:<{width}}  {status}  {r.seconds:7.3f}s  {r.detail}")
-print(f"\n{sum(r.passed for r in results)}/{len(results)} checks passed")
+from fermient.cli import main
+
+sys.exit(main(["validate"]))

@@ -26,13 +26,12 @@ The usual entry points:
 
 from .asymptotics import (ScalingFit, SweepResult, compare_theory,
                           fit_scaling, sweep)
-from .discretize import DiscretizedOperator, lattice_correlation, nystrom
+from .discretize import lattice_correlation, nystrom
 from .functionals import (entropy_function, entropy_log_coefficient,
                           log_coefficient_functional,
                           predicted_log_prefactor)
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, interval, widom_J, widom_J_monte_carlo,
-                       widom_J_sphere)
+                       IntervalUnion, interval, widom_J, widom_J_monte_carlo)
 from .kernels import FermiKernel
 from .spectra import (EntropyResult, PipelineConfig, Spectrum, eigenvalues,
                       pipeline_spectrum, renyi_entropy, tensor_spectrum)
@@ -42,11 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
     "IntervalUnion", "interval",
-    "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
+    "widom_J", "widom_J_monte_carlo",
     "entropy_function", "entropy_log_coefficient",
     "log_coefficient_functional", "predicted_log_prefactor",
     "FermiKernel",
-    "DiscretizedOperator", "nystrom", "lattice_correlation",
+    "nystrom", "lattice_correlation",
     "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum",

@@ -137,7 +137,8 @@ class ScalingFit:
     log_coefficient multiplies L^(d-1) ln L (the enhanced term),
     area_coefficient multiplies L^(d-1) (a constant in d = 1).
     condition_number refers to the design matrix; stderr are the usual
-    diagonal-covariance estimates."""
+    diagonal-covariance estimates; window is the fitted range
+    (min L, max L)."""
 
     d: int
     log_coefficient: float
@@ -151,31 +152,19 @@ class ScalingFit:
     model: str
 
 
-def _design_matrix(L: np.ndarray, d: int) -> np.ndarray:
-    if d == 1:
-        return np.column_stack([np.log(L), np.ones_like(L)])
-    area = L ** (d - 1)
-    return np.column_stack([area * np.log(L), area])
-
-
-def fit_scaling(data: SweepResult, window=None) -> ScalingFit:
-    """Least squares of S(L) on the two leading scaling terms.
-
-    d is the dimension of the sweep geometry.  window = (L_min, L_max)
-    restricts the fit (inclusive); at least MIN_FIT_POINTS must survive
-    it.
+def fit_scaling(data: SweepResult) -> ScalingFit:
+    """Least squares of S(L) on the two leading scaling terms, over every
+    L of the sweep (at least MIN_FIT_POINTS); d is the dimension of the
+    sweep geometry.
     """
     L, S = data.L_values, data.S_values
     d = data.gamma.dim
-    if window is None:
-        window = (float(L.min()), float(L.max())) if len(L) else (0.0, 0.0)
-    keep = (L >= window[0]) & (L <= window[1])
-    L, S = L[keep], S[keep]
     if len(L) < MIN_FIT_POINTS:
-        raise FitError(f"fit window {window} keeps {len(L)} points; "
+        raise FitError(f"the fit has {len(L)} points; "
                        f"need >= {MIN_FIT_POINTS}")
 
-    X = _design_matrix(L, d)
+    area = L ** (d - 1)
+    X = np.column_stack([area * np.log(L), area])
     condition = float(np.linalg.cond(X))
     coef, _, rank, _ = np.linalg.lstsq(X, S, rcond=None)
     if rank < 2:
@@ -194,7 +183,7 @@ def fit_scaling(data: SweepResult, window=None) -> ScalingFit:
         area_coefficient=float(coef[1]),
         stderr_log=float(stderr[0]),
         stderr_area=float(stderr[1]),
-        window=(float(window[0]), float(window[1])),
+        window=(float(L.min()), float(L.max())),
         npoints=int(len(L)),
         residual_norm=float(np.linalg.norm(residuals)),
         condition_number=condition,

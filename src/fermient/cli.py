@@ -11,7 +11,8 @@ Subcommands:
                 where a boundary is a ball and by Monte Carlo in d >= 2
     functional  I(h_alpha) by quadrature vs the closed form over an
                 alpha grid
-    validate    structural invariants and each route against its oracle
+    validate    structural invariants and each route against its oracle,
+                one table line per check with its detail
 
 Each command but validate reads `--config PATH` plus inline `key=value`
 overrides (same syntax as config lines, before or after any flag; a
@@ -41,16 +42,17 @@ from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
                           fit_scaling, sweep)
 from .config import (ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
-                     pipeline_config_from, window_from_config)
+                     pipeline_config_from)
 from .discretize import DiscretizationError
-from .functionals import (entropy_log_coefficient,
+from .functionals import (TOL, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
                           predicted_log_prefactor)
 from .geometry import (GeometryError, _check_same_dim, _largest_resolution,
                        widom_J, widom_J_monte_carlo)
-from .records import (SCHEMA_VERSION, append_partial_row, config_hash,
-                      entropy_result, entropy_row, fit_block, j_block,
-                      load_partial_rows, make_record, write_csv, write_json)
+from .records import (SCHEMA_VERSION, _json_safe, append_partial_row,
+                      config_hash, entropy_result, entropy_row, fit_block,
+                      j_block, load_partial_rows, make_record, write_csv,
+                      write_json)
 from .spectra import SpectralViolationError, lattice_sites
 from .validate import run_all
 
@@ -143,16 +145,11 @@ def cmd_sweep(args) -> int:
     grid = grid_from_config(config.require("sweep.L"))
     if pipeline.mode == "lattice":
         grid = _lattice_grid(grid, omega)
-    window = None
-    if "sweep.window" in config:
-        window = window_from_config(config.require("sweep.window"))
     config.check_read("sweep")
-    lo, hi = window or (grid.min(), grid.max())
-    inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
-    if inside < MIN_FIT_POINTS:
+    if len(grid) < MIN_FIT_POINTS:
         raise ConfigError(
-            f"fit window [{lo:g}, {hi:g}] keeps {inside} of the {len(grid)} "
-            f"sweep.L points; the fit needs at least {MIN_FIT_POINTS}")
+            f"sweep.L has {len(grid)} distinct L values; the fit needs at "
+            f"least {MIN_FIT_POINTS}")
 
     # Partial rows are one line per (alpha, L); an L is solved again
     # unless every requested order was persisted for it.
@@ -175,7 +172,7 @@ def cmd_sweep(args) -> int:
     rows, fits = [], []
     for alpha, result_set in by_order.items():
         rows.extend(entropy_row(r) for r in result_set.results)
-        fit = fit_scaling(result_set, window=window)
+        fit = fit_scaling(result_set)
         comparison = compare_theory(fit, J.value, alpha)
         fits.append(fit_block(fit, comparison, alpha))
 
@@ -240,6 +237,11 @@ def cmd_functional(args) -> int:
     for alpha in alphas:
         target = predicted_log_prefactor(alpha)
         numeric = entropy_log_coefficient(alpha)
+        abs_dev = abs(numeric.value - target)
+        if not abs_dev <= TOL:
+            raise DiscretizationError(
+                f"I(h_alpha) at alpha={alpha:g}: the quadrature is "
+                f"{abs_dev:.3g} off the closed form, over {TOL:g}")
         dilog_value = entropy_log_coefficient_dilog(alpha)
         dilog_dev = abs(dilog_value - target)
         if not dilog_dev <= 1e-12:
@@ -247,10 +249,10 @@ def cmd_functional(args) -> int:
                 f"I(h_alpha) at alpha={alpha:g}: the dilogarithm route is "
                 f"{dilog_dev:.3g} off the closed form, over 1e-12")
         rows.append({
-            "alpha": "inf" if math.isinf(alpha) else alpha,
+            "alpha": _json_safe(alpha),
             "numeric": numeric.value,
             "closed_form": target,
-            "abs_dev": abs(numeric.value - target),
+            "abs_dev": abs_dev,
             "dilog_route": dilog_value,
             "dilog_abs_dev": dilog_dev,
             "evaluations": numeric.evaluations,
@@ -268,10 +270,8 @@ def cmd_validate(args) -> int:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"{r.name:<{width}}  {status}  {r.seconds:7.3f}s"
-        if args.verbose or not r.passed:
-            line += f"  {r.detail}"
-        lines.append(line)
+        lines.append(f"{r.name:<{width}}  {status}  {r.seconds:7.3f}s  "
+                     f"{r.detail}")
     lines.append(
         f"{len(results) - len(failures)}/{len(results)} checks passed")
     _print("\n".join(lines))
@@ -329,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the invariant suite")
     sp.add_argument("--out", help="write a JSON report here")
-    sp.add_argument("--verbose", action="store_true",
-                    help="print per-check details and timings")
     sp.set_defaults(handler=cmd_validate)
 
     return parser

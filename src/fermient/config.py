@@ -21,8 +21,8 @@ does not read for its input is a config error that names it:
     seed                    integer >= 0, read by jcoeff's Monte Carlo
                             estimate only (jcoeff --seed sets it too),
                             so d >= 2 pairs only
-    gamma.shape             interval_union | box | ball | polygon
-    gamma.intervals         a:b[,c:d...]        (interval_union)
+    gamma.shape             interval | box | ball | polygon
+    gamma.intervals         a:b[,c:d...]        (interval)
     gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis; one
                                                 pair is the interval lo:hi)
     gamma.center            x[,y[,z]]           (ball; one coordinate c is
@@ -33,10 +33,9 @@ does not read for its input is a config error that names it:
     omega.*                 same scheme as gamma.*
     entropy.L               dilation for single-point runs (finite, > 0)
     sweep.L                 lo:hi:count (geometric grid) or explicit list
-                            of distinct finite L > 0
-    sweep.window            lo:hi fit window, lo < hi (default: whole
-                            grid); it must keep >= 4 grid points, counted
-                            after lattice rounding
+                            of distinct finite L > 0; the fit takes every
+                            L and needs >= 4, counted after lattice
+                            rounding
     disc.budget             max size of the route, integer >= 1: lattice
                             sites (default 100000), else Nystrom rows,
                             Legendre degrees per prolate axis or radial
@@ -68,7 +67,6 @@ __all__ = [
     "serialize_config",
     "domain_from_config",
     "grid_from_config",
-    "window_from_config",
     "alphas_from_config",
     "pipeline_config_from",
 ]
@@ -202,7 +200,7 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
         if shape is None:
             raise ConfigError(f"missing {prefix}.shape (or {prefix}.k_fermi)")
         shape = shape.strip().lower()
-        if shape in ("interval", "interval_union"):
+        if shape == "interval":
             raw = config.require(f"{prefix}.intervals")
             return IntervalUnion(_parse_pairs(raw, f"{prefix}.intervals"))
         if shape == "box":
@@ -220,7 +218,7 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
                 _check_ball(center, radius)
                 return interval(center[0] - radius, center[0] + radius)
             return Ball(tuple(center), radius)
-        if shape in ("polygon", "convex_polygon"):
+        if shape == "polygon":
             raw = config.require(f"{prefix}.vertices")
             return ConvexPolygon(_parse_pairs(raw, f"{prefix}.vertices"))
     except GeometryError as exc:
@@ -253,19 +251,6 @@ def grid_from_config(raw: str) -> np.ndarray:
     if not all(0 < L < math.inf for L in grid) or len(set(grid)) < len(grid):
         raise ConfigError(f"grid: need distinct finite L > 0, got {raw!r}")
     return grid
-
-
-def window_from_config(raw: str):
-    parts = raw.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"window: expected lo:hi, got {raw!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"window: non-numeric field in {raw!r}")
-    if not lo < hi:
-        raise ConfigError(f"window: need lo < hi, got {raw!r}")
-    return lo, hi
 
 
 def alphas_from_config(config: RunConfig, key: str = "alpha",

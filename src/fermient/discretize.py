@@ -79,14 +79,6 @@ class DiscretizedOperator:
 
     matrix: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        """Tr A, approximating the mean particle number in the region."""
-        return float(np.real(np.trace(self.matrix)))
-
 
 def _gauss_panels(a: float, b: float, num_panels: int, points_per_panel: int):
     """Composite Gauss-Legendre rule on [a, b] with equal panels."""

@@ -14,11 +14,11 @@ def test_package_exports_are_pinned():
     assert sorted(fermient.__all__) == sorted([
         "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
         "IntervalUnion", "interval",
-        "widom_J", "widom_J_monte_carlo", "widom_J_sphere",
+        "widom_J", "widom_J_monte_carlo",
         "entropy_function", "entropy_log_coefficient",
         "log_coefficient_functional", "predicted_log_prefactor",
         "FermiKernel",
-        "DiscretizedOperator", "nystrom", "lattice_correlation",
+        "nystrom", "lattice_correlation",
         "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
         "renyi_entropy", "tensor_spectrum", "pipeline_spectrum",
         "SweepResult", "ScalingFit", "sweep", "fit_scaling",
@@ -43,4 +43,5 @@ def test_module_exports_resolve(module):
 
 def test_config_exports_the_parsers_the_cli_uses():
     from fermient import config
-    assert {"alphas_from_config", "window_from_config"} <= set(config.__all__)
+    assert {"alphas_from_config", "domain_from_config", "grid_from_config",
+            "load_config", "pipeline_config_from"} <= set(config.__all__)

@@ -80,14 +80,26 @@ def test_fit_noise_within_stderr():
     assert fit.stderr_log > 0
 
 
-def test_fit_window_restricts_points():
-    L = np.arange(1.0, 11.0)
+def test_fit_window_spans_the_sweep():
+    # A fit over part of a grid is a sweep over that part.
+    L = np.arange(3.0, 9.0)
     S = 2.0 * np.log(L) + 1.0
-    fit = fit_scaling(make_sweep(L, S), window=(3.0, 8.0))
+    fit = fit_scaling(make_sweep(L, S))
     assert fit.npoints == 6
     assert fit.window == (3.0, 8.0)
     with pytest.raises(FitError):
-        fit_scaling(make_sweep(L, S), window=(3.0, 5.0))   # only 3 left
+        fit_scaling(make_sweep(L[:3], S[:3]))
+
+
+def test_fit_1d_design_is_ln_L_and_one():
+    # L^0 is exactly 1, so in d = 1 the general columns are {ln L, 1}.
+    L = np.geomspace(10.0, 300.0, 9)
+    S = 0.37 * np.log(L) + 0.81 + 1e-3 * np.sin(L)
+    fit = fit_scaling(make_sweep(L, S))
+    X = np.column_stack([np.log(L), np.ones_like(L)])
+    coef = np.linalg.lstsq(X, S, rcond=None)[0]
+    assert (fit.log_coefficient, fit.area_coefficient) == tuple(coef)
+    assert fit.condition_number == np.linalg.cond(X)
 
 
 def test_fit_takes_dimension_from_sweep():

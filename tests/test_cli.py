@@ -338,14 +338,16 @@ def test_unknown_config_key_exits_2(capsys, command, args, key):
 
 
 @pytest.mark.parametrize("window", ["80:20", "20:20", "nan:inf"])
-def test_empty_or_nan_fit_window_exits_2(capsys, window):
+def test_empty_or_nan_fit_window_exits_2(capsys, no_solves, window):
+    # The fit spans the sweep's L values, so sweep reads no window key;
+    # a malformed value is refused as the key itself, before solving.
     code, out, err = run_cli(capsys, "sweep", *SWEEP_ARGS,
                              f"sweep.window={window}")
     assert code == 2
     assert out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "config"
-    assert "window" in error["message"]
+    assert error["message"] == "sweep.window: not read by sweep for this input"
 
 
 @pytest.fixture
@@ -361,11 +363,9 @@ def no_solves(monkeypatch):
     # Three lattice blocks: one point short of a two-term fit.
     ["mode=lattice", "gamma.k_fermi=1.5", "omega.shape=interval",
      "omega.intervals=0:1", "sweep.L=2000,4000,8000"],
-    # A window past the whole grid.
-    [*LATTICE_ARGS, "sweep.L=10:100:5", "sweep.window=200:300"],
     # Five L values that round to three block sizes.
     [*LATTICE_ARGS, "sweep.L=10,10.2,20,20.3,30"],
-], ids=["three-points", "window-past-grid", "lattice-rounding"])
+], ids=["three-points", "lattice-rounding"])
 def test_unfittable_sweep_exits_2_before_solving(capsys, no_solves, args):
     code, out, err = run_cli(capsys, "sweep", *args)
     assert code == 2
@@ -484,8 +484,14 @@ def test_non_finite_or_invalid_geometry_exits_2(capsys, no_solves, command,
     ("entropy", ["gamma.k_fermi=1", "omega.shape=ball", "omega.radius=1"],
      "omega.center"),
     ("sweep", [*LATTICE_ARGS, "sweep.L=10:a:5"], "grid"),
+    # Each shape has one spelling: interval and polygon.
+    ("entropy", ["gamma.k_fermi=1", "omega.shape=interval_union",
+                 "omega.intervals=0:1"], "omega.shape: unknown shape"),
+    ("jcoeff", ["gamma.shape=convex_polygon", "gamma.vertices=0:0,1:0,0:1",
+                *DISK_IN_SQUARE[3:]], "gamma.shape: unknown shape"),
 ], ids=["non-numeric-list", "non-numeric-pair", "empty-pairs",
-        "ball-without-center", "non-numeric-grid-field"])
+        "ball-without-center", "non-numeric-grid-field", "interval_union",
+        "convex_polygon"])
 def test_malformed_config_value_exits_2(capsys, no_solves, command, args,
                                         key):
     code, out, err = run_cli(capsys, command, *args)
@@ -509,6 +515,8 @@ def no_computes(monkeypatch, no_solves):
 @pytest.mark.parametrize("command, args, unread", [
     ("entropy", [*LATTICE_ARGS, "sweep.L=10:100:5"], "sweep.L"),
     ("entropy", [*LATTICE_ARGS, "sweep.window=5:1"], "sweep.window"),
+    # A fit over part of the grid is a sweep over that part.
+    ("sweep", [*SWEEP_ARGS, "sweep.window=20:80"], "sweep.window"),
     # k_fermi is the whole momentum region: no shape key is read.
     ("entropy", [*INTERVAL_PAIR, "gamma.shape=ball"], "gamma.shape"),
     ("sweep", [*SWEEP_ARGS, "entropy.L=10"], "entropy.L"),
@@ -519,8 +527,8 @@ def no_computes(monkeypatch, no_solves):
     ("functional", ["alpha=1"], "alpha"),
     ("functional", ["alpha=-3", "mode=bogus"], "alpha, mode"),
 ], ids=["entropy-sweep.L", "entropy-sweep.window", "entropy-gamma.shape",
-        "sweep-entropy.L", "jcoeff-alpha", "jcoeff-mode", "jcoeff-three",
-        "functional-alpha", "functional-two"])
+        "sweep-sweep.window", "sweep-entropy.L", "jcoeff-alpha", "jcoeff-mode",
+        "jcoeff-three", "functional-alpha", "functional-two"])
 def test_unread_key_exits_2_before_computing(capsys, no_computes, command,
                                              args, unread):
     code, out, err = run_cli(capsys, command, *args)
@@ -730,8 +738,10 @@ def test_later_override_after_a_flag_wins(capsys, tmp_path):
     ["sweep", *SWEEP_ARGS, "--bogus"],
     ["sweep", "--out", "x.json", *SWEEP_ARGS, "--bogus", "alpha=1"],
     ["validate", "alpha=1"],
+    # validate's table always prints each check's detail.
+    ["validate", "--verbose"],
 ], ids=["unknown-flag", "unknown-flag-between-overrides",
-        "override-on-validate"])
+        "override-on-validate", "verbose-on-validate"])
 def test_unknown_arguments_around_overrides_exit_2(capsys, tmp_path,
                                                    monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -1083,6 +1093,27 @@ def test_functional_unconverged_order_exits_3(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_functional_quadrature_off_the_closed_form_exits_3(capsys, tmp_path):
+    # At alpha = 0.035 the step halvings meet TOL, yet the value is
+    # 6.0e-12 off the closed form.  An order within TOL writes its row,
+    # the min-entropy order as "inf".
+    out = tmp_path / "functional.json"
+    code, stdout, err = run_cli(capsys, "functional", "--out", str(out),
+                                "functional.alphas=1,0.035")
+    assert (code, stdout) == (3, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["type"]) == ("computation",
+                                              "DiscretizationError")
+    assert re.fullmatch(r"I\(h_alpha\) at alpha=0\.035: the quadrature is "
+                        r"[56]\.\d+e-12 off the closed form, over 1e-12",
+                        error["message"]), error["message"]
+    assert not out.exists()
+    record = run_json(capsys, "functional", "functional.alphas=0.5,inf")
+    assert [row["alpha"] for row in record["functional_rows"]] \
+        == [0.5, "inf"]
+
+
 def test_functional_dilog_route_off_the_closed_form_exits_3(capsys,
                                                            tmp_path):
     # The dilogarithm route loses digits at both ends: 4.3e-12 at
@@ -1344,8 +1375,14 @@ def test_validate_passes_and_writes_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "validate", "--out", str(out))
     assert code == 0
-    assert "checks passed" in stdout
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert len(report["checks"]) == 14
     assert all(check["passed"] for check in report["checks"])
+    # The table prints every check's detail, the text the report stores.
+    *table, summary = stdout.splitlines()
+    assert summary == "14/14 checks passed"
+    assert len(table) == len(report["checks"])
+    for line, check in zip(table, report["checks"]):
+        assert line.split()[:2] == [check["name"], "PASS"]
+        assert line.endswith(f"s  {check['detail']}")

@@ -20,7 +20,6 @@ from fermient.config import (
     parse_config_text,
     pipeline_config_from,
     serialize_config,
-    window_from_config,
 )
 from fermient.geometry import Ball, Box, ConvexPolygon, IntervalUnion
 from fermient.records import (
@@ -111,7 +110,7 @@ def test_updated_returns_merged_copy():
 def test_domain_from_config_shapes():
     config = RunConfig({
         "gamma.k_fermi": "0.8",
-        "omega.shape": "interval_union",
+        "omega.shape": "interval",
         "omega.intervals": "0:1,2:3",
         "box.shape": "box",
         "box.bounds": "-1:1,0:2",
@@ -175,18 +174,6 @@ def test_grid_from_config():
             grid_from_config(bad)
 
 
-def test_window_from_config():
-    assert window_from_config("20:100") == (20.0, 100.0)
-    with pytest.raises(ConfigError):
-        window_from_config("20")
-    with pytest.raises(ConfigError):
-        window_from_config("a:b")
-    assert window_from_config("-inf:inf") == (-math.inf, math.inf)
-    for bad in ("80:20", "20:20", "nan:inf", "10:nan"):
-        with pytest.raises(ConfigError, match="lo < hi"):
-            window_from_config(bad)
-
-
 def test_alphas_from_config():
     assert alphas_from_config(RunConfig({})) == [1.0]
     assert alphas_from_config(RunConfig({"alpha": "0.5,1,inf"})) \
@@ -228,7 +215,7 @@ def test_known_keys_match_both_key_references():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Config keys\n\n```\n", 1)[1].split("```")[0]
     assert _documented_keys(block.splitlines(), 0) == DOCUMENTED_KEYS
-    assert len(DOCUMENTED_KEYS) == 9 + 2 * 7
+    assert len(DOCUMENTED_KEYS) == 8 + 2 * 7
 
 
 # Command lines that between them set every documented key, each where
@@ -238,7 +225,7 @@ READING_LINES = [
      "entropy.L=10", "gamma.k_fermi=1", "omega.shape=interval",
      "omega.intervals=0:1"],
     ["sweep", "gamma.shape=interval", "gamma.intervals=-1:1",
-     "omega.k_fermi=0.5", "sweep.L=10:40:4", "sweep.window=10:40"],
+     "omega.k_fermi=0.5", "sweep.L=10:40:4"],
     ["jcoeff", "seed=1", "jcoeff.resolution=16", "gamma.shape=ball",
      "gamma.center=0,0", "gamma.radius=1", "omega.shape=box",
      "omega.bounds=0:1,0:1"],
