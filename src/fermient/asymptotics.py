@@ -135,12 +135,12 @@ class ScalingFit:
     """Two-term least-squares fit of a sweep.
 
     log_coefficient multiplies L^(d-1) ln L (the enhanced term),
-    area_coefficient multiplies L^(d-1) (a constant in d = 1).
+    area_coefficient multiplies L^(d-1) (a constant in d = 1), d the
+    dimension of the sweep geometry; model spells the law out.
     condition_number refers to the design matrix; stderr are the usual
     diagonal-covariance estimates; window is the fitted range
     (min L, max L)."""
 
-    d: int
     log_coefficient: float
     area_coefficient: float
     stderr_log: float
@@ -178,7 +178,6 @@ def fit_scaling(data: SweepResult) -> ScalingFit:
     model = ("S ~ a*ln(L) + b" if d == 1
              else f"S ~ a*L^{d - 1}*ln(L) + b*L^{d - 1}")
     return ScalingFit(
-        d=d,
         log_coefficient=float(coef[0]),
         area_coefficient=float(coef[1]),
         stderr_log=float(stderr[0]),

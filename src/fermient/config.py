@@ -21,12 +21,12 @@ does not read for its input is a config error that names it:
     seed                    integer >= 0, read by jcoeff's Monte Carlo
                             estimate only (jcoeff --seed sets it too),
                             so d >= 2 pairs only
-    gamma.shape             interval | box | ball | polygon
+    gamma.shape             interval | box | ball | polygon; interval is
+                            the only d = 1 shape
     gamma.intervals         a:b[,c:d...]        (interval)
-    gamma.bounds            lo:hi[,lo:hi...]    (box, one per axis; one
-                                                pair is the interval lo:hi)
-    gamma.center            x[,y[,z]]           (ball; one coordinate c is
-                                                the interval c-r:c+r)
+    gamma.bounds            lo:hi,lo:hi[,lo:hi] (box, one per axis, d = 2
+                                                or 3)
+    gamma.center            x,y[,z]             (ball, d = 2 or 3)
     gamma.radius            r                   (ball)
     gamma.vertices          x:y[,x:y...]        (polygon, ccw)
     gamma.k_fermi           k                   (shorthand: interval -k:k)
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, _check_ball, interval)
+                       IntervalUnion, interval)
 from .spectra import PipelineConfig
 
 __all__ = [
@@ -79,14 +79,11 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     """Raw key -> value strings plus typed accessors, which add each key
-    they are asked for to `read` (a membership test does not), so
-    check_read can name the keys set but never read."""
+    they are asked for to `read`, so check_read can name the keys set but
+    never read."""
 
     values: dict = field(default_factory=dict)
     read: set = field(default_factory=set, init=False, compare=False)
-
-    def __contains__(self, key):
-        return key in self.values
 
     def get(self, key: str, default: str | None = None) -> str | None:
         self.read.add(key)
@@ -204,9 +201,8 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
             raw = config.require(f"{prefix}.intervals")
             return IntervalUnion(_parse_pairs(raw, f"{prefix}.intervals"))
         if shape == "box":
-            bounds = _parse_pairs(config.require(f"{prefix}.bounds"),
-                                  f"{prefix}.bounds")
-            return IntervalUnion(bounds) if len(bounds) == 1 else Box(bounds)
+            return Box(_parse_pairs(config.require(f"{prefix}.bounds"),
+                                    f"{prefix}.bounds"))
         if shape == "ball":
             center = config.get_floats(f"{prefix}.center")
             if center is None:
@@ -214,9 +210,6 @@ def domain_from_config(config: RunConfig, prefix: str) -> Domain:
             radius = config.get_float(f"{prefix}.radius")
             if radius is None:
                 raise ConfigError(f"missing {prefix}.radius")
-            if len(center) == 1:
-                _check_ball(center, radius)
-                return interval(center[0] - radius, center[0] + radius)
             return Ball(tuple(center), radius)
         if shape == "polygon":
             raw = config.require(f"{prefix}.vertices")

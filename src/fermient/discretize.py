@@ -172,8 +172,9 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     gamma : momentum region (interval union, box, or ball)
     omega : spatial region, same dimension
     L : dilation factor applied to omega, >= 0 excluded
-    nodes_per_unit : nodes per unit length along each direction; default
-        resolves eight nodes per Fermi wavelength (floor 2 per unit)
+    nodes_per_unit : nodes per unit length along each direction, finite
+        and > 0; default resolves eight nodes per Fermi wavelength (floor
+        2 per unit)
     budget : maximum matrix dimension; the rule's node count (inf
         included) is held to it before any node array exists
 
@@ -190,6 +191,9 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
     _check_same_dim(gamma, omega)
     if not L > 0:
         raise DiscretizationError(f"dilation factor must be positive, got {L}")
+    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
+        raise DiscretizationError(
+            f"nodes_per_unit must be finite and > 0, got {nodes_per_unit}")
 
     p_max = gamma.momentum_bound()
     if p_max <= 0:

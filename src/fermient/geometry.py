@@ -37,7 +37,6 @@ __all__ = [
     "WidomCoefficient",
     "interval",
     "widom_J",
-    "widom_J_sphere",
     "widom_J_monte_carlo",
 ]
 
@@ -132,7 +131,9 @@ class Domain:
         return SurfaceQuadrature(np.array(measures), np.array(normals))
 
     def describe(self) -> dict:
-        """Plain-data description used in configs and result provenance."""
+        """Plain data in a config's spelling: "shape" is the
+        {prefix}.shape value, and every other entry but "dim" is one of
+        that shape's keys."""
         raise NotImplementedError
 
 
@@ -200,7 +201,7 @@ class IntervalUnion(Domain):
             == list(self.intervals)
 
     def describe(self):
-        return {"shape": "interval_union", "dim": 1,
+        return {"shape": "interval", "dim": 1,
                 "intervals": [list(iv) for iv in self.intervals]}
 
 
@@ -406,7 +407,7 @@ class ConvexPolygon(Domain):
         return [(float(l), n) for l, n in zip(lengths, normals)]
 
     def describe(self):
-        return {"shape": "convex_polygon", "dim": 2,
+        return {"shape": "polygon", "dim": 2,
                 "vertices": [list(v) for v in self.vertices]}
 
 
@@ -497,7 +498,15 @@ def widom_J(gamma: Domain, omega: Domain,
     endpoint counts; for two polytopes the face-pair sum; and, since J
     is symmetric in its two boundaries, the ball closed form when
     either boundary is a ball (gamma's, when both are).  Every d >= 2
-    catalog shape is a polytope or a ball.
+    catalog shape is a polytope or a ball.  For a ball of radius p and
+    h = (d-1)/2 the closed form is
+
+        J = 2 / h! * (p^2 / (4*pi))^h * |d other|,
+
+    with the half-integer factorial taken as gamma(h+1), and the power
+    taken as p^h (p / (4*pi))^h, so p is never squared: a J past the
+    float range comes out inf, which WidomCoefficient refuses, instead
+    of raising OverflowError.
 
     A resolution asks for the quadrature oracle instead (d >= 2): the
     double surface integral of |m . n| times (2*pi)^(1-d), summed over
@@ -536,30 +545,11 @@ def widom_J(gamma: Domain, omega: Domain,
         value = cosine_integral(1)
         return WidomCoefficient(value, "face_pair_exact", 1e-14 * abs(value))
     ball, other = (gamma, omega) if isinstance(gamma, Ball) else (omega, gamma)
-    value = widom_J_sphere(ball.radius, other.boundary_measure(), d)
+    p, half = ball.radius, (d - 1) / 2.0
+    value = float(2.0 / math.gamma(half + 1.0)
+                  * p ** half * (p / (4.0 * math.pi)) ** half
+                  * other.boundary_measure())
     return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
-
-
-def widom_J_sphere(p_fermi: float, omega_boundary_measure: float, d: int) -> float:
-    """Closed form of J for a spherical momentum boundary of radius p_fermi:
-
-        J = 2 / ((d-1)/2)! * (p_fermi^2 / (4*pi))^((d-1)/2) * |dOmega|
-
-    with half-integer factorials taken as gamma(z+1).  The power is
-    taken as p_fermi^h (p_fermi / (4*pi))^h, h = (d-1)/2, so p_fermi is
-    never squared: a J past the float range comes out inf, which
-    WidomCoefficient refuses, instead of raising OverflowError.
-    """
-    if d not in (1, 2, 3):
-        raise GeometryError(f"dimension {d} outside 1..3")
-    _check_positive(p_fermi, "p_fermi")
-    _check_positive(omega_boundary_measure, "omega boundary measure")
-    half = (d - 1) / 2.0
-    return float(
-        2.0 / math.gamma(half + 1.0)
-        * p_fermi ** half * (p_fermi / (4.0 * math.pi)) ** half
-        * omega_boundary_measure
-    )
 
 
 def _normal_sampler(domain: Domain):

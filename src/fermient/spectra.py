@@ -387,26 +387,17 @@ def _spherical_jn(x: np.ndarray, size: int) -> np.ndarray:
     recurrence from far enough past max(size, x) that the start does
     not show, normalized by j_0 or j_1, whichever is larger.
 
-    On the prolate route's own nodes (x = c t on [1, T], degrees below
-    the near-1 reach) the recurrence grows by at most 1e97 for
-    c >= 13.1, where tables are first built, 1e180 at c = 0.5 and 1e35
-    at the default budget's c = 3973, so the 1e200 rescaling below
-    never runs there; it guards other inputs, such as tables over
-    every degree of a large basis."""
+    The prolate route calls it on its own nodes only (x = c t on [1, T],
+    degrees below the near-1 reach), where the recurrence grows by at
+    most 1e97 for c >= 13.1, where tables are first built, 1e180 at
+    c = 0.5 and 1e35 at the default budget's c = 3973, inside the float
+    range without rescaling.  Tables over every degree of a large basis
+    would not be: at c = 1200 the values pass 1e200."""
     top = math.ceil(max(size, x.max()) + 20 + 4 * x.max() ** (1 / 3))
     table = np.empty((size, len(x)))
     after, value = np.zeros_like(x), np.ones_like(x)
     for k in range(top, 0, -1):
         after, value = value, (2 * k + 1) / x * value - after
-        # A step grows the values by at most (2 top + 1) / x, under 30
-        # wherever the route calls this, so a check every 32 steps
-        # rescales long before float overflow.
-        if k % 32 == 0:
-            large = np.abs(value) > 1e200
-            if large.any():
-                table[k:, large] *= 1e-200
-                after[large] *= 1e-200
-                value[large] *= 1e-200
         if k <= size:
             table[k - 1] = value
     j0 = np.sin(x) / x

@@ -64,7 +64,7 @@ def test_fit_recovers_exact_2d_law():
     L = np.geomspace(10.0, 300.0, 9)
     S = 0.21 * L * np.log(L) - 0.05 * L
     fit = fit_scaling(make_sweep(L, S, gamma=GAMMA_2D, omega=OMEGA_2D))
-    assert fit.d == 2
+    assert fit.model == "S ~ a*L^1*ln(L) + b*L^1"
     assert fit.log_coefficient == pytest.approx(0.21, abs=1e-12)
     assert fit.area_coefficient == pytest.approx(-0.05, abs=1e-11)
     assert fit.stderr_log < 1e-12
@@ -109,7 +109,7 @@ def test_fit_takes_dimension_from_sweep():
     S = 0.5 * L * np.log(L) + 0.1 * L
     result = make_sweep(L, S, gamma=gamma, omega=omega)
     fit = fit_scaling(result)
-    assert fit.d == 2
+    assert fit.model == "S ~ a*L^1*ln(L) + b*L^1"
     assert fit.log_coefficient == pytest.approx(0.5, abs=1e-12)
 
 

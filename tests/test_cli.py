@@ -118,33 +118,30 @@ def test_entropy_csv_output(capsys, tmp_path):
     assert float(cell["S"]) == record["rows"][0]["S"]
 
 
-OMEGA_SPELLINGS = {
-    "interval": ["omega.shape=interval", "omega.intervals=0:1"],
-    "box": ["omega.shape=box", "omega.bounds=0:1"],
-    "ball": ["omega.shape=ball", "omega.center=0.5", "omega.radius=0.5"],
-}
-
-
-@pytest.mark.parametrize("mode", ["auto", "lattice"])
-def test_one_dimensional_omega_spellings_give_one_record(capsys, mode):
-    # A one-pair box and a one-coordinate ball are read as the interval
-    # 0:1; the ball once solved a 3-site lattice block at L = 3.5, its
-    # volume coming out 0.9999999999999999.
-    rows = {name: without_wall_times(run_json(
-        capsys, "entropy", "gamma.k_fermi=1", *omega, f"mode={mode}",
-        "entropy.L=3.5", "alpha=0.5,1,2"))["rows"]
-        for name, omega in OMEGA_SPELLINGS.items()}
-    assert rows["box"] == rows["interval"]
-    assert rows["ball"] == rows["interval"]
-    if mode == "lattice":
-        assert {(row["n"], row["L"]) for row in rows["ball"]} == {(4, 4.0)}
+@pytest.mark.parametrize("omega, shape", [
+    (["omega.shape=box", "omega.bounds=0:1"], "box"),
+    (["omega.shape=ball", "omega.center=0.5", "omega.radius=0.5"], "ball"),
+], ids=["box", "ball"])
+def test_one_dimensional_box_and_ball_exit_2(capsys, no_solves, omega,
+                                             shape):
+    # interval is the only 1D spelling: a one-pair box and a
+    # one-coordinate ball are config errors, in every mode, before any
+    # solve.
+    for mode in ("auto", "lattice"):
+        code, out, err = run_cli(capsys, "entropy", "gamma.k_fermi=1",
+                                 *omega, f"mode={mode}", "entropy.L=3.5")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "config"
+        assert error["message"] == f"omega: {shape} dimension 1 outside 2..3"
 
 
 def test_tensor_box_mode_on_one_axis_boxes_exits_3(capsys):
-    # A one-pair box is an interval, which the tensor_box route refuses;
-    # auto gives it the prolate route.
-    pair = ["gamma.shape=box", "gamma.bounds=-1:1", "omega.shape=box",
-            "omega.bounds=0:1", "entropy.L=10"]
+    # An interval pair is the one-axis box pair, which the tensor_box
+    # route refuses; auto gives it the prolate route.
+    pair = ["gamma.k_fermi=1", "omega.shape=interval", "omega.intervals=0:1",
+            "entropy.L=10"]
     code, out, err = run_cli(capsys, "entropy", "mode=tensor_box", *pair)
     assert (code, out) == (3, "")
     error = json.loads(err)["error"]
@@ -448,7 +445,8 @@ INTERVAL_PAIR = ["gamma.k_fermi=1", "omega.shape=interval",
                  "omega.intervals=0:1"]
 DISK_IN_SQUARE = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
                   "omega.shape=box", "omega.bounds=0:1,0:1"]
-OMEGA_BALL_1D = ["gamma.k_fermi=1", *OMEGA_SPELLINGS["ball"]]
+DISK_PAIR = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
+             "omega.shape=ball", "omega.center=0,0", "omega.radius=1"]
 
 
 @pytest.mark.parametrize("command, args, override", [
@@ -462,9 +460,10 @@ OMEGA_BALL_1D = ["gamma.k_fermi=1", *OMEGA_SPELLINGS["ball"]]
     ("jcoeff", DISK_IN_SQUARE, "gamma.radius=inf"),
     ("jcoeff", BOX_PAIR, "gamma.bounds=-1:1,-1:inf"),
     ("jcoeff", BOX_PAIR, "omega.bounds=0:1,-inf:1"),
-    ("entropy", OMEGA_BALL_1D, "omega.radius=inf"),
-    ("entropy", OMEGA_BALL_1D, "omega.radius=0"),
-    ("entropy", OMEGA_BALL_1D, "omega.center=nan"),
+    ("entropy", DISK_PAIR, "omega.radius=inf"),
+    ("entropy", DISK_PAIR, "omega.radius=0"),
+    # One coordinate, and that NaN: refused either way.
+    ("entropy", DISK_PAIR, "omega.center=nan"),
 ])
 def test_non_finite_or_invalid_geometry_exits_2(capsys, no_solves, command,
                                                 args, override):
@@ -562,10 +561,6 @@ def test_entropy_unit_cube_stores_axis_entries_only(capsys, monkeypatch):
     assert (row["mode"], row["n"]) == ("tensor_box", 340 ** 3)
     assert row["S"] > 0.0
     assert len(stored) == 1 and stored[0] < 300_000
-
-
-DISK_PAIR = ["gamma.shape=ball", "gamma.center=0,0", "gamma.radius=1",
-             "omega.shape=ball", "omega.center=0,0", "omega.radius=1"]
 
 
 @pytest.fixture

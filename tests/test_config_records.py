@@ -52,7 +52,7 @@ def test_parse_basic():
         "sweep.L = 20:200:8\n")
     assert config.get("alpha") == "1.5"
     assert config.get_float("alpha") == 1.5
-    assert "gamma.k_fermi" in config
+    assert config.values["gamma.k_fermi"] == "1.0"
     assert config.get("missing") is None
     assert config.get("missing", "fallback") == "fallback"
 
@@ -129,18 +129,46 @@ def test_domain_from_config_shapes():
         ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
-def test_one_axis_box_and_ball_are_intervals():
-    # IntervalUnion is the only 1D domain: a one-pair box is that
-    # interval, and a one-coordinate ball is interval(c - r, c + r).
+def test_one_axis_box_and_ball_are_refused():
+    # interval is the only 1D spelling: a one-pair box and a
+    # one-coordinate ball are config errors naming the prefix and the
+    # shape's dimension.
     config = RunConfig({
         "box.shape": "box", "box.bounds": "0:1",
-        "ball.shape": "ball", "ball.center": "0.25", "ball.radius": "1",
-        "unit.shape": "ball", "unit.center": "0.5", "unit.radius": "0.5",
+        "ball.shape": "ball", "ball.center": "0.5", "ball.radius": "0.5",
     })
-    assert domain_from_config(config, "box") == interval(0.0, 1.0)
-    assert domain_from_config(config, "ball") == interval(-0.75, 1.25)
-    unit = domain_from_config(config, "unit")
-    assert unit == interval(0.0, 1.0) and unit.volume() == 1.0
+    with pytest.raises(ConfigError,
+                       match=r"^box: box dimension 1 outside 2\.\.3$"):
+        domain_from_config(config, "box")
+    with pytest.raises(ConfigError,
+                       match=r"^ball: ball dimension 1 outside 2\.\.3$"):
+        domain_from_config(config, "ball")
+
+
+def _config_value(value):
+    if isinstance(value, list):
+        return ",".join(":".join(map(repr, item)) if isinstance(item, list)
+                        else repr(item) for item in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("domain", [
+    interval(0.0, 1.0),
+    IntervalUnion(((-2.0, -0.5), (0.25, 1.5))),
+    Box(((-1.0, 1.0), (0.0, 2.0), (0.5, 0.75))),
+    Ball((0.4, -0.2), 1.3),
+    ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+], ids=["interval", "interval-union", "box", "ball", "polygon"])
+def test_describe_spells_the_config_keys(domain):
+    # describe() names each shape as a config does, and its other
+    # entries but dim are that shape's keys: read back, they give the
+    # same domain and leave no key unread.
+    described = domain.describe()
+    assert described.pop("dim") == domain.dim
+    config = RunConfig({f"omega.{key}": _config_value(value)
+                        for key, value in described.items()})
+    assert domain_from_config(config, "omega") == domain
+    config.check_read("test")
 
 
 def test_domain_from_config_errors():

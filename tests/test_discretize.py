@@ -189,6 +189,24 @@ def test_nyquist_guard_rejects_undersampled_rule():
         nystrom(wide, OMEGA, L=5.0, nodes_per_unit=2.0)
 
 
+@pytest.mark.parametrize("nodes_per_unit",
+                         [math.nan, -1.0, 0.0, math.inf, -math.inf])
+@pytest.mark.parametrize("gamma, omega, L", [
+    (GAMMA, OMEGA, 10.0),
+    (Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), 3.0),
+], ids=["interval", "disk"])
+def test_nystrom_refuses_a_density_not_finite_and_positive(
+        monkeypatch, gamma, omega, L, nodes_per_unit):
+    # Unchecked, NaN and negative densities fall to the rule's floor (an
+    # 8 x 8 matrix for the interval, 32 x 32 for the disk), 0 divides by
+    # zero and inf reaches the budget gate.
+    _forbid_node_rules(monkeypatch)
+    with pytest.raises(DiscretizationError,
+                       match="nodes_per_unit must be finite and > 0") as info:
+        nystrom(gamma, omega, L, nodes_per_unit=nodes_per_unit)
+    assert not isinstance(info.value, BudgetError)
+
+
 def test_invalid_inputs():
     with pytest.raises(DiscretizationError):
         nystrom(GAMMA, OMEGA, L=0.0)

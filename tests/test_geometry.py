@@ -17,7 +17,6 @@ from fermient.geometry import (
     interval,
     widom_J,
     widom_J_monte_carlo,
-    widom_J_sphere,
 )
 
 TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
@@ -321,14 +320,20 @@ def test_widom_J_dilation_scaling(factor):
 
 
 def test_widom_J_sphere_values():
-    assert widom_J_sphere(1.0, 2 * math.pi, 2) == pytest.approx(4.0)
-    assert widom_J_sphere(1.0, 2.0, 1) == pytest.approx(4.0)
-    # d=3 unit sphere at unit Fermi momentum: 2 * (1/4pi) * 4pi = 2.
-    assert widom_J_sphere(1.0, 4 * math.pi, 3) == pytest.approx(2.0)
-    with pytest.raises(GeometryError):
-        widom_J_sphere(-1.0, 1.0, 2)
-    with pytest.raises(GeometryError):
-        widom_J_sphere(1.0, 1.0, 4)
+    # A spherical boundary of radius p, gamma's or omega's, has the
+    # closed form 2 / h! (p^2 / 4 pi)^h |d other|, h = (d - 1) / 2.
+    square = Box(((0.0, 0.5 * math.pi),) * 2)    # perimeter 2 pi
+    for gamma, omega in ((DISK, square), (square, DISK)):
+        J = widom_J(gamma, omega)
+        assert J.method == "closed_form"
+        assert J.value == pytest.approx(4.0, rel=1e-15)
+    # d = 3 unit sphere at unit Fermi momentum: 2 * (1/4pi) * 4pi = 2.
+    assert widom_J(BALL3, BALL3).value == pytest.approx(2.0, rel=1e-15)
+    # J grows as p^(d-1).
+    assert widom_J(Ball((0.0, 0.0), 3.0), DISK).value \
+        == pytest.approx(12.0, rel=1e-15)
+    assert widom_J(Ball((0.0, 0.0, 0.0), 3.0), BALL3).value \
+        == pytest.approx(18.0, rel=1e-15)
 
 
 def test_widom_J_sphere_matches_quadrature_in_3d():
@@ -429,7 +434,7 @@ def test_widom_J_monte_carlo_3d_within_error(ball_first):
     gamma, omega = (ball, cube) if ball_first else (cube, ball)
     # J is symmetric in its two boundaries, so both orders have the
     # closed form of the spherical momentum region.
-    exact = widom_J_sphere(1.0, cube.boundary_measure(), 3)
+    exact = widom_J(ball, cube).value
     estimate = widom_J_monte_carlo(gamma, omega,
                                    rng=np.random.default_rng(3))
     assert abs(estimate.value - exact) < estimate.error_estimate

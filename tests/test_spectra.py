@@ -798,26 +798,22 @@ def test_out_of_band_energy_matches_complex_product(monkeypatch):
         assert np.all(gaps > 0.0)
 
 
-def test_spherical_jn_rescales_past_overflow():
-    # Tables of every degree of the c = 1200 basis, on nodes of [1, T]
-    # with T = (size + 30) / c: the backward recurrence passes 1e200 on
-    # some nodes from degree 1376 down, and the rows already stored there
-    # are rescaled with it; a row left unscaled would be off by 1e200.
-    # (The route's tables stop at the near-1 reach; there the values grow
-    # by at most 1e180 for c from 0.5 to the default budget's 3973, and
-    # the rescaling never runs.)
+def test_spherical_jn_matches_scipy_on_the_route_tables():
+    # The out-of-band tables exactly as the route builds them: degrees
+    # below the near-1 reach on the Gauss nodes of [1, T],
+    # T = (reach + 30) / c.  There the backward recurrence grows by far
+    # less than the float range, so it needs no rescaling.
     from scipy.special import roots_legendre, spherical_jn
 
-    c = 1200.0
-    size = math.ceil(1.5 * c) + spectra.PROLATE_PAD
-    T = (size + 30) / c
-    x, _ = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
-    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
-    table = spectra._spherical_jn(c * t, size)
-    exact = spherical_jn(np.arange(size)[:, None], c * t)
-    shown = np.abs(exact) > 1e-280
-    assert shown.any()
-    np.testing.assert_allclose(table[shown], exact[shown], rtol=1e-6, atol=0)
+    for c in (300.0, 1200.0):
+        reach = math.ceil(c + spectra.REACH_EXCESS * c ** (1 / 3)) + 10
+        assert reach < math.ceil(1.5 * c) + spectra.PROLATE_PAD
+        T = (reach + 30) / c
+        x, _ = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
+        t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+        table = spectra._spherical_jn(c * t, reach)
+        exact = spherical_jn(np.arange(reach)[:, None], c * t)
+        np.testing.assert_allclose(table, exact, rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------
