@@ -42,10 +42,12 @@ out-of-band energy, and exact 0s and 1s outside the window.  The
 out-of-band energy is a Bessel series over the K = min(size, ceil(c +
 11 c^(1/3)) + 10) degrees that the near-1 eigenvectors reach: a Gauss
 rule on [1, T], T = (K + 30) / c, then the tail past T, whose
-oscillatory part is taken to second order in 1 / (cT).  Its Hankel part
-is kept as real and imaginary tables, so it runs on real BLAS products
-only.  A near-1 vector with more weight past K than its 1 - lambda
-allows raises SpectralViolationError.
+oscillatory part is taken to second order in 1 / (cT).  One 48-node
+Gauss-Legendre rule per solve serves both, on equal panels of [1, T]
+and once in s = T / t for the tail.  Its Hankel part is kept as real
+and imaginary tables, so it runs on real BLAS products only.  A near-1
+vector with more weight past K than its 1 - lambda allows raises
+SpectralViolationError.
 
 pipeline_spectrum is the chain geometry -> matrix -> spectrum.  A box
 pair's compression separates per axis, so its eigenvalues are products
@@ -58,7 +60,8 @@ rotations, so its compression splits into one radial operator per
 angular momentum (Slepian 1964, Bell Syst. Tech. J. 43:3009): each
 sector is a small Gauss-Legendre matrix of a Bessel Christoffel-Darboux
 kernel, solved densely and counted with its multiplicity, and no n x n
-Nystrom matrix is formed.  Every other continuum geometry (interval
+Nystrom matrix is formed; consecutive sectors share two of the three
+Bessel orders each reads.  Every other continuum geometry (interval
 unions and mixed ball/box pairs) takes the Nystrom matrix, whose dense
 solve eigenvalues(discretize.nystrom(...)) is the oracle for both
 reduced routes.  Every order is a sum over that one spectrum, so a
@@ -433,7 +436,14 @@ def _out_of_band(c: float, size: int):
     c = 13.1, where the first near-1 vector appears, to the default
     budget's c = 3973, the degrees whose norm the guard below would
     refuse end 20 to 36 degrees short of K.  Gauss-Legendre covers
-    [1, T], T = (K + 30) / c, past which every k < K is below c t.
+    [1, T], T = (K + 30) / c, past which every k < K is below c t: one
+    48-node rule on P = ceil(N / 48) equal panels, N = ceil(c (T - 1)
+    / 2) + 40.  psi^(c t)^2 oscillates at up to 2c in t, which a Gauss
+    rule resolves only with c (T - 1) / 2 nodes and a margin over them,
+    the 40 of N, so the rule never has fewer than N nodes nor panels
+    of fewer than 48: against a rule of 4N nodes on [1, T], 48
+    round(N / 48) nodes read 5e-3 off at c = 1000, and panels of 16, 24
+    or 32 nodes up to 0.23, 1.1e-2 and 9e-4 off at c = 1000 or 3900.
     Past T, with H = sum_k a_k h_k(c t) and psi^ = Re H, the
     integrand is |H|^2 / 2, smooth and integrated in s = T / t, plus
     Re(H^2) / 2.  With H^2 = e^(2iX) G(X), X = c t, integration by parts
@@ -451,8 +461,10 @@ def _out_of_band(c: float, size: int):
     that norm.  A vector whose norm there is over REACH_TOL
     sqrt(1 - lambda), which could move 1 - lambda by over 2 REACH_TOL
     relative, raises SpectralViolationError.
-    Returns a function of (k, coefficient columns); its rules and tables
-    are built on its first call (never at c = 0), for both parities.
+    Returns a function of (k, coefficient columns), k one parity's
+    degrees in ascending order; its rule and tables are built on its
+    first call (never at c = 0), for both parities, and each call reads
+    its parity's rows as a strided view of them.
     """
     from scipy.special import roots_legendre
 
@@ -461,10 +473,15 @@ def _out_of_band(c: float, size: int):
     @functools.cache
     def tables():
         T = (reach + 30) / c
-        x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
-        t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
-        s, w_s = roots_legendre(48)
-        s = 0.5 * (s + 1.0)
+        x, w = roots_legendre(48)
+        panels = math.ceil((math.ceil(0.5 * c * (T - 1)) + 40) / 48)
+        half = 0.5 * (T - 1) / panels
+        t = (1.0 + half * (2 * np.arange(panels) + 1))[:, None] \
+            + half * x
+        # The j_k table, the largest, first: its recurrence's temporaries
+        # are gone before the Hankel tables are built.
+        j_table = _spherical_jn(c * t.ravel(), reach)
+        s = 0.5 * (x + 1.0)
         h_real, h_imag = _spherical_hn(c * np.concatenate([[T], T / s]),
                                        reach)
         # j_k' and y_k' at cT.
@@ -472,15 +489,17 @@ def _out_of_band(c: float, size: int):
                                   - np.arange(2, reach + 1) * part[1:, 0]
                                   / (c * T)])
                   for part in (h_real, h_imag)]
-        return (0.5 * (T - 1) * w, _spherical_jn(c * t, reach),
-                0.25 * T * w_s / (s * s), h_real, h_imag, *slopes)
+        return (np.tile(half * w, panels), j_table, 0.25 * T * w / (s * s),
+                h_real, h_imag, *slopes)
 
     def energy(k: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
             * coefficients
         w, j_table, w_outer, h_real, h_imag, slope_real, slope_imag = tables()
+        # k runs over one parity's degrees, ascending, so the reached
+        # ones are a prefix and their table rows a strided view.
         reached = k < reach
-        rows, a = k[reached].astype(int), a[reached]
+        rows, a = slice(int(k[0]), reach, 2), a[reached]
         inner = w @ (j_table[rows].T @ a) ** 2
         H_real, H_imag = h_real[rows].T @ a, h_imag[rows].T @ a
         # Re(H (H' - i H)) at cT, the second-order term's factor.
@@ -572,32 +591,32 @@ def _prolate_spectrum(c: float, size: int):
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _sector_eigenvalues(nu: float, k: float, r: np.ndarray,
-                        scale: np.ndarray) -> np.ndarray:
+def _sector_eigenvalues(k: float, r: np.ndarray, bessel, denominator,
+                        weights) -> np.ndarray:
     """Unclamped eigenvalues of the angular-momentum sector of order nu.
 
-    The matrix is scale_i scale_j K(r_i, r_j), scale = sqrt(w r) over a
-    radial rule (r, w), where K is the Christoffel-Darboux form of
-    integral_0^k p J_nu(p r) J_nu(p r') dp:
+    bessel holds J_nu-1, J_nu and J_nu+1 at the nodes k r of a radial
+    rule (r, w).  The matrix is weights_ij K(r_i, r_j), weights =
+    scale scale^T with scale = sqrt(w r), where K is the
+    Christoffel-Darboux form of integral_0^k p J_nu(p r) J_nu(p r') dp:
 
         k [r J_nu+1(kr) J_nu(kr') - r' J_nu(kr) J_nu+1(kr')] / (r^2 - r'^2),
 
-    with diagonal k^2/2 (J_nu(kr)^2 - J_nu-1(kr) J_nu+1(kr)); scale
-    carries the sqrt(r r') that symmetrizes the radial measure r^(d-1) dr.
-    Numerator and denominator are both antisymmetric, so the matrix is
-    exactly symmetric.
+    denominator holding r_i^2 - r_j^2, with diagonal k^2/2 (J_nu(kr)^2 -
+    J_nu-1(kr) J_nu+1(kr)); scale carries the sqrt(r r') that
+    symmetrizes the radial measure r^(d-1) dr.  Numerator and
+    denominator are both antisymmetric, so the matrix is exactly
+    symmetric.
     """
-    from scipy.special import jv
-
-    kr = k * r
-    j_nu, j_next = jv(nu, kr), jv(nu + 1.0, kr)
-    p = r * j_next
+    j_prev, j_nu, j_next = bessel
+    kernel = np.outer(r * j_next, j_nu)
+    kernel = kernel - kernel.T
+    kernel *= k
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = k * (np.outer(p, j_nu) - np.outer(j_nu, p)) \
-            / np.subtract.outer(r * r, r * r)
-    np.fill_diagonal(kernel, 0.5 * k * k * (j_nu * j_nu
-                                            - jv(nu - 1.0, kr) * j_next))
-    return np.linalg.eigvalsh(kernel * np.outer(scale, scale))
+        kernel /= denominator
+    np.fill_diagonal(kernel, 0.5 * k * k * (j_nu * j_nu - j_prev * j_next))
+    kernel *= weights
+    return np.linalg.eigvalsh(kernel)
 
 
 def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
@@ -608,21 +627,30 @@ def _radial_spectrum(k: float, radius: float, d: int, n_r: int):
     momentum l, of Bessel order nu = l + (d - 2)/2, each solved on the
     same n_r-node Gauss-Legendre rule on [0, radius], its values stored
     once with the sector's multiplicity (1, then 2 in d = 2; 2l + 1 in
-    d = 3).  Sectors run until the first l >= k radius whose largest
-    eigenvalue is below SNAP_TOL; a sector at or past
-    l = kR + SECTOR_EXCESS (1 + kR)^(1/3) that has not decayed raises
-    SpectralViolationError.
+    d = 3).  Sector l reads J_nu-1, J_nu and J_nu+1 at the nodes; the
+    first two are sector l - 1's J_nu and J_nu+1, so each sector calls
+    jv once (sector 0 three times), and the node weights and r_i^2 -
+    r_j^2 are formed once for all sectors.  Sectors run until the first
+    l >= k radius whose largest eigenvalue is below SNAP_TOL; a sector
+    at or past l = kR + SECTOR_EXCESS (1 + kR)^(1/3) that has not
+    decayed raises SpectralViolationError.
     """
-    from scipy.special import roots_legendre
+    from scipy.special import jv, roots_legendre
 
     x, w = roots_legendre(n_r)
     r = 0.5 * radius * (x + 1.0)
     scale = np.sqrt(0.5 * radius * w * r)
+    weights = np.outer(scale, scale)
+    denominator = np.subtract.outer(r * r, r * r)
+    kr = k * r
     kr_max = k * radius
     l_max = kr_max + SECTOR_EXCESS * (1.0 + kr_max) ** (1.0 / 3.0)
+    nu = 0.5 * (d - 2)
+    bessel = (None, jv(nu - 1.0, kr), jv(nu, kr))
     sectors, multiplicities = [], []
     for l in itertools.count():
-        vals = _sector_eigenvalues(l + 0.5 * (d - 2), k, r, scale)
+        bessel = (*bessel[1:], jv(l + nu + 1.0, kr))
+        vals = _sector_eigenvalues(k, r, bessel, denominator, weights)
         sectors.append(vals)
         multiplicities.append(2 * l + 1 if d == 3 else min(l + 1, 2))
         if l >= kr_max and vals[-1] < SNAP_TOL:

@@ -160,15 +160,20 @@ CASES = {
                          PipelineConfig(),
                          product_moments([axis_moments(150.0),
                                           axis_moments(300.0)]), 5e-13),
-    # +4.8e-14, +3.7e-13; 3D: +1.1e-14, +3.5e-14.
+    # +4.8e-14, +3.7e-13, +1.9e-12 (1.4 s); 3D: +1.1e-14, +3.5e-14,
+    # +2.7e-13.  The trace reads within 1.2e-14 in each.
     "radial-disk-L16": (DISK, DISK, 16.0, PipelineConfig(),
                         disk_moments(16.0), 5e-13),
     "radial-disk-L64": (DISK, DISK, 64.0, PipelineConfig(),
                         disk_moments(64.0), 3e-12),
+    "radial-disk-L128": (DISK, DISK, 128.0, PipelineConfig(),
+                         disk_moments(128.0), 2e-11),
     "radial-ball3-L8": (BALL3, BALL3, 8.0, PipelineConfig(),
                         ball3_moments(8.0), 5e-13),
     "radial-ball3-L16": (BALL3, BALL3, 16.0, PipelineConfig(),
                          ball3_moments(16.0), 5e-13),
+    "radial-ball3-L64": (BALL3, BALL3, 64.0, PipelineConfig(),
+                         ball3_moments(64.0), 3e-12),
     # -3.8e-12, -1.4e-11 and +1.0e-11 (the trace: 2.0e-12 at L = 16).
     "continuum-disk-square-L4": (DISK, Box(((0.0, 1.0),) * 2), 4.0,
                                PipelineConfig(),

@@ -479,23 +479,57 @@ def test_radial_ball3_matches_nystrom():
 
 @pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
 def test_radial_row_counts_every_stored_eigenvalue(ball, monkeypatch):
-    orders = []
+    solved = []
     original = spectra._sector_eigenvalues
 
-    def counting(nu, *args):
-        orders.append(nu)
-        return original(nu, *args)
+    def counting(*args):
+        solved.append(original(*args))
+        return solved[-1]
 
     monkeypatch.setattr(spectra, "_sector_eigenvalues", counting)
     spectrum, L, mode = pipeline_spectrum(ball, ball, 2.5)
     row = entropy_row(renyi_entropy(spectrum, 1.0, L, mode))
-    sectors, n_r = len(orders), math.ceil(1.5 * 2.5) + 20
+    sectors, n_r = len(solved), math.ceil(1.5 * 2.5) + 20
     # Sectors l < sectors repeat 1, 2, 2, ... times in d = 2 and
     # 2l + 1 times in d = 3, each with n_r eigenvalues.
     multiplicity = 2 * sectors - 1 if ball.dim == 2 else sectors ** 2
     assert row["n"] == len(spectrum) == multiplicity * n_r
     assert 0 < row["interior"] < row["n"]
     assert row["mode"] == "radial"
+
+
+@pytest.mark.parametrize("ball, L", [(DISK, 8.0), (BALL3, 4.0)],
+                         ids=["d2", "d3"])
+def test_radial_sectors_share_their_bessel_orders(ball, L, monkeypatch):
+    # Sector l reads J_nu-1, J_nu and J_nu+1 at the nodes, nu = l +
+    # (d - 2)/2; two of them carry over from sector l - 1, so the route
+    # calls jv once per sector and twice more for sector 0.  Each order
+    # it hands a sector is the fresh jv at the nodes, bit for bit.
+    from scipy.special import jv
+
+    calls, checked = [], []
+    original = spectra._sector_eigenvalues
+
+    def counting_jv(nu, x):
+        calls.append(nu)
+        return jv(nu, x)
+
+    def checking(k, r, bessel, *args):
+        nu = len(checked) + 0.5 * (ball.dim - 2)
+        for order, values in zip((nu - 1.0, nu, nu + 1.0), bessel):
+            np.testing.assert_array_equal(values, jv(order, k * r))
+        checked.append(nu)
+        return original(k, r, bessel, *args)
+
+    # The route imports jv from scipy.special when it runs.
+    monkeypatch.setattr("scipy.special.jv", counting_jv)
+    monkeypatch.setattr(spectra, "_sector_eigenvalues", checking)
+    spectrum = pipeline_spectrum(ball, ball, L)[0]
+    n_r = math.ceil(1.5 * L) + 20
+    sectors = len(spectrum.values) // n_r
+    assert sectors * n_r == len(spectrum.values)
+    assert len(checked) == sectors > 5
+    assert len(calls) == sectors + 2
 
 
 @pytest.mark.parametrize("ball", [DISK, BALL3], ids=["d2", "d3"])
@@ -737,32 +771,37 @@ def test_prolate_reach_guard(monkeypatch):
         pipeline_spectrum(GAMMA, OMEGA, 60.0)
 
 
-def test_out_of_band_energy_matches_complex_product(monkeypatch):
-    # The route takes Re H and Im H as two real products; here H is the
-    # complex product of the same Hankel tables, and H' that of the
-    # derivative column from h_k' = h_k-1 - (k + 1) h_k / X, on every
-    # window eigenvector the route sends to the out-of-band energy at
-    # c = 300, over the degrees below the tables' cut.
-    # The sums behind each energy cancel to 1e-10 and below, so its last
-    # digits are the rounding of those sums in whatever order a product
-    # takes them (the complex product itself moves them by up to 3e-8
-    # relative between one and two BLAS threads).  The energies must
-    # agree to 1e-14 of the first-order size of that rounding: the
-    # energy's terms, each squared sum taken as |sum| times the sum of
-    # absolute values.
+def _out_of_band_cut(c):
+    """(reach, T, N): the tables' degree cut, the end of the rule on
+    [1, T], and the node count ceil(c (T - 1) / 2) + 40 its nodes must
+    not fall below."""
+    reach = math.ceil(c + spectra.REACH_EXCESS * c ** (1 / 3)) + 10
+    T = (reach + 30) / c
+    return reach, T, math.ceil(0.5 * c * (T - 1)) + 40
+
+
+def _panel_rule(T, panels, points):
+    """Gauss-Legendre rule of points nodes on each of panels equal
+    panels of [1, T], in the route's arithmetic."""
     from scipy.special import roots_legendre
 
-    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
-    calls = _record_out_of_band(monkeypatch)
-    spectra._prolate_spectrum(c, size)
-    assert len(calls) == 2
+    x, w = roots_legendre(points)
+    half = 0.5 * (T - 1) / panels
+    t = (1.0 + half * (2 * np.arange(panels) + 1))[:, None] + half * x
+    return t.ravel(), np.tile(half * w, panels)
 
-    reach = math.ceil(c + spectra.REACH_EXCESS * c ** (1 / 3)) + 10
-    assert reach < size
-    T = (reach + 30) / c
-    x, w = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
-    t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
-    w = 0.5 * (T - 1) * w
+
+def _reference_energy(c, k, coefficients, t, w):
+    """(energy, rounding) of the out-of-band energy on the inner rule
+    (t, w) of [1, T], with H the complex product of the Hankel tables
+    and H' that of the derivative column from h_k' = h_k-1 - (k + 1)
+    h_k / X, and the route's 48-node rule for the tail in s = T / t.
+    rounding is the first-order size of the rounding of the energy's
+    sums: each squared sum taken as |sum| times the sum of absolute
+    values."""
+    from scipy.special import roots_legendre
+
+    reach, T, _ = _out_of_band_cut(c)
     s, w_s = roots_legendre(48)
     s = 0.5 * (s + 1.0)
     v = 0.25 * T * w_s / (s * s)
@@ -773,44 +812,95 @@ def test_out_of_band_energy_matches_complex_product(monkeypatch):
     h_slope = np.concatenate([[-h_table[1, 0]], h_table[:-1, 0]
                               - np.arange(2, reach + 1) * h_table[1:, 0]
                               / (c * T)])
+    assert k[-1] >= reach
+    reached = k < reach
+    a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
+        * coefficients
+    a, rows = a[reached], k[reached].astype(int)
+    J, H_table, H_slope = j_table[rows].T, h_table[rows].T, h_slope[rows]
+    psi, H = J @ a, H_table @ a.astype(complex)
+    D = H_slope @ a.astype(complex) - 1j * H[0]
+    assert H.dtype == D.dtype == complex
+    energy = c / math.pi * (w @ psi ** 2 + v @ np.abs(H[1:]) ** 2
+                            - H[0].real * H[0].imag / (2 * c)
+                            - (H[0] * D).real / (4 * c))
+    psi_size = np.abs(J) @ np.abs(a)
+    H_size = np.abs(H_table) @ np.abs(a)
+    D_size = np.abs(H_slope) @ np.abs(a) + H_size[0]
+    rounding = c / math.pi * (w @ (np.abs(psi) * psi_size)
+                              + v @ (np.abs(H[1:]) * H_size[1:])
+                              + np.abs(H[0]) * H_size[0] / (2 * c)
+                              + (np.abs(H[0]) * D_size
+                                 + np.abs(D) * H_size[0]) / (4 * c))
+    return energy, rounding
+
+
+def test_out_of_band_energy_matches_complex_product(monkeypatch):
+    # The route takes Re H and Im H as two real products; here H is the
+    # complex product of the same Hankel tables, on the route's own
+    # rule (ceil(N / 48) equal panels of 48 nodes on [1, T]), on every
+    # window eigenvector the route sends to the out-of-band energy at
+    # c = 300, over the degrees below the tables' cut.
+    # The sums behind each energy cancel to 1e-10 and below, so its last
+    # digits are the rounding of those sums in whatever order a product
+    # takes them (the complex product itself moves them by up to 3e-8
+    # relative between one and two BLAS threads).  The energies must
+    # agree to 1e-14 of the first-order size of that rounding.
+    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
+    calls = _record_out_of_band(monkeypatch)
+    spectra._prolate_spectrum(c, size)
+    assert len(calls) == 2
+
+    reach, T, N = _out_of_band_cut(c)
+    assert reach < size
+    t, w = _panel_rule(T, math.ceil(N / 48), 48)
     for k, coefficients, gaps in calls:
-        assert k[-1] >= reach
-        reached = k < reach
-        a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
-            * coefficients
-        a, rows = a[reached], k[reached].astype(int)
-        J, H_table, H_slope = j_table[rows].T, h_table[rows].T, h_slope[rows]
-        psi, H = J @ a, H_table @ a.astype(complex)
-        D = H_slope @ a.astype(complex) - 1j * H[0]
-        assert H.dtype == D.dtype == complex
-        expected = c / math.pi * (w @ psi ** 2 + v @ np.abs(H[1:]) ** 2
-                                  - H[0].real * H[0].imag / (2 * c)
-                                  - (H[0] * D).real / (4 * c))
-        psi_size = np.abs(J) @ np.abs(a)
-        H_size = np.abs(H_table) @ np.abs(a)
-        D_size = np.abs(H_slope) @ np.abs(a) + H_size[0]
-        rounding = c / math.pi * (w @ (np.abs(psi) * psi_size)
-                                  + v @ (np.abs(H[1:]) * H_size[1:])
-                                  + np.abs(H[0]) * H_size[0] / (2 * c)
-                                  + (np.abs(H[0]) * D_size
-                                     + np.abs(D) * H_size[0]) / (4 * c))
+        expected, rounding = _reference_energy(c, k, coefficients, t, w)
         assert np.all(np.abs(gaps - expected) <= 1e-14 * rounding)
         assert np.all(gaps > 0.0)
 
 
+# c: (bound, whether 48 round(N / 48) nodes fail it).  The largest
+# relative deviation of the route's gaps from those on a plain Gauss
+# rule of 4N nodes reads 8.6e-6, 6.8e-8, 3.8e-7 and 4.0e-7 at these c
+# (on a plain N-node rule: 8.2e-6, 4.3e-8, 6.0e-7 and 4.1e-7): the
+# rounding of sums that cancel to the gap, not quadrature error.  With
+# round(N / 48) panels the gaps read 8.6e-6, 1.6e-7, 5.0e-3 and 3.2e-4
+# off, the last two of 96 nodes for N = 115 and 144 for N = 148.
+OUT_OF_BAND_DEV = {30.0: (3e-5, False), 300.0: (1e-6, False),
+                   1000.0: (2e-6, True), 3900.0: (2e-6, True)}
+
+
+@pytest.mark.parametrize("c", list(OUT_OF_BAND_DEV))
+def test_out_of_band_rule_against_a_finer_rule(c, monkeypatch):
+    bound, coarse_fails = OUT_OF_BAND_DEV[c]
+    calls = _record_out_of_band(monkeypatch)
+    spectra._prolate_spectrum(c, math.ceil(1.5 * c) + spectra.PROLATE_PAD)
+    assert calls
+    _, T, N = _out_of_band_cut(c)
+    finer = _panel_rule(T, 1, 4 * N)
+    coarser = _panel_rule(T, round(N / 48), 48)
+    deviation = coarse = 0.0
+    for k, coefficients, gaps in calls:
+        exact = _reference_energy(c, k, coefficients, *finer)[0]
+        deviation = max(deviation, np.max(np.abs(gaps / exact - 1.0)))
+        coarse = max(coarse, np.max(np.abs(_reference_energy(
+            c, k, coefficients, *coarser)[0] / exact - 1.0)))
+    assert deviation <= bound
+    assert (coarse > bound) == coarse_fails
+
+
 def test_spherical_jn_matches_scipy_on_the_route_tables():
     # The out-of-band tables exactly as the route builds them: degrees
-    # below the near-1 reach on the Gauss nodes of [1, T],
+    # below the near-1 reach on the panelled Gauss nodes of [1, T],
     # T = (reach + 30) / c.  There the backward recurrence grows by far
     # less than the float range, so it needs no rescaling.
-    from scipy.special import roots_legendre, spherical_jn
+    from scipy.special import spherical_jn
 
     for c in (300.0, 1200.0):
-        reach = math.ceil(c + spectra.REACH_EXCESS * c ** (1 / 3)) + 10
+        reach, T, N = _out_of_band_cut(c)
         assert reach < math.ceil(1.5 * c) + spectra.PROLATE_PAD
-        T = (reach + 30) / c
-        x, _ = roots_legendre(math.ceil(0.5 * c * (T - 1)) + 40)
-        t = 1.0 + 0.5 * (T - 1) * (x + 1.0)
+        t = _panel_rule(T, math.ceil(N / 48), 48)[0]
         table = spectra._spherical_jn(c * t, reach)
         exact = spherical_jn(np.arange(reach)[:, None], c * t)
         np.testing.assert_allclose(table, exact, rtol=1e-6, atol=0)
