@@ -151,11 +151,12 @@ def cmd_sweep(args) -> int:
             f"sweep.L has {len(grid)} distinct L values; the fit needs at "
             f"least {MIN_FIT_POINTS}")
 
-    # Partial rows are one line per (alpha, L); an L is solved again
-    # unless every requested order was persisted for it.
+    # Partial rows are one line per (alpha, L), written through one
+    # handle that the first row opens; an L is solved again unless every
+    # requested order was persisted for it.
     partial_path = args.out + ".partial" if args.out else None
     precomputed = {alpha: {} for alpha in alphas}
-    on_result = None
+    on_result, handles = None, {}
     if partial_path:
         digest = config_hash(config)
         for (_, L), row in load_partial_rows(partial_path, digest).items():
@@ -164,9 +165,14 @@ def cmd_sweep(args) -> int:
                 precomputed[result.alpha][L] = result
 
         def on_result(res):
-            append_partial_row(partial_path, entropy_row(res), digest)
-    by_order = sweep(gamma, omega, alphas, grid, pipeline,
-                     on_result=on_result, precomputed=precomputed)
+            append_partial_row(partial_path, entropy_row(res), digest,
+                               handles)
+    try:
+        by_order = sweep(gamma, omega, alphas, grid, pipeline,
+                         on_result=on_result, precomputed=precomputed)
+    finally:
+        for handle in handles.values():
+            handle.close()
 
     J = widom_J(gamma, omega)
     rows, fits = [], []

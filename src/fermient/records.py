@@ -5,9 +5,9 @@ config it ran from, and command-specific blocks.  JSON is written with
 sorted keys and default float repr (shortest exact round-trip), so
 identical configs give bit-identical records apart from wall times.
 Sweeps additionally append each finished row to a JSON-lines partial
-file tagged with a config hash, letting interrupted runs resume.  An
-entropy row is an EntropyResult's fields: entropy_row writes one and
-entropy_result reads it back.
+file tagged with a config hash, through one handle per sweep, letting
+interrupted runs resume.  An entropy row is an EntropyResult's fields:
+entropy_row writes one and entropy_result reads it back.
 """
 
 from __future__ import annotations
@@ -154,11 +154,20 @@ def config_hash(config: RunConfig) -> str:
     return digest[:16]
 
 
-def append_partial_row(path, row: dict, digest: str) -> None:
+def append_partial_row(path, row: dict, digest: str, handles: dict) -> None:
+    """Append row, tagged with digest, as one line of the partial file
+    at path, and flush it, so a crash loses no finished row.
+
+    handles holds the caller's open handle per path: a file is opened
+    on its first row, so a sweep that fails before any row leaves none,
+    and stays open for the rest; the caller closes it."""
+    handle = handles.get(path)
+    if handle is None:
+        handle = handles[path] = open(path, "a", encoding="utf-8")
     tagged = dict(row)
     tagged["config_hash"] = digest
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(tagged, sort_keys=True) + "\n")
+    handle.write(json.dumps(tagged, sort_keys=True) + "\n")
+    handle.flush()
 
 
 def load_partial_rows(path, digest: str) -> dict:

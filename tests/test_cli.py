@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import (asymptotics, cli, discretize, geometry, spectra,
-                      validate)
+from fermient import (asymptotics, cli, discretize, geometry, records,
+                      spectra, validate)
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
@@ -56,6 +56,15 @@ def without_wall_times(record):
     for row in record["rows"]:
         row.pop("wall_time_s", None)
     return record
+
+
+def seed_partial_rows(path, rows, digest):
+    """Write rows to a sweep's partial file as an interrupted sweep
+    left them."""
+    handles = {}
+    for row in rows:
+        append_partial_row(path, row, digest, handles)
+    handles[path].close()
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1181,7 @@ def test_sweep_resumes_from_partial_rows(capsys, tmp_path):
     digest = config_hash(load_config(cfg))
     seeded = {"alpha": 1.0, "L": 63.0, "n": 63, "S": 99.0,
               "clamp_count": 0, "max_violation": 0.0, "mode": "lattice"}
-    append_partial_row(str(out) + ".partial", seeded, digest)
+    seed_partial_rows(str(out) + ".partial", [seeded], digest)
 
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
                            "--out", str(out))
@@ -1271,8 +1280,7 @@ def test_sweep_resumes_multi_order_partial_rows(capsys, tmp_path, solves):
     digest = config_hash(load_config(cfg))
     saved = [row for row in uninterrupted["rows"] if row["L"] == 63.0
              or (row["L"] == 101.0 and row["alpha"] == 1.0)]
-    for row in saved:
-        append_partial_row(str(resumed) + ".partial", row, digest)
+    seed_partial_rows(str(resumed) + ".partial", saved, digest)
     solves.clear()
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
                            "--out", str(resumed))
@@ -1329,6 +1337,56 @@ def test_sweep_persists_partial_rows_on_failure(capsys, tmp_path,
     assert solved == [100.0]
     assert len(json.loads(out.read_text())["rows"]) == 4
     assert not (tmp_path / "sweep.json.partial").exists()
+
+
+def test_sweep_writes_partial_rows_through_one_handle(capsys, tmp_path,
+                                                     monkeypatch):
+    # The first row opens the partial file and every later row goes
+    # through the same handle, flushed as it is written; the handle is
+    # closed when the sweep fails.  A sweep that fails before its first
+    # row opens nothing and leaves no partial file.
+    out = tmp_path / "sweep.json"
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(records, "open", recording_open, raising=False)
+    original = asymptotics.pipeline_spectrum
+    failing_L = []
+
+    def failing(gamma, omega, L, config):
+        if L in failing_L:
+            raise discretize.BudgetError("would need more, over the budget")
+        return original(gamma, omega, L, config)
+
+    monkeypatch.setattr(asymptotics, "pipeline_spectrum", failing)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "gamma.k_fermi = 1.5707963267948966\n"
+        "omega.shape = interval\n"
+        "omega.intervals = 0:1\n"
+        "mode = lattice\n"
+        "alpha = 1,2\n"
+        "sweep.L = 100,200,300,400\n")
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    for L, rows in ((400.0, 0), (100.0, 6)):
+        failing_L[:] = [L]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert len(opened) == min(rows, 1)
+        assert all(handle.closed for handle in opened)
+        assert (tmp_path / "sweep.json.partial").exists() == (rows > 0)
+    lines = (tmp_path / "sweep.json.partial").read_text().splitlines()
+    assert len(lines) == 6
+    digest = config_hash(load_config(cfg))
+    for line, L, alpha in zip(lines, [400.0, 400.0, 300.0, 300.0, 200.0,
+                                      200.0], [1.0, 2.0] * 3):
+        row = json.loads(line)
+        assert (row["L"], row["alpha"], row["config_hash"]) \
+            == (L, alpha, digest)
+        assert line == json.dumps(row, sort_keys=True)
 
 
 def test_sweep_csv_rectifies_by_dimension(capsys, tmp_path):

@@ -411,11 +411,18 @@ def test_config_hash_ignores_output_keys():
 def test_partial_rows_round_trip(tmp_path):
     path = tmp_path / "run.json.partial"
     digest = "abc123"
-    append_partial_row(path, {"alpha": 1.0, "L": 10.0, "S": 0.5}, digest)
-    append_partial_row(path, {"alpha": "inf", "L": 20.0, "S": 0.25}, digest)
-    append_partial_row(path, {"alpha": 1.0, "L": 30.0, "S": 0.1}, "other")
-    with open(path, "a") as handle:
-        handle.write('{"torn": ')          # crash mid-write
+    handles = {}
+    append_partial_row(path, {"alpha": 1.0, "L": 10.0, "S": 0.5}, digest,
+                       handles)
+    append_partial_row(path, {"alpha": "inf", "L": 20.0, "S": 0.25}, digest,
+                       handles)
+    # Each row is on disk as soon as it is appended, before the close.
+    assert len(path.read_text().splitlines()) == 2
+    append_partial_row(path, {"alpha": 1.0, "L": 30.0, "S": 0.1}, "other",
+                       handles)
+    handles[path].write('{"torn": ')       # crash mid-write
+    handles.pop(path).close()
+    assert handles == {}
 
     rows = load_partial_rows(path, digest)
     assert set(rows) == {(1.0, 10.0), ("inf", 20.0)}

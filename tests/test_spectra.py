@@ -791,27 +791,116 @@ def _panel_rule(T, panels, points):
     return t.ravel(), np.tile(half * w, panels)
 
 
-def _reference_energy(c, k, coefficients, t, w):
-    """(energy, rounding) of the out-of-band energy on the inner rule
-    (t, w) of [1, T], with H the complex product of the Hankel tables
-    and H' that of the derivative column from h_k' = h_k-1 - (k + 1)
-    h_k / X, and the route's 48-node rule for the tail in s = T / t.
-    rounding is the first-order size of the rounding of the energy's
-    sums: each squared sum taken as |sum| times the sum of absolute
-    values."""
+def _tail_rule(c):
+    """(z, v): the tail's Hankel nodes, cT and then c T / s at the
+    48-node rule's s in (0, 1), and its weights in s, in the route's
+    arithmetic."""
     from scipy.special import roots_legendre
 
-    reach, T, _ = _out_of_band_cut(c)
-    s, w_s = roots_legendre(48)
+    _, T, _ = _out_of_band_cut(c)
+    s, w = roots_legendre(48)
     s = 0.5 * (s + 1.0)
-    v = 0.25 * T * w_s / (s * s)
-    j_table = spectra._spherical_jn(c * t, reach)
-    h_real, h_imag = spectra._spherical_hn(c * np.concatenate([[T], T / s]),
-                                           reach)
+    return c * np.concatenate([[T], T / s]), 0.25 * T * w / (s * s)
+
+
+def _spherical_jn(x, size):
+    """j_k(x) for k < size, rows k, by Miller's backward recurrence,
+    one step per degree: the per-degree loop the route's one-loop
+    tables must reproduce bit for bit."""
+    top = math.ceil(max(size, x.max()) + 20 + 4 * x.max() ** (1 / 3))
+    table = np.empty((size, len(x)))
+    after, value = np.zeros_like(x), np.ones_like(x)
+    for k in range(top, 0, -1):
+        after, value = value, (2 * k + 1) / x * value - after
+        if k <= size:
+            table[k - 1] = value
+    j0 = np.sin(x) / x
+    j1 = j0 / x - np.cos(x) / x
+    table *= np.where(np.abs(j0) >= np.abs(j1), j0 / table[0], j1 / table[1])
+    return table
+
+
+def _spherical_hn(x, size):
+    """(j_k(x), y_k(x)) for k < size, rows k, by forward recurrence, one
+    step per degree, both parts in one step: the oracle of the route's
+    Hankel tables."""
+    table = np.empty((size, 2, len(x)))
+    real, imag = table[:, 0], table[:, 1]
+    real[0], imag[0] = np.sin(x) / x, -np.cos(x) / x
+    real[1], imag[1] = real[0] / x + imag[0], imag[0] / x - real[0]
+    for k in range(1, size - 1):
+        table[k + 1] = (2 * k + 1) / x * table[k] - table[k - 1]
+    return real, imag
+
+
+def _record_bessel_tables(monkeypatch):
+    """Patch spectra._bessel_tables so each call appends its (x, z,
+    size, (j, h_real, h_imag)) to the returned list."""
+    calls = []
+    original = spectra._bessel_tables
+
+    def recording(x, z, size):
+        tables = original(x, z, size)
+        calls.append((x, z, size, tables))
+        return tables
+
+    monkeypatch.setattr(spectra, "_bessel_tables", recording)
+    return calls
+
+
+def _built_tables(c):
+    """The route's (x, z, size, tables) at c: the out-of-band energy of
+    one unit vector builds them, whether or not a solve at c sends a
+    vector there."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_bessel_tables(patch)
+        size = math.ceil(1.5 * c) + spectra.PROLATE_PAD
+        k = np.arange(0, size, 2, dtype=float)
+        assert spectra._out_of_band(c, size)(k, np.eye(len(k), 1))[0] > 0.0
+    (call,) = calls
+    return call
+
+
+def _route_rule(c, monkeypatch):
+    """(calls, (x, w), (z, v)) of one prolate solve at c: its
+    out-of-band energy calls as _record_out_of_band lists them, and the
+    rules whose nodes it hands to _bessel_tables, once per solve.  Those
+    nodes must be c t on ceil(N / 48) equal panels of the 48-node rule
+    on [1, T], at least N of them, and the tail's nodes, bit for bit;
+    the weights are then the same rules'."""
+    tables = _record_bessel_tables(monkeypatch)
+    calls = _record_out_of_band(monkeypatch)
+    spectra._prolate_spectrum(c, math.ceil(1.5 * c) + spectra.PROLATE_PAD)
+    assert calls
+    (x, z, size, _), = tables
+    reach, T, N = _out_of_band_cut(c)
+    panels = math.ceil(N / 48)
+    t, w = _panel_rule(T, panels, 48)
+    assert size == reach
+    assert len(x) == 48 * panels >= N
+    assert np.array_equal(x, c * t)
+    tail = _tail_rule(c)
+    assert np.array_equal(z, tail[0])
+    return calls, (x, w), tail
+
+
+def _reference_energy(c, k, coefficients, inner, outer):
+    """(energy, rounding) of the out-of-band energy on the inner rule
+    (x, w) in X = c t on [c, cT] and the outer rule (z, v), cT then the
+    tail's nodes in X with their weights in s = T / t, from the
+    per-degree tables, with H the complex product of the Hankel tables
+    and H' that of the derivative column from h_k' = h_k-1 - (k + 1)
+    h_k / X.  rounding is the first-order size of the rounding of the
+    energy's sums: each squared sum taken as |sum| times the sum of
+    absolute values."""
+    (x, w), (z, v) = inner, outer
+    reach = _out_of_band_cut(c)[0]
+    j_table = _spherical_jn(x, reach)
+    h_real, h_imag = _spherical_hn(z, reach)
     h_table = h_real + 1j * h_imag
     h_slope = np.concatenate([[-h_table[1, 0]], h_table[:-1, 0]
                               - np.arange(2, reach + 1) * h_table[1:, 0]
-                              / (c * T)])
+                              / z[0]])
     assert k[-1] >= reach
     reached = k < reach
     a = (2 * np.sqrt(k + 0.5) * np.where(k % 4 > 1, -1.0, 1.0))[:, None] \
@@ -837,25 +926,23 @@ def _reference_energy(c, k, coefficients, t, w):
 
 def test_out_of_band_energy_matches_complex_product(monkeypatch):
     # The route takes Re H and Im H as two real products; here H is the
-    # complex product of the same Hankel tables, on the route's own
-    # rule (ceil(N / 48) equal panels of 48 nodes on [1, T]), on every
-    # window eigenvector the route sends to the out-of-band energy at
-    # c = 300, over the degrees below the tables' cut.
+    # complex product of the per-degree Hankel tables, on the nodes the
+    # route hands its table builder (ceil(N / 48) equal panels of 48
+    # nodes on [1, T], checked by _route_rule), on every window
+    # eigenvector the route sends to the out-of-band energy at c = 300,
+    # over the degrees below the tables' cut.
     # The sums behind each energy cancel to 1e-10 and below, so its last
     # digits are the rounding of those sums in whatever order a product
     # takes them (the complex product itself moves them by up to 3e-8
     # relative between one and two BLAS threads).  The energies must
     # agree to 1e-14 of the first-order size of that rounding.
-    c, size = 300.0, math.ceil(1.5 * 300.0) + spectra.PROLATE_PAD
-    calls = _record_out_of_band(monkeypatch)
-    spectra._prolate_spectrum(c, size)
+    c = 300.0
+    calls, inner, outer = _route_rule(c, monkeypatch)
     assert len(calls) == 2
-
-    reach, T, N = _out_of_band_cut(c)
-    assert reach < size
-    t, w = _panel_rule(T, math.ceil(N / 48), 48)
+    assert _out_of_band_cut(c)[0] < math.ceil(1.5 * c) + spectra.PROLATE_PAD
     for k, coefficients, gaps in calls:
-        expected, rounding = _reference_energy(c, k, coefficients, t, w)
+        expected, rounding = _reference_energy(c, k, coefficients, inner,
+                                               outer)
         assert np.all(np.abs(gaps - expected) <= 1e-14 * rounding)
         assert np.all(gaps > 0.0)
 
@@ -873,36 +960,72 @@ OUT_OF_BAND_DEV = {30.0: (3e-5, False), 300.0: (1e-6, False),
 
 @pytest.mark.parametrize("c", list(OUT_OF_BAND_DEV))
 def test_out_of_band_rule_against_a_finer_rule(c, monkeypatch):
+    # _route_rule also checks that the route's own nodes are the
+    # panelled rule, so a route moved to a coarser rule fails here.
     bound, coarse_fails = OUT_OF_BAND_DEV[c]
-    calls = _record_out_of_band(monkeypatch)
-    spectra._prolate_spectrum(c, math.ceil(1.5 * c) + spectra.PROLATE_PAD)
-    assert calls
+    calls, _, outer = _route_rule(c, monkeypatch)
     _, T, N = _out_of_band_cut(c)
-    finer = _panel_rule(T, 1, 4 * N)
-    coarser = _panel_rule(T, round(N / 48), 48)
+    finer, coarser = [(c * t, w) for t, w in (
+        _panel_rule(T, 1, 4 * N), _panel_rule(T, round(N / 48), 48))]
     deviation = coarse = 0.0
     for k, coefficients, gaps in calls:
-        exact = _reference_energy(c, k, coefficients, *finer)[0]
+        exact = _reference_energy(c, k, coefficients, finer, outer)[0]
         deviation = max(deviation, np.max(np.abs(gaps / exact - 1.0)))
         coarse = max(coarse, np.max(np.abs(_reference_energy(
-            c, k, coefficients, *coarser)[0] / exact - 1.0)))
+            c, k, coefficients, coarser, outer)[0] / exact - 1.0)))
     assert deviation <= bound
     assert (coarse > bound) == coarse_fails
 
 
+@pytest.mark.parametrize("c", [13.1, 30.0, 300.0, 1000.0, 3900.0])
+def test_bessel_tables_equal_the_per_degree_loops(c):
+    # One loop steps both recurrences, column by column in the same
+    # arithmetic as the per-degree loops, so every entry is bit for bit
+    # theirs.  The three tables are views of one array, not copies, with
+    # positive strides, so a BLAS product reads them without a copy.
+    x, z, size, (j, h_real, h_imag) = _built_tables(c)
+    assert size == _out_of_band_cut(c)[0]
+    assert j.shape == (size, len(x))
+    assert h_real.shape == h_imag.shape == (size, len(z))
+    assert np.array_equal(j, _spherical_jn(x, size))
+    real, imag = _spherical_hn(z, size)
+    assert np.array_equal(h_real, real) and np.array_equal(h_imag, imag)
+    assert j.base is h_real.base is h_imag.base is not None
+    assert min(j.strides + h_real.strides + h_imag.strides) > 0
+
+
+# c: bound on the Hankel tables' deviation from scipy, per node
+# relative to the node's largest entry of each part.  Measured: 9.6e-16,
+# 1.4e-15, 3.9e-15, 1.2e-14 and 2.2e-14 (the y_k part from c = 300 on):
+# the forward recurrence's rounding, which grows with its step count.
+HANKEL_DEV = {13.1: 5e-15, 30.0: 5e-15, 300.0: 2e-14, 1000.0: 5e-14,
+              3900.0: 1e-13}
+
+
+@pytest.mark.parametrize("c", list(HANKEL_DEV))
+def test_hankel_tables_match_scipy_on_the_tail_nodes(c):
+    from scipy.special import spherical_jn, spherical_yn
+
+    _, z, size, (_, h_real, h_imag) = _built_tables(c)
+    assert np.array_equal(z, _tail_rule(c)[0])
+    k = np.arange(size)[:, None]
+    for table, exact in ((h_real, spherical_jn(k, z)),
+                         (h_imag, spherical_yn(k, z))):
+        scale = np.max(np.abs(exact), axis=0)
+        assert np.max(np.abs(table - exact) / scale) <= HANKEL_DEV[c]
+
+
 def test_spherical_jn_matches_scipy_on_the_route_tables():
-    # The out-of-band tables exactly as the route builds them: degrees
-    # below the near-1 reach on the panelled Gauss nodes of [1, T],
+    # The j_k table exactly as the route builds it: degrees below the
+    # near-1 reach on the panelled Gauss nodes of [1, T],
     # T = (reach + 30) / c.  There the backward recurrence grows by far
     # less than the float range, so it needs no rescaling.
     from scipy.special import spherical_jn
 
     for c in (300.0, 1200.0):
-        reach, T, N = _out_of_band_cut(c)
-        assert reach < math.ceil(1.5 * c) + spectra.PROLATE_PAD
-        t = _panel_rule(T, math.ceil(N / 48), 48)[0]
-        table = spectra._spherical_jn(c * t, reach)
-        exact = spherical_jn(np.arange(reach)[:, None], c * t)
+        x, _, size, (table, _, _) = _built_tables(c)
+        assert size < math.ceil(1.5 * c) + spectra.PROLATE_PAD
+        exact = spherical_jn(np.arange(size)[:, None], x)
         np.testing.assert_allclose(table, exact, rtol=1e-6, atol=0)
 
 
