@@ -16,17 +16,18 @@ import math
 
 import numpy as np
 
-from fermient import PipelineConfig, interval, sweep
+from fermient import LatticeSea, interval, sweep
 from fermient.asymptotics import fit_scaling
 
 K_FERMI = math.pi / 2.0
 ORDERS = (0.5, 1.0, 2.0, math.inf)
 
 sizes = np.unique(np.round(np.geomspace(100, 2000, 12)).astype(int))
-gamma = interval(-K_FERMI, K_FERMI)
+# Lattice momenta: the Fermi sea's type picks the lattice route.
+gamma = LatticeSea(((-K_FERMI, K_FERMI),))
 omega = interval(0.0, 1.0)
 # One eigensolve per block size serves all four orders.
-by_order = sweep(gamma, omega, ORDERS, sizes, PipelineConfig(mode="lattice"))
+by_order = sweep(gamma, omega, ORDERS, sizes)
 
 print(f"block entropies at half filling, n = {sizes.min()}..{sizes.max()}")
 header = f"{'n':>6}" + "".join(f"  S_{a:<5}" for a in ORDERS)

@@ -14,24 +14,23 @@ import math
 
 import numpy as np
 
-from fermient import (Box, PipelineConfig, eigenvalues, nystrom,
-                      pipeline_spectrum, renyi_entropy, sweep)
+from fermient import (Box, eigenvalues, nystrom, pipeline_spectrum,
+                      renyi_entropy, sweep)
 from fermient.asymptotics import fit_scaling
 
 gamma = Box(((-1.0, 1.0), (-1.0, 1.0)))
 omega = Box(((0.0, 1.0), (0.0, 1.0)))
 
-# Small-L consistency: same operator, two constructions.
+# Small-L consistency: same operator, two constructions.  A box pair
+# takes the per-axis (tensor_box) route by its type alone.
 direct = renyi_entropy(
     eigenvalues(nystrom(gamma, omega, 3.0, nodes_per_unit=4.0)), 1.0)
-tensor = renyi_entropy(pipeline_spectrum(
-    gamma, omega, 3.0, PipelineConfig(mode="tensor_box"))[0], 1.0)
+tensor = renyi_entropy(pipeline_spectrum(gamma, omega, 3.0)[0], 1.0)
 print(f"L = 3 cross-check: direct n = {direct.n}, S = {direct.S:.12f}")
 print(f"                   tensor n = {tensor.n}, S = {tensor.S:.12f}")
 print(f"                   |difference| = {abs(direct.S - tensor.S):.2e}\n")
 
-result = sweep(gamma, omega, [1.0], np.geomspace(20.0, 200.0, 8),
-               PipelineConfig(mode="tensor_box"))[1.0]
+result = sweep(gamma, omega, [1.0], np.geomspace(20.0, 200.0, 8))[1.0]
 print(f"{'L':>8} {'n':>8} {'S_1':>12} {'S_1 / (L ln L)':>15}")
 for point in result.results:
     print(f"{point.L:8.2f} {point.n:8d} {point.S:12.4f} "

@@ -8,8 +8,9 @@ area law
 
 The usual entry points:
 
-    pipeline_spectrum  geometry -> spectrum, the one solve per L that
-                       every Renyi order is summed from
+    pipeline_spectrum  geometry -> spectrum on the route the region types
+                       pick (a LatticeSea Fermi sea: the lattice route),
+                       the one solve per L every Renyi order is summed from
     renyi_entropy      the entropy of a spectrum at one order
     eigenvalues        the dense solve of a nystrom or lattice_correlation
                        matrix: the Nystrom route, and the oracle that
@@ -31,22 +32,23 @@ from .functionals import (entropy_function, entropy_log_coefficient,
                           log_coefficient_functional,
                           predicted_log_prefactor)
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, interval, widom_J, widom_J_monte_carlo)
+                       IntervalUnion, LatticeSea, interval, widom_J,
+                       widom_J_monte_carlo)
 from .kernels import FermiKernel
-from .spectra import (EntropyResult, PipelineConfig, Spectrum, eigenvalues,
-                      pipeline_spectrum, renyi_entropy, tensor_spectrum)
+from .spectra import (EntropyResult, Spectrum, eigenvalues, pipeline_spectrum,
+                      renyi_entropy, tensor_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
-    "IntervalUnion", "interval",
+    "IntervalUnion", "LatticeSea", "interval",
     "widom_J", "widom_J_monte_carlo",
     "entropy_function", "entropy_log_coefficient",
     "log_coefficient_functional", "predicted_log_prefactor",
     "FermiKernel",
     "nystrom", "lattice_correlation",
-    "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
+    "Spectrum", "EntropyResult", "eigenvalues",
     "renyi_entropy", "tensor_spectrum",
     "pipeline_spectrum",
     "SweepResult", "ScalingFit", "sweep", "fit_scaling", "compare_theory",

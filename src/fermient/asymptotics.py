@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import predicted_log_prefactor
-from .geometry import Domain
-from .spectra import (EntropyResult, PipelineConfig, lattice_sites,
-                      pipeline_spectrum, renyi_entropy)
+from .geometry import Domain, LatticeSea
+from .spectra import (EntropyResult, lattice_sites, pipeline_spectrum,
+                      renyi_entropy)
 
 __all__ = [
     "SweepResult",
@@ -73,22 +73,23 @@ class SweepResult:
 
 
 def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
-          config: PipelineConfig = PipelineConfig(), on_result=None,
+          budget: int | None = None, on_result=None,
           precomputed: dict | None = None) -> dict[float, SweepResult]:
     """Entropies over every L in the grid, one spectrum per L.
 
     alpha is a sequence of orders, and the result is {alpha:
     SweepResult} in the order given.  Each L is assembled and
-    diagonalized once (pipeline_spectrum), and every order is a
-    renyi_entropy sum over that spectrum.  Every EntropyResult at one L
-    carries the route taken (mode) and, as wall_time_s, the time spent
-    assembling and diagonalizing that L, which its orders share.
+    diagonalized once (pipeline_spectrum within budget; None is the
+    route's default), and every order is a renyi_entropy sum over that
+    spectrum.  Every EntropyResult at one L carries the route taken
+    (mode) and, as wall_time_s, the time spent assembling and
+    diagonalizing that L, which its orders share.
 
     The L points run serially, largest first: every route's size grows
     with L, so an L past the budget fails before any smaller L is
-    solved, and an error propagates at once.  In lattice mode two L
-    values that round to one block (spectra.lattice_sites) are refused
-    before any solve, as duplicates are.
+    solved, and an error propagates at once.  For a LatticeSea gamma,
+    two L values that round to one block (spectra.lattice_sites) are
+    refused before any solve, as duplicates are.
 
     on_result, if given, is called with each EntropyResult as its point
     completes, which is how the CLI persists partial rows.  precomputed
@@ -105,7 +106,7 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
     grid = [float(L) for L in L_grid]
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate L values")
-    if config.mode == "lattice" \
+    if isinstance(gamma, LatticeSea) \
             and len(set(lattice_sites(grid, omega))) != len(grid):
         raise ValueError("sweep grid has L values that round to one "
                          "lattice block")
@@ -118,7 +119,7 @@ def sweep(gamma: Domain, omega: Domain, alpha, L_grid,
             continue
         start = time.perf_counter()
         spectrum, realized_L, mode = pipeline_spectrum(gamma, omega, L,
-                                                       config)
+                                                       budget)
         wall_time_s = time.perf_counter() - start
         for a in missing:
             result = renyi_entropy(spectrum, a, realized_L, mode, wall_time_s)

@@ -22,9 +22,10 @@ rows to `--csv`, sweep accepts `--jobs 1` (its L values run serially),
 and jcoeff seeds its Monte Carlo estimate with `--seed` (or the `seed`
 key).  A flag on a command that does not read it is an argparse error,
 and a config key it does not read for its input a config error.  Exit
-codes: 0 success, 2 config error, 3 computation error, 4 validation
-failure.  A stdout closed early (`| head`) drops only the rest of the
-record or of validate's table.
+codes: 0 success, 2 config error (an --out or --csv that cannot be
+written too, refused before any solve if its directory is missing), 3
+computation error, 4 validation failure.  A stdout closed early
+(`| head`) drops only the rest of the record or of validate's table.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
                           fit_scaling, sweep)
 from .config import (ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
-                     pipeline_config_from)
+                     mode_from_config, momenta_for_mode)
 from .discretize import DiscretizationError
 from .functionals import (TOL, entropy_log_coefficient,
                           entropy_log_coefficient_dilog,
@@ -115,10 +116,11 @@ def cmd_entropy(args) -> int:
     if not 0 < L < math.inf:
         raise ConfigError(f"entropy.L: need a finite positive dilation, "
                           f"got {L}")
-    pipeline = pipeline_config_from(config)
+    mode, budget = mode_from_config(config)
     config.check_read("entropy")
+    gamma = momenta_for_mode(mode, gamma, omega)
     # A one-point sweep: one spectrum, summed once per order.
-    by_order = sweep(gamma, omega, alphas, [L], pipeline)
+    by_order = sweep(gamma, omega, alphas, [L], budget)
     rows = [entropy_row(result) for result_set in by_order.values()
             for result in result_set.results]
     record = make_record("entropy", config, rows=rows)
@@ -141,15 +143,16 @@ def cmd_sweep(args) -> int:
     config = _gather_config(args)
     gamma, omega = _domains(config)
     alphas = alphas_from_config(config)
-    pipeline = pipeline_config_from(config)
+    mode, budget = mode_from_config(config)
     grid = grid_from_config(config.require("sweep.L"))
-    if pipeline.mode == "lattice":
+    if mode == "lattice":
         grid = _lattice_grid(grid, omega)
     config.check_read("sweep")
     if len(grid) < MIN_FIT_POINTS:
         raise ConfigError(
             f"sweep.L has {len(grid)} distinct L values; the fit needs at "
             f"least {MIN_FIT_POINTS}")
+    gamma = momenta_for_mode(mode, gamma, omega)
 
     # Partial rows are one line per (alpha, L), written through one
     # handle that the first row opens; an L is solved again unless every
@@ -168,7 +171,7 @@ def cmd_sweep(args) -> int:
             append_partial_row(partial_path, entropy_row(res), digest,
                                handles)
     try:
-        by_order = sweep(gamma, omega, alphas, grid, pipeline,
+        by_order = sweep(gamma, omega, alphas, grid, budget,
                          on_result=on_result, precomputed=precomputed)
     finally:
         for handle in handles.values():
@@ -353,8 +356,13 @@ def main(argv=None) -> int:
     elif stray:
         parser.error(f"unrecognized arguments: {' '.join(stray)}")
     try:
+        for flag in ("out", "csv"):
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"--{flag} {path}: no such directory")
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # An OSError left here is a file the run could not write or read.
         print(_error_object(exc, "config"), file=sys.stderr)
         return EXIT_CONFIG
     except _COMPUTE_ERRORS as exc:

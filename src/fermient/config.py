@@ -9,13 +9,13 @@ Key reference (all optional unless a command requires them).  A
 command reads a key only where its value is used, and a key the command
 does not read for its input is a config error that names it:
 
-    mode                    auto | lattice | tensor_box
-                            (auto: the prolate route for single
-                            intervals, tensor_box for box pairs, radial
-                            sectors for ball/ball pairs in d = 2, 3,
-                            else the Nystrom matrix, labelled
-                            continuum; lattice needs omega to be one
-                            interval)
+    mode                    auto | lattice | tensor_box.  auto routes by
+                            region type: prolate for single intervals,
+                            tensor_box for box pairs, radial sectors for
+                            ball pairs in d = 2, 3, else the Nystrom
+                            matrix (continuum).  lattice reads gamma as
+                            lattice momenta (-k_F, k_F), k_F < pi, on one
+                            omega interval; tensor_box needs a box pair
     alpha                   Renyi order, or comma list of at least one;
                             'inf' allowed
     seed                    integer >= 0, read by jcoeff's Monte Carlo
@@ -30,7 +30,7 @@ does not read for its input is a config error that names it:
     gamma.radius            r                   (ball)
     gamma.vertices          x:y[,x:y...]        (polygon, ccw)
     gamma.k_fermi           k                   (shorthand: interval -k:k)
-    omega.*                 same scheme as gamma.*
+    omega.*                 same scheme as gamma.*, but k_fermi
     entropy.L               dilation for single-point runs (finite, > 0)
     sweep.L                 lo:hi:count (geometric grid) or explicit list
                             of distinct finite L > 0; the fit takes every
@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, interval)
-from .spectra import PipelineConfig
+                       IntervalUnion, LatticeSea, interval)
 
 __all__ = [
     "ConfigError",
@@ -68,7 +67,8 @@ __all__ = [
     "domain_from_config",
     "grid_from_config",
     "alphas_from_config",
-    "pipeline_config_from",
+    "mode_from_config",
+    "momenta_for_mode",
 ]
 
 
@@ -188,14 +188,16 @@ def _parse_pairs(raw: str, what: str):
 
 
 def domain_from_config(config: RunConfig, prefix: str) -> Domain:
-    """Build the gamma/omega domain from keys under the given prefix."""
-    k_fermi = config.get_float(f"{prefix}.k_fermi")
+    """Build the gamma/omega domain from keys under the given prefix;
+    gamma.k_fermi = k, a Fermi momentum, is the interval (-k, k)."""
+    k_fermi = config.get_float("gamma.k_fermi") if prefix == "gamma" else None
     try:
         if k_fermi is not None:
             return interval(-k_fermi, k_fermi)
         shape = config.get(f"{prefix}.shape")
         if shape is None:
-            raise ConfigError(f"missing {prefix}.shape (or {prefix}.k_fermi)")
+            raise ConfigError(f"missing {prefix}.shape" + (
+                " (or gamma.k_fermi)" if prefix == "gamma" else ""))
         shape = shape.strip().lower()
         if shape == "interval":
             raw = config.require(f"{prefix}.intervals")
@@ -261,14 +263,27 @@ def alphas_from_config(config: RunConfig, key: str = "alpha",
     return alphas
 
 
-def pipeline_config_from(config: RunConfig) -> PipelineConfig:
-    """PipelineConfig from mode and disc.budget."""
+def mode_from_config(config: RunConfig) -> tuple[str, int | None]:
+    """(mode, budget) from mode and disc.budget, None the route's default."""
     mode = config.get("mode", "auto").strip().lower()
     budget = config.get_int("disc.budget")
-    try:
-        pipeline = PipelineConfig(mode=mode, budget=budget)
-    except ValueError:
+    if mode not in ("auto", "lattice", "tensor_box"):
         raise ConfigError(f"mode: unknown mode {mode!r}")
-    if pipeline.budget < 1:
+    if budget is not None and budget < 1:
         raise ConfigError(f"disc.budget: need an integer >= 1, got {budget}")
-    return pipeline
+    return mode, budget
+
+
+def momenta_for_mode(mode: str, gamma: Domain, omega: Domain) -> Domain:
+    """gamma as mode reads it: lattice makes an interval union a
+    LatticeSea, and tensor_box needs a box pair (else GeometryError)."""
+    if mode == "lattice":
+        if not isinstance(gamma, IntervalUnion):
+            raise GeometryError(
+                "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
+        return LatticeSea(gamma.intervals)
+    if mode == "tensor_box" and not (isinstance(gamma, Box)
+                                     and isinstance(omega, Box)):
+        raise GeometryError("tensor_box mode needs box momentum and "
+                            "spatial regions")
+    return gamma

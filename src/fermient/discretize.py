@@ -169,7 +169,8 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
 
     Parameters
     ----------
-    gamma : momentum region (interval union, box, or ball)
+    gamma : momentum region (interval union, box, or ball); any other,
+        a LatticeSea included, raises GeometryError before any rule
     omega : spatial region, same dimension
     L : dilation factor applied to omega, >= 0 excluded
     nodes_per_unit : nodes per unit length along each direction, finite
@@ -195,6 +196,7 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
         raise DiscretizationError(
             f"nodes_per_unit must be finite and > 0, got {nodes_per_unit}")
 
+    kern = FermiKernel(gamma)
     p_max = gamma.momentum_bound()
     if p_max <= 0:
         raise DiscretizationError("momentum region has zero extent")
@@ -228,7 +230,6 @@ def nystrom(gamma: Domain, omega: Domain, L: float = 1.0,
                       else _rule_axes(plans))
 
     n = len(weights)
-    kern = FermiKernel(gamma)
     sqrt_w = np.sqrt(weights)
     dtype = float if kern.is_real else complex
     matrix = np.empty((n, n), dtype=dtype)
@@ -268,7 +269,7 @@ def lattice_correlation(k_fermi: float, n: int) -> DiscretizedOperator:
         C[j, k] = sin(k_fermi (j - k)) / (pi (j - k)),    C[j, j] = k_fermi/pi,
 
     exactly, with no quadrature involved.  This dense n x n block is the
-    test oracle; spectra.pipeline_spectrum in lattice mode solves the
+    test oracle; spectra.pipeline_spectrum on a LatticeSea solves the
     same block without forming it.  k_fermi outside (0, pi) and n < 1
     raise DiscretizationError.
     """

@@ -1,10 +1,11 @@
 """Geometry catalog for Fermi seas and spatial regions.
 
 The library works with a fixed catalog of shapes: unions of disjoint
-intervals (the only d=1 shape), axis-aligned boxes and balls in
-d in {2, 3}, and strictly convex polygons (d=2).  A shape can play
-either role: the momentum region whose occupied states define the
-ground state, or the position region the state is reduced to.
+intervals (the only d=1 shape, of lattice momenta as a LatticeSea),
+axis-aligned boxes and balls in d in {2, 3}, and strictly convex
+polygons (d=2).  A shape can play either role: the momentum region
+whose occupied states define the ground state, or the position region
+the state is reduced to.
 
 Everything is dimensionless with hbar = 1, so the cosine-transform
 surface coefficient
@@ -30,6 +31,7 @@ __all__ = [
     "GeometryError",
     "Domain",
     "IntervalUnion",
+    "LatticeSea",
     "Box",
     "Ball",
     "ConvexPolygon",
@@ -208,6 +210,11 @@ class IntervalUnion(Domain):
 def interval(a: float, b: float) -> IntervalUnion:
     """Single closed interval [a, b] as an IntervalUnion."""
     return IntervalUnion(((a, b),))
+
+
+class LatticeSea(IntervalUnion):
+    """Interval union of lattice momenta, in the Brillouin zone (-pi, pi]:
+    its type picks the lattice route, and J is its endpoint count."""
 
 
 @dataclass(frozen=True)

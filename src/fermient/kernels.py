@@ -88,14 +88,15 @@ class FermiKernel:
 
     Immutable and reentrant; all evaluation is vectorized over
     displacement arrays.  A ConvexPolygon momentum region raises
-    GeometryError: it has no closed form.
+    GeometryError: it has no closed form; so does a LatticeSea, whose
+    kernel lives on lattice sites.
     """
 
     gamma: Domain
 
     def __post_init__(self):
         g = self.gamma
-        if not isinstance(g, (IntervalUnion, Box, Ball)):
+        if type(g) not in (IntervalUnion, Box, Ball):
             raise GeometryError(
                 f"no closed-form Fermi kernel for {type(g).__name__}")
 

@@ -53,26 +53,29 @@ above K run on the panels alone), and row i ends up holding j_i on the
 panels and j_(i-2) and y_(i-2) on the tail.  A near-1 vector with more
 weight past K than its 1 - lambda allows raises SpectralViolationError.
 
-pipeline_spectrum is the chain geometry -> matrix -> spectrum.  A box
-pair's compression separates per axis, so its eigenvalues are products
-of the axes' prolate eigenvalues and no d-dimensional matrix is needed;
-a single-interval pair is the one-axis case of that route.  An axis
-spectrum depends only on its c, so axes with the same c (every axis of
-a square or cube pair) share one solve within the call; nothing is
-cached across calls.  A ball/ball pair in d = 2 or 3 commutes with
-rotations, so its compression splits into one radial operator per
-angular momentum (Slepian 1964, Bell Syst. Tech. J. 43:3009): each
-sector is a small Gauss-Legendre matrix of a Bessel Christoffel-Darboux
-kernel, solved densely and counted with its multiplicity, and no n x n
-Nystrom matrix is formed; consecutive sectors share two of the three
-Bessel orders each reads.  Every other continuum geometry (interval
-unions and mixed ball/box pairs) takes the Nystrom matrix, whose dense
-solve eigenvalues(discretize.nystrom(...)) is the oracle for both
-reduced routes.  Every order is a sum over that one spectrum, so a
-caller diagonalizes once per L and calls renyi_entropy per order.  An
-EntropyResult holds the order, the entropy, the spectrum's size, clamp
-bookkeeping and interior count, the realized L and the route taken; its
-fields are the columns of an output row.
+pipeline_spectrum is the chain geometry -> matrix -> spectrum, on the
+route the types of the two regions alone pick: a LatticeSea momentum
+region takes the lattice route above (default budget 100000 sites),
+every continuum pair one of the routes below (default budget 6000 in the
+route's own unit).  A box pair's compression separates per axis, so its
+eigenvalues are products of the axes' prolate eigenvalues and no
+d-dimensional matrix is needed; a single-interval pair is the one-axis
+case of that route.  An axis spectrum depends only on its c, so axes
+with the same c (every axis of a square or cube pair) share one solve
+within the call; nothing is cached across calls.  A ball/ball pair in
+d = 2 or 3 commutes with rotations, so its compression splits into one
+radial operator per angular momentum (Slepian 1964, Bell Syst. Tech. J.
+43:3009): each sector is a small Gauss-Legendre matrix of a Bessel
+Christoffel-Darboux kernel, solved densely and counted with its
+multiplicity, and no n x n Nystrom matrix is formed; consecutive sectors
+share two of the three Bessel orders each reads.  Every other continuum
+geometry (interval unions and mixed ball/box pairs) takes the Nystrom
+matrix, whose dense solve eigenvalues(discretize.nystrom(...)) is the
+oracle for both reduced routes.  Every order is a sum over that one
+spectrum, so a caller diagonalizes once per L and calls renyi_entropy
+per order.  An EntropyResult holds the order, the entropy, the
+spectrum's size, clamp bookkeeping and interior count, the realized L
+and the route taken; its fields are the columns of an output row.
 
 Each route imports the scipy functions it calls (eigh_tridiagonal, jv,
 roots_legendre) inside the function that calls them, so importing this
@@ -92,14 +95,13 @@ import numpy as np
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import (Ball, Box, Domain, GeometryError, IntervalUnion,
+from .geometry import (Ball, Box, Domain, GeometryError, LatticeSea,
                        _check_same_dim)
 
 __all__ = [
     "SpectralViolationError",
     "Spectrum",
     "EntropyResult",
-    "PipelineConfig",
     "eigenvalues",
     "renyi_entropy",
     "tensor_spectrum",
@@ -803,45 +805,6 @@ def tensor_spectrum(spec_x: Spectrum, spec_y: Spectrum) -> Spectrum:
     )
 
 
-# The modes a PipelineConfig accepts; 'radial', 'prolate' and
-# 'continuum' are routes that only 'auto' picks.
-PIPELINE_MODES = ("auto", "lattice", "tensor_box")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Mode and size budget of the geometry -> entropy pipeline.
-
-    mode: 'auto' (per-axis prolate spectra for a single-interval or
-    box-product pair, radial sectors for ball/ball pairs in d = 2 and 3,
-    else the Nystrom matrix), 'tensor_box' (per-axis prolate spectra of
-    a box pair), or 'lattice'; any other mode raises ValueError.  The
-    Nystrom matrix of any pair is eigenvalues(discretize.nystrom(...)),
-    the oracle of the other routes.  In lattice mode gamma must be a
-    symmetric interval (-k_F, k_F) with k_F < pi and omega one interval,
-    and the block has round(L * |omega|) sites.
-    budget caps each route's size in its own unit: lattice sites,
-    Nystrom rows, Legendre degrees per prolate axis, or radial nodes.
-    It is checked before anything is built, an overflowing (inf) size
-    included.  Unset, it is DEFAULT_LATTICE_BUDGET (100000) in lattice
-    mode, where the tridiagonal route takes seconds and forms no n x n
-    matrix, and DEFAULT_CONTINUUM_BUDGET (6000) otherwise.  Each route
-    sets its own resolution; EPS_ABORT, SECTOR_EXCESS and the prolate
-    tolerances are fixed.
-    """
-
-    mode: str = "auto"
-    budget: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in PIPELINE_MODES:
-            raise ValueError(f"unknown pipeline mode {self.mode!r}")
-        if self.budget is None:
-            object.__setattr__(self, "budget", (
-                _disc.DEFAULT_LATTICE_BUDGET if self.mode == "lattice"
-                else _disc.DEFAULT_CONTINUUM_BUDGET))
-
-
 def lattice_sites(L, omega: Domain):
     """round(L * |omega|), the site count of the lattice block at
     dilation L, as a float (an overflowing L stays countable); L may be
@@ -850,13 +813,12 @@ def lattice_sites(L, omega: Domain):
         return np.round(np.asarray(L, dtype=float) * omega.volume())
 
 
-def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
-    """The route of mode (one of PIPELINE_MODES, checked by
-    PipelineConfig) for this pair, after the check every route shares:
-    gamma and omega of one dimension."""
+def _resolve_mode(gamma: Domain, omega: Domain) -> str:
+    """The route the types of gamma and omega pick, after the check
+    every route shares: gamma and omega of one dimension."""
     _check_same_dim(gamma, omega)
-    if mode != "auto":
-        return mode
+    if isinstance(gamma, LatticeSea):
+        return "lattice"
     if isinstance(gamma, Box) and isinstance(omega, Box):
         return "tensor_box"
     if isinstance(gamma, Ball) and isinstance(omega, Ball):
@@ -867,21 +829,26 @@ def _resolve_mode(mode: str, gamma: Domain, omega: Domain) -> str:
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
-                      config: PipelineConfig = PipelineConfig()
+                      budget: int | None = None
                       ) -> tuple[Spectrum, float, str]:
     """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
-    Returns (spectrum, realized L, mode), mode being the route taken:
-    'lattice', 'prolate', 'tensor_box', 'radial' or 'continuum'.  Each
-    route checks its preconditions, its float size through
+    Returns (spectrum, realized L, mode), mode being the route that the
+    types of gamma and omega alone pick: 'lattice' (a LatticeSea gamma),
+    'tensor_box' (a box pair), 'radial' (a ball pair), 'prolate' (a
+    single-interval pair) or 'continuum' (any other pair).  Each route
+    checks its preconditions, its float size through
     discretize.check_budget among them, before it solves anything.
-    'lattice' checks k_F in (0, pi) once (GeometryError) and solves its
-    block of round(L |omega|) sites on the commuting tridiagonal
-    (_lattice_spectrum), forming no matrix; a block of 0 sites raises
-    DiscretizationError.
-    'prolate' (a single-interval pair) and 'tensor_box' (a box pair) are
-    one per-axis route: a box pair gives its axis intervals, and a
-    single-interval pair is its own one axis.
+    budget caps that size in the route's unit: lattice sites, Legendre
+    degrees per prolate axis, radial nodes or Nystrom rows.  None is
+    DEFAULT_LATTICE_BUDGET (100000) on the lattice route, which forms no
+    matrix, and DEFAULT_CONTINUUM_BUDGET (6000) on the others.
+    'lattice' needs gamma = (-k_F, k_F) with k_F in (0, pi) and omega
+    one interval (GeometryError otherwise), and solves its block of
+    round(L |omega|) sites on the commuting tridiagonal
+    (_lattice_spectrum); a block of 0 sites raises DiscretizationError.
+    'prolate' and 'tensor_box' are one per-axis route: a box pair gives
+    its axis intervals, and a single-interval pair is its own one axis.
     Every axis passes the budget on its basis of ceil(1.5 c) +
     PROLATE_PAD Legendre degrees, then each distinct
     c = |gamma_i| L |omega_i| / 4 is solved once, and tensor_spectrum
@@ -889,16 +856,17 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
     counts one eigenvalue per degree of each axis basis, as the lattice
     route counts one per site, but stores each axis's exact 0s and 1s
     once.  'radial' solves on ceil(1.5 k R) + 20 nodes, and 'continuum'
-    (interval unions and mixed ball/box pairs) on nystrom's default
-    rule, each within the budget.  The realized L
-    differs from the requested one only in lattice mode, where the block
-    has an integer number of sites.  Every Renyi order at this L is
+    on nystrom's default rule.  The realized L differs from the
+    requested one only on the lattice route, where the block has an
+    integer number of sites.  Every Renyi order at this L is
     renyi_entropy of the one spectrum.
     """
-    mode = _resolve_mode(config.mode, gamma, omega)
+    mode = _resolve_mode(gamma, omega)
+    if budget is None:
+        budget = (_disc.DEFAULT_LATTICE_BUDGET if mode == "lattice"
+                  else _disc.DEFAULT_CONTINUUM_BUDGET)
     if mode == "lattice":
-        if not (isinstance(gamma, IntervalUnion) and len(gamma.intervals) == 1
-                and gamma.is_centrally_symmetric):
+        if not (len(gamma.intervals) == 1 and gamma.is_centrally_symmetric):
             raise GeometryError(
                 "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
         if len(omega.intervals) != 1:
@@ -908,16 +876,12 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
         sites = float(lattice_sites(L, omega))
-        _disc.check_budget(sites, config.budget, "lattice sites")
+        _disc.check_budget(sites, budget, "lattice sites")
         spectrum = _clamped(*_lattice_spectrum(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
         return spectrum, sites / omega.volume(), mode
     if mode in ("prolate", "tensor_box"):
-        if mode == "tensor_box" and not (isinstance(gamma, Box)
-                                         and isinstance(omega, Box)):
-            raise GeometryError("tensor_box mode needs box momentum and "
-                                "spatial regions")
         # Gamma's center only multiplies an axis kernel by a phase and
         # omega's only translates the axis, so each axis is the sinc
         # kernel on [-1, 1] at its c.
@@ -927,7 +891,7 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                   for gamma_axis, omega_axis in axes]
         sizes = {c: np.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
         for size in sizes.values():
-            _disc.check_budget(size, config.budget, "Legendre degrees")
+            _disc.check_budget(size, budget, "Legendre degrees")
         solved = {c: _clamped(*_prolate_spectrum(c, int(size)))
                   for c, size in sizes.items()}
         spectrum = functools.reduce(tensor_spectrum,
@@ -938,9 +902,8 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         # radial rule has ceil(1.5 k R) + 20 nodes.
         k, R = gamma.radius, omega.scaled(L).radius
         n_r = np.ceil(1.5 * k * R) + 20
-        _disc.check_budget(n_r, config.budget, "radial nodes")
+        _disc.check_budget(n_r, budget, "radial nodes")
         spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, int(n_r)))
     else:
-        spectrum = eigenvalues(_disc.nystrom(gamma, omega, L,
-                                             budget=config.budget))
+        spectrum = eigenvalues(_disc.nystrom(gamma, omega, L, budget=budget))
     return spectrum, float(L), mode

@@ -146,8 +146,8 @@ def check_entropy_monotonicity():
     uses orders >= 1 (bounded endpoint amplification) while a synthetic
     interior spectrum checks all orders at machine precision."""
     spectrum, _, _ = spc.pipeline_spectrum(
-        geo.interval(-math.pi / 2, math.pi / 2), geo.interval(0.0, 1.0), 64.0,
-        spc.PipelineConfig(mode="lattice"))
+        geo.LatticeSea(((-math.pi / 2, math.pi / 2),)),
+        geo.interval(0.0, 1.0), 64.0)
     alphas = (0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
     values = [spc.renyi_entropy(spectrum, a).S for a in alphas]
     if any(b > a + 1e-12 for a, b in zip(values, values[1:])):
@@ -179,9 +179,7 @@ _ROUTE_ORDERS = (1.0, 2.0, math.inf)
 
 def _route(gamma, omega, L, route):
     """pipeline_spectrum's spectrum, which must come from route."""
-    mode = "lattice" if route == "lattice" else "auto"
-    spectrum, _, taken = spc.pipeline_spectrum(gamma, omega, L,
-                                               spc.PipelineConfig(mode))
+    spectrum, _, taken = spc.pipeline_spectrum(gamma, omega, L)
     if taken != route:
         raise geo.GeometryError(f"took the {taken} route, not {route}")
     return spectrum
@@ -203,8 +201,8 @@ def _against_nystrom(gamma, omega, L, route, bound):
 
 def check_lattice_route():
     """64 sites at k_F = 1 against the dense block (7e-14)."""
-    return _compare(_route(geo.interval(-1.0, 1.0), geo.interval(0.0, 1.0),
-                           64.0, "lattice"),
+    return _compare(_route(geo.LatticeSea(((-1.0, 1.0),)),
+                           geo.interval(0.0, 1.0), 64.0, "lattice"),
                     spc.eigenvalues(disc.lattice_correlation(1.0, 64)), 1e-12)
 
 
@@ -212,8 +210,8 @@ def check_particle_hole():
     """S_alpha(k_F) = S_alpha(pi - k_F) on the lattice route at n = 100
     (4.2e-15): 1 - C(k_F) = D C(pi - k_F) D with D = diag((-1)^j),
     so the two blocks' spectra are complements."""
-    particles, holes = (_route(geo.interval(-k, k), geo.interval(0.0, 1.0),
-                               100.0, "lattice")
+    particles, holes = (_route(geo.LatticeSea(((-k, k),)),
+                               geo.interval(0.0, 1.0), 100.0, "lattice")
                         for k in (1.0, math.pi - 1.0))
     return _compare(holes, particles, 1e-13, "at pi - k_F")
 

@@ -13,7 +13,7 @@ import pytest
 from fermient import (
     Box,
     IntervalUnion,
-    PipelineConfig,
+    LatticeSea,
     interval,
     pipeline_spectrum,
     sweep,
@@ -36,10 +36,9 @@ LATTICE_SIZES = np.unique(np.round(np.geomspace(200, 2000, 10)).astype(int))
 @pytest.fixture(scope="session")
 def lattice_spectra():
     """{n: Spectrum} of half-filled Toeplitz blocks on the size grid."""
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
     return {
-        int(n): pipeline_spectrum(gamma, OMEGA_UNIT, float(n),
-                                  PipelineConfig(mode="lattice"))[0]
+        int(n): pipeline_spectrum(gamma, OMEGA_UNIT, float(n))[0]
         for n in LATTICE_SIZES
     }
 
@@ -48,9 +47,8 @@ def lattice_spectra():
 def lattice_sweeps():
     """{alpha: SweepResult} for the half-filled lattice: one multi-order
     sweep, so each block is diagonalized once for all four orders."""
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    return sweep(gamma, OMEGA_UNIT, (0.25, 0.5, 1.0, 2.0), LATTICE_SIZES,
-                 PipelineConfig(mode="lattice"))
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
+    return sweep(gamma, OMEGA_UNIT, (0.25, 0.5, 1.0, 2.0), LATTICE_SIZES)
 
 
 @pytest.fixture(scope="session")
@@ -68,5 +66,4 @@ def two_interval_sweep():
 @pytest.fixture(scope="session")
 def box_sweep():
     """2D box pair via per-axis spectra and eigenvalue products."""
-    config = PipelineConfig(mode="tensor_box")
-    return sweep(GAMMA_BOX, OMEGA_BOX, [1.0], L_GRID, config)[1.0]
+    return sweep(GAMMA_BOX, OMEGA_BOX, [1.0], L_GRID)[1.0]

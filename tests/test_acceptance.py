@@ -15,9 +15,8 @@ import pytest
 
 from fermient import (
     Ball,
-    PipelineConfig,
+    LatticeSea,
     eigenvalues,
-    interval,
     pipeline_spectrum,
     renyi_entropy,
     sweep,
@@ -188,8 +187,8 @@ def test_A2p_lattice_pointwise_expansion():
             (1.0, 1000, (2.1e-6, 1.6e-7, 1.1e-7, 5.6e-6)),
             (1.0, 4000, (3.1e-7, 9.6e-9, 7.8e-9, 9.9e-7)),
             (math.pi / 2.0, 4000, (3.1e-7, 3.2e-9, 6.5e-9, 6.2e-7))):
-        spectrum = pipeline_spectrum(interval(-k_fermi, k_fermi), OMEGA_UNIT,
-                                     float(n), PipelineConfig(mode="lattice"))[0]
+        spectrum = pipeline_spectrum(LatticeSea(((-k_fermi, k_fermi),)),
+                                     OMEGA_UNIT, float(n))[0]
         cases.append((f"k_F={k_fermi:.4g} n={n}", spectrum,
                       2.0 * n * math.sin(k_fermi), 2.0 * k_fermi * n, bounds))
     _check_expansion("A2'", cases)
@@ -217,7 +216,7 @@ def test_A4_box_2d(box_sweep):
     direct = renyi_entropy(eigenvalues(nystrom(
         GAMMA_BOX, OMEGA_BOX, 3.0, budget=3000)), 1.0)
     tensor = renyi_entropy(pipeline_spectrum(
-        GAMMA_BOX, OMEGA_BOX, 3.0, PipelineConfig(mode="tensor_box"))[0], 1.0)
+        GAMMA_BOX, OMEGA_BOX, 3.0)[0], 1.0)
     dev_direct = abs(direct.S - tensor.S)
     ok = dev_fit < 0.10 and dev_direct < 1e-6 and direct.n <= 3000
     line = _report("A4", ok,
@@ -264,8 +263,7 @@ def test_A6_structural_identities():
     worst_half = 0.0
     for k_fermi, n in ((1.0, 200), (0.3, 1000)):
         particles, holes = (
-            pipeline_spectrum(interval(-k, k), OMEGA_UNIT, float(n),
-                              PipelineConfig(mode="lattice"))[0]
+            pipeline_spectrum(LatticeSea(((-k, k),)), OMEGA_UNIT, float(n))[0]
             for k in (k_fermi, math.pi - k_fermi))
         for alpha in (1.0, 2.0, 4.0, math.inf):
             dev = abs(renyi_entropy(holes, alpha).S
@@ -328,11 +326,10 @@ def test_A7_property_suite(lattice_spectra):
 
     # Tr A(1-A) grows like c * ln n: equal increments per x4 step.
     diag = {}
-    half_filled = interval(-math.pi / 2.0, math.pi / 2.0)
+    half_filled = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
     for n in (125, 500, 2000):
         lam = (lattice_spectra.get(n) or pipeline_spectrum(
-            half_filled, OMEGA_UNIT, float(n),
-            PipelineConfig(mode="lattice"))[0]).eigenvalues
+            half_filled, OMEGA_UNIT, float(n))[0]).eigenvalues
         diag[n] = float(np.sum(lam * (1.0 - lam)))
     increments = (diag[500] - diag[125], diag[2000] - diag[500])
     growth_dev = abs(increments[1] / increments[0] - 1.0)

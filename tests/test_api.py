@@ -13,13 +13,13 @@ MODULES = ["asymptotics", "cli", "config", "discretize", "functionals",
 def test_package_exports_are_pinned():
     assert sorted(fermient.__all__) == sorted([
         "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
-        "IntervalUnion", "interval",
+        "IntervalUnion", "LatticeSea", "interval",
         "widom_J", "widom_J_monte_carlo",
         "entropy_function", "entropy_log_coefficient",
         "log_coefficient_functional", "predicted_log_prefactor",
         "FermiKernel",
         "nystrom", "lattice_correlation",
-        "Spectrum", "EntropyResult", "PipelineConfig", "eigenvalues",
+        "Spectrum", "EntropyResult", "eigenvalues",
         "renyi_entropy", "tensor_spectrum", "pipeline_spectrum",
         "SweepResult", "ScalingFit", "sweep", "fit_scaling",
         "compare_theory",
@@ -44,4 +44,5 @@ def test_module_exports_resolve(module):
 def test_config_exports_the_parsers_the_cli_uses():
     from fermient import config
     assert {"alphas_from_config", "domain_from_config", "grid_from_config",
-            "load_config", "pipeline_config_from"} <= set(config.__all__)
+            "load_config", "mode_from_config",
+            "momenta_for_mode"} <= set(config.__all__)

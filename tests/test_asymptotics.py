@@ -15,12 +15,12 @@ from fermient.asymptotics import (
 )
 from fermient.discretize import DiscretizationError
 from fermient.functionals import predicted_log_prefactor
-from fermient.geometry import Ball, Box, interval, widom_J
-from fermient.spectra import EntropyResult, PipelineConfig
+from fermient.geometry import Ball, Box, LatticeSea, interval, widom_J
+from fermient.spectra import EntropyResult
 
 GAMMA = interval(-1.0, 1.0)
 OMEGA = interval(0.0, 1.0)
-GAMMA_LATTICE = interval(-math.pi / 2.0, math.pi / 2.0)
+GAMMA_LATTICE = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
 GAMMA_2D = Box(((-1.0, 1.0), (-1.0, 1.0)))
 OMEGA_2D = Box(((0.0, 1.0), (0.0, 1.0)))
 
@@ -126,8 +126,7 @@ def test_fit_rejects_degenerate_grid():
 # ---------------------------------------------------------------------------
 
 def test_sweep_collects_all_points():
-    config = PipelineConfig(mode="lattice")
-    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40, 80], config)[1.0]
+    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40, 80])[1.0]
     assert len(result.results) == 3
     np.testing.assert_allclose(result.L_values, [20.0, 40.0, 80.0])
     assert all(r.wall_time_s > 0 for r in result.results)
@@ -144,14 +143,13 @@ def test_sweep_orders_share_one_spectrum_per_L(monkeypatch):
         return original(k_fermi, n)
 
     monkeypatch.setattr(spectra, "_lattice_spectrum", counting)
-    config = PipelineConfig(mode="lattice")
     grid = [20, 30, 40]
     orders = (0.5, 1.0, math.inf)
-    by_order = sweep(GAMMA_LATTICE, OMEGA, orders, grid, config)
+    by_order = sweep(GAMMA_LATTICE, OMEGA, orders, grid)
     assert len(calls) == len(grid)
     assert list(by_order) == list(orders)
     for alpha in orders:
-        single = sweep(GAMMA_LATTICE, OMEGA, [alpha], grid, config)[alpha]
+        single = sweep(GAMMA_LATTICE, OMEGA, [alpha], grid)[alpha]
         assert by_order[alpha].alpha == alpha
         np.testing.assert_array_equal(by_order[alpha].S_values,
                                       single.S_values)
@@ -163,14 +161,14 @@ def test_sweep_runs_largest_L_first(monkeypatch):
     started = []
     original = asymptotics.pipeline_spectrum
 
-    def recording(gamma, omega, L, config):
+    def recording(gamma, omega, L, budget):
         started.append(L)
-        return original(gamma, omega, L, config)
+        return original(gamma, omega, L, budget)
 
     monkeypatch.setattr(asymptotics, "pipeline_spectrum", recording)
     seen = []
     sweep(GAMMA_LATTICE, OMEGA, [1.0], [40, 20, 80, 30],
-          PipelineConfig(mode="lattice"), on_result=seen.append)
+          on_result=seen.append)
     assert started == [80.0, 40.0, 30.0, 20.0]
     assert [r.L for r in seen] == started
 
@@ -179,12 +177,11 @@ def test_sweep_stops_at_the_first_error(monkeypatch):
     # The L values run serially, largest first, so a failure at a middle
     # L leaves every smaller L unstarted and reports only the larger.
     failing = 50.0
-    config = PipelineConfig(mode="lattice")
     spectrum, _, mode = asymptotics.pipeline_spectrum(GAMMA_LATTICE, OMEGA,
-                                                      10.0, config)
+                                                      10.0)
     started = []
 
-    def solving(gamma, omega, L, config):
+    def solving(gamma, omega, L, budget):
         started.append(L)
         if L == failing:
             raise DiscretizationError("injected")
@@ -194,7 +191,7 @@ def test_sweep_stops_at_the_first_error(monkeypatch):
     seen = []
     with pytest.raises(DiscretizationError, match="injected"):
         sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0], [20, 80, 30, 50, 90, 40],
-              config, on_result=seen.append)
+              on_result=seen.append)
     assert started == [90.0, 80.0, 50.0]
     assert [(r.L, r.alpha) for r in seen] == [
         (90.0, 1.0), (90.0, 2.0), (80.0, 1.0), (80.0, 2.0)]
@@ -208,15 +205,13 @@ def test_lattice_sweep_refuses_L_values_sharing_a_block(monkeypatch):
 
     monkeypatch.setattr(spectra, "_lattice_spectrum", forbidden)
     with pytest.raises(ValueError, match="round to one lattice block"):
-        sweep(interval(-1.0, 1.0), OMEGA, [1.0], [100.2, 100.4, 300],
-              PipelineConfig(mode="lattice"))
+        sweep(LatticeSea(((-1.0, 1.0),)), OMEGA, [1.0], [100.2, 100.4, 300])
 
 
 def test_sweep_orders_resume_only_missing_points():
-    config = PipelineConfig(mode="lattice")
     sentinel = EntropyResult(alpha=1.0, S=99.0, n=40, L=40.0)
     seen = []
-    by_order = sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0], [20, 40], config,
+    by_order = sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0], [20, 40],
                      on_result=seen.append,
                      precomputed={1.0: {40.0: sentinel}})
     # L = 40 still lacks alpha = 2, so it is solved for that order only.
@@ -227,16 +222,13 @@ def test_sweep_orders_resume_only_missing_points():
 
 def test_sweep_on_result_callback():
     seen = []
-    config = PipelineConfig(mode="lattice")
-    sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40], config,
-          on_result=seen.append)
+    sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40], on_result=seen.append)
     assert sorted(r.L for r in seen) == [20.0, 40.0]
 
 
 def test_sweep_precomputed_rows_are_not_recomputed():
-    config = PipelineConfig(mode="lattice")
     sentinel = EntropyResult(alpha=1.0, S=99.0, n=40, L=40.0)
-    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40], config,
+    result = sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 40],
                    precomputed={1.0: {40.0: sentinel}})[1.0]
     by_L = {r.L: r for r in result.results}
     assert by_L[40.0].S == 99.0
@@ -245,14 +237,12 @@ def test_sweep_precomputed_rows_are_not_recomputed():
 
 def test_sweep_rejects_duplicate_grid():
     with pytest.raises(ValueError):
-        sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 20],
-              PipelineConfig(mode="lattice"))
+        sweep(GAMMA_LATTICE, OMEGA, [1.0], [20, 20])
 
 
 def test_sweep_rejects_duplicate_orders():
     with pytest.raises(ValueError):
-        sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0, 1.0], [20, 40],
-              PipelineConfig(mode="lattice"))
+        sweep(GAMMA_LATTICE, OMEGA, [1.0, 2.0, 1.0], [20, 40])
 
 
 def test_synthetic_sweep_recovers_theory():

@@ -898,6 +898,57 @@ print(json.dumps(["scipy.linalg" in sys.modules, "scipy.fft" in sys.modules]))
     assert json.loads(_run_fresh(code)) == [True, False]
 
 
+@pytest.mark.parametrize("command, args, flag", [
+    ("entropy", [*LATTICE_ARGS, "entropy.L=20"], "--out"),
+    ("entropy", [*LATTICE_ARGS, "entropy.L=20"], "--csv"),
+    ("validate", [], "--out"),
+    ("sweep", SWEEP_ARGS, "--out"),
+], ids=["entropy-out", "entropy-csv", "validate-out", "sweep-out"])
+def test_output_in_a_missing_directory_exits_2_before_solving(
+        capsys, monkeypatch, tmp_path, no_solves, command, args, flag):
+    # Refused before any spectrum is solved or check run, so nothing
+    # reaches stdout and no sweep leaves a partial file behind.
+    def forbidden():
+        raise AssertionError("a check was run")
+
+    monkeypatch.setattr(cli, "run_all", forbidden)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, command, *args, flag, str(path))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert error["message"] == f"{flag} {path}: no such directory"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_exits_2_with_one_line(capsys, tmp_path):
+    # The directory exists but the path is a directory itself: the
+    # write fails after the solve, with one error line, no traceback.
+    code, out, err = run_cli(capsys, "entropy", *LATTICE_ARGS,
+                             "entropy.L=20", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["type"]) == ("config", "IsADirectoryError")
+
+
+def test_omega_k_fermi_is_not_a_spatial_spelling(capsys, no_solves):
+    # k_fermi is a Fermi momentum: a spatial interval is spelled with
+    # omega.intervals, and omega.k_fermi is a config error naming omega.
+    for omega, message in [
+            (["omega.k_fermi=1"], "missing omega.shape"),
+            (["omega.k_fermi=1", "omega.shape=interval",
+              "omega.intervals=0:1"],
+             "omega.k_fermi: not read by entropy for this input")]:
+        code, out, err = run_cli(capsys, "entropy", "gamma.k_fermi=1",
+                                 *omega, "entropy.L=5")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["kind"], error["message"]) == ("config", message)
+
+
 # ---------------------------------------------------------------------------
 # jcoeff
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,13 @@ from fermient.config import (
     domain_from_config,
     grid_from_config,
     load_config,
+    mode_from_config,
+    momenta_for_mode,
     parse_config_text,
-    pipeline_config_from,
     serialize_config,
 )
-from fermient.geometry import Ball, Box, ConvexPolygon, IntervalUnion
+from fermient.geometry import (Ball, Box, ConvexPolygon, GeometryError,
+                               IntervalUnion, LatticeSea)
 from fermient.records import (
     append_partial_row,
     config_hash,
@@ -36,7 +39,7 @@ from fermient.records import (
 )
 from fermient.asymptotics import SweepResult, fit_scaling, sweep
 from fermient.geometry import widom_J, interval
-from fermient.spectra import EntropyResult, PipelineConfig
+from fermient.spectra import EntropyResult
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +215,52 @@ def test_alphas_from_config():
         alphas_from_config(RunConfig({"alpha": "-2"}))
 
 
-def test_pipeline_config_from():
+def test_mode_from_config():
     config = RunConfig({"mode": "lattice", "disc.budget": "800"})
-    assert pipeline_config_from(config) == PipelineConfig("lattice", 800)
-    assert pipeline_config_from(RunConfig({"mode": "lattice"})).budget \
-        == 100_000
-    defaults = pipeline_config_from(RunConfig({}))
-    assert (defaults.mode, defaults.budget) == ("auto", 6000)
-    with pytest.raises(ConfigError):
-        pipeline_config_from(RunConfig({"mode": "quantum"}))
+    assert mode_from_config(config) == ("lattice", 800)
+    # Unset, the budget is the default of the route taken.
+    assert mode_from_config(RunConfig({})) == ("auto", None)
+    assert mode_from_config(RunConfig({"mode": "Tensor_Box"})) \
+        == ("tensor_box", None)
+    # continuum is a route that auto picks, not a mode.
+    for values, message in [
+            ({"mode": "quantum"}, "mode: unknown mode 'quantum'"),
+            ({"mode": "continuum"}, "mode: unknown mode 'continuum'"),
+            ({"disc.budget": "0"},
+             "disc.budget: need an integer >= 1, got 0")]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            mode_from_config(RunConfig(values))
+
+
+def test_momenta_for_mode():
+    # lattice reads an interval union as lattice momenta; which union
+    # the lattice route can solve is its own check.  tensor_box only
+    # checks the pair: auto already sends every box pair to that route.
+    line = interval(-1.0, 1.0), interval(0.0, 1.0)
+    square = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2)
+    sea = momenta_for_mode("lattice", *line)
+    assert type(sea) is LatticeSea and sea.intervals == ((-1.0, 1.0),)
+    for mode, pair in [("auto", line), ("auto", square),
+                       ("tensor_box", square)]:
+        assert momenta_for_mode(mode, *pair) is pair[0]
+    with pytest.raises(GeometryError, match=re.escape(
+            "lattice mode needs a symmetric momentum interval (-k_F, k_F)")):
+        momenta_for_mode("lattice", *square)
+    with pytest.raises(GeometryError, match="tensor_box mode needs box "
+                                            "momentum and spatial regions"):
+        momenta_for_mode("tensor_box", *line)
 
 
 def _documented_keys(lines, indent):
     """Keys of a reference block: first word of each line at the indent,
-    with omega.* standing for the gamma.* keys."""
+    with omega.* standing for the gamma.* keys but the Fermi momentum
+    shorthand k_fermi."""
     keys = {line.split()[0] for line in lines
             if not line[:indent].strip() and line[indent:indent + 1].strip()}
     if "omega.*" in keys:
         keys.remove("omega.*")
         keys |= {"omega." + key.partition(".")[2] for key in keys
-                 if key.startswith("gamma.")}
+                 if key.startswith("gamma.") and key != "gamma.k_fermi"}
     return keys
 
 
@@ -243,7 +272,7 @@ def test_known_keys_match_both_key_references():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Config keys\n\n```\n", 1)[1].split("```")[0]
     assert _documented_keys(block.splitlines(), 0) == DOCUMENTED_KEYS
-    assert len(DOCUMENTED_KEYS) == 8 + 2 * 7
+    assert len(DOCUMENTED_KEYS) == 8 + 7 + 6
 
 
 # Command lines that between them set every documented key, each where
@@ -253,7 +282,8 @@ READING_LINES = [
      "entropy.L=10", "gamma.k_fermi=1", "omega.shape=interval",
      "omega.intervals=0:1"],
     ["sweep", "gamma.shape=interval", "gamma.intervals=-1:1",
-     "omega.k_fermi=0.5", "sweep.L=10:40:4"],
+     "omega.shape=interval", "omega.intervals=-0.5:0.5",
+     "sweep.L=10:40:4"],
     ["jcoeff", "seed=1", "jcoeff.resolution=16", "gamma.shape=ball",
      "gamma.center=0,0", "gamma.radius=1", "omega.shape=box",
      "omega.bounds=0:1,0:1"],
@@ -303,8 +333,8 @@ def test_entropy_row_serializes_infinite_order():
 
 
 @pytest.mark.parametrize("mode, gamma, omega, L", [
-    ("lattice", interval(-math.pi / 2.0, math.pi / 2.0), interval(0.0, 1.0),
-     40.0),
+    ("lattice", LatticeSea(((-math.pi / 2.0, math.pi / 2.0),)),
+     interval(0.0, 1.0), 40.0),
     ("continuum", interval(-1.0, 1.0),
      IntervalUnion(((0.0, 0.5), (1.0, 1.5))), 5.0),
     ("tensor_box", Box(((-1.0, 1.0), (-1.0, 1.0))),
@@ -313,9 +343,7 @@ def test_entropy_row_serializes_infinite_order():
     ("prolate", interval(-1.0, 1.0), interval(0.0, 1.0), 5.0),
 ], ids=["lattice", "continuum", "tensor_box", "radial", "prolate"])
 def test_entropy_result_inverts_entropy_row(mode, gamma, omega, L):
-    config = PipelineConfig(
-        mode="auto" if mode in ("radial", "prolate", "continuum") else mode)
-    by_order = sweep(gamma, omega, (0.5, 1.0, math.inf), [L], config)
+    by_order = sweep(gamma, omega, (0.5, 1.0, math.inf), [L])
     for result_set in by_order.values():
         (result,) = result_set.results
         assert result.mode == mode

@@ -22,6 +22,7 @@ from fermient.geometry import (
     ConvexPolygon,
     GeometryError,
     IntervalUnion,
+    LatticeSea,
     interval,
 )
 from fermient.spectra import eigenvalues
@@ -181,6 +182,12 @@ def test_nystrom_overflowing_count_fails_the_budget(monkeypatch, gamma, omega,
     _forbid_node_rules(monkeypatch)
     with pytest.raises(BudgetError, match="would need inf Nystrom nodes"):
         nystrom(gamma, omega, L)
+
+
+def test_nystrom_refuses_lattice_momenta_before_any_rule(monkeypatch):
+    _forbid_node_rules(monkeypatch)
+    with pytest.raises(GeometryError, match="LatticeSea"):
+        nystrom(LatticeSea(((-1.0, 1.0),)), OMEGA, 10.0)
 
 
 def test_nyquist_guard_rejects_undersampled_rule():

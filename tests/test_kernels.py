@@ -13,6 +13,7 @@ from fermient.geometry import (
     ConvexPolygon,
     GeometryError,
     IntervalUnion,
+    LatticeSea,
     interval,
 )
 from fermient.kernels import FermiKernel
@@ -36,6 +37,12 @@ def test_kernel_rejects_polygon_momentum_regions():
     polygon = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(GeometryError):
         FermiKernel(polygon)
+
+
+def test_kernel_rejects_lattice_momenta():
+    # Lattice momenta have a kernel on sites, not in the continuum.
+    with pytest.raises(GeometryError, match="LatticeSea"):
+        FermiKernel(LatticeSea(((-1.0, 1.0),)))
 
 
 def test_diagonal_value_is_density():

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.special import j1, roots_legendre, sici
 
-from fermient import Ball, Box, PipelineConfig, interval, pipeline_spectrum
+from fermient import Ball, Box, LatticeSea, interval, pipeline_spectrum
 
 UNIT = interval(0.0, 1.0)
 DISK = Ball((0.0, 0.0), 1.0)
@@ -123,74 +123,65 @@ def disk_on_square_moments(L):
     return trace, trace - square
 
 
-LATTICE = PipelineConfig(mode="lattice")
-
-# route-pair: (gamma, omega, L, config, (Tr A, kappa_2), bound); the
-# route is the one pipeline_spectrum takes, continuum the Nystrom matrix.
+# route-pair: (gamma, omega, L, (Tr A, kappa_2), bound); the route is
+# the one pipeline_spectrum takes, continuum the Nystrom matrix.
 CASES = {
     # -4.0e-14, +3.0e-14, +1.0e-13 and -7.3e-13 (the 10^5 sites take 2 s).
-    "lattice-kf1-n4000": (interval(-1.0, 1.0), UNIT, 4000, LATTICE,
+    "lattice-kf1-n4000": (LatticeSea(((-1.0, 1.0),)), UNIT, 4000,
                           lattice_moments(1.0, 4000), 5e-13),
-    "lattice-kf0.3-n4000": (interval(-0.3, 0.3), UNIT, 4000, LATTICE,
+    "lattice-kf0.3-n4000": (LatticeSea(((-0.3, 0.3),)), UNIT, 4000,
                             lattice_moments(0.3, 4000), 5e-13),
-    "lattice-kf0.05-n20000": (interval(-0.05, 0.05), UNIT, 20000, LATTICE,
+    "lattice-kf0.05-n20000": (LatticeSea(((-0.05, 0.05),)), UNIT, 20000,
                               lattice_moments(0.05, 20000), 1e-12),
-    "lattice-half-n100000": (interval(-0.5 * math.pi, 0.5 * math.pi), UNIT,
-                             100000, LATTICE,
+    "lattice-half-n100000": (LatticeSea(((-0.5 * math.pi, 0.5 * math.pi),)),
+                             UNIT, 100000,
                              lattice_moments(0.5 * math.pi, 100000), 1e-11),
     # c = L / 2 = 30, 300, 1000 and 3900 (near the default budget's
     # 3973): +5.2e-16, +8.1e-14, -2.7e-14 and -9.2e-14.
-    "prolate-c30": (interval(-1.0, 1.0), UNIT, 60.0, PipelineConfig(),
+    "prolate-c30": (interval(-1.0, 1.0), UNIT, 60.0,
                     axis_moments(30.0), 1e-14),
-    "prolate-c300": (interval(-1.0, 1.0), UNIT, 600.0, PipelineConfig(),
+    "prolate-c300": (interval(-1.0, 1.0), UNIT, 600.0,
                      axis_moments(300.0), 1e-12),
-    "prolate-c1000": (interval(-1.0, 1.0), UNIT, 2000.0, PipelineConfig(),
+    "prolate-c1000": (interval(-1.0, 1.0), UNIT, 2000.0,
                       axis_moments(1000.0), 1e-12),
-    "prolate-c3900": (interval(-1.0, 1.0), UNIT, 7800.0, PipelineConfig(),
+    "prolate-c3900": (interval(-1.0, 1.0), UNIT, 7800.0,
                       axis_moments(3900.0), 1e-12),
     # +1.6e-14, +8.8e-16 and +3.8e-14 (axes at c = 150 and 300).
     "tensor_box-square": (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), 300.0,
-                      PipelineConfig(),
                       product_moments([axis_moments(150.0)] * 2), 2e-13),
     "tensor_box-cube": (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 100.0,
-                    PipelineConfig(),
                     product_moments([axis_moments(50.0)] * 3), 1e-14),
     "tensor_box-rectangle": (Box(((-1.0, 1.0),) * 2),
                          Box(((0.0, 1.0), (0.0, 2.0))), 300.0,
-                         PipelineConfig(),
                          product_moments([axis_moments(150.0),
                                           axis_moments(300.0)]), 5e-13),
     # +4.8e-14, +3.7e-13, +1.9e-12 (1.4 s); 3D: +1.1e-14, +3.5e-14,
     # +2.7e-13.  The trace reads within 1.2e-14 in each.
-    "radial-disk-L16": (DISK, DISK, 16.0, PipelineConfig(),
+    "radial-disk-L16": (DISK, DISK, 16.0,
                         disk_moments(16.0), 5e-13),
-    "radial-disk-L64": (DISK, DISK, 64.0, PipelineConfig(),
+    "radial-disk-L64": (DISK, DISK, 64.0,
                         disk_moments(64.0), 3e-12),
-    "radial-disk-L128": (DISK, DISK, 128.0, PipelineConfig(),
+    "radial-disk-L128": (DISK, DISK, 128.0,
                          disk_moments(128.0), 2e-11),
-    "radial-ball3-L8": (BALL3, BALL3, 8.0, PipelineConfig(),
+    "radial-ball3-L8": (BALL3, BALL3, 8.0,
                         ball3_moments(8.0), 5e-13),
-    "radial-ball3-L16": (BALL3, BALL3, 16.0, PipelineConfig(),
+    "radial-ball3-L16": (BALL3, BALL3, 16.0,
                          ball3_moments(16.0), 5e-13),
-    "radial-ball3-L64": (BALL3, BALL3, 64.0, PipelineConfig(),
+    "radial-ball3-L64": (BALL3, BALL3, 64.0,
                          ball3_moments(64.0), 3e-12),
     # -3.8e-12, -1.4e-11 and +1.0e-11 (the trace: 2.0e-12 at L = 16).
     "continuum-disk-square-L4": (DISK, Box(((0.0, 1.0),) * 2), 4.0,
-                               PipelineConfig(),
                                disk_on_square_moments(4.0), 1e-10),
     "continuum-disk-square-L8": (DISK, Box(((0.0, 1.0),) * 2), 8.0,
-                               PipelineConfig(),
                                disk_on_square_moments(8.0), 1e-10),
     "continuum-disk-square-L16": (DISK, Box(((0.0, 1.0),) * 2), 16.0,
-                                PipelineConfig(),
                                 disk_on_square_moments(16.0), 1e-10),
 }
 
 
 @functools.cache
 def spectrum_of(case):
-    gamma, omega, L, config = CASES[case][:4]
-    return pipeline_spectrum(gamma, omega, L, config)
+    return pipeline_spectrum(*CASES[case][:3])
 
 
 def moment_dev(spectrum, trace, kappa):
@@ -209,7 +200,7 @@ def nearest_half(spectrum):
 def test_spectrum_meets_the_exact_moments(case):
     spectrum, _, mode = spectrum_of(case)
     assert case.split("-")[0] == mode
-    (trace, kappa), bound = CASES[case][4:]
+    (trace, kappa), bound = CASES[case][3:]
     assert moment_dev(spectrum, trace, kappa) <= bound
 
 
@@ -227,6 +218,6 @@ def test_a_planted_defect_breaks_the_moments(case, defect):
     i = nearest_half(spectrum)
     multiplicities[i] = (multiplicities[i] - 1 if defect == "dropped"
                          else 2 * multiplicities[i])
-    (trace, kappa), bound = CASES[case][4:]
+    (trace, kappa), bound = CASES[case][3:]
     assert moment_dev(replace(spectrum, multiplicities=multiplicities),
                       trace, kappa) > 1e6 * bound

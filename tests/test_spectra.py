@@ -15,11 +15,9 @@ from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  lattice_correlation, nystrom)
 from fermient.functionals import entropy_function
 from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
-                               interval)
+                               LatticeSea, interval)
 from fermient.records import entropy_row
 from fermient.spectra import (
-    PIPELINE_MODES,
-    PipelineConfig,
     SpectralViolationError,
     Spectrum,
     eigenvalues,
@@ -130,9 +128,8 @@ def test_spectrum_complement():
 
 def _lattice_route(k_fermi, n):
     """Spectrum of the n-site block at k_fermi on the lattice route."""
-    spectrum, _, _ = pipeline_spectrum(interval(-k_fermi, k_fermi), OMEGA,
-                                       float(n),
-                                       PipelineConfig(mode="lattice"))
+    spectrum, _, _ = pipeline_spectrum(LatticeSea(((-k_fermi, k_fermi),)),
+                                       OMEGA, float(n))
     return spectrum
 
 
@@ -172,9 +169,8 @@ def test_lattice_route_budget_block_without_matrix(monkeypatch):
     monkeypatch.setattr(discretize, "lattice_correlation", forbidden)
     n = 20_000
     assert n <= DEFAULT_LATTICE_BUDGET
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    spectrum, L, mode = pipeline_spectrum(
-        gamma, OMEGA, float(n), PipelineConfig(mode="lattice"))
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
+    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, float(n))
     assert (L, len(spectrum), mode) == (n, n, "lattice")
     assert spectrum.max_violation < 1e-14
     # Jin & Korepin (2004): S_1 = ln(2 n sin k_F) / 3 + 0.4950179 at
@@ -190,8 +186,7 @@ def test_lattice_route_low_hole_density_block():
     # the residual check fails here (8.1e-10 over 1e-10).
     n, k_fermi = 30_000, 3.1
     spectrum, L, mode = pipeline_spectrum(
-        interval(-k_fermi, k_fermi), OMEGA, float(n),
-        PipelineConfig(mode="lattice"))
+        LatticeSea(((-k_fermi, k_fermi),)), OMEGA, float(n))
     assert (L, len(spectrum), mode) == (n, n, "lattice")
     expected = math.log(2.0 * n * math.sin(k_fermi)) / 3.0 + 0.4950179
     assert renyi_entropy(spectrum, 1.0).S == pytest.approx(expected, abs=1e-6)
@@ -637,8 +632,7 @@ def test_prolate_budget_caps_the_basis(monkeypatch):
     monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", forbidden)
     size = math.ceil(1.5 * 50.0) + spectra.PROLATE_PAD
     with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
-        pipeline_spectrum(GAMMA, OMEGA, 100.0,
-                          PipelineConfig(budget=size - 1))
+        pipeline_spectrum(GAMMA, OMEGA, 100.0, budget=size - 1)
 
 
 def test_tensor_axes_pass_the_budget_before_any_solve(monkeypatch):
@@ -652,7 +646,7 @@ def test_tensor_axes_pass_the_budget_before_any_solve(monkeypatch):
     with pytest.raises(BudgetError, match=f"{size} Legendre degrees"):
         pipeline_spectrum(Box(((-1.0, 1.0),) * 2),
                           Box(((0.0, 1.0), (0.0, 200.0))), 30.0,
-                          PipelineConfig(budget=100))
+                          budget=100)
 
 
 @pytest.mark.parametrize("gamma, omega, mode", [
@@ -1141,9 +1135,8 @@ def test_pipeline_continuum():
 
 
 def test_pipeline_lattice_realized_dilation():
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    config = PipelineConfig(mode="lattice")
-    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4, config)
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
+    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4)
     # 100.4 sites round to 100; the realized dilation is recorded as L.
     assert (L, len(spectrum), mode) == (100.0, 100, "lattice")
     # The solved block is the one at k_F = pi/2.
@@ -1154,11 +1147,10 @@ def test_pipeline_lattice_realized_dilation():
 
 def test_pipeline_spectrum_serves_every_order():
     # A sweep's rows at one L are renyi_entropy of the one spectrum.
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    config = PipelineConfig(mode="lattice")
-    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4, config)
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
+    spectrum, L, mode = pipeline_spectrum(gamma, OMEGA, 100.4)
     alphas = (0.5, 1.0, math.inf)
-    swept = asymptotics.sweep(gamma, OMEGA, alphas, [100.4], config)
+    swept = asymptotics.sweep(gamma, OMEGA, alphas, [100.4])
     for alpha in alphas:
         (row,) = swept[alpha].results
         assert dataclasses.replace(row, wall_time_s=None) \
@@ -1166,15 +1158,15 @@ def test_pipeline_spectrum_serves_every_order():
 
 
 @pytest.mark.parametrize("gamma, omega, L, mode", [
-    (interval(-1.0, 1.0), OMEGA, 300.0, "lattice"),
-    (GAMMA, IntervalUnion(((0.0, 1.0), (1.5, 2.5))), 30.0, "auto"),
+    (LatticeSea(((-1.0, 1.0),)), OMEGA, 300.0, "lattice"),
+    (GAMMA, IntervalUnion(((0.0, 1.0), (1.5, 2.5))), 30.0, "continuum"),
     (Box(((-1.0, 1.0), (-1.0, 1.0))), Box(((0.0, 1.0), (0.0, 1.0))), 4.0,
      "tensor_box"),
-    (DISK, DISK, 4.0, "auto"),
+    (DISK, DISK, 4.0, "radial"),
 ])
 def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
-    spectrum, _, route = pipeline_spectrum(gamma, omega, L,
-                                           PipelineConfig(mode=mode))
+    spectrum, _, route = pipeline_spectrum(gamma, omega, L)
+    assert route == mode
     lam = spectrum.eigenvalues
     interior = spectrum.interior
     assert 0 < interior <= len(spectrum)
@@ -1185,93 +1177,124 @@ def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
 
 
 def test_pipeline_lattice_requires_symmetric_interval():
-    config = PipelineConfig(mode="lattice")
-    with pytest.raises(GeometryError):
-        pipeline_spectrum(interval(0.0, 1.0), OMEGA, 50.0, config)
-    with pytest.raises(GeometryError):
-        pipeline_spectrum(interval(-4.0, 4.0), OMEGA, 50.0, config)
+    with pytest.raises(GeometryError, match=re.escape(
+            "lattice mode needs a symmetric momentum interval (-k_F, k_F)")):
+        pipeline_spectrum(LatticeSea(((0.0, 1.0),)), OMEGA, 50.0)
+    with pytest.raises(GeometryError, match=re.escape(
+            "lattice Fermi momentum must lie in (0, pi), got 4.0")):
+        pipeline_spectrum(LatticeSea(((-4.0, 4.0),)), OMEGA, 50.0)
 
 
 def test_pipeline_lattice_rejects_interval_union():
     # Two intervals are not one block of round(L |omega|) sites.
     two_intervals = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
-    with pytest.raises(GeometryError, match="single spatial interval"):
-        pipeline_spectrum(interval(-1.0, 1.0), two_intervals, 100.0,
-                          PipelineConfig(mode="lattice"))
+    with pytest.raises(GeometryError,
+                       match="^lattice mode needs a single spatial interval$"):
+        pipeline_spectrum(LatticeSea(((-1.0, 1.0),)), two_intervals, 100.0)
 
 
 def test_pipeline_lattice_rejects_2d_omega():
     with pytest.raises(GeometryError, match="dimension mismatch"):
-        pipeline_spectrum(interval(-1.0, 1.0), Box(((0.0, 1.0),) * 2), 10.0,
-                          PipelineConfig(mode="lattice"))
+        pipeline_spectrum(LatticeSea(((-1.0, 1.0),)), Box(((0.0, 1.0),) * 2),
+                          10.0)
 
 
-@pytest.mark.parametrize("mode", ["tensor_box", "auto"])
-def test_dimension_mismatch_has_one_message(mode):
-    # Forced tensor_box, the auto routing and the Nystrom assembly all
-    # report a gamma/omega dimension mismatch through the one geometry
-    # check.
+def test_lattice_sea_is_its_own_type():
+    # The same set as the interval union, but not equal to it: the type
+    # alone picks the route.
+    sea = LatticeSea(((-1.0, 1.0),))
+    assert sea != interval(-1.0, 1.0) and interval(-1.0, 1.0) != sea
+    assert sea == LatticeSea(((-1.0, 1.0),))
+    assert pipeline_spectrum(sea, OMEGA, 50.0)[2] == "lattice"
+    assert pipeline_spectrum(interval(-1.0, 1.0), OMEGA, 50.0)[2] \
+        == "prolate"
+
+
+def test_dimension_mismatch_has_one_message():
+    # The routing and the Nystrom assembly both report a gamma/omega
+    # dimension mismatch through the one geometry check.
     message = "dimension mismatch: gamma has d=2, omega has d=3"
     square, cube = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 3)
     with pytest.raises(GeometryError, match=message):
-        pipeline_spectrum(square, cube, 10.0, PipelineConfig(mode=mode))
+        pipeline_spectrum(square, cube, 10.0)
     with pytest.raises(GeometryError, match=message):
         discretize.nystrom(square, cube, L=10.0)
 
 
-def test_pipeline_config_is_mode_and_budget():
-    assert [f.name for f in dataclasses.fields(PipelineConfig)] \
-        == ["mode", "budget"]
-
-
-@pytest.mark.parametrize("mode", PIPELINE_MODES)
-def test_unset_budget_follows_the_mode(mode):
-    assert PipelineConfig(mode=mode).budget \
-        == (100_000 if mode == "lattice" else 6000)
-    assert PipelineConfig(mode=mode, budget=7).budget == 7
-
-
 def test_pipeline_lattice_budget():
-    gamma = interval(-math.pi / 2.0, math.pi / 2.0)
-    config = PipelineConfig(mode="lattice", budget=100)
+    gamma = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
     with pytest.raises(BudgetError):
-        pipeline_spectrum(gamma, OMEGA, 500.0, config)
+        pipeline_spectrum(gamma, OMEGA, 500.0, budget=100)
 
 
 SQUARE_MOMENTUM, SQUARE = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2)
-HALF_FILLED = interval(-math.pi / 2.0, math.pi / 2.0)
+HALF_FILLED = LatticeSea(((-math.pi / 2.0, math.pi / 2.0),))
 
 
-@pytest.mark.parametrize("gamma, omega, L, config, builder, message", [
+@pytest.mark.parametrize("gamma, omega, L, budget, builder, message", [
     # c = 50: ceil(1.5 c) + 40 = 115 degrees.
-    (GAMMA, OMEGA, 100.0, PipelineConfig(budget=114), "_prolate_spectrum",
+    (GAMMA, OMEGA, 100.0, 114, "_prolate_spectrum",
      "115 Legendre degrees, over the budget 114"),
-    (interval(-1e300, 1e300), OMEGA, 1e300, PipelineConfig(),
+    (interval(-1e300, 1e300), OMEGA, 1e300, None,
      "_prolate_spectrum", "inf Legendre degrees, over the budget 6000"),
-    (SQUARE_MOMENTUM, SQUARE, 100.0, PipelineConfig(budget=114),
+    (SQUARE_MOMENTUM, SQUARE, 100.0, 114,
      "_prolate_spectrum",
      "115 Legendre degrees, over the budget 114"),
-    (Box(((-1e300, 1e300),) * 2), SQUARE, 1e300, PipelineConfig(),
+    (Box(((-1e300, 1e300),) * 2), SQUARE, 1e300, None,
      "_prolate_spectrum", "inf Legendre degrees, over the budget 6000"),
     # n_r = ceil(1.5 k R) + 20 = 23 at R = 2.
-    (DISK, DISK, 2.0, PipelineConfig(budget=22), "_radial_spectrum",
+    (DISK, DISK, 2.0, 22, "_radial_spectrum",
      "23 radial nodes, over the budget 22"),
-    (Ball((0.0, 0.0), 1e300), DISK, 1e300, PipelineConfig(),
+    (Ball((0.0, 0.0), 1e300), DISK, 1e300, None,
      "_radial_spectrum", "inf radial nodes, over the budget 6000"),
-    (HALF_FILLED, OMEGA, 101.0, PipelineConfig(mode="lattice", budget=100),
+    (HALF_FILLED, OMEGA, 101.0, 100,
      "_lattice_spectrum", "101 lattice sites, over the budget 100"),
-    (HALF_FILLED, interval(0.0, 1e10), 1e300, PipelineConfig(mode="lattice"),
+    (HALF_FILLED, interval(0.0, 1e10), 1e300, None,
      "_lattice_spectrum", "inf lattice sites, over the budget 100000"),
 ], ids=["prolate", "prolate-inf", "tensor", "tensor-inf", "radial",
         "radial-inf", "lattice", "lattice-inf"])
 def test_every_route_passes_the_budget_before_building(
-        monkeypatch, gamma, omega, L, config, builder, message):
+        monkeypatch, gamma, omega, L, budget, builder, message):
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{builder} was called")
 
     monkeypatch.setattr(spectra, builder, forbidden)
     with pytest.raises(BudgetError, match=re.escape(f"would need {message}")):
-        pipeline_spectrum(gamma, omega, L, config)
+        pipeline_spectrum(gamma, omega, L, budget)
+
+
+class _Solved(Exception):
+    """Raised in place of a route's solve: its size passed the gate."""
+
+
+@pytest.mark.parametrize("gamma, omega, L_fits, L_over, builder, over", [
+    # round(L |omega|) sites.
+    (HALF_FILLED, OMEGA, 100_000.0, 100_001.0, "_lattice_spectrum",
+     "100001 lattice sites, over the budget 100000"),
+    # ceil(1.5 c) + 40 degrees per axis at c = L / 2: 6000 at L = 7946.
+    (GAMMA, OMEGA, 7946.0, 7947.0, "_prolate_spectrum",
+     "6001 Legendre degrees, over the budget 6000"),
+    (SQUARE_MOMENTUM, SQUARE, 7946.0, 7947.0, "_prolate_spectrum",
+     "6001 Legendre degrees, over the budget 6000"),
+    # ceil(1.5 L) + 20 radial nodes: 6000 at L = 3986.5.
+    (DISK, DISK, 3986.5, 3987.0, "_radial_spectrum",
+     "6001 radial nodes, over the budget 6000"),
+    # L = 10 builds a small Nystrom matrix; L = 1e4 needs over 6000 nodes.
+    (GAMMA, IntervalUnion(((0.0, 0.5), (1.0, 1.5))), 10.0, 1e4,
+     "eigenvalues", "Nystrom nodes, over the budget 6000"),
+], ids=["lattice", "prolate", "tensor_box", "radial", "continuum"])
+def test_unset_budget_follows_the_mode(monkeypatch, gamma, omega, L_fits,
+                                       L_over, builder, over):
+    # Unset, the budget is the default of the route taken (the mode of
+    # its rows): 100000 lattice sites, else 6000 in the route's unit.
+    def solved(*args):
+        raise _Solved
+
+    monkeypatch.setattr(spectra, builder, solved)
+    with pytest.raises(_Solved):
+        pipeline_spectrum(gamma, omega, L_fits)
+    with pytest.raises(BudgetError, match=f"{re.escape(over)}$"):
+        pipeline_spectrum(gamma, omega, L_over)
 
 
 @pytest.mark.parametrize("gamma, omega, L, size", [
@@ -1302,8 +1325,7 @@ def test_pipeline_tensor_matches_direct_2d():
     # The default rule has 4 nodes per axis here and misses by 1.1e-7; at
     # 4 nodes per unit (8 per axis) the gap is 5e-15.
     direct = eigenvalues(nystrom(gamma, omega, 2.0, nodes_per_unit=4.0))
-    tensor, _, tensor_mode = pipeline_spectrum(
-        gamma, omega, 2.0, PipelineConfig(mode="tensor_box"))
+    tensor, _, tensor_mode = pipeline_spectrum(gamma, omega, 2.0)
     assert renyi_entropy(tensor, 1.0).S == pytest.approx(
         renyi_entropy(direct, 1.0).S, abs=1e-10)
     assert tensor_mode == "tensor_box"
@@ -1338,26 +1360,23 @@ def test_pipeline_off_center_boxes_take_tensor_route():
 # entries it may store: exact 0s and 1s are one entry each, and radial
 # sector values one entry per sector.
 BOOKKEEPING = [
-    (interval(-math.pi / 2.0, math.pi / 2.0), OMEGA, 2000.0, "lattice",
-     (2000, 44, 0), 65),
-    (GAMMA, OMEGA, 600.0, "auto", (490, 37, 0), 62),
-    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), 200.0, "auto",
+    (HALF_FILLED, OMEGA, 2000.0, (2000, 44, 0), 65),
+    (GAMMA, OMEGA, 600.0, (490, 37, 0), 62),
+    (Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 2), 200.0,
      (36_100, 3842, 0), 3364),
-    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 100.0, "auto",
+    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 100.0,
      (1_520_875, 76_630, 0), 125_000),
-    (DISK, DISK, 8.0, "auto", (1376, 127, 577), 704),
-    (BALL3, BALL3, 16.0, "auto", (45_056, 2560, 19_440), 1408),
+    (DISK, DISK, 8.0, (1376, 127, 577), 704),
+    (BALL3, BALL3, 16.0, (45_056, 2560, 19_440), 1408),
 ]
 
 
-@pytest.mark.parametrize("gamma, omega, L, mode, counts, entries",
-                         BOOKKEEPING,
+@pytest.mark.parametrize("gamma, omega, L, counts, entries", BOOKKEEPING,
                          ids=["lattice", "interval", "square", "cube",
                               "disk", "ball3"])
-def test_multiplicities_count_every_eigenvalue(gamma, omega, L, mode,
-                                               counts, entries):
-    spectrum, _, _ = pipeline_spectrum(gamma, omega, L,
-                                       PipelineConfig(mode=mode))
+def test_multiplicities_count_every_eigenvalue(gamma, omega, L, counts,
+                                               entries):
+    spectrum, _, _ = pipeline_spectrum(gamma, omega, L)
     assert (len(spectrum), spectrum.interior, spectrum.clamp_count) == counts
     assert spectrum.values.size <= entries
     lam = spectrum.eigenvalues
@@ -1365,25 +1384,6 @@ def test_multiplicities_count_every_eigenvalue(gamma, omega, L, mode,
     for alpha in (0.25, 1.0, 2.0, math.inf):
         assert renyi_entropy(spectrum, alpha).S == pytest.approx(
             entropy_function(lam, alpha).sum(), rel=1e-12)
-
-
-def test_pipeline_tensor_requires_boxes():
-    config = PipelineConfig(mode="tensor_box")
-    with pytest.raises(GeometryError):
-        pipeline_spectrum(GAMMA, OMEGA, 2.0, config)
-
-
-def test_pipeline_unknown_mode():
-    with pytest.raises(ValueError):
-        pipeline_spectrum(GAMMA, OMEGA, 2.0, PipelineConfig(mode="exact"))
-
-
-def test_pipeline_config_refuses_continuum_mode():
-    # The Nystrom matrix is auto's route for interval unions and mixed
-    # pairs, and eigenvalues(nystrom(...)) is the oracle for any pair.
-    assert PIPELINE_MODES == ("auto", "lattice", "tensor_box")
-    with pytest.raises(ValueError, match="unknown pipeline mode 'continuum'"):
-        PipelineConfig(mode="continuum")
 
 
 def test_pipeline_entropy_stable_under_refinement():
