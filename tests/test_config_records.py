@@ -215,7 +215,7 @@ def test_alphas_from_config():
         alphas_from_config(RunConfig({"alpha": "-2"}))
 
 
-def test_mode_from_config():
+def test_pipeline_config_from():
     config = RunConfig({"mode": "lattice", "disc.budget": "800"})
     assert mode_from_config(config) == ("lattice", 800)
     # Unset, the budget is the default of the route taken.

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from fermient import asymptotics, discretize, spectra
+from fermient.config import RunConfig, mode_from_config, momenta_for_mode
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
                                  lattice_correlation, nystrom)
 from fermient.functionals import entropy_function
@@ -1210,13 +1211,15 @@ def test_lattice_sea_is_its_own_type():
         == "prolate"
 
 
-def test_dimension_mismatch_has_one_message():
-    # The routing and the Nystrom assembly both report a gamma/omega
+@pytest.mark.parametrize("mode", ["tensor_box", "auto"])
+def test_dimension_mismatch_has_one_message(mode):
+    # Forced tensor_box (a box pair passes the mode's type check), the
+    # routing by type and the Nystrom assembly all report a gamma/omega
     # dimension mismatch through the one geometry check.
     message = "dimension mismatch: gamma has d=2, omega has d=3"
     square, cube = Box(((-1.0, 1.0),) * 2), Box(((0.0, 1.0),) * 3)
     with pytest.raises(GeometryError, match=message):
-        pipeline_spectrum(square, cube, 10.0)
+        pipeline_spectrum(momenta_for_mode(mode, square, cube), cube, 10.0)
     with pytest.raises(GeometryError, match=message):
         discretize.nystrom(square, cube, L=10.0)
 
@@ -1384,6 +1387,24 @@ def test_multiplicities_count_every_eigenvalue(gamma, omega, L, counts,
     for alpha in (0.25, 1.0, 2.0, math.inf):
         assert renyi_entropy(spectrum, alpha).S == pytest.approx(
             entropy_function(lam, alpha).sum(), rel=1e-12)
+
+
+def test_pipeline_unknown_mode():
+    # The library takes no mode; the mode key is refused where it is read.
+    with pytest.raises(ValueError):
+        mode_from_config(RunConfig({"mode": "exact"}))
+
+
+def test_pipeline_config_refuses_continuum_mode():
+    # The Nystrom matrix is the route the types pick for interval unions
+    # and mixed pairs, and eigenvalues(nystrom(...)) is the oracle for any
+    # pair, so continuum is no mode.
+    for mode in ("auto", "lattice", "tensor_box"):
+        assert mode_from_config(RunConfig({"mode": mode}))[0] == mode
+    with pytest.raises(ValueError, match="unknown mode 'continuum'"):
+        mode_from_config(RunConfig({"mode": "continuum"}))
+    two_intervals = IntervalUnion(((0.0, 0.5), (1.0, 1.5)))
+    assert spectra._resolve_mode(GAMMA, two_intervals) == "continuum"
 
 
 def test_pipeline_entropy_stable_under_refinement():
