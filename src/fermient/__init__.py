@@ -23,34 +23,45 @@ The usual entry points:
                        quadrature at a given resolution
     entropy_log_coefficient, predicted_log_prefactor
                        the functional I(h_alpha) and its closed form
+
+Every export resolves on first use: `import fermient` loads none of the
+modules above (nor numpy), and `from fermient import Ball` loads
+geometry alone.
 """
 
-from .asymptotics import (ScalingFit, SweepResult, compare_theory,
-                          fit_scaling, sweep)
-from .discretize import lattice_correlation, nystrom
-from .functionals import (entropy_function, entropy_log_coefficient,
-                          log_coefficient_functional,
-                          predicted_log_prefactor)
-from .geometry import (Ball, Box, ConvexPolygon, Domain, GeometryError,
-                       IntervalUnion, LatticeSea, interval, widom_J,
-                       widom_J_monte_carlo)
-from .kernels import FermiKernel
-from .spectra import (EntropyResult, Spectrum, eigenvalues, pipeline_spectrum,
-                      renyi_entropy, tensor_spectrum)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
-    "IntervalUnion", "LatticeSea", "interval",
-    "widom_J", "widom_J_monte_carlo",
-    "entropy_function", "entropy_log_coefficient",
-    "log_coefficient_functional", "predicted_log_prefactor",
-    "FermiKernel",
-    "nystrom", "lattice_correlation",
-    "Spectrum", "EntropyResult", "eigenvalues",
-    "renyi_entropy", "tensor_spectrum",
-    "pipeline_spectrum",
-    "SweepResult", "ScalingFit", "sweep", "fit_scaling", "compare_theory",
-    "__version__",
-]
+# Each export and the module it is read from.  A name is imported on
+# first access (PEP 562), so `import fermient` loads no submodule and a
+# command loads only the modules it runs.
+_EXPORTS = {name: module for module, names in [
+    ("geometry", ("Ball", "Box", "ConvexPolygon", "Domain", "GeometryError",
+                  "IntervalUnion", "LatticeSea", "interval",
+                  "widom_J", "widom_J_monte_carlo")),
+    ("functionals", ("entropy_function", "entropy_log_coefficient",
+                     "log_coefficient_functional",
+                     "predicted_log_prefactor")),
+    ("kernels", ("FermiKernel",)),
+    ("discretize", ("nystrom", "lattice_correlation")),
+    ("spectra", ("Spectrum", "EntropyResult", "eigenvalues",
+                 "renyi_entropy", "tensor_spectrum", "pipeline_spectrum")),
+    ("asymptotics", ("SweepResult", "ScalingFit", "sweep", "fit_scaling",
+                     "compare_theory")),
+] for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

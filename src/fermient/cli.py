@@ -39,31 +39,36 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (MIN_FIT_POINTS, FitError, compare_theory,
-                          fit_scaling, sweep)
 from .config import (ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      mode_from_config, momenta_for_mode)
-from .discretize import DiscretizationError
-from .functionals import (TOL, entropy_log_coefficient,
-                          entropy_log_coefficient_dilog,
-                          predicted_log_prefactor)
-from .geometry import (GeometryError, _check_same_dim, _largest_resolution,
-                       widom_J, widom_J_monte_carlo)
+from .geometry import GeometryError, _check_same_dim, _largest_resolution
 from .records import (SCHEMA_VERSION, _json_safe, append_partial_row,
                       config_hash, entropy_result, entropy_row, fit_block,
                       j_block, load_partial_rows, make_record, write_csv,
                       write_json)
-from .spectra import SpectralViolationError, lattice_sites
-from .validate import run_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_VALIDATION = 4
 
-_COMPUTE_ERRORS = (DiscretizationError, SpectralViolationError, FitError,
-                   GeometryError, np.linalg.LinAlgError)
+# Types mapped to exit 3 besides GeometryError and LinAlgError, by the
+# module that defines each.  Every handler imports the modules it
+# computes with, so a type is read once its module is loaded: a module
+# never imported raised nothing.
+_COMPUTE_ERRORS = {"discretize": "DiscretizationError",
+                   "spectra": "SpectralViolationError",
+                   "asymptotics": "FitError"}
+
+
+def _compute_errors() -> tuple:
+    errors = [GeometryError, np.linalg.LinAlgError]
+    for module, name in _COMPUTE_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 def _error_object(exc, kind: str) -> str:
@@ -109,6 +114,7 @@ def _emit(record: dict, out) -> None:
 
 
 def cmd_entropy(args) -> int:
+    from .asymptotics import sweep
     config = _gather_config(args)
     gamma, omega = _domains(config)
     alphas = alphas_from_config(config)
@@ -132,6 +138,7 @@ def cmd_entropy(args) -> int:
 
 def _lattice_grid(grid, omega):
     """Round an L grid to lattice block sizes (floats), deduplicated."""
+    from .spectra import lattice_sites
     sites = lattice_sites(grid, omega)
     if (sites < 1).any():
         raise ConfigError(f"sweep.L: L={grid[np.argmax(sites < 1)]:g} "
@@ -140,6 +147,8 @@ def _lattice_grid(grid, omega):
 
 
 def cmd_sweep(args) -> int:
+    from .asymptotics import MIN_FIT_POINTS, compare_theory, fit_scaling, sweep
+    from .geometry import widom_J
     config = _gather_config(args)
     gamma, omega = _domains(config)
     alphas = alphas_from_config(config)
@@ -196,6 +205,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_jcoeff(args) -> int:
+    from .geometry import widom_J, widom_J_monte_carlo
     config = _gather_config(args)
     if args.seed is not None:
         config = config.updated({"seed": str(args.seed)})
@@ -237,6 +247,10 @@ def cmd_jcoeff(args) -> int:
 
 
 def cmd_functional(args) -> int:
+    from .discretize import DiscretizationError
+    from .functionals import (TOL, entropy_log_coefficient,
+                              entropy_log_coefficient_dilog,
+                              predicted_log_prefactor)
     config = _gather_config(args)
     alphas = alphas_from_config(config, key="functional.alphas",
                                 default=(0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 10.0))
@@ -273,6 +287,7 @@ def cmd_functional(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_all
     results = run_all()
     failures = [r for r in results if not r.passed]
     width = max(len(r.name) for r in results)
@@ -365,7 +380,7 @@ def main(argv=None) -> int:
         # An OSError left here is a file the run could not write or read.
         print(_error_object(exc, "config"), file=sys.stderr)
         return EXIT_CONFIG
-    except _COMPUTE_ERRORS as exc:
+    except _compute_errors() as exc:
         print(_error_object(exc, "computation"), file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -57,7 +57,7 @@ COSINE_BLOCK_FLOATS = 2 ** 18
 # resolution 1414 (4.0e6 nodes, about 0.3 GB at peak) fits.
 MAX_SURFACE_NODES = 4_000_000
 # Samples widom_J_monte_carlo draws and reduces at a time, so that its
-# memory (about 1.5 MiB) does not grow with the sample count.
+# memory (about 1.4 MiB) does not grow with the sample count.
 MC_CHUNK = 2 ** 14
 
 
@@ -192,7 +192,8 @@ class IntervalUnion(Domain):
 
     def scaled(self, factor):
         _check_positive(factor, "scale factor")
-        return IntervalUnion(tuple((factor * a, factor * b) for a, b in self.intervals))
+        return type(self)(tuple((factor * a, factor * b)
+                                for a, b in self.intervals))
 
     def momentum_bound(self):
         return max(max(abs(a), abs(b)) for a, b in self.intervals)
@@ -329,22 +330,28 @@ class Ball(Domain):
         return all(c == 0.0 for c in self.center)
 
     def surface_quadrature(self, resolution):
+        """Midpoint rule in angle on the circle (resolution nodes); on
+        the sphere, resolution Gauss-Legendre nodes in z times 2 *
+        resolution azimuths, whose cos and sin are taken once and shared
+        by every z row.  Nodes run z-major, azimuth-minor."""
         d, r = self.dim, self.radius
         if d == 2:
             theta = TWO_PI * (np.arange(resolution) + 0.5) / resolution
             normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             weights = np.full(resolution, TWO_PI * r / resolution)
             return SurfaceQuadrature(weights, normals)
-        # Gauss-Legendre in cos(polar angle), uniform in azimuth.
+        # Gauss-Legendre in cos(polar angle), uniform in azimuth: every
+        # row of constant z shares the azimuths, so cos and sin are taken
+        # once per azimuth and each row scales them by its rho(z).
         nz, nphi = resolution, 2 * resolution
         z, wz = np.polynomial.legendre.leggauss(nz)
         phi = TWO_PI * (np.arange(nphi) + 0.5) / nphi
-        Z, PHI = np.meshgrid(z, phi, indexing="ij")
-        rho = np.sqrt(np.maximum(1.0 - Z ** 2, 0.0))
-        normals = np.stack(
-            [(rho * np.cos(PHI)).ravel(), (rho * np.sin(PHI)).ravel(), Z.ravel()],
-            axis=1,
-        )
+        rho = np.sqrt(np.maximum(1.0 - z ** 2, 0.0))[:, None]
+        normals = np.empty((nz, nphi, 3))
+        np.multiply(rho, np.cos(phi), out=normals[:, :, 0])
+        np.multiply(rho, np.sin(phi), out=normals[:, :, 1])
+        normals[:, :, 2] = z[:, None]
+        normals = normals.reshape(nz * nphi, 3)
         weights = (np.repeat(wz, nphi) * (TWO_PI / nphi)) * r * r
         return SurfaceQuadrature(weights, normals)
 
@@ -559,31 +566,48 @@ def widom_J(gamma: Domain, omega: Domain,
     return WidomCoefficient(value, "closed_form", 1e-14 * abs(value))
 
 
-def _normal_sampler(domain: Domain):
-    """(k, normals) for a d >= 2 boundary: normals maps an (m, k) array
-    of uniforms on [0, 1) to the outward normals at m boundary points
-    uniform in surface measure.  A ball's are directions (a 2D ball
-    takes the angle 2*pi*u, a 3D ball z = 2u - 1 and the azimuth
-    2*pi*u); a polytope's are its faces drawn by measure, found as
-    Generator.choice does, by searchsorted on the cumulative measures."""
-    if isinstance(domain, Ball):
-        if domain.dim == 2:
-            def normals(u):
-                theta = TWO_PI * u[:, 0]
-                return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            return 1, normals
+def _normal_sampler(domain: Domain, chunk: int):
+    """(k, normals) for a d >= 2 boundary: normals maps a (k, m) array
+    of uniforms on [0, 1), m <= chunk, to the outward normals at m
+    boundary points uniform in surface measure, as a (d, m) array of
+    components.  The array is a view of one buffer of d * chunk floats
+    that each call overwrites, so a caller may overwrite it too.
 
+    A ball's normals are directions: a 2D ball takes the angle 2*pi*u,
+    a 3D ball z = 2u - 1 and the azimuth 2*pi*u, whose cos and sin are
+    written straight into the buffer.  A polytope's are its faces drawn
+    by measure: the face index counts the cumulative measures at or
+    below u (the index Generator.choice finds by searchsorted), and the
+    normals are taken from a (d, faces) table."""
+    d = domain.dim
+    buffer = np.empty(d * chunk)
+    if isinstance(domain, Ball):
         def normals(u):
-            z = 2.0 * u[:, 0] - 1.0
-            phi = TWO_PI * u[:, 1]
-            rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-        return 2, normals
+            out = buffer[:d * u.shape[1]].reshape(d, -1)
+            phi = np.multiply(TWO_PI, u[-1], out=out[1])
+            np.cos(phi, out=out[0])
+            np.sin(phi, out=out[1])
+            if d == 3:
+                z = np.multiply(2.0, u[0], out=out[2])
+                z -= 1.0
+                rho = z * z
+                np.subtract(1.0, rho, out=rho)
+                np.maximum(rho, 0.0, out=rho)
+                out[:2] *= np.sqrt(rho, out=rho)
+            return out
+        return d - 1, normals
     faces = domain.surface_quadrature(1)
     cdf = np.cumsum(faces.weights)
     cdf /= cdf[-1]
-    return 1, lambda u: faces.normals[np.searchsorted(cdf, u[:, 0],
-                                                      side="right")]
+    thresholds = cdf[:-1, None]
+    table = np.ascontiguousarray(faces.normals.T)
+
+    def normals(u):
+        index = np.count_nonzero(u[0] >= thresholds, axis=0)
+        # Every index is in range: "clip" only spares take a copy.
+        return table.take(index, axis=1, mode="clip",
+                          out=buffer[:d * u.shape[1]].reshape(d, -1))
+    return 1, normals
 
 
 def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
@@ -600,7 +624,10 @@ def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
     not grow with `samples`; the chunks' means and squared deviations
     are merged by the pairwise update of Chan, Golub & LeVeque.  Each
     pair takes one row of uniforms, gamma's columns then omega's, so the
-    sample sequence does not depend on the chunk size.
+    sample sequence does not depend on the chunk size.  The uniforms
+    and each side's normals, (d, m) component rows, reuse one buffer
+    each from chunk to chunk; each dot product is the d row products
+    added in axis order, formed in gamma's buffer.
     """
     if not isinstance(samples, numbers.Integral) or samples < 2:
         raise GeometryError(f"samples: need an integer >= 2, got {samples!r}")
@@ -610,14 +637,20 @@ def widom_J_monte_carlo(gamma: Domain, omega: Domain, samples: int = 200_000,
         return widom_J(gamma, omega)
     if rng is None:
         rng = np.random.default_rng(0)
-    k_gamma, gamma_normals = _normal_sampler(gamma)
-    k_omega, omega_normals = _normal_sampler(omega)
+    chunk = min(MC_CHUNK, samples)
+    k_gamma, gamma_normals = _normal_sampler(gamma, chunk)
+    k_omega, omega_normals = _normal_sampler(omega, chunk)
+    uniforms = np.empty((chunk, k_gamma + k_omega))
     count, mean, square_sum = 0, 0.0, 0.0
-    for start in range(0, samples, MC_CHUNK):
-        size = min(MC_CHUNK, samples - start)
-        u = rng.random((size, k_gamma + k_omega))
-        vals = np.abs(np.einsum("ij,ij->i", gamma_normals(u[:, :k_gamma]),
-                                omega_normals(u[:, k_gamma:])))
+    for start in range(0, samples, chunk):
+        size = min(chunk, samples - start)
+        u = rng.random(out=uniforms[:size]).T
+        products = gamma_normals(u[:k_gamma])
+        products *= omega_normals(u[k_gamma:])
+        vals = products[0]
+        for axis in range(1, d):
+            vals += products[axis]
+        np.abs(vals, out=vals)
         chunk_mean = float(vals.mean())
         vals -= chunk_mean
         delta = chunk_mean - mean

@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
-from .asymptotics import ScalingFit
 from .config import RunConfig, serialize_config
 from .geometry import WidomCoefficient
-from .spectra import EntropyResult
+
+if TYPE_CHECKING:
+    from .asymptotics import ScalingFit
+    from .spectra import EntropyResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,19 +50,25 @@ def _json_safe(alpha: float):
     return "inf" if alpha == math.inf else alpha
 
 
-_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(EntropyResult))
+@functools.cache
+def _row_fields() -> tuple:
+    """EntropyResult's field names, read on first use, so that a command
+    that writes no entropy row does not load spectra."""
+    from .spectra import EntropyResult
+    return tuple(f.name for f in dataclasses.fields(EntropyResult))
 
 
 def entropy_row(result: EntropyResult) -> dict:
     """The result's fields as a JSON-safe dict; None fields are left out."""
-    row = {name: getattr(result, name) for name in _ROW_FIELDS}
+    row = {name: getattr(result, name) for name in _row_fields()}
     row["alpha"] = _json_safe(result.alpha)
     return {key: value for key, value in row.items() if value is not None}
 
 
 def entropy_result(row: dict) -> EntropyResult:
     """Inverse of entropy_row; keys that are not fields are ignored."""
-    fields = {name: row[name] for name in _ROW_FIELDS if name in row}
+    from .spectra import EntropyResult
+    fields = {name: row[name] for name in _row_fields() if name in row}
     fields["alpha"] = float(fields["alpha"])
     return EntropyResult(**fields)
 

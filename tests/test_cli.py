@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import (asymptotics, cli, discretize, geometry, records,
-                      spectra, validate)
+from fermient import (asymptotics, discretize, functionals, geometry,
+                      records, spectra, validate)
 from fermient.cli import main
 from fermient.config import load_config
 from fermient.discretize import DEFAULT_LATTICE_BUDGET, DiscretizationError
@@ -515,9 +515,11 @@ def no_computes(monkeypatch, no_solves):
     def forbidden(*args, **kwargs):
         raise AssertionError("a number was computed")
 
-    for name in ("widom_J", "widom_J_monte_carlo", "entropy_log_coefficient",
-                 "entropy_log_coefficient_dilog"):
-        monkeypatch.setattr(cli, name, forbidden)
+    for module, name in ((geometry, "widom_J"),
+                         (geometry, "widom_J_monte_carlo"),
+                         (functionals, "entropy_log_coefficient"),
+                         (functionals, "entropy_log_coefficient_dilog")):
+        monkeypatch.setattr(module, name, forbidden)
 
 
 @pytest.mark.parametrize("command, args, unread", [
@@ -841,28 +843,60 @@ def _run_fresh(code):
 
 
 def test_jcoeff_and_functional_leave_scipy_unloaded(tmp_path):
-    # Neither command solves a spectrum, so neither may load scipy; a
-    # lattice entropy afterwards must load it, or the first check is
-    # vacuous.
+    # Neither command solves a spectrum, so neither may load scipy or a
+    # route module: jcoeff loads geometry alone of the computing modules,
+    # and functional adds functionals, discretize and kernels.  A lattice
+    # entropy afterwards must load them, or the checks are vacuous.
     out = str(tmp_path / "record.json")
     code = f"""
 import json, sys
 import fermient, fermient.cli
 from fermient.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy") or m.startswith("fermient."))
+
 assert main(["jcoeff", "--out", {out!r}, "gamma.shape=ball",
              "gamma.center=0,0,0", "gamma.radius=1", "omega.shape=box",
              "omega.bounds=0:1,0:1,0:1"]) == 0
+print(json.dumps(loaded()))
 assert main(["functional", "--out", {out!r},
              "functional.alphas=0.25,1,inf"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(loaded()))
 assert main(["entropy", "--out", {out!r}, "mode=lattice",
              "gamma.k_fermi=1", "omega.shape=interval",
              "omega.intervals=0:1", "entropy.L=8"]) == 0
-print(json.dumps("scipy.linalg" in sys.modules))
+print(json.dumps(loaded()))
 """
-    loaded, after_entropy = _run_fresh(code).splitlines()
-    assert json.loads(loaded) == []
-    assert json.loads(after_entropy) is True
+    after_jcoeff, after_functional, after_entropy = map(
+        json.loads, _run_fresh(code).splitlines())
+    cli_modules = ["fermient.cli", "fermient.config", "fermient.geometry",
+                   "fermient.records"]
+    assert after_jcoeff == cli_modules
+    assert after_functional == sorted(cli_modules + [
+        "fermient.discretize", "fermient.functionals", "fermient.kernels"])
+    assert {"scipy.linalg", "fermient.spectra",
+            "fermient.asymptotics"} <= set(after_entropy)
+
+
+def test_cli_import_loads_no_route_module():
+    # The package's exports resolve on first use: importing the CLI
+    # loads the modules every command reads, and a named export still
+    # loads its own.
+    code = """
+import json, sys
+import fermient.cli
+before = sorted(m for m in sys.modules if m.startswith("fermient"))
+from fermient import Ball, pipeline_spectrum, sweep
+print(json.dumps([before, pipeline_spectrum.__module__, sweep.__module__,
+                  Ball.__module__]))
+"""
+    before, *owners = json.loads(_run_fresh(code))
+    assert before == ["fermient", "fermient.cli", "fermient.config",
+                      "fermient.geometry", "fermient.records"]
+    assert owners == ["fermient.spectra", "fermient.asymptotics",
+                      "fermient.geometry"]
 
 
 def test_validate_leaves_scipy_integrate_unloaded(tmp_path):
@@ -911,7 +945,7 @@ def test_output_in_a_missing_directory_exits_2_before_solving(
     def forbidden():
         raise AssertionError("a check was run")
 
-    monkeypatch.setattr(cli, "run_all", forbidden)
+    monkeypatch.setattr(validate, "run_all", forbidden)
     path = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, command, *args, flag, str(path))
     assert (code, out) == (2, "")
