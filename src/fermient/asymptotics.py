@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import predicted_log_prefactor
-from .geometry import Domain, LatticeSea
+from .geometry import ComputationError, Domain, LatticeSea
 from .spectra import (EntropyResult, lattice_sites, pipeline_spectrum,
                       renyi_entropy)
 
@@ -43,7 +43,7 @@ __all__ = [
 MIN_FIT_POINTS = 4
 
 
-class FitError(RuntimeError):
+class FitError(ComputationError):
     """Fit impossible: too few points or a degenerate design matrix."""
 
 

@@ -24,7 +24,8 @@ key).  A flag on a command that does not read it is an argparse error,
 and a config key it does not read for its input a config error.  Exit
 codes: 0 success, 2 config error (an --out or --csv that cannot be
 written too, refused before any solve if its directory is missing), 3
-computation error, 4 validation failure.  A stdout closed early
+computation error (a GeometryError, any geometry.ComputationError, or a
+numpy LinAlgError), 4 validation failure.  A stdout closed early
 (`| head`) drops only the rest of the record or of validate's table.
 """
 
@@ -42,7 +43,8 @@ from . import __version__
 from .config import (ConfigError, RunConfig, alphas_from_config,
                      domain_from_config, grid_from_config, load_config,
                      mode_from_config, momenta_for_mode)
-from .geometry import GeometryError, _check_same_dim, _largest_resolution
+from .geometry import (ComputationError, GeometryError, _check_same_dim,
+                       _largest_resolution)
 from .records import (SCHEMA_VERSION, _json_safe, append_partial_row,
                       config_hash, entropy_result, entropy_row, fit_block,
                       j_block, load_partial_rows, make_record, write_csv,
@@ -52,24 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_VALIDATION = 4
-
-# Types mapped to exit 3 besides GeometryError and LinAlgError, by the
-# module that defines each.  Every handler imports the modules it
-# computes with, so a type is read once its module is loaded: a module
-# never imported raised nothing.
-_COMPUTE_ERRORS = {"discretize": "DiscretizationError",
-                   "spectra": "SpectralViolationError",
-                   "asymptotics": "FitError"}
-
-
-def _compute_errors() -> tuple:
-    errors = [GeometryError, np.linalg.LinAlgError]
-    for module, name in _COMPUTE_ERRORS.items():
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
 
 def _error_object(exc, kind: str) -> str:
     return json.dumps({"error": {"kind": kind, "type": type(exc).__name__,
@@ -380,7 +364,7 @@ def main(argv=None) -> int:
         # An OSError left here is a file the run could not write or read.
         print(_error_object(exc, "config"), file=sys.stderr)
         return EXIT_CONFIG
-    except _compute_errors() as exc:
+    except (GeometryError, ComputationError, np.linalg.LinAlgError) as exc:
         print(_error_object(exc, "computation"), file=sys.stderr)
         return EXIT_COMPUTE
 

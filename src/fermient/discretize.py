@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Ball, Box, Domain, IntervalUnion, TWO_PI,
-                       _check_same_dim)
+from .geometry import (Ball, Box, ComputationError, Domain, IntervalUnion,
+                       TWO_PI, _check_same_dim)
 from .kernels import FermiKernel
 
 __all__ = [
@@ -60,7 +60,7 @@ NODES_PER_WAVELENGTH = 8.0
 MIN_NODES_PER_UNIT = 2.0
 
 
-class DiscretizationError(RuntimeError):
+class DiscretizationError(ComputationError):
     """Invalid or under-resolved discretization request."""
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ComputationError",
     "GeometryError",
     "Domain",
     "IntervalUnion",
@@ -63,6 +64,11 @@ MC_CHUNK = 2 ** 14
 
 class GeometryError(ValueError):
     """Invalid shape parameters or an unsupported domain combination."""
+
+
+class ComputationError(RuntimeError):
+    """A computation that cannot go on: its discretization, spectrum or
+    fit is broken.  The command line maps it to exit 3."""
 
 
 @dataclass(frozen=True)

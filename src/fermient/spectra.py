@@ -53,11 +53,11 @@ above K run on the panels alone), and row i ends up holding j_i on the
 panels and j_(i-2) and y_(i-2) on the tail.  A near-1 vector with more
 weight past K than its 1 - lambda allows raises SpectralViolationError.
 
-pipeline_spectrum is the chain geometry -> matrix -> spectrum, on the
-route the types of the two regions alone pick: a LatticeSea momentum
-region takes the lattice route above (default budget 100000 sites),
-every continuum pair one of the routes below (default budget 6000 in the
-route's own unit).  A box pair's compression separates per axis, so its
+pipeline_spectrum is the chain geometry -> matrix -> spectrum.  It
+checks the dimensions and L > 0 once, then one chain of type tests picks
+the route: a LatticeSea Gamma takes the lattice route above (default
+budget 100000 sites), any continuum pair one below (default 6000 in its
+unit).  A box pair's compression separates per axis, so its
 eigenvalues are products of the axes' prolate eigenvalues and no
 d-dimensional matrix is needed; a single-interval pair is the one-axis
 case of that route.  An axis spectrum depends only on its c, so axes
@@ -95,8 +95,8 @@ import numpy as np
 
 from . import discretize as _disc
 from .functionals import entropy_function
-from .geometry import (Ball, Box, Domain, GeometryError, LatticeSea,
-                       _check_same_dim)
+from .geometry import (Ball, Box, ComputationError, Domain, GeometryError,
+                       LatticeSea, _check_same_dim)
 
 __all__ = [
     "SpectralViolationError",
@@ -141,7 +141,7 @@ REACH_TOL = 1e-6
 SECTOR_EXCESS = 12.0
 
 
-class SpectralViolationError(RuntimeError):
+class SpectralViolationError(ComputationError):
     """Eigenvalues too far outside [0, 1]: the discretization is broken."""
 
 
@@ -813,19 +813,22 @@ def lattice_sites(L, omega: Domain):
         return np.round(np.asarray(L, dtype=float) * omega.volume())
 
 
-def _resolve_mode(gamma: Domain, omega: Domain) -> str:
-    """The route the types of gamma and omega pick, after the check
-    every route shares: gamma and omega of one dimension."""
-    _check_same_dim(gamma, omega)
-    if isinstance(gamma, LatticeSea):
-        return "lattice"
-    if isinstance(gamma, Box) and isinstance(omega, Box):
-        return "tensor_box"
-    if isinstance(gamma, Ball) and isinstance(omega, Ball):
-        return "radial"
-    if gamma.dim == 1 and len(gamma.intervals) == len(omega.intervals) == 1:
-        return "prolate"
-    return "continuum"
+def _axes_spectrum(axes, L: float, budget: int) -> Spectrum:
+    """tensor_spectrum of the prolate spectra of (gamma, omega) axis
+    pairs.  Every axis passes the budget on its basis of ceil(1.5 c) +
+    PROLATE_PAD Legendre degrees, c = |gamma_i| L |omega_i| / 4, then
+    each distinct c is solved once; one axis is its own spectrum."""
+    # Gamma's center only multiplies an axis kernel by a phase and
+    # omega's only translates the axis, so each axis is the sinc kernel
+    # on [-1, 1] at its c.
+    axis_c = [gamma_axis.volume() * L * omega_axis.volume() / 4.0
+              for gamma_axis, omega_axis in axes]
+    sizes = {c: np.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
+    for size in sizes.values():
+        _disc.check_budget(size, budget, "Legendre degrees")
+    solved = {c: _clamped(*_prolate_spectrum(c, int(size)))
+              for c, size in sizes.items()}
+    return functools.reduce(tensor_spectrum, [solved[c] for c in axis_c])
 
 
 def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
@@ -833,39 +836,38 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
                       ) -> tuple[Spectrum, float, str]:
     """Clamped spectrum of the gamma Fermi projection localized to L * omega.
 
-    Returns (spectrum, realized L, mode), mode being the route that the
-    types of gamma and omega alone pick: 'lattice' (a LatticeSea gamma),
+    Returns (spectrum, realized L, mode).  gamma and omega must share a
+    dimension (GeometryError) and L must be > 0 (DiscretizationError,
+    NaN included); then one chain of type tests, first match winning,
+    picks the route that mode names: 'lattice' (a LatticeSea gamma),
     'tensor_box' (a box pair), 'radial' (a ball pair), 'prolate' (a
     single-interval pair) or 'continuum' (any other pair).  Each route
     checks its preconditions, its float size through
     discretize.check_budget among them, before it solves anything.
     budget caps that size in the route's unit: lattice sites, Legendre
-    degrees per prolate axis, radial nodes or Nystrom rows.  None is
-    DEFAULT_LATTICE_BUDGET (100000) on the lattice route, which forms no
-    matrix, and DEFAULT_CONTINUUM_BUDGET (6000) on the others.
+    degrees per prolate axis, radial nodes or Nystrom rows.  None, and
+    only None, is DEFAULT_LATTICE_BUDGET (100000) on the lattice route,
+    which forms no matrix, and DEFAULT_CONTINUUM_BUDGET (6000) on the
+    others.
     'lattice' needs gamma = (-k_F, k_F) with k_F in (0, pi) and omega
     one interval (GeometryError otherwise), and solves its block of
     round(L |omega|) sites on the commuting tridiagonal
     (_lattice_spectrum); a block of 0 sites raises DiscretizationError.
-    'prolate' and 'tensor_box' are one per-axis route: a box pair gives
-    its axis intervals, and a single-interval pair is its own one axis.
-    Every axis passes the budget on its basis of ceil(1.5 c) +
-    PROLATE_PAD Legendre degrees, then each distinct
-    c = |gamma_i| L |omega_i| / 4 is solved once, and tensor_spectrum
-    combines the axes (one axis is its own spectrum).  The spectrum
-    counts one eigenvalue per degree of each axis basis, as the lattice
-    route counts one per site, but stores each axis's exact 0s and 1s
-    once.  'radial' solves on ceil(1.5 k R) + 20 nodes, and 'continuum'
-    on nystrom's default rule.  The realized L differs from the
-    requested one only on the lattice route, where the block has an
-    integer number of sites.  Every Renyi order at this L is
-    renyi_entropy of the one spectrum.
+    'prolate' and 'tensor_box' are one per-axis route (_axes_spectrum):
+    a box pair gives its axis intervals, and a single-interval pair is
+    its own one axis.  The spectrum counts one eigenvalue per degree of
+    each axis basis, as the lattice route counts one per site, but
+    stores each axis's exact 0s and 1s once.  'radial' solves on
+    ceil(1.5 k R) + 20 nodes, and 'continuum' on nystrom's default
+    rule.  The realized L differs from the requested one only on the
+    lattice route, where the block has an integer number of sites.
+    Every Renyi order at this L is renyi_entropy of the one spectrum.
     """
-    mode = _resolve_mode(gamma, omega)
-    if budget is None:
-        budget = (_disc.DEFAULT_LATTICE_BUDGET if mode == "lattice"
-                  else _disc.DEFAULT_CONTINUUM_BUDGET)
-    if mode == "lattice":
+    _check_same_dim(gamma, omega)
+    if not L > 0:
+        raise _disc.DiscretizationError(
+            f"dilation factor must be positive, got {L}")
+    if isinstance(gamma, LatticeSea):
         if not (len(gamma.intervals) == 1 and gamma.is_centrally_symmetric):
             raise GeometryError(
                 "lattice mode needs a symmetric momentum interval (-k_F, k_F)")
@@ -875,35 +877,30 @@ def pipeline_spectrum(gamma: Domain, omega: Domain, L: float,
         if not 0.0 < k_fermi < math.pi:
             raise GeometryError(
                 f"lattice Fermi momentum must lie in (0, pi), got {k_fermi}")
+        if budget is None:
+            budget = _disc.DEFAULT_LATTICE_BUDGET
         sites = float(lattice_sites(L, omega))
         _disc.check_budget(sites, budget, "lattice sites")
         spectrum = _clamped(*_lattice_spectrum(k_fermi, int(sites)))
         # Report the realized dilation (integer site count over |omega|)
         # so downstream fits see the block size actually diagonalized.
-        return spectrum, sites / omega.volume(), mode
-    if mode in ("prolate", "tensor_box"):
-        # Gamma's center only multiplies an axis kernel by a phase and
-        # omega's only translates the axis, so each axis is the sinc
-        # kernel on [-1, 1] at its c.
-        axes = (list(zip(gamma.axis_intervals(), omega.axis_intervals()))
-                if mode == "tensor_box" else [(gamma, omega)])
-        axis_c = [gamma_axis.volume() * L * omega_axis.volume() / 4.0
-                  for gamma_axis, omega_axis in axes]
-        sizes = {c: np.ceil(1.5 * c) + PROLATE_PAD for c in axis_c}
-        for size in sizes.values():
-            _disc.check_budget(size, budget, "Legendre degrees")
-        solved = {c: _clamped(*_prolate_spectrum(c, int(size)))
-                  for c, size in sizes.items()}
-        spectrum = functools.reduce(tensor_spectrum,
-                                    [solved[c] for c in axis_c])
-    elif mode == "radial":
+        return spectrum, sites / omega.volume(), "lattice"
+    if budget is None:
+        budget = _disc.DEFAULT_CONTINUUM_BUDGET
+    if isinstance(gamma, Box) and isinstance(omega, Box):
+        return (_axes_spectrum(zip(gamma.axis_intervals(),
+                                   omega.axis_intervals()), L, budget),
+                float(L), "tensor_box")
+    if isinstance(gamma, Ball) and isinstance(omega, Ball):
         # Both centers drop out as on the prolate axes: the spectrum is
         # that of momentum radius k on a centered ball of radius R.  The
         # radial rule has ceil(1.5 k R) + 20 nodes.
         k, R = gamma.radius, omega.scaled(L).radius
         n_r = np.ceil(1.5 * k * R) + 20
         _disc.check_budget(n_r, budget, "radial nodes")
-        spectrum = _clamped(*_radial_spectrum(k, R, gamma.dim, int(n_r)))
-    else:
-        spectrum = eigenvalues(_disc.nystrom(gamma, omega, L, budget=budget))
-    return spectrum, float(L), mode
+        return (_clamped(*_radial_spectrum(k, R, gamma.dim, int(n_r))),
+                float(L), "radial")
+    if gamma.dim == 1 and len(gamma.intervals) == len(omega.intervals) == 1:
+        return _axes_spectrum([(gamma, omega)], L, budget), float(L), "prolate"
+    return (eigenvalues(_disc.nystrom(gamma, omega, L, budget=budget)),
+            float(L), "continuum")

@@ -25,7 +25,7 @@ from fermient.geometry import (
     LatticeSea,
     interval,
 )
-from fermient.spectra import eigenvalues
+from fermient.spectra import eigenvalues, pipeline_spectrum
 
 GAMMA = interval(-1.0, 1.0)
 OMEGA = interval(0.0, 1.0)
@@ -222,6 +222,12 @@ def test_invalid_inputs():
     triangle = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(DiscretizationError):
         nystrom(Box(((-1.0, 1.0),) * 2), triangle)
+    # The pipeline sends polygon pairs to nystrom, which refuses them:
+    # a polygon has no Fermi kernel, and no node rule yet.
+    with pytest.raises(GeometryError):
+        pipeline_spectrum(triangle, Box(((0.0, 1.0),) * 2), 4.0)
+    with pytest.raises(DiscretizationError, match="no node rule"):
+        pipeline_spectrum(Box(((-1.0, 1.0),) * 2), triangle, 4.0)
 
 
 def test_default_budget_is_sane():

@@ -131,7 +131,8 @@ def test_scaled_lattice_sea_keeps_its_type_and_route():
     # LatticeSea and a dilated plain interval union stays continuum.
     sea = LatticeSea(((-1.0, 1.0),)).scaled(0.5)
     assert type(sea) is LatticeSea and sea.intervals == ((-0.5, 0.5),)
-    assert spectra._resolve_mode(sea, interval(0.0, 1.0)) == "lattice"
+    assert spectra.pipeline_spectrum(sea, interval(0.0, 1.0), 20.0)[2] \
+        == "lattice"
     assert type(interval(-1.0, 1.0).scaled(0.5)) is IntervalUnion
 
 

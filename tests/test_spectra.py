@@ -13,7 +13,8 @@ from scipy.linalg import eigh_tridiagonal
 from fermient import asymptotics, discretize, spectra
 from fermient.config import RunConfig, mode_from_config, momenta_for_mode
 from fermient.discretize import (DEFAULT_LATTICE_BUDGET, BudgetError,
-                                 lattice_correlation, nystrom)
+                                 DiscretizationError, lattice_correlation,
+                                 nystrom)
 from fermient.functionals import entropy_function
 from fermient.geometry import (Ball, Box, GeometryError, IntervalUnion,
                                LatticeSea, interval)
@@ -1158,12 +1159,19 @@ def test_pipeline_spectrum_serves_every_order():
             == renyi_entropy(spectrum, alpha, L, mode)
 
 
+# Every pair of catalog shapes that a route takes, and its route.
 @pytest.mark.parametrize("gamma, omega, L, mode", [
     (LatticeSea(((-1.0, 1.0),)), OMEGA, 300.0, "lattice"),
     (GAMMA, IntervalUnion(((0.0, 1.0), (1.5, 2.5))), 30.0, "continuum"),
     (Box(((-1.0, 1.0), (-1.0, 1.0))), Box(((0.0, 1.0), (0.0, 1.0))), 4.0,
      "tensor_box"),
     (DISK, DISK, 4.0, "radial"),
+    (GAMMA, OMEGA, 30.0, "prolate"),
+    (IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), OMEGA, 10.0, "continuum"),
+    (DISK, Box(((0.0, 1.0), (0.0, 1.0))), 4.0, "continuum"),
+    (Box(((-1.0, 1.0), (-1.0, 1.0))), DISK, 4.0, "continuum"),
+    (Box(((-1.0, 1.0),) * 3), Box(((0.0, 1.0),) * 3), 4.0, "tensor_box"),
+    (BALL3, BALL3, 4.0, "radial"),
 ])
 def test_pipeline_provenance_counts_interior(gamma, omega, L, mode):
     spectrum, _, route = pipeline_spectrum(gamma, omega, L)
@@ -1266,6 +1274,29 @@ def test_every_route_passes_the_budget_before_building(
         pipeline_spectrum(gamma, omega, L, budget)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan],
+                         ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("gamma, omega, solver", [
+    (HALF_FILLED, OMEGA, "_lattice_spectrum"),
+    (GAMMA, OMEGA, "_prolate_spectrum"),
+    (SQUARE_MOMENTUM, SQUARE, "_prolate_spectrum"),
+    (DISK, DISK, "_radial_spectrum"),
+    (GAMMA, IntervalUnion(((0.0, 0.5), (1.0, 1.5))), "eigenvalues"),
+], ids=["lattice", "prolate", "tensor_box", "radial", "continuum"])
+def test_every_route_refuses_a_dilation_not_above_zero(
+        monkeypatch, gamma, omega, solver, L):
+    # One check ahead of the routes, with nystrom's message: no route
+    # builds anything for L = 0, a negative L or NaN.
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{solver} was called")
+
+    monkeypatch.setattr(spectra, solver, forbidden)
+    with pytest.raises(DiscretizationError, match=re.escape(
+            f"dilation factor must be positive, got {L}")) as info:
+        pipeline_spectrum(gamma, omega, L)
+    assert not isinstance(info.value, BudgetError)
+
+
 class _Solved(Exception):
     """Raised in place of a route's solve: its size passed the gate."""
 
@@ -1298,6 +1329,10 @@ def test_unset_budget_follows_the_mode(monkeypatch, gamma, omega, L_fits,
         pipeline_spectrum(gamma, omega, L_fits)
     with pytest.raises(BudgetError, match=f"{re.escape(over)}$"):
         pipeline_spectrum(gamma, omega, L_over)
+    # None, not any falsy budget, is the default: a budget of 0 fits
+    # nothing.
+    with pytest.raises(BudgetError, match="over the budget 0$"):
+        pipeline_spectrum(gamma, omega, L_fits, budget=0)
 
 
 @pytest.mark.parametrize("gamma, omega, L, size", [
@@ -1404,7 +1439,7 @@ def test_pipeline_config_refuses_continuum_mode():
     with pytest.raises(ValueError, match="unknown mode 'continuum'"):
         mode_from_config(RunConfig({"mode": "continuum"}))
     two_intervals = IntervalUnion(((0.0, 0.5), (1.0, 1.5)))
-    assert spectra._resolve_mode(GAMMA, two_intervals) == "continuum"
+    assert pipeline_spectrum(GAMMA, two_intervals, 10.0)[2] == "continuum"
 
 
 def test_pipeline_entropy_stable_under_refinement():
